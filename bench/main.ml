@@ -4,8 +4,6 @@
      dune exec bench/main.exe                 -- everything (quick scale)
      dune exec bench/main.exe -- table1       -- Table 1 only
      dune exec bench/main.exe -- figure4      -- Figure 4 only
-     dune exec bench/main.exe -- shm          -- real shared-memory runs
-     dune exec bench/main.exe -- sched        -- scheduler nodes/sec microbench
      dune exec bench/main.exe -- serve        -- job-server latency/throughput
      dune exec bench/main.exe -- table2       -- Table 2 only
      dune exec bench/main.exe -- ablations    -- ablation studies
@@ -269,181 +267,6 @@ let figure4 () =
           results))
 
 (* ------------------------------------------------------------------ *)
-(* Shared-memory runtime: real domains, wall-clock.                    *)
-(* ------------------------------------------------------------------ *)
-
-module Shm = Yewpar_par.Shm
-module Stats = Yewpar_core.Stats
-
-let shm_runtime () =
-  section "Shared-memory runtime: real Shm.run wall-clock";
-  let workers = 2 in
-  let reps = 3 in
-  Printf.printf
-    "Real [Shm.run] on %d domains, mean of %d runs, this machine.\n\
-     One configuration per coordination family the simulator gate does\n\
-     not already cover end to end (stack-stealing and budget on the\n\
-     actual worker core). Wall-clock varies across machines, so the CI\n\
-     gate compares these records at a deliberately loose threshold: it\n\
-     catches deadlocks and order-of-magnitude regressions, not\n\
-     percent-level drift.\n\n" workers reps;
-  let configs =
-    [ ("queens-10", Coordination.Stack_stealing { chunked = false });
-      ("knap-ss-20", Coordination.Budget { budget = 1_000 }) ]
-  in
-  let rows =
-    List.map
-      (fun (name, coordination) ->
-        let inst = Instances.find name in
-        let (Instances.Packed (p, show)) = Lazy.force inst.Instances.problem in
-        let stats = Stats.create () in
-        let result = ref "" in
-        let times =
-          List.init reps (fun _ ->
-              let st = Stats.create () in
-              let r, t =
-                wall (fun () -> Shm.run ~workers ~stats:st ~coordination p)
-              in
-              result := show r;
-              Stats.add stats st;
-              t)
-        in
-        let elapsed = Summary.mean times in
-        json_record
-          [ ("experiment", jstr "shm"); ("problem", jstr name);
-            ("skeleton", jstr (Coordination.to_string coordination));
-            ("runtime", jstr "shm"); ("localities", jint 1);
-            ("workers", jint workers); ("elapsed", jfloat elapsed);
-            ("nodes", jint (stats.Stats.nodes / reps));
-            ("tasks", jint (stats.Stats.tasks / reps));
-            ("steals", jint (stats.Stats.steals / reps)) ];
-        Printf.eprintf "  [shm] %s / %s done\n%!" name
-          (Coordination.to_string coordination);
-        [ name; Coordination.to_string coordination; !result;
-          Printf.sprintf "%.4f" elapsed;
-          string_of_int (stats.Stats.tasks / reps) ])
-      configs
-  in
-  print_endline
-    (Table.render
-       ~header:[ "Instance"; "Skeleton"; "Result"; "Wall (s)"; "Tasks" ]
-       rows);
-  (* Estimator overhead A/B: the stack-stealing row again, once with
-     the progress estimator on and once off. Two distinct experiment
-     names — not two rows under one key — so `analyze --compare` never
-     averages on and off together, and drift in either is gated like
-     any other shm record. The acceptance bar is <2% on nodes/sec. *)
-  let name, coordination = List.hd configs in
-  let inst = Instances.find name in
-  let (Instances.Packed (p, _)) = Lazy.force inst.Instances.problem in
-  let ab_reps = 5 * reps in
-  let one ~progress =
-    let st = Stats.create () in
-    let _, t =
-      wall (fun () -> Shm.run ~workers ~stats:st ~progress ~coordination p)
-    in
-    (st, t)
-  in
-  (* Interleave the on/off reps so frequency scaling and background
-     load hit both sides alike, and compare best-of rates: scheduling
-     noise only ever slows a run down, so min wall-clock is the
-     cleanest overhead probe these short runs allow. *)
-  let runs = List.init ab_reps (fun _ -> (one ~progress:true, one ~progress:false)) in
-  let summarise ~progress picked =
-    let stats = Stats.create () in
-    List.iter (fun (st, _) -> Stats.add stats st) picked;
-    let times = List.map snd picked in
-    let elapsed = Summary.mean times in
-    let nodes = stats.Stats.nodes / ab_reps in
-    let rate = float_of_int nodes /. List.fold_left min infinity times in
-    let experiment =
-      if progress then "progress-overhead-on" else "progress-overhead-off"
-    in
-    json_record
-      [ ("experiment", jstr experiment); ("problem", jstr name);
-        ("skeleton", jstr (Coordination.to_string coordination));
-        ("runtime", jstr "shm"); ("localities", jint 1);
-        ("workers", jint workers); ("elapsed", jfloat elapsed);
-        ("nodes", jint nodes); ("rate", jfloat rate) ];
-    rate
-  in
-  let rate_on = summarise ~progress:true (List.map fst runs) in
-  let rate_off = summarise ~progress:false (List.map snd runs) in
-  Printf.printf
-    "Progress estimator overhead (%s / %s): %.0f nodes/s on, %.0f off \
-     (%+.2f%%)\n\n"
-    name
-    (Coordination.to_string coordination)
-    rate_on rate_off
-    (100. *. ((rate_off -. rate_on) /. rate_off))
-
-(* ------------------------------------------------------------------ *)
-(* Scheduler microbenchmark: nodes/sec through the two-tier hot path.  *)
-(* ------------------------------------------------------------------ *)
-
-(* The shm section gates wall-clock at 2 workers; this one pushes the
-   scheduler itself — 4 domains so the Tier-1 deques see real sibling
-   stealing, one steal-heavy configuration (stack-stealing, few big
-   tasks) and one spawn-heavy one (a small budget, thousands of tiny
-   tasks through enqueue/take). The gated quantity is nodes/sec over
-   the best-of-reps wall-clock: scheduling noise only ever slows a run
-   down, so the max rate is the cleanest throughput probe short runs
-   allow. *)
-let sched_bench () =
-  section "Scheduler microbenchmark: nodes/sec through the two-tier hot path";
-  let workers = 4 in
-  let reps = 5 in
-  Printf.printf
-    "Real [Shm.run] on %d domains, %d reps, best-of rate.\n\
-     Stack-stealing drives the deque steal path; the small budget\n\
-     drives task churn through both tiers.\n\n" workers reps;
-  let configs =
-    [ ("queens-12", Coordination.Stack_stealing { chunked = false });
-      ("knap-ss-20", Coordination.Budget { budget = 250 }) ]
-  in
-  let rows =
-    List.map
-      (fun (name, coordination) ->
-        let inst = Instances.find name in
-        let (Instances.Packed (p, _)) = Lazy.force inst.Instances.problem in
-        let stats = Stats.create () in
-        let times =
-          List.init reps (fun _ ->
-              let st = Stats.create () in
-              let _, t =
-                wall (fun () -> Shm.run ~workers ~stats:st ~coordination p)
-              in
-              Stats.add stats st;
-              t)
-        in
-        let elapsed = Summary.mean times in
-        let nodes = stats.Stats.nodes / reps in
-        let rate = float_of_int nodes /. List.fold_left min infinity times in
-        json_record
-          [ ("experiment", jstr "sched"); ("problem", jstr name);
-            ("skeleton", jstr (Coordination.to_string coordination));
-            ("runtime", jstr "shm"); ("localities", jint 1);
-            ("workers", jint workers); ("elapsed", jfloat elapsed);
-            ("nodes", jint nodes);
-            ("tasks", jint (stats.Stats.tasks / reps));
-            ("steals", jint (stats.Stats.steals / reps));
-            ("rate", jfloat rate) ];
-        Printf.eprintf "  [sched] %s / %s done\n%!" name
-          (Coordination.to_string coordination);
-        [ name; Coordination.to_string coordination;
-          Printf.sprintf "%.4f" elapsed;
-          Printf.sprintf "%.0f" rate;
-          string_of_int (stats.Stats.tasks / reps);
-          string_of_int (stats.Stats.steals / reps) ])
-      configs
-  in
-  print_endline
-    (Table.render
-       ~header:
-         [ "Instance"; "Skeleton"; "Wall (s)"; "Nodes/s"; "Tasks"; "Steals" ]
-       rows)
-
-(* ------------------------------------------------------------------ *)
 (* Job server: throughput and tail latency under concurrent jobs.      *)
 (* ------------------------------------------------------------------ *)
 
@@ -466,7 +289,7 @@ let serve_bench () =
     "%d jobs submitted at once to [yewpar serve] (%d localities x %d\n\
      workers, max 2 running): per-job latency is submission to\n\
      completion, so queueing shows up in the tail. Real wall-clock;\n\
-     the CI gate compares at the same loose threshold as shm.\n\n"
+     reported, not gated.\n\n"
     (List.length jobs) localities workers;
   let registry =
     List.filter_map
@@ -881,13 +704,10 @@ let () =
   let want s = run_all || List.mem s sections in
   let t0 = Unix.gettimeofday () in
   (* First: serve forks its fleet, which must happen before any other
-     section spawns a domain (shm, micro, and the HTTP exporter itself
-     all do). *)
+     section spawns a domain (micro and the HTTP exporter itself do). *)
   if want "serve" then serve_bench ();
   if want "table1" then table1 ~reps ();
   if want "figure4" then figure4 ();
-  if want "shm" then shm_runtime ();
-  if want "sched" then sched_bench ();
   if want "table2" then table2 ~dcutoffs ~budgets ();
   if want "ablations" || want "ablation-budget" then ablation_budget ();
   if want "ablations" || want "ablation-pool" then ablation_pool ();

@@ -9,7 +9,6 @@
 
 module Instances = Yewpar_instances.Instances
 module Coordination = Yewpar_core.Coordination
-module Sequential = Yewpar_core.Sequential
 module Stats = Yewpar_core.Stats
 module Sim = Yewpar_sim.Sim
 module Sim_config = Yewpar_sim.Config
@@ -18,7 +17,6 @@ module Shm = Yewpar_par.Shm
 module Dist = Yewpar_dist.Dist
 module Mc = Yewpar_maxclique.Maxclique
 module Telemetry = Yewpar_telemetry.Telemetry
-module Recorder = Yewpar_telemetry.Recorder
 module Journal = Yewpar_telemetry.Journal
 module Progress = Yewpar_telemetry.Progress
 
@@ -135,12 +133,6 @@ let obs_term =
                    parent ids so steals and replays form one causal tree. \
                    Analyze with $(b,yewpar analyze --journal) $(docv).")
   in
-  let trace_csv =
-    Arg.(value & opt (some string) None
-         & info [ "trace-csv" ] ~docv:"FILE"
-             ~doc:"Deprecated alias for $(b,--trace) $(docv) \
-                   $(b,--trace-format) csv.")
-  in
   let monitor =
     Arg.(value & opt (some int) None
          & info [ "monitor-port" ] ~docv:"PORT"
@@ -244,8 +236,7 @@ let obs_term =
                    after $(docv) seconds (dist runtime) — a lost reply must \
                    not starve the thief forever.")
   in
-  let combine obs_trace obs_format obs_metrics obs_journal trace_csv
-      obs_monitor no_progress obs_heartbeat obs_depths obs_watchdog
+  let combine obs_trace obs_format obs_metrics obs_journal obs_monitor no_progress obs_heartbeat obs_depths obs_watchdog
       obs_failure_timeout obs_lease_timeout obs_max_respawns obs_chaos
       obs_chaos_seed comm_tick steal_retry =
     let obs_timing =
@@ -255,21 +246,12 @@ let obs_term =
         Printf.eprintf "error: %s\n" msg;
         exit 1
     in
-    let rest =
-      { obs_trace; obs_format; obs_metrics; obs_journal; obs_monitor;
-        obs_progress = not no_progress; obs_heartbeat; obs_depths;
-        obs_watchdog; obs_failure_timeout; obs_lease_timeout;
-        obs_max_respawns; obs_chaos; obs_chaos_seed; obs_timing }
-    in
-    match (obs_trace, trace_csv) with
-    | None, Some f ->
-      prerr_endline
-        "yewpar: --trace-csv is deprecated; use --trace FILE --trace-format csv";
-      { rest with obs_trace = Some f; obs_format = Csv }
-    | _ -> rest
+    { obs_trace; obs_format; obs_metrics; obs_journal; obs_monitor;
+      obs_progress = not no_progress; obs_heartbeat; obs_depths;
+      obs_watchdog; obs_failure_timeout; obs_lease_timeout;
+      obs_max_respawns; obs_chaos; obs_chaos_seed; obs_timing }
   in
-  Term.(const combine $ trace $ format $ metrics $ journal $ trace_csv
-        $ monitor $ no_progress $ heartbeat $ depths $ watchdog
+  Term.(const combine $ trace $ format $ metrics $ journal $ monitor $ no_progress $ heartbeat $ depths $ watchdog
         $ failure_timeout $ lease_timeout $ max_respawns $ chaos $ chaos_seed
         $ comm_tick $ steal_retry)
 
@@ -286,8 +268,8 @@ let export_observability obs = function
         (match obs.obs_format with
         | Chrome -> Telemetry.to_chrome tl
         | Csv -> Telemetry.to_csv tl);
-      Printf.printf "trace:    %s (%d spans, %d dropped)\n" file
-        (List.length (Telemetry.spans tl))
+      Printf.printf "trace:    %s (%d events, %d dropped)\n" file
+        (List.length (Telemetry.events tl))
         (Telemetry.dropped tl)
     | None -> ());
     (match obs.obs_metrics with
@@ -334,25 +316,13 @@ let execute ~runtime ~coordination ~localities ~workers ~seed ~obs
   in
   (match runtime with
   | Rt_seq ->
-    let t0 = Unix.gettimeofday () in
-    let (result, stats), elapsed = wall (fun () -> Sequential.search_with_stats p) in
+    let stats = Stats.create () in
+    let result, elapsed =
+      wall (fun () ->
+          Shm.run ~stats ?telemetry ?journal
+            ~coordination:Coordination.Sequential p)
+    in
     stats.Stats.elapsed <- elapsed;
-    Option.iter
-      (fun tl ->
-        Telemetry.add_span tl
-          { Telemetry.locality = 0; worker = 0; kind = Recorder.Task;
-            start = t0; dur = elapsed; arg = stats.Stats.nodes; label = "" })
-      telemetry;
-    Option.iter
-      (fun w ->
-        Journal.write w
-          [
-            Journal.event ~locality:0 ~t:t0 ~ev:"job_start" ~span:0 ();
-            Journal.event ~parent:0 ~locality:0 ~worker:0 ~t:t0 ~dur:elapsed
-              ~value:stats.Stats.nodes ~ev:"task" ~span:1 ();
-            Journal.event ~locality:0 ~dur:elapsed ~ev:"job_done" ~span:0 ();
-          ])
-      journal;
     Printf.printf "result:   %s\n" (show result);
     Format.printf "stats:    %a@." Stats.pp stats;
     Printf.printf "walltime: %.3fs\n" elapsed;
@@ -416,19 +386,16 @@ let execute ~runtime ~coordination ~localities ~workers ~seed ~obs
     (match (telemetry, trace) with
     | Some tl, Some t ->
       (* Simulator spans carry rich labels and virtual timestamps;
-         convert them so both exporters and the metric derivation
-         apply uniformly. *)
-      List.iter
-        (fun s ->
-          Telemetry.add_span tl
-            { Telemetry.locality = s.Yewpar_sim.Trace.worker / workers;
-              worker = s.Yewpar_sim.Trace.worker mod workers;
-              kind = Recorder.Task;
-              start = s.Yewpar_sim.Trace.start;
-              dur = s.Yewpar_sim.Trace.duration;
-              arg = 0;
-              label = s.Yewpar_sim.Trace.label })
-        (Yewpar_sim.Trace.spans t)
+         keep them as events named by their label so the exporters and
+         the metric derivation apply uniformly. *)
+      Telemetry.ingest tl ~locality:0 ~offset:0.
+        (List.map
+           (fun s ->
+             Journal.event ~locality:(s.Yewpar_sim.Trace.worker / workers)
+               ~worker:(s.Yewpar_sim.Trace.worker mod workers)
+               ~t:s.Yewpar_sim.Trace.start ~dur:s.Yewpar_sim.Trace.duration
+               ~ev:s.Yewpar_sim.Trace.label ~span:0 ())
+           (Yewpar_sim.Trace.spans t))
     | _ -> ());
     if obs.obs_journal <> None then
       prerr_endline
@@ -717,13 +684,6 @@ let serve_cmd =
 
 let analyze_cmd =
   let module Analyze = Yewpar_telemetry.Analyze in
-  let trace_arg =
-    Arg.(value & opt (some file) None
-         & info [ "trace" ] ~docv:"FILE"
-             ~doc:"Analyze an execution trace (Chrome trace-event JSON or \
-                   worker,start,duration,label CSV, auto-detected) and print a \
-                   load-balance report.")
-  in
   let compare_arg =
     Arg.(value & opt (some file) None
          & info [ "compare" ] ~docv:"OLD"
@@ -754,8 +714,9 @@ let analyze_cmd =
              ~doc:"Analyze a causal event journal written by $(b,--journal) \
                    (solve or serve): per-trace critical path through the \
                    lease tree, overhead breakdown (compute / replay-waste / \
-                   steal-wait / idle), the longest leases and a flame-ordered \
-                   span summary.")
+                   steal-wait / idle), the longest leases, a flame-ordered \
+                   span summary and the load balance (per-worker busy/idle, \
+                   imbalance, steal-latency percentiles).")
   in
   let top_arg =
     Arg.(value & opt int 5
@@ -765,18 +726,10 @@ let analyze_cmd =
   let read_file file =
     In_channel.with_open_bin file In_channel.input_all
   in
-  let run trace compare serve journal new_file threshold top =
+  let run compare serve journal new_file threshold top =
     let code =
-      match (trace, compare, serve, journal) with
-      | Some file, None, None, None -> (
-        match Analyze.load_trace (read_file file) with
-        | spans ->
-          print_string (Analyze.load_balance_report spans);
-          0
-        | exception Failure msg ->
-          Printf.eprintf "yewpar analyze: %s: %s\n" file msg;
-          2)
-      | None, Some old_file, None, None -> (
+      match (compare, serve, journal) with
+      | Some old_file, None, None -> (
         match new_file with
         | None ->
           prerr_endline
@@ -794,7 +747,7 @@ let analyze_cmd =
           | exception Failure msg ->
             Printf.eprintf "yewpar analyze: %s\n" msg;
             2))
-      | None, None, Some file, None -> (
+      | None, Some file, None -> (
         match Analyze.serve_report (read_file file) with
         | report ->
           print_string report;
@@ -802,7 +755,7 @@ let analyze_cmd =
         | exception Failure msg ->
           Printf.eprintf "yewpar analyze: %s: %s\n" file msg;
           2)
-      | None, None, None, Some file -> (
+      | None, None, Some file -> (
         match Journal.read file with
         | entries, malformed ->
           print_string (Journal.report ~top entries);
@@ -815,26 +768,25 @@ let analyze_cmd =
         | exception Failure msg ->
           Printf.eprintf "yewpar analyze: %s: %s\n" file msg;
           2)
-      | None, None, None, None ->
+      | None, None, None ->
         prerr_endline
-          "yewpar analyze: nothing to do (use --trace FILE, --compare OLD \
-           NEW, --serve FILE, or --journal FILE)";
+          "yewpar analyze: nothing to do (use --compare OLD NEW, --serve \
+           FILE, or --journal FILE)";
         2
       | _ ->
         prerr_endline
-          "yewpar analyze: --trace, --compare, --serve and --journal are \
-           exclusive";
+          "yewpar analyze: --compare, --serve and --journal are exclusive";
         2
     in
     if code <> 0 then exit code
   in
   Cmd.v
     (Cmd.info "analyze"
-       ~doc:"Analyze a recorded trace (load balance), compare two bench JSON \
-             files (A/B regression check), report job-server tail latency \
-             from a bench serve section, or turn a causal event journal into \
-             a critical-path and overhead report.")
-    Term.(const run $ trace_arg $ compare_arg $ serve_arg $ journal_arg
+       ~doc:"Compare two bench JSON files (A/B regression check), report \
+             job-server tail latency from a bench serve section, or turn a \
+             causal event journal into a critical-path, overhead and \
+             load-balance report.")
+    Term.(const run $ compare_arg $ serve_arg $ journal_arg
           $ new_arg $ threshold_arg $ top_arg)
 
 let top_cmd =

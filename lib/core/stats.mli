@@ -19,7 +19,7 @@ type t = {
           plus, in the distributed runtime, broadcast floor raises a
           locality adopted. *)
   mutable trace_dropped : int;
-      (** Telemetry spans lost to {!Yewpar_telemetry.Recorder} ring
+      (** Recorded events lost to {!Yewpar_telemetry.Recorder} ring
           overflow during this run (0 when untraced). Surfaced so a
           silently truncated trace is visible next to the counters it
           was meant to explain. *)

@@ -1,8 +1,8 @@
 module Stats = Yewpar_core.Stats
-module Recorder = Yewpar_telemetry.Recorder
 module Metrics = Yewpar_telemetry.Metrics
 module Http_export = Yewpar_telemetry.Http_export
 module Journal = Yewpar_telemetry.Journal
+module Telemetry = Yewpar_telemetry.Telemetry
 module Est = Yewpar_core.Progress
 module Track = Yewpar_telemetry.Progress
 
@@ -12,7 +12,6 @@ type outcome = {
   witness : (int * string) option;
   stats : Stats.t;
   broadcasts : int;
-  telemetry : (float * Recorder.packed list) option array;
   failure : string option;
   dead : bool array;
   abandoned : bool;
@@ -70,7 +69,8 @@ let send_timeout = 5.0
 
 let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
     ?(standby_from = max_int) ?(pool_policy = Yewpar_core.Workpool.Depth)
-    ?cancelled ?on_progress ?journal ?trace ?label ~conns ~root_payload () =
+    ?cancelled ?on_progress ?journal ?telemetry ?trace ?label ~started ~conns
+    ~root_payload () =
   let l = Array.length conns in
   let standby_from = min standby_from l in
   let failure_timeout =
@@ -108,9 +108,6 @@ let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
   let eligible i = alive.(i) && not standby.(i) in
   let results : string option array = Array.make l None in
   let stats_got : Stats.t option array = Array.make l None in
-  let telemetry_got : (float * Recorder.packed list) option array =
-    Array.make l None
-  in
   let failure = ref None in
   let global_best = ref min_int in
   (* Best (value, encoded node) the coordinator holds — fed by
@@ -125,7 +122,6 @@ let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
   let broadcasts = ref 0 in
   let shutdown_sent = ref false in
   let shed_rr = ref 0 in
-  let started = Unix.gettimeofday () in
   let last_rx = Array.make l started in
   let last_ping = Array.make l started in
   (* Fault counters, surfaced in the outcome stats / gauges / status. *)
@@ -312,27 +308,32 @@ let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
     | None -> (
       match journal with Some w -> Journal.trace w | None -> "run")
   in
-  let jot ?parent ?locality ?worker ?dur ?value ?note ev span =
+  let jot ?parent ?locality ?worker ?t ?dur ?value ?note ev span =
     match journal with
     | None -> ()
     | Some w ->
       Journal.write w ~trace
-        [ Journal.event ?parent ?locality ?worker ?dur ?value ?note ~ev ~span () ]
+        [ Journal.event ?parent ?locality ?worker ?t ?dur ?value ?note ~ev ~span () ]
   in
-  let write_events i ~clock events =
-    match journal with
-    | None -> ()
-    | Some w ->
-      if events <> [] then
-        let offset = Unix.gettimeofday () -. clock in
-        Journal.write w ~trace ~offset
-          (List.map
-             (fun (e : Journal.event) ->
-               if e.Journal.locality < 0 then { e with Journal.locality = i }
-               else e)
-             events)
+  (* Locality events: the clock-offset estimate is our clock at receipt
+     minus the clock sampled when the frame was built — an upper bound
+     off by the frame's transit time. *)
+  let keep_events i ~clock events =
+    if events <> [] then begin
+      let offset = Unix.gettimeofday () -. clock in
+      let events =
+        List.map
+          (fun (e : Journal.event) ->
+            if e.Journal.locality < 0 then { e with Journal.locality = i } else e)
+          events
+      in
+      Option.iter (fun w -> Journal.write w ~trace ~offset events) journal;
+      Option.iter
+        (fun tl -> Telemetry.ingest tl ~locality:i ~offset events)
+        telemetry
+    end
   in
-  jot "job_start" 0 ~note:(Option.value label ~default:"");
+  jot "job_start" 0 ~t:started ~note:(Option.value label ~default:"");
 
   (* Death handling is (carefully) reentrant with [send]: [alive] flips
      first, so a send failure discovered while notifying survivors just
@@ -580,7 +581,7 @@ let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
           progress = psample;
           events;
         } ->
-      write_events i ~clock events;
+      keep_events i ~clock events;
       let now = Unix.gettimeofday () in
       live.(i) <-
         Some
@@ -635,13 +636,7 @@ let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
       broadcast_shutdown ()
     | Wire.Result { payload } -> results.(i) <- Some payload
     | Wire.Stats st -> stats_got.(i) <- Some st
-    | Wire.Telemetry { clock; buffers; events } ->
-      (* Clock-offset estimate: our clock at receipt minus the clock
-         sampled when the frame was built — an upper bound off by the
-         frame's transit time. Adding it to every span start aligns the
-         locality's timeline with ours. *)
-      write_events i ~clock events;
-      telemetry_got.(i) <- Some (Unix.gettimeofday () -. clock, buffers)
+    | Wire.Telemetry { clock; events } -> keep_events i ~clock events
     (* Locality-bound messages; never sent to the coordinator. [Pong]
        matters only for the liveness clock, refreshed on any frame. *)
     | Wire.Pong | Wire.Ping | Wire.Steal_reply _ | Wire.Shutdown
@@ -801,5 +796,5 @@ let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
   let deltas = Hashtbl.fold (fun _ delta acc -> delta :: acc) retired [] in
   let residuals = Array.to_list results |> List.filter_map Fun.id in
   { deltas; residuals; witness = !witness; stats; broadcasts = !broadcasts;
-    telemetry = telemetry_got; failure = !failure;
+    failure = !failure;
     dead = Array.map not alive; abandoned = !abandoned }

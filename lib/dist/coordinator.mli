@@ -52,13 +52,6 @@ type outcome = {
           fault counters ([localities_lost], [leases_reissued],
           [respawns]). *)
   broadcasts : int;  (** Bound-update messages fanned out. *)
-  telemetry :
-    (float * Yewpar_telemetry.Recorder.packed list) option array;
-      (** Per-locality [(clock_offset, packed span buffers)] from the
-          [Wire.Telemetry] frame, when the run was traced. The offset
-          (coordinator clock at receipt minus the locality's clock
-          sample) shifts that locality's span timestamps onto the
-          coordinator's timeline. *)
   failure : string option;
       (** A locality's failure message, a watchdog report (with
           elapsed time and per-locality last-heartbeat ages), a
@@ -108,8 +101,10 @@ val run :
   ?cancelled:(unit -> string option) ->
   ?on_progress:(progress -> unit) ->
   ?journal:Yewpar_telemetry.Journal.writer ->
+  ?telemetry:Yewpar_telemetry.Telemetry.t ->
   ?trace:string ->
   ?label:string ->
+  started:float ->
   conns:Transport.t array ->
   root_payload:string ->
   unit ->
@@ -147,7 +142,12 @@ val run :
     index and clock offset. Events are tagged [trace] (default: the
     writer's trace id). [label] (e.g. ["job 7"]) prefixes failure
     messages and is recorded on the [job_start] event, keeping
-    interleaved job-server output attributable.
+    interleaved job-server output attributable. [started] is when the
+    caller launched the job (forked or started its localities): the
+    time of the [job_start] event, the origin of [job_done]'s duration
+    and of the watchdog, so no locality event predates the job. With [telemetry] the same stamped locality
+    events are also kept in that sink ({!Yewpar_telemetry.Telemetry.ingest}),
+    so the trace and metrics views agree with the journal.
 
     With [monitor_port] the coordinator serves live observability over
     HTTP on [127.0.0.1] for the duration of the run ([0] picks an

@@ -2,9 +2,6 @@ module Coordination = Yewpar_core.Coordination
 module Problem = Yewpar_core.Problem
 module Codec = Yewpar_core.Codec
 module Stats = Yewpar_core.Stats
-module Sequential = Yewpar_core.Sequential
-module Telemetry = Yewpar_telemetry.Telemetry
-module Journal = Yewpar_telemetry.Journal
 
 (* Combine the coordinator's collected results by search kind.
 
@@ -78,6 +75,7 @@ let distributed_run (type s n r) ?stats ?broadcasts ?telemetry ?journal
         | None -> None
         | Some spec -> Chaos.plan spec ~seed:chaos_seed ~locality:i)
   in
+  let started = Unix.gettimeofday () in
   (* A locality death must surface as Transport.Closed, not kill us. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   (* Children inherit the channel buffers and flush them when their
@@ -111,9 +109,10 @@ let distributed_run (type s n r) ?stats ?broadcasts ?telemetry ?journal
               let conn = Transport.create (snd pairs.(i)) in
               (* Heartbeats are always on: they feed the coordinator's
                  failure detector, not just live monitoring. *)
-              Locality.run ~trace:(Option.is_some telemetry)
-                ~journal:(Option.is_some journal) ~heartbeat ?chaos:plans.(i)
-                ?config:timing ~conn ~workers ~coordination p;
+              Locality.run
+                ~record:(Option.is_some telemetry || Option.is_some journal)
+                ~heartbeat ?chaos:plans.(i) ?config:timing ~conn ~workers
+                ~coordination p;
               Transport.close conn;
               0
             with _ -> 1
@@ -174,7 +173,7 @@ let distributed_run (type s n r) ?stats ?broadcasts ?telemetry ?journal
         Coordinator.run ?watchdog ?monitor_port ?on_monitor
           ~failure_timeout ?lease_timeout ~standby_from:localities
           ~pool_policy:(Yewpar_runtime.Task_pool.policy_for coordination)
-          ~cancelled ?journal ~conns
+          ~cancelled ?journal ?telemetry ~started ~conns
           ~root_payload:(codec.Codec.encode p.Problem.root) ()
       in
       (match outcome.Coordinator.failure with
@@ -186,37 +185,14 @@ let distributed_run (type s n r) ?stats ?broadcasts ?telemetry ?journal
       (match broadcasts with
       | Some r -> r := outcome.Coordinator.broadcasts
       | None -> ());
-      (match telemetry with
-      | None -> ()
-      | Some tl ->
-        Array.iteri
-          (fun i -> function
-            | None -> ()
-            | Some (offset, buffers) ->
-              Telemetry.ingest tl ~locality:i ~offset buffers)
-          outcome.Coordinator.telemetry);
       combine p codec outcome)
 
 let run ?stats ?broadcasts ?telemetry ?journal ?watchdog ?monitor_port
     ?heartbeat ?failure_timeout ?lease_timeout ?max_respawns ?chaos
     ?chaos_seed ?on_monitor ?timing ~localities ~workers ~coordination p =
   match coordination with
-  | Coordination.Sequential -> (
-    match journal with
-    | None -> Sequential.search ?stats p
-    | Some w ->
-      (* One process, one span: still worth a journal so seq baselines
-         land in the same report pipeline. *)
-      let t0 = Unix.gettimeofday () in
-      Journal.write w [ Journal.event ~t:t0 ~ev:"job_start" ~span:0 () ];
-      let r = Sequential.search ?stats p in
-      let dur = Unix.gettimeofday () -. t0 in
-      Journal.write w
-        [
-          Journal.event ~parent:0 ~worker:0 ~t:t0 ~dur ~ev:"task" ~span:1 ();
-          Journal.event ~dur ~ev:"job_done" ~span:0 ();
-        ];
-      r)
+  | Coordination.Sequential ->
+    Yewpar_par.Shm.run ?stats ?telemetry ?journal ~coordination p
   | Coordination.Depth_bounded _ | Coordination.Stack_stealing _
   | Coordination.Budget _ | Coordination.Best_first _
   | Coordination.Random_spawn _ ->

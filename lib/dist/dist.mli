@@ -74,18 +74,18 @@ val run :
     submissions plus adopted floor broadcasts) plus the fault counters
     ([localities_lost], [leases_reissued], [respawns]);
     [broadcasts] receives the number of bound-update fan-out messages;
-    [telemetry] turns on per-worker span recording inside every
-    locality (preallocated ring buffers, one per worker domain plus
-    one for each communicator thread); at shutdown the localities ship
-    their buffers in a [Wire.Telemetry] frame and the coordinator
-    ingests them into the sink with per-locality clock offsets
-    aligned, so the merged trace has one process group per locality;
-    [journal] turns on causal tracing ({!Yewpar_telemetry.Journal}):
-    the coordinator writes its lease lifecycle directly and every
-    locality stages task/steal/bound/idle events shipped upward in
-    [Heartbeat]/[Telemetry] frames, producing one JSONL event log
-    whose span ids are lease ids ([yewpar analyze --journal] turns it
-    into a critical-path and overhead report);
+    [telemetry] or [journal] turns on event recording inside every
+    locality (preallocated rings, one per worker domain plus one for
+    each communicator thread); the localities drain them into their
+    [Heartbeat] frames and a final [Wire.Telemetry] frame, and the
+    coordinator stamps each event with its locality and clock offset
+    and hands the same events to both: [telemetry] keeps them
+    ({!Yewpar_telemetry.Telemetry.ingest}), so the merged trace has one
+    process group per locality, and [journal]
+    ({!Yewpar_telemetry.Journal}) writes them next to the
+    coordinator's lease lifecycle, producing one JSONL event log whose
+    span ids are lease ids ([yewpar analyze --journal] turns it into a
+    critical-path, overhead and load-balance report);
     [watchdog] bounds the whole run in seconds (a deadlock safety net
     — on expiry the run raises instead of hanging, naming each
     locality's last-heartbeat age).
@@ -120,7 +120,9 @@ val run :
     previous handlers are restored on return.
 
     [Sequential] coordination runs in-process via
-    {!Yewpar_core.Sequential.search}.
+    {!Yewpar_par.Shm.run}, which delegates to
+    {!Yewpar_core.Sequential.search} and records the one-task journal
+    and trace when asked.
 
     @raise Invalid_argument if the problem has no task codec or the
     topology is not at least 1x1.

@@ -27,7 +27,7 @@ type ledger = {
   residual : unit -> string;  (** Final [Result] payload. *)
 }
 
-let run (type s n r) ?(trace = false) ?(journal = false) ?heartbeat ?chaos
+let run (type s n r) ?(record = false) ?heartbeat ?chaos
     ?(config = Config.default) ~conn ~workers ~coordination
     (p : (s, n, r) Problem.t) : unit =
   let codec =
@@ -37,12 +37,19 @@ let run (type s n r) ?(trace = false) ?(journal = false) ?heartbeat ?chaos
   in
   (* One counter bundle shared with the worker core; one slot per
      worker domain plus one for the communicator thread (slot
-     [workers]: its recorder ships in the Telemetry frame and floor
-     adoptions land in its depth profile at depth 0). *)
+     [workers]: its ring holds wire steals and floor adoptions, and the
+     adoptions land in its depth profile at depth 0). The rings are drained
+     into every heartbeat and the final Telemetry frame; span ids are
+     the lease ids the coordinator issued, so everything links into its
+     lease forest, and the coordinator stamps our locality index on
+     arrival (we don't know our own). *)
   let counters = Counters.create ~slots:(workers + 1) () in
   let recorders =
-    if trace then Array.init (workers + 1) (fun i -> Recorder.create ~worker:i ())
+    if record then Array.init (workers + 1) (fun i -> Recorder.create ~worker:i ())
     else Array.make (workers + 1) Recorder.null
+  in
+  let drain () =
+    List.concat_map (fun r -> Recorder.drain r) (Array.to_list recorders)
   in
   let comms_r = recorders.(workers) in
   let monitored = heartbeat <> None in
@@ -64,27 +71,9 @@ let run (type s n r) ?(trace = false) ?(journal = false) ?heartbeat ?chaos
     in
     go ()
   in
-  (* ---- causal journal staging ----
-     Workers and the communicator push events into a bounded buffer;
-     the heartbeat ships them upward in batches and the final
-     [Telemetry] frame flushes the rest. Span ids are the lease ids the
-     coordinator issued, so everything links into its lease forest; the
-     coordinator stamps our locality index on arrival (we don't know
-     our own). *)
-  let jbuf = if journal then Some (Journal.buffer ~capacity:4096 ()) else None in
-  let jot ?parent ?(worker = -1) ?dur ?value ?note ~t ev span =
-    match jbuf with
-    | None -> ()
-    | Some b ->
-      Journal.push b
-        (Journal.event ?parent ~worker ~t ?dur ?value ?note ~ev ~span ())
-  in
   (* Which lease each worker is currently executing under — written by
-     [begin_task], read for lease attribution of ledger deltas and
-     journal events alike. *)
+     [begin_task], read for lease attribution of ledger deltas. *)
   let cur_lease = Array.make workers (-1) in
-  let task_started = Array.make workers 0. in
-  let idle_per = Array.make workers 0. in
   let tiers =
     Two_tier.create
       ~policy:(Task_pool.policy_for coordination)
@@ -154,14 +143,9 @@ let run (type s n r) ?(trace = false) ?(journal = false) ?heartbeat ?chaos
   (* Submit wrapper accounting applied incumbent improvements (floor
      raises are accounted by the communicator when it adopts a
      broadcast). *)
-  let submit_acct w n v =
-    let applied =
-      Counters.accounted_submit counters ~slot:w ~recorder:recorders.(w)
-        knowledge.Knowledge.submit n v
-    in
-    if applied then
-      jot "bound" cur_lease.(w) ~worker:w ~value:v ~t:(Unix.gettimeofday ());
-    applied
+  let submit_acct w =
+    Counters.accounted_submit counters ~slot:w ~recorder:recorders.(w)
+      knowledge.Knowledge.submit
   in
 
   (* ------------- per-lease result ledger + worker views -------------
@@ -384,8 +368,7 @@ let run (type s n r) ?(trace = false) ?(journal = false) ?heartbeat ?chaos
     Two_tier.enqueue tiers ~slot ~recorder:r
       ~priority:(task_priority task.Task_pool.node) task
   in
-  let spill r (task : n Task_pool.task) =
-    Recorder.instant r Recorder.Spill ~arg:(Two_tier.queued tiers);
+  let spill (task : n Task_pool.task) =
     outbox_add
       (Wire.Task
          {
@@ -401,42 +384,24 @@ let run (type s n r) ?(trace = false) ?(journal = false) ?heartbeat ?chaos
      workers sleep until the coordinator says otherwise), lease
      attribution, and the distributed hunger signal extending
      stack-stealing's local one. *)
-  (* Per-slot idle hooks, hoisted so [take] allocates nothing per call:
-     the global accumulator feeds the heartbeat's idle fraction, the
-     per-slot one the journal's final per-worker idle events. *)
-  let on_idles =
-    if monitored || journal then
-      Array.init workers (fun slot ->
-          Some
-            (fun d ->
-              add_idle d;
-              if journal then idle_per.(slot) <- idle_per.(slot) +. d))
-    else Array.make workers None
-  in
+  (* The idle hook feeds the heartbeat's idle fraction; hoisted so
+     [take] allocates nothing per call. *)
+  let on_idle = if monitored then Some add_idle else None in
   let scheduler =
     {
       Worker.enqueue =
         (fun ~slot r task ->
-          if Atomic.compare_and_set global_hungry true false then spill r task
-          else if Two_tier.queued tiers >= spill_threshold then spill r task
+          if Atomic.compare_and_set global_hungry true false then spill task
+          else if Two_tier.queued tiers >= spill_threshold then spill task
           else enqueue_local ~slot r task);
       take =
         (fun ~slot ->
-          Two_tier.take tiers ~slot ~recorder:recorders.(slot) ~stop
-            ?on_idle:on_idles.(slot) ());
+          Two_tier.take tiers ~slot ~recorder:recorders.(slot) ~stop ?on_idle ());
       finish = (fun () -> Atomic.decr local_outstanding);
       should_shed =
         (fun () -> Two_tier.hungry tiers || Atomic.get global_hungry);
-      begin_task =
-        (fun ~slot t ->
-          ledger.begin_task slot t.Task_pool.tag;
-          if journal then task_started.(slot) <- Unix.gettimeofday ());
-      end_task =
-        (fun ~slot ->
-          ledger.end_task slot;
-          if journal then
-            jot "task" cur_lease.(slot) ~worker:slot ~t:task_started.(slot)
-              ~dur:(Unix.gettimeofday () -. task_started.(slot)));
+      begin_task = (fun ~slot t -> ledger.begin_task slot t.Task_pool.tag);
+      end_task = (fun ~slot -> ledger.end_task slot);
     }
   in
   let ctx =
@@ -448,7 +413,6 @@ let run (type s n r) ?(trace = false) ?(journal = false) ?heartbeat ?chaos
   (* ------------- communicator (this thread) ------------- *)
   let steal_inflight = ref false in
   let steal_sent_at = ref 0. in
-  let steal_sent_wall = ref 0. in
   let steal_attempts = ref 0 in
   let steals = ref 0 in
   let last_bound_sent = ref min_int in
@@ -478,10 +442,8 @@ let run (type s n r) ?(trace = false) ?(journal = false) ?heartbeat ?chaos
     if !steal_inflight then begin
       steal_inflight := false;
       (* Wire-level steal latency: request sent to task in hand. *)
-      Recorder.span comms_r Recorder.Steal_success ~start:!steal_sent_at
-        ~arg:depth;
-      jot "steal" lease ~worker:workers ~t:!steal_sent_wall
-        ~dur:(Unix.gettimeofday () -. !steal_sent_wall)
+      Recorder.span comms_r Recorder.Steal ~span:lease ~start:!steal_sent_at
+        ~value:depth
     end;
     incr steals;
     ledger.register lease;
@@ -502,7 +464,7 @@ let run (type s n r) ?(trace = false) ?(journal = false) ?heartbeat ?chaos
       List.iter
         (fun t ->
           Atomic.decr local_outstanding;
-          spill comms_r t)
+          spill t)
         shed
   in
   let handle_msg = function
@@ -518,9 +480,7 @@ let run (type s n r) ?(trace = false) ?(journal = false) ?heartbeat ?chaos
            no tree position, so the profile books it at depth 0. *)
         Atomic.incr counters.Counters.bound_updates;
         Depth_profile.note_bound counters.Counters.profs.(workers) 0;
-        Recorder.instant comms_r Recorder.Bound_update ~arg:value;
-        jot "bound" 0 ~worker:workers ~value ~t:(Unix.gettimeofday ())
-          ~note:"floor"
+        Recorder.instant comms_r Recorder.Bound ~span:0 ~value
       end
     | Wire.Ping -> send_out Wire.Pong
     | Wire.Shutdown ->
@@ -572,8 +532,7 @@ let run (type s n r) ?(trace = false) ?(journal = false) ?heartbeat ?chaos
                trace_dropped = all_dropped ();
                nodes = Atomic.get counters.Counters.nodes;
                progress = Counters.progress_sample counters;
-               events =
-                 (match jbuf with Some b -> Journal.drain b | None -> []);
+               events = drain ();
              })
       end
   in
@@ -626,7 +585,7 @@ let run (type s n r) ?(trace = false) ?(journal = false) ?heartbeat ?chaos
        and ask again. *)
     if
       !steal_inflight
-      && Unix.gettimeofday () -. !steal_sent_wall > config.Config.steal_retry
+      && Recorder.clock () -. !steal_sent_at > config.Config.steal_retry
     then steal_inflight := false;
     if
       (not !steal_inflight)
@@ -634,10 +593,8 @@ let run (type s n r) ?(trace = false) ?(journal = false) ?heartbeat ?chaos
       && Two_tier.hungry tiers
     then begin
       steal_inflight := true;
-      steal_sent_at := Recorder.now comms_r;
-      steal_sent_wall := Unix.gettimeofday ();
+      steal_sent_at := Recorder.clock ();
       incr steal_attempts;
-      Recorder.instant comms_r Recorder.Steal_attempt ~arg:0;
       send_out Wire.Steal_request
     end;
     (* Quiescence ack: ordering matters — outstanding is read before the
@@ -680,42 +637,17 @@ let run (type s n r) ?(trace = false) ?(journal = false) ?heartbeat ?chaos
   st.Stats.steals <- !steals;
   send_out (Wire.Result { payload });
   (* Telemetry travels before Stats on the same FIFO socket, so the
-     coordinator always has the buffers (and the journal's final
-     flush) by the time the locality counts as done. *)
-  if trace || journal then begin
-    (* Final journal flush: what's still staged, plus per-worker idle
-       totals and the buffer's overflow count (appended after the
-       drain so they can never be dropped themselves). *)
-    let events =
-      match jbuf with
-      | None -> []
-      | Some b ->
-        let t = Unix.gettimeofday () in
-        let staged = Journal.drain b in
-        let idles =
-          Array.to_list
-            (Array.mapi
-               (fun w d ->
-                 Journal.event ~worker:w ~t ~dur:d ~ev:"idle" ~span:0 ())
-               idle_per)
-          |> List.filter (fun (e : Journal.event) -> e.Journal.dur > 0.)
-        in
-        let drops =
-          match Journal.dropped b with
-          | 0 -> []
-          | n -> [ Journal.event ~t ~value:n ~ev:"journal_drop" ~span:0 () ]
-        in
-        staged @ idles @ drops
+     coordinator always has the last events by the time the locality
+     counts as done. The drop count is appended after the last drain,
+     so it can never be lost itself. *)
+  if record then begin
+    let events = drain () in
+    let drops =
+      match all_dropped () with
+      | 0 -> []
+      | n -> [ Journal.event ~value:n ~ev:"journal_drop" ~span:0 () ]
     in
-    send_out
-      (Wire.Telemetry
-         {
-           clock = Recorder.clock ();
-           buffers =
-             (if trace then Array.to_list (Array.map Recorder.export recorders)
-              else []);
-           events;
-         })
+    send_out (Wire.Telemetry { clock = Recorder.clock (); events = events @ drops })
   end;
   send_out (Wire.Stats st)
 

@@ -31,8 +31,7 @@
     orphan. *)
 
 val run :
-  ?trace:bool ->
-  ?journal:bool ->
+  ?record:bool ->
   ?heartbeat:float ->
   ?chaos:Chaos.plan ->
   ?config:Yewpar_runtime.Config.t ->
@@ -42,18 +41,17 @@ val run :
   ('s, 'n, 'r) Yewpar_core.Problem.t ->
   unit
 (** Serve tasks until the coordinator broadcasts [Shutdown], then send
-    [Result] (then, when [trace] or [journal] is set, [Telemetry]) and
-    [Stats] and return. With [trace] (default [false]) every worker
-    domain and the communicator thread (worker id = [workers]) record
-    into preallocated {!Yewpar_telemetry.Recorder} ring buffers,
-    shipped upward in the [Telemetry] frame. With [journal] (default
-    [false]) workers stage causal journal events — per-task spans
-    attributed to the lease being executed, applied bound submissions,
-    wire-steal waits, per-worker idle totals and the staging buffer's
-    overflow count — into a bounded buffer drained into each
-    [Heartbeat] frame and flushed in the final [Telemetry] frame; the
-    coordinator owns the journal file and stamps our locality index
-    and clock offset. With [heartbeat] (seconds; the
+    [Result] (then, when [record] is set, [Telemetry]) and [Stats] and
+    return. With [record] (default [false]) every worker domain and
+    the communicator thread (worker slot = [workers]) record their
+    events into preallocated {!Yewpar_telemetry.Recorder} rings:
+    per-task [task] events attributed to the lease being executed,
+    applied bound submissions and floor adoptions, wire-steal waits and
+    every idle wait. The communicator drains the rings into each
+    [Heartbeat] frame and the final [Telemetry] frame (with the count
+    of events lost to ring overflow); the coordinator stamps our
+    locality index and clock offset and feeds them to the journal and
+    the trace alike. With [heartbeat] (seconds; the
     distributed runtime always passes it) the communicator emits a
     [Wire.Heartbeat] progress snapshot at that interval — the first
     tick always sends one — feeding both live monitoring and the
@@ -62,9 +60,9 @@ val run :
     its slice of a fault-injection plan: self-SIGKILL at a deadline,
     probabilistic inbound frame drops, outbound link delay (see
     {!Chaos}). [config] (default {!Yewpar_runtime.Config.default})
-    sets the communicator tick and the steal-retry timeout. The shipped [Stats] carry per-depth profiles and the
-    recorders' ring-overflow drop count. The problem must carry a task
-    codec.
+    sets the communicator tick and the steal-retry timeout. The
+    shipped [Stats] carry per-depth profiles and the rings'
+    overflow drop count. The problem must carry a task codec.
     @raise Transport.Closed if the coordinator disappears mid-run. *)
 
 val serve :

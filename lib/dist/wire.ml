@@ -24,11 +24,7 @@ type msg =
     }
   | Result of { payload : string }
   | Stats of Yewpar_core.Stats.t
-  | Telemetry of {
-      clock : float;
-      buffers : Yewpar_telemetry.Recorder.packed list;
-      events : Yewpar_telemetry.Journal.event list;
-    }
+  | Telemetry of { clock : float; events : Yewpar_telemetry.Journal.event list }
   | Failed of { message : string }
   | Shutdown
   | Job_start of { instance : string; skeleton : string; job : int }

@@ -80,11 +80,11 @@ type msg =
               across localities (element-wise sum of latest samples)
               cannot double-count stolen or replayed work. *)
       events : Yewpar_telemetry.Journal.event list;
-          (** Causal journal events staged since the last heartbeat
-              ([[]] when the run is not journaled). Span ids are lease
-              ids, so these link into the coordinator's lease forest;
-              the coordinator stamps the sender's locality index and
-              clock offset before writing them out. *)
+          (** Worker events drained from the locality's rings since the
+              last heartbeat ([[]] when the run is not recorded). Span
+              ids are lease ids, so these link into the coordinator's
+              lease forest; the coordinator stamps the sender's
+              locality index and clock offset before keeping them. *)
     }
       (** Locality → coordinator, periodically: a best-effort progress
           snapshot. When monitoring is enabled ([--monitor-port]) the
@@ -102,21 +102,16 @@ type msg =
   | Stats of Yewpar_core.Stats.t
       (** Locality → coordinator after shutdown: the locality's search
           counters, aggregated by the coordinator. *)
-  | Telemetry of {
-      clock : float;
-      buffers : Yewpar_telemetry.Recorder.packed list;
-      events : Yewpar_telemetry.Journal.event list;
-    }
+  | Telemetry of { clock : float; events : Yewpar_telemetry.Journal.event list }
       (** Locality → coordinator after shutdown (when the run is
-          traced or journaled), sent {e before} [Stats] so it always
-          precedes the locality's completion: the packed per-worker
-          span ring buffers (empty unless traced), the final flush of
-          staged journal events (empty unless journaled), plus a
-          sample of the locality's clock taken when the frame was
-          built. The coordinator estimates the per-locality clock
-          offset as [its own clock at receipt - clock] (an upper bound
-          off by the frame's transit time) and shifts the spans and
-          events onto its own timeline before merging. *)
+          recorded), sent {e before} [Stats] so it always precedes the
+          locality's completion: the last worker events drained from
+          the rings (plus a [journal_drop] count if any were lost),
+          and a sample of the locality's clock taken when the frame
+          was built. As for [Heartbeat] events, the coordinator
+          estimates the per-locality clock offset as [its own clock at
+          receipt - clock] (an upper bound off by the frame's transit
+          time) and shifts the events onto its own timeline. *)
   | Failed of { message : string }
       (** Locality → coordinator: user code (a generator, bound or
           objective) raised; aborts the whole search. *)

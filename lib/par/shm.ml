@@ -14,6 +14,76 @@ module Task_pool = Yewpar_runtime.Task_pool
 module Two_tier = Yewpar_runtime.Two_tier
 module Worker = Yewpar_runtime.Worker
 
+(* Recording around a run: the worker rings are drained — every 50 ms
+   by a background thread when a journal is being written, so file I/O
+   stays off the worker domains, and once more after [f] returns — and
+   each drained batch goes to the journal and the trace sink alike. The
+   journal is framed by [job_start] and, after the ring-drop count and a
+   final progress sample, [job_done]; a progress sample is also written
+   about every second. *)
+let recording ~telemetry ~journal =
+  Option.is_some telemetry || Option.is_some journal
+
+let recorded ?telemetry ?journal ~recorders ?sample f =
+  if not (recording ~telemetry ~journal) then f ()
+  else begin
+    let emit = function
+      | [] -> ()
+      | evs ->
+        Option.iter (fun w -> Journal.write w evs) journal;
+        Option.iter
+          (fun tl -> Telemetry.ingest tl ~locality:0 ~offset:0. evs)
+          telemetry
+    in
+    let drain () =
+      emit
+        (List.concat_map
+           (fun r -> Recorder.drain ~locality:0 r)
+           (Array.to_list recorders))
+    in
+    let started = Unix.gettimeofday () in
+    let stop_flush = Atomic.make false in
+    let flusher =
+      Option.map
+        (fun w ->
+          Journal.write w
+            [ Journal.event ~locality:0 ~t:started ~ev:"job_start" ~span:0 () ];
+          Thread.create
+            (fun () ->
+              let tick = ref 0 in
+              while not (Atomic.get stop_flush) do
+                drain ();
+                incr tick;
+                (match sample with
+                | Some s when !tick mod 20 = 0 -> Journal.write w [ s ~final:false ]
+                | _ -> ());
+                Unix.sleepf 0.05
+              done)
+            ())
+        journal
+    in
+    Fun.protect
+      ~finally:(fun () ->
+        Atomic.set stop_flush true;
+        Option.iter Thread.join flusher;
+        drain ();
+        let t = Unix.gettimeofday () in
+        let lost = Array.fold_left (fun a r -> a + Recorder.dropped r) 0 recorders in
+        if lost > 0 then
+          emit
+            [ Journal.event ~locality:0 ~t ~value:lost ~ev:"journal_drop" ~span:0 () ];
+        Option.iter
+          (fun w ->
+            Journal.write w
+              ((match sample with Some s -> [ s ~final:true ] | None -> [])
+              @ [
+                  Journal.event ~locality:0 ~t ~dur:(t -. started)
+                    ~ev:"job_done" ~span:0 ();
+                ]))
+          journal)
+      f
+  end
+
 let parallel_run (type s n r) ~n_workers ?stats ?telemetry ?journal
     ?monitor_port ?on_monitor ?(progress = true) ~coordination
     (p : (s, n, r) Problem.t) : r =
@@ -31,14 +101,13 @@ let parallel_run (type s n r) ~n_workers ?stats ?telemetry ?journal
         Progress.update tracker ?final ~now:(Unix.gettimeofday ())
           (Counters.progress_sample counters))
   in
-  (* One span recorder per worker domain (all ring buffers preallocated
-     here, before any domain spawns); [Recorder.null] turns every
-     recording site into a single branch when telemetry is off. *)
+  (* One event ring per worker domain (all preallocated here, before
+     any domain spawns); [Recorder.null] turns every recording site into
+     a single branch when recording is off. *)
   let recorders =
-    match telemetry with
-    | None -> Array.make n_workers Recorder.null
-    | Some tl ->
-      Array.init n_workers (fun i -> Telemetry.recorder tl ~locality:0 ~worker:i)
+    if recording ~telemetry ~journal then
+      Array.init n_workers (fun i -> Recorder.create ~worker:i ())
+    else Array.make n_workers Recorder.null
   in
   let tiers =
     Two_tier.create
@@ -47,17 +116,11 @@ let parallel_run (type s n r) ~n_workers ?stats ?telemetry ?journal
   in
   let outstanding = Atomic.make 0 in
   let stop = Atomic.make false in
-  (* ---- causal journal ----
-     There is no coordinator here, so the runtime allocates its own
-     span ids: every enqueued task gets a fresh span whose parent is
-     the spawning task's span (the root task's parent is span 0, the
-     job). Workers stage into a bounded buffer; a background thread
-     drains it into the writer off the hot path. *)
-  let jbuf = Option.map (fun _ -> Journal.buffer ~capacity:16384 ()) journal in
+  (* There is no coordinator here, so when recording the runtime
+     allocates its own span ids: every enqueued task gets a fresh span
+     whose parent is the spawning task's span (the root task's parent
+     is span 0, the job). *)
   let span_ctr = Atomic.make 1 in
-  let cur_span = Array.make n_workers 0 in
-  let span_started = Array.make n_workers 0. in
-  let idle_per = Array.make n_workers 0. in
   let knowledge = Knowledge.make_atomic () in
   let harness = Ops.harness p.Problem.kind in
   (* Views are created in the main domain (the enumeration harness is
@@ -78,30 +141,23 @@ let parallel_run (type s n r) ~n_workers ?stats ?telemetry ?journal
      obtained from a sibling's deque or another slot's pool push is a
      steal. Termination is the classic outstanding-task count hitting
      zero. *)
-  let on_idles =
-    match jbuf with
-    | None -> Array.make n_workers None
-    | Some _ ->
-      Array.init n_workers (fun slot ->
-          Some (fun d -> idle_per.(slot) <- idle_per.(slot) +. d))
-  in
   let scheduler =
     {
       Worker.enqueue =
         (fun ~slot r task ->
           Atomic.incr outstanding;
           let task =
-            match jbuf with
-            | None -> task
-            | Some b ->
+            if not (Recorder.enabled r) then task
+            else begin
               (* Reallocate the tag as this task's span; the tag it was
                  spawned with is the spawning task's span, i.e. the
                  causal parent (0 for the root task: the job span). *)
               let id = Atomic.fetch_and_add span_ctr 1 in
-              Journal.push b
-                (Journal.event ~parent:task.Task_pool.tag ~locality:0
-                   ~ev:"spawn" ~span:id ());
+              Recorder.record r Recorder.Spawn ~span:id
+                ~parent:task.Task_pool.tag ~start:(Recorder.now r) ~dur:0.
+                ~value:task.Task_pool.depth;
               { task with Task_pool.tag = id }
+            end
           in
           Two_tier.enqueue tiers ~slot ~recorder:r
             ~priority:(task_priority task.Task_pool.node)
@@ -111,28 +167,14 @@ let parallel_run (type s n r) ~n_workers ?stats ?telemetry ?journal
           Two_tier.take tiers ~slot ~recorder:recorders.(slot) ~stop
             ~steal_counters:counters
             ~drained:(fun () -> Atomic.get outstanding = 0)
-            ?on_idle:on_idles.(slot) ());
+            ());
       finish =
         (fun () ->
           if Atomic.fetch_and_add outstanding (-1) = 1 then
             Two_tier.broadcast tiers);
       should_shed = (fun () -> Two_tier.hungry tiers);
-      begin_task =
-        (fun ~slot t ->
-          match jbuf with
-          | None -> ()
-          | Some _ ->
-            cur_span.(slot) <- t.Task_pool.tag;
-            span_started.(slot) <- Unix.gettimeofday ());
-      end_task =
-        (fun ~slot ->
-          match jbuf with
-          | None -> ()
-          | Some b ->
-            Journal.push b
-              (Journal.event ~locality:0 ~worker:slot ~t:span_started.(slot)
-                 ~dur:(Unix.gettimeofday () -. span_started.(slot))
-                 ~ev:"task" ~span:cur_span.(slot) ()));
+      begin_task = (fun ~slot:_ _ -> ());
+      end_task = (fun ~slot:_ -> ());
     }
   in
   let ctx =
@@ -238,86 +280,26 @@ let parallel_run (type s n r) ~n_workers ?stats ?telemetry ?journal
       Some s
   in
 
-  let started = Unix.gettimeofday () in
-  (match journal with
-  | None -> ()
-  | Some w ->
-    Journal.write w [ Journal.event ~locality:0 ~t:started ~ev:"job_start" ~span:0 () ]);
   (* Journalled estimator samples: value = rounded estimated total,
      the rest packed in the note so [analyze --journal] can plot
      estimate-vs-truth convergence after the run. *)
-  let progress_event r =
+  let sample ~final =
+    let r = progress_report ~final () in
     Journal.event ~locality:0 ~t:(Unix.gettimeofday ())
       ~value:(Progress.journal_value r) ~note:(Progress.journal_note r)
       ~ev:"progress_sample" ~span:0 ()
   in
-  (* Background drainer: keeps file I/O off the worker domains. Joined
-     (after a final drain) before the journal is considered complete.
-     Every ~1s it also journals a progress sample. *)
-  let flusher =
-    match (journal, jbuf) with
-    | Some w, Some b ->
-      let stop_flush = Atomic.make false in
-      let th =
-        Thread.create
-          (fun () ->
-            let tick = ref 0 in
-            while not (Atomic.get stop_flush) do
-              (match Journal.drain b with
-              | [] -> ()
-              | events -> Journal.write w events);
-              incr tick;
-              if progress && !tick mod 20 = 0 then
-                Journal.write w [ progress_event (progress_report ()) ];
-              Unix.sleepf 0.05
-            done)
-          ()
-      in
-      Some (stop_flush, th)
-    | _ -> None
-  in
-  let stop_flusher () =
-    match (flusher, journal, jbuf) with
-    | Some (stop_flush, th), Some w, Some b ->
-      Atomic.set stop_flush true;
-      Thread.join th;
-      let t = Unix.gettimeofday () in
-      let staged = Journal.drain b in
-      let idles =
-        Array.to_list
-          (Array.mapi
-             (fun slot d ->
-               Journal.event ~locality:0 ~worker:slot ~t ~dur:d ~ev:"idle"
-                 ~span:0 ())
-             idle_per)
-        |> List.filter (fun (e : Journal.event) -> e.Journal.dur > 0.)
-      in
-      let drops =
-        match Journal.dropped b with
-        | 0 -> []
-        | n ->
-          [ Journal.event ~locality:0 ~t ~value:n ~ev:"journal_drop" ~span:0 () ]
-      in
-      let final_sample =
-        if progress then [ progress_event (progress_report ~final:true ()) ]
-        else []
-      in
-      Journal.write w
-        (staged @ idles @ drops @ final_sample
-        @ [
-            Journal.event ~locality:0 ~t ~dur:(t -. started) ~ev:"job_done"
-              ~span:0 ();
-          ])
-    | _ -> ()
-  in
-  Worker.spawn ctx ~slot:0 { Task_pool.tag = 0; node = p.Problem.root; depth = 0 };
-  Fun.protect
-    ~finally:(fun () ->
-      stop_flusher ();
-      Option.iter Http_export.stop monitor)
+  Fun.protect ~finally:(fun () -> Option.iter Http_export.stop monitor)
   @@ fun () ->
-  let handle = Worker.start ctx ~workers:n_workers in
-  (match Worker.join handle with Some e -> raise e | None -> ());
+  let run () =
+    Worker.spawn ctx ~slot:0
+      { Task_pool.tag = 0; node = p.Problem.root; depth = 0 };
+    let handle = Worker.start ctx ~workers:n_workers in
+    match Worker.join handle with Some e -> raise e | None -> ()
+  in
+  recorded ?telemetry ?journal ~recorders
+    ?sample:(if progress then Some sample else None)
+    run;
   (match stats with
   | None -> ()
   | Some st -> Counters.fold_into counters ~dropped:(all_dropped ()) st);
@@ -327,32 +309,18 @@ let run ?workers ?stats ?telemetry ?journal ?monitor_port ?on_monitor
     ?progress ~coordination p =
   match coordination with
   | Coordination.Sequential ->
-    let sequential () =
-      match telemetry with
-      | None -> Sequential.search ?stats p
-      | Some tl ->
-        (* One worker, one span covering the whole in-process search. *)
-        let r = Telemetry.recorder tl ~locality:0 ~worker:0 in
-        let started = Recorder.now r in
-        let result = Sequential.search ?stats p in
-        Recorder.span r Recorder.Task ~start:started ~arg:0;
-        result
-    in
-    (match journal with
-    | None -> sequential ()
-    | Some w ->
-      let t0 = Unix.gettimeofday () in
-      Journal.write w
-        [ Journal.event ~locality:0 ~t:t0 ~ev:"job_start" ~span:0 () ];
-      let result = sequential () in
-      let dur = Unix.gettimeofday () -. t0 in
-      Journal.write w
-        [
-          Journal.event ~parent:0 ~locality:0 ~worker:0 ~t:t0 ~dur ~ev:"task"
-            ~span:1 ();
-          Journal.event ~locality:0 ~dur ~ev:"job_done" ~span:0 ();
-        ];
-      result)
+    if not (recording ~telemetry ~journal) then Sequential.search ?stats p
+    else begin
+      (* One worker, one task covering the whole in-process search:
+         span 1 under the job. *)
+      let r = Recorder.create ~worker:0 () in
+      recorded ?telemetry ?journal ~recorders:[| r |] (fun () ->
+          let start = Recorder.now r in
+          let result = Sequential.search ?stats p in
+          Recorder.record r Recorder.Task ~span:1 ~parent:0 ~start
+            ~dur:(Recorder.now r -. start) ~value:0;
+          result)
+    end
   | Coordination.Depth_bounded _ | Coordination.Stack_stealing _
   | Coordination.Budget _ | Coordination.Best_first _ | Coordination.Random_spawn _ ->
     let n_workers =

@@ -37,24 +37,26 @@ val run :
     with per-depth profiles ({!Yewpar_core.Depth_profile}) and the
     recorders' ring-overflow drop count.
 
-    When [telemetry] is supplied, every worker domain gets a
-    preallocated {!Yewpar_telemetry.Recorder} (locality 0, worker =
-    domain index) capturing task-execution, steal, idle-wait,
-    bound-update and pool-depth spans; they are registered in the sink
-    before the domains spawn, so after [run] returns the sink merges
-    and exports them. Tracing never changes the search: the traced and
-    untraced runs process the same nodes.
+    When [telemetry] or [journal] is supplied the run records: every
+    worker domain gets a preallocated {!Yewpar_telemetry.Recorder}
+    ring (locality 0, worker = domain index) holding its [task],
+    [steal], [idle], [bound] and [spawn] events, each recorded once.
+    With no coordinator in this runtime, span ids come from an
+    in-process counter — every enqueued task gets a fresh span (its
+    [spawn] event names the spawning task's span as parent; the root
+    task is span 1 under the job, span 0). The rings belong to
+    [telemetry] (a private sink when only [journal] is given), whose
+    views export them after [run] returns. Recording never changes the
+    search: recorded and unrecorded runs process the same nodes.
 
-    When [journal] is supplied, the run appends causal events to it
-    ({!Yewpar_telemetry.Journal}): with no coordinator in this
-    runtime, span ids are allocated from an in-process counter — every
-    enqueued task gets a fresh span (a [spawn] event records its
-    parent, the spawning task's span; the root task is span 1 under
-    the job, span 0), workers emit per-task [task] spans, idle time
-    and buffer-overflow drops, and a background thread drains the
-    staging buffer so file I/O stays off the worker domains.
-    [Sequential] coordination writes a three-event journal
-    (job/single task) so baselines land in the same report pipeline.
+    When [journal] is supplied, the run also appends causal events to
+    it ({!Yewpar_telemetry.Journal}): [job_start], then the drained
+    ring events, written by a background thread every 50 ms so file
+    I/O stays off the worker domains, then the count of events lost to
+    ring overflow (if any) and [job_done]. [Sequential] coordination
+    records one [task] event, so its journal is the three-event
+    job/single-task shape and baselines land in the same report
+    pipeline.
 
     When [monitor_port] is supplied (parallel coordinations only; [0]
     binds an ephemeral port reported through [on_monitor]), the run

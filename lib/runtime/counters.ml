@@ -49,7 +49,7 @@ let accounted_submit t ~slot ~recorder submit =
     if improved then begin
       Atomic.incr t.bound_updates;
       Depth_profile.note_bound prof !depth;
-      Recorder.instant recorder Recorder.Bound_update ~arg:v
+      Recorder.instant recorder Recorder.Bound ~span:0 ~value:v
     end;
     improved
 

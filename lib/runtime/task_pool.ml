@@ -38,17 +38,12 @@ let policy_for = function
 
 let size t = Atomic.get t.size
 
-let push t ~recorder ?(src = -1) ~priority task =
+let push t ?(src = -1) ~priority task =
   Mutex.lock t.mutex;
   Workpool.push t.tasks ~depth:task.depth ~priority { src; tk = task };
   Atomic.incr t.size;
-  (* Sample the depth this push produced while still under the lock:
-     reading the mirror after unlock can attribute a later pop/push's
-     size to this push's trace instant. *)
-  let depth_now = Atomic.get t.size in
   Condition.signal t.nonempty;
-  Mutex.unlock t.mutex;
-  Recorder.instant recorder Recorder.Pool ~arg:depth_now
+  Mutex.unlock t.mutex
 
 let signal t =
   Mutex.lock t.mutex;
@@ -77,8 +72,8 @@ let take t ~recorder ~stop ~waiting ?(slot = -1) ?episode ?steal_counters
           (* Only a task someone else pushed counts as stolen: being
              handed back our own spill after a wait is just latency. *)
           Atomic.incr c.Counters.steals;
-          Recorder.span recorder Recorder.Steal_success ~start:ep.dry_since
-            ~arg:0
+          Recorder.span recorder Recorder.Steal ~span:tk.tag
+            ~start:ep.dry_since ~value:0
         | Some _ | None -> ());
         Task tk
       | None ->
@@ -86,8 +81,7 @@ let take t ~recorder ~stop ~waiting ?(slot = -1) ?episode ?steal_counters
         | Some (c : Counters.t) when not ep.attempted ->
           ep.attempted <- true;
           ep.dry_since <- Recorder.now recorder;
-          Atomic.incr c.Counters.steal_attempts;
-          Recorder.instant recorder Recorder.Steal_attempt ~arg:0
+          Atomic.incr c.Counters.steal_attempts
         | Some _ | None -> ());
         if drained () then Exhausted
         else begin
@@ -110,7 +104,8 @@ let take t ~recorder ~stop ~waiting ?(slot = -1) ?episode ?steal_counters
             in
             Condition.wait t.nonempty t.mutex;
             Atomic.decr waiting;
-            Recorder.span recorder Recorder.Idle ~start:idle_from ~arg:0;
+            Recorder.span recorder Recorder.Idle ~span:0 ~start:idle_from
+              ~value:0;
             (match on_idle with
             | Some f -> f (Recorder.clock () -. wall_from)
             | None -> ());

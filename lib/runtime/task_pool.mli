@@ -14,9 +14,11 @@
 
 type 'n task = {
   tag : int;
-      (** Substrate-specific task identity: [0] on the shm runtime,
-          the owning coordinator lease id on dist. Spawned subtasks
-          inherit their parent's tag. *)
+      (** Substrate-specific task identity: on the shm runtime the
+          task's own span when recording ([0] otherwise), the owning
+          coordinator lease id on dist. Spawned subtasks are created
+          with their parent's tag (which the shm scheduler replaces
+          by a fresh span). *)
   node : 'n;
   depth : int;
 }
@@ -39,16 +41,8 @@ val policy_for : Yewpar_core.Coordination.t -> Yewpar_core.Workpool.policy
 val size : 'n t -> int
 (** Lock-free read of the size mirror. *)
 
-val push :
-  'n t ->
-  recorder:Yewpar_telemetry.Recorder.t ->
-  ?src:int ->
-  priority:int ->
-  'n task ->
-  unit
-(** Queue a task, wake one waiter, and record a pool-depth trace
-    instant (sampled under the lock, so the depth is the one this push
-    produced). [src] (default [-1]: no worker identity) is the pushing
+val push : 'n t -> ?src:int -> priority:int -> 'n task -> unit
+(** Queue a task and wake one waiter. [src] (default [-1]: no worker identity) is the pushing
     worker's slot, kept so {!take} can distinguish steals from
     self-handoffs. *)
 
@@ -97,8 +91,9 @@ val take :
 
     With [steal_counters], a dry first probe of the episode counts as
     a steal attempt and obtaining a task pushed by a {e different}
-    slot than [slot] counts as a success (its recorded span is the
-    steal latency: first dry probe to task in hand) — a worker handed
+    slot than [slot] counts as a success (its recorded [Steal] event
+    spans the steal latency: first dry probe to task in hand); each
+    wait is recorded as one [Idle] event from its real start — a worker handed
     back a task it pushed itself is not stealing. [episode] (default
     fresh) carries that state across tiers. [on_idle], when given,
     receives each wait's wall-clock duration (the dist heartbeat's

@@ -39,17 +39,15 @@ let deques_nonempty t =
   let rec go i = i < n && ((not (Deque.is_empty t.deques.(i))) || go (i + 1)) in
   go 0
 
-let enqueue t ~slot ~recorder ~priority task =
+let enqueue t ~slot ~recorder:_ ~priority task =
   Atomic.incr t.queued;
   if (not t.fast) || slot < 0 || slot >= Array.length t.deques then
     (* No owner deque (wire arrivals, the communicator) or a priority
        pool: the ordered tier is the destination. *)
-    Task_pool.push t.pool ~recorder ~src:slot ~priority task
+    Task_pool.push t.pool ~src:slot ~priority task
   else begin
     let dq = t.deques.(slot) in
-    if Deque.push dq task then
-      Recorder.instant recorder Recorder.Pool ~arg:(Atomic.get t.queued)
-    else begin
+    if not (Deque.push dq task) then begin
       (* Deque full: migrate the shallowest half (the oldest, biggest
          subtrees — taken off our own top) to the ordered tier, which
          is where low-depth work belongs anyway, then retry. Only the
@@ -62,11 +60,11 @@ let enqueue t ~slot ~recorder ~priority task =
         match Deque.steal dq with
         | Some tk ->
           incr moved;
-          Task_pool.push t.pool ~recorder ~src:slot ~priority:0 tk
+          Task_pool.push t.pool ~src:slot ~priority:0 tk
         | None -> dry := true
       done;
       if not (Deque.push dq task) then
-        Task_pool.push t.pool ~recorder ~src:slot ~priority task
+        Task_pool.push t.pool ~src:slot ~priority task
     end;
     (* Deque pushes bypass the pool lock, so sleepers are woken
        explicitly; they re-probe the deques after raising [waiting]
@@ -84,16 +82,15 @@ let take t ~slot ~recorder ~stop ?steal_counters ?(drained = fun () -> false)
     | Some (c : Counters.t) when not ep.Task_pool.attempted ->
       ep.Task_pool.attempted <- true;
       ep.Task_pool.dry_since <- Recorder.now recorder;
-      Atomic.incr c.Counters.steal_attempts;
-      Recorder.instant recorder Recorder.Steal_attempt ~arg:0
+      Atomic.incr c.Counters.steal_attempts
     | Some _ | None -> ()
   in
-  let count_steal () =
+  let count_steal (tk : _ Task_pool.task) =
     match steal_counters with
     | Some (c : Counters.t) ->
       Atomic.incr c.Counters.steals;
-      Recorder.span recorder Recorder.Steal_success
-        ~start:ep.Task_pool.dry_since ~arg:0
+      Recorder.span recorder Recorder.Steal ~span:tk.Task_pool.tag
+        ~start:ep.Task_pool.dry_since ~value:0
     | None -> ()
   in
   (* One randomised full circle over the sibling deques. *)
@@ -127,7 +124,7 @@ let take t ~slot ~recorder ~stop ?steal_counters ?(drained = fun () -> false)
         mark_attempt ();
         match steal_sweep () with
         | Some tk ->
-          count_steal ();
+          count_steal tk;
           got tk
         | None -> (
           match

@@ -38,7 +38,8 @@ val enqueue :
     its deque; a negative or out-of-range slot (no worker identity)
     targets the overflow pool, as does any push under a [Priority]
     policy. A full deque first migrates its shallowest half to the
-    pool. Sleeping workers are woken. *)
+    pool. Sleeping workers are woken. A push records no event:
+    [recorder] is accepted so the signature mirrors {!take}. *)
 
 val take :
   'n t ->

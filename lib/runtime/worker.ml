@@ -219,7 +219,8 @@ let exec_task ctx ~slot (task : 'n Task_pool.task) =
        ignore (Atomic.fetch_and_add c.Counters.backtracks (Engine.backtracks e));
        Counters.note_max_depth c (Engine.max_depth e)
    end);
-  Recorder.span r Recorder.Task ~start:started ~arg:task.Task_pool.depth
+  Recorder.span r Recorder.Task ~span:tag ~start:started
+    ~value:task.Task_pool.depth
 
 (* A user exception (e.g. a raising generator) must not deadlock the
    scheduler: record it, short-circuit every worker, and let the caller

@@ -95,7 +95,7 @@ val exec_task : ('s, 'n) ctx -> slot:int -> 'n Task_pool.task -> unit
     depth-bounded/best-first child spawning below the cutoff, budget
     shedding on backtrack quota, stack-stealing splits on hunger,
     random spawning — plus all node/prune/backtrack/depth accounting
-    and the task trace span. *)
+    and the task's [Task] event on the slot's recorder. *)
 
 type handle
 (** Spawned worker domains plus the shared failure cell. *)

@@ -17,7 +17,7 @@ let now () = Unix.gettimeofday ()
 type servable = {
   sv_run :
     heartbeat:float ->
-    journal:bool ->
+    record:bool ->
     conn:Transport.t ->
     workers:int ->
     coordination:Coordination.t ->
@@ -36,8 +36,8 @@ let servable (type s n r) (p : (s, n, r) Problem.t) ~(show : r -> string) =
     Ok
       {
         sv_run =
-          (fun ~heartbeat ~journal ~conn ~workers ~coordination ->
-            Locality.run ~heartbeat ~journal ~conn ~workers ~coordination p);
+          (fun ~heartbeat ~record ~conn ~workers ~coordination ->
+            Locality.run ~heartbeat ~record ~conn ~workers ~coordination p);
         sv_root = codec.Codec.encode p.Problem.root;
         sv_finish =
           (fun outcome -> show (Yewpar_dist.Dist.combine p codec outcome));
@@ -216,7 +216,7 @@ let fork_fleet config registry =
                             "serve: job %d running on slot %d (%s/%s)\n%!" job
                             i instance skeleton;
                         sv.sv_run ~heartbeat:config.heartbeat
-                          ~journal:(config.journal <> None)
+                          ~record:(config.journal <> None)
                           ~conn ~workers:config.workers ~coordination))
               in
               Locality.serve ~conn ~resolve;
@@ -278,6 +278,7 @@ let run_job t (job : Job.t) slots =
     | Error e -> invalid_arg e (* validated at submission *)
   in
   let conns = Array.of_list (List.map (fun i -> t.fleet.(i).conn) slots) in
+  let started = now () in
   let result =
     try
       Array.iter
@@ -297,7 +298,7 @@ let run_job t (job : Job.t) slots =
            ~pool_policy:(Yewpar_runtime.Task_pool.policy_for coordination)
            ~cancelled:(fun () -> Atomic.get job.Job.cancel)
            ~on_progress:(fun p -> job.Job.progress <- Some p)
-           ?journal:t.journal
+           ?journal:t.journal ~started
            ~trace:(Printf.sprintf "job-%d" job.Job.id)
            ~label:(Printf.sprintf "job %d" job.Job.id)
            ~conns ~root_payload:sv.sv_root ())

@@ -1,17 +1,9 @@
 module Table = Yewpar_util.Table
 
-type span = {
-  locality : int;
-  worker : int;
-  name : string;
-  start : float;
-  dur : float;
-}
-
 (* ------------------------- minimal JSON -------------------------- *)
 
-(* Just enough JSON for the two formats we produce ourselves (Chrome
-   trace events, bench records): objects, arrays, strings, numbers,
+(* Just enough JSON for the formats we produce ourselves (journal
+   lines, bench records, the job server's API bodies): objects, arrays, strings, numbers,
    literals. \uXXXX escapes decode to UTF-8, pairing surrogates, so
    non-ASCII worker labels survive a round trip through an exporter
    that escapes them. *)
@@ -240,71 +232,9 @@ let to_string json =
   go json;
   Buffer.contents buf
 
-(* ------------------------- trace loading ------------------------- *)
-
-let spans_of_chrome content =
-  let events =
-    match member "traceEvents" (parse_json content) with
-    | Some (Arr evs) -> evs
-    | _ -> failwith "chrome trace: traceEvents missing"
-  in
-  List.filter_map
-    (fun ev ->
-      match str_or "" (member "ph" ev) with
-      | "X" | "i" ->
-        Some
-          {
-            locality = int_of_float (num_or 0. (member "pid" ev));
-            worker = int_of_float (num_or 0. (member "tid" ev));
-            name = str_or "?" (member "name" ev);
-            (* Chrome timestamps are microseconds. *)
-            start = num_or 0. (member "ts" ev) /. 1e6;
-            dur = num_or 0. (member "dur" ev) /. 1e6;
-          }
-      | _ -> None (* metadata, counters *))
-    events
-
-let spans_of_csv content =
-  let lines =
-    String.split_on_char '\n' content
-    |> List.map String.trim
-    |> List.filter (fun l -> l <> "")
-  in
-  match lines with
-  | [] -> []
-  | header :: rows ->
-    if not (String.length header >= 6 && String.sub header 0 6 = "worker") then
-      failwith "csv trace: missing worker,start,duration,label header";
-    List.map
-      (fun line ->
-        match String.split_on_char ',' line with
-        | worker :: start :: dur :: label ->
-          {
-            locality = 0;
-            worker = int_of_string (String.trim worker);
-            name = String.concat "," label;
-            start = float_of_string start;
-            dur = float_of_string dur;
-          }
-        | _ -> failwith (Printf.sprintf "csv trace: bad row %S" line))
-      rows
-
-let load_trace content =
-  let rec first_printable i =
-    if i >= String.length content then ' '
-    else
-      match content.[i] with
-      | ' ' | '\t' | '\n' | '\r' -> first_printable (i + 1)
-      | c -> c
-  in
-  match first_printable 0 with
-  | '{' | '[' -> spans_of_chrome content
-  | _ -> spans_of_csv content
-
-(* ---------------------- load-balance report ---------------------- *)
+(* ---------------------------- helpers ---------------------------- *)
 
 let fsec v = Printf.sprintf "%.6f" v
-let fpct v = Printf.sprintf "%.1f" v
 
 let percentile p sorted =
   let n = Array.length sorted in
@@ -312,108 +242,6 @@ let percentile p sorted =
   else begin
     let rank = int_of_float (Float.ceil (p /. 100. *. float_of_int n)) in
     sorted.(max 0 (min (n - 1) (rank - 1)))
-  end
-
-let load_balance_report spans =
-  if spans = [] then "empty trace: nothing to analyze\n"
-  else begin
-    let t0 =
-      List.fold_left (fun acc s -> Float.min acc s.start) infinity spans
-    in
-    let t1 =
-      List.fold_left (fun acc s -> Float.max acc (s.start +. s.dur)) neg_infinity
-        spans
-    in
-    let makespan = t1 -. t0 in
-    (* Per-(locality, worker) accumulation, in stable id order. *)
-    let table = Hashtbl.create 32 in
-    let track s =
-      let key = (s.locality, s.worker) in
-      match Hashtbl.find_opt table key with
-      | Some v -> v
-      | None ->
-        let v = (ref 0., ref 0., ref 0, ref 0) in
-        Hashtbl.add table key v;
-        v
-    in
-    let steal_lat = ref [] in
-    List.iter
-      (fun s ->
-        let busy, idle, tasks, steals = track s in
-        (match s.name with
-        | "idle" -> idle := !idle +. s.dur
-        | name ->
-          busy := !busy +. s.dur;
-          if name = "task" then incr tasks;
-          if name = "steal_success" then begin
-            incr steals;
-            steal_lat := s.dur :: !steal_lat
-          end))
-      spans;
-    let workers =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) table []
-      |> List.sort compare
-    in
-    let nw = List.length workers in
-    let busy_of (_, (busy, _, _, _)) = !busy in
-    let total_busy = List.fold_left (fun a w -> a +. busy_of w) 0. workers in
-    let total_idle =
-      List.fold_left (fun a (_, (_, idle, _, _)) -> a +. !idle) 0. workers
-    in
-    let mean_busy = total_busy /. float_of_int nw in
-    let min_w, max_w =
-      List.fold_left
-        (fun (mn, mx) w ->
-          ((if busy_of w < busy_of mn then w else mn),
-           if busy_of w > busy_of mx then w else mx))
-        (List.hd workers, List.hd workers)
-        workers
-    in
-    let pct v = if makespan > 0. then 100. *. v /. makespan else 0. in
-    let wname (l, w) = Printf.sprintf "%d/%d" l w in
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf
-      (Printf.sprintf "load balance: %d workers, %d spans, makespan %ss\n\n" nw
-         (List.length spans) (fsec makespan));
-    Buffer.add_string buf
-      (Table.render
-         ~header:[ "worker"; "busy (s)"; "busy %"; "idle (s)"; "tasks"; "steals" ]
-         (List.map
-            (fun ((key, (busy, idle, tasks, steals)) : (int * int) * _) ->
-              [ wname key; fsec !busy; fpct (pct !busy); fsec !idle;
-                string_of_int !tasks; string_of_int !steals ])
-            workers));
-    Buffer.add_char buf '\n';
-    let imbalance = if mean_busy > 0. then busy_of max_w /. mean_busy else 1. in
-    Buffer.add_string buf
-      (Printf.sprintf
-         "busy: mean %ss, min %ss (worker %s), max %ss (worker %s)\n"
-         (fsec mean_busy)
-         (fsec (busy_of min_w))
-         (wname (fst min_w))
-         (fsec (busy_of max_w))
-         (wname (fst max_w)));
-    Buffer.add_string buf
-      (Printf.sprintf "imbalance (max/mean busy): %.3f\n" imbalance);
-    let worker_time = makespan *. float_of_int nw in
-    Buffer.add_string buf
-      (Printf.sprintf "idle: total %ss (%s%% of %d x makespan)\n"
-         (fsec total_idle)
-         (fpct (if worker_time > 0. then 100. *. total_idle /. worker_time else 0.))
-         nw);
-    let lats = Array.of_list !steal_lat in
-    Array.sort compare lats;
-    if Array.length lats > 0 then
-      Buffer.add_string buf
-        (Printf.sprintf
-           "steal latency (s): n=%d p50=%s p90=%s p99=%s max=%s\n"
-           (Array.length lats)
-           (fsec (percentile 50. lats))
-           (fsec (percentile 90. lats))
-           (fsec (percentile 99. lats))
-           (fsec lats.(Array.length lats - 1)))
-    else Buffer.add_string buf "steal latency (s): no steal_success spans\n";
-    Buffer.contents buf
   end
 
 (* ------------------------- bench compare ------------------------- *)

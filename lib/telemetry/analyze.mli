@@ -1,15 +1,10 @@
-(** Post-hoc trace and benchmark analysis ([yewpar analyze]).
+(** Post-hoc benchmark analysis ([yewpar analyze]) and the shared
+    minimal JSON codec.
 
-    Two readers and two reports, all pure string/value processing so
-    they are testable without files:
+    All pure string/value processing so it is testable without files
+    (the journal's load-balance and critical-path reports live in
+    {!Journal}):
 
-    - {!load_trace} parses either of the exporters' trace formats —
-      Chrome trace-event JSON ({!Telemetry.to_chrome}) or the
-      simulator-parity CSV ({!Telemetry.to_csv}) — back into spans,
-      auto-detected from the content;
-    - {!load_balance_report} renders the workload picture the paper's
-      skeleton comparisons rest on: per-worker busy/idle split, steal
-      latency percentiles, and work-imbalance figures;
     - {!load_bench} reads [bench --json] output (both the versioned
       [{"schema_version": .., "records": [..]}] envelope and the
       legacy bare array);
@@ -18,18 +13,10 @@
       elapsed-time regressions beyond a threshold — the CLI exits
       nonzero when any are found, making it a CI tripwire. *)
 
-type span = {
-  locality : int;
-  worker : int;
-  name : string;
-  start : float;  (** Seconds, relative to the trace origin. *)
-  dur : float;  (** Seconds. *)
-}
-
 (** {2 Minimal JSON}
 
     Just enough JSON for the formats this codebase produces itself
-    (Chrome trace events, bench records, the job server's API bodies);
+    (journal lines, bench records, the job server's API bodies);
     shared so the CLI, the tests and {!Yewpar_server} agree on one
     parser. *)
 
@@ -61,21 +48,6 @@ val str_or : string -> json option -> string
 val percentile : float -> float array -> float
 (** Nearest-rank percentile of an ascending-sorted array ([0.] when
     empty): [percentile 50. a] is the median. *)
-
-val load_trace : string -> span list
-(** Parse trace file {e content}: Chrome trace-event JSON (complete
-    ["X"] events become durationful spans, instants ["i"] zero-length
-    ones; metadata and counter events are skipped) or
-    [worker,start,duration,label] CSV, whichever the content looks
-    like.
-    @raise Failure on malformed input. *)
-
-val load_balance_report : span list -> string
-(** Human-readable load-balance report: per-worker busy seconds,
-    busy %, idle seconds and task/steal counts; mean/min/max busy and
-    the max/mean imbalance factor; steal-latency percentiles
-    (p50/p90/p99/max over [steal_success] spans); and an idle
-    breakdown. Deterministic for a given span list (golden-tested). *)
 
 type bench = {
   schema_version : int;  (** 0 for the legacy bare-array format. *)

@@ -21,42 +21,6 @@ let event ?(parent = -1) ?(locality = -1) ?(worker = -1) ?t ?(dur = 0.)
   let t = match t with Some t -> t | None -> Unix.gettimeofday () in
   { ev; span; parent; locality; worker; t; dur; value; note }
 
-(* ----------------------------- buffer ----------------------------- *)
-
-type buffer = {
-  b_mutex : Mutex.t;
-  b_q : event Queue.t;
-  b_capacity : int;
-  mutable b_dropped : int;
-}
-
-let buffer ?(capacity = 4096) () =
-  {
-    b_mutex = Mutex.create ();
-    b_q = Queue.create ();
-    b_capacity = capacity;
-    b_dropped = 0;
-  }
-
-let push b e =
-  Mutex.lock b.b_mutex;
-  if Queue.length b.b_q >= b.b_capacity then b.b_dropped <- b.b_dropped + 1
-  else Queue.push e b.b_q;
-  Mutex.unlock b.b_mutex
-
-let drain b =
-  Mutex.lock b.b_mutex;
-  let out = Queue.fold (fun acc e -> e :: acc) [] b.b_q in
-  Queue.clear b.b_q;
-  Mutex.unlock b.b_mutex;
-  List.rev out
-
-let dropped b =
-  Mutex.lock b.b_mutex;
-  let d = b.b_dropped in
-  Mutex.unlock b.b_mutex;
-  d
-
 (* ----------------------------- writer ----------------------------- *)
 
 type writer = {
@@ -228,6 +192,104 @@ let read path =
   in
   let newer = read_file path in
   (fst older @ fst newer, snd older + snd newer)
+
+(* -------------------------- load balance -------------------------- *)
+
+let fsec v = Printf.sprintf "%.6f" v
+let fpct v = Printf.sprintf "%.1f" v
+
+let load_balance entries =
+  let evs = List.filter (fun e -> e.e_worker >= 0) entries in
+  if evs = [] then "empty trace: nothing to analyze\n"
+  else begin
+    let t0 = List.fold_left (fun acc e -> Float.min acc e.e_at) infinity evs in
+    let t1 =
+      List.fold_left (fun acc e -> Float.max acc (e.e_at +. e.e_dur)) neg_infinity
+        evs
+    in
+    let makespan = t1 -. t0 in
+    (* Per-(locality, worker) accumulation, in stable id order. *)
+    let table = Hashtbl.create 32 in
+    let track e =
+      let key = (e.e_locality, e.e_worker) in
+      match Hashtbl.find_opt table key with
+      | Some v -> v
+      | None ->
+        let v = (ref 0., ref 0., ref 0, ref 0) in
+        Hashtbl.add table key v;
+        v
+    in
+    let steal_lat = ref [] in
+    List.iter
+      (fun e ->
+        let busy, idle, tasks, steals = track e in
+        match e.e_ev with
+        | "idle" -> idle := !idle +. e.e_dur
+        | ev ->
+          busy := !busy +. e.e_dur;
+          if ev = "task" then incr tasks;
+          if ev = "steal" then begin
+            incr steals;
+            steal_lat := e.e_dur :: !steal_lat
+          end)
+      evs;
+    let workers =
+      Hashtbl.fold (fun k v acc -> (k, v) :: acc) table [] |> List.sort compare
+    in
+    let nw = List.length workers in
+    let busy_of (_, (busy, _, _, _)) = !busy in
+    let total_busy = List.fold_left (fun a w -> a +. busy_of w) 0. workers in
+    let total_idle =
+      List.fold_left (fun a (_, (_, idle, _, _)) -> a +. !idle) 0. workers
+    in
+    let mean_busy = total_busy /. float_of_int nw in
+    let min_w, max_w =
+      List.fold_left
+        (fun (mn, mx) w ->
+          ((if busy_of w < busy_of mn then w else mn),
+           if busy_of w > busy_of mx then w else mx))
+        (List.hd workers, List.hd workers)
+        workers
+    in
+    let pct v = if makespan > 0. then 100. *. v /. makespan else 0. in
+    let wname (l, w) = Printf.sprintf "%d/%d" l w in
+    let buf = Buffer.create 1024 in
+    let line fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+    line "load balance: %d workers, %d spans, makespan %ss\n\n" nw
+      (List.length evs) (fsec makespan);
+    Buffer.add_string buf
+      (Table.render
+         ~header:[ "worker"; "busy (s)"; "busy %"; "idle (s)"; "tasks"; "steals" ]
+         (List.map
+            (fun ((key, (busy, idle, tasks, steals)) : (int * int) * _) ->
+              [ wname key; fsec !busy; fpct (pct !busy); fsec !idle;
+                string_of_int !tasks; string_of_int !steals ])
+            workers));
+    Buffer.add_char buf '\n';
+    line "busy: mean %ss, min %ss (worker %s), max %ss (worker %s)\n"
+      (fsec mean_busy)
+      (fsec (busy_of min_w))
+      (wname (fst min_w))
+      (fsec (busy_of max_w))
+      (wname (fst max_w));
+    line "imbalance (max/mean busy): %.3f\n"
+      (if mean_busy > 0. then busy_of max_w /. mean_busy else 1.);
+    let worker_time = makespan *. float_of_int nw in
+    line "idle: total %ss (%s%% of %d x makespan)\n" (fsec total_idle)
+      (fpct (if worker_time > 0. then 100. *. total_idle /. worker_time else 0.))
+      nw;
+    let lats = Array.of_list !steal_lat in
+    Array.sort compare lats;
+    let n = Array.length lats in
+    if n > 0 then
+      line "steal latency (s): n=%d p50=%s p90=%s p99=%s max=%s\n" n
+        (fsec (Analyze.percentile 50. lats))
+        (fsec (Analyze.percentile 90. lats))
+        (fsec (Analyze.percentile 99. lats))
+        (fsec lats.(n - 1))
+    else line "steal latency (s): no steal events\n";
+    Buffer.contents buf
+  end
 
 (* ----------------------------- report ----------------------------- *)
 
@@ -528,7 +590,11 @@ let report_trace buf ~top tr entries =
     List.filter (fun e -> Hashtbl.mem emitted e.e_parent) refs
   in
   line "  causal links: %d/%d parent references resolve\n"
-    (List.length resolved) (List.length refs)
+    (List.length resolved) (List.length refs);
+  if List.exists (fun e -> e.e_worker >= 0) entries then begin
+    Buffer.add_char buf '\n';
+    Buffer.add_string buf (load_balance entries)
+  end
 
 let report ?(top = 5) entries =
   let buf = Buffer.create 4096 in

@@ -9,16 +9,21 @@
     runtime allocates spans from its own counter with the same shape
     (root task = span of parent 0).
 
-    Three layers:
-    - {!buffer}: a bounded, thread-safe staging queue for emitters on
-      the hot path (workers, communicators). Overflow drops events and
-      counts them; nothing blocks.
+    Worker events ([task], [steal], [idle], [bound], [spawn]) are
+    recorded once, into each worker's {!Recorder} ring; the runtime
+    drains the rings and writes the drained events here, and the
+    trace and metrics views ({!Telemetry}) are derived from the same
+    events. Lifecycle events (job, lease, fault, progress, server) are
+    written directly by their owner.
+
+    Two layers:
     - {!writer}: the process that owns the file (coordinator, [yewpar
-      serve], the shm main thread) drains buffers/frames into it. One
-      JSON object per line, versioned schema, size-based rotation.
+      serve], the shm main thread) writes drained events and frames
+      into it. One JSON object per line, versioned schema, size-based
+      rotation.
     - {!read}/{!report}: tolerant reader and the [yewpar analyze
       --journal] report (critical path, overhead breakdown, top-K
-      leases, flame summary).
+      leases, flame summary, load balance).
 
     JSONL schema, version {!schema_version} — every field present on
     every line:
@@ -31,10 +36,12 @@
     writer's epoch on the writer's clock (per-frame offsets align each
     locality's [ts] before [at] is derived, so [at] values are
     comparable across processes). [parent] is [null] for root events.
-    Event kinds: [job_start]/[job_done] (span 0), [lease_issue],
-    [lease_retire], [spill], [spawn], [lease_revoke], [lease_replay],
-    [locality_dead], [respawn], [bound], [witness], [task], [steal],
-    [idle], [journal_drop], [progress_sample], and the job server's
+    Event kinds: the worker events above, which carry a [worker] slot;
+    [job_start]/[job_done] (span 0), [lease_issue], [lease_retire],
+    [spill], [lease_revoke], [lease_replay], [locality_dead],
+    [respawn], [bound] (coordinator: a global improvement, no worker),
+    [witness], [journal_drop] (ring events lost, [value] = count),
+    [progress_sample], and the job server's
     [job_submitted]/[job_scheduled]/[job_finished]. An unknown kind on
     a v1 line is a producer bug; extensions must bump the version. *)
 
@@ -71,23 +78,6 @@ val event :
 (** Build an event; [t] defaults to [Unix.gettimeofday ()] at the
     call, the numeric defaults to [-1]/[-1]/[-1]/[0.]/[0], [note] to
     [""]. *)
-
-(* ----------------------------- buffer ----------------------------- *)
-
-type buffer
-(** A bounded thread-safe event queue. Emitters [push] from any
-    domain/thread; the owner [drain]s. Keeps event emission off the
-    I/O path: a full buffer drops (and counts) instead of blocking. *)
-
-val buffer : ?capacity:int -> unit -> buffer
-(** Default capacity 4096 events. *)
-
-val push : buffer -> event -> unit
-val drain : buffer -> event list
-(** All queued events in emission order; the buffer is left empty. *)
-
-val dropped : buffer -> int
-(** Total events dropped to overflow since creation. *)
 
 (* ----------------------------- writer ----------------------------- *)
 
@@ -144,6 +134,15 @@ val read_string : string -> entry list * int
 
 (* ----------------------------- report ----------------------------- *)
 
+val load_balance : entry list -> string
+(** The load-balance view of the worker events (those with a worker
+    slot): per-worker busy seconds (every non-idle duration), busy %
+    of the makespan, idle seconds and task/steal counts; mean/min/max
+    busy and the max/mean imbalance factor; an idle breakdown; and
+    steal-latency percentiles (p50/p90/p99/max over [steal] events).
+    Times are the writer-relative [at] values. Deterministic for a
+    given entry list (golden-tested). *)
+
 val report : ?top:int -> entry list -> string
 (** The [yewpar analyze --journal] report, one section per trace id:
     the critical path through the span tree (the heaviest
@@ -153,5 +152,6 @@ val report : ?top:int -> entry list -> string
     an overhead breakdown of accounted worker time (compute vs
     replayed/wasted compute vs steal-wait vs idle, fractions summing
     to 1), the [top] (default 5) longest leases by self time, a
-    flame-ordered (depth-first) span summary, and a causal-link check
-    counting parent references that resolve to an emitted span. *)
+    flame-ordered (depth-first) span summary, a causal-link check
+    counting parent references that resolve to an emitted span, and —
+    when the trace has worker events — its {!load_balance}. *)

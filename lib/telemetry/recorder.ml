@@ -1,73 +1,63 @@
-type kind =
-  | Task
-  | Steal_attempt
-  | Steal_success
-  | Idle
-  | Bound_update
-  | Spill
-  | Pool
+type kind = Task | Steal | Idle | Bound | Spawn
 
 let kind_name = function
   | Task -> "task"
-  | Steal_attempt -> "steal_attempt"
-  | Steal_success -> "steal_success"
+  | Steal -> "steal"
   | Idle -> "idle"
-  | Bound_update -> "bound_update"
-  | Spill -> "spill"
-  | Pool -> "pool"
+  | Bound -> "bound"
+  | Spawn -> "spawn"
 
-let kind_tag = function
-  | Task -> 0
-  | Steal_attempt -> 1
-  | Steal_success -> 2
-  | Idle -> 3
-  | Bound_update -> 4
-  | Spill -> 5
-  | Pool -> 6
+let kind_tag = function Task -> 0 | Steal -> 1 | Idle -> 2 | Bound -> 3 | Spawn -> 4
+let kinds = [| Task; Steal; Idle; Bound; Spawn |]
 
-let kind_of_tag = function
-  | 0 -> Task
-  | 1 -> Steal_attempt
-  | 2 -> Steal_success
-  | 3 -> Idle
-  | 4 -> Bound_update
-  | 5 -> Spill
-  | 6 -> Pool
-  | n -> invalid_arg (Printf.sprintf "Recorder.kind_of_tag: %d" n)
+let default_capacity = 65536
 
-(* Flat parallel arrays, slot = total mod cap: a span is four stores,
-   never an allocation. [last] enforces per-recorder monotonicity. *)
+(* Flat parallel arrays of [slots = capacity + 1] entries, index n in
+   slot [n mod slots]: recording is six stores and one atomic publish,
+   never an allocation. The spare slot is the one the writer may be
+   filling while a drainer copies, so [capacity] published entries
+   always survive a concurrent drain. [last] enforces per-recorder
+   monotonicity; [read] and [lost] belong to the (single) drainer. *)
 type t = {
   w : int;
   cap : int;
+  slots : int;
   tags : int array;
+  spans : int array;
+  parents : int array;
   starts : float array;
   durs : float array;
-  args : int array;
-  mutable total : int;
+  values : int array;
+  total : int Atomic.t;
   mutable last : float;
+  mutable read : int;
+  mutable lost : int;
 }
 
-let create ?(capacity = 65536) ~worker () =
-  if capacity < 1 then invalid_arg "Recorder.create: capacity must be >= 1";
+let make ~cap ~worker =
+  let slots = if cap = 0 then 0 else cap + 1 in
   {
     w = worker;
-    cap = capacity;
-    tags = Array.make capacity 0;
-    starts = Array.make capacity 0.;
-    durs = Array.make capacity 0.;
-    args = Array.make capacity 0;
-    total = 0;
+    cap;
+    slots;
+    tags = Array.make slots 0;
+    spans = Array.make slots 0;
+    parents = Array.make slots 0;
+    starts = Array.make slots 0.;
+    durs = Array.make slots 0.;
+    values = Array.make slots 0;
+    total = Atomic.make 0;
     last = 0.;
+    read = 0;
+    lost = 0;
   }
 
-let null =
-  { w = -1; cap = 0; tags = [||]; starts = [||]; durs = [||]; args = [||];
-    total = 0; last = 0. }
+let create ?(capacity = default_capacity) ~worker () =
+  if capacity < 1 then invalid_arg "Recorder.create: capacity must be >= 1";
+  make ~cap:capacity ~worker
 
+let null = make ~cap:0 ~worker:(-1)
 let enabled t = t.cap > 0
-let worker t = t.w
-
 let clock = Unix.gettimeofday
 
 let now t =
@@ -78,44 +68,57 @@ let now t =
     t.last
   end
 
-let span_dur t k ~start ~dur ~arg =
+let record t k ~span ~parent ~start ~dur ~value =
   if t.cap > 0 then begin
-    let i = t.total mod t.cap in
+    let n = Atomic.get t.total in
+    let i = n mod t.slots in
     t.tags.(i) <- kind_tag k;
+    t.spans.(i) <- span;
+    t.parents.(i) <- parent;
     t.starts.(i) <- start;
     t.durs.(i) <- (if dur < 0. then 0. else dur);
-    t.args.(i) <- arg;
-    t.total <- t.total + 1
+    t.values.(i) <- value;
+    Atomic.set t.total (n + 1)
   end
 
-let span t k ~start ~arg =
-  if t.cap > 0 then span_dur t k ~start ~dur:(now t -. start) ~arg
+let span t k ~span ~start ~value =
+  if t.cap > 0 then
+    record t k ~span ~parent:(-1) ~start ~dur:(now t -. start) ~value
 
-let instant t k ~arg =
-  if t.cap > 0 then span_dur t k ~start:(now t) ~dur:0. ~arg
+let instant t k ~span ~value =
+  if t.cap > 0 then record t k ~span ~parent:(-1) ~start:(now t) ~dur:0. ~value
 
-let recorded t = t.total
-let dropped t = if t.total > t.cap then t.total - t.cap else 0
+let recorded t = Atomic.get t.total
 
-type packed = {
-  p_worker : int;
-  p_tags : int array;
-  p_starts : float array;
-  p_durs : float array;
-  p_args : int array;
-  p_dropped : int;
-}
+let dropped t =
+  if t.cap = 0 then 0 else t.lost + max 0 (Atomic.get t.total - t.read - t.cap)
 
-let export t =
-  let n = min t.total t.cap in
-  (* Oldest surviving span lives at [total mod cap] once wrapped. *)
-  let first = if t.total > t.cap then t.total mod t.cap else 0 in
-  let idx j = (first + j) mod t.cap in
-  {
-    p_worker = t.w;
-    p_tags = Array.init n (fun j -> t.tags.(idx j));
-    p_starts = Array.init n (fun j -> t.starts.(idx j));
-    p_durs = Array.init n (fun j -> t.durs.(idx j));
-    p_args = Array.init n (fun j -> t.args.(idx j));
-    p_dropped = dropped t;
-  }
+let drain ?(locality = -1) t =
+  if t.cap = 0 then []
+  else begin
+    let total = Atomic.get t.total in
+    let from = max t.read (total - t.cap) in
+    let copy n =
+      let i = n mod t.slots in
+      {
+        Journal.ev = kind_name kinds.(t.tags.(i));
+        span = t.spans.(i);
+        parent = t.parents.(i);
+        locality;
+        worker = t.w;
+        t = t.starts.(i);
+        dur = t.durs.(i);
+        value = t.values.(i);
+        note = "";
+      }
+    in
+    let evs = List.init (total - from) (fun j -> copy (from + j)) in
+    (* Entries the writer lapped while we copied may be torn: keep only
+       those still inside the window after the copy, and count the rest
+       as drops. *)
+    let safe = Atomic.get t.total - t.cap in
+    let torn = max 0 (min total safe - from) in
+    t.lost <- t.lost + (from - t.read) + torn;
+    t.read <- total;
+    List.filteri (fun j _ -> j >= torn) evs
+  end

@@ -1,51 +1,49 @@
-(** Per-worker span recorder for the real runtimes.
+(** Per-worker event ring for the real runtimes.
 
-    Each worker domain owns one recorder: a {e preallocated} ring
-    buffer of fixed capacity holding one span per slot in flat
-    [int]/[float] arrays, so the hot path neither allocates nor takes
-    a lock — recording a span is a clock read plus four array stores.
-    On overflow the oldest span is overwritten and counted in
-    {!dropped}; the newest spans always survive.
+    Each worker domain owns one recorder: a {e preallocated} ring of
+    journal-shaped events (kind, span, parent, start, duration, value)
+    held in flat [int]/[float] arrays, so the hot path neither
+    allocates nor takes a lock — recording is a clock read, six array
+    stores and one atomic publish of the entry count. Every worker
+    event of a run is recorded here exactly once; the trace, metrics
+    and journal views are all derived from what {!drain} returns.
+
+    One thread writes a recorder (its worker); one other thread may
+    {!drain} it mid-run without a lock: the published count tells the
+    drainer which entries are complete, and entries the writer laps
+    before they are drained are counted in {!dropped}. The newest
+    [capacity] entries always survive.
 
     Timestamps come from {!clock} (wall-clock seconds with a
     per-recorder monotonic guard: time never goes backwards within one
-    recorder, so spans are always well-formed even across NTP steps).
-    A disabled recorder ({!null}) short-circuits every operation —
-    [now] returns [0.] without reading the clock — so instrumented
-    runtimes pay one branch per event when telemetry is off. *)
+    recorder, so intervals are always well-formed even across NTP
+    steps). A disabled recorder ({!null}) short-circuits every
+    operation — [now] returns [0.] without reading the clock — so
+    instrumented runtimes pay one branch per site when recording is
+    off. *)
 
 type kind =
-  | Task  (** Executing one task (a spawned subtree). [arg] = task depth. *)
-  | Steal_attempt  (** A worker (shm) or locality (dist) went looking for work. *)
-  | Steal_success
+  | Task  (** Executing one task. [span] = the task's span, [value] = depth. *)
+  | Steal
       (** Work obtained after a dry spell; the duration is the steal
-          latency (dry pool to task in hand). *)
-  | Idle  (** Blocked waiting for work. [arg] = 0. *)
-  | Bound_update  (** An incumbent improvement was applied. [arg] = new bound. *)
-  | Spill  (** dist: a task was shed to the coordinator. [arg] = local pool size. *)
-  | Pool  (** Pool-depth sample after a push. [arg] = pool size. *)
-
-val kind_name : kind -> string
-(** Stable lowercase name ([task], [steal_attempt], ...). *)
-
-val kind_of_tag : int -> kind
-(** Inverse of the storage tag; @raise Invalid_argument on junk. *)
-
-val kind_tag : kind -> int
-(** Dense integer tag used in ring slots and packed buffers. *)
+          latency (dry pool to task in hand). [span] = the stolen task. *)
+  | Idle  (** One blocked wait for work, from its real start. *)
+  | Bound  (** An incumbent improvement was applied. [value] = new bound. *)
+  | Spawn
+      (** shm: a task was queued under a fresh span; [parent] = the
+          spawning task's span. *)
 
 type t
 
 val create : ?capacity:int -> worker:int -> unit -> t
-(** A recorder for worker [worker] with all storage preallocated
-    (default capacity 65536 spans). @raise Invalid_argument if
-    [capacity < 1]. *)
+(** A recorder for worker slot [worker] with all storage preallocated
+    (default 65536 events, the one ring size every runtime uses).
+    @raise Invalid_argument if [capacity < 1]. *)
 
 val null : t
 (** The disabled recorder: capacity 0, never records, [now] is [0.]. *)
 
 val enabled : t -> bool
-val worker : t -> int
 
 val clock : unit -> float
 (** The raw clock (seconds). Use for cross-process epoch samples. *)
@@ -54,33 +52,26 @@ val now : t -> float
 (** Current time for this recorder, or [0.] when disabled (skips the
     clock read so disabled call sites cost one branch). *)
 
-val span : t -> kind -> start:float -> arg:int -> unit
-(** Record a span from [start] to the current time. No-op when
-    disabled. *)
+val record :
+  t -> kind -> span:int -> parent:int -> start:float -> dur:float ->
+  value:int -> unit
+(** Record one event with every field explicit ([parent = -1]: none).
+    No-op when disabled. *)
 
-val span_dur : t -> kind -> start:float -> dur:float -> arg:int -> unit
-(** Record a span with an explicit duration (e.g. a steal latency
-    measured by another clock read). *)
+val span : t -> kind -> span:int -> start:float -> value:int -> unit
+(** Record an event lasting from [start] to the current time. *)
 
-val instant : t -> kind -> arg:int -> unit
+val instant : t -> kind -> span:int -> value:int -> unit
 (** Record a zero-duration event at the current time. *)
 
 val recorded : t -> int
-(** Total spans ever recorded (including those since dropped). *)
+(** Total events ever recorded (including those since dropped). *)
 
 val dropped : t -> int
-(** Spans overwritten by ring overflow. *)
+(** Events overwritten before they were drained. *)
 
-(** Marshal-safe snapshot of a recorder: plain arrays, oldest-first,
-    suitable for a wire frame ({!Yewpar_dist.Wire}, if built). *)
-type packed = {
-  p_worker : int;
-  p_tags : int array;  (** {!kind_tag} per span. *)
-  p_starts : float array;  (** Absolute start times, recorder clock. *)
-  p_durs : float array;
-  p_args : int array;
-  p_dropped : int;
-}
-
-val export : t -> packed
-(** Snapshot the live contents (oldest surviving span first). *)
+val drain : ?locality:int -> t -> Journal.event list
+(** The events recorded since the previous drain, oldest first, as
+    journal events stamped with [locality] (default [-1]: unknown, for
+    the receiver to stamp) and this recorder's worker slot. Safe to
+    call from one thread while the owner keeps recording. *)

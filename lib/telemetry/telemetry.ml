@@ -1,68 +1,36 @@
-type span = {
-  locality : int;
-  worker : int;
-  kind : Recorder.kind;
-  start : float;
-  dur : float;
-  arg : int;
-  label : string;  (* "" means: use the kind name *)
-}
+type t = { mutable kept : Journal.event list (* newest first *) }
 
-let span_name s = if s.label = "" then Recorder.kind_name s.kind else s.label
+let create () = { kept = [] }
 
-type t = {
-  capacity : int;
-  mutable recorders : (int * Recorder.t) list;  (* (locality, recorder) *)
-  mutable ingested : (int * float * Recorder.packed) list;
-  mutable extra : span list;  (* newest first *)
-}
+let ingest t ~locality ~offset evs =
+  t.kept <-
+    List.rev_append
+      (List.map
+         (fun (e : Journal.event) ->
+           {
+             e with
+             Journal.locality =
+               (if e.Journal.locality < 0 then locality else e.Journal.locality);
+             t = e.Journal.t +. offset;
+           })
+         evs)
+      t.kept
 
-let create ?(capacity = 65536) () =
-  { capacity; recorders = []; ingested = []; extra = [] }
-
-let recorder t ~locality ~worker =
-  let r = Recorder.create ~capacity:t.capacity ~worker () in
-  t.recorders <- (locality, r) :: t.recorders;
-  r
-
-let ingest t ~locality ~offset packs =
-  List.iter (fun p -> t.ingested <- (locality, offset, p) :: t.ingested) packs
-
-let add_span t s = t.extra <- s :: t.extra
-
-let packed_spans ~locality ~offset (p : Recorder.packed) =
-  List.init (Array.length p.Recorder.p_tags) (fun i ->
-      {
-        locality;
-        worker = p.Recorder.p_worker;
-        kind = Recorder.kind_of_tag p.Recorder.p_tags.(i);
-        start = p.Recorder.p_starts.(i) +. offset;
-        dur = p.Recorder.p_durs.(i);
-        arg = p.Recorder.p_args.(i);
-        label = "";
-      })
-
-let spans t =
-  let live =
-    List.concat_map
-      (fun (locality, r) ->
-        packed_spans ~locality ~offset:0. (Recorder.export r))
-      t.recorders
-  in
-  let shipped =
-    List.concat_map
-      (fun (locality, offset, p) -> packed_spans ~locality ~offset p)
-      t.ingested
-  in
+let events t =
   List.stable_sort
-    (fun a b -> compare a.start b.start)
-    (live @ shipped @ List.rev t.extra)
+    (fun (a : Journal.event) b -> compare a.Journal.t b.Journal.t)
+    (List.rev t.kept)
 
 let dropped t =
-  List.fold_left (fun acc (_, r) -> acc + Recorder.dropped r) 0 t.recorders
-  + List.fold_left
-      (fun acc (_, _, p) -> acc + p.Recorder.p_dropped)
-      0 t.ingested
+  List.fold_left
+    (fun acc (e : Journal.event) ->
+      if e.Journal.ev = "journal_drop" then acc + e.Journal.value else acc)
+    0 t.kept
+
+(* The views below draw worker events only: the ones carrying a worker
+   slot. Events without one (drop counts) feed {!dropped}. *)
+let worker_events t =
+  List.filter (fun (e : Journal.event) -> e.Journal.worker >= 0) (events t)
 
 (* ------------------------- Chrome export ------------------------- *)
 
@@ -82,9 +50,11 @@ let json_escape s =
 
 let fus v = Printf.sprintf "%.3f" v  (* microseconds, ns precision *)
 
+let origin = function [] -> 0. | (e : Journal.event) :: _ -> e.Journal.t
+
 let to_chrome t =
-  let ss = spans t in
-  let t0 = match ss with [] -> 0. | s :: _ -> s.start in
+  let evs = worker_events t in
+  let t0 = origin evs in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   let first = ref true in
@@ -96,86 +66,80 @@ let to_chrome t =
   (* Metadata: name each locality (process) and worker (thread). *)
   let procs = Hashtbl.create 8 and threads = Hashtbl.create 32 in
   List.iter
-    (fun s ->
-      if not (Hashtbl.mem procs s.locality) then begin
-        Hashtbl.add procs s.locality ();
+    (fun (e : Journal.event) ->
+      let l = e.Journal.locality and w = e.Journal.worker in
+      if not (Hashtbl.mem procs l) then begin
+        Hashtbl.add procs l ();
         emit
           (Printf.sprintf
              "{\"ph\":\"M\",\"pid\":%d,\"name\":\"process_name\",\"args\":{\"name\":\"locality %d\"}}"
-             s.locality s.locality)
+             l l)
       end;
-      if s.kind <> Recorder.Pool && not (Hashtbl.mem threads (s.locality, s.worker))
-      then begin
-        Hashtbl.add threads (s.locality, s.worker) ();
+      if not (Hashtbl.mem threads (l, w)) then begin
+        Hashtbl.add threads (l, w) ();
         emit
           (Printf.sprintf
              "{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":\"worker %d\"}}"
-             s.locality s.worker s.worker)
+             l w w)
       end)
-    ss;
+    evs;
   List.iter
-    (fun s ->
-      let ts = (s.start -. t0) *. 1e6 in
-      match s.kind with
-      | Recorder.Pool ->
+    (fun (e : Journal.event) ->
+      let ts = fus ((e.Journal.t -. t0) *. 1e6) in
+      let name = json_escape e.Journal.ev in
+      let args =
+        Printf.sprintf "\"pid\":%d,\"tid\":%d,\"args\":{\"span\":%d,\"value\":%d}"
+          e.Journal.locality e.Journal.worker e.Journal.span e.Journal.value
+      in
+      if e.Journal.dur > 0. then
         emit
           (Printf.sprintf
-             "{\"name\":\"pool depth\",\"ph\":\"C\",\"ts\":%s,\"pid\":%d,\"args\":{\"depth\":%d}}"
-             (fus ts) s.locality s.arg)
-      | _ when s.dur > 0. ->
+             "{\"name\":\"%s\",\"cat\":\"yewpar\",\"ph\":\"X\",\"ts\":%s,\"dur\":%s,%s}"
+             name ts
+             (fus (e.Journal.dur *. 1e6))
+             args)
+      else
         emit
           (Printf.sprintf
-             "{\"name\":\"%s\",\"cat\":\"yewpar\",\"ph\":\"X\",\"ts\":%s,\"dur\":%s,\"pid\":%d,\"tid\":%d,\"args\":{\"arg\":%d}}"
-             (json_escape (span_name s))
-             (fus ts)
-             (fus (s.dur *. 1e6))
-             s.locality s.worker s.arg)
-      | _ ->
-        emit
-          (Printf.sprintf
-             "{\"name\":\"%s\",\"cat\":\"yewpar\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%s,\"pid\":%d,\"tid\":%d,\"args\":{\"arg\":%d}}"
-             (json_escape (span_name s))
-             (fus ts) s.locality s.worker s.arg))
-    ss;
+             "{\"name\":\"%s\",\"cat\":\"yewpar\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%s,%s}"
+             name ts args))
+    evs;
   Buffer.add_string buf "]}";
   Buffer.contents buf
 
 (* -------------------------- CSV export --------------------------- *)
 
 let to_csv t =
-  let ss = spans t in
-  let t0 = match ss with [] -> 0. | s :: _ -> s.start in
+  let evs = worker_events t in
+  let t0 = origin evs in
   (* Dense global worker ids, ordered by (locality, worker). *)
+  let key (e : Journal.event) = (e.Journal.locality, e.Journal.worker) in
   let ids = Hashtbl.create 32 in
-  List.iter (fun s -> Hashtbl.replace ids (s.locality, s.worker) 0) ss;
+  List.iter (fun e -> Hashtbl.replace ids (key e) 0) evs;
   Hashtbl.fold (fun k _ acc -> k :: acc) ids []
   |> List.sort compare
   |> List.iteri (fun i k -> Hashtbl.replace ids k i);
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "worker,start,duration,label\n";
   List.iter
-    (fun s ->
-      if s.kind <> Recorder.Pool then
-        Buffer.add_string buf
-          (Printf.sprintf "%d,%.9f,%.9f,%s\n"
-             (Hashtbl.find ids (s.locality, s.worker))
-             (s.start -. t0) s.dur (span_name s)))
-    ss;
+    (fun (e : Journal.event) ->
+      Buffer.add_string buf
+        (Printf.sprintf "%d,%.9f,%.9f,%s\n" (Hashtbl.find ids (key e))
+           (e.Journal.t -. t0) e.Journal.dur e.Journal.ev))
+    evs;
   Buffer.contents buf
 
 (* ------------------------ derived metrics ------------------------ *)
 
 let metrics t =
-  let ss = spans t in
+  let evs = worker_events t in
   let m = Metrics.create () in
   let c name help = Metrics.counter m ~help name in
   let tasks = c "yewpar_tasks_total" "Tasks executed." in
-  let attempts = c "yewpar_steal_attempts_total" "Workers that went looking for work." in
   let steals = c "yewpar_steals_total" "Successful steals (work obtained after a dry spell)." in
   let bounds = c "yewpar_bound_updates_total" "Incumbent improvements applied." in
-  let spills = c "yewpar_spills_total" "Tasks shed to the coordinator (dist)." in
   let drops =
-    c "yewpar_trace_dropped_spans_total" "Spans lost to ring-buffer overflow."
+    c "yewpar_trace_dropped_spans_total" "Events lost to ring-buffer overflow."
   in
   let localities = Metrics.gauge m ~help:"Localities traced." "yewpar_localities" in
   let workers = Metrics.gauge m ~help:"Worker tracks traced." "yewpar_workers" in
@@ -191,30 +155,22 @@ let metrics t =
     Metrics.histogram m ~help:"Time blocked waiting for work (seconds)."
       "yewpar_idle_wait_seconds"
   in
-  let depth =
-    Metrics.histogram m ~help:"Pool depth observed after each push."
-      ~buckets:(Metrics.buckets_pow2 ~hi:4096) "yewpar_pool_depth"
-  in
   let locs = Hashtbl.create 8 and tracks = Hashtbl.create 32 in
   List.iter
-    (fun s ->
-      Hashtbl.replace locs s.locality ();
-      (match s.kind with
-      | Recorder.Pool -> ()
-      | _ -> Hashtbl.replace tracks (s.locality, s.worker) ());
-      match s.kind with
-      | Recorder.Task ->
+    (fun (e : Journal.event) ->
+      Hashtbl.replace locs e.Journal.locality ();
+      Hashtbl.replace tracks (e.Journal.locality, e.Journal.worker) ();
+      match e.Journal.ev with
+      | "task" ->
         Metrics.inc tasks;
-        Metrics.observe task_d s.dur
-      | Recorder.Steal_attempt -> Metrics.inc attempts
-      | Recorder.Steal_success ->
+        Metrics.observe task_d e.Journal.dur
+      | "steal" ->
         Metrics.inc steals;
-        Metrics.observe steal_d s.dur
-      | Recorder.Idle -> Metrics.observe idle_d s.dur
-      | Recorder.Bound_update -> Metrics.inc bounds
-      | Recorder.Spill -> Metrics.inc spills
-      | Recorder.Pool -> Metrics.observe depth (float_of_int s.arg))
-    ss;
+        Metrics.observe steal_d e.Journal.dur
+      | "idle" -> Metrics.observe idle_d e.Journal.dur
+      | "bound" -> Metrics.inc bounds
+      | _ -> ())
+    evs;
   Metrics.inc drops ~by:(dropped t);
   Metrics.set localities (float_of_int (Hashtbl.length locs));
   Metrics.set workers (float_of_int (Hashtbl.length tracks));

@@ -8,7 +8,9 @@ Checks, per line:
     ("parent" may be null, everything else is required and non-null);
   - the event kind is one of the known v1 kinds (an unknown kind on a
     v1 line is a producer bug, not a forward-compatible extension —
-    extensions must bump the schema version).
+    extensions must bump the schema version);
+  - the worker events drained from the per-worker rings (task, steal,
+    idle, spawn) carry a worker slot.
 
 Checks, per trace:
   - every non-null parent span id resolves to a span that appears as
@@ -42,17 +44,20 @@ SCHEMA = {
 }
 
 
-# Every event kind a v1 producer emits (runtimes, coordinator, job
-# server). Keep in sync with the schema list in lib/telemetry/journal.mli.
-KNOWN_EVENTS = {
+# Every event kind a v1 producer emits. Keep in sync with the schema
+# list in lib/telemetry/journal.mli.
+#
+# The kinds the per-worker rings record (Recorder.kind), always with a
+# worker slot. "bound" is also written by the coordinator, without one.
+RING_EVENTS = {"task", "steal", "idle", "bound", "spawn"}
+WORKER_ONLY = RING_EVENTS - {"bound"}
+
+# Lifecycle kinds written directly by their owner (runtime, coordinator,
+# job server).
+KNOWN_EVENTS = RING_EVENTS | {
     "job_start",
     "job_done",
-    "task",
-    "steal",
-    "idle",
-    "bound",
     "witness",
-    "spawn",
     "spill",
     "lease_issue",
     "lease_retire",
@@ -113,6 +118,11 @@ def validate(path):
             if obj["ev"] not in KNOWN_EVENTS:
                 errors.append(
                     f"{path}:{lineno}: unknown event kind {obj['ev']!r}"
+                )
+                continue
+            if obj["ev"] in WORKER_ONLY and obj["worker"] < 0:
+                errors.append(
+                    f"{path}:{lineno}: {obj['ev']!r} event without a worker slot"
                 )
                 continue
             events += 1

@@ -1,5 +1,5 @@
-(* Trace/bench analyzer tests: Chrome and CSV trace parsing, the
-   load-balance report checked against a golden fixture, bench-JSON
+(* Analyzer tests: the journal's load-balance view and the Chrome
+   exporter checked against golden fixtures, JSON decoding, bench-JSON
    loading (envelope and legacy bare-array) and A/B regression
    comparison semantics. *)
 
@@ -22,95 +22,87 @@ let fixture name =
   read_file
     [ Filename.concat "fixtures" name; Filename.concat "test/fixtures" name ]
 
-let span_t : Analyze.span Alcotest.testable =
-  Alcotest.testable
-    (fun ppf (s : Analyze.span) ->
-      Format.fprintf ppf "%d/%d %s %g+%g" s.locality s.worker s.name s.start
-        s.dur)
-    ( = )
+module Journal = Yewpar_telemetry.Journal
+module Telemetry = Yewpar_telemetry.Telemetry
 
 (* ----------------------------- traces ----------------------------- *)
 
-let chrome_parsing () =
-  let spans = Analyze.load_trace (fixture "trace_small.json") in
-  (* 8 events, minus one "M" metadata and one "C" counter. *)
-  Alcotest.(check int) "span count" 6 (List.length spans);
-  Alcotest.check span_t "first span"
-    { Analyze.locality = 0; worker = 0; name = "task"; start = 0.; dur = 1. }
-    (List.hd spans);
-  let instant =
-    List.find (fun (s : Analyze.span) -> s.name = "bound_update") spans
-  in
-  Alcotest.check span_t "instant has zero duration"
-    { Analyze.locality = 0; worker = 1; name = "bound_update"; start = 0.6;
-      dur = 0. }
-    instant
-
-let csv_parsing () =
-  let csv =
-    "worker,start,duration,label\n\
-     0,0.0,1.5,task\n\
-     1,0.25,0.5,idle\n\
-     1,0.75,0.125,steal_success\n"
-  in
-  let spans = Analyze.load_trace csv in
-  Alcotest.(check int) "span count" 3 (List.length spans);
-  Alcotest.check span_t "csv row"
-    { Analyze.locality = 0; worker = 1; name = "idle"; start = 0.25; dur = 0.5 }
-    (List.nth spans 1)
+let fixture_entries () =
+  let entries, malformed = Journal.read_string (fixture "trace_small.jsonl") in
+  Alcotest.(check int) "fixture parses" 0 malformed;
+  entries
 
 let junk_rejected () =
-  (match Analyze.load_trace "not a trace at all" with
+  (match Analyze.parse_json "not json at all" with
   | exception Failure _ -> ()
-  | _ -> Alcotest.fail "junk accepted as csv");
-  match Analyze.load_trace "{\"no_events\":1}" with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "object without traceEvents accepted"
+  | _ -> Alcotest.fail "junk accepted as json");
+  (* The journal reader skips and counts what it cannot read. *)
+  let _, malformed =
+    Journal.read_string "not a journal at all\n{\"no_events\":1}\n"
+  in
+  Alcotest.(check int) "junk lines counted" 2 malformed
 
 let golden_report () =
-  (* The report for the checked-in trace must match byte for byte;
-     regenerate with
-       yewpar analyze --trace test/fixtures/trace_small.json  *)
-  let spans = Analyze.load_trace (fixture "trace_small.json") in
+  (* The load-balance view of the journal fixture must match the
+     checked-in report byte for byte; regenerate with
+       yewpar analyze --journal test/fixtures/trace_small.jsonl  *)
+  let entries = fixture_entries () in
   Alcotest.(check string) "golden load-balance report"
     (fixture "trace_small.report")
-    (Analyze.load_balance_report spans)
+    (Journal.load_balance entries);
+  (* [analyze --journal] prints it next to the critical path. *)
+  let report = Journal.report entries in
+  let section = fixture "trace_small.report" in
+  let n = String.length section and m = String.length report in
+  Alcotest.(check bool) "journal report ends with the section" true
+    (m >= n && String.sub report (m - n) n = section)
 
 let empty_report () =
   Alcotest.(check string) "empty trace" "empty trace: nothing to analyze\n"
-    (Analyze.load_balance_report [])
+    (Journal.load_balance [])
+
+let chrome_golden () =
+  (* The Chrome view of a fixed event list, byte for byte; events
+     without a worker slot are not drawn. Regenerate the fixture by
+     printing [Telemetry.to_chrome] of this list. *)
+  let tl = Telemetry.create () in
+  Telemetry.ingest tl ~locality:0 ~offset:0.
+    [
+      Journal.event ~worker:0 ~t:10. ~dur:0.25 ~value:2 ~ev:"task" ~span:1 ();
+      Journal.event ~worker:1 ~t:10.125 ~dur:0.0625 ~ev:"steal" ~span:3 ();
+      Journal.event ~worker:1 ~t:10.5 ~value:9 ~ev:"bound" ~span:0 ();
+      Journal.event ~value:4 ~ev:"journal_drop" ~t:10.5 ~span:0 ();
+    ];
+  Telemetry.ingest tl ~locality:1 ~offset:0.5
+    [ Journal.event ~worker:0 ~t:10. ~dur:0.5 ~ev:"idle" ~span:0 () ];
+  Alcotest.(check string) "golden chrome trace"
+    (String.trim (fixture "chrome_small.json"))
+    (Telemetry.to_chrome tl);
+  Alcotest.(check int) "shipped drops counted" 4 (Telemetry.dropped tl)
 
 let unicode_escapes () =
-  (* Non-ASCII worker labels escaped as \uXXXX must decode to UTF-8,
-     including astral characters split into surrogate pairs. *)
-  let trace names =
-    let events =
-      List.map
-        (fun name ->
-          Printf.sprintf
-            "{\"name\": \"%s\", \"ph\": \"X\", \"pid\": 0, \"tid\": 0, \
-             \"ts\": 0, \"dur\": 1000000}"
-            name)
-        names
-    in
-    Printf.sprintf "{\"traceEvents\": [%s]}" (String.concat ", " events)
+  (* Non-ASCII labels escaped as \uXXXX must decode to UTF-8, including
+     astral characters split into surrogate pairs. *)
+  let names escaped =
+    match
+      Analyze.parse_json
+        (Printf.sprintf "[%s]"
+           (String.concat ", " (List.map (Printf.sprintf "\"%s\"") escaped)))
+    with
+    | Analyze.Arr xs -> List.map (fun x -> Analyze.str_or "?" (Some x)) xs
+    | _ -> Alcotest.fail "not an array"
   in
-  let names spans = List.map (fun (s : Analyze.span) -> s.Analyze.name) spans in
   Alcotest.(check (list string))
     "BMP and astral escapes decode"
     [ "t\xc3\xa2che"; "\xe6\x8e\xa2\xe7\xb4\xa2"; "\xf0\x9f\x98\x80-worker" ]
-    (names
-       (Analyze.load_trace
-          (trace [ "t\\u00e2che"; "\\u63a2\\u7d22"; "\\ud83d\\ude00-worker" ])));
+    (names [ "t\\u00e2che"; "\\u63a2\\u7d22"; "\\ud83d\\ude00-worker" ]);
   (* Lone or mismatched surrogate halves become U+FFFD instead of
-     corrupting the span name. *)
+     corrupting the string. *)
   Alcotest.(check (list string))
     "lone surrogates are replaced"
     [ "\xef\xbf\xbd"; "\xef\xbf\xbdA"; "\xef\xbf\xbd\xef\xbf\xbd" ]
-    (names
-       (Analyze.load_trace
-          (trace [ "\\udc00"; "\\ud800\\u0041"; "\\ud800\\udbff" ])));
-  match Analyze.load_trace (trace [ "\\uZZZZ" ]) with
+    (names [ "\\udc00"; "\\ud800\\u0041"; "\\ud800\\udbff" ]);
+  match names [ "\\uZZZZ" ] with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "invalid hex in \\u escape accepted"
 
@@ -292,11 +284,10 @@ let () =
     [
       ( "trace",
         [
-          Alcotest.test_case "chrome parsing" `Quick chrome_parsing;
-          Alcotest.test_case "csv parsing" `Quick csv_parsing;
           Alcotest.test_case "junk rejected" `Quick junk_rejected;
           Alcotest.test_case "golden report" `Quick golden_report;
           Alcotest.test_case "empty report" `Quick empty_report;
+          Alcotest.test_case "chrome golden" `Quick chrome_golden;
           Alcotest.test_case "unicode escapes" `Quick unicode_escapes;
         ] );
       ( "bench",

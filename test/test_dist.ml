@@ -516,7 +516,7 @@ let chaos_kill_enumerate () =
   let stats = Stats.create () in
   let r =
     Dist.run ~stats ~watchdog:120. ~localities:3 ~workers:2
-      ~chaos:(fault_spec "kill-locality:1@0.15s")
+      ~chaos:(fault_spec "kill-locality:1@0.08s")
       ~coordination:(Coordination.Depth_bounded { dcutoff = 2 })
       (queens_n 12)
   in
@@ -548,7 +548,7 @@ let chaos_respawn () =
   let stats = Stats.create () in
   let r =
     Dist.run ~stats ~watchdog:120. ~localities:3 ~workers:2 ~max_respawns:1
-      ~chaos:(fault_spec "kill-locality:1@0.15s")
+      ~chaos:(fault_spec "kill-locality:1@0.08s")
       ~coordination:(Coordination.Depth_bounded { dcutoff = 2 })
       (queens_n 12)
   in
@@ -584,7 +584,7 @@ let chaos_journal_causality () =
   let r =
     Dist.run ~stats ~journal:w ~watchdog:120. ~localities:3 ~workers:2
       ~max_respawns:1 ~failure_timeout:2.
-      ~chaos:(fault_spec "kill-locality:1@0.15s")
+      ~chaos:(fault_spec "kill-locality:1@0.1s")
       ~coordination:(Coordination.Depth_bounded { dcutoff = 2 })
       (queens_n 12)
   in
@@ -677,7 +677,7 @@ let progress_final_across_replay () =
   let stats = Stats.create () in
   let r =
     Dist.run ~stats ~watchdog:120. ~localities:3 ~workers:2
-      ~chaos:(fault_spec "kill-locality:1@0.15s")
+      ~chaos:(fault_spec "kill-locality:1@0.08s")
       ~coordination:(Coordination.Depth_bounded { dcutoff = 2 })
       (queens_n 12)
   in

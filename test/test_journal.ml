@@ -1,9 +1,10 @@
-(* Causal journal tests: the bounded staging buffer, the JSONL writer
-   (schema round-trip, clock offsets, size-based rotation), the
-   tolerant reader, the critical-path report on synthetic spans, and
-   an end-to-end shm run. *)
+(* Causal journal tests: the per-worker event ring drained mid-run, the
+   JSONL writer (schema round-trip, clock offsets, size-based
+   rotation), the tolerant reader, the critical-path report on
+   synthetic spans, and end-to-end shm runs. *)
 
 module Journal = Yewpar_telemetry.Journal
+module Recorder = Yewpar_telemetry.Recorder
 module Shm = Yewpar_par.Shm
 module Coordination = Yewpar_core.Coordination
 module Sequential = Yewpar_core.Sequential
@@ -24,22 +25,29 @@ let with_writer ?max_bytes ?trace f =
 (* ----------------------------- buffer ----------------------------- *)
 
 let buffer_overflow_drops () =
-  (* A full buffer must drop (and count) instead of blocking or
-     growing: emitters sit on the search hot path. *)
-  let b = Journal.buffer ~capacity:4 () in
+  (* A full ring must overwrite (and count) instead of blocking or
+     growing: workers record on the search hot path. Draining takes
+     what is new since the last drain, newest entries first to
+     survive. *)
+  let r = Recorder.create ~capacity:4 ~worker:2 () in
+  let task i =
+    Recorder.record r Recorder.Task ~span:i ~parent:(-1) ~start:(float_of_int i)
+      ~dur:0.5 ~value:0
+  in
   for i = 1 to 10 do
-    Journal.push b (Journal.event ~ev:"task" ~span:i ())
+    task i
   done;
-  Alcotest.(check int) "six dropped" 6 (Journal.dropped b);
-  let kept = Journal.drain b in
-  Alcotest.(check int) "four kept" 4 (List.length kept);
-  Alcotest.(check (list int)) "oldest events survive, in order"
-    [ 1; 2; 3; 4 ]
+  Alcotest.(check int) "six dropped" 6 (Recorder.dropped r);
+  let kept = Recorder.drain ~locality:1 r in
+  Alcotest.(check (list int)) "newest events survive, in order" [ 7; 8; 9; 10 ]
     (List.map (fun e -> e.Journal.span) kept);
-  Alcotest.(check int) "drain empties" 0 (List.length (Journal.drain b));
-  Journal.push b (Journal.event ~ev:"task" ~span:11 ());
-  Alcotest.(check int) "drained buffer accepts again" 1
-    (List.length (Journal.drain b))
+  Alcotest.(check (list int)) "stamped with locality and worker" [ 1; 2 ]
+    (match kept with e :: _ -> [ e.Journal.locality; e.Journal.worker ] | [] -> []);
+  Alcotest.(check int) "drain empties" 0 (List.length (Recorder.drain r));
+  task 11;
+  Alcotest.(check int) "drained ring accepts again" 1
+    (List.length (Recorder.drain r));
+  Alcotest.(check int) "drops are not recounted" 6 (Recorder.dropped r)
 
 (* ----------------------------- writer ----------------------------- *)
 
@@ -237,6 +245,41 @@ let shm_end_to_end () =
   Alcotest.(check bool) "report finds a critical path" true
     (contains report "critical path:")
 
+(* Every worker interval ([task], [idle], [steal]) must lie inside its
+   job's [job_start, job_start + wall] window, with [slack] seconds of
+   tolerance for cross-process clock offsets. *)
+let check_within_job ?(slack = 0.) entries =
+  let at ev =
+    match List.find_opt (fun e -> e.Journal.e_ev = ev) entries with
+    | Some e -> e
+    | None -> Alcotest.failf "no %s event" ev
+  in
+  let lo = (at "job_start").Journal.e_at in
+  let hi = lo +. (at "job_done").Journal.e_dur in
+  List.iter
+    (fun e ->
+      match e.Journal.e_ev with
+      | "task" | "idle" | "steal" ->
+        let s = e.Journal.e_at and f = e.Journal.e_at +. e.Journal.e_dur in
+        if s < lo -. slack || f > hi +. slack then
+          Alcotest.failf "%s event [%.6f, %.6f] of worker %d/%d outside job [%.6f, %.6f]"
+            e.Journal.e_ev s f e.Journal.e_locality e.Journal.e_worker lo hi
+      | _ -> ())
+    entries
+
+let shm_events_within_job () =
+  (* Idle waits are recorded one per wait from their real start, so no
+     interval may spill past [job_done]. *)
+  with_writer @@ fun path w ->
+  let p = Queens.count_solutions (Queens.instance ~n:8) in
+  ignore
+    (Shm.run ~workers:2 ~journal:w
+       ~coordination:(Coordination.Stack_stealing { chunked = false })
+       p);
+  Journal.close w;
+  let entries, _ = Journal.read path in
+  check_within_job entries
+
 let seq_runtime_journal () =
   (* The sequential fallback writes the three-event shape so seq
      baselines land in the same report pipeline. *)
@@ -274,6 +317,8 @@ let () =
       ( "e2e",
         [
           Alcotest.test_case "shm run journals causally" `Quick shm_end_to_end;
+          Alcotest.test_case "shm events lie within the job" `Quick
+            shm_events_within_job;
           Alcotest.test_case "sequential baseline shape" `Quick
             seq_runtime_journal;
         ] );

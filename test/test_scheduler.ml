@@ -230,7 +230,7 @@ let prop_depth_order =
       let pool = Task_pool.create ~policy:Workpool.Depth () in
       List.iteri
         (fun i depth ->
-          Task_pool.push pool ~recorder:Recorder.null ~src:(i mod 3)
+          Task_pool.push pool ~src:(i mod 3)
             ~priority:0 (task ~depth i))
         depths;
       let out = List.map (fun t -> t.Task_pool.depth) (pool_drain pool) in
@@ -244,7 +244,7 @@ let prop_priority_order =
       let pool = Task_pool.create ~policy:Workpool.Priority () in
       List.iteri
         (fun i priority ->
-          Task_pool.push pool ~recorder:Recorder.null ~src:(i mod 3) ~priority
+          Task_pool.push pool ~src:(i mod 3) ~priority
             (task i))
         prios;
       let out =
@@ -259,7 +259,7 @@ let shed_order () =
   let pool = Task_pool.create ~policy:Workpool.Depth () in
   List.iter
     (fun (id, depth) ->
-      Task_pool.push pool ~recorder:Recorder.null ~priority:0 (task ~depth id))
+      Task_pool.push pool ~priority:0 (task ~depth id))
     [ (0, 5); (1, 1); (2, 3); (3, 7); (4, 2) ];
   let shed = List.map (fun t -> t.Task_pool.depth) (Task_pool.shed_half pool) in
   Alcotest.(check (list int)) "shallowest 3 of 5" [ 1; 2; 3 ] shed;

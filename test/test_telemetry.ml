@@ -1,10 +1,12 @@
-(* Telemetry tests: recorder ring-buffer overflow, histogram bucket
-   series, Prometheus exposition syntax, Chrome trace-event JSON
-   well-formedness, and end-to-end traced runs on the shm and dist
+(* Telemetry tests: event-ring overflow, histogram bucket series,
+   Prometheus exposition syntax, Chrome trace-event JSON
+   well-formedness, and end-to-end recorded runs on the shm and dist
    runtimes (including one-track-per-worker / one-process-per-locality
-   structure and trace-does-not-perturb-the-search). *)
+   structure, trace-does-not-perturb-the-search, and the trace agreeing
+   with the journal written from the same events). *)
 
 module Recorder = Yewpar_telemetry.Recorder
+module Journal = Yewpar_telemetry.Journal
 module Metrics = Yewpar_telemetry.Metrics
 module Telemetry = Yewpar_telemetry.Telemetry
 module Coordination = Yewpar_core.Coordination
@@ -151,37 +153,43 @@ let num_field k ev =
 
 (* ---------------------------- recorder ---------------------------- *)
 
+let task r ~start ~dur ~value =
+  Recorder.record r Recorder.Task ~span:value ~parent:(-1) ~start ~dur ~value
+
 let test_ring_overflow () =
   let r = Recorder.create ~capacity:4 ~worker:0 () in
   for i = 0 to 9 do
-    Recorder.span_dur r Recorder.Task ~start:(float_of_int i) ~dur:0.5 ~arg:i
+    task r ~start:(float_of_int i) ~dur:0.5 ~value:i
   done;
   Alcotest.(check int) "recorded" 10 (Recorder.recorded r);
   Alcotest.(check int) "dropped" 6 (Recorder.dropped r);
-  let p = Recorder.export r in
-  Alcotest.(check int) "packed drop count" 6 p.Recorder.p_dropped;
-  Alcotest.(check int) "survivors" 4 (Array.length p.Recorder.p_starts);
-  (* The newest spans survive, exported oldest-first. *)
-  Alcotest.(check (array (float 1e-9)))
-    "newest retained, in order" [| 6.; 7.; 8.; 9. |] p.Recorder.p_starts;
-  Alcotest.(check (array int)) "args follow" [| 6; 7; 8; 9 |] p.Recorder.p_args
+  let evs = Recorder.drain r in
+  Alcotest.(check int) "survivors" 4 (List.length evs);
+  (* The newest events survive, drained oldest-first. *)
+  Alcotest.(check (list (float 1e-9)))
+    "newest retained, in order" [ 6.; 7.; 8.; 9. ]
+    (List.map (fun e -> e.Journal.t) evs);
+  Alcotest.(check (list int)) "values follow" [ 6; 7; 8; 9 ]
+    (List.map (fun e -> e.Journal.value) evs)
 
 let test_ring_no_overflow () =
   let r = Recorder.create ~capacity:8 ~worker:1 () in
-  Recorder.instant r Recorder.Bound_update ~arg:42;
-  Recorder.span_dur r Recorder.Idle ~start:1. ~dur:2. ~arg:0;
+  Recorder.instant r Recorder.Bound ~span:0 ~value:42;
+  Recorder.record r Recorder.Idle ~span:0 ~parent:(-1) ~start:1. ~dur:2. ~value:0;
   Alcotest.(check int) "dropped" 0 (Recorder.dropped r);
-  let p = Recorder.export r in
-  Alcotest.(check int) "both exported" 2 (Array.length p.Recorder.p_tags);
-  Alcotest.(check int) "worker id" 1 p.Recorder.p_worker;
-  let kinds = Array.map Recorder.kind_of_tag p.Recorder.p_tags in
-  Alcotest.(check bool) "kinds round-trip" true
-    (kinds = [| Recorder.Bound_update; Recorder.Idle |])
+  let evs = Recorder.drain r in
+  Alcotest.(check int) "both drained" 2 (List.length evs);
+  Alcotest.(check (list int)) "worker id" [ 1; 1 ]
+    (List.map (fun e -> e.Journal.worker) evs);
+  Alcotest.(check (list string)) "kinds are journal kinds" [ "bound"; "idle" ]
+    (List.map (fun e -> e.Journal.ev) evs)
 
 let test_null_recorder () =
-  Recorder.span_dur Recorder.null Recorder.Task ~start:0. ~dur:1. ~arg:0;
-  Recorder.instant Recorder.null Recorder.Pool ~arg:3;
+  task Recorder.null ~start:0. ~dur:1. ~value:0;
+  Recorder.instant Recorder.null Recorder.Bound ~span:0 ~value:3;
   Alcotest.(check int) "null records nothing" 0 (Recorder.recorded Recorder.null);
+  Alcotest.(check int) "null drains nothing" 0
+    (List.length (Recorder.drain Recorder.null));
   Alcotest.(check (float 0.)) "null clock" 0. (Recorder.now Recorder.null)
 
 (* ---------------------------- metrics ----------------------------- *)
@@ -252,14 +260,21 @@ let test_prometheus_syntax () =
 
 (* ------------------------- trace exporters ------------------------ *)
 
-let test_chrome_export () =
+(* A sink holding what [rings] recorded, ring [i] on locality [i]. *)
+let sink_of rings =
   let tl = Telemetry.create () in
-  let r0 = Telemetry.recorder tl ~locality:0 ~worker:0 in
-  let r1 = Telemetry.recorder tl ~locality:1 ~worker:0 in
-  Recorder.span_dur r0 Recorder.Task ~start:1. ~dur:0.25 ~arg:3;
-  Recorder.instant r0 Recorder.Bound_update ~arg:7;
-  Recorder.span_dur r1 Recorder.Task ~start:1.5 ~dur:0.5 ~arg:1;
-  Recorder.instant r1 Recorder.Pool ~arg:4;
+  List.iteri
+    (fun locality r -> Telemetry.ingest tl ~locality ~offset:0. (Recorder.drain r))
+    rings;
+  tl
+
+let test_chrome_export () =
+  let r0 = Recorder.create ~worker:0 () in
+  let r1 = Recorder.create ~worker:0 () in
+  task r0 ~start:1. ~dur:0.25 ~value:3;
+  Recorder.instant r0 Recorder.Bound ~span:0 ~value:7;
+  task r1 ~start:1.5 ~dur:0.5 ~value:1;
+  let tl = sink_of [ r0; r1 ] in
   let json = parse_json (Telemetry.to_chrome tl) in
   let events = get_events json in
   Alcotest.(check bool) "has events" true (events <> []);
@@ -276,12 +291,11 @@ let test_chrome_export () =
       | "i" ->
         ignore (num_field "ts" ev);
         ignore (num_field "tid" ev)
-      | "C" -> ignore (num_field "ts" ev) (* counters are process-scoped *)
       | "M" -> ignore (str_field "name" ev)
       | ph -> Alcotest.fail ("unexpected ph " ^ ph))
     events;
-  (* One complete event per durationful span, with µs timestamps
-     relative to the earliest span. *)
+  (* One complete event per durationful event, with µs timestamps
+     relative to the earliest event. *)
   let xs = List.filter (fun ev -> str_field "ph" ev = "X") events in
   Alcotest.(check int) "two complete events" 2 (List.length xs);
   let durs = List.map (num_field "dur") xs |> List.sort compare in
@@ -292,17 +306,17 @@ let test_chrome_export () =
   Alcotest.(check (list (float 0.))) "one pid per locality" [ 0.; 1. ] pids
 
 let test_csv_export () =
-  let tl = Telemetry.create () in
-  let r0 = Telemetry.recorder tl ~locality:0 ~worker:0 in
-  let r1 = Telemetry.recorder tl ~locality:1 ~worker:2 in
-  Recorder.span_dur r0 Recorder.Task ~start:2. ~dur:0.5 ~arg:0;
-  Recorder.span_dur r1 Recorder.Idle ~start:2.5 ~dur:0.25 ~arg:0;
-  Recorder.instant r1 Recorder.Pool ~arg:9 (* pool samples are not rows *);
+  let r0 = Recorder.create ~worker:0 () in
+  let r1 = Recorder.create ~worker:2 () in
+  task r0 ~start:2. ~dur:0.5 ~value:0;
+  Recorder.record r1 Recorder.Idle ~span:0 ~parent:(-1) ~start:2.5 ~dur:0.25
+    ~value:0;
+  let tl = sink_of [ r0; r1 ] in
   let lines =
     Telemetry.to_csv tl |> String.trim |> String.split_on_char '\n'
   in
   Alcotest.(check string) "header" "worker,start,duration,label" (List.hd lines);
-  Alcotest.(check int) "one row per span" 2 (List.length (List.tl lines));
+  Alcotest.(check int) "one row per event" 2 (List.length (List.tl lines));
   (* Dense global worker numbering across localities. *)
   let workers =
     List.map (fun l -> List.hd (String.split_on_char ',' l)) (List.tl lines)
@@ -312,14 +326,13 @@ let test_csv_export () =
 
 let test_clock_offset_ingest () =
   let tl = Telemetry.create () in
-  let r = Recorder.create ~worker:0 () in
-  Recorder.span_dur r Recorder.Task ~start:100. ~dur:1. ~arg:0;
-  Telemetry.ingest tl ~locality:3 ~offset:50. [ Recorder.export r ];
-  match Telemetry.spans tl with
-  | [ s ] ->
-    Alcotest.(check (float 1e-9)) "offset applied" 150. s.Telemetry.start;
-    Alcotest.(check int) "locality kept" 3 s.Telemetry.locality
-  | l -> Alcotest.fail (Printf.sprintf "expected 1 span, got %d" (List.length l))
+  Telemetry.ingest tl ~locality:3 ~offset:50.
+    [ Journal.event ~worker:0 ~t:100. ~dur:1. ~ev:"task" ~span:4 () ];
+  match Telemetry.events tl with
+  | [ e ] ->
+    Alcotest.(check (float 1e-9)) "offset applied" 150. e.Journal.t;
+    Alcotest.(check int) "locality stamped" 3 e.Journal.locality
+  | l -> Alcotest.fail (Printf.sprintf "expected 1 event, got %d" (List.length l))
 
 (* --------------------------- end to end --------------------------- *)
 
@@ -336,11 +349,10 @@ let test_shm_traced () =
   (* Tracing must not perturb the search. *)
   Alcotest.(check int) "same node count" untraced_stats.Stats.nodes
     stats.Stats.nodes;
-  let spans = Telemetry.spans tl in
   let tasks =
-    List.filter (fun s -> s.Telemetry.kind = Recorder.Task) spans
+    List.filter (fun e -> e.Journal.ev = "task") (Telemetry.events tl)
   in
-  Alcotest.(check int) "one task span per task" stats.Stats.tasks
+  Alcotest.(check int) "one task event per task" stats.Stats.tasks
     (List.length tasks);
   let json = parse_json (Telemetry.to_chrome tl) in
   let tids =
@@ -372,17 +384,15 @@ let test_dist_traced () =
       ~coordination p
   in
   Alcotest.(check int) "same result" untraced traced;
-  let spans = Telemetry.spans tl in
+  let events = Telemetry.events tl in
   let localities =
-    List.sort_uniq compare (List.map (fun s -> s.Telemetry.locality) spans)
+    List.sort_uniq compare (List.map (fun e -> e.Journal.locality) events)
   in
-  Alcotest.(check (list int)) "spans from every locality" [ 0; 1 ] localities;
-  let tasks =
-    List.filter (fun s -> s.Telemetry.kind = Recorder.Task) spans
-  in
+  Alcotest.(check (list int)) "events from every locality" [ 0; 1 ] localities;
+  let tasks = List.filter (fun e -> e.Journal.ev = "task") events in
   (* [Stats.tasks] counts spawns; the root arrives from the coordinator
      uncounted, so executions exceed spawns by exactly one. *)
-  Alcotest.(check int) "one task span per executed task"
+  Alcotest.(check int) "one task event per executed task"
     (stats.Stats.tasks + 1) (List.length tasks);
   (* Perfetto structure: localities as process groups. *)
   let json = parse_json (Telemetry.to_chrome tl) in
@@ -393,6 +403,76 @@ let test_dist_traced () =
     |> List.sort_uniq compare
   in
   Alcotest.(check (list (float 0.))) "a process per locality" [ 0.; 1. ] pids
+
+(* One dist run writing both views: the Chrome file and the journal
+   must hold the same per-worker task, steal and idle counts, and every
+   worker interval must lie inside the job. Each wait is its own idle
+   event, and the estimated clock offset only ever shifts a locality's
+   events later by a frame's transit time, which keeps them before the
+   frame's receipt; the slack covers float rounding. A depth-1 cutoff
+   leaves workers waiting on the last few tasks, so idle time is
+   plentiful. *)
+let test_dist_trace_matches_journal () =
+  let path = Filename.temp_file "yewpar_trace" ".jsonl" in
+  let w = Journal.create ~path () in
+  let tl = Telemetry.create () in
+  ignore
+    (Dist.run ~watchdog:120. ~telemetry:tl ~journal:w ~localities:2 ~workers:2
+       ~coordination:(Coordination.Depth_bounded { dcutoff = 1 })
+       (queens_n 10));
+  Journal.close w;
+  let entries, malformed = Journal.read path in
+  Sys.remove path;
+  Alcotest.(check int) "no malformed lines" 0 malformed;
+  let counted = [ "task"; "steal"; "idle" ] in
+  let tally keys =
+    let h = Hashtbl.create 16 in
+    List.iter
+      (fun k ->
+        Hashtbl.replace h k (1 + Option.value ~default:0 (Hashtbl.find_opt h k)))
+      keys;
+    Hashtbl.fold (fun k n acc -> (k, n) :: acc) h [] |> List.sort compare
+  in
+  let from_journal =
+    entries
+    |> List.filter (fun e ->
+           e.Journal.e_worker >= 0 && List.mem e.Journal.e_ev counted)
+    |> List.map (fun e ->
+           (e.Journal.e_locality, e.Journal.e_worker, e.Journal.e_ev))
+    |> tally
+  in
+  let from_chrome =
+    get_events (parse_json (Telemetry.to_chrome tl))
+    |> List.filter (fun ev ->
+           str_field "ph" ev <> "M" && List.mem (str_field "name" ev) counted)
+    |> List.map (fun ev ->
+           ( int_of_float (num_field "pid" ev),
+             int_of_float (num_field "tid" ev),
+             str_field "name" ev ))
+    |> tally
+  in
+  let row ((l, w, ev), n) = Printf.sprintf "%d/%d %s x%d" l w ev n in
+  Alcotest.(check (list string)) "per-worker counts agree"
+    (List.map row from_journal) (List.map row from_chrome);
+  Alcotest.(check bool) "tasks were recorded" true
+    (List.exists (fun ((_, _, ev), _) -> ev = "task") from_journal);
+  let find ev =
+    match List.find_opt (fun e -> e.Journal.e_ev = ev) entries with
+    | Some e -> e
+    | None -> Alcotest.failf "no %s event" ev
+  in
+  let lo = (find "job_start").Journal.e_at in
+  let hi = lo +. (find "job_done").Journal.e_dur in
+  let slack = 1e-3 in
+  List.iter
+    (fun e ->
+      if e.Journal.e_worker >= 0 && List.mem e.Journal.e_ev counted then begin
+        let s = e.Journal.e_at and f = e.Journal.e_at +. e.Journal.e_dur in
+        if s < lo -. slack || f > hi +. slack then
+          Alcotest.failf "%s event [%.6f, %.6f] of worker %d/%d outside job [%.6f, %.6f]"
+            e.Journal.e_ev s f e.Journal.e_locality e.Journal.e_worker lo hi
+      end)
+    entries
 
 (* ------------------------- HTTP exporter ------------------------- *)
 
@@ -512,6 +592,8 @@ let () =
       ( "end-to-end",
         [
           Alcotest.test_case "dist traced run" `Quick test_dist_traced;
+          Alcotest.test_case "dist trace agrees with journal" `Quick
+            test_dist_trace_matches_journal;
           Alcotest.test_case "shm traced run" `Quick test_shm_traced;
         ] );
       (* After end-to-end: Http.start spawns a domain. *)
