@@ -33,3 +33,6 @@ let make_atomic () =
     best_node = (fun () -> snd (Atomic.get cell));
     submit;
   }
+
+let best k =
+  match k.best_node () with Some n -> Some (k.best_obj (), n) | None -> None

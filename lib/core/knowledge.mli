@@ -24,3 +24,8 @@ val make_ref : unit -> 'node t
 val make_atomic : unit -> 'node t
 (** Thread-safe store: lock-free compare-and-swap maximisation, safe to
     share across domains. *)
+
+val best : 'node t -> (int * 'node) option
+(** The stored incumbent with its value, if any submission happened.
+    Only meaningful on a store whose {!best_obj} is its witness's value
+    (not one reading a foreign floor). *)

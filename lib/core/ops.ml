@@ -12,6 +12,127 @@ type ('node, 'result) harness = {
   result : 'node Knowledge.t -> 'result;
 }
 
+type ('node, 'result, 'partial) algebra = {
+  empty : 'partial;
+  view : 'partial ref -> 'node Knowledge.t -> 'node view;
+  merge : 'partial -> 'partial -> 'partial;
+  of_best : (int * 'node) option -> 'partial;
+  answer : 'partial -> 'result;
+  encode : 'node Codec.t -> 'partial -> string;
+  decode : 'node Codec.t -> string -> 'partial;
+}
+
+type ('node, 'result) some_algebra =
+  | Algebra : ('node, 'result, 'partial) algebra -> ('node, 'result) some_algebra
+
+(* ---- Enumerate: the partial is the accumulator ---- *)
+
+let enum_view (spec : ('n, 'acc) Problem.enum_spec) acc =
+  {
+    process = (fun n -> acc := spec.combine !acc (spec.view n); true);
+    keep = (fun _ -> true);
+    prune_siblings = false;
+    priority = (fun _ -> 0);
+  }
+
+let enum_algebra (spec : ('n, 'acc) Problem.enum_spec) : ('n, 'acc, 'acc) algebra =
+  {
+    empty = spec.empty;
+    view = (fun acc _ -> enum_view spec acc);
+    merge = spec.combine;
+    (* An incumbent store holds nothing an enumeration counts. *)
+    of_best = (fun _ -> spec.empty);
+    answer = Fun.id;
+    encode = (fun _ acc -> Marshal.to_string acc []);
+    decode = (fun _ s -> Marshal.from_string s 0);
+  }
+
+(* ---- Optimise / Decide: the partial is the best (value, node) ---- *)
+
+(* Keeps the left operand on ties, so folds return the first best. *)
+let merge_best a b =
+  match (a, b) with
+  | _, None -> a
+  | Some (av, _), Some (bv, _) when av >= bv -> a
+  | _ -> b
+
+let best_algebra ~view ~answer : ('n, 'r, (int * 'n) option) algebra =
+  {
+    empty = None;
+    view;
+    merge = merge_best;
+    of_best = Fun.id;
+    answer;
+    encode =
+      (fun codec p ->
+        Marshal.to_string
+          (Option.map (fun (v, n) -> (v, codec.Codec.encode n)) p
+            : (int * string) option)
+          []);
+    decode =
+      (fun codec s ->
+        Option.map
+          (fun (v, e) -> (v, codec.Codec.decode e))
+          (Marshal.from_string s 0 : (int * string) option));
+  }
+
+let prune_siblings (obj : 'n Problem.objective) = obj.monotone && obj.bound <> None
+let priority (obj : 'n Problem.objective) =
+  match obj.bound with Some b -> b | None -> obj.value
+
+(* [submit] receives every processed node with its value. *)
+let opt_view (obj : 'n Problem.objective) (k : 'n Knowledge.t) submit =
+  let keep =
+    match obj.bound with
+    | None -> fun _ -> true
+    | Some bound -> fun c -> bound c > k.best_obj ()
+  in
+  { process = (fun n -> ignore (submit n (obj.value n)); true);
+    keep; prune_siblings = prune_siblings obj; priority = priority obj }
+
+(* [submit] receives only nodes reaching the target. *)
+let dec_view (obj : 'n Problem.objective) ~target submit =
+  let keep =
+    match obj.bound with
+    | None -> fun _ -> true
+    | Some bound -> fun c -> bound c >= target
+  in
+  let process n =
+    let v = obj.value n in
+    if v >= target then begin
+      ignore (submit n v);
+      false
+    end
+    else true
+  in
+  { process; keep; prune_siblings = prune_siblings obj; priority = priority obj }
+
+(* Submits to the store and offers the node to the caller's partial. *)
+let offering cell (k : 'n Knowledge.t) n v =
+  (match !cell with Some (bv, _) when bv >= v -> () | _ -> cell := Some (v, n));
+  k.submit n v
+
+let opt_algebra obj =
+  best_algebra
+    ~view:(fun cell k -> opt_view obj k (offering cell k))
+    ~answer:(function
+      | Some (_, n) -> n
+      | None -> failwith "Ops: optimisation finished without processing the root")
+
+let dec_algebra obj ~target =
+  best_algebra
+    ~view:(fun cell k -> dec_view obj ~target (offering cell k))
+    ~answer:(function
+      | Some (v, n) when v >= target -> Some n
+      | Some _ | None -> None)
+
+let algebra : type n r. (n, r) Problem.kind -> (n, r) some_algebra = function
+  | Problem.Enumerate spec -> Algebra (enum_algebra spec)
+  | Problem.Optimise obj -> Algebra (opt_algebra obj)
+  | Problem.Decide { objective; target } -> Algebra (dec_algebra objective ~target)
+
+(* ---- harnesses: the in-process runtimes' views, without lease cells ---- *)
+
 let enum_harness (spec : ('n, 'acc) Problem.enum_spec) : ('n, 'acc) harness =
   (* One private accumulator per view avoids cross-worker contention;
      commutativity of [combine] makes the final merge order irrelevant. *)
@@ -19,64 +140,22 @@ let enum_harness (spec : ('n, 'acc) Problem.enum_spec) : ('n, 'acc) harness =
   let view _knowledge =
     let acc = ref spec.empty in
     Vec.push accumulators acc;
-    {
-      process = (fun n -> acc := spec.combine !acc (spec.view n); true);
-      keep = (fun _ -> true);
-      prune_siblings = false;
-      priority = (fun _ -> 0);
-    }
+    enum_view spec acc
   in
   let result _knowledge =
     Vec.fold_left (fun total acc -> spec.combine total !acc) spec.empty accumulators
   in
   { view; result }
 
-let opt_harness (obj : 'n Problem.objective) : ('n, 'n) harness =
-  let view (k : 'n Knowledge.t) =
-    let keep =
-      match obj.bound with
-      | None -> fun _ -> true
-      | Some bound -> fun c -> bound c > k.best_obj ()
-    in
-    { process = (fun n -> ignore (k.submit n (obj.value n)); true);
-      keep;
-      prune_siblings = obj.monotone && obj.bound <> None;
-      priority = (match obj.bound with Some b -> b | None -> obj.value) }
-  in
-  let result (k : 'n Knowledge.t) =
-    match k.best_node () with
-    | Some n -> n
-    | None -> failwith "Ops: optimisation finished without processing the root"
-  in
-  { view; result }
-
-let dec_harness (obj : 'n Problem.objective) ~target : ('n, 'n option) harness =
-  let view (k : 'n Knowledge.t) =
-    let keep =
-      match obj.bound with
-      | None -> fun _ -> true
-      | Some bound -> fun c -> bound c >= target
-    in
-    let process n =
-      let v = obj.value n in
-      if v >= target then begin
-        ignore (k.submit n v);
-        false
-      end
-      else true
-    in
-    { process; keep;
-      prune_siblings = obj.monotone && obj.bound <> None;
-      priority = (match obj.bound with Some b -> b | None -> obj.value) }
-  in
-  let result (k : 'n Knowledge.t) =
-    match k.best_node () with
-    | Some n when obj.value n >= target -> Some n
-    | Some _ | None -> None
-  in
-  { view; result }
+(* The knowledge store itself holds the best partial, so views submit
+   straight to it. *)
+let best_harness alg view : ('n, 'r) harness =
+  { view; result = (fun k -> alg.answer (Knowledge.best k)) }
 
 let harness : type n r. (n, r) Problem.kind -> (n, r) harness = function
   | Problem.Enumerate spec -> enum_harness spec
-  | Problem.Optimise obj -> opt_harness obj
-  | Problem.Decide { objective; target } -> dec_harness objective ~target
+  | Problem.Optimise obj ->
+    best_harness (opt_algebra obj) (fun k -> opt_view obj k k.Knowledge.submit)
+  | Problem.Decide { objective; target } ->
+    best_harness (dec_algebra objective ~target) (fun k ->
+        dec_view objective ~target k.Knowledge.submit)

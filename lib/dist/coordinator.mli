@@ -42,7 +42,7 @@ type outcome = {
           is the answer. *)
   residuals : string list;
       (** Per-locality [Result] payloads: extra idempotent best-known
-          candidates for Optimise/Decide (ignored for Enumerate). *)
+          candidates for Optimise/Decide (empty for Enumerate). *)
   witness : (int * string) option;
       (** Best (value, encoded node) the coordinator holds, fed by
           [Bound_update] witnesses and Decide [Witness] frames — the

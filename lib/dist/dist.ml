@@ -1,49 +1,28 @@
 module Coordination = Yewpar_core.Coordination
 module Problem = Yewpar_core.Problem
 module Codec = Yewpar_core.Codec
+module Ops = Yewpar_core.Ops
 module Stats = Yewpar_core.Stats
 
-(* Combine the coordinator's collected results by search kind.
-
-   Enumerate: the retired lease deltas partition the search tree —
-   folding them is the answer (residuals carry nothing).
-
-   Optimise/Decide: deltas, residuals and the coordinator's witness are
-   all idempotent (value, encoded node) candidates; take the best. The
-   witness matters when the incumbent's finder died before retiring the
-   lease that found it. *)
+(* Every delta, residual and the coordinator's witness is a partial of
+   the search kind's algebra; their merge is the answer. Enumeration
+   deltas partition the tree (residuals are empty); for Optimise/Decide
+   all are idempotent candidates, and the witness matters when the
+   incumbent's finder died before retiring the lease that found it. *)
 let combine (type s n r) (p : (s, n, r) Problem.t) (codec : n Codec.t)
     (outcome : Coordinator.outcome) : r =
-  let best_candidate () =
-    let best =
+  match Ops.algebra p.Problem.kind with
+  | Ops.Algebra alg ->
+    let folded =
       List.fold_left
-        (fun best s ->
-          match ((Marshal.from_string s 0 : (int * string) option), best) with
-          | None, b -> b
-          | Some (v, e), None -> Some (v, e)
-          | Some (v, e), Some (bv, _) when v > bv -> Some (v, e)
-          | Some _, b -> b)
-        None
+        (fun acc s -> alg.Ops.merge acc (alg.Ops.decode codec s))
+        alg.Ops.empty
         (outcome.Coordinator.deltas @ outcome.Coordinator.residuals)
     in
-    match (outcome.Coordinator.witness, best) with
-    | Some (v, e), Some (bv, _) when v > bv -> Some (v, e)
-    | Some w, None -> Some w
-    | _, b -> b
-  in
-  match p.Problem.kind with
-  | Problem.Enumerate spec ->
-    List.fold_left
-      (fun acc s -> spec.Problem.combine acc (Marshal.from_string s 0))
-      spec.Problem.empty outcome.Coordinator.deltas
-  | Problem.Optimise _ -> (
-    match best_candidate () with
-    | Some (_, e) -> codec.Codec.decode e
-    | None -> failwith "Dist: optimisation finished without processing the root")
-  | Problem.Decide { target; _ } -> (
-    match best_candidate () with
-    | Some (v, e) when v >= target -> Some (codec.Codec.decode e)
-    | Some _ | None -> None)
+    let witness =
+      Option.map (fun (v, e) -> (v, codec.Codec.decode e)) outcome.Coordinator.witness
+    in
+    alg.Ops.answer (alg.Ops.merge folded (alg.Ops.of_best witness))
 
 let default_heartbeat = 0.5
 let default_failure_timeout = 10.0
@@ -76,57 +55,21 @@ let distributed_run (type s n r) ?stats ?broadcasts ?telemetry ?journal
         | Some spec -> Chaos.plan spec ~seed:chaos_seed ~locality:i)
   in
   let started = Unix.gettimeofday () in
-  (* A locality death must surface as Transport.Closed, not kill us. *)
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  (* Children inherit the channel buffers and flush them when their
-     domains exit; empty the buffers now so output is printed once. *)
-  flush stdout;
-  flush stderr;
-  let pairs =
-    Array.init total (fun _ -> Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0)
+  let fleet =
+    Fleet.fork total (fun i conn ->
+        (* Heartbeats are always on: they feed the coordinator's
+           failure detector, not just live monitoring. *)
+        Locality.run
+          ~record:(Option.is_some telemetry || Option.is_some journal)
+          ~heartbeat ?chaos:plans.(i) ?config:timing ~conn ~workers
+          ~coordination p)
   in
-  let pids =
-    Array.init total (fun i ->
-        match Unix.fork () with
-        | 0 ->
-          (* Locality process: keep only our own socket end. Exit with
-             _exit so the parent's buffered output is not re-flushed,
-             and nonzero whenever the coordinator vanished first. *)
-          let code =
-            try
-              Array.iteri
-                (fun j (coord_fd, loc_fd) ->
-                  if j <> i then begin
-                    Unix.close coord_fd;
-                    Unix.close loc_fd
-                  end
-                  else Unix.close coord_fd)
-                pairs;
-              (* Ctrl-C hits the whole foreground process group; let
-                 the coordinator turn it into a Shutdown broadcast
-                 instead of killing localities mid-frame. *)
-              Sys.set_signal Sys.sigint Sys.Signal_ignore;
-              let conn = Transport.create (snd pairs.(i)) in
-              (* Heartbeats are always on: they feed the coordinator's
-                 failure detector, not just live monitoring. *)
-              Locality.run
-                ~record:(Option.is_some telemetry || Option.is_some journal)
-                ~heartbeat ?chaos:plans.(i) ?config:timing ~conn ~workers
-                ~coordination p;
-              Transport.close conn;
-              0
-            with _ -> 1
-          in
-          Unix._exit code
-        | pid -> pid)
-  in
-  Array.iter (fun (_, loc_fd) -> Unix.close loc_fd) pairs;
-  let conns = Array.map (fun (coord_fd, _) -> Transport.create coord_fd) pairs in
+  let conns = Array.map snd fleet in
   (* Graceful shutdown: SIGTERM/SIGINT cancel the run through the
      coordinator — Shutdown is broadcast, localities report and exit,
      and the finally block below reaps them, so no orphan survives a
      ^C. The handlers are installed after the fork (children ignore
-     SIGINT above) and restored on the way out. *)
+     SIGINT, see {!Fleet.fork}) and restored on the way out. *)
   let signalled = ref None in
   let name_of s = if s = Sys.sigterm then "SIGTERM" else "SIGINT" in
   let previous =
@@ -148,26 +91,7 @@ let distributed_run (type s n r) ?stats ?broadcasts ?telemetry ?journal
       Array.iter (fun c -> try Transport.close c with _ -> ()) conns;
       (* Reap every locality; kill stragglers so no orphan outlives the
          coordinator. *)
-      Array.iter
-        (fun pid ->
-          let deadline = Unix.gettimeofday () +. 2.0 in
-          let rec reap () =
-            match Unix.waitpid [ Unix.WNOHANG ] pid with
-            | 0, _ ->
-              if Unix.gettimeofday () > deadline then begin
-                (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-                ignore (Unix.waitpid [] pid)
-              end
-              else begin
-                ignore (Unix.select [] [] [] 0.01);
-                reap ()
-              end
-            | _, _ -> ()
-            | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> reap ()
-          in
-          reap ())
-        pids)
+      Array.iter (fun (pid, _) -> Fleet.reap pid) fleet)
     (fun () ->
       let outcome =
         Coordinator.run ?watchdog ?monitor_port ?on_monitor

@@ -34,11 +34,12 @@ val combine :
   Coordinator.outcome ->
   'r
 (** Fold a coordinator {!Coordinator.outcome} into the problem's
-    answer: enumerations fold the retired lease deltas (an exact
-    partition of the tree), optimisation/decision take the best of
-    deltas, residuals and the coordinator's witness. Exposed for the
-    job server, which runs its own per-job coordinators over a
-    persistent fleet.
+    answer with the search kind's {!Yewpar_core.Ops.algebra}: decode
+    every lease delta and residual, merge them with the coordinator's
+    witness, and take the algebra's answer. For enumerations the deltas
+    partition the tree exactly; for optimisation/decision every piece
+    is an idempotent best candidate. Exposed for the job server, which
+    runs its own per-job coordinators over a persistent fleet.
     @raise Failure on an Optimise outcome that never processed the
     root. *)
 

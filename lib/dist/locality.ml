@@ -12,15 +12,16 @@ module Task_pool = Yewpar_runtime.Task_pool
 module Two_tier = Yewpar_runtime.Two_tier
 module Worker = Yewpar_runtime.Worker
 
-(* The per-lease result ledger. Workers accumulate each task's
-   contribution in a private scratch cell and fold it into the lease's
-   entry under [mutex] once per task — before the task is counted
-   finished, so full quiescence implies every delta is visible to the
-   communicator. *)
+(* The per-lease result ledger, keyed by lease so a dead locality's
+   unretired leases can be replayed without double-counting the retired
+   ones. Workers fold each task's contribution into a private scratch
+   partial ({!Ops.algebra}) and merge it into the lease's entry under a
+   mutex once per task — before the task is counted finished, so full
+   quiescence implies every delta is visible to the communicator. *)
 type ledger = {
   register : int -> unit;  (** A lease arrived from the coordinator. *)
-  begin_task : int -> int -> unit;  (** [begin_task worker lease]. *)
-  end_task : int -> unit;  (** Fold the worker's scratch into the table. *)
+  end_task : int -> unit;
+      (** Merge the worker's scratch into its current lease's entry. *)
   pending : unit -> bool;  (** Any lease taken since the last {!retire}? *)
   retire : unit -> (int * string) list;
       (** Snapshot and clear: every taken lease with its encoded delta. *)
@@ -148,46 +149,33 @@ let run (type s n r) ?(record = false) ?heartbeat ?chaos
       knowledge.Knowledge.submit
   in
 
-  (* ------------- per-lease result ledger + worker views -------------
-     Built by kind instead of through {!Ops.harness}: the harness
-     accumulates per worker, but fault tolerance needs results keyed by
-     lease, so a dead locality's unretired leases can be replayed
-     without double-counting the retired ones. *)
+  (* ------------- per-lease result ledger + worker views ------------- *)
   let lease_mutex = Mutex.create () in
   let locked f =
     Mutex.lock lease_mutex;
     Fun.protect ~finally:(fun () -> Mutex.unlock lease_mutex) f
   in
   let views, ledger =
-    match p.Problem.kind with
-    | Problem.Enumerate spec ->
-      let table : (int, r ref) Hashtbl.t = Hashtbl.create 64 in
-      let scratch = Array.init workers (fun _ -> ref spec.Problem.empty) in
+    match Ops.algebra p.Problem.kind with
+    | Ops.Algebra alg ->
+      let table = Hashtbl.create 64 in
+      let scratch = Array.init workers (fun _ -> ref alg.Ops.empty) in
       let views =
         Array.init workers (fun w ->
-            let acc = scratch.(w) in
-            {
-              Ops.process =
-                (fun node ->
-                  acc := spec.Problem.combine !acc (spec.Problem.view node);
-                  true);
-              keep = (fun _ -> true);
-              prune_siblings = false;
-              priority = (fun _ -> 0);
-            })
+            alg.Ops.view scratch.(w)
+              { knowledge with Knowledge.submit = submit_acct w })
       in
       let register lease =
         locked (fun () ->
             if not (Hashtbl.mem table lease) then
-              Hashtbl.replace table lease (ref spec.Problem.empty))
+              Hashtbl.replace table lease (ref alg.Ops.empty))
       in
-      let begin_task w lease = cur_lease.(w) <- lease in
       let end_task w =
         let d = !(scratch.(w)) in
-        scratch.(w) := spec.Problem.empty;
+        scratch.(w) := alg.Ops.empty;
         locked (fun () ->
             match Hashtbl.find_opt table cur_lease.(w) with
-            | Some cell -> cell := spec.Problem.combine !cell d
+            | Some cell -> cell := alg.Ops.merge !cell d
             | None -> Hashtbl.replace table cur_lease.(w) (ref d))
       in
       let pending () = locked (fun () -> Hashtbl.length table > 0) in
@@ -195,168 +183,18 @@ let run (type s n r) ?(record = false) ?heartbeat ?chaos
         locked (fun () ->
             let rs =
               Hashtbl.fold
-                (fun id cell acc -> (id, Marshal.to_string !cell []) :: acc)
+                (fun id cell acc -> (id, alg.Ops.encode codec !cell) :: acc)
                 table []
             in
             Hashtbl.reset table;
             rs)
       in
-      (* Enumerations flow entirely through lease deltas; the residual
-         is an empty contribution kept for frame-shape uniformity. *)
-      let residual () = Marshal.to_string spec.Problem.empty [] in
-      (views, { register; begin_task; end_task; pending; retire; residual })
-    | Problem.Optimise obj ->
-      let table : (int, (int * n) option ref) Hashtbl.t = Hashtbl.create 64 in
-      let scratch : (int * n) option ref array =
-        Array.init workers (fun _ -> ref None)
-      in
-      let better cell node v =
-        match !cell with
-        | Some (bv, _) when bv >= v -> ()
-        | _ -> cell := Some (v, node)
-      in
-      let views =
-        Array.init workers (fun w ->
-            let keep =
-              match obj.Problem.bound with
-              | None -> fun _ -> true
-              | Some bound -> fun c -> bound c > knowledge.Knowledge.best_obj ()
-            in
-            let sc = scratch.(w) in
-            {
-              Ops.process =
-                (fun node ->
-                  let v = obj.Problem.value node in
-                  better sc node v;
-                  ignore (submit_acct w node v);
-                  true);
-              keep;
-              prune_siblings = obj.Problem.monotone && obj.Problem.bound <> None;
-              priority =
-                (match obj.Problem.bound with
-                | Some b -> b
-                | None -> obj.Problem.value);
-            })
-      in
-      let register lease =
-        locked (fun () ->
-            if not (Hashtbl.mem table lease) then
-              Hashtbl.replace table lease (ref None))
-      in
-      let begin_task w lease = cur_lease.(w) <- lease in
-      let end_task w =
-        let d = !(scratch.(w)) in
-        scratch.(w) := None;
-        match d with
-        | None -> ()
-        | Some (v, node) ->
-          locked (fun () ->
-              match Hashtbl.find_opt table cur_lease.(w) with
-              | Some cell -> better cell node v
-              | None -> Hashtbl.replace table cur_lease.(w) (ref d))
-      in
-      let pending () = locked (fun () -> Hashtbl.length table > 0) in
-      let encode = function
-        | None -> Marshal.to_string (None : (int * string) option) []
-        | Some (v, node) ->
-          Marshal.to_string
-            (Some (v, codec.Codec.encode node) : (int * string) option)
-            []
-      in
-      let retire () =
-        locked (fun () ->
-            let rs =
-              Hashtbl.fold
-                (fun id cell acc -> (id, encode !cell) :: acc)
-                table []
-            in
-            Hashtbl.reset table;
-            rs)
-      in
+      (* The locality's overall best, an idempotent extra candidate for
+         Optimise/Decide; an empty contribution for enumerations. *)
       let residual () =
-        match Atomic.get best_cell with
-        | _, None -> encode None
-        | v, Some node -> encode (Some (v, node))
+        alg.Ops.encode codec (alg.Ops.of_best (Knowledge.best local))
       in
-      (views, { register; begin_task; end_task; pending; retire; residual })
-    | Problem.Decide { objective = obj; target } ->
-      let table : (int, (int * n) option ref) Hashtbl.t = Hashtbl.create 64 in
-      let scratch : (int * n) option ref array =
-        Array.init workers (fun _ -> ref None)
-      in
-      let better cell node v =
-        match !cell with
-        | Some (bv, _) when bv >= v -> ()
-        | _ -> cell := Some (v, node)
-      in
-      let views =
-        Array.init workers (fun w ->
-            let keep =
-              match obj.Problem.bound with
-              | None -> fun _ -> true
-              | Some bound -> fun c -> bound c >= target
-            in
-            let sc = scratch.(w) in
-            let process node =
-              let v = obj.Problem.value node in
-              if v >= target then begin
-                better sc node v;
-                ignore (submit_acct w node v);
-                false
-              end
-              else true
-            in
-            {
-              Ops.process;
-              keep;
-              prune_siblings = obj.Problem.monotone && obj.Problem.bound <> None;
-              priority =
-                (match obj.Problem.bound with
-                | Some b -> b
-                | None -> obj.Problem.value);
-            })
-      in
-      let register lease =
-        locked (fun () ->
-            if not (Hashtbl.mem table lease) then
-              Hashtbl.replace table lease (ref None))
-      in
-      let begin_task w lease = cur_lease.(w) <- lease in
-      let end_task w =
-        let d = !(scratch.(w)) in
-        scratch.(w) := None;
-        match d with
-        | None -> ()
-        | Some (v, node) ->
-          locked (fun () ->
-              match Hashtbl.find_opt table cur_lease.(w) with
-              | Some cell -> better cell node v
-              | None -> Hashtbl.replace table cur_lease.(w) (ref d))
-      in
-      let pending () = locked (fun () -> Hashtbl.length table > 0) in
-      let encode = function
-        | None -> Marshal.to_string (None : (int * string) option) []
-        | Some (v, node) ->
-          Marshal.to_string
-            (Some (v, codec.Codec.encode node) : (int * string) option)
-            []
-      in
-      let retire () =
-        locked (fun () ->
-            let rs =
-              Hashtbl.fold
-                (fun id cell acc -> (id, encode !cell) :: acc)
-                table []
-            in
-            Hashtbl.reset table;
-            rs)
-      in
-      let residual () =
-        match Atomic.get best_cell with
-        | _, None -> encode None
-        | v, Some node -> encode (Some (v, node))
-      in
-      (views, { register; begin_task; end_task; pending; retire; residual })
+      (views, { register; end_task; pending; retire; residual })
   in
   let task_priority = Worker.task_priority ~coordination views in
   (* Keep roughly a task per worker queued locally; beyond that, new
@@ -400,7 +238,7 @@ let run (type s n r) ?(record = false) ?heartbeat ?chaos
       finish = (fun () -> Atomic.decr local_outstanding);
       should_shed =
         (fun () -> Two_tier.hungry tiers || Atomic.get global_hungry);
-      begin_task = (fun ~slot t -> ledger.begin_task slot t.Task_pool.tag);
+      begin_task = (fun ~slot t -> cur_lease.(slot) <- t.Task_pool.tag);
       end_task = (fun ~slot -> ledger.end_task slot);
     }
   in

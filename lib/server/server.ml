@@ -5,6 +5,7 @@ module Transport = Yewpar_dist.Transport
 module Wire = Yewpar_dist.Wire
 module Coordinator = Yewpar_dist.Coordinator
 module Locality = Yewpar_dist.Locality
+module Fleet = Yewpar_dist.Fleet
 module Http = Yewpar_telemetry.Http_export
 module Metrics = Yewpar_telemetry.Metrics
 module Analyze = Yewpar_telemetry.Analyze
@@ -173,65 +174,31 @@ let refresh_metrics t =
    Http.start. Each child sits in Locality.serve, resolving Job_start
    frames against the same registry closure the parent holds. *)
 let fork_fleet config registry =
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  flush stdout;
-  flush stderr;
   let total = config.localities + config.max_respawns in
-  let pairs =
-    Array.init total (fun _ -> Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0)
+  let fleet =
+    Fleet.fork total (fun i conn ->
+        let resolve ~instance ~skeleton ~job =
+          match List.assoc_opt instance registry with
+          | None -> Error (Printf.sprintf "unknown problem %S" instance)
+          | Some sv -> (
+            match Coordination.of_string skeleton with
+            | Error e -> Error e
+            | Ok Coordination.Sequential ->
+              Error "skeleton \"seq\" is not servable"
+            | Ok coordination ->
+              Ok
+                (fun () ->
+                  if config.log then
+                    Printf.eprintf
+                      "serve: job %d running on slot %d (%s/%s)\n%!" job i
+                      instance skeleton;
+                  sv.sv_run ~heartbeat:config.heartbeat
+                    ~record:(config.journal <> None)
+                    ~conn ~workers:config.workers ~coordination))
+        in
+        Locality.serve ~conn ~resolve)
   in
-  let pids =
-    Array.init total (fun i ->
-        match Unix.fork () with
-        | 0 ->
-          let code =
-            try
-              Array.iteri
-                (fun j (daemon_fd, loc_fd) ->
-                  if j <> i then begin
-                    Unix.close daemon_fd;
-                    Unix.close loc_fd
-                  end
-                  else Unix.close daemon_fd)
-                pairs;
-              (* ^C is the daemon's to orchestrate: it quits the fleet
-                 after cancelling jobs, so don't die out from under
-                 it. *)
-              Sys.set_signal Sys.sigint Sys.Signal_ignore;
-              let conn = Transport.create (snd pairs.(i)) in
-              let resolve ~instance ~skeleton ~job =
-                match List.assoc_opt instance registry with
-                | None ->
-                  Error (Printf.sprintf "unknown problem %S" instance)
-                | Some sv -> (
-                  match Coordination.of_string skeleton with
-                  | Error e -> Error e
-                  | Ok Coordination.Sequential ->
-                    Error "skeleton \"seq\" is not servable"
-                  | Ok coordination ->
-                    Ok
-                      (fun () ->
-                        if config.log then
-                          Printf.eprintf
-                            "serve: job %d running on slot %d (%s/%s)\n%!" job
-                            i instance skeleton;
-                        sv.sv_run ~heartbeat:config.heartbeat
-                          ~record:(config.journal <> None)
-                          ~conn ~workers:config.workers ~coordination))
-              in
-              Locality.serve ~conn ~resolve;
-              Transport.close conn;
-              0
-            with _ -> 1
-          in
-          Unix._exit code
-        | pid -> pid)
-  in
-  Array.iter (fun (_, loc_fd) -> Unix.close loc_fd) pairs;
-  Array.mapi
-    (fun i pid ->
-      { pid; conn = Transport.create (fst pairs.(i)); slot_state = Free })
-    pids
+  Array.map (fun (pid, conn) -> { pid; conn; slot_state = Free }) fleet
 
 (* Permanently drop a slot whose socket can no longer be trusted (its
    process died, or a watchdog abandoned collection mid-job). *)
@@ -243,26 +210,6 @@ let retire_slot t i =
     (try ignore (Unix.waitpid [] s.pid) with Unix.Unix_error _ -> ());
     try Transport.close s.conn with _ -> ()
   end
-
-let reap pid =
-  let deadline = now () +. 2.0 in
-  let rec go () =
-    match Unix.waitpid [ Unix.WNOHANG ] pid with
-    | 0, _ ->
-      if now () > deadline then begin
-        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-        try ignore (Unix.waitpid [] pid)
-        with Unix.Unix_error _ -> ()
-      end
-      else begin
-        ignore (Unix.select [] [] [] 0.01);
-        go ()
-      end
-    | _, _ -> ()
-    | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-  in
-  go ()
 
 (* ---------------------------- job runs --------------------------- *)
 
@@ -732,7 +679,7 @@ let stop t =
           try Transport.send ~timeout:1.0 s.conn Wire.Quit with _ -> ()))
       t.fleet;
     Array.iter (fun s -> try Transport.close s.conn with _ -> ()) t.fleet;
-    Array.iter (fun s -> reap s.pid) t.fleet;
+    Array.iter (fun s -> Fleet.reap s.pid) t.fleet;
     (match t.http with Some h -> Http.stop h | None -> ());
     Option.iter Journal.close t.journal
   end

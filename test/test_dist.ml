@@ -10,6 +10,10 @@ module Chaos = Yewpar_dist.Chaos
 module Problem = Yewpar_core.Problem
 module Codec = Yewpar_core.Codec
 module Sequential = Yewpar_core.Sequential
+module Ops = Yewpar_core.Ops
+module Engine = Yewpar_core.Engine
+module Knowledge = Yewpar_core.Knowledge
+module Coordinator = Yewpar_dist.Coordinator
 module Coordination = Yewpar_core.Coordination
 module Stats = Yewpar_core.Stats
 module Depth_profile = Yewpar_core.Depth_profile
@@ -310,6 +314,77 @@ let coords =
 
 let queens_n n = Queens.count_solutions (Queens.instance ~n)
 
+(* ------------------------- delta folding ------------------------- *)
+
+(* A sequential run whose processed nodes are split at random among
+   [leases] lease cells, as a locality's ledger splits them, with every
+   lease's delta encoded for the wire — shuffled, so the coordinator may
+   have retired them in any order. *)
+let leased_deltas (type s n r) rng ~leases (p : (s, n, r) Problem.t) codec =
+  match Ops.algebra p.Problem.kind with
+  | Ops.Algebra alg ->
+    let k = Knowledge.make_ref () in
+    let cells = Array.init leases (fun _ -> ref alg.Ops.empty) in
+    let views = Array.map (fun c -> alg.Ops.view c k) cells in
+    let process n = views.(Random.State.int rng leases).Ops.process n in
+    let e =
+      Engine.make ~space:p.Problem.space ~children:p.Problem.children
+        ~root_depth:0 p.Problem.root
+    in
+    let v = views.(0) in
+    let rec loop () =
+      match Engine.step ~prune_rest:v.Ops.prune_siblings ~keep:v.Ops.keep e with
+      | Engine.Enter n -> if process n then loop ()
+      | Engine.Pruned _ | Engine.Leave -> loop ()
+      | Engine.Exhausted -> ()
+    in
+    if process p.Problem.root then loop ();
+    Array.to_list cells
+    |> List.map (fun c -> (Random.State.bits rng, alg.Ops.encode codec !c))
+    |> List.sort compare |> List.map snd
+
+let combine_leased rng ~leases (p : (_, _, 'r) Problem.t) : 'r =
+  let codec = Option.get p.Problem.codec in
+  Dist.combine p codec
+    {
+      Coordinator.deltas = leased_deltas rng ~leases p codec;
+      residuals = [];
+      witness = None;
+      stats = Stats.create ();
+      broadcasts = 0;
+      failure = None;
+      dead = [||];
+      abandoned = false;
+    }
+
+let delta_folding_order_free =
+  let queens = queens_n 7 in
+  let g = Gen.uniform ~seed:41 24 0.6 in
+  let mc = Mc.max_clique g in
+  let knap =
+    Knapsack.problem
+      (Knapsack.Generate.weakly_correlated ~seed:43 ~n:12 ~max_value:100)
+  in
+  let hidden = Gen.hidden_clique ~seed:42 30 0.3 7 in
+  let sat = Mc.k_clique hidden ~k:7 and unsat = Mc.k_clique hidden ~k:25 in
+  let expected_count = Sequential.search queens in
+  let expected_mc = (Sequential.search mc).Mc.size in
+  let expected_knap = (Sequential.search knap).Knapsack.profit in
+  QCheck.Test.make ~name:"leased deltas fold to the sequential answer"
+    ~count:40
+    QCheck.(pair small_nat (int_range 1 12))
+    (fun (seed, leases) ->
+      let rng = Random.State.make [| seed |] in
+      combine_leased rng ~leases queens = expected_count
+      && (combine_leased rng ~leases mc).Mc.size = expected_mc
+      && (combine_leased rng ~leases knap).Knapsack.profit = expected_knap
+      && (match combine_leased rng ~leases sat with
+         | Some n ->
+           List.length (Mc.vertices_of n) >= 7
+           && Yewpar_graph.Graph.is_clique hidden (Mc.vertices_of n)
+         | None -> false)
+      && combine_leased rng ~leases unsat = None)
+
 let queens_matches () =
   let p = queens_n 8 in
   let expected, seq_stats = Sequential.search_with_stats p in
@@ -542,6 +617,35 @@ let chaos_kill_optimise () =
   Alcotest.(check bool) "clique is valid" true
     (Yewpar_graph.Graph.is_clique g (Mc.vertices_of node));
   Alcotest.(check int) "one locality lost" 1 stats.Stats.localities_lost
+
+let chaos_kill_decide () =
+  (* Same crash under a decision search, whose result travels as lease
+     deltas, residuals and the coordinator's Witness. Both instances
+     run well past the kill: ~1.2 s (sat) and ~0.6 s (unsat) healthy at
+     3x2 on a 2-vCPU host. *)
+  let run p =
+    let stats = Stats.create () in
+    let r =
+      Dist.run ~stats ~watchdog:120. ~localities:3 ~workers:2
+        ~chaos:(fault_spec "kill-locality:1@0.08s")
+        ~coordination:(Coordination.Depth_bounded { dcutoff = 2 })
+        p
+    in
+    Alcotest.(check int) "one locality lost" 1 stats.Stats.localities_lost;
+    r
+  in
+  let g = Gen.uniform ~seed:47 150 0.8 in
+  (match run (Mc.k_clique g ~k:24) with
+  | Some node ->
+    let vs = Mc.vertices_of node in
+    Alcotest.(check bool) "witness reaches the target" true (List.length vs >= 24);
+    Alcotest.(check bool) "witness is a clique" true
+      (Yewpar_graph.Graph.is_clique g vs)
+  | None -> Alcotest.fail "24-clique not found despite the crash");
+  let unsat = Mc.k_clique (Gen.uniform ~seed:47 120 0.8) ~k:22 in
+  Alcotest.(check bool) "sequential oracle: no 22-clique" true
+    (Sequential.search unsat = None);
+  Alcotest.(check bool) "no witness despite the crash" true (run unsat = None)
 
 let chaos_respawn () =
   (* With a standby spare the cluster heals back to full strength. *)
@@ -799,6 +903,8 @@ let () =
           Alcotest.test_case "spec parsing" `Quick chaos_parse_spec;
           Alcotest.test_case "shutdown immune" `Quick chaos_never_drops_shutdown;
         ] );
+      ( "delta folding",
+        [ QCheck_alcotest.to_alcotest delta_folding_order_free ] );
       ( "agreement",
         [
           Alcotest.test_case "queens" `Quick queens_matches;
@@ -823,6 +929,7 @@ let () =
             no_chaos_clean_counters;
           Alcotest.test_case "crash mid-enumeration" `Quick chaos_kill_enumerate;
           Alcotest.test_case "crash mid-optimisation" `Quick chaos_kill_optimise;
+          Alcotest.test_case "crash mid-decision" `Quick chaos_kill_decide;
           Alcotest.test_case "standby respawn" `Quick chaos_respawn;
           Alcotest.test_case "frame loss + lease timeout" `Quick chaos_drop_frames;
           Alcotest.test_case "journal causality across a crash" `Quick
