@@ -17,35 +17,19 @@ let root g =
 
 let upper_bound node = node.size + node.bound
 
-(* Greedy colouring (the paper's greedy_colour): repeatedly build an
-   independent set (one colour class); p_vertex lists the candidates in
-   colouring order, p_colour.(i) the colours used on the prefix up to i.
-   Within a class vertices come in increasing index order, which makes
-   the traversal heuristic deterministic. *)
+(* Greedy colouring (the paper's greedy_colour), by the word-level
+   kernel in Bitset: p_vertex lists the candidates in colouring order,
+   p_colour.(i) the colours used on the prefix up to i. Within a class
+   vertices come in increasing index order, which makes the traversal
+   heuristic deterministic. *)
 let colour_order g p =
   let n = Bitset.cardinal p in
   let p_vertex = Array.make (max n 1) 0 in
   let p_colour = Array.make (max n 1) 0 in
-  let uncoloured = Bitset.copy p in
-  let idx = ref 0 in
-  let colour = ref 0 in
-  while not (Bitset.is_empty uncoloured) do
-    incr colour;
-    let colourable = Bitset.copy uncoloured in
-    let rec fill () =
-      let v = Bitset.first colourable in
-      if v >= 0 then begin
-        Bitset.remove uncoloured v;
-        Bitset.remove colourable v;
-        Bitset.diff_into colourable (Graph.neighbours g v);
-        p_vertex.(!idx) <- v;
-        p_colour.(!idx) <- !colour;
-        incr idx;
-        fill ()
-      end
-    in
-    fill ()
-  done;
+  let n =
+    Bitset.greedy_colour p ~neighbours:(Graph.neighbours g) ~order:p_vertex
+      ~colours:p_colour
+  in
   (p_vertex, p_colour, n)
 
 let children g parent =

@@ -6,17 +6,19 @@ type instance = {
   pattern : Graph.t;
   target : Graph.t;
   order : int array;  (* pattern vertices, most-constrained first *)
+  p_deg : int array;  (* per pattern vertex: its degree *)
+  t_deg : int array;  (* per target vertex: its degree *)
+  t_by_degree : int list;  (* target vertices, highest degree first *)
   p_nds : int array array;  (* per pattern vertex: neighbour degrees, desc *)
   t_nds : int array array;  (* per target vertex: neighbour degrees, desc *)
 }
 
-(* Sorted-descending degrees of a vertex's neighbourhood. *)
-let neighbour_degrees g v =
-  let ds =
-    Yewpar_bitset.Bitset.fold
-      (fun u acc -> Graph.degree g u :: acc)
-      (Graph.neighbours g v) []
-  in
+let degrees g = Array.init (Graph.n_vertices g) (Graph.degree g)
+
+(* Sorted-descending degrees of a vertex's neighbourhood, given the
+   graph's degree array. *)
+let neighbour_degrees g deg v =
+  let ds = Bitset.fold (fun u acc -> deg.(u) :: acc) (Graph.neighbours g v) [] in
   let a = Array.of_list ds in
   Array.sort (fun x y -> compare y x) a;
   a
@@ -36,12 +38,25 @@ let instance ~pattern ~target =
   if np = 0 then invalid_arg "Sip.instance: empty pattern";
   if np > Graph.n_vertices target then
     invalid_arg "Sip.instance: pattern larger than target";
+  let p_deg = degrees pattern and t_deg = degrees target in
+  (* Highest target degree first (maximise future adjacency options),
+     ties by vertex id: the order every node's candidates come in. *)
+  let t_by_degree =
+    List.sort
+      (fun a b ->
+        let c = compare t_deg.(b) t_deg.(a) in
+        if c <> 0 then c else compare a b)
+      (Graph.vertices target)
+  in
   {
     pattern;
     target;
     order = Graph.degeneracy_order pattern;
-    p_nds = Array.init np (neighbour_degrees pattern);
-    t_nds = Array.init (Graph.n_vertices target) (neighbour_degrees target);
+    p_deg;
+    t_deg;
+    t_by_degree;
+    p_nds = Array.init np (neighbour_degrees pattern p_deg);
+    t_nds = Array.init (Graph.n_vertices target) (neighbour_degrees target t_deg);
   }
 
 let pattern inst = inst.pattern
@@ -68,10 +83,10 @@ let candidates inst node =
   if node.level >= np then []
   else begin
     let pv = inst.order.(node.level) in
-    let pdeg = Graph.degree inst.pattern pv in
+    let pdeg = inst.p_deg.(pv) in
     let ok t =
       (not (Bitset.mem node.used t))
-      && Graph.degree inst.target t >= pdeg
+      && inst.t_deg.(t) >= pdeg
       (* Neighbourhood-degree-sequence filter (McCreesh & Prosser-style
          supplemental invariant): the neighbours of [pv] must embed
          injectively into the neighbours of [t]. *)
@@ -87,13 +102,7 @@ let candidates inst node =
       in
       consistent 0
     in
-    let all = List.filter ok (Graph.vertices inst.target) in
-    (* Highest target degree first: maximise future adjacency options. *)
-    List.sort
-      (fun a b ->
-        let c = compare (Graph.degree inst.target b) (Graph.degree inst.target a) in
-        if c <> 0 then c else compare a b)
-      all
+    List.filter ok inst.t_by_degree
   end
 
 let children inst parent =

@@ -33,11 +33,23 @@ let mem s i =
   let w = i / bits_per_word and b = i mod bits_per_word in
   s.words.(w) land (1 lsl b) <> 0
 
+(* SWAR popcount: sum bit pairs, then nibbles, then bytes, and gather
+   the byte sums in the top byte with one multiply. The 64-bit masks do
+   not fit an OCaml int, so the sum runs over the low 62 bits and the
+   sign bit (bit 62) is added apart; every step is a word operation. *)
 let popcount x =
-  let rec go acc x = if x = 0 then acc else go (acc + 1) (x land (x - 1)) in
-  go 0 x
+  let y = x land max_int in
+  let y = y - ((y lsr 1) land 0x1555_5555_5555_5555) in
+  let y = (y land 0x3333_3333_3333_3333) + ((y lsr 2) land 0x3333_3333_3333_3333) in
+  let y = (y + (y lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+  ((y * 0x0101_0101_0101_0101) lsr 56) + (x lsr 62)
 
-let cardinal s = Array.fold_left (fun acc w -> acc + popcount w) 0 s.words
+let cardinal s =
+  let n = ref 0 in
+  for w = 0 to Array.length s.words - 1 do
+    n := !n + popcount s.words.(w)
+  done;
+  !n
 
 let is_empty s =
   let rec go i = i >= Array.length s.words || (s.words.(i) = 0 && go (i + 1)) in
@@ -81,10 +93,10 @@ let subset a b =
   in
   go 0
 
-let lowest_bit_index x =
-  (* x <> 0; index of its least significant set bit. *)
-  let rec go i x = if x land 1 <> 0 then i else go (i + 1) (x lsr 1) in
-  go 0 x
+(* x <> 0; index of its least significant set bit, as the popcount of
+   the bits below it. When only the sign bit is set, x land (-x) is
+   min_int and min_int - 1 is max_int, whose 62 bits give index 62. *)
+let lowest_bit_index x = popcount ((x land -x) - 1)
 
 let first s =
   let rec go w =
@@ -111,15 +123,16 @@ let next_from s i =
     end
   end
 
+(* Word at a time: take the lowest set bit, then clear it with
+   x land (x - 1). *)
 let iter f s =
-  let rec go i =
-    let j = next_from s i in
-    if j >= 0 then begin
-      f j;
-      go (j + 1)
-    end
-  in
-  go 0
+  for w = 0 to Array.length s.words - 1 do
+    let x = ref s.words.(w) in
+    while !x <> 0 do
+      f ((w * bits_per_word) + lowest_bit_index !x);
+      x := !x land (!x - 1)
+    done
+  done
 
 let fold f s acc =
   let acc = ref acc in
@@ -136,9 +149,54 @@ let of_list n xs =
 let clear s = Array.fill s.words 0 (Array.length s.words) 0
 
 let fill_upto s k =
-  for i = 0 to min k s.capacity - 1 do
-    add s i
-  done
+  let k = min k s.capacity in
+  if k > 0 then begin
+    let full = k / bits_per_word and rest = k mod bits_per_word in
+    Array.fill s.words 0 full (-1);
+    if rest > 0 then s.words.(full) <- s.words.(full) lor ((1 lsl rest) - 1)
+  end
+
+(* MCSa's greedy colouring, one word at a time. A class is built from
+   the uncoloured vertices in increasing order: the lowest bit of the
+   current word is taken and cleared with x land (x - 1), and the
+   vertex's neighbours are struck from the rest of that word and from
+   the later words of [colourable] (the earlier words are already
+   spent). The call allocates two word arrays, [uncoloured] and
+   [colourable]; the latter is refilled from the former for each
+   class. *)
+let greedy_colour p ~neighbours ~order ~colours =
+  let n = cardinal p in
+  if Array.length order < n || Array.length colours < n then
+    invalid_arg "Bitset.greedy_colour: output array too short";
+  let nw = Array.length p.words in
+  let uncoloured = Array.copy p.words in
+  let colourable = Array.make nw 0 in
+  let lo = ref 0 and idx = ref 0 and colour = ref 0 in
+  while !idx < n do
+    while uncoloured.(!lo) = 0 do
+      incr lo
+    done;
+    incr colour;
+    Array.blit uncoloured !lo colourable !lo (nw - !lo);
+    for w = !lo to nw - 1 do
+      let x = ref colourable.(w) in
+      while !x <> 0 do
+        let b = !x land - !x in
+        let v = (w * bits_per_word) + popcount (b - 1) in
+        let row = neighbours v in
+        check_pair row p;
+        uncoloured.(w) <- uncoloured.(w) land lnot b;
+        order.(!idx) <- v;
+        colours.(!idx) <- !colour;
+        incr idx;
+        x := !x land (!x - 1) land lnot row.words.(w);
+        for w' = w + 1 to nw - 1 do
+          colourable.(w') <- colourable.(w') land lnot row.words.(w')
+        done
+      done
+    done
+  done;
+  n
 
 let pp ppf s =
   Format.fprintf ppf "{%s}" (String.concat ", " (List.map string_of_int (elements s)))

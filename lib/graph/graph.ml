@@ -70,10 +70,11 @@ let induced g vs =
 let degeneracy_order g =
   let n = n_vertices g in
   let order = Array.init n Fun.id in
+  let deg = Array.init n (degree g) in
   (* Stable sort on (-degree, vertex id) keeps the order deterministic. *)
   Array.sort
     (fun u v ->
-      let c = compare (degree g v) (degree g u) in
+      let c = compare deg.(v) deg.(u) in
       if c <> 0 then c else compare u v)
     order;
   order

@@ -49,24 +49,80 @@ let fill_upto () =
   Alcotest.(check (list int)) "prefix" [ 0; 1; 2; 3 ] (Bitset.elements s);
   let t = Bitset.create 5 in
   Bitset.fill_upto t 50;
-  Alcotest.(check int) "clamped to capacity" 5 (Bitset.cardinal t)
+  Alcotest.(check int) "clamped to capacity" 5 (Bitset.cardinal t);
+  (* Whole words: every boundary of a three-word set, keeping what was
+     already there. *)
+  let bits = Sys.int_size in
+  let cap = 3 * bits in
+  List.iter
+    (fun k ->
+      let s = Bitset.of_list cap [ cap - 1 ] in
+      Bitset.fill_upto s k;
+      let expected =
+        List.sort_uniq compare ((cap - 1) :: List.init (max 0 (min k cap)) Fun.id)
+      in
+      Alcotest.(check (list int)) (Printf.sprintf "fill_upto %d" k) expected
+        (Bitset.elements s))
+    [ -1; 0; 1; bits - 1; bits; bits + 1; 2 * bits; cap - 1; cap; cap + 5 ]
 
-(* Property tests against the Set reference model. *)
+(* Elements live in 63-bit words (Sys.int_size); bit 62 is the OCaml
+   sign bit. *)
+let bits = Sys.int_size
 
-let cap = 130
+(* Every bit position of a three-word set whose top word is full (so
+   bit 62 of each word is in range) and of one whose top word is
+   partial. *)
+let every_position () =
+  List.iter
+    (fun cap ->
+      let full = Bitset.create cap in
+      Bitset.fill_upto full cap;
+      Alcotest.(check int) "full cardinal" cap (Bitset.cardinal full);
+      for i = 0 to cap - 1 do
+        let at = Printf.sprintf "cap %d, bit %d" cap i in
+        let s = Bitset.of_list cap [ i ] in
+        Alcotest.(check int) (at ^ ": cardinal") 1 (Bitset.cardinal s);
+        Alcotest.(check int) (at ^ ": first") i (Bitset.first s);
+        Alcotest.(check int) (at ^ ": next_from below") i (Bitset.next_from s 0);
+        Alcotest.(check int) (at ^ ": next_from at") i (Bitset.next_from s i);
+        Alcotest.(check int) (at ^ ": next_from above") (-1) (Bitset.next_from s (i + 1));
+        Alcotest.(check (list int)) (at ^ ": elements") [ i ] (Bitset.elements s);
+        let holed = Bitset.copy full in
+        Bitset.remove holed i;
+        Alcotest.(check int) (at ^ ": holed cardinal") (cap - 1) (Bitset.cardinal holed);
+        Alcotest.(check int) (at ^ ": holed first") (if i = 0 then 1 else 0)
+          (Bitset.first holed);
+        Alcotest.(check int) (at ^ ": holed next_from")
+          (if i = cap - 1 then -1 else i + 1)
+          (Bitset.next_from holed i);
+        let seen = ref 0 and last = ref (-1) in
+        Bitset.iter
+          (fun j ->
+            if j = i || j <= !last then Alcotest.failf "%s: iter visited %d" at j;
+            last := j;
+            incr seen)
+          holed;
+        Alcotest.(check int) (at ^ ": holed iter") (cap - 1) !seen
+      done)
+    [ 3 * bits; (2 * bits) + 4 ]
 
-let set_of_list xs = IntSet.of_list (List.map (fun x -> abs x mod cap) xs)
+(* Property tests against the Set reference model, over the full
+   capacity: three words, the top one partial, so the sign bit of the
+   lower words and the top word's high bits are both drawn. *)
+
+let cap = (2 * bits) + 4
 
 let bs_of_set s =
   let b = Bitset.create cap in
   IntSet.iter (Bitset.add b) s;
   b
 
-let gen_pair = QCheck.(pair (list small_int) (list small_int))
+let gen_elts = QCheck.(list (int_bound (cap - 1)))
+let gen_pair = QCheck.pair gen_elts gen_elts
 
 let check_op name op set_op =
   QCheck.Test.make ~name ~count:300 gen_pair (fun (xs, ys) ->
-      let sa = set_of_list xs and sb = set_of_list ys in
+      let sa = IntSet.of_list xs and sb = IntSet.of_list ys in
       let a = bs_of_set sa and b = bs_of_set sb in
       op a b;
       Bitset.elements a = IntSet.elements (set_op sa sb))
@@ -77,54 +133,75 @@ let prop_diff = check_op "diff_into models Set.diff" Bitset.diff_into IntSet.dif
 
 let prop_cardinal =
   QCheck.Test.make ~name:"cardinal models Set.cardinal" ~count:300
-    QCheck.(list small_int)
+    gen_elts
     (fun xs ->
-      let s = set_of_list xs in
+      let s = IntSet.of_list xs in
       Bitset.cardinal (bs_of_set s) = IntSet.cardinal s)
 
 let prop_subset =
   QCheck.Test.make ~name:"subset models Set.subset" ~count:300 gen_pair
     (fun (xs, ys) ->
-      let sa = set_of_list xs and sb = set_of_list ys in
+      let sa = IntSet.of_list xs and sb = IntSet.of_list ys in
       Bitset.subset (bs_of_set sa) (bs_of_set sb) = IntSet.subset sa sb)
 
 let prop_equal =
   QCheck.Test.make ~name:"equal is extensional" ~count:300 gen_pair (fun (xs, ys) ->
-      let sa = set_of_list xs and sb = set_of_list ys in
+      let sa = IntSet.of_list xs and sb = IntSet.of_list ys in
       Bitset.equal (bs_of_set sa) (bs_of_set sb) = IntSet.equal sa sb)
 
 let prop_iter_order =
   QCheck.Test.make ~name:"iter visits in increasing order" ~count:200
-    QCheck.(list small_int)
+    gen_elts
     (fun xs ->
-      let s = set_of_list xs in
+      let s = IntSet.of_list xs in
       let order = ref [] in
       Bitset.iter (fun i -> order := i :: !order) (bs_of_set s);
       List.rev !order = IntSet.elements s)
 
 let prop_fold =
   QCheck.Test.make ~name:"fold models Set.fold" ~count:200
-    QCheck.(list small_int)
+    gen_elts
     (fun xs ->
-      let s = set_of_list xs in
+      let s = IntSet.of_list xs in
       Bitset.fold (fun i acc -> acc + i) (bs_of_set s) 0
       = IntSet.fold (fun i acc -> acc + i) s 0)
 
 let prop_copy_independent =
   QCheck.Test.make ~name:"copy is independent" ~count:100
-    QCheck.(list small_int)
+    gen_elts
     (fun xs ->
-      let a = bs_of_set (set_of_list xs) in
+      let a = bs_of_set (IntSet.of_list xs) in
       let b = Bitset.copy a in
       Bitset.add b 0;
       Bitset.remove b 0;
       Bitset.add a 1;
-      Bitset.mem b 1 = IntSet.mem 1 (set_of_list xs))
+      Bitset.mem b 1 = IntSet.mem 1 (IntSet.of_list xs))
+
+let prop_first_next_from =
+  QCheck.Test.make ~name:"first and next_from model Set.find_first" ~count:300
+    QCheck.(pair gen_elts (int_bound (cap + 1)))
+    (fun (xs, i) ->
+      let s = IntSet.of_list xs in
+      let b = bs_of_set s in
+      let from j = Option.value ~default:(-1) (IntSet.find_first_opt (fun x -> x >= j) s) in
+      Bitset.first b = from 0 && Bitset.next_from b i = from i)
+
+(* Dense sets, the complements of drawn ones: every word carries many
+   bits, the sign bit often among them. *)
+let prop_dense_cardinal =
+  QCheck.Test.make ~name:"cardinal of dense sets" ~count:200 gen_elts (fun xs ->
+      let holes = IntSet.of_list xs in
+      let b = Bitset.create cap in
+      Bitset.fill_upto b cap;
+      Bitset.diff_into b (bs_of_set holes);
+      let s = IntSet.diff (IntSet.of_list (List.init cap Fun.id)) holes in
+      Bitset.cardinal b = IntSet.cardinal s && Bitset.elements b = IntSet.elements s)
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_inter; prop_union; prop_diff; prop_cardinal; prop_subset; prop_equal;
-      prop_iter_order; prop_fold; prop_copy_independent ]
+      prop_iter_order; prop_fold; prop_copy_independent; prop_first_next_from;
+      prop_dense_cardinal ]
 
 let () =
   Alcotest.run "bitset"
@@ -135,6 +212,7 @@ let () =
           Alcotest.test_case "range checks" `Quick range_checks;
           Alcotest.test_case "zero capacity" `Quick zero_capacity;
           Alcotest.test_case "fill_upto" `Quick fill_upto;
+          Alcotest.test_case "every bit position" `Quick every_position;
         ] );
       ("properties", qsuite);
     ]

@@ -4,6 +4,8 @@ module Gen = Yewpar_graph.Gen
 module Mc = Yewpar_maxclique.Maxclique
 module Sequential = Yewpar_core.Sequential
 module Problem = Yewpar_core.Problem
+module Dimacs = Yewpar_graph.Dimacs
+module Stats = Yewpar_core.Stats
 
 (* Exponential reference: maximum clique by plain recursion, no bounds.
    Only for small graphs. *)
@@ -91,6 +93,103 @@ let colour_order_properties () =
     if p_colour.(i) > i + 1 then Alcotest.fail "colour count exceeds prefix size"
   done
 
+(* The colouring as it was written before the word-level kernel: one
+   fresh copy of the uncoloured set per colour class, rescanned from
+   its first element for every vertex. The reference for
+   Bitset.greedy_colour. *)
+let reference_colour_order g p =
+  let n = Bitset.cardinal p in
+  let p_vertex = Array.make (max n 1) 0 in
+  let p_colour = Array.make (max n 1) 0 in
+  let uncoloured = Bitset.copy p in
+  let idx = ref 0 in
+  let colour = ref 0 in
+  while not (Bitset.is_empty uncoloured) do
+    incr colour;
+    let colourable = Bitset.copy uncoloured in
+    let rec fill () =
+      let v = Bitset.first colourable in
+      if v >= 0 then begin
+        Bitset.remove uncoloured v;
+        Bitset.remove colourable v;
+        Bitset.diff_into colourable (Graph.neighbours g v);
+        p_vertex.(!idx) <- v;
+        p_colour.(!idx) <- !colour;
+        incr idx;
+        fill ()
+      end
+    in
+    fill ()
+  done;
+  (p_vertex, p_colour, n)
+
+(* A random graph of up to three words and a random subset of its
+   vertices to colour. *)
+let gen_colouring_case =
+  QCheck.(
+    quad (int_bound 190) (int_bound 100) (int_bound 10_000) (int_bound 100)
+    |> map (fun (n, dp, seed, keep) ->
+           let g = Yewpar_graph.Gen.uniform ~seed n (float_of_int dp /. 100.) in
+           let rng = Random.State.make [| seed |] in
+           let p = Bitset.create n in
+           for v = 0 to n - 1 do
+             if Random.State.int rng 100 < keep then Bitset.add p v
+           done;
+           (g, p)))
+
+let prop_greedy_colour =
+  QCheck.Test.make ~name:"greedy_colour is MCSa's colouring" ~count:300
+    gen_colouring_case (fun (g, p) ->
+      let n = Bitset.cardinal p in
+      let order = Array.make n (-1) and colours = Array.make n 0 in
+      let count =
+        Bitset.greedy_colour p ~neighbours:(Graph.neighbours g) ~order ~colours
+      in
+      let ok = ref (count = n) in
+      (* A permutation of p. *)
+      ok := !ok && List.sort compare (Array.to_list order) = Bitset.elements p;
+      for i = 1 to n - 1 do
+        (* Colours non-decreasing; vertices increasing within a class. *)
+        if colours.(i) < colours.(i - 1) then ok := false;
+        if colours.(i) = colours.(i - 1) && order.(i) <= order.(i - 1) then ok := false
+      done;
+      if n > 0 && colours.(0) <> 1 then ok := false;
+      (* A proper colouring: no class holds an edge. *)
+      for i = 0 to n - 1 do
+        for j = i + 1 to n - 1 do
+          if colours.(i) = colours.(j) && Graph.has_edge g order.(i) order.(j) then
+            ok := false
+        done
+      done;
+      (* Bit-identical to the pre-kernel colouring, through colour_order
+         as well. *)
+      let rv, rc, rn = reference_colour_order g p in
+      let mv, mc, mn = Mc.colour_order g p in
+      !ok && rn = n && mn = n
+      && Array.sub rv 0 n = order && Array.sub rc 0 n = colours
+      && Array.sub mv 0 n = order && Array.sub mc 0 n = colours)
+
+let greedy_colour_checks () =
+  let g = Gen.uniform ~seed:5 70 0.5 in
+  let p = Bitset.create 70 in
+  Bitset.fill_upto p 70;
+  let long = Array.make 70 0 and short = Array.make 69 0 in
+  let nb = Graph.neighbours g in
+  Alcotest.check_raises "order too short"
+    (Invalid_argument "Bitset.greedy_colour: output array too short") (fun () ->
+      ignore (Bitset.greedy_colour p ~neighbours:nb ~order:short ~colours:long));
+  Alcotest.check_raises "colours too short"
+    (Invalid_argument "Bitset.greedy_colour: output array too short") (fun () ->
+      ignore (Bitset.greedy_colour p ~neighbours:nb ~order:long ~colours:short));
+  let other = Gen.uniform ~seed:5 71 0.5 in
+  Alcotest.check_raises "row capacity mismatch" (Invalid_argument "Bitset: capacity mismatch")
+    (fun () ->
+      ignore
+        (Bitset.greedy_colour p ~neighbours:(Graph.neighbours other) ~order:long
+           ~colours:long));
+  Alcotest.(check int) "empty set" 0
+    (Bitset.greedy_colour (Bitset.create 70) ~neighbours:nb ~order:[||] ~colours:[||])
+
 let matches_brute_force () =
   for seed = 0 to 14 do
     let n = 8 + (seed mod 6) in
@@ -135,6 +234,44 @@ let bound_admissible () =
   in
   walk (Mc.root g) 0
 
+(* Golden Sequential trees. The node counts were recorded before the
+   colouring moved into Bitset.greedy_colour; any change to the order in
+   which candidates are coloured or branched on changes them. Each case
+   is (label, graph, omega, MaxClique nodes, unsat (omega+1)-clique
+   nodes). *)
+let dimacs_fixture name =
+  let path =
+    List.find Sys.file_exists
+      [ Filename.concat "fixtures" name; Filename.concat "test/fixtures" name ]
+  in
+  Dimacs.parse_file path
+
+let golden_cases () =
+  let hidden seed = Gen.hidden_clique ~seed 140 0.6 14 in
+  [
+    ("hidden seed 31", hidden 31, 14, 5299, 1918);
+    ("hidden seed 32", hidden 32, 14, 2305, 1928);
+    ("hidden seed 33", hidden 33, 14, 2240, 1844);
+    ("two_level_140.clq", dimacs_fixture "two_level_140.clq", 14, 6300, 5985);
+  ]
+
+let golden_trees () =
+  List.iter
+    (fun (label, g, omega, mc_nodes, kc_nodes) ->
+      let node, st = Sequential.search_with_stats (Mc.max_clique g) in
+      Alcotest.(check int) (label ^ ": omega") omega node.Mc.size;
+      Alcotest.(check bool) (label ^ ": witness valid") true
+        (Graph.is_clique g (Mc.vertices_of node));
+      Alcotest.(check int) (label ^ ": MaxClique nodes") mc_nodes st.Stats.nodes;
+      let spec, vs = Mc.Specialised.max_clique_size g in
+      Alcotest.(check int) (label ^ ": skeleton = specialised") node.Mc.size spec;
+      Alcotest.(check bool) (label ^ ": specialised witness valid") true
+        (Graph.is_clique g vs);
+      let r, st = Sequential.search_with_stats (Mc.k_clique g ~k:(omega + 1)) in
+      Alcotest.(check bool) (label ^ ": no (omega+1)-clique") true (r = None);
+      Alcotest.(check int) (label ^ ": unsat k-clique nodes") kc_nodes st.Stats.nodes)
+    (golden_cases ())
+
 let () =
   Alcotest.run "maxclique"
     [
@@ -151,5 +288,8 @@ let () =
           Alcotest.test_case "vs brute force" `Quick matches_brute_force;
           Alcotest.test_case "vs specialised" `Quick matches_specialised;
           Alcotest.test_case "bound admissible" `Quick bound_admissible;
+          Alcotest.test_case "golden trees" `Quick golden_trees;
+          Alcotest.test_case "greedy_colour checks" `Quick greedy_colour_checks;
         ] );
+      ("properties", [ QCheck_alcotest.to_alcotest prop_greedy_colour ]);
     ]
