@@ -1,22 +1,24 @@
-(* Frames live in a flat reusable array with every field mutable: a
-   push overwrites a dead frame in place instead of allocating, so the
-   per-node hot loop allocates nothing beyond what the user's child
-   generator produces. Frames above [nframes] keep no live references
-   ([rest] cleared on pop, [node] parked on the current root). *)
-type ('space, 'node) frame = {
-  mutable node : 'node;
-  mutable rest : 'node Seq.t;
-  mutable depth : int;
-  mutable kept : int;
-      (* children of [node] committed to the search: entered by this
-         engine or credited by the caller when split off to a task *)
-}
+(* The generator stack is a linked list of frames, top first. A push
+   allocates a fresh frame on the minor heap and a pop just drops it,
+   so the hot loop writes into no long-lived block except [top]: the
+   frame fields it mutates ([rest], [kept]) belong to frames that are
+   almost always still young, and a popped frame keeps nothing alive. *)
+type 'node frame =
+  | Bottom
+  | Frame of {
+      node : 'node;
+      mutable rest : 'node Seq.t;
+      depth : int;
+      mutable kept : int;
+          (* children of [node] committed to the search: entered by this
+             engine or credited by the caller when split off to a task *)
+      below : 'node frame;
+    }
 
 type ('space, 'node) t = {
   space : 'space;
   children : ('space, 'node) Problem.generator;
-  mutable frames : ('space, 'node) frame array;
-  mutable nframes : int;
+  mutable top : 'node frame;
   mutable root : 'node;
   mutable root_depth : int;
   prof : Depth_profile.t;
@@ -29,153 +31,127 @@ type ('space, 'node) t = {
   mutable max_depth : int;
 }
 
-let grow t =
-  let cap = Array.length t.frames in
-  let ncap = if cap = 0 then 8 else 2 * cap in
-  let bigger =
-    Array.init ncap (fun i ->
-        if i < cap then t.frames.(i)
-        else { node = t.root; rest = Seq.empty; depth = 0; kept = 0 })
-  in
-  t.frames <- bigger
-
-let push_frame t node rest depth =
-  if t.nframes = Array.length t.frames then grow t;
-  let f = t.frames.(t.nframes) in
-  f.node <- node;
-  f.rest <- rest;
-  f.depth <- depth;
-  f.kept <- 0;
-  t.nframes <- t.nframes + 1
+let root_frame children space root root_depth =
+  Frame
+    { node = root; rest = children space root; depth = root_depth; kept = 0;
+      below = Bottom }
 
 let make ?(prof = Depth_profile.null) ~space ~children ~root_depth root =
-  let t =
-    { space; children; frames = [||]; nframes = 0; root; root_depth; prof;
-      entered = 0; pruned = 0; backtracks = 0; max_depth = root_depth }
-  in
-  push_frame t root (children space root) root_depth;
-  t
+  { space; children; top = root_frame children space root root_depth; root;
+    root_depth; prof; entered = 0; pruned = 0; backtracks = 0;
+    max_depth = root_depth }
 
 let restart t ~root_depth root =
   t.root <- root;
   t.root_depth <- root_depth;
-  (* Drop every reference the previous traversal may have parked in the
-     recycled frames, or the whole old subtree stays reachable. *)
-  Array.iter
-    (fun f ->
-      f.node <- root;
-      f.rest <- Seq.empty)
-    t.frames;
-  t.nframes <- 0;
   t.entered <- 0;
   t.pruned <- 0;
   t.backtracks <- 0;
   t.max_depth <- root_depth;
-  push_frame t root (t.children t.space root) root_depth
+  t.top <- root_frame t.children t.space root root_depth
 
 let root t = t.root
 
-type 'node step =
-  | Enter of 'node
-  | Pruned of 'node
-  | Leave
-  | Exhausted
+type step = Enter | Pruned | Leave | Exhausted
 
-let step ?(prune_rest = false) ~keep t =
-  if t.nframes = 0 then Exhausted
-  else begin
-    let f = t.frames.(t.nframes - 1) in
-    match Seq.uncons f.rest with
-    | None ->
-      t.nframes <- t.nframes - 1;
-      f.rest <- Seq.empty;
-      f.node <- t.root;
+let step ~prune_rest ~keep t =
+  match t.top with
+  | Bottom -> Exhausted
+  | Frame f as top -> (
+    match f.rest () with
+    | Seq.Nil ->
+      t.top <- f.below;
       t.backtracks <- t.backtracks + 1;
       Depth_profile.note_complete t.prof f.depth f.kept;
       Leave
-    | Some (child, rest) ->
+    | Seq.Cons (child, rest) ->
       f.rest <- rest;
       if keep child then begin
         let depth = f.depth + 1 in
         f.kept <- f.kept + 1;
-        push_frame t child (t.children t.space child) depth;
+        t.top <-
+          Frame
+            { node = child; rest = t.children t.space child; depth; kept = 0;
+              below = top };
         t.entered <- t.entered + 1;
         if depth > t.max_depth then t.max_depth <- depth;
-        Enter child
+        Enter
       end
       else begin
         if prune_rest then f.rest <- Seq.empty;
         t.pruned <- t.pruned + 1;
-        Pruned child
-      end
-  end
+        Pruned
+      end)
+
+let current t =
+  match t.top with
+  | Frame f -> f.node
+  | Bottom -> invalid_arg "Engine.current: traversal exhausted"
 
 let current_depth t =
-  if t.nframes > 0 then t.frames.(t.nframes - 1).depth else t.root_depth - 1
+  match t.top with Frame f -> f.depth | Bottom -> t.root_depth - 1
 
-let stack_size t = t.nframes
+let stack_size t =
+  let rec go n = function Bottom -> n | Frame f -> go (n + 1) f.below in
+  go 0 t.top
+
 let backtracks t = t.backtracks
 let nodes_entered t = t.entered
 let nodes_pruned t = t.pruned
 let max_depth t = t.max_depth
 
 (* Drain a frame's remaining children into a traversal-order list. *)
-let drain_frame f =
-  let rec go acc rest =
-    match Seq.uncons rest with
-    | None -> List.rev acc
-    | Some (c, rest) -> go (c :: acc) rest
-  in
-  let cs = go [] f.rest in
-  f.rest <- Seq.empty;
-  cs
+let drain = function
+  | Bottom -> ([], 0)
+  | Frame f ->
+    let rec go acc rest =
+      match rest () with
+      | Seq.Nil -> List.rev acc
+      | Seq.Cons (c, rest) -> go (c :: acc) rest
+    in
+    let cs = go [] f.rest in
+    f.rest <- Seq.empty;
+    (cs, f.depth + 1)
 
-(* Index of the lowest frame that still has unexplored children. Frames
-   found empty have their (possibly ephemeral) sequence pinned to the
-   uncons result so nothing is forced twice. *)
-let lowest_nonempty t =
-  let rec go i =
-    if i >= t.nframes then None
-    else begin
-      let f = t.frames.(i) in
-      match Seq.uncons f.rest with
-      | None ->
+(* The lowest frame that still has unexplored children, or [Bottom].
+   Frames are forced bottom-up, as far as the first non-empty one, and
+   each forced sequence is pinned to its result (an empty one to
+   [Seq.empty], a non-empty one re-consed) so nothing is forced twice. *)
+let rec lowest_nonempty = function
+  | Bottom -> Bottom
+  | Frame f as frame -> (
+    match lowest_nonempty f.below with
+    | Frame _ as found -> found
+    | Bottom -> (
+      match f.rest () with
+      | Seq.Nil ->
         f.rest <- Seq.empty;
-        go (i + 1)
-      | Some (c, rest) ->
+        Bottom
+      | Seq.Cons (c, rest) ->
         f.rest <- Seq.cons c rest;
-        Some f
-    end
-  in
-  go 0
+        frame))
 
-let split_lowest t =
-  match lowest_nonempty t with
-  | None -> ([], 0)
-  | Some f -> (drain_frame f, f.depth + 1)
+let split_lowest t = drain (lowest_nonempty t.top)
 
 let split_one t =
-  match lowest_nonempty t with
-  | None -> None
-  | Some f -> (
-    match Seq.uncons f.rest with
-    | None -> None (* unreachable: lowest_nonempty guarantees a child *)
-    | Some (c, rest) ->
+  match lowest_nonempty t.top with
+  | Bottom -> None
+  | Frame f -> (
+    match f.rest () with
+    | Seq.Nil -> None (* unreachable: lowest_nonempty pinned a child *)
+    | Seq.Cons (c, rest) ->
       f.rest <- rest;
       Some (c, f.depth + 1))
 
-let drain_top t =
-  if t.nframes = 0 then ([], 0)
-  else begin
-    let f = t.frames.(t.nframes - 1) in
-    (drain_frame f, f.depth + 1)
-  end
+let drain_top t = drain t.top
 
-(* Frames form a single root-to-tip path, so the frame at global depth
-   [depth] — if still on the stack — sits at index [depth - root_depth]. *)
+(* Frames form a single root-to-tip path with depths one apart, so the
+   frame at global depth [depth], if still on the stack, is found by
+   walking down from the top. *)
 let credit_kept t ~depth ~n =
-  let i = depth - t.root_depth in
-  if n > 0 && i >= 0 && i < t.nframes then begin
-    let f = t.frames.(i) in
-    f.kept <- f.kept + n
-  end
+  let rec go = function
+    | Frame f when f.depth > depth -> go f.below
+    | Frame f when f.depth = depth -> f.kept <- f.kept + n
+    | Frame _ | Bottom -> ()
+  in
+  if n > 0 then go t.top

@@ -4,8 +4,16 @@
     (expand/backtrack/terminate, Figure 2) one step at a time, so search
     coordinations can interleave traversal with spawning, steal checks
     and budget accounting. It maintains the generator stack of §4.1:
-    one frame per node on the current branch, each holding the not-yet-
-    explored children in heuristic order.
+    one frame per node on the current branch, each holding the node,
+    its depth and its not-yet-explored children in heuristic order.
+
+    Frames are linked: each push allocates a fresh frame that points
+    at the frame below, and each pop drops the top frame. The only
+    field of the long-lived engine record a step writes is the
+    top-of-stack pointer; the frame fields it updates belong to a frame
+    that is usually still on the minor heap, where a write needs no
+    barrier work. A subtree the traversal has left is unreachable from
+    the engine.
 
     The same engine backs the sequential skeleton, the Domain-parallel
     runtime and the discrete-event simulator, guaranteeing identical
@@ -34,42 +42,51 @@ val make :
 
 val restart : ('space, 'node) t -> root_depth:int -> 'node -> unit
 (** [restart t ~root_depth root] rewinds [t] to a fresh traversal of
-    the subtree rooted at [root], reusing the generator-stack storage
-    of the finished (or abandoned) previous traversal — the worker hot
-    loop runs one engine per slot instead of one per task, so steady-
-    state task execution allocates no stack frames. Counters restart
-    from zero; references into the previous subtree are dropped. The
-    space, child generator and profile are kept. *)
+    the subtree rooted at [root]: the engine record is kept and one
+    root frame is allocated, so the worker hot loop runs one engine per
+    slot instead of one per task. The frames of the finished (or
+    abandoned) previous traversal are dropped, and with them every
+    reference into its subtree. Counters restart from zero. The space,
+    child generator and profile are kept. *)
 
 val root : ('space, 'node) t -> 'node
-(** The subtree root this engine was created for. *)
+(** The subtree root this engine was made or last restarted for. *)
 
-type 'node step =
-  | Enter of 'node
+type step =
+  | Enter
       (** Moved to a new node (the paper's [expand]); the caller must
-          process it. *)
-  | Pruned of 'node
+          process it. {!current} returns it. *)
+  | Pruned
       (** The next child failed the [keep] predicate; its subtree was
           discarded without materialisation (the paper's [prune]). *)
   | Leave  (** Backtracked one level ([backtrack]/[terminate]). *)
   | Exhausted  (** The whole subtree has been traversed. *)
 
 val step :
-  ?prune_rest:bool -> keep:('node -> bool) -> ('space, 'node) t -> 'node step
+  prune_rest:bool -> keep:('node -> bool) -> ('space, 'node) t -> step
 (** Advance the traversal by one transition. [keep] is the pruning
     predicate evaluated on each child before it is entered; returning
     [false] discards the child's entire subtree. With [prune_rest]
-    (default false — set it from {!Ops.view.prune_siblings}), a failed
-    [keep] additionally discards all later siblings without
-    materialising them, which is sound when the generator yields
-    children in non-increasing bound order (§4.1). *)
+    (set it from {!Ops.view.prune_siblings}), a failed [keep]
+    additionally discards all later siblings without materialising
+    them, which is sound when the generator yields children in
+    non-increasing bound order (§4.1).
+
+    A step allocates only the new frame on [Enter] and whatever the
+    child generator allocates; the result carries no payload. *)
+
+val current : ('space, 'node) t -> 'node
+(** The node of the top frame: after [Enter], the node just entered;
+    after [Leave], the node whose expansion resumes; before the first
+    step, the subtree root.
+    @raise Invalid_argument once the traversal is exhausted. *)
 
 val current_depth : ('space, 'node) t -> int
 (** Global depth of the node currently being expanded (the top frame);
     [root_depth - 1] once exhausted. *)
 
 val stack_size : ('space, 'node) t -> int
-(** Height of the generator stack. *)
+(** Height of the generator stack; O(height). *)
 
 val backtracks : ('space, 'node) t -> int
 (** Number of [Leave] transitions so far (the Budget coordination's
@@ -105,5 +122,6 @@ val credit_kept : ('space, 'node) t -> depth:int -> n:int -> unit
     elsewhere (spawned as tasks), so the completion recorded at [Leave]
     still reports the node's true kept-children count. Callers must credit
     only children that pass the keep filter — crediting raw drained
-    counts would overestimate when spawn-side filtering prunes. O(1);
-    a no-op if the frame has already been left or [n <= 0]. *)
+    counts would overestimate when spawn-side filtering prunes. It walks
+    down from the top frame, so it costs the distance to that frame; it
+    is a no-op if the frame has already been left or [n <= 0]. *)

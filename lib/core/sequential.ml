@@ -16,19 +16,19 @@ let search (type s n r) ?stats (p : (s, n, r) Problem.t) : r =
      engine query is needed per node. *)
   let rec loop () =
     match Engine.step ~prune_rest:view.prune_siblings ~keep:view.keep engine with
-    | Engine.Enter n -> if view.process n then loop ()
-    | Engine.Pruned _ | Engine.Leave -> loop ()
+    | Engine.Enter -> if view.process (Engine.current engine) then loop ()
+    | Engine.Pruned | Engine.Leave -> loop ()
     | Engine.Exhausted -> ()
   in
   let profiled_loop prof =
     let depth = ref 0 in
     let rec go () =
       match Engine.step ~prune_rest:view.prune_siblings ~keep:view.keep engine with
-      | Engine.Enter n ->
+      | Engine.Enter ->
         incr depth;
         Depth_profile.note_node prof !depth;
-        if view.process n then go ()
-      | Engine.Pruned _ ->
+        if view.process (Engine.current engine) then go ()
+      | Engine.Pruned ->
         Depth_profile.note_prune prof (!depth + 1);
         go ()
       | Engine.Leave ->

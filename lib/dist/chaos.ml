@@ -2,6 +2,7 @@ module Splitmix = Yewpar_util.Splitmix
 
 type fault =
   | Kill_locality of { locality : int; after : float }
+  | Kill_at_lease of { locality : int; lease : int }
   | Drop_frame of { frame : string; prob : float }
   | Delay of { seconds : float }
 
@@ -30,6 +31,16 @@ let parse_one spec =
     | _ ->
       Error
         (Printf.sprintf "chaos: kill-locality wants ID@TIMEs, got %S" spec))
+  | [ "kill-locality"; rest; n ] -> (
+    match (String.split_on_char '@' rest, int_of_string_opt n) with
+    | [ id; "leases" ], Some lease -> (
+      match int_of_string_opt id with
+      | Some locality when locality >= 0 && lease >= 1 ->
+        Ok (Kill_at_lease { locality; lease })
+      | _ -> Error (Printf.sprintf "chaos: bad kill-locality spec %S" spec))
+    | _ ->
+      Error
+        (Printf.sprintf "chaos: kill-locality wants ID@leases:N, got %S" spec))
   | [ "drop-frame"; frame; prob ] -> (
     match float_of_string_opt prob with
     | Some p when p >= 0. && p <= 1. ->
@@ -77,20 +88,32 @@ let frame_name : Wire.msg -> string = function
 
 type plan = {
   kill_after : float option;
+  kill_at_lease : int option;
   drops : (string * float) list;
   delay : float;
   rng : Splitmix.gen;
 }
 
 let plan faults ~seed ~locality =
-  let kill_after =
+  (* The earliest of this locality's kills of one kind, if any. *)
+  let earliest pick =
     List.fold_left
       (fun acc f ->
-        match f with
-        | Kill_locality { locality = l; after } when l = locality -> (
-          match acc with None -> Some after | Some a -> Some (min a after))
-        | _ -> acc)
+        match (pick f, acc) with
+        | Some x, Some a -> Some (min x a)
+        | (Some _ as x), None -> x
+        | None, _ -> acc)
       None faults
+  in
+  let kill_after =
+    earliest (function
+      | Kill_locality { locality = l; after } when l = locality -> Some after
+      | _ -> None)
+  in
+  let kill_at_lease =
+    earliest (function
+      | Kill_at_lease { locality = l; lease } when l = locality -> Some lease
+      | _ -> None)
   in
   let drops =
     List.filter_map
@@ -102,12 +125,13 @@ let plan faults ~seed ~locality =
       (fun acc -> function Delay { seconds } -> acc +. seconds | _ -> acc)
       0. faults
   in
-  if kill_after = None && drops = [] && delay = 0. then None
+  if kill_after = None && kill_at_lease = None && drops = [] && delay = 0.
+  then None
   else
     (* Per-locality stream so localities under the same seed make
        independent drop decisions. *)
     let rng = Splitmix.of_seed (seed lxor ((locality + 1) * 0x9e3779b9)) in
-    Some { kill_after; drops; delay; rng }
+    Some { kill_after; kill_at_lease; drops; delay; rng }
 
 let should_drop p msg =
   match msg with
@@ -125,6 +149,8 @@ let describe faults =
        (function
          | Kill_locality { locality; after } ->
            Printf.sprintf "kill-locality:%d@%gs" locality after
+         | Kill_at_lease { locality; lease } ->
+           Printf.sprintf "kill-locality:%d@leases:%d" locality lease
          | Drop_frame { frame; prob } ->
            Printf.sprintf "drop-frame:%s:%g" frame prob
          | Delay { seconds } -> Printf.sprintf "delay:%gms" (seconds *. 1000.))

@@ -6,6 +6,10 @@
     - [kill-locality:ID@TIMEs] — locality [ID] kills itself (SIGKILL,
       no cleanup, no goodbye frame) [TIME] seconds after it starts:
       the canonical crash used by the fault-tolerance CI gate.
+    - [kill-locality:ID@leases:N] — the same crash, when locality [ID]
+      receives its [N]-th lease ([N >= 1]). The lease is then
+      outstanding, so the crash lands mid-search however fast the
+      host runs, provided the locality is ever handed [N] leases.
     - [drop-frame:TYPE:PROB] — each inbound frame of wire type [TYPE]
       (lowercase constructor name, e.g. [steal_reply], [bound_update])
       is silently discarded with probability [PROB]. [Shutdown] is
@@ -23,6 +27,7 @@
 
 type fault =
   | Kill_locality of { locality : int; after : float }
+  | Kill_at_lease of { locality : int; lease : int }
   | Drop_frame of { frame : string; prob : float }
   | Delay of { seconds : float }
 
@@ -38,6 +43,8 @@ val frame_name : Wire.msg -> string
 type plan = {
   kill_after : float option;
       (** Seconds after locality start at which to SIGKILL self. *)
+  kill_at_lease : int option;
+      (** SIGKILL self on receiving this many leases. *)
   drops : (string * float) list;  (** Frame name, drop probability. *)
   delay : float;  (** Seconds to sleep before each outbound frame. *)
   rng : Yewpar_util.Splitmix.gen;

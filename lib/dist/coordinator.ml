@@ -388,11 +388,15 @@ let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
         (fun id lease acc -> if doomed id then (id, lease) :: acc else acc)
         outstanding []
     in
+    (* A root is revoked for its own holder's sake ("outstanding"); a
+       descendant outstanding at another holder only because an
+       ancestor was revoked is told apart ("descendant"). *)
     List.iter
       (fun (id, lease) ->
         Hashtbl.remove outstanding id;
         Hashtbl.replace revoked id ();
-        jot "lease_revoke" id ~locality:lease.holder ~note:"outstanding")
+        jot "lease_revoke" id ~locality:lease.holder
+          ~note:(if Hashtbl.mem root_set id then "outstanding" else "descendant"))
       doomed_out;
     let doomed_ret =
       Hashtbl.fold
@@ -720,9 +724,11 @@ let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
       if alive.(i) then live_conns := (i, conns.(i)) :: !live_conns
     done;
     let readable = Transport.poll ~timeout:0.005 (List.map snd !live_conns) in
+    (* [alive] is re-read per connection: handling one locality's
+       frames can declare another dead and close its socket. *)
     List.iter
       (fun (i, c) ->
-        if List.memq c readable then
+        if alive.(i) && List.memq c readable then
           match Transport.pump c with
           | msgs ->
             if msgs <> [] then last_rx.(i) <- Unix.gettimeofday ();

@@ -274,9 +274,17 @@ let run (type s n r) ?(record = false) ?heartbeat ?chaos
     Transport.send conn m
   in
 
+  let kill_at_lease =
+    match chaos with Some c -> c.Chaos.kill_at_lease | None -> None
+  in
   (* Coordinator task arrivals bypass the spawn accounting on purpose:
      the spiller already counted the task when it was spawned. *)
   let receive_task lease depth payload =
+    (match kill_at_lease with
+    | Some n when !steals + 1 >= n ->
+      (* Chaos crash on the N-th lease: it is outstanding right now. *)
+      Unix.kill (Unix.getpid ()) Sys.sigkill
+    | _ -> ());
     if !steal_inflight then begin
       steal_inflight := false;
       (* Wire-level steal latency: request sent to task in hand. *)

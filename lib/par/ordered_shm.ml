@@ -69,10 +69,10 @@ let search (type s n) ?workers ?(dcutoff = 2) (p : (s, n, n) Problem.t) : n =
           in
           let rec drive () =
             match Engine.step ~prune_rest ~keep:(keep_against !threshold) e with
-            | Engine.Enter n ->
-              consider n;
+            | Engine.Enter ->
+              consider (Engine.current e);
               drive ()
-            | Engine.Pruned _ | Engine.Leave -> drive ()
+            | Engine.Pruned | Engine.Leave -> drive ()
             | Engine.Exhausted -> ()
           in
           drive ()

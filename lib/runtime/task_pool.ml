@@ -83,7 +83,16 @@ let take t ~recorder ~stop ~waiting ?(slot = -1) ?episode ?steal_counters
           ep.dry_since <- Recorder.now recorder;
           Atomic.incr c.Counters.steal_attempts
         | Some _ | None -> ());
-        if drained () then Exhausted
+        if drained () then begin
+          (* The worker's last dry episode is idle time too, from its
+             first dry probe to the end of the run; recording it gives
+             every worker that looked for work a trace, even one that
+             started after the others had finished. *)
+          if ep.attempted then
+            Recorder.span recorder Recorder.Idle ~span:0 ~start:ep.dry_since
+              ~value:0;
+          Exhausted
+        end
         else begin
           Atomic.incr waiting;
           (* Lost-wakeup guard for the lock-free tier: deque pushers

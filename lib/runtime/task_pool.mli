@@ -94,7 +94,9 @@ val take :
     slot than [slot] counts as a success (its recorded [Steal] event
     spans the steal latency: first dry probe to task in hand); each
     wait is recorded as one [Idle] event from its real start — a worker handed
-    back a task it pushed itself is not stealing. [episode] (default
+    back a task it pushed itself is not stealing. The episode that
+    ends in [drained] is recorded as a final [Idle] event from its
+    first dry probe, so every worker that looked for work leaves one. [episode] (default
     fresh) carries that state across tiers. [on_idle], when given,
     receives each wait's wall-clock duration (the dist heartbeat's
     idle fraction). *)

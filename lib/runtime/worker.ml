@@ -27,7 +27,7 @@ type ('s, 'n) ctx = {
   failure : exn option Atomic.t;
   engines : ('s, 'n) Engine.t option ref array;
       (* per-slot scratch engine, restarted for each task so the hot
-         loop reuses one generator stack instead of allocating one *)
+         loop reuses one engine record instead of allocating one *)
 }
 
 let make_ctx ~space ~children ~coordination ~counters ~recorders ~views
@@ -129,9 +129,9 @@ let exec_task ctx ~slot (task : 'n Task_pool.task) =
      | (Coordination.Depth_bounded { dcutoff } | Coordination.Best_first { dcutoff })
        when task.Task_pool.depth < dcutoff ->
        let rec spawn_children kept seq =
-         match Seq.uncons seq with
-         | None -> kept
-         | Some (child, rest) ->
+         match seq () with
+         | Seq.Nil -> kept
+         | Seq.Cons (child, rest) ->
            if view.Ops.keep child then begin
              spawn ctx ~slot
                { Task_pool.tag; node = child; depth = task.Task_pool.depth + 1 };
@@ -147,8 +147,8 @@ let exec_task ctx ~slot (task : 'n Task_pool.task) =
      | Coordination.Sequential | Coordination.Depth_bounded _
      | Coordination.Stack_stealing _ | Coordination.Budget _
      | Coordination.Best_first _ | Coordination.Random_spawn _ ->
-       (* The slot's engine is recycled across tasks ([Engine.restart]):
-          steady-state task execution reuses one generator stack. *)
+       (* The slot's engine record is recycled across tasks
+          ([Engine.restart]); each task allocates only its root frame. *)
        let e =
          match !(ctx.engines.(slot)) with
          | Some e ->
@@ -164,9 +164,15 @@ let exec_task ctx ~slot (task : 'n Task_pool.task) =
            e
        in
        let last_bt = ref 0 in
+       (* Only Random_spawn draws from a per-task stream; the other
+          coordinations skip the hash and the generator. *)
        let rng =
-         Yewpar_util.Splitmix.of_seed
-           (Hashtbl.hash task.Task_pool.depth lxor 0x5e1f)
+         match ctx.coordination with
+         | Coordination.Random_spawn _ ->
+           Some
+             (Yewpar_util.Splitmix.of_seed
+                (Hashtbl.hash task.Task_pool.depth lxor 0x5e1f))
+         | _ -> None
        in
        let rec go () =
          if Atomic.get ctx.stop then ()
@@ -175,10 +181,10 @@ let exec_task ctx ~slot (task : 'n Task_pool.task) =
              Engine.step ~prune_rest:view.Ops.prune_siblings ~keep:view.Ops.keep
                e
            with
-           | Engine.Enter n ->
+           | Engine.Enter ->
              incr dcell;
              Depth_profile.note_node prof !dcell;
-             if view.Ops.process n then begin
+             if view.Ops.process (Engine.current e) then begin
                (match ctx.coordination with
                | Coordination.Stack_stealing { chunked } ->
                  maybe_split_for_thieves ctx ~slot view ~chunked ~tag e
@@ -186,7 +192,7 @@ let exec_task ctx ~slot (task : 'n Task_pool.task) =
                go ()
              end
              else request_stop ctx
-           | Engine.Pruned _ ->
+           | Engine.Pruned ->
              Depth_profile.note_prune prof (!dcell + 1);
              go ()
            | Engine.Leave ->
@@ -203,7 +209,9 @@ let exec_task ctx ~slot (task : 'n Task_pool.task) =
                  kept;
                last_bt := Engine.backtracks e
              | Coordination.Random_spawn { mean_interval }
-               when Yewpar_util.Splitmix.int rng mean_interval = 0 -> (
+               when (match rng with
+                    | Some g -> Yewpar_util.Splitmix.int g mean_interval = 0
+                    | None -> false) -> (
                match Engine.split_one e with
                | Some (node, depth) when view.Ops.keep node ->
                  Engine.credit_kept e ~depth:(depth - 1) ~n:1;

@@ -57,7 +57,7 @@ type ('s, 'n) ctx = {
   engines : ('s, 'n) Yewpar_core.Engine.t option ref array;
       (** Per-slot scratch engine, recycled across tasks with
           {!Yewpar_core.Engine.restart} so steady-state execution
-          reuses one generator stack per worker. *)
+          reuses one engine record per worker. *)
 }
 
 val make_ctx :

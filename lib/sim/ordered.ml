@@ -78,12 +78,12 @@ let search (type s n) ?(costs = Config.default) ?(dcutoff = 2)
       in
       let rec drive () =
         match Engine.step ~prune_rest ~keep:(keep_against !threshold) e with
-        | Engine.Enter n ->
+        | Engine.Enter ->
           incr steps;
           incr total_nodes;
-          consider n;
+          consider (Engine.current e);
           drive ()
-        | Engine.Pruned _ ->
+        | Engine.Pruned ->
           incr steps;
           drive ()
         | Engine.Leave -> drive ()

@@ -401,15 +401,15 @@ let run (type s n r) ?(costs = Config.default) ?(seed = 42) ?trace
       match
         Engine.step ~prune_rest:w.view.Ops.prune_siblings ~keep:w.view.Ops.keep e
       with
-      | Engine.Enter n ->
+      | Engine.Enter ->
         incr nodes;
         cost := !cost +. costs.Config.node_cost;
-        if not (w.view.Ops.process n) then begin
+        if not (w.view.Ops.process (Engine.current e)) then begin
           w.engine <- None;
           task_finished (!now +. !cost);
           stop_search (!now +. !cost)
         end
-      | Engine.Pruned _ ->
+      | Engine.Pruned ->
         incr pruned_total;
         cost := !cost +. costs.Config.node_cost
       | Engine.Leave -> (

@@ -36,11 +36,11 @@ let engine_traversal_order () =
   let e = Engine.make ~space:() ~children:children_of ~root_depth:0 sample in
   let visited = ref [] in
   let rec drive () =
-    match Engine.step ~keep:(fun _ -> true) e with
-    | Engine.Enter n ->
-      visited := value n :: !visited;
+    match Engine.step ~prune_rest:false ~keep:(fun _ -> true) e with
+    | Engine.Enter ->
+      visited := value (Engine.current e) :: !visited;
       drive ()
-    | Engine.Pruned _ | Engine.Leave -> drive ()
+    | Engine.Pruned | Engine.Leave -> drive ()
     | Engine.Exhausted -> ()
   in
   drive ();
@@ -55,11 +55,11 @@ let engine_pruning () =
   let e = Engine.make ~space:() ~children:children_of ~root_depth:0 sample in
   let visited = ref [] in
   let rec drive () =
-    match Engine.step ~keep:(fun n -> value n <> 2) e with
-    | Engine.Enter n ->
-      visited := value n :: !visited;
+    match Engine.step ~prune_rest:false ~keep:(fun n -> value n <> 2) e with
+    | Engine.Enter ->
+      visited := value (Engine.current e) :: !visited;
       drive ()
-    | Engine.Pruned _ | Engine.Leave -> drive ()
+    | Engine.Pruned | Engine.Leave -> drive ()
     | Engine.Exhausted -> ()
   in
   drive ();
@@ -77,11 +77,11 @@ let engine_split_one () =
   (* The remaining traversal must skip the whole subtree of 2. *)
   let visited = ref [] in
   let rec drive () =
-    match Engine.step ~keep:(fun _ -> true) e with
-    | Engine.Enter n ->
-      visited := value n :: !visited;
+    match Engine.step ~prune_rest:false ~keep:(fun _ -> true) e with
+    | Engine.Enter ->
+      visited := value (Engine.current e) :: !visited;
       drive ()
-    | Engine.Pruned _ | Engine.Leave -> drive ()
+    | Engine.Pruned | Engine.Leave -> drive ()
     | Engine.Exhausted -> ()
   in
   drive ();
@@ -96,18 +96,19 @@ let engine_split_lowest () =
   Alcotest.(check (pair (list int) int)) "nothing left to split" ([], 0)
     (let cs, d = Engine.split_lowest e in
      (List.map value cs, d));
-  (match Engine.step ~keep:(fun _ -> true) e with
+  (match Engine.step ~prune_rest:false ~keep:(fun _ -> true) e with
   | Engine.Leave -> ()
   | _ -> Alcotest.fail "expected immediate backtrack after full split");
-  match Engine.step ~keep:(fun _ -> true) e with
+  match Engine.step ~prune_rest:false ~keep:(fun _ -> true) e with
   | Engine.Exhausted -> ()
   | _ -> Alcotest.fail "expected exhaustion"
 
 let engine_split_lowest_mid_search () =
   let e = Engine.make ~space:() ~children:children_of ~root_depth:0 sample in
   (* Enter node 2; lowest unexplored frame is then the root (5, 3). *)
-  (match Engine.step ~keep:(fun _ -> true) e with
-  | Engine.Enter n -> Alcotest.(check int) "entered 2" 2 (value n)
+  (match Engine.step ~prune_rest:false ~keep:(fun _ -> true) e with
+  | Engine.Enter ->
+    Alcotest.(check int) "entered 2" 2 (value (Engine.current e))
   | _ -> Alcotest.fail "expected Enter");
   let cs, d = Engine.split_lowest e in
   Alcotest.(check (list int)) "root remainder split" [ 5; 3 ] (List.map value cs);
@@ -115,11 +116,11 @@ let engine_split_lowest_mid_search () =
   (* 7 and 4 (children of 2) remain. *)
   let visited = ref [] in
   let rec drive () =
-    match Engine.step ~keep:(fun _ -> true) e with
-    | Engine.Enter n ->
-      visited := value n :: !visited;
+    match Engine.step ~prune_rest:false ~keep:(fun _ -> true) e with
+    | Engine.Enter ->
+      visited := value (Engine.current e) :: !visited;
       drive ()
-    | Engine.Pruned _ | Engine.Leave -> drive ()
+    | Engine.Pruned | Engine.Leave -> drive ()
     | Engine.Exhausted -> ()
   in
   drive ();
@@ -135,12 +136,69 @@ let engine_depth_tracking () =
   let e = Engine.make ~space:() ~children:children_of ~root_depth:5 sample in
   Alcotest.(check int) "initial depth = root_depth" 5 (Engine.current_depth e);
   Alcotest.(check int) "stack size 1" 1 (Engine.stack_size e);
-  (match Engine.step ~keep:(fun _ -> true) e with
-  | Engine.Enter _ ->
+  (match Engine.step ~prune_rest:false ~keep:(fun _ -> true) e with
+  | Engine.Enter ->
     Alcotest.(check int) "descended" 6 (Engine.current_depth e);
     Alcotest.(check int) "stack grew" 2 (Engine.stack_size e)
   | _ -> Alcotest.fail "expected Enter");
   Alcotest.(check int) "root anchor preserved" 1 (value (Engine.root e))
+
+(* No retention: once the engine has left a subtree, or been restarted,
+   nothing it holds keeps that subtree's nodes alive. Every node is a
+   fresh block registered in a weak array, tagged with the subtree it
+   belongs to (the index of its depth-1 ancestor, or -1 for the root). *)
+type wnode = { wdepth : int; top : int }
+
+let engine_no_retention () =
+  let nodes = Weak.create 1024 and tops = Array.make 1024 (-2) in
+  let made = ref 0 in
+  let mk wdepth top =
+    let n = { wdepth; top } in
+    Weak.set nodes !made (Some n);
+    tops.(!made) <- top;
+    incr made;
+    n
+  in
+  (* A complete ternary tree of depth 3, generated afresh on demand. *)
+  let children () n =
+    if n.wdepth >= 3 then Seq.empty
+    else
+      Seq.init 3 (fun i ->
+          mk (n.wdepth + 1) (if n.wdepth = 0 then i else n.top))
+  in
+  let live top =
+    let k = ref 0 in
+    for i = 0 to !made - 1 do
+      if tops.(i) = top && Weak.check nodes i then incr k
+    done;
+    !k
+  in
+  let step e = Engine.step ~prune_rest:false ~keep:(fun _ -> true) e in
+  (* Kept out of line so no local of the test holds a node. *)
+  let[@inline never] start () =
+    Engine.make ~space:() ~children ~root_depth:0 (mk 0 (-1))
+  in
+  let e = start () in
+  (* Walk subtree 0 and stop on the Leave that pops its root. *)
+  let rec walk () =
+    match step e with
+    | Engine.Leave when Engine.current_depth e = 0 -> ()
+    | Engine.Enter | Engine.Pruned | Engine.Leave -> walk ()
+    | Engine.Exhausted -> Alcotest.fail "exhausted inside subtree 0"
+  in
+  walk ();
+  (* Enter the root of subtree 1 so the engine is mid-traversal. *)
+  (match step e with
+  | Engine.Enter -> ()
+  | _ -> Alcotest.fail "expected Enter");
+  Gc.full_major ();
+  Alcotest.(check int) "left subtree collected" 0 (live 0);
+  Alcotest.(check bool) "current branch still alive" true (live 1 > 0);
+  let[@inline never] restart () = Engine.restart e ~root_depth:0 (mk 0 (-3)) in
+  restart ();
+  Gc.full_major ();
+  Alcotest.(check int) "previous root collected after restart" 0 (live (-1));
+  Alcotest.(check int) "abandoned branch collected after restart" 0 (live 1)
 
 let sequential_count () =
   let r, stats = Sequential.search_with_stats (count_problem sample) in
@@ -490,11 +548,11 @@ let prop_split_soundness =
           let cs, _ = Engine.split_lowest engine in
           List.iter (fun n -> split_off := !split_off + subtree_size n) cs
         | _ -> ());
-        match Engine.step ~keep:(fun _ -> true) engine with
-        | Engine.Enter _ ->
+        match Engine.step ~prune_rest:false ~keep:(fun _ -> true) engine with
+        | Engine.Enter ->
           incr visited;
           drive ()
-        | Engine.Pruned _ | Engine.Leave -> drive ()
+        | Engine.Pruned | Engine.Leave -> drive ()
         | Engine.Exhausted -> ()
       in
       drive ();
@@ -517,6 +575,7 @@ let () =
             engine_split_lowest_mid_search;
           Alcotest.test_case "drain top" `Quick engine_drain_top;
           Alcotest.test_case "depth tracking" `Quick engine_depth_tracking;
+          Alcotest.test_case "no retention" `Quick engine_no_retention;
         ] );
       ( "sequential",
         [

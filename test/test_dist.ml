@@ -273,13 +273,28 @@ let chaos_parse_spec () =
   (match Chaos.plan (fault_spec "kill-locality:1@0.2s") ~seed:7 ~locality:0 with
   | None -> ()
   | Some _ -> Alcotest.fail "kill-only spec must not plan other localities");
+  (* The progress-keyed crash: the earliest lease wins, and it plans
+     only its own locality. *)
+  let by_lease = fault_spec "kill-locality:2@leases:5,kill-locality:2@leases:3" in
+  (match Chaos.plan by_lease ~seed:7 ~locality:2 with
+  | None -> Alcotest.fail "locality 2 must have a plan"
+  | Some plan ->
+    Alcotest.(check (option int)) "kill lease" (Some 3) plan.Chaos.kill_at_lease;
+    Alcotest.(check (option (float 1e-9))) "no timed kill" None
+      plan.Chaos.kill_after);
+  Alcotest.(check bool) "lease kill plans no other locality" true
+    (Chaos.plan by_lease ~seed:7 ~locality:0 = None);
+  Alcotest.(check string) "lease kill renders back"
+    "kill-locality:2@leases:5, kill-locality:2@leases:3"
+    (Chaos.describe by_lease);
   List.iter
     (fun bad ->
       match Chaos.parse bad with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail (Printf.sprintf "bad spec %S accepted" bad))
     [ ""; "explode"; "kill-locality:x@1s"; "kill-locality:1"; "drop-frame:task:1.5";
-      "delay:-3ms" ]
+      "delay:-3ms"; "kill-locality:1@leases:0"; "kill-locality:1@leases:x";
+      "kill-locality:1@laps:3"; "kill-locality:x@leases:3" ]
 
 let chaos_never_drops_shutdown () =
   (* Even at probability 1.0 Shutdown survives: dropping it would only
@@ -334,8 +349,8 @@ let leased_deltas (type s n r) rng ~leases (p : (s, n, r) Problem.t) codec =
     let v = views.(0) in
     let rec loop () =
       match Engine.step ~prune_rest:v.Ops.prune_siblings ~keep:v.Ops.keep e with
-      | Engine.Enter n -> if process n then loop ()
-      | Engine.Pruned _ | Engine.Leave -> loop ()
+      | Engine.Enter -> if process (Engine.current e) then loop ()
+      | Engine.Pruned | Engine.Leave -> loop ()
       | Engine.Exhausted -> ()
     in
     if process p.Problem.root then loop ();
@@ -591,7 +606,7 @@ let chaos_kill_enumerate () =
   let stats = Stats.create () in
   let r =
     Dist.run ~stats ~watchdog:120. ~localities:3 ~workers:2
-      ~chaos:(fault_spec "kill-locality:1@0.08s")
+      ~chaos:(fault_spec "kill-locality:1@leases:3")
       ~coordination:(Coordination.Depth_bounded { dcutoff = 2 })
       (queens_n 12)
   in
@@ -609,7 +624,7 @@ let chaos_kill_optimise () =
   let stats = Stats.create () in
   let node =
     Dist.run ~stats ~watchdog:120. ~localities:3 ~workers:2
-      ~chaos:(fault_spec "kill-locality:1@0.1s")
+      ~chaos:(fault_spec "kill-locality:1@leases:3")
       ~coordination:(Coordination.Depth_bounded { dcutoff = 2 })
       p
   in
@@ -620,14 +635,14 @@ let chaos_kill_optimise () =
 
 let chaos_kill_decide () =
   (* Same crash under a decision search, whose result travels as lease
-     deltas, residuals and the coordinator's Witness. Both instances
-     run well past the kill: ~1.2 s (sat) and ~0.6 s (unsat) healthy at
-     3x2 on a 2-vCPU host. *)
+     deltas, residuals and the coordinator's Witness. A witness can end
+     the sat search before locality 1 has been handed a third lease, so
+     the crash is keyed to its first. *)
   let run p =
     let stats = Stats.create () in
     let r =
       Dist.run ~stats ~watchdog:120. ~localities:3 ~workers:2
-        ~chaos:(fault_spec "kill-locality:1@0.08s")
+        ~chaos:(fault_spec "kill-locality:1@leases:1")
         ~coordination:(Coordination.Depth_bounded { dcutoff = 2 })
         p
     in
@@ -652,7 +667,7 @@ let chaos_respawn () =
   let stats = Stats.create () in
   let r =
     Dist.run ~stats ~watchdog:120. ~localities:3 ~workers:2 ~max_respawns:1
-      ~chaos:(fault_spec "kill-locality:1@0.08s")
+      ~chaos:(fault_spec "kill-locality:1@leases:3")
       ~coordination:(Coordination.Depth_bounded { dcutoff = 2 })
       (queens_n 12)
   in
@@ -688,7 +703,7 @@ let chaos_journal_causality () =
   let r =
     Dist.run ~stats ~journal:w ~watchdog:120. ~localities:3 ~workers:2
       ~max_respawns:1 ~failure_timeout:2.
-      ~chaos:(fault_spec "kill-locality:1@0.1s")
+      ~chaos:(fault_spec "kill-locality:1@leases:3")
       ~coordination:(Coordination.Depth_bounded { dcutoff = 2 })
       (queens_n 12)
   in
@@ -781,7 +796,7 @@ let progress_final_across_replay () =
   let stats = Stats.create () in
   let r =
     Dist.run ~stats ~watchdog:120. ~localities:3 ~workers:2
-      ~chaos:(fault_spec "kill-locality:1@0.08s")
+      ~chaos:(fault_spec "kill-locality:1@leases:3")
       ~coordination:(Coordination.Depth_bounded { dcutoff = 2 })
       (queens_n 12)
   in

@@ -287,11 +287,11 @@ let engine_follows_traversal_order () =
     in
     let visited = ref [ [] ] in
     let rec drive () =
-      match Yewpar_core.Engine.step ~keep:(fun _ -> true) engine with
-      | Yewpar_core.Engine.Enter w ->
-        visited := w :: !visited;
+      match Yewpar_core.Engine.step ~prune_rest:false ~keep:(fun _ -> true) engine with
+      | Yewpar_core.Engine.Enter ->
+        visited := Yewpar_core.Engine.current engine :: !visited;
         drive ()
-      | Yewpar_core.Engine.Pruned _ | Yewpar_core.Engine.Leave -> drive ()
+      | Yewpar_core.Engine.Pruned | Yewpar_core.Engine.Leave -> drive ()
       | Yewpar_core.Engine.Exhausted -> ()
     in
     drive ();
@@ -300,6 +300,101 @@ let engine_follows_traversal_order () =
     if got <> expected then
       Alcotest.fail (Printf.sprintf "traversal order mismatch (seed %d)" seed)
   done
+
+(* Split partition: random steps interleaved with the engine's split
+   operations, every split-off node traversed as a subtree of its own
+   (as a spawned task is), credited back to its donor frame as the
+   workers do. Every node of the tree must be visited exactly once and
+   complete exactly once, at its own depth, with a kept count (engine
+   entries plus credits) equal to its number of children. *)
+let prop_split_partition =
+  QCheck.Test.make ~name:"engine splits partition the tree" ~count:200
+    QCheck.(pair small_int (list (int_bound 5)))
+    (fun (seed, choices) ->
+      let module E = Yewpar_core.Engine in
+      let module DP = Yewpar_core.Depth_profile in
+      let rng = Splitmix.of_seed (seed + 1000) in
+      let tree =
+        Tree_gen.random_tree ~rng ~max_children:4 ~max_depth:6 ~target_size:60
+      in
+      (* An ephemeral generator: forcing a sequence twice would skip a
+         child, so the splits' pinning of forced sequences is tested. *)
+      let children (s : Subtree.t) w =
+        let next = ref (Subtree.children s w) in
+        Seq.of_dispenser (fun () ->
+            match !next with
+            | [] -> None
+            | c :: rest ->
+              next := rest;
+              Some c)
+      in
+      (* node -> times visited; node -> kept count of each completion *)
+      let visits = Hashtbl.create 64 and completions = Hashtbl.create 64 in
+      let visit w =
+        Hashtbl.replace visits w
+          (1 + Option.value ~default:0 (Hashtbl.find_opt visits w))
+      and complete w kept =
+        Hashtbl.replace completions w
+          (kept :: Option.value ~default:[] (Hashtbl.find_opt completions w))
+      in
+      let choices = ref choices in
+      let next_choice () =
+        match !choices with
+        | [] -> 0
+        | c :: rest ->
+          choices := rest;
+          c
+      in
+      let pending = Queue.create () in
+      let ok = ref true in
+      let traverse (root, root_depth) =
+        if Word.depth root <> root_depth then ok := false;
+        visit root;
+        let prof = DP.create () in
+        let e = E.make ~prof ~space:tree ~children ~root_depth root in
+        let split (cs, d) =
+          List.iter (fun c -> Queue.push (c, d) pending) cs;
+          E.credit_kept e ~depth:(d - 1) ~n:(List.length cs)
+        in
+        let rec drive () =
+          (match next_choice () with
+          | 1 -> (
+            match E.split_one e with
+            | Some (c, d) -> split ([ c ], d)
+            | None -> ())
+          | 2 -> split (E.split_lowest e)
+          | 3 -> split (E.drain_top e)
+          | _ -> ());
+          let d = E.current_depth e in
+          let top = if d >= root_depth then Some (E.current e) else None in
+          let _, _, before, _ = DP.progress_row prof d in
+          match E.step ~prune_rest:false ~keep:(fun _ -> true) e, top with
+          | E.Enter, _ ->
+            visit (E.current e);
+            drive ()
+          | E.Leave, Some w ->
+            let _, _, after, _ = DP.progress_row prof d in
+            if d <> Word.depth w then ok := false;
+            complete w (after - before);
+            drive ()
+          | E.Pruned, _ -> drive ()
+          | E.Leave, None -> ok := false
+          | E.Exhausted, _ -> ()
+        in
+        drive ()
+      in
+      Queue.push ([], 0) pending;
+      while not (Queue.is_empty pending) do
+        traverse (Queue.pop pending)
+      done;
+      !ok
+      && Hashtbl.length visits = Subtree.cardinal tree
+      && Subtree.WSet.for_all
+           (fun w ->
+             Hashtbl.find_opt visits w = Some 1
+             && Hashtbl.find_opt completions w
+                = Some [ List.length (Subtree.children tree w) ])
+           tree.Subtree.nodes)
 
 (* Applying any enabled rule must succeed; applying a rule for an idle
    thread (never enabled except Schedule) must raise. *)
@@ -338,7 +433,7 @@ let prop_enabled_apply_consistent =
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_enum_any_interleaving; prop_opt_any_interleaving; prop_admissibility;
-      prop_enabled_apply_consistent ]
+      prop_enabled_apply_consistent; prop_split_partition ]
 
 let () =
   Alcotest.run "semantics"

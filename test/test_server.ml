@@ -13,6 +13,46 @@ module Journal = Yewpar_telemetry.Journal
 module Instances = Yewpar_instances.Instances
 module Sequential = Yewpar_core.Sequential
 module Stats = Yewpar_core.Stats
+module Problem = Yewpar_core.Problem
+module Codec = Yewpar_core.Codec
+
+(* Jobs whose end the test decides, so no case races a search against
+   its own HTTP calls. [blocker] never finishes on its own: a binary tree
+   40 deep that sleeps 1 ms per expansion, so a worker polls the stop
+   flag between steps and a cancel lands at once. [gated] is a 13-node
+   tree whose root expansion waits until [release] creates a file the
+   forked localities can see, and then completes. *)
+let blocker = "test-blocker"
+let gated = "test-gated"
+
+let release_path =
+  let path = Filename.temp_file "yewpar_release" "" in
+  Sys.remove path;
+  path
+
+let release () = close_out (open_out release_path)
+let () = at_exit (fun () -> try Sys.remove release_path with Sys_error _ -> ())
+
+let test_instances =
+  let servable name children =
+    let p =
+      Problem.count_nodes ~codec:(Codec.marshal ()) ~name ~space:() ~root:0
+        ~children ()
+    in
+    match Server.servable p ~show:string_of_int with
+    | Ok sv -> (name, sv)
+    | Error e -> failwith e
+  in
+  [ servable blocker (fun () d ->
+        if d >= 40 then Seq.empty
+        else begin
+          Unix.sleepf 0.001;
+          Seq.init 2 (fun _ -> d + 1)
+        end);
+    servable gated (fun () d ->
+        if d = 0 then
+          while not (Sys.file_exists release_path) do Unix.sleepf 0.001 done;
+        if d >= 2 then Seq.empty else Seq.init 3 (fun _ -> d + 1)) ]
 
 let registry =
   List.filter_map
@@ -22,6 +62,7 @@ let registry =
       | Ok sv -> Some (i.Instances.name, sv)
       | Error _ -> None)
     (Instances.all ())
+  @ test_instances
 
 let journal_path = Filename.temp_file "yewpar_serve" ".jsonl"
 let () = at_exit (fun () -> try Sys.remove journal_path with Sys_error _ -> ())
@@ -42,10 +83,6 @@ let server =
 let port = Server.port server
 let () = at_exit (fun () -> Server.stop server)
 
-(* A job long enough to still be running when we cancel it: the
-   unsatisfiable k-clique decision instance (~2s sequential). *)
-let long_job = "kclique-spreads-s"
-
 let http ?body ?(meth = "GET") path =
   Http.request ?body ~meth ~port path
 
@@ -59,10 +96,15 @@ let post_job ?(localities = 1) problem skeleton =
 let job_id body =
   int_of_float (J.num_or (-1.) (J.member "id" (J.parse_json body)))
 
+(* The jobs the running case submitted, cancelled if it fails. *)
+let mine = ref []
+
 let submitted ?localities problem skeleton =
   let status, body = post_job ?localities problem skeleton in
   Alcotest.(check int) (problem ^ ": accepted") 202 status;
-  job_id body
+  let id = job_id body in
+  mine := id :: !mine;
+  id
 
 let poll_terminal id =
   let deadline = Unix.gettimeofday () +. 60. in
@@ -80,6 +122,20 @@ let poll_terminal id =
   go ()
 
 let state doc = J.str_or "?" (J.member "state" doc)
+
+(* Wait until the scheduler has started job [id] on the fleet. *)
+let await_running id =
+  let deadline = Unix.gettimeofday () +. 60. in
+  let rec go () =
+    let _, body = http (Printf.sprintf "/jobs/%d" id) in
+    match state (J.parse_json body) with
+    | "running" -> ()
+    | "queued" when Unix.gettimeofday () <= deadline ->
+      Unix.sleepf 0.005;
+      go ()
+    | s -> Alcotest.failf "job %d is %s, not running" id s
+  in
+  go ()
 
 (* Unwrap a nested object member ([J.member] is option-returning). *)
 let sub name doc = Option.value ~default:J.Null (J.member name doc)
@@ -175,13 +231,16 @@ let test_stats_isolation () =
 (* ------------------------------------------------------------------ *)
 
 let test_cancel_frees_slots () =
-  let a = submitted long_job "depthbounded:2" in
-  let b = submitted "queens-10" "depthbounded:2" in
+  let a = submitted blocker "depthbounded:2" in
+  let b = submitted gated "depthbounded:2" in
+  await_running a;
+  await_running b;
   let c = submitted "queens-8" "depthbounded:2" in
   (* Both slots are taken by a and b, so c must wait. *)
   let _, body = http (Printf.sprintf "/jobs/%d" c) in
   Alcotest.(check string) "c queued behind the fleet" "queued"
     (state (J.parse_json body));
+  release ();
   let status, _ = http ~meth:"DELETE" (Printf.sprintf "/jobs/%d" a) in
   Alcotest.(check bool) "DELETE running/queued a" true
     (status = 200 || status = 202);
@@ -208,8 +267,9 @@ let test_cancel_frees_slots () =
 
 let test_queue_overflow () =
   (* 2 running + queue_depth 2 waiting fills the server. *)
-  let running = [ submitted long_job "depthbounded:2";
-                  submitted long_job "depthbounded:2" ] in
+  let running = [ submitted blocker "depthbounded:2";
+                  submitted blocker "depthbounded:2" ] in
+  List.iter await_running running;
   let queued = [ submitted "queens-8" "depthbounded:2";
                  submitted "queens-8" "budget:1000" ] in
   let status, body = post_job "queens-8" "depthbounded:2" in
@@ -233,7 +293,7 @@ let test_queue_overflow () =
 (* ------------------------------------------------------------------ *)
 
 let test_result_readiness () =
-  let id = submitted long_job "depthbounded:2" in
+  let id = submitted blocker "depthbounded:2" in
   let status, _ = http (Printf.sprintf "/jobs/%d/result" id) in
   Alcotest.(check int) "result before terminal -> 409" 409 status;
   let status, _ = http ~meth:"DELETE" (Printf.sprintf "/jobs/%d" id) in
@@ -339,27 +399,45 @@ let test_serve_journal () =
     (first "job_submitted" <= first "job_scheduled"
     && first "job_scheduled" <= first "job_finished")
 
+(* A failing case cancels its own jobs and waits for a quiet fleet, so
+   its failure does not cascade into the cases after it. *)
+let isolated f () =
+  mine := [];
+  try f ()
+  with e ->
+    release ();
+    List.iter
+      (fun id -> ignore (http ~meth:"DELETE" (Printf.sprintf "/jobs/%d" id)))
+      !mine;
+    (try drain () with _ -> ());
+    raise e
+
 let () =
   Alcotest.run "server"
     [
       ( "admission",
         [
-          Alcotest.test_case "bad requests -> 400" `Quick test_bad_requests;
-          Alcotest.test_case "unknown job -> 404" `Quick test_unknown_job;
-          Alcotest.test_case "queue overflow -> 429" `Quick test_queue_overflow;
+          Alcotest.test_case "bad requests -> 400" `Quick
+            (isolated test_bad_requests);
+          Alcotest.test_case "unknown job -> 404" `Quick
+            (isolated test_unknown_job);
+          Alcotest.test_case "queue overflow -> 429" `Quick
+            (isolated test_queue_overflow);
         ] );
       ( "jobs",
         [
           Alcotest.test_case "concurrent jobs match solo runs" `Quick
-            test_stats_isolation;
+            (isolated test_stats_isolation);
           Alcotest.test_case "cancel frees slots for queued job" `Quick
-            test_cancel_frees_slots;
-          Alcotest.test_case "result readiness" `Quick test_result_readiness;
+            (isolated test_cancel_frees_slots);
+          Alcotest.test_case "result readiness" `Quick
+            (isolated test_result_readiness);
         ] );
       ( "introspection",
         [
           Alcotest.test_case "problems, metrics, status" `Quick
-            test_introspection;
-          Alcotest.test_case "per-job journal traces" `Quick test_serve_journal;
+            (isolated test_introspection);
+          Alcotest.test_case "per-job journal traces" `Quick
+            (isolated test_serve_journal);
         ] );
     ]
