@@ -1,40 +1,29 @@
-(* Benchmark harness regenerating every table and figure of the paper's
-   evaluation (§5), plus the ablations listed in DESIGN.md:
+(* Benchmark harness regenerating the simulated tables and figures of
+   the paper's evaluation (§5), plus the ablations listed in DESIGN.md:
 
      dune exec bench/main.exe                 -- everything (quick scale)
      dune exec bench/main.exe -- table1       -- Table 1 only
      dune exec bench/main.exe -- figure4      -- Figure 4 only
-     dune exec bench/main.exe -- serve        -- job-server latency/throughput
      dune exec bench/main.exe -- table2       -- Table 2 only
      dune exec bench/main.exe -- ablations    -- ablation studies
-     dune exec bench/main.exe -- micro        -- Bechamel micro-benchmarks
-     dune exec bench/main.exe -- full         -- everything (more repetitions)
+     dune exec bench/main.exe -- full         -- everything (wider sweeps)
 
-   Wall-clock numbers (Table 1, sequential half) are real; parallel
-   numbers come from the deterministic cluster simulator (see DESIGN.md
-   for the substitution argument). Shapes — who wins, by what factor,
-   where the crossovers are — are the quantities to compare with the
-   paper, not absolute seconds. *)
+   Every number here comes from the deterministic cluster simulator
+   (see DESIGN.md for the substitution argument). Shapes — who wins, by
+   what factor, where the crossovers are — are the quantities to compare
+   with the paper, not absolute seconds. Real-runtime measurements,
+   including Table 1's sequential overhead of the generic skeleton over
+   hand-written MaxClique, come from perfbench (perfbench/run.py). *)
 
 module Table = Yewpar_util.Table
 module Summary = Yewpar_util.Summary
 module Splitmix = Yewpar_util.Splitmix
-module Sequential = Yewpar_core.Sequential
 module Coordination = Yewpar_core.Coordination
 module Sim = Yewpar_sim.Sim
 module Sim_config = Yewpar_sim.Config
 module Metrics = Yewpar_sim.Metrics
 module Instances = Yewpar_instances.Instances
 module Mc = Yewpar_maxclique.Maxclique
-
-let wall f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-let mean_wall ~reps f =
-  let times = List.init reps (fun _ -> snd (wall f)) in
-  Summary.mean times
 
 let section title =
   Printf.printf "\n%s\n%s\n\n" title (String.make (String.length title) '=')
@@ -126,84 +115,51 @@ let sim_speedup ?(experiment = "sim") ?costs ?seed ~topology ~coordination name
 (* Table 1: YewPar overheads on MaxClique.                             *)
 (* ------------------------------------------------------------------ *)
 
-let table1 ~reps () =
+let table1 () =
   section "Table 1: YewPar vs hand-coded MaxClique (18 DIMACS-style instances)";
   Printf.printf
-    "Sequential columns: real wall-clock, mean of %d runs, this machine.\n\
-     Parallel columns: simulated 15 workers / 1 locality; the hand-coded\n\
-     comparator uses the lightweight 'OpenMP' cost preset, YewPar the\n\
-     HPX-like preset with its measured sequential overhead folded into\n\
-     the node cost. Slowdown%% = (yewpar - baseline) / baseline * 100.\n\
-     Instances with sequential runtime over 0.05s (the paper's bold\n\
-     'over 1.5s' rule rescaled to our instance sizes) are marked * and\n\
-     aggregated in the geometric means.\n\n" reps;
-  let rows = ref [] in
-  let seq_slowdowns = ref [] and par_slowdowns = ref [] in
+    "Simulated 15 workers / 1 locality, Depth-Bounded (d=1), the same\n\
+     1 us node cost on both sides: the hand-coded comparator uses the\n\
+     lightweight 'OpenMP' cost preset, YewPar the HPX-like preset. This\n\
+     measures coordination cost only; the sequential overhead of the\n\
+     generic skeleton is perfbench clique's seq_overhead (EXPERIMENTS.md).\n\
+     Slowdown%% = (yewpar - baseline) / baseline * 100. Instances with\n\
+     sequential virtual time over 0.05s (the paper's bold 'over 1.5s'\n\
+     rule rescaled to our instance sizes) are marked * and aggregated in\n\
+     the geometric mean.\n\n";
+  let topology = Sim_config.topology ~localities:1 ~workers:15 in
+  let coordination = Coordination.Depth_bounded { dcutoff = 1 } in
+  let rows = ref [] and slowdowns = ref [] in
   List.iter
     (fun (name, graph) ->
-      let g = Lazy.force graph in
-      let problem = Mc.max_clique g in
-      (* Sequential: hand-coded vs Sequential skeleton (real time). *)
-      let (spec_size, _), _ = (Mc.Specialised.max_clique_size g, ()) in
-      let spec_t = mean_wall ~reps (fun () -> ignore (Mc.Specialised.max_clique_size g)) in
-      let (yew_node, yew_stats), _ = wall (fun () -> Sequential.search_with_stats problem) in
-      let yew_t = mean_wall ~reps (fun () -> ignore (Sequential.search problem)) in
-      assert (spec_size = yew_node.Mc.size);
-      json_record
-        [ ("experiment", jstr "table1"); ("problem", jstr name);
-          ("skeleton", jstr "seq"); ("runtime", jstr "seq");
-          ("localities", jint 1); ("workers", jint 1);
-          ("elapsed", jfloat yew_t);
-          ("elapsed_specialised", jfloat spec_t);
-          ("nodes", jint yew_stats.Yewpar_core.Stats.nodes);
-          ("pruned", jint yew_stats.Yewpar_core.Stats.pruned) ];
-      let seq_slow = Summary.percent_change ~baseline:spec_t yew_t in
-      (* Parallel: simulated OpenMP-style vs simulated YewPar. *)
-      let topology = Sim_config.topology ~localities:1 ~workers:15 in
-      let coordination = Coordination.Depth_bounded { dcutoff = 1 } in
-      let _, m_omp =
-        Sim.run ~costs:Sim_config.openmp_like ~topology ~coordination problem
-      in
-      let yew_costs =
-        Sim_config.with_node_cost Sim_config.default
-          (Sim_config.default.Sim_config.node_cost *. (1. +. (seq_slow /. 100.)))
-      in
-      let _, m_yew = Sim.run ~costs:yew_costs ~topology ~coordination problem in
+      let problem = Mc.max_clique (Lazy.force graph) in
       let seq_virtual = virtual_seq_time name (Instances.Packed (problem, fun _ -> "")) in
-      List.iter
-        (fun (variant, m) ->
-          json_sim_run ~experiment:("table1-" ^ variant) ~name ~coordination
-            ~topology m
-            ~speedup:(Metrics.speedup ~sequential_time:seq_virtual m))
-        [ ("openmp", m_omp); ("yewpar", m_yew) ];
-      let par_slow =
-        Summary.percent_change ~baseline:m_omp.Metrics.makespan m_yew.Metrics.makespan
+      let sim variant costs =
+        let _, m = Sim.run ~costs ~topology ~coordination problem in
+        json_sim_run ~experiment:("table1-" ^ variant) ~name ~coordination
+          ~topology m
+          ~speedup:(Metrics.speedup ~sequential_time:seq_virtual m);
+        m.Metrics.makespan
       in
-      let big = spec_t > 0.05 in
-      if big then begin
-        seq_slowdowns := (1. +. (seq_slow /. 100.)) :: !seq_slowdowns;
-        par_slowdowns := (1. +. (par_slow /. 100.)) :: !par_slowdowns
-      end;
+      let omp = sim "openmp" Sim_config.openmp_like in
+      let yew = sim "yewpar" Sim_config.default in
+      let slow = Summary.percent_change ~baseline:omp yew in
+      let big = seq_virtual > 0.05 in
+      if big then slowdowns := (1. +. (slow /. 100.)) :: !slowdowns;
       rows :=
         [ (name ^ if big then " *" else "");
-          Table.fseconds spec_t; Table.fseconds yew_t; Table.fpercent seq_slow;
-          Printf.sprintf "%.4f" m_omp.Metrics.makespan;
-          Printf.sprintf "%.4f" m_yew.Metrics.makespan; Table.fpercent par_slow ]
+          Printf.sprintf "%.4f" seq_virtual; Printf.sprintf "%.4f" omp;
+          Printf.sprintf "%.4f" yew; Table.fpercent slow ]
         :: !rows;
       Printf.eprintf "  [table1] %s done\n%!" name)
     Instances.clique_graphs;
-  let geo xs = (Summary.geometric_mean xs -. 1.) *. 100. in
-  let rows =
-    List.rev !rows
-    @ [ [ "Geo. mean (*)"; ""; ""; Table.fpercent (geo !seq_slowdowns); ""; "";
-          Table.fpercent (geo !par_slowdowns) ] ]
-  in
+  let geo = (Summary.geometric_mean !slowdowns -. 1.) *. 100. in
   print_endline
     (Table.render
        ~header:
-         [ "Instance"; "Seq spec (s)"; "Seq YewPar (s)"; "Slowdown (%)";
-           "OpenMP-sim (s)"; "DB-sim (s)"; "Slowdown (%)" ]
-       rows)
+         [ "Instance"; "Seq (virtual s)"; "OpenMP-sim (s)"; "DB-sim (s)";
+           "Slowdown (%)" ]
+       (List.rev !rows @ [ [ "Geo. mean (*)"; ""; ""; ""; Table.fpercent geo ] ]))
 
 (* ------------------------------------------------------------------ *)
 (* Figure 4: k-clique scaling to 255 workers / 17 localities.          *)
@@ -265,116 +221,6 @@ let figure4 () =
        (List.map
           (fun (s, ms) -> s :: List.map (fun m -> Table.fspeedup (seq /. m)) ms)
           results))
-
-(* ------------------------------------------------------------------ *)
-(* Job server: throughput and tail latency under concurrent jobs.      *)
-(* ------------------------------------------------------------------ *)
-
-module Server = Yewpar_server.Server
-module Http = Yewpar_telemetry.Http_export
-module J = Yewpar_telemetry.Analyze
-
-(* Must run before any section that spawns a domain: [Server.start]
-   forks the fleet, and OCaml 5 forbids forking once a domain exists
-   (the main driver below calls this first for that reason). *)
-let serve_bench () =
-  section "Job server: concurrent jobs on one persistent fleet";
-  let localities = 2 and workers = 2 in
-  let jobs =
-    [ ("queens-10", "depthbounded:2"); ("knap-ss-20", "budget:1000");
-      ("queens-8", "stacksteal"); ("queens-10", "budget:1000");
-      ("knap-ss-20", "depthbounded:2"); ("queens-8", "depthbounded:2") ]
-  in
-  Printf.printf
-    "%d jobs submitted at once to [yewpar serve] (%d localities x %d\n\
-     workers, max 2 running): per-job latency is submission to\n\
-     completion, so queueing shows up in the tail. Real wall-clock;\n\
-     reported, not gated.\n\n"
-    (List.length jobs) localities workers;
-  let registry =
-    List.filter_map
-      (fun i ->
-        let (Instances.Packed (p, show)) = Lazy.force i.Instances.problem in
-        match Server.servable p ~show with
-        | Ok sv -> Some (i.Instances.name, sv)
-        | Error _ -> None)
-      (Instances.all ())
-  in
-  let config =
-    { Server.default_config with
-      Server.localities; workers; max_jobs = 2; queue_depth = 64 }
-  in
-  let t = Server.start ~config ~registry () in
-  let port = Server.port t in
-  let t0 = Unix.gettimeofday () in
-  let ids =
-    List.map
-      (fun (problem, skeleton) ->
-        let body =
-          Printf.sprintf {|{"problem": %s, "skeleton": %s}|} (jstr problem)
-            (jstr skeleton)
-        in
-        let status, body = Http.request ~meth:"POST" ~body ~port "/jobs" in
-        if status <> 202 then
-          failwith (Printf.sprintf "POST /jobs -> %d: %s" status body);
-        int_of_float (J.num_or (-1.) (J.member "id" (J.parse_json body))))
-      jobs
-  in
-  let rec poll id =
-    let _, body = Http.request ~port (Printf.sprintf "/jobs/%d" id) in
-    let doc = J.parse_json body in
-    match J.str_or "" (J.member "state" doc) with
-    | "done" | "failed" | "cancelled" -> doc
-    | _ ->
-      Unix.sleepf 0.05;
-      poll id
-  in
-  let docs = List.map poll ids in
-  let elapsed = Unix.gettimeofday () -. t0 in
-  Server.stop t;
-  let latencies =
-    List.map
-      (fun doc ->
-        J.num_or nan (J.member "finished" doc)
-        -. J.num_or nan (J.member "submitted" doc))
-      docs
-  in
-  let rows =
-    List.mapi
-      (fun i ((problem, skeleton), (doc, latency)) ->
-        let state = J.str_or "?" (J.member "state" doc) in
-        json_record
-          [ ("experiment", jstr "serve"); ("problem", jstr problem);
-            ("skeleton", jstr skeleton); ("runtime", jstr "serve");
-            ("localities", jint localities); ("workers", jint workers);
-            ("elapsed", jfloat latency); ("job", jint i) ];
-        if state <> "done" then
-          failwith
-            (Printf.sprintf "job %d (%s/%s) ended %s, expected done" i problem
-               skeleton state);
-        [ string_of_int i; problem; skeleton; state;
-          Printf.sprintf "%.4f" latency ])
-      (List.combine jobs (List.combine docs latencies))
-  in
-  let throughput = float_of_int (List.length jobs) /. elapsed in
-  json_record
-    [ ("experiment", jstr "serve-summary"); ("problem", jstr "all");
-      ("skeleton", jstr "mixed"); ("runtime", jstr "serve");
-      ("localities", jint localities); ("workers", jint workers);
-      ("elapsed", jfloat elapsed); ("jobs", jint (List.length jobs));
-      ("throughput", jfloat throughput) ];
-  print_endline
-    (Table.render
-       ~header:[ "Job"; "Instance"; "Skeleton"; "State"; "Latency (s)" ]
-       rows);
-  let sorted = Array.of_list latencies in
-  Array.sort compare sorted;
-  Printf.printf
-    "\nwall %.3fs  throughput %.2f jobs/s  p50 %.4fs  p95 %.4fs  p99 %.4fs\n"
-    elapsed throughput
-    (J.percentile 50. sorted)
-    (J.percentile 95. sorted)
-    (J.percentile 99. sorted)
 
 (* ------------------------------------------------------------------ *)
 (* Table 2: 18 alternate parallelisations on 120 workers.              *)
@@ -609,74 +455,6 @@ let ablation_anomaly () =
     (List.length (List.filter (fun s -> s < 1.) speedups))
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per table/figure kernel.   *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  section "Bechamel micro-benchmarks (kernels of each experiment)";
-  let open Bechamel in
-  let graph = Lazy.force (List.assoc "brock400_4-s" Instances.clique_graphs) in
-  let root = Mc.root graph in
-  (* Table 1 kernel: node generation + processing, generic vs hand-coded. *)
-  let t_table1_generic =
-    Test.make ~name:"table1/lazy-node-generator"
-      (Staged.stage (fun () -> Seq.iter ignore (Mc.children graph root)))
-  in
-  let t_table1_spec =
-    Test.make ~name:"table1/specialised-colouring"
-      (Staged.stage (fun () -> ignore (Mc.colour_order graph root.Mc.candidates)))
-  in
-  (* Figure 4 kernel: a full (tiny) simulated decision search. *)
-  let small_g = Yewpar_graph.Gen.hidden_clique ~seed:9 60 0.5 9 in
-  let t_figure4 =
-    Test.make ~name:"figure4/sim-kclique-2x4"
-      (Staged.stage (fun () ->
-           ignore
-             (Sim.run
-                ~topology:(Sim_config.topology ~localities:2 ~workers:4)
-                ~coordination:(Coordination.Stack_stealing { chunked = true })
-                (Mc.k_clique small_g ~k:9))))
-  in
-  (* Table 2 kernel: engine throughput on an enumeration tree. *)
-  let uts_small =
-    Yewpar_uts.Uts.count_problem
-      { Yewpar_uts.Uts.b0 = 30; q = 0.2; m = 4; max_depth = 60; seed = 2 }
-  in
-  let t_table2 =
-    Test.make ~name:"table2/sequential-engine-uts"
-      (Staged.stage (fun () -> ignore (Sequential.search uts_small)))
-  in
-  let tests =
-    Test.make_grouped ~name:"yewpar"
-      [ t_table1_generic; t_table1_spec; t_figure4; t_table2 ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.5) ~kde:(Some 100) () in
-  let raw = Benchmark.all cfg instances tests in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let est =
-          match Analyze.OLS.estimates ols with
-          | Some [ e ] -> Printf.sprintf "%.1f" e
-          | _ -> "n/a"
-        in
-        let r2 =
-          match Analyze.OLS.r_square ols with
-          | Some r -> Printf.sprintf "%.4f" r
-          | None -> "n/a"
-        in
-        [ name; est; r2 ] :: acc)
-      results []
-  in
-  print_endline
-    (Table.render ~header:[ "Kernel"; "ns/run"; "r^2" ] (List.sort compare rows))
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
@@ -693,7 +471,6 @@ let () =
     extract [] args
   in
   let quick = not (List.mem "full" args) in
-  let reps = if quick then 2 else 5 in
   let dcutoffs = if quick then [ 1; 2; 3; 4; 6 ] else [ 0; 1; 2; 3; 4; 5; 6; 7; 8 ] in
   let budgets =
     if quick then [ 100; 1_000; 10_000; 100_000 ]
@@ -703,10 +480,7 @@ let () =
   let run_all = sections = [] in
   let want s = run_all || List.mem s sections in
   let t0 = Unix.gettimeofday () in
-  (* First: serve forks its fleet, which must happen before any other
-     section spawns a domain (micro and the HTTP exporter itself do). *)
-  if want "serve" then serve_bench ();
-  if want "table1" then table1 ~reps ();
+  if want "table1" then table1 ();
   if want "figure4" then figure4 ();
   if want "table2" then table2 ~dcutoffs ~budgets ();
   if want "ablations" || want "ablation-budget" then ablation_budget ();
@@ -714,7 +488,6 @@ let () =
   if want "ablations" || want "ablation-bestfirst" then ablation_bestfirst ();
   if want "ablations" || want "ablation-ordered" then ablation_ordered ();
   if want "ablations" || want "ablation-anomaly" then ablation_anomaly ();
-  if want "micro" then micro ();
   (match json_file with
   | Some file ->
     write_json file;

@@ -373,9 +373,8 @@ let execute ~runtime ~coordination ~localities ~workers ~seed ~obs
     export_depths obs stats
   | Rt_sim ->
     let topology = Sim_config.topology ~localities ~workers in
-    let trace = Option.map (fun _ -> Yewpar_sim.Trace.create ()) telemetry in
     let (result, metrics), elapsed =
-      wall (fun () -> Sim.run ~seed ?trace ~topology ~coordination p)
+      wall (fun () -> Sim.run ~seed ?trace:telemetry ~topology ~coordination p)
     in
     let _, seq_time = Sim.virtual_sequential p in
     Printf.printf "result:   %s\n" (show result);
@@ -384,20 +383,6 @@ let execute ~runtime ~coordination ~localities ~workers ~seed ~obs
       (Metrics.speedup ~sequential_time:seq_time metrics)
       seq_time;
     Printf.printf "walltime: %.3fs (host)\n" elapsed;
-    (match (telemetry, trace) with
-    | Some tl, Some t ->
-      (* Simulator spans carry rich labels and virtual timestamps;
-         keep them as events named by their label so the exporters and
-         the metric derivation apply uniformly. *)
-      Telemetry.ingest tl ~locality:0 ~offset:0.
-        (List.map
-           (fun s ->
-             Journal.event ~locality:(s.Yewpar_sim.Trace.worker / workers)
-               ~worker:(s.Yewpar_sim.Trace.worker mod workers)
-               ~t:s.Yewpar_sim.Trace.start ~dur:s.Yewpar_sim.Trace.duration
-               ~ev:s.Yewpar_sim.Trace.label ~span:0 ())
-           (Yewpar_sim.Trace.spans t))
-    | _ -> ());
     if obs.obs_journal <> None then
       prerr_endline
         "yewpar: --journal is not supported by the sim runtime (virtual \
@@ -703,12 +688,6 @@ let analyze_cmd =
              ~doc:"Regression threshold for $(b,--compare): a benchmark fails \
                    when its elapsed time grows by more than $(docv) percent.")
   in
-  let serve_arg =
-    Arg.(value & opt (some file) None
-         & info [ "serve" ] ~docv:"FILE"
-             ~doc:"Report per-job tail latency (p50/p95/p99) and throughput \
-                   from the $(b,serve) section of a $(b,bench --json) file.")
-  in
   let journal_arg =
     Arg.(value & opt (some file) None
          & info [ "journal" ] ~docv:"FILE"
@@ -727,10 +706,10 @@ let analyze_cmd =
   let read_file file =
     In_channel.with_open_bin file In_channel.input_all
   in
-  let run compare serve journal new_file threshold top =
+  let run compare journal new_file threshold top =
     let code =
-      match (compare, serve, journal) with
-      | Some old_file, None, None -> (
+      match (compare, journal) with
+      | Some old_file, None -> (
         match new_file with
         | None ->
           prerr_endline
@@ -748,15 +727,7 @@ let analyze_cmd =
           | exception Failure msg ->
             Printf.eprintf "yewpar analyze: %s\n" msg;
             2))
-      | None, Some file, None -> (
-        match Analyze.serve_report (read_file file) with
-        | report ->
-          print_string report;
-          0
-        | exception Failure msg ->
-          Printf.eprintf "yewpar analyze: %s: %s\n" file msg;
-          2)
-      | None, None, Some file -> (
+      | None, Some file -> (
         match Journal.read file with
         | entries, malformed ->
           print_string (Journal.report ~top entries);
@@ -769,25 +740,23 @@ let analyze_cmd =
         | exception Failure msg ->
           Printf.eprintf "yewpar analyze: %s: %s\n" file msg;
           2)
-      | None, None, None ->
+      | None, None ->
         prerr_endline
-          "yewpar analyze: nothing to do (use --compare OLD NEW, --serve \
-           FILE, or --journal FILE)";
+          "yewpar analyze: nothing to do (use --compare OLD NEW or --journal \
+           FILE)";
         2
-      | _ ->
-        prerr_endline
-          "yewpar analyze: --compare, --serve and --journal are exclusive";
+      | Some _, Some _ ->
+        prerr_endline "yewpar analyze: --compare and --journal are exclusive";
         2
     in
     if code <> 0 then exit code
   in
   Cmd.v
     (Cmd.info "analyze"
-       ~doc:"Compare two bench JSON files (A/B regression check), report \
-             job-server tail latency from a bench serve section, or turn a \
-             causal event journal into a critical-path, overhead and \
+       ~doc:"Compare two bench JSON files (A/B regression check), or turn \
+             a causal event journal into a critical-path, overhead and \
              load-balance report.")
-    Term.(const run $ compare_arg $ serve_arg $ journal_arg
+    Term.(const run $ compare_arg $ journal_arg
           $ new_arg $ threshold_arg $ top_arg)
 
 let top_cmd =

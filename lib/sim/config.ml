@@ -41,5 +41,3 @@ let openmp_like =
     steal_local_latency = 1e-6;
     steal_remote_latency = 1e-6;
   }
-
-let with_node_cost c node_cost = { c with node_cost }

@@ -52,7 +52,3 @@ val default : costs
 val openmp_like : costs
 (** Lightweight shared-memory preset used as the hand-coded OpenMP
     comparator in Table 1: cheaper task management, same node cost. *)
-
-val with_node_cost : costs -> float -> costs
-(** Replace the node cost (used to inject the measured sequential
-    abstraction overhead into the Table 1 comparison). *)

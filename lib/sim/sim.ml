@@ -7,6 +7,8 @@ module Knowledge = Yewpar_core.Knowledge
 module Ops = Yewpar_core.Ops
 module Coordination = Yewpar_core.Coordination
 module Problem = Yewpar_core.Problem
+module Telemetry = Yewpar_telemetry.Telemetry
+module Journal = Yewpar_telemetry.Journal
 
 type 'n task = { node : 'n; depth : int }
 
@@ -39,13 +41,18 @@ type ('s, 'n) worker = {
 let run (type s n r) ?(costs = Config.default) ?(seed = 42) ?trace
     ~(topology : Config.topology) ~coordination
     (p : (s, n, r) Problem.t) : r * Metrics.t =
-  let record ~worker ~start ~duration ~label =
-    match trace with
-    | None -> ()
-    | Some t -> Trace.record t ~worker ~start ~duration ~label
-  in
   let n_localities = topology.Config.localities in
   let per_loc = topology.Config.workers_per_locality in
+  (* Each positive-duration busy interval becomes one journal event,
+     named by what the worker was doing, at its virtual start time. *)
+  let record ~worker ~start ~duration ~label =
+    match trace with
+    | Some tl when duration > 0. ->
+      Telemetry.ingest tl ~locality:0 ~offset:0.
+        [ Journal.event ~locality:(worker / per_loc) ~worker:(worker mod per_loc)
+            ~t:start ~dur:duration ~ev:label ~span:0 () ]
+    | _ -> ()
+  in
   let n_workers = n_localities * per_loc in
   let rng = Splitmix.of_seed seed in
   let events : n event Heap.t = Heap.create () in
@@ -517,13 +524,6 @@ let run (type s n r) ?(costs = Config.default) ?(seed = 42) ?trace
         main_loop ()
   in
   main_loop ();
-  (if Sys.getenv_opt "YEWPAR_SIM_DEBUG" <> None then
-     Array.iter
-       (fun w ->
-         if w.busy_time > !finish_time +. 1e-9 then
-           Printf.eprintf "worker %d busy %.6f > makespan %.6f\n" w.id w.busy_time
-             !finish_time)
-       workers);
   let total_work = Array.fold_left (fun acc w -> acc +. w.busy_time) 0. workers in
   let metrics =
     {

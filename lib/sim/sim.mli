@@ -25,13 +25,16 @@
     [(problem, topology, coordination, costs, seed)]. *)
 
 val run :
-  ?costs:Config.costs -> ?seed:int -> ?trace:Trace.t ->
+  ?costs:Config.costs -> ?seed:int -> ?trace:Yewpar_telemetry.Telemetry.t ->
   topology:Config.topology ->
   coordination:Yewpar_core.Coordination.t ->
   ('space, 'node, 'result) Yewpar_core.Problem.t -> 'result * Metrics.t
 (** Simulate one run, returning the (exact) search result and the
-    virtual-time metrics. Pass a {!Trace.t} collector to additionally
-    record every worker's busy intervals (Gantt-style forensics).
+    virtual-time metrics. Pass a telemetry sink as [trace] to also
+    record every worker's busy intervals as journal events: locality
+    [id / workers_per_locality], worker [id mod workers_per_locality],
+    [t] the virtual start, named by what the worker was doing
+    ("engine", "task-root", "pool-pop", …).
     @raise Failure on an internal scheduling deadlock (a bug, not a
     user error). *)
 

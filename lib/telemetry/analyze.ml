@@ -234,8 +234,6 @@ let to_string json =
 
 (* ---------------------------- helpers ---------------------------- *)
 
-let fsec v = Printf.sprintf "%.6f" v
-
 let percentile p sorted =
   let n = Array.length sorted in
   if n = 0 then 0.
@@ -353,70 +351,3 @@ let compare_bench ~threshold_pct ~old_ ~new_ =
        (List.length regressions) (List.length joined) threshold_pct
        (List.length only_old) (List.length only_new));
   { regressions; report = Buffer.contents buf }
-
-(* ------------------------- serve latency ------------------------- *)
-
-let serve_report content =
-  let json = parse_json content in
-  let records =
-    match json with
-    | Arr rs -> rs
-    | Obj _ -> (
-      match member "records" json with
-      | Some (Arr rs) -> rs
-      | _ -> failwith "bench json: expected schema_version and records")
-    | _ -> failwith "bench json: expected an object or array"
-  in
-  let jobs =
-    List.filter (fun r -> str_or "" (member "experiment" r) = "serve") records
-  in
-  if jobs = [] then
-    "no serve records: run bench --sections serve --json first\n"
-  else begin
-    let lats =
-      Array.of_list (List.map (fun r -> num_or 0. (member "elapsed" r)) jobs)
-    in
-    Array.sort compare lats;
-    let buf = Buffer.create 1024 in
-    let summary =
-      List.find_opt
-        (fun r -> str_or "" (member "experiment" r) = "serve-summary")
-        records
-    in
-    (match summary with
-    | Some s ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "serve: %d jobs over %ss wall, %.2f jobs/s (%dx%d fleet)\n\n"
-           (int_of_float (num_or 0. (member "jobs" s)))
-           (fsec (num_or 0. (member "elapsed" s)))
-           (num_or 0. (member "throughput" s))
-           (int_of_float (num_or 0. (member "localities" s)))
-           (int_of_float (num_or 0. (member "workers" s))))
-    | None ->
-      Buffer.add_string buf
-        (Printf.sprintf "serve: %d jobs (no summary record)\n\n"
-           (List.length jobs)));
-    Buffer.add_string buf
-      (Table.render
-         ~header:[ "job"; "problem"; "skeleton"; "latency (s)" ]
-         (List.map
-            (fun r ->
-              [
-                string_of_int (int_of_float (num_or 0. (member "job" r)));
-                str_or "?" (member "problem" r);
-                str_or "?" (member "skeleton" r);
-                fsec (num_or 0. (member "elapsed" r));
-              ])
-            jobs));
-    Buffer.add_char buf '\n';
-    Buffer.add_string buf
-      (Printf.sprintf
-         "job latency (s): n=%d p50=%s p95=%s p99=%s max=%s\n"
-         (Array.length lats)
-         (fsec (percentile 50. lats))
-         (fsec (percentile 95. lats))
-         (fsec (percentile 99. lats))
-         (fsec lats.(Array.length lats - 1)));
-    Buffer.contents buf
-  end

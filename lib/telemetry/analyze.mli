@@ -72,12 +72,3 @@ val compare_bench : threshold_pct:float -> old_:bench -> new_:bench -> verdict
     [new > old * (1 + threshold_pct/100)] on a key present in both
     files. Keys present on one side only are listed but never fail
     the comparison. *)
-
-val serve_report : string -> string
-(** Per-job tail-latency report from [bench --json] content
-    ([yewpar analyze --serve]): reads the [serve] section's records
-    (one per job, [elapsed] = submission-to-completion latency) plus
-    the [serve-summary] record (wall time, throughput), and renders a
-    per-job table with p50/p95/p99/max latency. Explains itself when
-    the file has no serve records.
-    @raise Failure on malformed JSON. *)

@@ -13,13 +13,15 @@
     - {!to_chrome} — Chrome trace-event JSON (open in Perfetto or
       chrome://tracing): one process group per locality, one track per
       worker;
-    - {!to_csv} — the simulator's [worker,start,duration,label] CSV
-      ({!Yewpar_sim.Trace.to_csv} parity), workers numbered densely
-      across localities;
+    - {!to_csv} — [worker,start,duration,label] Gantt rows, workers
+      numbered densely across localities;
     - {!metrics}/{!to_prometheus} — a {!Metrics} registry derived from
       the events (task-duration / steal-latency / idle-wait
       log-histograms, event counters, drop counts) in Prometheus text
       exposition format.
+
+    The simulator feeds a sink too: [Sim.run ~trace] ingests each
+    virtual-time busy interval of a simulated worker as one event.
 
     The views draw the events that carry a worker slot; [journal_drop]
     events (no worker) feed {!dropped}. A sink is fed from one thread
@@ -51,9 +53,9 @@ val to_chrome : t -> string
     journal kind, with the span and value as [args]. *)
 
 val to_csv : t -> string
-(** [worker,start,duration,label] rows, the simulator's span CSV
-    format; workers are densely renumbered across localities, starts
-    are relative to the earliest event and the label is the kind. *)
+(** [worker,start,duration,label] rows; workers are densely
+    renumbered across localities, starts are relative to the earliest
+    event and the label is the kind. *)
 
 val metrics : t -> Metrics.t
 (** Derive the metric catalogue (see MANUAL §5.2) from the events. *)

@@ -23,6 +23,5 @@ let render ~header rows =
   in
   String.concat "\n" (fmt_row header :: rule :: List.map fmt_row rows)
 
-let fseconds t = Printf.sprintf "%.2f" t
 let fpercent p = Printf.sprintf "%.2f" p
 let fspeedup s = Printf.sprintf "%.2f" s

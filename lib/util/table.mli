@@ -9,9 +9,6 @@ val render : header:string list -> string list list -> string
     right-aligned (matching numeric tables). Rows shorter than the header
     are padded with empty cells. *)
 
-val fseconds : float -> string
-(** Format a duration in seconds with two decimals, e.g. ["12.34"]. *)
-
 val fpercent : float -> string
 (** Format a percentage with two decimals and sign, e.g. ["-5.54"]. *)
 

@@ -200,54 +200,7 @@ let compare_disjoint_keys () =
     (contains "0/0 compared benchmarks regressed beyond +10.0% (1 removed, 1 \
                added)")
 
-(* ----------------------------- serve ------------------------------ *)
-
-let serve_record ~job ~problem ~skeleton elapsed =
-  Printf.sprintf
-    "{\"experiment\":\"serve\",\"problem\":%S,\"skeleton\":%S,\
-     \"runtime\":\"serve\",\"localities\":2,\"workers\":2,\
-     \"elapsed\":%f,\"job\":%d}"
-    problem skeleton elapsed job
-
-let serve_summary ~jobs ~elapsed ~throughput =
-  Printf.sprintf
-    "{\"experiment\":\"serve-summary\",\"problem\":\"all\",\
-     \"skeleton\":\"mixed\",\"runtime\":\"serve\",\"localities\":2,\
-     \"workers\":2,\"elapsed\":%f,\"jobs\":%d,\"throughput\":%f}"
-    elapsed jobs throughput
-
-let serve_report () =
-  let content =
-    envelope
-      [
-        serve_record ~job:0 ~problem:"queens-10" ~skeleton:"depthbounded:2" 0.1;
-        serve_record ~job:1 ~problem:"knap-ss-20" ~skeleton:"budget:1000" 0.4;
-        serve_record ~job:2 ~problem:"queens-8" ~skeleton:"stacksteal" 0.2;
-        serve_summary ~jobs:3 ~elapsed:0.5 ~throughput:6.0;
-        (* Other experiments in the same file are ignored. *)
-        record 9.9;
-      ]
-  in
-  let report = Analyze.serve_report content in
-  let contains needle =
-    let re = Str.regexp_string needle in
-    match Str.search_forward re report 0 with
-    | _ -> true
-    | exception Not_found -> false
-  in
-  Alcotest.(check bool) "summary line" true
-    (contains "3 jobs over 0.5");
-  Alcotest.(check bool) "throughput" true (contains "6.00 jobs/s");
-  Alcotest.(check bool) "per-job row" true (contains "knap-ss-20");
-  Alcotest.(check bool) "non-serve record excluded" true
-    (not (contains "queens-12"));
-  (* n=3: the summary record must not be counted as a job latency. *)
-  Alcotest.(check bool) "tail latency line" true (contains "n=3 p50=0.2")
-
-let serve_report_empty () =
-  Alcotest.(check string) "no records"
-    "no serve records: run bench --sections serve --json first\n"
-    (Analyze.serve_report (envelope [ record 1.0 ]))
+(* ----------------------------- json ------------------------------- *)
 
 let json_to_string_round_trip () =
   (* [to_string] output must parse back to the same tree, escapes and
@@ -301,8 +254,6 @@ let () =
         ] );
       ( "serve",
         [
-          Alcotest.test_case "serve report" `Quick serve_report;
-          Alcotest.test_case "empty serve report" `Quick serve_report_empty;
           Alcotest.test_case "json to_string round trip" `Quick
             json_to_string_round_trip;
         ] );

@@ -8,6 +8,8 @@ module Mc = Yewpar_maxclique.Maxclique
 module Gen = Yewpar_graph.Gen
 module Uts = Yewpar_uts.Uts
 module Knapsack = Yewpar_knapsack.Knapsack
+module Telemetry = Yewpar_telemetry.Telemetry
+module Journal = Yewpar_telemetry.Journal
 
 (* A small rose-tree enumeration problem. *)
 type tree = T of int * tree list
@@ -227,44 +229,49 @@ let no_worker_overlap () =
         (Metrics.efficiency m <= 1.0 +. 1e-9))
     coords
 
+(* The sim's trace is journal events in the one event model: on every
+   coordination, each worker's busy intervals lie within [0, makespan],
+   never overlap, and add up to the metrics' total work. *)
 let trace_invariants () =
   let t = mk_tree 7 3 1 in
-  let trace = Yewpar_sim.Trace.create () in
   let topology = Config.topology ~localities:2 ~workers:4 in
-  let _, m =
-    Sim.run ~trace ~topology ~coordination:(Coordination.Budget { budget = 20 })
-      (count_problem t)
-  in
-  let spans = Yewpar_sim.Trace.spans trace in
-  Alcotest.(check bool) "spans recorded" true (List.length spans > 0);
-  (* Spans lie within [0, makespan] and never overlap per worker. *)
-  let by_worker = Hashtbl.create 8 in
   List.iter
-    (fun s ->
-      if s.Yewpar_sim.Trace.start < -1e-12 then Alcotest.fail "span starts before 0";
-      if s.Yewpar_sim.Trace.start +. s.Yewpar_sim.Trace.duration
-         > m.Metrics.makespan +. 1e-9
-      then Alcotest.fail "span ends after makespan";
-      let prev_end =
-        Option.value ~default:0. (Hashtbl.find_opt by_worker s.Yewpar_sim.Trace.worker)
+    (fun (cname, coordination) ->
+      let tl = Telemetry.create () in
+      let _, m = Sim.run ~trace:tl ~topology ~coordination (count_problem t) in
+      let evs = Telemetry.events tl in
+      let check what ok =
+        Alcotest.(check bool) (Printf.sprintf "%s (%s)" what cname) true ok
       in
-      if s.Yewpar_sim.Trace.start < prev_end -. 1e-12 then
-        Alcotest.fail "overlapping spans on one worker";
-      Hashtbl.replace by_worker s.Yewpar_sim.Trace.worker
-        (s.Yewpar_sim.Trace.start +. s.Yewpar_sim.Trace.duration))
-    spans;
-  (* Per-worker totals match the metrics' total work. *)
-  let traced_total =
-    List.fold_left (fun acc s -> acc +. s.Yewpar_sim.Trace.duration) 0. spans
-  in
-  Alcotest.(check bool) "trace covers the busy time" true
-    (Float.abs (traced_total -. m.Metrics.total_work) < 1e-9);
-  (* CSV export is well-formed. *)
-  let csv = Yewpar_sim.Trace.to_csv trace in
-  let lines = String.split_on_char '\n' (String.trim csv) in
-  Alcotest.(check int) "csv rows = spans + header" (List.length spans + 1)
-    (List.length lines);
-  Alcotest.(check string) "csv header" "worker,start,duration,label" (List.hd lines)
+      check "events recorded" (evs <> []);
+      let ends = Hashtbl.create 8 in
+      List.iter
+        (fun (e : Journal.event) ->
+          let key = (e.Journal.locality, e.Journal.worker) in
+          check "worker slot in topology"
+            (e.Journal.locality >= 0 && e.Journal.locality < 2
+            && e.Journal.worker >= 0 && e.Journal.worker < 4);
+          check "positive duration" (e.Journal.dur > 0.);
+          check "starts at or after 0" (e.Journal.t >= -1e-12);
+          check "ends by the makespan"
+            (e.Journal.t +. e.Journal.dur <= m.Metrics.makespan +. 1e-9);
+          let prev_end = Option.value ~default:0. (Hashtbl.find_opt ends key) in
+          check "no overlap on one worker" (e.Journal.t >= prev_end -. 1e-12);
+          Hashtbl.replace ends key (e.Journal.t +. e.Journal.dur))
+        evs;
+      let traced_total =
+        List.fold_left (fun acc (e : Journal.event) -> acc +. e.Journal.dur) 0. evs
+      in
+      check "trace covers the busy time"
+        (Float.abs (traced_total -. m.Metrics.total_work) < 1e-9);
+      let lines = String.split_on_char '\n' (String.trim (Telemetry.to_csv tl)) in
+      Alcotest.(check int)
+        (Printf.sprintf "csv rows = events + header (%s)" cname)
+        (List.length evs + 1) (List.length lines);
+      Alcotest.(check string)
+        (Printf.sprintf "csv header (%s)" cname)
+        "worker,start,duration,label" (List.hd lines))
+    coords
 
 exception Generator_failure
 
@@ -288,19 +295,6 @@ let generator_exceptions_propagate () =
       | exception Generator_failure -> ()
       | _ -> Alcotest.fail (Printf.sprintf "expected failure to surface (%s)" cname))
     coords
-
-let trace_busy_time_accessor () =
-  let trace = Yewpar_sim.Trace.create () in
-  Yewpar_sim.Trace.record trace ~worker:0 ~start:0. ~duration:1. ~label:"a";
-  Yewpar_sim.Trace.record trace ~worker:0 ~start:2. ~duration:0.5 ~label:"b";
-  Yewpar_sim.Trace.record trace ~worker:1 ~start:0. ~duration:3. ~label:"c";
-  Yewpar_sim.Trace.record trace ~worker:1 ~start:9. ~duration:0. ~label:"dropped";
-  Alcotest.(check (float 1e-12)) "worker 0" 1.5
-    (Yewpar_sim.Trace.busy_time trace ~worker:0);
-  Alcotest.(check (float 1e-12)) "worker 1" 3.
-    (Yewpar_sim.Trace.busy_time trace ~worker:1);
-  Alcotest.(check int) "zero spans dropped" 3
-    (List.length (Yewpar_sim.Trace.spans trace))
 
 (* Randomised stress: arbitrary topology × coordination × seed on a
    mid-size irregular tree must always count exactly. *)
@@ -350,7 +344,5 @@ let () =
           Alcotest.test_case "exception propagation" `Quick generator_exceptions_propagate;
           Alcotest.test_case "trace invariants" `Quick trace_invariants;
         ] );
-      ( "trace",
-        [ Alcotest.test_case "busy time accessor" `Quick trace_busy_time_accessor ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_random_configs ]);
     ]
