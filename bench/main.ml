@@ -408,15 +408,14 @@ let ablation_ordered () =
           let g = Lazy.force graph in
           let p = Mc.max_clique g in
           let _, seq_time = Sim.virtual_sequential p in
-          let _, m_db =
-            Sim.run ~topology
-              ~coordination:(Coordination.Depth_bounded { dcutoff = 2 }) p
+          let speedup coordination =
+            let _, m = Sim.run ~topology ~coordination p in
+            Table.fspeedup (Metrics.speedup ~sequential_time:seq_time m)
           in
-          let _, m_ord = Yewpar_sim.Ordered.search ~dcutoff:2 ~topology p in
           Some
             [ name;
-              Table.fspeedup (Metrics.speedup ~sequential_time:seq_time m_db);
-              Table.fspeedup (Metrics.speedup ~sequential_time:seq_time m_ord) ]
+              speedup (Coordination.Depth_bounded { dcutoff = 2 });
+              speedup (Coordination.Ordered { dcutoff = 2 }) ]
         end)
       Instances.clique_graphs
   in

@@ -50,8 +50,9 @@ let skeleton_arg =
   Arg.(value & opt coordination_conv Coordination.Sequential
        & info [ "skeleton"; "s" ] ~docv:"SKEL"
            ~doc:"Search coordination: seq, depthbounded:$(i,D), stacksteal, \
-                 stacksteal:chunked, budget:$(i,B), bestfirst:$(i,D), or \
-                 randomspawn:$(i,N).")
+                 stacksteal:chunked, budget:$(i,B), bestfirst:$(i,D), \
+                 randomspawn:$(i,N), or ordered:$(i,D) (replicable \
+                 optimisation; seq, sim and shm runtimes).")
 
 let runtime_arg =
   Arg.(value & opt runtime_conv Rt_sim
@@ -315,38 +316,38 @@ let execute ~runtime ~coordination ~localities ~workers ~seed ~obs
       Journal.close w
     | _ -> ()
   in
-  (match runtime with
-  | Rt_seq ->
-    let stats = Stats.create () in
-    let result, elapsed =
-      wall (fun () ->
-          Shm.run ~stats ?telemetry ?journal
-            ~coordination:Coordination.Sequential p)
-    in
-    stats.Stats.elapsed <- elapsed;
-    Printf.printf "result:   %s\n" (show result);
-    Format.printf "stats:    %a@." Stats.pp stats;
-    Printf.printf "walltime: %.3fs\n" elapsed;
-    export_observability obs telemetry;
-    export_depths obs stats
-  | Rt_shm ->
-    let stats = Stats.create () in
-    let result, elapsed =
-      wall (fun () ->
-          Shm.run ~workers ~stats ?telemetry ?journal
-            ?monitor_port:obs.obs_monitor ~on_monitor:announce_monitor
-            ~progress:obs.obs_progress ~coordination p)
-    in
-    stats.Stats.elapsed <- elapsed;
-    Printf.printf "result:   %s\n" (show result);
-    Format.printf "stats:    %a@." Stats.pp stats;
-    Printf.printf "walltime: %.3fs (%d domains)\n" elapsed workers;
-    export_observability obs telemetry;
-    export_depths obs stats
-  | Rt_dist ->
-    let stats = Stats.create () in
-    let result, elapsed =
-      match
+  let run () =
+    match runtime with
+    | Rt_seq ->
+      let stats = Stats.create () in
+      let result, elapsed =
+        wall (fun () ->
+            Shm.run ~stats ?telemetry ?journal
+              ~coordination:Coordination.Sequential p)
+      in
+      stats.Stats.elapsed <- elapsed;
+      Printf.printf "result:   %s\n" (show result);
+      Format.printf "stats:    %a@." Stats.pp stats;
+      Printf.printf "walltime: %.3fs\n" elapsed;
+      export_observability obs telemetry;
+      export_depths obs stats
+    | Rt_shm ->
+      let stats = Stats.create () in
+      let result, elapsed =
+        wall (fun () ->
+            Shm.run ~workers ~stats ?telemetry ?journal
+              ?monitor_port:obs.obs_monitor ~on_monitor:announce_monitor
+              ~progress:obs.obs_progress ~coordination p)
+      in
+      stats.Stats.elapsed <- elapsed;
+      Printf.printf "result:   %s\n" (show result);
+      Format.printf "stats:    %a@." Stats.pp stats;
+      Printf.printf "walltime: %.3fs (%d domains)\n" elapsed workers;
+      export_observability obs telemetry;
+      export_depths obs stats
+    | Rt_dist ->
+      let stats = Stats.create () in
+      let result, elapsed =
         wall (fun () ->
             Dist.run ~stats ?telemetry ?journal ?monitor_port:obs.obs_monitor
               ~heartbeat:obs.obs_heartbeat ?watchdog:obs.obs_watchdog
@@ -355,39 +356,42 @@ let execute ~runtime ~coordination ~localities ~workers ~seed ~obs
               ~max_respawns:obs.obs_max_respawns ?chaos:obs.obs_chaos
               ~chaos_seed:obs.obs_chaos_seed ~on_monitor:announce_monitor
               ~timing:obs.obs_timing ~localities ~workers ~coordination p)
-      with
-      | r -> r
-      | exception Invalid_argument msg ->
-        Printf.eprintf "error: %s\n" msg;
-        exit 1
-    in
-    stats.Stats.elapsed <- elapsed;
-    Printf.printf "result:   %s\n" (show result);
-    Format.printf "stats:    %a@." Stats.pp stats;
-    Printf.printf "fault:    localities_lost=%d leases_reissued=%d respawns=%d\n"
-      stats.Stats.localities_lost stats.Stats.leases_reissued
-      stats.Stats.respawns;
-    Printf.printf "walltime: %.3fs (%d localities x %d workers)\n" elapsed
-      localities workers;
-    export_observability obs telemetry;
-    export_depths obs stats
-  | Rt_sim ->
-    let topology = Sim_config.topology ~localities ~workers in
-    let (result, metrics), elapsed =
-      wall (fun () -> Sim.run ~seed ?trace:telemetry ~topology ~coordination p)
-    in
-    let _, seq_time = Sim.virtual_sequential p in
-    Printf.printf "result:   %s\n" (show result);
-    Format.printf "metrics:  %a@." Metrics.pp metrics;
-    Printf.printf "speedup:  %.2fx vs sequential virtual time %.4fs\n"
-      (Metrics.speedup ~sequential_time:seq_time metrics)
-      seq_time;
-    Printf.printf "walltime: %.3fs (host)\n" elapsed;
-    if obs.obs_journal <> None then
-      prerr_endline
-        "yewpar: --journal is not supported by the sim runtime (virtual \
-         time); use seq, shm or dist";
-    export_observability obs telemetry);
+      in
+      stats.Stats.elapsed <- elapsed;
+      Printf.printf "result:   %s\n" (show result);
+      Format.printf "stats:    %a@." Stats.pp stats;
+      Printf.printf "fault:    localities_lost=%d leases_reissued=%d respawns=%d\n"
+        stats.Stats.localities_lost stats.Stats.leases_reissued
+        stats.Stats.respawns;
+      Printf.printf "walltime: %.3fs (%d localities x %d workers)\n" elapsed
+        localities workers;
+      export_observability obs telemetry;
+      export_depths obs stats
+    | Rt_sim ->
+      let topology = Sim_config.topology ~localities ~workers in
+      let (result, metrics), elapsed =
+        wall (fun () -> Sim.run ~seed ?trace:telemetry ~topology ~coordination p)
+      in
+      let _, seq_time = Sim.virtual_sequential p in
+      Printf.printf "result:   %s\n" (show result);
+      Format.printf "metrics:  %a@." Metrics.pp metrics;
+      Printf.printf "speedup:  %.2fx vs sequential virtual time %.4fs\n"
+        (Metrics.speedup ~sequential_time:seq_time metrics)
+        seq_time;
+      Printf.printf "walltime: %.3fs (host)\n" elapsed;
+      if obs.obs_journal <> None then
+        prerr_endline
+          "yewpar: --journal is not supported by the sim runtime (virtual \
+           time); use seq, shm or dist";
+      export_observability obs telemetry
+  in
+  (* A rejected configuration (a bad worker count, a skeleton the
+     problem or runtime cannot run) is a user error on every runtime. *)
+  (match run () with
+  | () -> ()
+  | exception Invalid_argument msg ->
+    Printf.eprintf "error: %s\n" msg;
+    exit 1);
   close_journal ()
 
 let list_cmd =

@@ -20,7 +20,15 @@
       task with the best optimistic bound first;
     - [Random_spawn]: a running task sheds its first lowest-depth
       subtree with probability [1/mean_interval] after each backtrack —
-      the simplest fully-decentralised work generator. *)
+      the simplest fully-decentralised work generator.
+
+    And the replicable skeleton the paper cites (§2.1, [4]):
+
+    - [Ordered]: spawns like Depth-Bounded, but every node carries its
+      position and prunes only with incumbents from its left
+      ({!Ordered_core}), so the witness is the leftmost optimum —
+      Sequential's — on every run. Optimisation problems only, and
+      only on the in-process runtimes. *)
 
 type t =
   | Sequential
@@ -29,11 +37,17 @@ type t =
   | Budget of { budget : int }
   | Best_first of { dcutoff : int }
   | Random_spawn of { mean_interval : int }
+  | Ordered of { dcutoff : int }
 
 val to_string : t -> string
-(** Short human-readable rendering, e.g. ["depthbounded[d=2]"]. *)
+(** Short human-readable rendering, e.g. ["depthbounded[d=2]"]. This
+    bracket form is display text, not CLI syntax ({!of_string} does not
+    parse it). It is also the [skeleton] field that keys the [figure4]
+    records of [BENCH_baseline.json], so changing it breaks the
+    baseline comparison. *)
 
 val of_string : string -> (t, string) result
 (** Parse CLI syntax: ["seq"], ["depthbounded:D"], ["stacksteal"],
     ["stacksteal:chunked"], ["budget:B"], ["bestfirst:D"],
-    ["randomspawn:N"]. *)
+    ["randomspawn:N"], ["ordered:D"] (bare ["depthbounded"],
+    ["bestfirst"] and ["ordered"] mean [D = 2]). *)

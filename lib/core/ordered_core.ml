@@ -7,60 +7,6 @@ let rec path_compare a b =
 
 type 'n entry = { e_path : int list; e_value : int; e_node : 'n }
 
-type 'n prefix = {
-  entries : 'n entry list;
-  tasks : (int list * 'n) list;
-  steps : int;
-}
-
-let prefix_walk ~dcutoff (obj : _ Problem.objective) children space root =
-  if dcutoff <= 0 then { entries = []; tasks = [ ([], root) ]; steps = 0 }
-  else begin
-    let keep_against threshold c =
-      match obj.Problem.bound with None -> true | Some b -> b c > threshold
-    in
-    let prune_rest = obj.Problem.monotone && obj.Problem.bound <> None in
-    let entries = ref [] in
-    let tasks = ref [] in
-    let best = ref min_int in
-    let steps = ref 0 in
-    let submit rev_path node =
-      incr steps;
-      let v = obj.Problem.value node in
-      if v > !best then begin
-        best := v;
-        entries := { e_path = List.rev rev_path; e_value = v; e_node = node } :: !entries
-      end
-    in
-    let rec expand node rev_path depth =
-      let i = ref (-1) in
-      let rec walk seq =
-        match Seq.uncons seq with
-        | None -> ()
-        | Some (child, rest) ->
-          incr i;
-          let child_rev_path = !i :: rev_path in
-          if depth + 1 = dcutoff then begin
-            tasks := (List.rev child_rev_path, child) :: !tasks;
-            walk rest
-          end
-          else if keep_against !best child then begin
-            submit child_rev_path child;
-            expand child child_rev_path (depth + 1);
-            walk rest
-          end
-          else begin
-            incr steps;
-            if not prune_rest then walk rest
-          end
-      in
-      walk (children space node)
-    in
-    submit [] root;
-    expand root [] 0;
-    { entries = !entries; tasks = List.rev !tasks; steps = !steps }
-  end
-
 let left_best entries path =
   List.fold_left
     (fun acc e -> if path_compare e.e_path path < 0 then max acc e.e_value else acc)
@@ -78,3 +24,79 @@ let select entries =
         else Some b)
     None entries
   |> Option.map (fun e -> e.e_node)
+
+type 'n positioned = { path : int list; node : 'n }
+
+let lift ~dcutoff (obj : 'n Problem.objective) (p : ('s, 'n, _) Problem.t) :
+    ('s, 'n positioned, 'n positioned) Problem.t =
+  let children space { path; node } =
+    let kids = p.Problem.children space node in
+    if List.length path < dcutoff then
+      Seq.mapi (fun i c -> { path = path @ [ i ]; node = c }) kids
+    else
+      (* Below the cutoff every node shares its task's path physically,
+         which is what lets a view cache its floor per task. *)
+      Seq.map (fun c -> { path; node = c }) kids
+  in
+  {
+    Problem.name = p.Problem.name;
+    space = p.Problem.space;
+    root = { path = []; node = p.Problem.root };
+    children;
+    kind =
+      Problem.Optimise
+        {
+          Problem.value = (fun c -> obj.Problem.value c.node);
+          bound = Option.map (fun b c -> b c.node) obj.Problem.bound;
+          monotone = obj.Problem.monotone;
+        };
+    codec = None;
+  }
+
+let harness (obj : 'n Problem.objective) : ('n positioned, 'n) Ops.harness =
+  let mutex = Mutex.create () in
+  let log = ref [] in
+  let view (k : 'n positioned Knowledge.t) =
+    (* The task this view last saw (by physical path; a fresh list
+       matches none) and its floor: the best entry strictly left of the
+       task when first seen, raised by the task's own improvements. *)
+    let task = ref [ -1 ] in
+    let floor = ref min_int in
+    let sync path =
+      if path != !task then begin
+        task := path;
+        floor := Mutex.protect mutex (fun () -> left_best !log path)
+      end
+    in
+    let keep =
+      match obj.Problem.bound with
+      | None -> fun _ -> true
+      | Some bound ->
+        fun c ->
+          sync c.path;
+          bound c.node > !floor
+    in
+    let process c =
+      sync c.path;
+      let v = obj.Problem.value c.node in
+      if v > !floor then begin
+        floor := v;
+        Mutex.protect mutex (fun () ->
+            log := { e_path = c.path; e_value = v; e_node = c.node } :: !log);
+        ignore (k.Knowledge.submit c v)
+      end;
+      true
+    in
+    {
+      Ops.process;
+      keep;
+      prune_siblings = obj.Problem.monotone && obj.Problem.bound <> None;
+      priority = (fun _ -> 0);
+    }
+  in
+  let result _ =
+    match select (Mutex.protect mutex (fun () -> !log)) with
+    | Some n -> n
+    | None -> failwith "Ordered_core: optimisation finished without processing the root"
+  in
+  { Ops.view; result }

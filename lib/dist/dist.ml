@@ -117,6 +117,9 @@ let run ?stats ?broadcasts ?telemetry ?journal ?watchdog ?monitor_port
   match coordination with
   | Coordination.Sequential ->
     Yewpar_par.Shm.run ?stats ?telemetry ?journal ~coordination p
+  | Coordination.Ordered _ ->
+    (* Left floors would need positioned incumbents on the wire. *)
+    invalid_arg "Dist.run: the ordered skeleton runs on seq, sim and shm only"
   | Coordination.Depth_bounded _ | Coordination.Stack_stealing _
   | Coordination.Budget _ | Coordination.Best_first _
   | Coordination.Random_spawn _ ->

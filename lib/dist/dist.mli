@@ -125,7 +125,9 @@ val run :
     {!Yewpar_core.Sequential.search} and records the one-task journal
     and trace when asked.
 
-    @raise Invalid_argument if the problem has no task codec or the
-    topology is not at least 1x1.
+    @raise Invalid_argument if the problem has no task codec, the
+    topology is not at least 1x1, or the coordination is [Ordered]
+    (its left-only floors would need positioned incumbents on the
+    wire; run it on {!Yewpar_par.Shm.run} or the simulator).
     @raise Failure if every locality is lost, a locality fails (user
     exception), or the watchdog expires. *)

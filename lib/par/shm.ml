@@ -9,6 +9,7 @@ module Ops = Yewpar_core.Ops
 module Coordination = Yewpar_core.Coordination
 module Problem = Yewpar_core.Problem
 module Sequential = Yewpar_core.Sequential
+module Ordered_core = Yewpar_core.Ordered_core
 module Counters = Yewpar_runtime.Counters
 module Task_pool = Yewpar_runtime.Task_pool
 module Two_tier = Yewpar_runtime.Two_tier
@@ -86,7 +87,7 @@ let recorded ?telemetry ?journal ~recorders ?sample f =
 
 let parallel_run (type s n r) ~n_workers ?stats ?telemetry ?journal
     ?monitor_port ?on_monitor ?(progress = true) ~coordination
-    (p : (s, n, r) Problem.t) : r =
+    ~(harness : (n, r) Ops.harness) (p : (s, n, _) Problem.t) : r =
   (* The shared counter bundle; folded into [stats] after the join. *)
   let counters =
     Counters.create ~profiled:(stats <> None) ~progress ~slots:n_workers ()
@@ -122,7 +123,6 @@ let parallel_run (type s n r) ~n_workers ?stats ?telemetry ?journal
      is span 0, the job). *)
   let span_ctr = Atomic.make 1 in
   let knowledge = Knowledge.make_atomic () in
-  let harness = Ops.harness p.Problem.kind in
   (* Views are created in the main domain (the enumeration harness is
      not thread-safe at view-creation time), one per worker. Each view
      submits through a wrapper that accounts applied incumbent
@@ -305,10 +305,20 @@ let parallel_run (type s n r) ~n_workers ?stats ?telemetry ?journal
   | Some st -> Counters.fold_into counters ~dropped:(all_dropped ()) st);
   harness.Ops.result knowledge
 
-let run ?workers ?stats ?telemetry ?journal ?monitor_port ?on_monitor
-    ?progress ~coordination p =
-  match coordination with
-  | Coordination.Sequential ->
+let run (type s n r) ?workers ?stats ?telemetry ?journal ?monitor_port
+    ?on_monitor ?progress ~coordination (p : (s, n, r) Problem.t) : r =
+  let n_workers =
+    match workers with
+    | Some w when w >= 1 -> w
+    | Some _ -> invalid_arg "Shm.run: workers must be >= 1"
+    | None -> Domain.recommended_domain_count ()
+  in
+  let parallel ~harness q =
+    parallel_run ~n_workers ?stats ?telemetry ?journal ?monitor_port
+      ?on_monitor ?progress ~coordination ~harness q
+  in
+  match (coordination, p.Problem.kind) with
+  | Coordination.Sequential, _ ->
     if not (recording ~telemetry ~journal) then Sequential.search ?stats p
     else begin
       (* One worker, one task covering the whole in-process search:
@@ -321,13 +331,8 @@ let run ?workers ?stats ?telemetry ?journal ?monitor_port ?on_monitor
             ~dur:(Recorder.now r -. start) ~value:0;
           result)
     end
-  | Coordination.Depth_bounded _ | Coordination.Stack_stealing _
-  | Coordination.Budget _ | Coordination.Best_first _ | Coordination.Random_spawn _ ->
-    let n_workers =
-      match workers with
-      | Some w when w >= 1 -> w
-      | Some _ -> invalid_arg "Shm.run: workers must be >= 1"
-      | None -> Domain.recommended_domain_count ()
-    in
-    parallel_run ~n_workers ?stats ?telemetry ?journal ?monitor_port
-      ?on_monitor ?progress ~coordination p
+  | Coordination.Ordered { dcutoff }, Problem.Optimise obj ->
+    parallel ~harness:(Ordered_core.harness obj) (Ordered_core.lift ~dcutoff obj p)
+  | Coordination.Ordered _, (Problem.Enumerate _ | Problem.Decide _) ->
+    invalid_arg "Shm.run: the ordered skeleton needs an optimisation problem"
+  | _ -> parallel ~harness:(Ops.harness p.Problem.kind) p

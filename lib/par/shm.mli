@@ -3,8 +3,8 @@
     The multicore half of the paper's two deployment scales: real
     parallel execution with an atomic incumbent (lock-free CAS
     maximisation), a mutex-protected order-preserving central workpool
-    and a global short-circuit flag. All three parallel coordinations
-    are supported:
+    and a global short-circuit flag. Every parallel coordination runs
+    here, among them:
 
     - Depth-Bounded: tasks above the cutoff push their children to the
       pool;
@@ -13,7 +13,10 @@
     - Stack-Stealing: running workers split their lowest-depth subtree
       on demand whenever idle workers are waiting on an empty pool
       (work pushing, the shared-memory analogue of the paper's
-      victim-side splitting).
+      victim-side splitting);
+    - Ordered: Depth-Bounded spawning over the positioned problem
+      {!Yewpar_core.Ordered_core.lift} with its left-only harness, from
+      a FIFO pool, so the witness is Sequential's on every run.
 
     Results equal the sequential skeleton's up to the documented
     nondeterminism of optimisation/decision witnesses. On a single-core
@@ -31,7 +34,9 @@ val run :
   ('space, 'node, 'result) Yewpar_core.Problem.t -> 'result
 (** [run ~coordination p] executes [p] on [workers] domains (default:
     [Domain.recommended_domain_count ()]). [Sequential] coordination
-    delegates to {!Yewpar_core.Sequential.search}. When [stats] is
+    delegates to {!Yewpar_core.Sequential.search}. Raises
+    [Invalid_argument] when [workers < 1], or for [Ordered] on a
+    problem that is not an optimisation. When [stats] is
     supplied, node/prune/task/steal/bound-update counters aggregated
     across all domains are accumulated into it after the join, along
     with per-depth profiles ({!Yewpar_core.Depth_profile}) and the

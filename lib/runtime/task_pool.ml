@@ -31,6 +31,7 @@ let create ~policy () =
 
 let policy_for = function
   | Coordination.Best_first _ -> Workpool.Priority
+  | Coordination.Ordered _ -> Workpool.Fifo
   | Coordination.Sequential | Coordination.Depth_bounded _
   | Coordination.Stack_stealing _ | Coordination.Budget _
   | Coordination.Random_spawn _ ->

@@ -36,7 +36,8 @@ val create : policy:Yewpar_core.Workpool.policy -> unit -> 'n t
 
 val policy_for : Yewpar_core.Coordination.t -> Yewpar_core.Workpool.policy
 (** The pool policy a coordination wants: [Priority] for best-first,
-    [Depth] otherwise. *)
+    [Fifo] for Ordered (its tasks run in spawn, i.e. heuristic,
+    order), [Depth] otherwise. *)
 
 val size : 'n t -> int
 (** Lock-free read of the size mirror. *)

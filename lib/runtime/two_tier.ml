@@ -10,8 +10,9 @@ type 'n t = {
          spill probe, so none of them has to sum the deques *)
   waiting : int Atomic.t;
   fast : bool;
-      (* a [Priority] pool bypasses the deques entirely: best-first
-         order is global, and a per-worker LIFO would reorder it *)
+      (* only a [Depth] pool has deques in front of it: best-first and
+         Ordered orders are global, and a per-worker LIFO would
+         reorder them *)
   rngs : Splitmix.gen array;
       (* per-slot victim-selection streams; [rngs.(i)] is touched only
          by slot [i]'s domain *)
@@ -24,7 +25,7 @@ let create ~policy ?(deque_capacity = 256) ~slots () =
     pool = Task_pool.create ~policy ();
     queued = Atomic.make 0;
     waiting = Atomic.make 0;
-    fast = policy <> Workpool.Priority;
+    fast = policy = Workpool.Depth;
     rngs = Array.init slots (fun i -> Splitmix.of_seed (0x7ee5 + (i * 0x9e37)));
   }
 
@@ -42,8 +43,8 @@ let deques_nonempty t =
 let enqueue t ~slot ~recorder:_ ~priority task =
   Atomic.incr t.queued;
   if (not t.fast) || slot < 0 || slot >= Array.length t.deques then
-    (* No owner deque (wire arrivals, the communicator) or a priority
-       pool: the ordered tier is the destination. *)
+    (* No owner deque (wire arrivals, the communicator) or a global
+       order: the ordered tier is the destination. *)
     Task_pool.push t.pool ~src:slot ~priority task
   else begin
     let dq = t.deques.(slot) in

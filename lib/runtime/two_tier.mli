@@ -7,10 +7,10 @@
     steals the shallowest entry from a random sibling with one CAS.
     Tier 2 is the ordered {!Task_pool}: deque overflow spills into it
     shallowest-first, pushes with no owning worker (wire arrivals, the
-    communicator) land in it directly, best-first coordinations bypass
-    the deques entirely so the priority order stays global, and it is
-    the only tier distributed localities shed from — so cross-locality
-    work always moves in the order-preserving tier. The pool's
+    communicator) land in it directly, best-first and Ordered
+    coordinations bypass the deques entirely so their order stays
+    global, and it is the only tier distributed localities shed from —
+    so cross-locality work always moves in the order-preserving tier. The pool's
     condition variable is also the block/wake point for workers that
     find both tiers dry.
 
@@ -24,8 +24,9 @@ val create :
   policy:Yewpar_core.Workpool.policy -> ?deque_capacity:int -> slots:int ->
   unit -> 'n t
 (** [slots] worker deques (capacity [deque_capacity], default 256)
-    over one overflow pool with [policy]. A [Priority] policy disables
-    the fast tier: every task goes to the ordered pool. *)
+    over one overflow pool with [policy]. Only the [Depth] policy uses
+    the fast tier: under [Priority] or [Fifo] every task goes to the
+    ordered pool, whose order is global. *)
 
 val enqueue :
   'n t ->
@@ -36,9 +37,9 @@ val enqueue :
   unit
 (** Deliver a task. [slot] is the pushing worker's slot and selects
     its deque; a negative or out-of-range slot (no worker identity)
-    targets the overflow pool, as does any push under a [Priority]
-    policy. A full deque first migrates its shallowest half to the
-    pool. Sleeping workers are woken. A push records no event:
+    targets the overflow pool, as does any push under a policy other
+    than [Depth]. A full deque first migrates its shallowest half to
+    the pool. Sleeping workers are woken. A push records no event:
     [recorder] is accepted so the signature mirrors {!take}. *)
 
 val take :

@@ -51,12 +51,16 @@ let task_priority ~coordination (views : _ Ops.view array) =
   | Coordination.Best_first _ -> (views.(0)).Ops.priority
   | Coordination.Sequential | Coordination.Depth_bounded _
   | Coordination.Stack_stealing _ | Coordination.Budget _
-  | Coordination.Random_spawn _ ->
+  | Coordination.Random_spawn _ | Coordination.Ordered _ ->
     fun _ -> 0
 
 let request_stop ctx =
   Atomic.set ctx.stop true;
   Two_tier.broadcast ctx.tiers
+
+let note_prune ctx ~slot depth =
+  Atomic.incr ctx.counters.Counters.pruned;
+  Depth_profile.note_prune ctx.counters.Counters.profs.(slot) depth
 
 let spawn ctx ~slot task =
   Atomic.incr ctx.counters.Counters.tasks;
@@ -64,15 +68,18 @@ let spawn ctx ~slot task =
     task.Task_pool.depth;
   ctx.scheduler.enqueue ~slot ctx.recorders.(slot) task
 
-(* Bound-filter a split chunk with the engine's sibling-cut semantics
-   so dead tasks are never spawned. *)
-let filter_chunk (view : 'n Ops.view) cs =
+(* Bound-filter a split chunk of children at [depth] with the engine's
+   sibling-cut semantics, so dead tasks are never spawned. A rejected
+   child counts as one prune, as the engine would have counted it. *)
+let filter_chunk ctx ~slot (view : 'n Ops.view) ~depth cs =
   let rec go acc = function
     | [] -> List.rev acc
     | c :: rest ->
       if view.Ops.keep c then go (c :: acc) rest
-      else if view.Ops.prune_siblings then List.rev acc
-      else go acc rest
+      else begin
+        note_prune ctx ~slot depth;
+        if view.Ops.prune_siblings then List.rev acc else go acc rest
+      end
   in
   go [] cs
 
@@ -89,7 +96,7 @@ let maybe_split_for_thieves ctx ~slot (view : 'n Ops.view) ~chunked ~tag e =
   if ctx.scheduler.should_shed () then
     if chunked then begin
       let cs, depth = Engine.split_lowest e in
-      let kept = filter_chunk view cs in
+      let kept = filter_chunk ctx ~slot view ~depth cs in
       Engine.credit_kept e ~depth:(depth - 1) ~n:(List.length kept);
       List.iter
         (fun node -> spawn ctx ~slot { Task_pool.tag; node; depth })
@@ -98,6 +105,9 @@ let maybe_split_for_thieves ctx ~slot (view : 'n Ops.view) ~chunked ~tag e =
     else
       match Engine.split_one e with
       | Some (node, depth) ->
+        (* A rejected single split is not counted as a prune: no
+           sibling cut applies here, so the engine still checks (and
+           counts) the next sibling, as it would have counted this one. *)
         if view.Ops.keep node then begin
           Engine.credit_kept e ~depth:(depth - 1) ~n:1;
           spawn ctx ~slot { Task_pool.tag; node; depth }
@@ -113,10 +123,8 @@ let exec_task ctx ~slot (task : 'n Task_pool.task) =
   let tag = task.Task_pool.tag in
   let started = Recorder.now r in
   dcell := task.Task_pool.depth;
-  (if not (view.Ops.keep task.Task_pool.node) then begin
-     Atomic.incr c.Counters.pruned;
-     Depth_profile.note_prune prof task.Task_pool.depth
-   end
+  (if not (view.Ops.keep task.Task_pool.node) then
+     note_prune ctx ~slot task.Task_pool.depth
    else if not (view.Ops.process task.Task_pool.node) then begin
      Atomic.incr c.Counters.nodes;
      Depth_profile.note_node prof task.Task_pool.depth;
@@ -126,7 +134,9 @@ let exec_task ctx ~slot (task : 'n Task_pool.task) =
      Atomic.incr c.Counters.nodes;
      Depth_profile.note_node prof task.Task_pool.depth;
      match ctx.coordination with
-     | (Coordination.Depth_bounded { dcutoff } | Coordination.Best_first { dcutoff })
+     | ( Coordination.Depth_bounded { dcutoff }
+       | Coordination.Best_first { dcutoff }
+       | Coordination.Ordered { dcutoff } )
        when task.Task_pool.depth < dcutoff ->
        let rec spawn_children kept seq =
          match seq () with
@@ -137,8 +147,11 @@ let exec_task ctx ~slot (task : 'n Task_pool.task) =
                { Task_pool.tag; node = child; depth = task.Task_pool.depth + 1 };
              spawn_children (kept + 1) rest
            end
-           else if not view.Ops.prune_siblings then spawn_children kept rest
-           else kept
+           else begin
+             note_prune ctx ~slot (task.Task_pool.depth + 1);
+             if view.Ops.prune_siblings then kept
+             else spawn_children kept rest
+           end
        in
        let kept =
          spawn_children 0 (ctx.children ctx.space task.Task_pool.node)
@@ -146,7 +159,8 @@ let exec_task ctx ~slot (task : 'n Task_pool.task) =
        Depth_profile.note_complete prof task.Task_pool.depth kept
      | Coordination.Sequential | Coordination.Depth_bounded _
      | Coordination.Stack_stealing _ | Coordination.Budget _
-     | Coordination.Best_first _ | Coordination.Random_spawn _ ->
+     | Coordination.Best_first _ | Coordination.Random_spawn _
+     | Coordination.Ordered _ ->
        (* The slot's engine record is recycled across tasks
           ([Engine.restart]); each task allocates only its root frame. *)
        let e =
@@ -201,7 +215,7 @@ let exec_task ctx ~slot (task : 'n Task_pool.task) =
              | Coordination.Budget { budget }
                when Engine.backtracks e - !last_bt >= budget ->
                let cs, depth = Engine.split_lowest e in
-               let kept = filter_chunk view cs in
+               let kept = filter_chunk ctx ~slot view ~depth cs in
                Engine.credit_kept e ~depth:(depth - 1)
                  ~n:(List.length kept);
                List.iter

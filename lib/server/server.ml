@@ -168,6 +168,21 @@ let refresh_metrics t =
 
 (* ---------------------------- the fleet -------------------------- *)
 
+(* The skeletons a served job may use. Its localities run the worker
+   core with pruning against the global incumbent, so [seq] (no
+   parallel work) and [ordered] (left-only pruning, not available on
+   distributed localities) are refused. *)
+let servable_skeleton skeleton =
+  match Coordination.of_string skeleton with
+  | Error e -> Error e
+  | Ok Coordination.Sequential ->
+    Error "skeleton \"seq\" is not servable: pick a parallel skeleton"
+  | Ok (Coordination.Ordered _) ->
+    Error
+      "skeleton \"ordered\" is not servable: served jobs run on distributed \
+       localities; use yewpar solve with the seq, sim or shm runtime"
+  | Ok c -> Ok c
+
 (* Fork the whole fleet up front: OCaml 5 cannot fork once any domain
    has been spawned, and the HTTP server runs in one — so every
    locality this daemon will ever use (spares included) exists before
@@ -181,10 +196,8 @@ let fork_fleet config registry =
           match List.assoc_opt instance registry with
           | None -> Error (Printf.sprintf "unknown problem %S" instance)
           | Some sv -> (
-            match Coordination.of_string skeleton with
+            match servable_skeleton skeleton with
             | Error e -> Error e
-            | Ok Coordination.Sequential ->
-              Error "skeleton \"seq\" is not servable"
             | Ok coordination ->
               Ok
                 (fun () ->
@@ -415,10 +428,8 @@ let validate t (s : Job.spec) =
       (Printf.sprintf "unknown problem %S (GET /problems lists the registry)"
          s.Job.problem)
   | Some _ -> (
-    match Coordination.of_string s.Job.skeleton with
+    match servable_skeleton s.Job.skeleton with
     | Error e -> Error e
-    | Ok Coordination.Sequential ->
-      Error "skeleton \"seq\" is not servable: pick a parallel skeleton"
     | Ok _ ->
       if s.Job.localities > usable_slots t then
         Error

@@ -30,7 +30,8 @@
     {2 HTTP API}
 
     [POST /jobs] (body [{"problem","skeleton","localities"?}]) → 202
-    with the job document; [GET /jobs] and [GET /jobs/:id] → status;
+    with the job document (400 for a [seq] or [ordered] skeleton:
+    jobs run on distributed localities); [GET /jobs] and [GET /jobs/:id] → status;
     [GET /jobs/:id/result] → result + per-job stats (409 until
     terminal); [DELETE /jobs/:id] → cancel (200 queued / 202 running /
     409 terminal); [GET /problems] → the registry;

@@ -5,6 +5,7 @@ module Engine = Yewpar_core.Engine
 module Workpool = Yewpar_core.Workpool
 module Knowledge = Yewpar_core.Knowledge
 module Ops = Yewpar_core.Ops
+module Ordered_core = Yewpar_core.Ordered_core
 module Coordination = Yewpar_core.Coordination
 module Problem = Yewpar_core.Problem
 module Telemetry = Yewpar_telemetry.Telemetry
@@ -38,9 +39,9 @@ type ('s, 'n) worker = {
   rng : Splitmix.gen;  (* per-worker stream (Random_spawn) *)
 }
 
-let run (type s n r) ?(costs = Config.default) ?(seed = 42) ?trace
-    ~(topology : Config.topology) ~coordination
-    (p : (s, n, r) Problem.t) : r * Metrics.t =
+let simulate (type s n r) ~costs ~seed ?trace ~(topology : Config.topology)
+    ~coordination ~(harness : (n, r) Ops.harness) (p : (s, n, _) Problem.t) :
+    r * Metrics.t =
   let n_localities = topology.Config.localities in
   let per_loc = topology.Config.workers_per_locality in
   (* Each positive-duration busy interval becomes one journal event,
@@ -93,7 +94,6 @@ let run (type s n r) ?(costs = Config.default) ?(seed = 42) ?trace
     }
   in
 
-  let harness = Ops.harness p.Problem.kind in
   let workers =
     Array.init n_workers (fun id ->
         let loc = id / per_loc in
@@ -289,7 +289,9 @@ let run (type s n r) ?(costs = Config.default) ?(seed = 42) ?trace
       end
       else begin
         match coordination with
-        | (Coordination.Depth_bounded { dcutoff } | Coordination.Best_first { dcutoff })
+        | ( Coordination.Depth_bounded { dcutoff }
+          | Coordination.Best_first { dcutoff }
+          | Coordination.Ordered { dcutoff } )
           when task.depth < dcutoff ->
           (* Above the cutoff every child becomes a task (spawn-depth);
              a failed bound check under a monotone generator cuts the
@@ -320,7 +322,8 @@ let run (type s n r) ?(costs = Config.default) ?(seed = 42) ?trace
           schedule_tick w (at +. !cost)
         | Coordination.Sequential | Coordination.Depth_bounded _
         | Coordination.Stack_stealing _ | Coordination.Budget _
-        | Coordination.Best_first _ | Coordination.Random_spawn _ ->
+        | Coordination.Best_first _ | Coordination.Random_spawn _
+        | Coordination.Ordered _ ->
           let e =
             Engine.make ~space:p.Problem.space ~children:p.Problem.children
               ~root_depth:task.depth task.node
@@ -345,7 +348,8 @@ let run (type s n r) ?(costs = Config.default) ?(seed = 42) ?trace
     match coordination with
     | Coordination.Sequential -> () (* only the root task ever exists *)
     | Coordination.Depth_bounded _ | Coordination.Budget _
-    | Coordination.Best_first _ | Coordination.Random_spawn _ -> (
+    | Coordination.Best_first _ | Coordination.Random_spawn _
+    | Coordination.Ordered _ -> (
       match Workpool.pop_local pools.(w.loc) with
       | Some t ->
         w.busy_time <- w.busy_time +. costs.Config.task_overhead;
@@ -540,6 +544,19 @@ let run (type s n r) ?(costs = Config.default) ?(seed = 42) ?trace
     }
   in
   (harness.Ops.result global_k, metrics)
+
+let run (type s n r) ?(costs = Config.default) ?(seed = 42) ?trace ~topology
+    ~coordination (p : (s, n, r) Problem.t) : r * Metrics.t =
+  match (coordination, p.Problem.kind) with
+  | Coordination.Ordered { dcutoff }, Problem.Optimise obj ->
+    simulate ~costs ~seed ?trace ~topology ~coordination
+      ~harness:(Ordered_core.harness obj)
+      (Ordered_core.lift ~dcutoff obj p)
+  | Coordination.Ordered _, (Problem.Enumerate _ | Problem.Decide _) ->
+    invalid_arg "Sim.run: the ordered skeleton needs an optimisation problem"
+  | _ ->
+    simulate ~costs ~seed ?trace ~topology ~coordination
+      ~harness:(Ops.harness p.Problem.kind) p
 
 let virtual_sequential ?(costs = Config.default) p =
   let stats = Yewpar_core.Stats.create () in

@@ -34,7 +34,11 @@ val run :
     record every worker's busy intervals as journal events: locality
     [id / workers_per_locality], worker [id mod workers_per_locality],
     [t] the virtual start, named by what the worker was doing
-    ("engine", "task-root", "pool-pop", …).
+    ("engine", "task-root", "pool-pop", …). [Ordered] runs as
+    Depth-Bounded over {!Yewpar_core.Ordered_core.lift} with its
+    left-only harness.
+    @raise Invalid_argument for [Ordered] on a problem that is not an
+    optimisation.
     @raise Failure on an internal scheduling deadlock (a bug, not a
     user error). *)
 

@@ -10,4 +10,5 @@ $Y solve -i sip-unsat-12   --skeleton stacksteal:chunked --runtime sim -l 8 -w 1
 $Y solve -i ns-genus-21    --skeleton budget:100        --runtime sim -l 8 -w 15
 $Y solve -i uts-bin-a      --skeleton randomspawn:32    --runtime sim -l 8 -w 15
 $Y solve -i sanr200_0.9-s  --skeleton bestfirst:2       --runtime sim -l 8 -w 15
+$Y solve -i sanr200_0.9-s  --skeleton ordered:2         --runtime shm -w 2
 $Y solve -i p_hat700-3-s   --skeleton stacksteal        --runtime shm -w 4

@@ -339,12 +339,6 @@ let ops_decide_keep () =
   Alcotest.(check (option int)) "witness recorded" (Some 10) (h.Ops.result k)
 
 let coordination_strings () =
-  let roundtrip c =
-    match Coordination.of_string (Coordination.to_string c) with
-    | Ok _ -> ()
-    | Error e -> Alcotest.fail e
-  in
-  ignore roundtrip;
   Alcotest.(check string) "seq" "seq" (Coordination.to_string Coordination.Sequential);
   (match Coordination.of_string "depthbounded:3" with
   | Ok (Coordination.Depth_bounded { dcutoff }) ->
@@ -368,6 +362,20 @@ let coordination_strings () =
   | Ok (Coordination.Random_spawn { mean_interval }) ->
     Alcotest.(check int) "randomspawn parsed" 64 mean_interval
   | _ -> Alcotest.fail "parse randomspawn");
+  (match Coordination.of_string "ordered:3" with
+  | Ok (Coordination.Ordered { dcutoff }) ->
+    Alcotest.(check int) "ordered parsed" 3 dcutoff
+  | _ -> Alcotest.fail "parse ordered");
+  (match Coordination.of_string "ordered" with
+  | Ok (Coordination.Ordered { dcutoff }) ->
+    Alcotest.(check int) "bare ordered cutoff" 2 dcutoff
+  | _ -> Alcotest.fail "parse bare ordered");
+  List.iter
+    (fun s ->
+      match Coordination.of_string s with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail ("should reject " ^ s))
+    [ "ordered:-1"; "ordered:x" ];
   match Coordination.of_string "budget:-2" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "should reject negative budget"
@@ -467,21 +475,51 @@ let ordered_core_paths () =
     (OC.select entries);
   Alcotest.(check (option string)) "select empty" None (OC.select [])
 
-let ordered_core_prefix () =
+let ordered_core_lift () =
   let module OC = Yewpar_core.Ordered_core in
-  let obj =
-    { Problem.value; bound = None; monotone = false }
-  in
-  let prefix = OC.prefix_walk ~dcutoff:1 obj children_of () sample in
-  (* Depth-1 cutoff: root processed; its three children become tasks. *)
-  Alcotest.(check int) "one prefix node" 1 prefix.OC.steps;
-  Alcotest.(check int) "three tasks" 3 (List.length prefix.OC.tasks);
-  Alcotest.(check (list (list int))) "task positions in order"
+  let obj = { Problem.value; bound = None; monotone = false } in
+  let p = OC.lift ~dcutoff:1 obj (max_problem sample) in
+  let kids c = List.of_seq (p.Problem.children () c) in
+  (* Depth-1 cutoff: the root's children get their own positions... *)
+  let level1 = kids p.Problem.root in
+  Alcotest.(check (list (list int))) "positions in order"
     [ [ 0 ]; [ 1 ]; [ 2 ] ]
-    (List.map fst prefix.OC.tasks);
-  let zero = OC.prefix_walk ~dcutoff:0 obj children_of () sample in
-  Alcotest.(check int) "dcutoff 0: root is the task" 1 (List.length zero.OC.tasks);
-  Alcotest.(check int) "dcutoff 0: nothing processed" 0 zero.OC.steps
+    (List.map (fun c -> c.OC.path) level1);
+  (* ...and deeper nodes share their task's position physically. *)
+  let first = List.hd level1 in
+  Alcotest.(check bool) "below the cutoff shares the path" true
+    (List.for_all (fun c -> c.OC.path == first.OC.path) (kids first));
+  Alcotest.(check int) "lifted optimum" 9 (value (Sequential.search p).OC.node)
+
+let ordered_core_harness () =
+  let module OC = Yewpar_core.Ordered_core in
+  (* Nodes are (id, value); the bound is the value itself. *)
+  let obj = { Problem.value = snd; bound = Some snd; monotone = false } in
+  let h = OC.harness obj in
+  let k = Knowledge.make_ref () in
+  let left = h.Ops.view k and right = h.Ops.view k in
+  let at path node = { OC.path; node } in
+  ignore (right.Ops.process (at [ 1 ] ("right", 5)));
+  Alcotest.(check int) "entries reach the store" 5 (k.Knowledge.best_obj ());
+  (* A right incumbent never prunes to its left... *)
+  Alcotest.(check bool) "right does not prune left" true
+    (left.Ops.keep (at [ 0 ] ("left", 5)));
+  ignore (left.Ops.process (at [ 0 ] ("left", 5)));
+  (* ...a left one does, and so do the task's own improvements. *)
+  let task = [ 2 ] in
+  let third = h.Ops.view k in
+  Alcotest.(check bool) "left prunes right" false
+    (third.Ops.keep (at task ("third", 5)));
+  ignore (third.Ops.process (at task ("own", 7)));
+  Alcotest.(check bool) "own improvement prunes" false
+    (third.Ops.keep (at task ("worse", 6)));
+  Alcotest.(check (pair string int)) "leftmost maximum" ("own", 7)
+    (h.Ops.result k);
+  let h = OC.harness obj in
+  let v = h.Ops.view k in
+  ignore (v.Ops.process (at [ 1 ] ("b", 3)));
+  ignore (v.Ops.process (at [ 0 ] ("a", 3)));
+  Alcotest.(check (pair string int)) "ties go left" ("a", 3) (h.Ops.result k)
 
 (* Property: sequential count equals the rose-tree size for random trees. *)
 let tree_gen =
@@ -606,7 +644,8 @@ let () =
       ( "ordered-core",
         [
           Alcotest.test_case "paths and selection" `Quick ordered_core_paths;
-          Alcotest.test_case "prefix walk" `Quick ordered_core_prefix;
+          Alcotest.test_case "lift" `Quick ordered_core_lift;
+          Alcotest.test_case "left-only harness" `Quick ordered_core_harness;
         ] );
       ( "dot",
         [

@@ -86,7 +86,7 @@ let check_profile ~cell (stats : Stats.t) =
    spawned in the process, so the test cases below run every dist
    cell (which forks localities) before the first shm cell (which
    spawns domains). *)
-let matrix ?(rts = runtimes) p check =
+let matrix ?(rts = runtimes) ?(coords = coords) p check =
   List.iter
     (fun (rt_name, rt) ->
       List.iter
@@ -155,12 +155,38 @@ let decide_queens_unsat rts () =
       | None -> ()
       | Some _ -> Alcotest.fail (cell ^ ": phantom placement for queens-3"))
 
+let decide_kclique_unsat rts () =
+  (* An unsatisfiable decision never short-circuits and its bound test
+     ([bound >= k]) does not depend on any incumbent, so every runtime
+     must visit exactly the sequential tree and prune exactly its
+     prunes — including the children rejected when a task spawns or
+     splits them, which the engine never sees. *)
+  let g = Gen.uniform ~seed:41 120 0.6 in
+  let p = Mc.k_clique g ~k:13 in
+  let expected, seq_stats = Sequential.search_with_stats p in
+  Alcotest.(check bool) "k = 13 is unsatisfiable" true (expected = None);
+  let coords =
+    [
+      ("depthbounded", Coordination.Depth_bounded { dcutoff = 2 });
+      ("bestfirst", Coordination.Best_first { dcutoff = 2 });
+      ("budget", Coordination.Budget { budget = 50 });
+      ("stacksteal:chunked", Coordination.Stack_stealing { chunked = true });
+    ]
+  in
+  matrix ~rts ~coords p (fun ~cell result stats ->
+      Alcotest.(check bool) (cell ^ ": no witness") true (result = None);
+      Alcotest.(check int) (cell ^ ": nodes") seq_stats.Stats.nodes
+        stats.Stats.nodes;
+      Alcotest.(check int) (cell ^ ": pruned") seq_stats.Stats.pruned
+        stats.Stats.pruned)
+
 let cases rts =
   [
     Alcotest.test_case "enumerate: queens" `Quick (enumerate_queens rts);
     Alcotest.test_case "optimise: maxclique" `Quick (optimise_maxclique rts);
     Alcotest.test_case "decide: queens sat" `Quick (decide_queens_sat rts);
     Alcotest.test_case "decide: queens unsat" `Quick (decide_queens_unsat rts);
+    Alcotest.test_case "decide: k-clique unsat" `Quick (decide_kclique_unsat rts);
   ]
 
 let () =

@@ -175,6 +175,10 @@ let test_bad_requests () =
   Alcotest.(check int) "seq skeleton -> 400" 400 status;
   Alcotest.(check bool) "seq rejection is explained" true
     (J.str_or "" (J.member "error" (J.parse_json body)) <> "");
+  let status, body = post_job "queens-8" "ordered:2" in
+  Alcotest.(check int) "ordered skeleton -> 400" 400 status;
+  Alcotest.(check bool) "ordered rejection is explained" true
+    (J.str_or "" (J.member "error" (J.parse_json body)) <> "");
   let status, _ = post_job ~localities:99 "queens-8" "depthbounded:2" in
   Alcotest.(check int) "too many localities -> 400" 400 status
 
