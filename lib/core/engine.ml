@@ -143,15 +143,20 @@ let split_one t =
       f.rest <- rest;
       Some (c, f.depth + 1))
 
-let drain_top t = drain t.top
-
 (* Frames form a single root-to-tip path with depths one apart, so the
    frame at global depth [depth], if still on the stack, is found by
    walking down from the top. *)
+let rec frame_at depth = function
+  | Frame f when f.depth > depth -> frame_at depth f.below
+  | frame -> frame
+
 let credit_kept t ~depth ~n =
-  let rec go = function
-    | Frame f when f.depth > depth -> go f.below
+  if n > 0 then
+    match frame_at depth t.top with
     | Frame f when f.depth = depth -> f.kept <- f.kept + n
     | Frame _ | Bottom -> ()
-  in
-  if n > 0 then go t.top
+
+let cut_rest t ~depth =
+  match frame_at depth t.top with
+  | Frame f when f.depth = depth -> f.rest <- Seq.empty
+  | Frame _ | Bottom -> ()

@@ -111,11 +111,6 @@ val split_one : ('space, 'node) t -> ('node * int) option
 (** Remove the first (in traversal order) unexplored child at the lowest
     depth — the paper's [spawn-stack] rule. *)
 
-val drain_top : ('space, 'node) t -> 'node list * int
-(** Remove all unexplored children of the {e current} node and return
-    them in traversal order with their global depth — the building block
-    of the Depth-Bounded coordination's [spawn-depth] rule. *)
-
 val credit_kept : ('space, 'node) t -> depth:int -> n:int -> unit
 (** [credit_kept t ~depth ~n] records that [n] children of the frame
     at global depth [depth] were split off and committed to the search
@@ -125,3 +120,10 @@ val credit_kept : ('space, 'node) t -> depth:int -> n:int -> unit
     counts would overestimate when spawn-side filtering prunes. It walks
     down from the top frame, so it costs the distance to that frame; it
     is a no-op if the frame has already been left or [n <= 0]. *)
+
+val cut_rest : ('space, 'node) t -> depth:int -> unit
+(** [cut_rest t ~depth] discards every unexplored child of the frame at
+    global depth [depth] — the sibling cut {!step} applies under
+    [prune_rest] when a child fails [keep], for a child the caller took
+    with {!split_one} and found dead. A no-op if that frame has already
+    been left. *)

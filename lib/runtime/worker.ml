@@ -4,6 +4,7 @@ module Coordination = Yewpar_core.Coordination
 module Problem = Yewpar_core.Problem
 module Depth_profile = Yewpar_core.Depth_profile
 module Recorder = Yewpar_telemetry.Recorder
+module Splitmix = Yewpar_util.Splitmix
 
 type 'n scheduler = {
   enqueue : slot:int -> Recorder.t -> 'n Task_pool.task -> unit;
@@ -14,36 +15,53 @@ type 'n scheduler = {
   end_task : slot:int -> unit;
 }
 
-type ('s, 'n) ctx = {
+(* A slot's current task. The engine record is recycled across tasks
+   ([Engine.restart]), so steady-state execution allocates one engine
+   per slot, not one per task. *)
+type ('s, 'n) slot = {
+  mutable engine : ('s, 'n) Engine.t option;
+  mutable live : bool;  (* the engine has a started task with steps left *)
+  mutable tag : int;
+  mutable root_depth : int;
+  mutable started : float;
+  mutable last_bt : int;  (* backtracks already answered by a Budget shed *)
+  mutable rng : Splitmix.gen option;  (* the task's Random_spawn stream *)
+}
+
+type 'n domains = { scheduler : 'n scheduler; tiers : 'n Two_tier.t }
+
+type ('s, 'n, 'd) ctx = {
   space : 's;
   children : ('s, 'n) Problem.generator;
   coordination : Coordination.t;
   counters : Counters.t;
   recorders : Recorder.t array;
   views : 'n Ops.view array;
-  scheduler : 'n scheduler;
-  tiers : 'n Two_tier.t;
+  enqueue : slot:int -> Recorder.t -> 'n Task_pool.task -> unit;
+  should_shed : slot:int -> bool;
   stop : bool Atomic.t;
-  failure : exn option Atomic.t;
-  engines : ('s, 'n) Engine.t option ref array;
-      (* per-slot scratch engine, restarted for each task so the hot
-         loop reuses one engine record instead of allocating one *)
+  slots : ('s, 'n) slot array;
+  domains : 'd;
 }
 
+let make_step_ctx ~space ~children ~coordination ~counters ~recorders ~views
+    ~enqueue ~should_shed ~stop () =
+  let slot _ =
+    { engine = None; live = false; tag = 0; root_depth = 0; started = 0.;
+      last_bt = 0; rng = None }
+  in
+  { space; children; coordination; counters; recorders; views; enqueue;
+    should_shed; stop; slots = Array.init (Array.length views) slot;
+    domains = () }
+
 let make_ctx ~space ~children ~coordination ~counters ~recorders ~views
-    ~scheduler ~tiers ~stop () =
+    ~(scheduler : _ scheduler) ~tiers ~stop () =
+  let should_shed ~slot:_ = scheduler.should_shed () in
   {
-    space;
-    children;
-    coordination;
-    counters;
-    recorders;
-    views;
-    scheduler;
-    tiers;
-    stop;
-    failure = Atomic.make None;
-    engines = Array.init (Array.length views) (fun _ -> ref None);
+    (make_step_ctx ~space ~children ~coordination ~counters ~recorders ~views
+       ~enqueue:scheduler.enqueue ~should_shed ~stop ())
+    with
+    domains = { scheduler; tiers };
   }
 
 let task_priority ~coordination (views : _ Ops.view array) =
@@ -56,7 +74,7 @@ let task_priority ~coordination (views : _ Ops.view array) =
 
 let request_stop ctx =
   Atomic.set ctx.stop true;
-  Two_tier.broadcast ctx.tiers
+  Two_tier.broadcast ctx.domains.tiers
 
 let note_prune ctx ~slot depth =
   Atomic.incr ctx.counters.Counters.pruned;
@@ -66,201 +84,232 @@ let spawn ctx ~slot task =
   Atomic.incr ctx.counters.Counters.tasks;
   Depth_profile.note_spawn ctx.counters.Counters.profs.(slot)
     task.Task_pool.depth;
-  ctx.scheduler.enqueue ~slot ctx.recorders.(slot) task
+  ctx.enqueue ~slot ctx.recorders.(slot) task
 
-(* Bound-filter a split chunk of children at [depth] with the engine's
-   sibling-cut semantics, so dead tasks are never spawned. A rejected
-   child counts as one prune, as the engine would have counted it. *)
-let filter_chunk ctx ~slot (view : 'n Ops.view) ~depth cs =
-  let rec go acc = function
-    | [] -> List.rev acc
+(* Splits hand children the engine would have reached to other tasks,
+   so each split applies the engine's rules to what it takes: a child
+   failing [keep] counts one prune and, under [prune_siblings], cuts
+   its remaining siblings, exactly as [Engine.step] would have done on
+   reaching it. Kept children are credited back to the donor frame
+   ([Engine.credit_kept]), so the frame's eventual [on_leave] reports
+   the node's true committed-children count — the tree-size
+   estimator's closed-stratum rule depends on it. Each split returns
+   whether it took a node. *)
+let split_chunk ctx ~slot (view : 'n Ops.view) ~tag e =
+  let cs, depth = Engine.split_lowest e in
+  let rec go kept = function
+    | [] -> kept
     | c :: rest ->
-      if view.Ops.keep c then go (c :: acc) rest
+      if view.Ops.keep c then begin
+        spawn ctx ~slot { Task_pool.tag; node = c; depth };
+        go (kept + 1) rest
+      end
       else begin
         note_prune ctx ~slot depth;
-        if view.Ops.prune_siblings then List.rev acc else go acc rest
+        if view.Ops.prune_siblings then kept else go kept rest
       end
   in
-  go [] cs
+  Engine.credit_kept e ~depth:(depth - 1) ~n:(go 0 cs);
+  cs <> []
 
-(* Stack-Stealing work pushing: a running worker sheds work whenever
-   the scheduler signals hunger (local thieves waiting on dry tiers;
-   on dist additionally a starving remote locality). *)
-(* Splits must credit the kept children they ship to other tasks back
-   to the donor frame ([Engine.credit_kept]), so the frame's eventual
-   [on_leave] reports the node's true committed-children count — the
-   tree-size estimator's closed-stratum rule depends on it. Only
-   filtered (kept) children are credited: the spawn-side bound filter
-   prunes the rest. *)
-let maybe_split_for_thieves ctx ~slot (view : 'n Ops.view) ~chunked ~tag e =
-  if ctx.scheduler.should_shed () then
-    if chunked then begin
-      let cs, depth = Engine.split_lowest e in
-      let kept = filter_chunk ctx ~slot view ~depth cs in
-      Engine.credit_kept e ~depth:(depth - 1) ~n:(List.length kept);
-      List.iter
-        (fun node -> spawn ctx ~slot { Task_pool.tag; node; depth })
-        kept
+let split_one ctx ~slot (view : 'n Ops.view) ~tag e =
+  match Engine.split_one e with
+  | Some (node, depth) ->
+    if view.Ops.keep node then begin
+      Engine.credit_kept e ~depth:(depth - 1) ~n:1;
+      spawn ctx ~slot { Task_pool.tag; node; depth }
     end
-    else
-      match Engine.split_one e with
-      | Some (node, depth) ->
-        (* A rejected single split is not counted as a prune: no
-           sibling cut applies here, so the engine still checks (and
-           counts) the next sibling, as it would have counted this one. *)
-        if view.Ops.keep node then begin
-          Engine.credit_kept e ~depth:(depth - 1) ~n:1;
-          spawn ctx ~slot { Task_pool.tag; node; depth }
-        end
-      | None -> ()
+    else begin
+      note_prune ctx ~slot depth;
+      if view.Ops.prune_siblings then Engine.cut_rest e ~depth:(depth - 1)
+    end;
+    true
+  | None -> false
 
-let exec_task ctx ~slot (task : 'n Task_pool.task) =
-  let r = ctx.recorders.(slot) in
+(* Stack-Stealing work pushing: while the scheduler reports hunger,
+   split off work (a chunk or a node per round) until the hunger is
+   answered or nothing is left to split. *)
+let rec shed_to_thieves ctx ~slot view ~chunked ~tag e =
+  if
+    ctx.should_shed ~slot
+    && (if chunked then split_chunk ctx ~slot view ~tag e
+        else split_one ctx ~slot view ~tag e)
+  then shed_to_thieves ctx ~slot view ~chunked ~tag e
+
+let end_span ctx ~slot s =
+  Recorder.span ctx.recorders.(slot) Recorder.Task ~span:s.tag
+    ~start:s.started ~value:s.root_depth
+
+let running ctx ~slot = ctx.slots.(slot).live
+
+let start_task ctx ~slot (task : 'n Task_pool.task) =
+  let s = ctx.slots.(slot) in
   let prof = ctx.counters.Counters.profs.(slot) in
-  let dcell = ctx.counters.Counters.cur_depth.(slot) in
   let view = ctx.views.(slot) in
   let c = ctx.counters in
-  let tag = task.Task_pool.tag in
-  let started = Recorder.now r in
-  dcell := task.Task_pool.depth;
-  (if not (view.Ops.keep task.Task_pool.node) then
-     note_prune ctx ~slot task.Task_pool.depth
-   else if not (view.Ops.process task.Task_pool.node) then begin
-     Atomic.incr c.Counters.nodes;
-     Depth_profile.note_node prof task.Task_pool.depth;
-     request_stop ctx
-   end
-   else begin
-     Atomic.incr c.Counters.nodes;
-     Depth_profile.note_node prof task.Task_pool.depth;
-     match ctx.coordination with
-     | ( Coordination.Depth_bounded { dcutoff }
-       | Coordination.Best_first { dcutoff }
-       | Coordination.Ordered { dcutoff } )
-       when task.Task_pool.depth < dcutoff ->
-       let rec spawn_children kept seq =
-         match seq () with
-         | Seq.Nil -> kept
-         | Seq.Cons (child, rest) ->
-           if view.Ops.keep child then begin
-             spawn ctx ~slot
-               { Task_pool.tag; node = child; depth = task.Task_pool.depth + 1 };
-             spawn_children (kept + 1) rest
-           end
-           else begin
-             note_prune ctx ~slot (task.Task_pool.depth + 1);
-             if view.Ops.prune_siblings then kept
-             else spawn_children kept rest
-           end
-       in
-       let kept =
-         spawn_children 0 (ctx.children ctx.space task.Task_pool.node)
-       in
-       Depth_profile.note_complete prof task.Task_pool.depth kept
-     | Coordination.Sequential | Coordination.Depth_bounded _
-     | Coordination.Stack_stealing _ | Coordination.Budget _
-     | Coordination.Best_first _ | Coordination.Random_spawn _
-     | Coordination.Ordered _ ->
-       (* The slot's engine record is recycled across tasks
-          ([Engine.restart]); each task allocates only its root frame. *)
-       let e =
-         match !(ctx.engines.(slot)) with
-         | Some e ->
-           Engine.restart e ~root_depth:task.Task_pool.depth
-             task.Task_pool.node;
-           e
-         | None ->
-           let e =
-             Engine.make ~prof ~space:ctx.space ~children:ctx.children
-               ~root_depth:task.Task_pool.depth task.Task_pool.node
-           in
-           ctx.engines.(slot) := Some e;
-           e
-       in
-       let last_bt = ref 0 in
-       (* Only Random_spawn draws from a per-task stream; the other
-          coordinations skip the hash and the generator. *)
-       let rng =
-         match ctx.coordination with
-         | Coordination.Random_spawn _ ->
-           Some
-             (Yewpar_util.Splitmix.of_seed
-                (Hashtbl.hash task.Task_pool.depth lxor 0x5e1f))
-         | _ -> None
-       in
-       let rec go () =
-         if Atomic.get ctx.stop then ()
-         else
-           match
-             Engine.step ~prune_rest:view.Ops.prune_siblings ~keep:view.Ops.keep
-               e
-           with
-           | Engine.Enter ->
-             incr dcell;
-             Depth_profile.note_node prof !dcell;
-             if view.Ops.process (Engine.current e) then begin
-               (match ctx.coordination with
-               | Coordination.Stack_stealing { chunked } ->
-                 maybe_split_for_thieves ctx ~slot view ~chunked ~tag e
-               | _ -> ());
-               go ()
-             end
-             else request_stop ctx
-           | Engine.Pruned ->
-             Depth_profile.note_prune prof (!dcell + 1);
-             go ()
-           | Engine.Leave ->
-             decr dcell;
-             (match ctx.coordination with
-             | Coordination.Budget { budget }
-               when Engine.backtracks e - !last_bt >= budget ->
-               let cs, depth = Engine.split_lowest e in
-               let kept = filter_chunk ctx ~slot view ~depth cs in
-               Engine.credit_kept e ~depth:(depth - 1)
-                 ~n:(List.length kept);
-               List.iter
-                 (fun node -> spawn ctx ~slot { Task_pool.tag; node; depth })
-                 kept;
-               last_bt := Engine.backtracks e
-             | Coordination.Random_spawn { mean_interval }
-               when (match rng with
-                    | Some g -> Yewpar_util.Splitmix.int g mean_interval = 0
-                    | None -> false) -> (
-               match Engine.split_one e with
-               | Some (node, depth) when view.Ops.keep node ->
-                 Engine.credit_kept e ~depth:(depth - 1) ~n:1;
-                 spawn ctx ~slot { Task_pool.tag; node; depth }
-               | Some _ | None -> ())
-             | _ -> ());
-             go ()
-           | Engine.Exhausted -> ()
-       in
-       go ();
-       ignore (Atomic.fetch_and_add c.Counters.nodes (Engine.nodes_entered e));
-       ignore (Atomic.fetch_and_add c.Counters.pruned (Engine.nodes_pruned e));
-       ignore (Atomic.fetch_and_add c.Counters.backtracks (Engine.backtracks e));
-       Counters.note_max_depth c (Engine.max_depth e)
-   end);
-  Recorder.span r Recorder.Task ~span:tag ~start:started
-    ~value:task.Task_pool.depth
+  let tag = task.Task_pool.tag and depth = task.Task_pool.depth in
+  s.live <- false;
+  s.tag <- tag;
+  s.root_depth <- depth;
+  s.started <- Recorder.now ctx.recorders.(slot);
+  c.Counters.cur_depth.(slot) := depth;
+  let units =
+    if not (view.Ops.keep task.Task_pool.node) then begin
+      note_prune ctx ~slot depth;
+      0
+    end
+    else begin
+      Atomic.incr c.Counters.nodes;
+      Depth_profile.note_node prof depth;
+      if not (view.Ops.process task.Task_pool.node) then begin
+        Atomic.set ctx.stop true;
+        1
+      end
+      else
+        match ctx.coordination with
+        | ( Coordination.Depth_bounded { dcutoff }
+          | Coordination.Best_first { dcutoff }
+          | Coordination.Ordered { dcutoff } )
+          when depth < dcutoff ->
+          (* Spawn-depth: every child becomes a task, with the engine's
+             bound check and sibling cut. *)
+          let rec spawn_children kept considered seq =
+            match seq () with
+            | Seq.Nil -> (kept, considered)
+            | Seq.Cons (child, rest) ->
+              if view.Ops.keep child then begin
+                spawn ctx ~slot
+                  { Task_pool.tag; node = child; depth = depth + 1 };
+                spawn_children (kept + 1) (considered + 1) rest
+              end
+              else begin
+                note_prune ctx ~slot (depth + 1);
+                if view.Ops.prune_siblings then (kept, considered + 1)
+                else spawn_children kept (considered + 1) rest
+              end
+          in
+          let kept, considered =
+            spawn_children 0 0 (ctx.children ctx.space task.Task_pool.node)
+          in
+          Depth_profile.note_complete prof depth kept;
+          1 + considered
+        | Coordination.Sequential | Coordination.Depth_bounded _
+        | Coordination.Stack_stealing _ | Coordination.Budget _
+        | Coordination.Best_first _ | Coordination.Random_spawn _
+        | Coordination.Ordered _ ->
+          (match s.engine with
+          | Some e -> Engine.restart e ~root_depth:depth task.Task_pool.node
+          | None ->
+            s.engine <-
+              Some
+                (Engine.make ~prof ~space:ctx.space ~children:ctx.children
+                   ~root_depth:depth task.Task_pool.node));
+          s.live <- true;
+          s.last_bt <- 0;
+          (* Only Random_spawn draws from a per-task stream; the other
+             coordinations skip the hash and the generator. *)
+          s.rng <-
+            (match ctx.coordination with
+            | Coordination.Random_spawn _ ->
+              Some (Splitmix.of_seed (Hashtbl.hash depth lxor 0x5e1f))
+            | _ -> None);
+          1
+    end
+  in
+  if not s.live then end_span ctx ~slot s;
+  units
+
+let advance ctx ~slot ~steps =
+  let s = ctx.slots.(slot) in
+  match s.engine with
+  | Some e when s.live ->
+    let prof = ctx.counters.Counters.profs.(slot) in
+    let dcell = ctx.counters.Counters.cur_depth.(slot) in
+    let view = ctx.views.(slot) in
+    let tag = s.tag in
+    let charged () = Engine.nodes_entered e + Engine.nodes_pruned e in
+    let before = charged () in
+    (* [go n] is [true] when the step budget ran out with the task
+       still live, [false] when the task is over. *)
+    let rec go n =
+      if Atomic.get ctx.stop then false
+      else if n = 0 then true
+      else
+        match
+          Engine.step ~prune_rest:view.Ops.prune_siblings ~keep:view.Ops.keep e
+        with
+        | Engine.Enter ->
+          incr dcell;
+          Depth_profile.note_node prof !dcell;
+          if view.Ops.process (Engine.current e) then begin
+            (match ctx.coordination with
+            | Coordination.Stack_stealing { chunked } ->
+              shed_to_thieves ctx ~slot view ~chunked ~tag e
+            | _ -> ());
+            go (n - 1)
+          end
+          else begin
+            Atomic.set ctx.stop true;
+            false
+          end
+        | Engine.Pruned ->
+          Depth_profile.note_prune prof (!dcell + 1);
+          go (n - 1)
+        | Engine.Leave ->
+          decr dcell;
+          (match ctx.coordination with
+          | Coordination.Budget { budget }
+            when Engine.backtracks e - s.last_bt >= budget ->
+            ignore (split_chunk ctx ~slot view ~tag e : bool);
+            s.last_bt <- Engine.backtracks e
+          | Coordination.Random_spawn { mean_interval }
+            when (match s.rng with
+                 | Some g -> Splitmix.int g mean_interval = 0
+                 | None -> false) ->
+            ignore (split_one ctx ~slot view ~tag e : bool)
+          | _ -> ());
+          go (n - 1)
+        | Engine.Exhausted -> false
+    in
+    let paused = go steps in
+    let units = charged () - before in
+    if not paused then begin
+      let c = ctx.counters in
+      s.live <- false;
+      ignore (Atomic.fetch_and_add c.Counters.nodes (Engine.nodes_entered e));
+      ignore (Atomic.fetch_and_add c.Counters.pruned (Engine.nodes_pruned e));
+      ignore (Atomic.fetch_and_add c.Counters.backtracks (Engine.backtracks e));
+      Counters.note_max_depth c (Engine.max_depth e);
+      end_span ctx ~slot s
+    end;
+    units
+  | Some _ | None -> 0
+
+let exec_task ctx ~slot task =
+  ignore (start_task ctx ~slot task : int);
+  ignore (advance ctx ~slot ~steps:max_int : int)
 
 (* A user exception (e.g. a raising generator) must not deadlock the
    scheduler: record it, short-circuit every worker, and let the caller
-   decide what to do with it after the join. *)
-let worker_loop ctx slot () =
+   decide what to do with it after the join. A task that raised the
+   stop flag itself (a decision witness) wakes the blocked workers the
+   same way. *)
+let worker_loop ctx failure slot () =
+  let d = ctx.domains in
   let rec loop () =
-    match ctx.scheduler.take ~slot with
+    match d.scheduler.take ~slot with
     | None -> ()
     | Some t ->
-      ctx.scheduler.begin_task ~slot t;
-      (try exec_task ctx ~slot t
-       with e ->
-         ignore (Atomic.compare_and_set ctx.failure None (Some e));
-         request_stop ctx);
+      d.scheduler.begin_task ~slot t;
+      (match exec_task ctx ~slot t with
+      | () -> if Atomic.get ctx.stop then request_stop ctx
+      | exception e ->
+        ignore (Atomic.compare_and_set failure None (Some e));
+        request_stop ctx);
       (* Flush any per-task delta before the task counts finished, so
          an observer seeing zero outstanding also sees the delta. *)
-      ctx.scheduler.end_task ~slot;
-      ctx.scheduler.finish ();
+      d.scheduler.end_task ~slot;
+      d.scheduler.finish ();
       Atomic.incr ctx.counters.Counters.tasks_done;
       loop ()
   in
@@ -269,9 +318,11 @@ let worker_loop ctx slot () =
 type handle = { domains : unit Domain.t array; failure : exn option Atomic.t }
 
 let start ctx ~workers =
+  let failure = Atomic.make None in
   {
-    domains = Array.init workers (fun i -> Domain.spawn (worker_loop ctx i));
-    failure = ctx.failure;
+    domains =
+      Array.init workers (fun i -> Domain.spawn (worker_loop ctx failure i));
+    failure;
   }
 
 let failure h = Atomic.get h.failure

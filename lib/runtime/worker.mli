@@ -1,14 +1,26 @@
-(** The generic worker core: one engine-driving loop, every runtime.
+(** The generic worker core: one coordination method, four substrates.
 
-    A worker repeatedly takes a task from its scheduler, explores the
-    task's subtree with {!Yewpar_core.Engine} under the run's
-    {!Yewpar_core.Coordination} policy — spawning, shedding or
-    splitting exactly as the coordination dictates — and accounts
-    everything through one {!Counters} bundle. What differs between
-    substrates (where a spawned task goes, when a dry scheduler means
-    termination, how a task is attributed) is delegated to a
-    first-class {!type-scheduler}; the search semantics live here,
-    once, so all runtimes behave identically by construction. *)
+    A task's subtree is explored with {!Yewpar_core.Engine} under the
+    run's {!Yewpar_core.Coordination} policy — spawning, shedding or
+    splitting exactly as the coordination dictates — and everything is
+    accounted through one {!Counters} bundle. The search semantics live
+    here, once; a substrate only says where a spawned task goes and
+    when the stack-stealing hunger probe fires. Four substrates
+    instantiate it: the shm runtime's worker domains, each dist
+    locality's domains, the serve fleet's localities (the same
+    locality code, one job at a time) and the discrete-event simulator,
+    which runs every slot on one thread in virtual time.
+
+    The task step is split so a driver can interleave it:
+    - {!start_task} re-checks the task root's bound, processes it and,
+      above a spawn-depth cutoff, spawns all its children;
+    - {!advance} resumes the task's engine for a bounded number of
+      steps, taking every Enter/Pruned/Leave coordination decision
+      (stack-steal splits, budget sheds, random spawns) on the way.
+
+    {!exec_task} is the two back to back with an unbounded step count:
+    what worker domains run ({!start}). The simulator calls {!start_task}
+    and {!advance} itself and charges virtual time per step. *)
 
 type 'n scheduler = {
   enqueue : slot:int -> Yewpar_telemetry.Recorder.t -> 'n Task_pool.task -> unit;
@@ -35,30 +47,37 @@ type 'n scheduler = {
           {!field-finish} — so full quiescence implies every delta is
           visible. No-op on shm. *)
 }
+(** A worker-domain substrate: where spawned tasks go, plus what only
+    the domain loop ({!start}) needs. *)
 
-type ('s, 'n) ctx = {
-  space : 's;
-  children : ('s, 'n) Yewpar_core.Problem.generator;
-  coordination : Yewpar_core.Coordination.t;
-  counters : Counters.t;
-  recorders : Yewpar_telemetry.Recorder.t array;
-      (** One per slot; may be longer than the worker count when the
-          runtime reserves extra slots (the dist communicator). *)
-  views : 'n Yewpar_core.Ops.view array;  (** One per worker slot. *)
-  scheduler : 'n scheduler;
-  tiers : 'n Two_tier.t;
-      (** The local two-tier scheduler (also reachable from the
-          scheduler closures; named here so {!request_stop} can wake
-          its waiters). *)
-  stop : bool Atomic.t;  (** The global short-circuit flag. *)
-  failure : exn option Atomic.t;
-      (** First worker exception; a raising user generator must not
-          deadlock the scheduler, so workers trap, record and stop. *)
-  engines : ('s, 'n) Yewpar_core.Engine.t option ref array;
-      (** Per-slot scratch engine, recycled across tasks with
-          {!Yewpar_core.Engine.restart} so steady-state execution
-          reuses one engine record per worker. *)
-}
+type 'n domains
+(** What only worker domains need: the {!type-scheduler} and the
+    two-tier scheduler whose waiters {!request_stop} wakes. *)
+
+type ('s, 'n, 'd) ctx
+(** One run's task-step context: the problem, the coordination, the
+    counters, one recorder, view and task slot per worker slot, the
+    spawn destination, the hunger probe and the stop flag. ['d] is
+    ['n domains] for worker domains ({!make_ctx}) and [unit] for a
+    driver that runs the step itself ({!make_step_ctx}). *)
+
+val make_step_ctx :
+  space:'s ->
+  children:('s, 'n) Yewpar_core.Problem.generator ->
+  coordination:Yewpar_core.Coordination.t ->
+  counters:Counters.t ->
+  recorders:Yewpar_telemetry.Recorder.t array ->
+  views:'n Yewpar_core.Ops.view array ->
+  enqueue:(slot:int -> Yewpar_telemetry.Recorder.t -> 'n Task_pool.task -> unit) ->
+  should_shed:(slot:int -> bool) ->
+  stop:bool Atomic.t ->
+  unit ->
+  ('s, 'n, unit) ctx
+(** One task slot per view. [enqueue] receives every spawned task
+    (spawn accounting done); [should_shed ~slot] is the stack-stealing
+    hunger probe of the worker on [slot], asked after each entered
+    node and again after each split it answers; the core raises [stop]
+    on a decision witness. *)
 
 val make_ctx :
   space:'s ->
@@ -71,9 +90,10 @@ val make_ctx :
   tiers:'n Two_tier.t ->
   stop:bool Atomic.t ->
   unit ->
-  ('s, 'n) ctx
-(** Assemble a context, allocating the failure cell and one engine
-    scratch slot per view. *)
+  ('s, 'n, 'n domains) ctx
+(** {!make_step_ctx} over the scheduler's [enqueue] and [should_shed],
+    plus what {!start} needs. [recorders] may be longer than [views]
+    (the dist communicator's slot). *)
 
 val task_priority :
   coordination:Yewpar_core.Coordination.t ->
@@ -83,26 +103,53 @@ val task_priority :
 (** The pool-ordering heuristic: the views' priority under best-first
     coordination, constant otherwise. *)
 
-val request_stop : ('s, 'n) ctx -> unit
+val spawn : (_, 'n, _) ctx -> slot:int -> 'n Task_pool.task -> unit
+(** Account a task spawn (task counter + slot depth profile) and hand
+    it to [enqueue]. Also how a runtime seeds the root task. *)
+
+val start_task : (_, 'n, _) ctx -> slot:int -> 'n Task_pool.task -> int
+(** Begin a task on [slot]: re-check the root's bound (a stale task
+    counts one prune and ends), process the root (a decision witness
+    raises [stop] and ends the task), then either spawn every child
+    above a Depth-Bounded, Best-First or Ordered cutoff — with the
+    engine's bound check and sibling cut — and end the task, or start
+    the slot's engine on the subtree ({!running} is then [true]).
+    Returns the nodes this did a node's work for: [0] for a pruned
+    root, [1] for a processed root, plus one per child considered at
+    spawn-depth. A task that ends here records its [Task] event. *)
+
+val advance : (_, _, _) ctx -> slot:int -> steps:int -> int
+(** Resume the slot's task for at most [steps] engine steps, taking
+    the coordination's decision on each: after an entered node,
+    stack-stealing splits while [should_shed ~slot] holds and there is
+    work to split; after a backtrack, a budget shed or a random spawn. A split child that
+    fails the bound check counts one prune and, when the view prunes
+    siblings, cuts its remaining siblings, as the engine would have.
+    The task ends when its subtree is exhausted, when it processes a
+    decision witness, or when [stop] is raised (checked before every
+    step, so [~steps:0] with [stop] raised just ends it); an ended
+    task adds its engine's counts to the counters and records its
+    [Task] event. Returns the entered and pruned steps taken (the
+    steps a cost model charges); [0] when the slot has no running
+    task. *)
+
+val running : (_, _, _) ctx -> slot:int -> bool
+(** The slot has a started task whose engine has steps left. *)
+
+val exec_task : (_, 'n, _) ctx -> slot:int -> 'n Task_pool.task -> unit
+(** Run one task to its end: {!start_task}, then {!advance} with an
+    unbounded step count. *)
+
+val request_stop : (_, 'n, 'n domains) ctx -> unit
 (** Raise the stop flag and wake every blocked worker. *)
 
-val spawn : ('s, 'n) ctx -> slot:int -> 'n Task_pool.task -> unit
-(** Account a task spawn (task counter + slot depth profile) and hand
-    it to the scheduler. Also how a runtime seeds the root task. *)
-
-val exec_task : ('s, 'n) ctx -> slot:int -> 'n Task_pool.task -> unit
-(** Explore one task's subtree under the coordination policy:
-    depth-bounded/best-first child spawning below the cutoff, budget
-    shedding on backtrack quota, stack-stealing splits on hunger,
-    random spawning — plus all node/prune/backtrack/depth accounting
-    and the task's [Task] event on the slot's recorder. *)
-
 type handle
-(** Spawned worker domains plus the shared failure cell. *)
+(** Spawned worker domains plus their shared failure cell. *)
 
-val start : ('s, 'n) ctx -> workers:int -> handle
+val start : (_, 'n, 'n domains) ctx -> workers:int -> handle
 (** Spawn [workers] domains running the worker loop on slots
-    [0 .. workers-1]. *)
+    [0 .. workers-1]: take, {!exec_task}, account, repeat. A task that
+    raised [stop] wakes the blocked workers. *)
 
 val failure : handle -> exn option
 (** Peek at the failure cell mid-run (the dist communicator polls it

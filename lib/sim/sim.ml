@@ -1,7 +1,6 @@
 module Heap = Yewpar_util.Heap
 module Deque = Yewpar_util.Deque
 module Splitmix = Yewpar_util.Splitmix
-module Engine = Yewpar_core.Engine
 module Workpool = Yewpar_core.Workpool
 module Knowledge = Yewpar_core.Knowledge
 module Ops = Yewpar_core.Ops
@@ -10,12 +9,14 @@ module Coordination = Yewpar_core.Coordination
 module Problem = Yewpar_core.Problem
 module Telemetry = Yewpar_telemetry.Telemetry
 module Journal = Yewpar_telemetry.Journal
-
-type 'n task = { node : 'n; depth : int }
+module Recorder = Yewpar_telemetry.Recorder
+module Counters = Yewpar_runtime.Counters
+module Task_pool = Yewpar_runtime.Task_pool
+module Worker = Yewpar_runtime.Worker
 
 type 'n event =
-  | Tick of int  (** Worker advances its current engine / looks for work. *)
-  | Deliver of { worker : int; tasks : 'n task list }
+  | Tick of int  (** Worker advances its current task / looks for work. *)
+  | Deliver of { worker : int; tasks : 'n Task_pool.task list }
       (** Stolen work (or a failed-steal notice, when [tasks = []])
           arriving at a thief. *)
   | Steal_request of { thief : int; victim : int }
@@ -23,20 +24,21 @@ type 'n event =
   | Bound_arrive of { locality : int; node : 'n; value : int }
       (** A broadcast incumbent reaching a locality. *)
 
-type ('s, 'n) worker = {
+(* A simulated worker's scheduling state. Its task lives in the worker
+   core's slot of the same index. *)
+type 'n worker = {
   id : int;
   loc : int;
-  view : 'n Ops.view;
-  mutable engine : ('s, 'n) Engine.t option;
-  mutable last_bt : int;  (* backtracks already accounted by Budget *)
-  stash : 'n task Deque.t;  (* chunk remainder from a chunked steal *)
+  stash : 'n Task_pool.task Deque.t;  (* chunk remainder from a chunked steal *)
   steal_queue : int Deque.t;  (* thieves awaiting a split from us *)
+  mutable serving : int;  (* the thief the split in progress goes to, or -1 *)
+  mutable split : 'n Task_pool.task list;  (* that split so far, newest first *)
+  mutable spawned : float;  (* spawn cost not yet charged to an interval *)
   mutable scheduled : bool;  (* a Tick for us is in the event queue *)
-  mutable executing : bool;  (* inside start_task (no engine yet), so not idle *)
+  mutable executing : bool;  (* inside a task start or batch, so not idle *)
   mutable waiting : bool;  (* an in-flight steal will Deliver to us *)
   mutable backoff : float;  (* current steal retry backoff *)
   mutable busy_time : float;
-  rng : Splitmix.gen;  (* per-worker stream (Random_spawn) *)
 }
 
 let simulate (type s n r) ~costs ~seed ?trace ~(topology : Config.topology)
@@ -58,11 +60,9 @@ let simulate (type s n r) ~costs ~seed ?trace ~(topology : Config.topology)
   let rng = Splitmix.of_seed seed in
   let events : n event Heap.t = Heap.create () in
   let now = ref 0. in
-  let stopped = ref false in
+  let stop = Atomic.make false in
   let finish_time = ref 0. in
   let live_tasks = ref 0 in
-  (* Metrics counters. *)
-  let nodes = ref 0 and pruned_total = ref 0 and tasks_total = ref 0 in
   let tasks_per_locality = Array.make n_localities 0 in
   let steal_attempts = ref 0 and steal_successes = ref 0 in
   let bound_broadcasts = ref 0 in
@@ -96,36 +96,40 @@ let simulate (type s n r) ~costs ~seed ?trace ~(topology : Config.topology)
 
   let workers =
     Array.init n_workers (fun id ->
-        let loc = id / per_loc in
         {
           id;
-          loc;
-          view = harness.Ops.view (worker_knowledge loc);
-          engine = None;
-          last_bt = 0;
+          loc = id / per_loc;
           stash = Deque.create ();
           steal_queue = Deque.create ();
+          serving = -1;
+          split = [];
+          spawned = 0.;
           scheduled = false;
           executing = false;
           waiting = false;
           backoff = costs.Config.steal_local_latency;
           busy_time = 0.;
-          rng = Splitmix.of_seed ((seed * 7919) + id);
         })
   in
-  let pool_policy =
-    match coordination with
-    | Coordination.Best_first _ -> Workpool.Priority
-    | _ -> if costs.Config.fifo_pool then Workpool.Fifo else Workpool.Depth
+  let views =
+    Array.init n_workers (fun id ->
+        harness.Ops.view (worker_knowledge (id / per_loc)))
   in
-  let pools : n task Workpool.t array =
+  (* The coordination picks only the pool order (as on shm, with the
+     FIFO ablation) and the steal protocol here (direct victim splits
+     for Stack-Stealing, random remote pools otherwise); its spawning
+     rules run in the worker core. *)
+  let pool_policy =
+    match Task_pool.policy_for coordination with
+    | Workpool.Depth when costs.Config.fifo_pool -> Workpool.Fifo
+    | policy -> policy
+  in
+  let pools : n Task_pool.task Workpool.t array =
     Array.init n_localities (fun _ -> Workpool.create ~policy:pool_policy ())
   in
-
-  let is_stack_stealing =
+  let stack_stealing =
     match coordination with Coordination.Stack_stealing _ -> true | _ -> false
   in
-
 
   let schedule_tick w t =
     if not w.scheduled then begin
@@ -134,8 +138,10 @@ let simulate (type s n r) ~costs ~seed ?trace ~(topology : Config.topology)
     end
   in
 
+  (* A worker with a running task always has a Tick queued or is
+     executing, so this needs no look at the task. *)
   let is_sleeping w =
-    w.engine = None && (not w.scheduled) && (not w.waiting) && (not w.executing)
+    (not w.scheduled) && (not w.waiting) && (not w.executing)
     && Deque.is_empty w.stash
   in
 
@@ -163,181 +169,100 @@ let simulate (type s n r) ~costs ~seed ?trace ~(topology : Config.topology)
     Array.iter (fun w -> if is_sleeping w then schedule_tick w !now) workers
   in
 
-  let task_created () =
-    incr live_tasks;
-    incr tasks_total
+  let latency a b =
+    if a.loc = b.loc then costs.Config.steal_local_latency
+    else costs.Config.steal_remote_latency
   in
-  (* [at] is the virtual completion time: synchronous task chains run
+  (* A thief's reply: stolen tasks, or a failure notice when empty. *)
+  let reply ~victim thief tasks =
+    Heap.add events
+      (!now +. latency victim workers.(thief))
+      (Deliver { worker = thief; tasks })
+  in
+
+  (* Stack-Stealing's split: the hunger probe hands the splits the
+     core makes to the victim's oldest waiting thief until one holds a
+     task, and those tasks travel together; the next probe, or the end
+     of the batch, sends them. An empty split is a failure notice. *)
+  let send_split w =
+    if w.serving >= 0 then begin
+      if w.split <> [] then incr steal_successes;
+      reply ~victim:w w.serving (List.rev w.split);
+      w.serving <- -1;
+      w.split <- []
+    end
+  in
+  let should_shed ~slot =
+    let w = workers.(slot) in
+    if w.split <> [] then send_split w;
+    if w.serving < 0 then
+      Option.iter (fun thief -> w.serving <- thief) (Deque.pop_front w.steal_queue);
+    w.serving >= 0
+  in
+  let task_priority = Worker.task_priority ~coordination views in
+  let enqueue ~slot _ (task : n Task_pool.task) =
+    let w = workers.(slot) in
+    incr live_tasks;
+    w.spawned <- w.spawned +. costs.Config.spawn_cost;
+    if w.serving >= 0 then w.split <- task :: w.split
+    else begin
+      Workpool.push pools.(w.loc) ~depth:task.Task_pool.depth
+        ~priority:(task_priority task.Task_pool.node) task;
+      wake_one_for_pool w.loc
+    end
+  in
+  let counters =
+    Counters.create ~profiled:false ~progress:false ~slots:n_workers ()
+  in
+  let ctx =
+    Worker.make_step_ctx ~space:p.Problem.space ~children:p.Problem.children
+      ~coordination ~counters ~recorders:(Array.make n_workers Recorder.null)
+      ~views ~enqueue ~should_shed ~stop ()
+  in
+
+  (* One busy interval from [start]; returns its end. *)
+  let charge w ~start ~cost ~label =
+    w.busy_time <- w.busy_time +. cost;
+    record ~worker:w.id ~start ~duration:cost ~label;
+    start +. cost
+  in
+  (* A task step's cost: [units] node costs plus the spawns it made. *)
+  let step_cost w units =
+    let cost = (float_of_int units *. costs.Config.node_cost) +. w.spawned in
+    w.spawned <- 0.;
+    cost
+  in
+  (* [at] is a virtual completion time: synchronous task chains run
      ahead of the event clock, so it can exceed [!now]. *)
+  let finished_by at = if at > !finish_time then finish_time := at in
   let task_finished at =
     decr live_tasks;
-    if at > !finish_time then finish_time := at
+    finished_by at
+  in
+  (* After a task step: stop the search at [at] if it raised the stop
+     flag, else continue (next batch, next task or a steal) via an
+     event at [at] — a synchronous continuation would let this worker
+     run ahead of the event clock and overlap itself. *)
+  let continue_at w at =
+    if Atomic.get stop then finished_by at else schedule_tick w at
   in
 
-  let task_priority : n -> int =
-    match coordination with
-    | Coordination.Best_first _ -> (workers.(0)).view.Ops.priority
-    | _ -> fun _ -> 0
-  in
-  let push_task loc task =
-    task_created ();
-    Workpool.push pools.(loc) ~depth:task.depth ~priority:(task_priority task.node)
-      task;
-    wake_one_for_pool loc
-  in
-
-  let stop_search at =
-    stopped := true;
-    if at > !finish_time then finish_time := at
-  in
-
-  (* Apply the worker's pruning predicate to a freshly split chunk, with
-     the same sibling-cut semantics the engine applies: spawning tasks
-     that a bound check can already kill would flood the system with
-     dead work (and, under a monotone generator, all later siblings of a
-     failing node die with it). *)
-  let filter_chunk w cs =
-    let rec go acc = function
-      | [] -> List.rev acc
-      | c :: rest ->
-        if w.view.Ops.keep c then go (c :: acc) rest
-        else begin
-          incr pruned_total;
-          if w.view.Ops.prune_siblings then List.rev acc else go acc rest
-        end
-    in
-    go [] cs
-  in
-
-  (* Budget: shed all lowest-depth subtrees into the local pool. Returns
-     the virtual cost of the spawning. *)
-  let shed_budget w e =
-    let cs, depth = Engine.split_lowest e in
-    let cs = filter_chunk w cs in
-    List.iter (fun c -> push_task w.loc { node = c; depth }) cs;
-    w.last_bt <- Engine.backtracks e;
-    float_of_int (List.length cs) *. costs.Config.spawn_cost
-  in
-
-  (* Stack-stealing: serve queued thieves by splitting our engine.
-     Returns the virtual cost incurred by the victim. *)
-  let serve_steals w e =
-    let chunked =
-      match coordination with
-      | Coordination.Stack_stealing { chunked } -> chunked
-      | _ -> false
-    in
-    let cost = ref 0. in
-    let rec go () =
-      match Deque.pop_front w.steal_queue with
-      | None -> ()
-      | Some thief_id ->
-        let thief = workers.(thief_id) in
-        let split =
-          if chunked then
-            let cs, depth = Engine.split_lowest e in
-            List.map (fun c -> { node = c; depth }) (filter_chunk w cs)
-          else
-            (* Split single nodes until one survives the bound check. *)
-            let rec first_live () =
-              match Engine.split_one e with
-              | None -> []
-              | Some (c, depth) ->
-                if w.view.Ops.keep c then [ { node = c; depth } ]
-                else begin
-                  incr pruned_total;
-                  first_live ()
-                end
-            in
-            first_live ()
-        in
-        List.iter (fun _ -> task_created ()) split;
-        if split <> [] then incr steal_successes;
-        cost := !cost +. (float_of_int (List.length split) *. costs.Config.spawn_cost);
-        let latency =
-          if thief.loc = w.loc then costs.Config.steal_local_latency
-          else costs.Config.steal_remote_latency
-        in
-        Heap.add events (!now +. latency) (Deliver { worker = thief_id; tasks = split });
-        go ()
-    in
-    go ();
-    !cost
-  in
-
-  (* Forward declarations for the mutually recursive worker actions. *)
   let rec start_task w task at =
     tasks_per_locality.(w.loc) <- tasks_per_locality.(w.loc) + 1;
     w.executing <- true;
-    start_task_inner w task at;
-    w.executing <- false
-
-  and start_task_inner w task at =
-    (* Re-check the bound: the task may have been spawned before a
-       better incumbent arrived. *)
-    if not (w.view.Ops.keep task.node) then begin
-      incr pruned_total;
-      task_finished at;
-      schedule_tick w at
+    let units = Worker.start_task ctx ~slot:w.id task in
+    let at =
+      charge w ~start:at ~cost:(step_cost w units)
+        ~label:(if units > 1 then "spawn-depth" else "task-root")
+    in
+    if Worker.running ctx ~slot:w.id then begin
+      w.backoff <- costs.Config.steal_local_latency;
+      (* A new victim: sleeping thieves retry. *)
+      if stack_stealing then wake_all_sleepers ()
     end
-    else begin
-      incr nodes;
-      let proceed = w.view.Ops.process task.node in
-      if not proceed then begin
-        task_finished (at +. costs.Config.node_cost);
-        stop_search (at +. costs.Config.node_cost)
-      end
-      else begin
-        match coordination with
-        | ( Coordination.Depth_bounded { dcutoff }
-          | Coordination.Best_first { dcutoff }
-          | Coordination.Ordered { dcutoff } )
-          when task.depth < dcutoff ->
-          (* Above the cutoff every child becomes a task (spawn-depth);
-             a failed bound check under a monotone generator cuts the
-             remaining siblings exactly as the engine would. *)
-          let cost = ref costs.Config.node_cost in
-          let rec spawn_children seq =
-            match Seq.uncons seq with
-            | None -> ()
-            | Some (c, rest) ->
-              cost := !cost +. costs.Config.node_cost;
-              if w.view.Ops.keep c then begin
-                push_task w.loc { node = c; depth = task.depth + 1 };
-                cost := !cost +. costs.Config.spawn_cost;
-                spawn_children rest
-              end
-              else begin
-                incr pruned_total;
-                if not w.view.Ops.prune_siblings then spawn_children rest
-              end
-          in
-          spawn_children (p.Problem.children p.Problem.space task.node);
-          w.busy_time <- w.busy_time +. !cost;
-          record ~worker:w.id ~start:at ~duration:!cost ~label:"spawn-depth";
-          task_finished (at +. !cost);
-          (* Continue (next task or steal) via an event at the virtual
-             completion time — synchronous continuation would let this
-             worker run ahead of the event clock and overlap itself. *)
-          schedule_tick w (at +. !cost)
-        | Coordination.Sequential | Coordination.Depth_bounded _
-        | Coordination.Stack_stealing _ | Coordination.Budget _
-        | Coordination.Best_first _ | Coordination.Random_spawn _
-        | Coordination.Ordered _ ->
-          let e =
-            Engine.make ~space:p.Problem.space ~children:p.Problem.children
-              ~root_depth:task.depth task.node
-          in
-          w.engine <- Some e;
-          w.last_bt <- 0;
-          w.backoff <- costs.Config.steal_local_latency;
-          w.busy_time <- w.busy_time +. costs.Config.node_cost;
-          record ~worker:w.id ~start:at ~duration:costs.Config.node_cost
-            ~label:"task-root";
-          if is_stack_stealing then wake_all_sleepers ();
-          schedule_tick w (at +. costs.Config.node_cost)
-      end
-    end
+    else task_finished at;
+    w.executing <- false;
+    continue_at w at
 
   and try_next w at =
     match Deque.pop_front w.stash with
@@ -345,43 +270,19 @@ let simulate (type s n r) ~costs ~seed ?trace ~(topology : Config.topology)
     | None -> acquire w at
 
   and acquire w at =
-    match coordination with
-    | Coordination.Sequential -> () (* only the root task ever exists *)
-    | Coordination.Depth_bounded _ | Coordination.Budget _
-    | Coordination.Best_first _ | Coordination.Random_spawn _
-    | Coordination.Ordered _ -> (
-      match Workpool.pop_local pools.(w.loc) with
-      | Some t ->
-        w.busy_time <- w.busy_time +. costs.Config.task_overhead;
-        record ~worker:w.id ~start:at ~duration:costs.Config.task_overhead
-          ~label:"pool-pop";
-        start_task w t (at +. costs.Config.task_overhead)
-      | None -> (
-        (* Steal a (shallow, hence large) task from a random non-empty
-           remote pool. *)
-        let candidates = ref [] in
-        for l = 0 to n_localities - 1 do
-          if l <> w.loc && not (Workpool.is_empty pools.(l)) then
-            candidates := l :: !candidates
-        done;
-        match !candidates with
-        | [] -> () (* sleep; a push will wake us *)
-        | ls ->
-          let l = List.nth ls (Splitmix.int rng (List.length ls)) in
-          incr steal_attempts;
-          (match Workpool.pop_steal pools.(l) with
-          | Some t ->
-            incr steal_successes;
-            w.waiting <- true;
-            Heap.add events
-              (at +. costs.Config.steal_remote_latency)
-              (Deliver { worker = w.id; tasks = [ t ] })
-          | None -> ())))
-    | Coordination.Stack_stealing _ -> (
+    match Workpool.pop_local pools.(w.loc) with
+    | Some t ->
+      start_task w t
+        (charge w ~start:at ~cost:costs.Config.task_overhead ~label:"pool-pop")
+    | None when stack_stealing -> (
       (* Pick a random busy victim, preferring our own locality. *)
       let busy_in pred =
         let acc = ref [] in
-        Array.iter (fun v -> if v.id <> w.id && v.engine <> None && pred v then acc := v :: !acc) workers;
+        Array.iter
+          (fun v ->
+            if v.id <> w.id && Worker.running ctx ~slot:v.id && pred v then
+              acc := v :: !acc)
+          workers;
         !acc
       in
       let local = busy_in (fun v -> v.loc = w.loc) in
@@ -392,94 +293,58 @@ let simulate (type s n r) ~costs ~seed ?trace ~(topology : Config.topology)
         let v = List.nth vs (Splitmix.int rng (List.length vs)) in
         incr steal_attempts;
         w.waiting <- true;
-        let latency =
-          if v.loc = w.loc then costs.Config.steal_local_latency
-          else costs.Config.steal_remote_latency
-        in
-        Heap.add events (at +. latency) (Steal_request { thief = w.id; victim = v.id }))
+        Heap.add events (at +. latency v w)
+          (Steal_request { thief = w.id; victim = v.id }))
+    | None -> (
+      (* Steal a (shallow, hence large) task from a random non-empty
+         remote pool. *)
+      let candidates = ref [] in
+      for l = 0 to n_localities - 1 do
+        if l <> w.loc && not (Workpool.is_empty pools.(l)) then
+          candidates := l :: !candidates
+      done;
+      match !candidates with
+      | [] -> () (* sleep; a push will wake us *)
+      | ls ->
+        let l = List.nth ls (Splitmix.int rng (List.length ls)) in
+        incr steal_attempts;
+        (match Workpool.pop_steal pools.(l) with
+        | Some t ->
+          incr steal_successes;
+          w.waiting <- true;
+          Heap.add events
+            (at +. costs.Config.steal_remote_latency)
+            (Deliver { worker = w.id; tasks = [ t ] })
+        | None -> ()))
   in
 
-  let run_batch w e =
-    let cost = ref 0. in
-    if is_stack_stealing then cost := !cost +. serve_steals w e;
-    let budget =
-      match coordination with Coordination.Budget { budget } -> Some budget | _ -> None
-    in
-    let finished = ref false in
-    let steps = ref 0 in
-    while (not !finished) && (not !stopped) && !steps < costs.Config.batch do
-      incr steps;
-      match
-        Engine.step ~prune_rest:w.view.Ops.prune_siblings ~keep:w.view.Ops.keep e
-      with
-      | Engine.Enter ->
-        incr nodes;
-        cost := !cost +. costs.Config.node_cost;
-        if not (w.view.Ops.process (Engine.current e)) then begin
-          w.engine <- None;
-          task_finished (!now +. !cost);
-          stop_search (!now +. !cost)
-        end
-      | Engine.Pruned ->
-        incr pruned_total;
-        cost := !cost +. costs.Config.node_cost
-      | Engine.Leave -> (
-        match budget with
-        | Some b when Engine.backtracks e - w.last_bt >= b ->
-          cost := !cost +. shed_budget w e
-        | _ -> (
-          match coordination with
-          | Coordination.Random_spawn { mean_interval }
-            when Splitmix.int w.rng mean_interval = 0 -> (
-            (* Shed the first surviving lowest-depth subtree. *)
-            let rec shed_one () =
-              match Engine.split_one e with
-              | None -> ()
-              | Some (c, depth) ->
-                if w.view.Ops.keep c then begin
-                  push_task w.loc { node = c; depth };
-                  cost := !cost +. costs.Config.spawn_cost
-                end
-                else begin
-                  incr pruned_total;
-                  shed_one ()
-                end
-            in
-            shed_one ())
-          | _ -> ()))
-      | Engine.Exhausted ->
-        w.engine <- None;
-        task_finished (!now +. !cost);
-        finished := true
-    done;
-    w.busy_time <- w.busy_time +. !cost;
-    record ~worker:w.id ~start:!now ~duration:!cost ~label:"engine";
-    (* If the engine just died, fail any thieves still queued on us. *)
-    if w.engine = None then begin
+  let run_batch w =
+    w.executing <- true;
+    let units = Worker.advance ctx ~slot:w.id ~steps:costs.Config.batch in
+    w.executing <- false;
+    send_split w;
+    let at = charge w ~start:!now ~cost:(step_cost w units) ~label:"engine" in
+    if not (Worker.running ctx ~slot:w.id) then begin
+      task_finished at;
+      (* Fail any thieves still queued on the finished task. *)
       let rec flush () =
         match Deque.pop_front w.steal_queue with
         | None -> ()
-        | Some thief_id ->
-          let thief = workers.(thief_id) in
-          let latency =
-            if thief.loc = w.loc then costs.Config.steal_local_latency
-            else costs.Config.steal_remote_latency
-          in
-          Heap.add events (!now +. latency) (Deliver { worker = thief_id; tasks = [] });
+        | Some thief ->
+          reply ~victim:w thief [];
           flush ()
       in
       flush ()
     end;
-    if not !stopped then schedule_tick w (!now +. !cost)
+    continue_at w at
   in
 
   let handle_event = function
     | Tick id ->
       let w = workers.(id) in
       w.scheduled <- false;
-      (match w.engine with
-      | Some e -> run_batch w e
-      | None -> if not w.waiting then try_next w !now)
+      if Worker.running ctx ~slot:id then run_batch w
+      else if not w.waiting then try_next w !now
     | Deliver { worker; tasks } -> (
       let w = workers.(worker) in
       w.waiting <- false;
@@ -493,32 +358,25 @@ let simulate (type s n r) ~costs ~seed ?trace ~(topology : Config.topology)
       | t :: rest ->
         w.backoff <- costs.Config.steal_local_latency;
         List.iter (Deque.push_back w.stash) rest;
-        w.busy_time <- w.busy_time +. costs.Config.task_overhead;
-        record ~worker:w.id ~start:!now ~duration:costs.Config.task_overhead
-          ~label:"deliver";
-        start_task w t (!now +. costs.Config.task_overhead))
-    | Steal_request { thief; victim } -> (
+        start_task w t
+          (charge w ~start:!now ~cost:costs.Config.task_overhead
+             ~label:"deliver"))
+    | Steal_request { thief; victim } ->
       let v = workers.(victim) in
-      match v.engine with
-      | Some _ -> Deque.push_back v.steal_queue thief
-      | None ->
-        (* Victim already finished: notify the thief of the failure. *)
-        let t = workers.(thief) in
-        let latency =
-          if t.loc = v.loc then costs.Config.steal_local_latency
-          else costs.Config.steal_remote_latency
-        in
-        Heap.add events (!now +. latency) (Deliver { worker = thief; tasks = [] }))
+      if Worker.running ctx ~slot:victim then Deque.push_back v.steal_queue thief
+      else (* Victim already finished: notify the thief of the failure. *)
+        reply ~victim:v thief []
     | Bound_arrive { locality; node; value } ->
       ignore ((local_k.(locality)).Knowledge.submit node value : bool)
   in
 
-  (* Boot: the root is a task handed to worker 0 (the paper's initial
+  (* Boot: worker 0 starts the root task at time 0 (the paper's initial
      work pushing degenerates to this for a single root task). *)
-  task_created ();
-  start_task workers.(0) { node = p.Problem.root; depth = 0 } 0.;
+  Atomic.incr counters.Counters.tasks;
+  incr live_tasks;
+  start_task workers.(0) { Task_pool.tag = 0; node = p.Problem.root; depth = 0 } 0.;
   let rec main_loop () =
-    if (not !stopped) && !live_tasks > 0 then
+    if (not (Atomic.get stop)) && !live_tasks > 0 then
       match Heap.pop_min events with
       | None ->
         failwith "Sim.run: event queue drained with live tasks (scheduling bug)"
@@ -528,14 +386,18 @@ let simulate (type s n r) ~costs ~seed ?trace ~(topology : Config.topology)
         main_loop ()
   in
   main_loop ();
+  (* A short-circuited search ends every task still running, so its
+     engine's counts reach the counters, as the workers of a real
+     runtime do on seeing the stop flag. *)
+  Array.iter (fun w -> ignore (Worker.advance ctx ~slot:w.id ~steps:0 : int)) workers;
   let total_work = Array.fold_left (fun acc w -> acc +. w.busy_time) 0. workers in
   let metrics =
     {
       Metrics.makespan = !finish_time;
       total_work;
-      nodes = !nodes;
-      pruned = !pruned_total;
-      tasks = !tasks_total;
+      nodes = Atomic.get counters.Counters.nodes;
+      pruned = Atomic.get counters.Counters.pruned;
+      tasks = Atomic.get counters.Counters.tasks;
       steal_attempts = !steal_attempts;
       steal_successes = !steal_successes;
       bound_broadcasts = !bound_broadcasts;

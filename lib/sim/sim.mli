@@ -18,11 +18,16 @@
       witness is processed.
 
     Virtual time advances by the {!Config.costs} model; the search
-    itself executes {e for real} through {!Yewpar_core.Engine}, so
-    results are exact and parallel anomalies (superlinear speedups,
-    slowdowns from disrupted heuristic order) emerge from the
-    interleaving rather than being scripted. Runs are deterministic in
-    [(problem, topology, coordination, costs, seed)]. *)
+    itself executes {e for real}: each simulated worker is a slot of
+    the shared worker core ({!Yewpar_runtime.Worker}), whose task step
+    takes every spawning, shedding and splitting decision exactly as on
+    the real runtimes, [batch] engine steps per event. Results and
+    node, prune and task counts are therefore the real runtimes', and
+    parallel anomalies (superlinear speedups, slowdowns from disrupted
+    heuristic order) emerge from the interleaving rather than being
+    scripted. Runs are deterministic in
+    [(problem, topology, coordination, costs, seed)]; [seed] drives
+    victim selection only. *)
 
 val run :
   ?costs:Config.costs -> ?seed:int -> ?trace:Yewpar_telemetry.Telemetry.t ->

@@ -126,11 +126,26 @@ let engine_split_lowest_mid_search () =
   drive ();
   Alcotest.(check (list int)) "kept subtree of 2" [ 7; 4 ] (List.rev !visited)
 
-let engine_drain_top () =
+let engine_cut_rest () =
   let e = Engine.make ~space:() ~children:children_of ~root_depth:0 sample in
-  let cs, d = Engine.drain_top e in
-  Alcotest.(check (list int)) "top frame drained" [ 2; 5; 3 ] (List.map value cs);
-  Alcotest.(check int) "depth" 1 d
+  (* Enter 2, then cut the root frame: 5 and 3 are discarded, the
+     subtree of 2 is not. Cutting a depth no frame sits at is a no-op. *)
+  (match Engine.step ~prune_rest:false ~keep:(fun _ -> true) e with
+  | Engine.Enter -> ()
+  | _ -> Alcotest.fail "expected Enter");
+  Engine.cut_rest e ~depth:0;
+  Engine.cut_rest e ~depth:7;
+  let visited = ref [] in
+  let rec drive () =
+    match Engine.step ~prune_rest:false ~keep:(fun _ -> true) e with
+    | Engine.Enter ->
+      visited := value (Engine.current e) :: !visited;
+      drive ()
+    | Engine.Pruned | Engine.Leave -> drive ()
+    | Engine.Exhausted -> ()
+  in
+  drive ();
+  Alcotest.(check (list int)) "only the subtree of 2" [ 7; 4 ] (List.rev !visited)
 
 let engine_depth_tracking () =
   let e = Engine.make ~space:() ~children:children_of ~root_depth:5 sample in
@@ -611,7 +626,7 @@ let () =
           Alcotest.test_case "split lowest" `Quick engine_split_lowest;
           Alcotest.test_case "split lowest mid-search" `Quick
             engine_split_lowest_mid_search;
-          Alcotest.test_case "drain top" `Quick engine_drain_top;
+          Alcotest.test_case "cut rest" `Quick engine_cut_rest;
           Alcotest.test_case "depth tracking" `Quick engine_depth_tracking;
           Alcotest.test_case "no retention" `Quick engine_no_retention;
         ] );

@@ -12,8 +12,10 @@
      very same run.
 
    This suite is the safety net for the shared lib/runtime worker
-   core: all three runtimes instantiate it, so a semantic drift in
-   any instantiation shows up here as a parity break. *)
+   core: shm, dist and the simulator all instantiate it, so a semantic
+   drift in any instantiation shows up here as a parity break. The
+   simulator keeps no depth profile, so its cells skip the column-sum
+   check. *)
 
 module Sequential = Yewpar_core.Sequential
 module Coordination = Yewpar_core.Coordination
@@ -21,6 +23,9 @@ module Stats = Yewpar_core.Stats
 module Depth_profile = Yewpar_core.Depth_profile
 module Shm = Yewpar_par.Shm
 module Dist = Yewpar_dist.Dist
+module Sim = Yewpar_sim.Sim
+module Sim_config = Yewpar_sim.Config
+module Metrics = Yewpar_sim.Metrics
 module Queens = Yewpar_queens.Queens
 module Mc = Yewpar_maxclique.Maxclique
 module Gen = Yewpar_graph.Gen
@@ -36,9 +41,10 @@ let coords =
     ("bestfirst", Coordination.Best_first { dcutoff = 2 });
   ]
 
-type runtime = Rt_seq | Rt_shm | Rt_dist
+type runtime = Rt_seq | Rt_shm | Rt_dist | Rt_sim
 
-let runtimes = [ ("seq", Rt_seq); ("shm", Rt_shm); ("dist", Rt_dist) ]
+let runtimes =
+  [ ("seq", Rt_seq); ("shm", Rt_shm); ("dist", Rt_dist); ("sim", Rt_sim) ]
 
 (* Parallel width of each cell, overridable so CI can rerun the same
    matrix with elevated worker counts to shake out scheduler races
@@ -68,6 +74,15 @@ let run_cell rt ~coordination p =
     | Rt_dist ->
       Dist.run ~stats ~watchdog:120. ~localities:2 ~workers:parity_workers
         ~coordination p
+    | Rt_sim ->
+      let topology =
+        Sim_config.topology ~localities:2 ~workers:parity_workers
+      in
+      let r, m = Sim.run ~topology ~coordination p in
+      stats.Stats.nodes <- m.Metrics.nodes;
+      stats.Stats.pruned <- m.Metrics.pruned;
+      stats.Stats.tasks <- m.Metrics.tasks;
+      r
   in
   (result, stats)
 
@@ -94,7 +109,7 @@ let matrix ?(rts = runtimes) ?(coords = coords) p check =
           let cell = Printf.sprintf "%s/%s" rt_name co_name in
           let result, stats = run_cell rt ~coordination p in
           check ~cell result stats;
-          check_profile ~cell stats)
+          if rt <> Rt_sim then check_profile ~cell stats)
         coords)
     rts
 
@@ -160,17 +175,21 @@ let decide_kclique_unsat rts () =
      ([bound >= k]) does not depend on any incumbent, so every runtime
      must visit exactly the sequential tree and prune exactly its
      prunes — including the children rejected when a task spawns or
-     splits them, which the engine never sees. *)
-  let g = Gen.uniform ~seed:41 120 0.6 in
-  let p = Mc.k_clique g ~k:13 in
+     splits them, which the engine never sees. On this graph a random
+     spawn splits off a child that fails the bound check, which must
+     count as the engine's prune would. *)
+  let g = Gen.uniform ~seed:41 120 0.65 in
+  let p = Mc.k_clique g ~k:14 in
   let expected, seq_stats = Sequential.search_with_stats p in
-  Alcotest.(check bool) "k = 13 is unsatisfiable" true (expected = None);
+  Alcotest.(check bool) "k = 14 is unsatisfiable" true (expected = None);
   let coords =
     [
       ("depthbounded", Coordination.Depth_bounded { dcutoff = 2 });
       ("bestfirst", Coordination.Best_first { dcutoff = 2 });
       ("budget", Coordination.Budget { budget = 50 });
+      ("stacksteal", Coordination.Stack_stealing { chunked = false });
       ("stacksteal:chunked", Coordination.Stack_stealing { chunked = true });
+      ("randomspawn:4", Coordination.Random_spawn { mean_interval = 4 });
     ]
   in
   matrix ~rts ~coords p (fun ~cell result stats ->
@@ -197,4 +216,5 @@ let () =
     [
       ("dist", cases [ ("dist", Rt_dist) ]);
       ("seq+shm", cases [ ("seq", Rt_seq); ("shm", Rt_shm) ]);
+      ("sim", cases [ ("sim", Rt_sim) ]);
     ]

@@ -363,7 +363,6 @@ let prop_split_partition =
             | Some (c, d) -> split ([ c ], d)
             | None -> ())
           | 2 -> split (E.split_lowest e)
-          | 3 -> split (E.drain_top e)
           | _ -> ());
           let d = E.current_depth e in
           let top = if d >= root_depth then Some (E.current e) else None in
