@@ -318,20 +318,12 @@ let execute ~runtime ~coordination ~localities ~workers ~seed ~obs
   in
   let run () =
     match runtime with
-    | Rt_seq ->
-      let stats = Stats.create () in
-      let result, elapsed =
-        wall (fun () ->
-            Shm.run ~stats ?telemetry ?journal
-              ~coordination:Coordination.Sequential p)
+    | (Rt_seq | Rt_shm) as rt ->
+      (* seq is the worker core on one slot under Sequential. *)
+      let workers, coordination =
+        if rt = Rt_seq then (1, Coordination.Sequential)
+        else (workers, coordination)
       in
-      stats.Stats.elapsed <- elapsed;
-      Printf.printf "result:   %s\n" (show result);
-      Format.printf "stats:    %a@." Stats.pp stats;
-      Printf.printf "walltime: %.3fs\n" elapsed;
-      export_observability obs telemetry;
-      export_depths obs stats
-    | Rt_shm ->
       let stats = Stats.create () in
       let result, elapsed =
         wall (fun () ->

@@ -50,10 +50,10 @@ type geo_params = {
   g_seed : int;
 }
 
-let geo_default = { g_b0 = 50.; decay = 0.42; g_max_depth = 100; g_seed = 23 }
-
 let geo_root p = { state = Splitmix.mix64 (Int64.of_int p.g_seed); depth = 0 }
 
+(* Pure child count: [floor b(d)] plus one more with probability
+   [frac b(d)], drawn from the node's hash. *)
 let geo_num_children p node =
   if node.depth >= p.g_max_depth then 0
   else begin

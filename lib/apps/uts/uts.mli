@@ -53,15 +53,8 @@ type geo_params = {
   g_seed : int;  (** Tree identity. *)
 }
 
-val geo_default : geo_params
-(** A mid-sized geometric tree. *)
-
 val geo_root : geo_params -> node
 (** The root node derived from the seed. *)
-
-val geo_num_children : geo_params -> node -> int
-(** Pure child count: [floor b(d)] plus one more with probability
-    [frac b(d)], drawn from the node's hash. *)
 
 val geo_children : (geo_params, node) Yewpar_core.Problem.generator
 (** The geometric Lazy Node Generator. *)

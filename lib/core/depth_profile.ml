@@ -10,6 +10,10 @@
 type t = {
   on : bool;
   progress : bool;
+  mutable last : int;
+      (* depth of the last noted node, where [note_bound] buckets an
+         improvement; written only when [on], so [null] is never
+         written *)
   mutable len : int;  (* rows in use = deepest recorded depth + 1 *)
   mutable nodes : int array;
   mutable pruned : int array;
@@ -28,16 +32,14 @@ type t = {
 let stride = 4
 
 let create ?(profiled = true) ?(progress = true) () =
-  { on = profiled; progress; len = 0; nodes = [||]; pruned = [||];
+  { on = profiled; progress; last = 0; len = 0; nodes = [||]; pruned = [||];
     spawned = [||]; bounds = [||]; plen = 0; prog = [||] }
 
 let null =
-  { on = false; progress = false; len = 0; nodes = [||]; pruned = [||];
+  { on = false; progress = false; last = 0; len = 0; nodes = [||]; pruned = [||];
     spawned = [||]; bounds = [||]; plen = 0; prog = [||] }
 
 let enabled t = t.on
-
-let progress_enabled t = t.progress
 
 let grow a n =
   let b = Array.make n 0 in
@@ -76,7 +78,8 @@ let note_node t d =
   if d >= 0 then
     if t.on then begin
       reserve t d;
-      t.nodes.(d) <- t.nodes.(d) + 1
+      t.nodes.(d) <- t.nodes.(d) + 1;
+      t.last <- d
     end
     else if t.progress then begin
       reserve_p t d;
@@ -117,8 +120,9 @@ let note_spawn t d =
     t.spawned.(d) <- t.spawned.(d) + 1
   end
 
-let note_bound t d =
-  if t.on && d >= 0 then begin
+let note_bound t =
+  if t.on then begin
+    let d = t.last in
     reserve t d;
     t.bounds.(d) <- t.bounds.(d) + 1
   end
@@ -177,7 +181,7 @@ let merge acc s =
   end
 
 let copy t =
-  { on = t.on; progress = t.progress; len = t.len;
+  { on = t.on; progress = t.progress; last = t.last; len = t.len;
     nodes = Array.sub t.nodes 0 (Array.length t.nodes);
     pruned = Array.sub t.pruned 0 (Array.length t.pruned);
     spawned = Array.sub t.spawned 0 (Array.length t.spawned);

@@ -30,12 +30,10 @@ val null : t
 
 val enabled : t -> bool
 
-val progress_enabled : t -> bool
-(** Whether the progress columns are being recorded. *)
-
 val note_node : t -> int -> unit
 (** [note_node t d] counts one node processed at depth [d] (in the
-    profile and, when enabled, the progress columns). *)
+    profile and, when enabled, the progress columns), and makes [d]
+    the depth {!note_bound} books at. *)
 
 val note_complete : t -> int -> int -> unit
 (** [note_complete t d kept] records that the expansion of one depth-[d]
@@ -50,8 +48,11 @@ val note_prune : t -> int -> unit
 val note_spawn : t -> int -> unit
 (** One task spawned whose root sits at depth [d]. *)
 
-val note_bound : t -> int -> unit
-(** One incumbent improvement applied while processing depth [d]. *)
+val note_bound : t -> unit
+(** One incumbent improvement applied while processing the last node
+    noted by {!note_node} (depth 0 if none was). An improvement is
+    only found while a node is processed, and that node is always the
+    last one its profile noted, so no caller tracks a depth. *)
 
 val depths : t -> int
 (** Number of rows in use (1 + deepest depth recorded); 0 when

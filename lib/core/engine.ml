@@ -22,9 +22,10 @@ type ('space, 'node) t = {
   mutable root : 'node;
   mutable root_depth : int;
   prof : Depth_profile.t;
-      (* completion sink: every Leave records (depth, kept) into the
-         profile's progress columns. [Depth_profile.null] when the
-         estimator is off — the call reduces to one branch. *)
+      (* the one place a traversal step is recorded: every Enter notes
+         a node, every Pruned a prune and every Leave a completion
+         (depth, kept). [Depth_profile.null] when nothing is collected
+         — each note reduces to one branch. *)
   mutable entered : int;
   mutable pruned : int;
   mutable backtracks : int;
@@ -75,11 +76,13 @@ let step ~prune_rest ~keep t =
               below = top };
         t.entered <- t.entered + 1;
         if depth > t.max_depth then t.max_depth <- depth;
+        Depth_profile.note_node t.prof depth;
         Enter
       end
       else begin
         if prune_rest then f.rest <- Seq.empty;
         t.pruned <- t.pruned + 1;
+        Depth_profile.note_prune t.prof (f.depth + 1);
         Pruned
       end)
 

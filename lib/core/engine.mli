@@ -31,14 +31,19 @@ val make :
     [root_depth]. The caller is responsible for {e processing} [root]
     itself (tasks process their root when scheduled).
 
-    [prof] (default {!Depth_profile.null}) receives one
-    {!Depth_profile.note_complete} per [Leave] transition, carrying the
-    global depth of the node whose expansion just completed and the
-    number of its children committed to the search — those entered by
-    this engine plus any the caller split off and credited with
-    {!credit_kept}. These completions are the raw material of the
-    {!Progress} tree-size estimator; the call is a single branch when
-    the profile's progress columns are off. *)
+    [prof] (default {!Depth_profile.null}) records every step, so no
+    caller notes traversal events itself: one
+    {!Depth_profile.note_node} per [Enter] at the entered node's global
+    depth, one {!Depth_profile.note_prune} per [Pruned] at the pruned
+    child's depth, and one {!Depth_profile.note_complete} per [Leave],
+    carrying the global depth of the node whose expansion just
+    completed and the number of its children committed to the search —
+    those entered by this engine plus any the caller split off and
+    credited with {!credit_kept}. These completions are the raw
+    material of the {!Progress} tree-size estimator. The caller notes
+    only what the engine never sees: the subtree root, and the prunes
+    and spawns of children it splits off. Each note is a single branch
+    when the profile is {!Depth_profile.null}. *)
 
 val restart : ('space, 'node) t -> root_depth:int -> 'node -> unit
 (** [restart t ~root_depth root] rewinds [t] to a fresh traversal of

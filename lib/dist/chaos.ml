@@ -68,6 +68,7 @@ let parse s =
       (Ok []) specs
     |> Result.map List.rev
 
+(* The lowercase constructor name used by [drop-frame] specs. *)
 let frame_name : Wire.msg -> string = function
   | Task _ -> "task"
   | Steal_request -> "steal_request"

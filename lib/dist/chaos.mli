@@ -37,9 +37,6 @@ val parse : string -> (t, string) result
 (** Parse a [--chaos] specification; [Error] explains the first bad
     fault. *)
 
-val frame_name : Wire.msg -> string
-(** The lowercase constructor name used by [drop-frame] specs. *)
-
 type plan = {
   kill_after : float option;
       (** Seconds after locality start at which to SIGKILL self. *)

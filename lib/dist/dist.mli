@@ -121,9 +121,9 @@ val run :
     previous handlers are restored on return.
 
     [Sequential] coordination runs in-process via
-    {!Yewpar_par.Shm.run}, which delegates to
-    {!Yewpar_core.Sequential.search} and records the one-task journal
-    and trace when asked.
+    {!Yewpar_par.Shm.run} on one worker domain, which records the
+    journal and trace when asked. It forks no locality, but the domain
+    it spawns forbids any later [Unix.fork] in the same process.
 
     @raise Invalid_argument if the problem has no task codec, the
     topology is not at least 1x1, or the coordination is [Ordered]

@@ -323,9 +323,10 @@ let run (type s n r) ?(record = false) ?heartbeat ?chaos
         Atomic.set floor value;
         (* Adopting a broadcast floor is an applied incumbent
            improvement here, even though it was found elsewhere; it has
-           no tree position, so the profile books it at depth 0. *)
+           no tree position, and the communicator's slot notes no
+           node, so the profile books it at depth 0. *)
         Atomic.incr counters.Counters.bound_updates;
-        Depth_profile.note_bound counters.Counters.profs.(workers) 0;
+        Depth_profile.note_bound counters.Counters.profs.(workers);
         Recorder.instant comms_r Recorder.Bound ~span:0 ~value
       end
     | Wire.Ping -> send_out Wire.Pong

@@ -8,7 +8,6 @@ module Knowledge = Yewpar_core.Knowledge
 module Ops = Yewpar_core.Ops
 module Coordination = Yewpar_core.Coordination
 module Problem = Yewpar_core.Problem
-module Sequential = Yewpar_core.Sequential
 module Ordered_core = Yewpar_core.Ordered_core
 module Counters = Yewpar_runtime.Counters
 module Task_pool = Yewpar_runtime.Task_pool
@@ -308,29 +307,18 @@ let parallel_run (type s n r) ~n_workers ?stats ?telemetry ?journal
 let run (type s n r) ?workers ?stats ?telemetry ?journal ?monitor_port
     ?on_monitor ?progress ~coordination (p : (s, n, r) Problem.t) : r =
   let n_workers =
-    match workers with
-    | Some w when w >= 1 -> w
-    | Some _ -> invalid_arg "Shm.run: workers must be >= 1"
-    | None -> Domain.recommended_domain_count ()
+    match (workers, coordination) with
+    | Some w, _ when w < 1 -> invalid_arg "Shm.run: workers must be >= 1"
+    (* A Sequential task never spawns: one worker runs the whole search. *)
+    | _, Coordination.Sequential -> 1
+    | Some w, _ -> w
+    | None, _ -> Domain.recommended_domain_count ()
   in
   let parallel ~harness q =
     parallel_run ~n_workers ?stats ?telemetry ?journal ?monitor_port
       ?on_monitor ?progress ~coordination ~harness q
   in
   match (coordination, p.Problem.kind) with
-  | Coordination.Sequential, _ ->
-    if not (recording ~telemetry ~journal) then Sequential.search ?stats p
-    else begin
-      (* One worker, one task covering the whole in-process search:
-         span 1 under the job. *)
-      let r = Recorder.create ~worker:0 () in
-      recorded ?telemetry ?journal ~recorders:[| r |] (fun () ->
-          let start = Recorder.now r in
-          let result = Sequential.search ?stats p in
-          Recorder.record r Recorder.Task ~span:1 ~parent:0 ~start
-            ~dur:(Recorder.now r -. start) ~value:0;
-          result)
-    end
   | Coordination.Ordered { dcutoff }, Problem.Optimise obj ->
     parallel ~harness:(Ordered_core.harness obj) (Ordered_core.lift ~dcutoff obj p)
   | Coordination.Ordered _, (Problem.Enumerate _ | Problem.Decide _) ->

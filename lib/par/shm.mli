@@ -34,13 +34,17 @@ val run :
   ('space, 'node, 'result) Yewpar_core.Problem.t -> 'result
 (** [run ~coordination p] executes [p] on [workers] domains (default:
     [Domain.recommended_domain_count ()]). [Sequential] coordination
-    delegates to {!Yewpar_core.Sequential.search}. Raises
-    [Invalid_argument] when [workers < 1], or for [Ordered] on a
-    problem that is not an optimisation. When [stats] is
-    supplied, node/prune/task/steal/bound-update counters aggregated
-    across all domains are accumulated into it after the join, along
-    with per-depth profiles ({!Yewpar_core.Depth_profile}) and the
-    recorders' ring-overflow drop count.
+    runs on one worker domain whatever [workers] says: its one task
+    never spawns, so the worker core walks the whole tree in
+    {!Yewpar_core.Sequential.search}'s order, with the same recording,
+    monitoring and accounting as every other coordination. Raises
+    [Invalid_argument] when [workers < 1] (checked first, under every
+    coordination), or for [Ordered] on a problem that is not an
+    optimisation. When [stats] is supplied, node/prune/task/steal/
+    bound-update counters aggregated across all domains are
+    accumulated into it after the join, along with per-depth profiles
+    ({!Yewpar_core.Depth_profile}) and the recorders' ring-overflow
+    drop count.
 
     When [telemetry] or [journal] is supplied the run records: every
     worker domain gets a preallocated {!Yewpar_telemetry.Recorder}
@@ -58,16 +62,13 @@ val run :
     it ({!Yewpar_telemetry.Journal}): [job_start], then the drained
     ring events, written by a background thread every 50 ms so file
     I/O stays off the worker domains, then the count of events lost to
-    ring overflow (if any) and [job_done]. [Sequential] coordination
-    records one [task] event, so its journal is the three-event
-    job/single-task shape and baselines land in the same report
-    pipeline.
+    ring overflow (if any) and [job_done].
 
-    When [monitor_port] is supplied (parallel coordinations only; [0]
-    binds an ephemeral port reported through [on_monitor]), the run
-    serves [GET /metrics] (a [yewpar_live_*] Prometheus gauge registry
-    computed from the shared counters on each scrape) and
-    [GET /status] (a JSON snapshot) on [127.0.0.1] for its duration
+    When [monitor_port] is supplied ([0] binds an ephemeral port
+    reported through [on_monitor]), the run serves [GET /metrics] (a
+    [yewpar_live_*] Prometheus gauge registry computed from the shared
+    counters on each scrape) and [GET /status] (a JSON snapshot) on
+    [127.0.0.1] for its duration
     ({!Yewpar_telemetry.Http_export}); the port closes before [run]
     returns.
 

@@ -13,7 +13,6 @@ type t = {
   steals : int Atomic.t;
   bound_updates : int Atomic.t;
   profs : Depth_profile.t array;
-  cur_depth : int ref array;
 }
 
 let create ?(profiled = true) ?(progress = true) ~slots () =
@@ -32,7 +31,6 @@ let create ?(profiled = true) ?(progress = true) ~slots () =
           if profiled || progress then
             Depth_profile.create ~profiled ~progress ()
           else Depth_profile.null);
-    cur_depth = Array.init slots (fun _ -> ref 0);
   }
 
 let rec bump_max cell v =
@@ -43,12 +41,11 @@ let note_max_depth t v = bump_max t.max_depth v
 
 let accounted_submit t ~slot ~recorder submit =
   let prof = t.profs.(slot) in
-  let depth = t.cur_depth.(slot) in
   fun n v ->
     let improved = submit n v in
     if improved then begin
       Atomic.incr t.bound_updates;
-      Depth_profile.note_bound prof !depth;
+      Depth_profile.note_bound prof;
       Recorder.instant recorder Recorder.Bound ~span:0 ~value:v
     end;
     improved

@@ -4,10 +4,12 @@
     One instance is created per run, before any worker spawns. The
     scalar counters are atomics so the workers, the live monitor and a
     distributed communicator thread can all touch them concurrently
-    with word-sized operations; the per-slot depth profiles and
-    current-depth cells are single-writer (one slot per worker, plus
-    any extra slots the runtime reserves, e.g. the dist communicator)
-    and are only merged after the join. *)
+    with word-sized operations; the per-slot depth profiles are
+    single-writer (one slot per worker, plus any extra slots the
+    runtime reserves, e.g. the dist communicator) and are only merged
+    after the join. No counter is written per traversal step: a slot's
+    engine records its steps into the slot's profile, and its totals
+    reach the atomics once per task. *)
 
 type t = {
   nodes : int Atomic.t;  (** Nodes processed. *)
@@ -22,15 +24,10 @@ type t = {
   profs : Yewpar_core.Depth_profile.t array;
       (** Per-slot depth profiles; [Depth_profile.null] when profiling
           is off, so every note is a single branch. *)
-  cur_depth : int ref array;
-      (** The depth each slot's engine currently sits at, so a submit
-          wrapper can bucket bound improvements without an engine
-          query. *)
 }
 
 val create : ?profiled:bool -> ?progress:bool -> slots:int -> unit -> t
-(** [create ~slots ()] makes a bundle with [slots] profile/depth
-    slots. [~profiled:false] (used when the caller collects no stats)
+(** [create ~slots ()] makes a bundle with [slots] profile slots. [~profiled:false] (used when the caller collects no stats)
     disables the per-depth event columns; [~progress:false] disables
     the tree-size-estimator columns ({!Yewpar_core.Progress}) — only
     when both are off does a slot get
@@ -49,8 +46,10 @@ val accounted_submit :
   bool
 (** [accounted_submit t ~slot ~recorder submit] wraps a knowledge
     [submit] function so every applied improvement bumps
-    [bound_updates], lands in slot [slot]'s depth profile at the
-    slot's current depth, and emits a [Bound_update] trace instant. *)
+    [bound_updates], lands in slot [slot]'s depth profile at the depth
+    of the node the slot last noted — the node being processed
+    ({!Yewpar_core.Depth_profile.note_bound}) — and emits a
+    [Bound_update] trace instant. *)
 
 val fold_into : t -> ?dropped:int -> Yewpar_core.Stats.t -> unit
 (** Accumulate every counter and all depth profiles into a [Stats.t]

@@ -152,7 +152,6 @@ let start_task ctx ~slot (task : 'n Task_pool.task) =
   s.tag <- tag;
   s.root_depth <- depth;
   s.started <- Recorder.now ctx.recorders.(slot);
-  c.Counters.cur_depth.(slot) := depth;
   let units =
     if not (view.Ops.keep task.Task_pool.node) then begin
       note_prune ctx ~slot depth;
@@ -223,8 +222,6 @@ let advance ctx ~slot ~steps =
   let s = ctx.slots.(slot) in
   match s.engine with
   | Some e when s.live ->
-    let prof = ctx.counters.Counters.profs.(slot) in
-    let dcell = ctx.counters.Counters.cur_depth.(slot) in
     let view = ctx.views.(slot) in
     let tag = s.tag in
     let charged () = Engine.nodes_entered e + Engine.nodes_pruned e in
@@ -239,8 +236,6 @@ let advance ctx ~slot ~steps =
           Engine.step ~prune_rest:view.Ops.prune_siblings ~keep:view.Ops.keep e
         with
         | Engine.Enter ->
-          incr dcell;
-          Depth_profile.note_node prof !dcell;
           if view.Ops.process (Engine.current e) then begin
             (match ctx.coordination with
             | Coordination.Stack_stealing { chunked } ->
@@ -252,11 +247,8 @@ let advance ctx ~slot ~steps =
             Atomic.set ctx.stop true;
             false
           end
-        | Engine.Pruned ->
-          Depth_profile.note_prune prof (!dcell + 1);
-          go (n - 1)
+        | Engine.Pruned -> go (n - 1)
         | Engine.Leave ->
-          decr dcell;
           (match ctx.coordination with
           | Coordination.Budget { budget }
             when Engine.backtracks e - s.last_bt >= budget ->

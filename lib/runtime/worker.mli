@@ -20,7 +20,16 @@
 
     {!exec_task} is the two back to back with an unbounded step count:
     what worker domains run ({!start}). The simulator calls {!start_task}
-    and {!advance} itself and charges virtual time per step. *)
+    and {!advance} itself and charges virtual time per step.
+
+    The core writes no shared cell per engine step: each slot's engine records
+    its steps into the slot's depth profile ({!Yewpar_core.Engine.make}),
+    and the core notes only what the engine never sees — the task root,
+    spawn-depth children, and the children a split spawns or prunes.
+    The engine's node, prune and backtrack counts reach the shared
+    {!Counters} once, when the task ends. Under [Sequential] the one
+    task never spawns, so a one-slot run walks the tree in
+    {!Yewpar_core.Sequential.search}'s order. *)
 
 type 'n scheduler = {
   enqueue : slot:int -> Yewpar_telemetry.Recorder.t -> 'n Task_pool.task -> unit;

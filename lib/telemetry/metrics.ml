@@ -90,9 +90,7 @@ let histogram t ?(help = "") ?buckets name =
     | _ -> assert false)
 
 let inc ?(by = 1) c = c.c <- c.c + by
-let counter_value c = c.c
 let set g v = g.g <- v
-let gauge_value g = g.g
 
 let observe h v =
   let n = Array.length h.bounds in

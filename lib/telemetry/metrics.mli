@@ -35,10 +35,8 @@ val histogram : t -> ?help:string -> ?buckets:float list -> string -> histogram
     [buckets_125 ~lo:1e-6 ~hi:10.]. *)
 
 val inc : ?by:int -> counter -> unit
-val counter_value : counter -> int
 
 val set : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 val observe : histogram -> float -> unit
 val histogram_count : histogram -> int

@@ -932,7 +932,6 @@ let () =
       ( "edge cases",
         [
           Alcotest.test_case "1x1 topology" `Quick single_locality_single_worker;
-          Alcotest.test_case "sequential delegates" `Quick sequential_delegates;
           Alcotest.test_case "invalid arguments" `Quick invalid_arguments;
           Alcotest.test_case "exception safety" `Quick generator_exceptions_propagate;
           Alcotest.test_case "children reaped" `Quick children_reaped;
@@ -957,8 +956,13 @@ let () =
           Alcotest.test_case "final clamp across revoke-and-replay" `Quick
             progress_final_across_replay;
         ] );
-      (* Last: this test starts an HTTP-server domain inside the test
-         process, and no fork may happen after a domain has existed. *)
+      (* Last but one: this test starts an HTTP-server domain inside the
+         test process, and no fork may happen after a domain has
+         existed. *)
       ( "monitor",
         [ Alcotest.test_case "mid-run scrape" `Quick monitor_scrape_midrun ] );
+      (* After every fork: the sequential passthrough runs on a worker
+         domain of this process. *)
+      ( "in-process",
+        [ Alcotest.test_case "sequential delegates" `Quick sequential_delegates ] );
     ]

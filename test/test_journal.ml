@@ -281,17 +281,22 @@ let shm_events_within_job () =
   check_within_job entries
 
 let seq_runtime_journal () =
-  (* The sequential fallback writes the three-event shape so seq
-     baselines land in the same report pipeline. *)
+  (* Sequential runs the worker core on one slot: the root task's spawn
+     and execution, the worker's final idle wait on the drained pool,
+     framed like every other run. Progress samples are timer-driven,
+     so only their presence is checked. *)
   with_writer @@ fun path w ->
   let p = Queens.count_solutions (Queens.instance ~n:6) in
   let _ = Shm.run ~journal:w ~coordination:Coordination.Sequential p in
   Journal.close w;
   let entries, malformed = Journal.read path in
   Alcotest.(check int) "no malformed lines" 0 malformed;
-  Alcotest.(check (list string)) "job_start, task, job_done"
-    [ "job_start"; "task"; "job_done" ]
-    (List.map (fun e -> e.Journal.e_ev) entries)
+  let kinds = List.map (fun e -> e.Journal.e_ev) entries in
+  Alcotest.(check (list string)) "job_start, spawn, task, idle, job_done"
+    [ "job_start"; "spawn"; "task"; "idle"; "job_done" ]
+    (List.filter (fun k -> k <> "progress_sample") kinds);
+  Alcotest.(check bool) "progress sampled" true
+    (List.mem "progress_sample" kinds)
 
 let () =
   Alcotest.run "journal"

@@ -178,6 +178,35 @@ let depth_profile_invariants () =
   let nodes, _, _, _ = Depth_profile.totals stats.Stats.depths in
   Alcotest.(check int) "enumeration nodes column" stats.Stats.nodes nodes
 
+let bounds_by_depth () =
+  (* Each applied improvement is booked at the depth of the node that
+     made it. With one worker nothing is shed, so both coordinations
+     visit the tree in the same order and improve at the same nodes:
+     the root (1) at depth 0, then 3 and 4 at depths 2 and 3, then 5
+     at depth 1 and 6 at depth 2. *)
+  let leaf v = T (v, []) in
+  let t =
+    T (1, [ T (0, [ T (3, [ leaf 4 ]) ]); T (5, [ leaf 2; leaf 6 ]); leaf 0 ])
+  in
+  let p =
+    Problem.maximise ~name:"bounds" ~space:() ~root:t
+      ~children:(fun () (T (_, cs)) -> List.to_seq cs)
+      ~objective:(fun (T (v, _)) -> v) ()
+  in
+  List.iter
+    (fun (name, coordination) ->
+      let stats = Stats.create () in
+      let (T (best, _)) = Shm.run ~workers:1 ~stats ~coordination p in
+      Alcotest.(check int) (Printf.sprintf "optimum (%s)" name) 6 best;
+      Alcotest.(check (list int))
+        (Printf.sprintf "bounds by depth (%s)" name)
+        [ 1; 1; 2; 1 ]
+        (List.init (Depth_profile.depths stats.Stats.depths) (fun d ->
+             let _, _, _, bounds = Depth_profile.row stats.Stats.depths d in
+             bounds)))
+    [ ("seq", Coordination.Sequential);
+      ("stack", Coordination.Stack_stealing { chunked = false }) ]
+
 let contains haystack needle =
   let re = Str.regexp_string needle in
   match Str.search_forward re haystack 0 with
@@ -252,6 +281,7 @@ let () =
           Alcotest.test_case "stats aggregation" `Quick stats_aggregated;
           Alcotest.test_case "depth profile invariants" `Quick
             depth_profile_invariants;
+          Alcotest.test_case "bounds by depth" `Quick bounds_by_depth;
         ] );
       ( "monitor",
         [ Alcotest.test_case "mid-run scrape" `Quick monitor_scrape_midrun ] );

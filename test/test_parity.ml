@@ -14,8 +14,10 @@
    This suite is the safety net for the shared lib/runtime worker
    core: shm, dist and the simulator all instantiate it, so a semantic
    drift in any instantiation shows up here as a parity break. The
-   simulator keeps no depth profile, so its cells skip the column-sum
-   check. *)
+   Sequential coordination is a column too: on shm, dist and the
+   simulator it is the worker core on one task, checked against
+   [Sequential.search], the core's own loop. The simulator keeps no
+   depth profile, so its cells skip the column-sum check. *)
 
 module Sequential = Yewpar_core.Sequential
 module Coordination = Yewpar_core.Coordination
@@ -30,11 +32,12 @@ module Queens = Yewpar_queens.Queens
 module Mc = Yewpar_maxclique.Maxclique
 module Gen = Yewpar_graph.Gen
 
-(* The parallel coordinations, including bestfirst: the distributed
-   runtime serves it from a priority-ordered coordinator pool, so it
-   is part of the matrix like everything else. *)
+(* Sequential and the parallel coordinations, including bestfirst: the
+   distributed runtime serves it from a priority-ordered coordinator
+   pool, so it is part of the matrix like everything else. *)
 let coords =
   [
+    ("seq", Coordination.Sequential);
     ("depthbounded", Coordination.Depth_bounded { dcutoff = 2 });
     ("stacksteal", Coordination.Stack_stealing { chunked = false });
     ("budget", Coordination.Budget { budget = 50 });
@@ -60,8 +63,9 @@ let parity_workers =
   | None -> 2
 
 (* One cell of the matrix: run [p] on [rt] under [coordination],
-   collecting stats.  Sequential ignores the coordination (it is the
-   oracle every parallel cell is compared against). *)
+   collecting stats.  The seq runtime is [Sequential.search], the
+   oracle every other cell is compared against; it has a cell only
+   under the Sequential coordination. *)
 let run_cell rt ~coordination p =
   let stats = Stats.create () in
   let result =
@@ -96,29 +100,44 @@ let check_profile ~cell (stats : Stats.t) =
     stats.Stats.bound_updates bounds
 
 (* Walk the (runtime x coordination) plane for one problem and hand
-   each cell's result and stats to [check].  [rts] selects the
-   runtimes: OCaml 5 forbids [Unix.fork] once any domain has been
-   spawned in the process, so the test cases below run every dist
-   cell (which forks localities) before the first shm cell (which
-   spawns domains). *)
-let matrix ?(rts = runtimes) ?(coords = coords) p check =
+   the result and stats of each cell that [group] selects to [check]. *)
+let matrix ~group ?(coords = coords) p check =
   List.iter
     (fun (rt_name, rt) ->
       List.iter
         (fun (co_name, coordination) ->
-          let cell = Printf.sprintf "%s/%s" rt_name co_name in
-          let result, stats = run_cell rt ~coordination p in
-          check ~cell result stats;
-          if rt <> Rt_sim then check_profile ~cell stats)
+          if group rt coordination then begin
+            let cell = Printf.sprintf "%s/%s" rt_name co_name in
+            let result, stats = run_cell rt ~coordination p in
+            check ~cell result stats;
+            if rt <> Rt_sim then check_profile ~cell stats
+          end)
         coords)
-    rts
+    runtimes
+
+(* The groups of cells, in the order they must run. OCaml 5 forbids
+   [Unix.fork] once any domain has been spawned in the process, so
+   every dist cell that forks localities runs before the first cell
+   that spawns domains: shm, and dist under Sequential, which runs
+   in-process on a worker domain. *)
+let forks rt coordination =
+  rt = Rt_dist && coordination <> Coordination.Sequential
+
+let in_process rt coordination =
+  match rt with
+  | Rt_seq -> coordination = Coordination.Sequential
+  | Rt_shm -> true
+  | Rt_dist -> not (forks rt coordination)
+  | Rt_sim -> false
+
+let simulated rt _ = rt = Rt_sim
 
 (* --------------------------- enumerate --------------------------- *)
 
-let enumerate_queens rts () =
+let enumerate_queens group () =
   let p = Queens.count_solutions (Queens.instance ~n:7) in
   let expected, seq_stats = Sequential.search_with_stats p in
-  matrix ~rts p (fun ~cell result stats ->
+  matrix ~group p (fun ~cell result stats ->
       Alcotest.(check int) (cell ^ ": queens-7 count") expected result;
       (* Enumeration never prunes and never short-circuits, so every
          runtime must visit exactly the sequential node set: nothing
@@ -129,11 +148,11 @@ let enumerate_queens rts () =
 
 (* --------------------------- optimise ---------------------------- *)
 
-let optimise_maxclique rts () =
+let optimise_maxclique group () =
   let g = Gen.uniform ~seed:41 28 0.6 in
   let p = Mc.max_clique g in
   let expected = (Sequential.search p).Mc.size in
-  matrix ~rts p (fun ~cell result stats ->
+  matrix ~group p (fun ~cell result stats ->
       Alcotest.(check int) (cell ^ ": clique size") expected result.Mc.size;
       Alcotest.(check bool)
         (cell ^ ": clique valid")
@@ -146,12 +165,12 @@ let optimise_maxclique rts () =
 
 (* ---------------------------- decide ----------------------------- *)
 
-let decide_queens_sat rts () =
+let decide_queens_sat group () =
   (* A placement exists for n = 7; every runtime must find one (any
      one -- witnesses are nondeterministic, validity is not). *)
   let inst = Queens.instance ~n:7 in
   let p = Queens.find_placement inst in
-  matrix ~rts p (fun ~cell result _stats ->
+  matrix ~group p (fun ~cell result _stats ->
       match result with
       | Some node ->
         Alcotest.(check bool)
@@ -160,17 +179,17 @@ let decide_queens_sat rts () =
           (Queens.is_valid_placement inst (Queens.placement_of inst node))
       | None -> Alcotest.fail (cell ^ ": no placement found for queens-7"))
 
-let decide_queens_unsat rts () =
+let decide_queens_unsat group () =
   (* No placement exists for n = 3: agreement on the negative answer
      means no runtime terminates early without exhausting the tree. *)
   let inst = Queens.instance ~n:3 in
   let p = Queens.find_placement inst in
-  matrix ~rts p (fun ~cell result _stats ->
+  matrix ~group p (fun ~cell result _stats ->
       match result with
       | None -> ()
       | Some _ -> Alcotest.fail (cell ^ ": phantom placement for queens-3"))
 
-let decide_kclique_unsat rts () =
+let decide_kclique_unsat group () =
   (* An unsatisfiable decision never short-circuits and its bound test
      ([bound >= k]) does not depend on any incumbent, so every runtime
      must visit exactly the sequential tree and prune exactly its
@@ -184,6 +203,7 @@ let decide_kclique_unsat rts () =
   Alcotest.(check bool) "k = 14 is unsatisfiable" true (expected = None);
   let coords =
     [
+      ("seq", Coordination.Sequential);
       ("depthbounded", Coordination.Depth_bounded { dcutoff = 2 });
       ("bestfirst", Coordination.Best_first { dcutoff = 2 });
       ("budget", Coordination.Budget { budget = 50 });
@@ -192,29 +212,26 @@ let decide_kclique_unsat rts () =
       ("randomspawn:4", Coordination.Random_spawn { mean_interval = 4 });
     ]
   in
-  matrix ~rts ~coords p (fun ~cell result stats ->
+  matrix ~group ~coords p (fun ~cell result stats ->
       Alcotest.(check bool) (cell ^ ": no witness") true (result = None);
       Alcotest.(check int) (cell ^ ": nodes") seq_stats.Stats.nodes
         stats.Stats.nodes;
       Alcotest.(check int) (cell ^ ": pruned") seq_stats.Stats.pruned
         stats.Stats.pruned)
 
-let cases rts =
+let cases group =
   [
-    Alcotest.test_case "enumerate: queens" `Quick (enumerate_queens rts);
-    Alcotest.test_case "optimise: maxclique" `Quick (optimise_maxclique rts);
-    Alcotest.test_case "decide: queens sat" `Quick (decide_queens_sat rts);
-    Alcotest.test_case "decide: queens unsat" `Quick (decide_queens_unsat rts);
-    Alcotest.test_case "decide: k-clique unsat" `Quick (decide_kclique_unsat rts);
+    Alcotest.test_case "enumerate: queens" `Quick (enumerate_queens group);
+    Alcotest.test_case "optimise: maxclique" `Quick (optimise_maxclique group);
+    Alcotest.test_case "decide: queens sat" `Quick (decide_queens_sat group);
+    Alcotest.test_case "decide: queens unsat" `Quick (decide_queens_unsat group);
+    Alcotest.test_case "decide: k-clique unsat" `Quick (decide_kclique_unsat group);
   ]
 
 let () =
-  (* dist first: each dist run forks locality processes, which OCaml 5
-     only permits before the first domain spawn -- and the shm cells
-     spawn domains. *)
   Alcotest.run "parity"
     [
-      ("dist", cases [ ("dist", Rt_dist) ]);
-      ("seq+shm", cases [ ("seq", Rt_seq); ("shm", Rt_shm) ]);
-      ("sim", cases [ ("sim", Rt_sim) ]);
+      ("dist", cases forks);
+      ("seq+shm", cases in_process);
+      ("sim", cases simulated);
     ]
