@@ -17,25 +17,17 @@ let root g =
 
 let upper_bound node = node.size + node.bound
 
-(* Greedy colouring (the paper's greedy_colour), by the word-level
-   kernel in Bitset: p_vertex lists the candidates in colouring order,
-   p_colour.(i) the colours used on the prefix up to i. Within a class
-   vertices come in increasing index order, which makes the traversal
-   heuristic deterministic. *)
-let colour_order g p =
-  let n = Bitset.cardinal p in
-  let p_vertex = Array.make (max n 1) 0 in
-  let p_colour = Array.make (max n 1) 0 in
-  let n =
-    Bitset.greedy_colour p ~neighbours:(Graph.neighbours g) ~order:p_vertex
-      ~colours:p_colour
-  in
-  (p_vertex, p_colour, n)
-
+(* Greedy colouring (the paper's greedy_colour) is the word-level
+   kernel in Bitset, reading the graph's adjacency matrix: entry 2i of
+   its result is the i-th candidate in colouring order, entry 2i + 1 the
+   colours used on the prefix up to it. Within a class vertices come in
+   increasing index order, which makes the traversal heuristic
+   deterministic. *)
 let children g parent =
   if Bitset.is_empty parent.candidates then Seq.empty
   else begin
-    let p_vertex, p_colour, n = colour_order g parent.candidates in
+    let adj = Graph.adjacency g in
+    let coloured = Bitset.greedy_colour parent.candidates ~adj in
     (* Iterate in reverse colouring order: heuristically best (highest
        colour) candidate first, exactly as Listing 1's [next]. The
        [remaining] set is shared mutable state, so the sequence is
@@ -44,21 +36,21 @@ let children g parent =
     let rec gen k () =
       if k < 0 then Seq.Nil
       else begin
-        let v = p_vertex.(k) in
+        let v = coloured.(k) in
         Bitset.remove remaining v;
-        let candidates = Bitset.inter remaining (Graph.neighbours g v) in
+        let candidates = Bitset.Matrix.inter_row remaining adj v in
         (* The child's candidates avoid v's whole colour class (they are
-           neighbours of v; class-mates are not), so p_colour.(k) - 1
+           neighbours of v; class-mates are not), so its colour - 1
            colours suffice for any further extension -- the standard
            MCSa bound, matching the hand-coded solver's cut. *)
         let child =
           { clique = v :: parent.clique; size = parent.size + 1; candidates;
-            bound = p_colour.(k) - 1 }
+            bound = coloured.(k + 1) - 1 }
         in
-        Seq.Cons (child, gen (k - 1))
+        Seq.Cons (child, gen (k - 2))
       end
     in
-    gen (n - 1)
+    gen (Array.length coloured - 2)
   end
 
 (* Nodes are plain data (an int list plus a bitset, itself an int
@@ -81,7 +73,7 @@ let k_clique g ~k =
 let vertices_of node = List.sort compare node.clique
 
 module Specialised = struct
-  (* Direct MCSa1-style recursion: in-place vertex/colour arrays, early
+  (* Direct MCSa1-style recursion: one interleaved vertex/colour array, early
      loop exit on the bound (colour classes are non-increasing towards
      lower indices, so the first failing candidate cuts all the rest),
      no Seq or skeleton machinery. Mirrors the hand-crafted sequential
@@ -89,24 +81,25 @@ module Specialised = struct
   let max_clique_size g =
     let best_size = ref 0 in
     let best = ref [] in
+    let adj = Graph.adjacency g in
     let rec expand clique size candidates =
       if size > !best_size then begin
         best_size := size;
         best := clique
       end;
       if not (Bitset.is_empty candidates) then begin
-        let p_vertex, p_colour, n = colour_order g candidates in
+        let coloured = Bitset.greedy_colour candidates ~adj in
         let remaining = Bitset.copy candidates in
         let rec loop k =
-          if k >= 0 && size + p_colour.(k) > !best_size then begin
-            let v = p_vertex.(k) in
+          if k >= 0 && size + coloured.(k + 1) > !best_size then begin
+            let v = coloured.(k) in
             Bitset.remove remaining v;
-            let candidates' = Bitset.inter remaining (Graph.neighbours g v) in
+            let candidates' = Bitset.Matrix.inter_row remaining adj v in
             expand (v :: clique) (size + 1) candidates';
-            loop (k - 1)
+            loop (k - 2)
           end
         in
-        loop (n - 1)
+        loop (Array.length coloured - 2)
       end
     in
     let all = Bitset.create (Graph.n_vertices g) in

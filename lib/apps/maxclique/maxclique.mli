@@ -30,13 +30,6 @@ val children : (Yewpar_graph.Graph.t, node) Yewpar_core.Problem.generator
 val upper_bound : node -> int
 (** [size + bound] — the pruning bound of Listing 1's [upperBound]. *)
 
-val colour_order :
-  Yewpar_graph.Graph.t -> Yewpar_bitset.Bitset.t -> int array * int array * int
-(** [colour_order g p] greedily colours the subgraph induced by [p];
-    returns [(p_vertex, p_colour, count)] where [p_vertex.(0..count-1)]
-    lists [p] in colouring order and [p_colour.(i)] is the number of
-    colours used on [p_vertex.(0..i)] (exposed for tests). *)
-
 val max_clique :
   Yewpar_graph.Graph.t ->
   (Yewpar_graph.Graph.t, node, node) Yewpar_core.Problem.t

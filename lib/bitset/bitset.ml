@@ -76,11 +76,6 @@ let diff_into dst src =
     dst.words.(i) <- dst.words.(i) land lnot src.words.(i)
   done
 
-let inter a b =
-  let r = copy a in
-  inter_into r b;
-  r
-
 let equal a b =
   check_pair a b;
   let rec go i = i >= Array.length a.words || (a.words.(i) = b.words.(i) && go (i + 1)) in
@@ -156,23 +151,79 @@ let fill_upto s k =
     if rest > 0 then s.words.(full) <- s.words.(full) lor ((1 lsl rest) - 1)
   end
 
+(* Row-major: row r is words [r * stride, (r + 1) * stride) of [data],
+   and [stride] is the word count of a set of the same capacity, so word
+   w of a row lines up with word w of such a set. *)
+module Matrix = struct
+  type set = t
+  type t = { data : int array; rows : int; capacity : int; stride : int }
+
+  let create ~rows n =
+    if rows < 0 || n < 0 then invalid_arg "Bitset.Matrix.create: negative size";
+    let stride = max 1 (words_for n) in
+    { data = Array.make (rows * stride) 0; rows; capacity = n; stride }
+
+  let rows m = m.rows
+
+  let check_row m r =
+    if r < 0 || r >= m.rows then invalid_arg "Bitset.Matrix: row out of range"
+
+  let check m r i =
+    check_row m r;
+    if i < 0 || i >= m.capacity then invalid_arg "Bitset: element out of range"
+
+  let add m r i =
+    check m r i;
+    let k = (r * m.stride) + (i / bits_per_word) in
+    m.data.(k) <- m.data.(k) lor (1 lsl (i mod bits_per_word))
+
+  let mem m r i =
+    check m r i;
+    m.data.((r * m.stride) + (i / bits_per_word)) land (1 lsl (i mod bits_per_word)) <> 0
+
+  let cardinal m r =
+    check_row m r;
+    let base = r * m.stride and n = ref 0 in
+    for w = base to base + m.stride - 1 do
+      n := !n + popcount m.data.(w)
+    done;
+    !n
+
+  let row m r =
+    check_row m r;
+    { words = Array.sub m.data (r * m.stride) m.stride; capacity = m.capacity }
+
+  let inter_row (s : set) m r =
+    check_row m r;
+    if s.capacity <> m.capacity then invalid_arg "Bitset: capacity mismatch";
+    let base = r * m.stride in
+    let words = Array.copy s.words in
+    for w = 0 to m.stride - 1 do
+      words.(w) <- words.(w) land m.data.(base + w)
+    done;
+    { words; capacity = m.capacity }
+end
+
 (* MCSa's greedy colouring, one word at a time. A class is built from
    the uncoloured vertices in increasing order: the lowest bit of the
    current word is taken and cleared with x land (x - 1), and the
-   vertex's neighbours are struck from the rest of that word and from
+   vertex's row of [adj] is struck from the rest of that word and from
    the later words of [colourable] (the earlier words are already
-   spent). The call allocates two word arrays, [uncoloured] and
+   spent). Rows are read straight from the matrix's one word array: the
+   dimensions are checked once per call, not once per vertex. Besides
+   its output, the call allocates two word arrays, [uncoloured] and
    [colourable]; the latter is refilled from the former for each
    class. *)
-let greedy_colour p ~neighbours ~order ~colours =
+let greedy_colour p ~(adj : Matrix.t) =
+  if adj.rows <> p.capacity || adj.capacity <> p.capacity then
+    invalid_arg "Bitset: capacity mismatch";
   let n = cardinal p in
-  if Array.length order < n || Array.length colours < n then
-    invalid_arg "Bitset.greedy_colour: output array too short";
-  let nw = Array.length p.words in
+  let out = Array.make (2 * n) 0 in
+  let data = adj.data and nw = adj.stride in
   let uncoloured = Array.copy p.words in
   let colourable = Array.make nw 0 in
   let lo = ref 0 and idx = ref 0 and colour = ref 0 in
-  while !idx < n do
+  while !idx < 2 * n do
     while uncoloured.(!lo) = 0 do
       incr lo
     done;
@@ -183,20 +234,19 @@ let greedy_colour p ~neighbours ~order ~colours =
       while !x <> 0 do
         let b = !x land - !x in
         let v = (w * bits_per_word) + popcount (b - 1) in
-        let row = neighbours v in
-        check_pair row p;
+        let base = v * nw in
         uncoloured.(w) <- uncoloured.(w) land lnot b;
-        order.(!idx) <- v;
-        colours.(!idx) <- !colour;
-        incr idx;
-        x := !x land (!x - 1) land lnot row.words.(w);
+        out.(!idx) <- v;
+        out.(!idx + 1) <- !colour;
+        idx := !idx + 2;
+        x := !x land (!x - 1) land lnot data.(base + w);
         for w' = w + 1 to nw - 1 do
-          colourable.(w') <- colourable.(w') land lnot row.words.(w')
+          colourable.(w') <- colourable.(w') land lnot data.(base + w')
         done
       done
     done
   done;
-  n
+  out
 
 let pp ppf s =
   Format.fprintf ppf "{%s}" (String.concat ", " (List.map string_of_int (elements s)))

@@ -47,9 +47,6 @@ val diff_into : t -> t -> unit
 (** [diff_into dst src] replaces [dst] with [dst \ src].
     @raise Invalid_argument on capacity mismatch. *)
 
-val inter : t -> t -> t
-(** Fresh intersection. *)
-
 val equal : t -> t -> bool
 (** Extensional equality (capacities must match). *)
 
@@ -83,23 +80,61 @@ val fill_upto : t -> int -> unit
 (** [fill_upto s k] adds all of [0 .. k-1] (clamped to the capacity),
     a whole word at a time. *)
 
-val greedy_colour :
-  t -> neighbours:(int -> t) -> order:int array -> colours:int array -> int
-(** [greedy_colour p ~neighbours ~order ~colours] greedily colours the
-    subgraph induced by [p], where [neighbours v] is the adjacency row
-    of vertex [v] (the colouring of McCreesh and Prosser's MCSa,
-    word-parallel). Classes are built
-    one after another: each takes the still-uncoloured vertices in
-    increasing index order, skipping any that neighbours a vertex
-    already in the class. It writes the vertices in colouring order to
-    [order.(0 .. n-1)], the colour of [order.(i)] (numbered from 1) to
-    [colours.(i)], and returns [n = cardinal p]. Colours are
-    non-decreasing along [order], so [colours.(i)] is also the number of
-    colours used on [order.(0 .. i)]. [p] is not modified; the call
-    allocates its two scratch word arrays (the uncoloured vertices and
-    the class being built) once, not once per class.
-    @raise Invalid_argument if [order] or [colours] is shorter than
-    [cardinal p], or if a row's capacity differs from [p]'s. *)
+(** Bit matrices: [rows] sets of one capacity, stored row-major in one
+    word array. A graph's adjacency, which {!greedy_colour} reads a row
+    at a time with no per-row record or check. *)
+module Matrix : sig
+  type set := t
+
+  type t
+  (** A mutable matrix of bits, row [r] being a set of integers in
+      [\[0, capacity)]. *)
+
+  val create : rows:int -> int -> t
+  (** [create ~rows n] is [rows] empty rows of capacity [n].
+      @raise Invalid_argument if [rows] or [n] is negative. *)
+
+  val rows : t -> int
+  (** The number of rows fixed at creation. *)
+
+  val add : t -> int -> int -> unit
+  (** [add m r i] puts [i] into row [r].
+      @raise Invalid_argument if [r] or [i] is out of range. *)
+
+  val mem : t -> int -> int -> bool
+  (** [mem m r i] is whether row [r] holds [i].
+      @raise Invalid_argument if [r] or [i] is out of range. *)
+
+  val cardinal : t -> int -> int
+  (** [cardinal m r] is the population count of row [r].
+      @raise Invalid_argument if [r] is out of range. *)
+
+  val row : t -> int -> set
+  (** [row m r] is a fresh copy of row [r]; mutating it leaves [m]
+      unchanged. @raise Invalid_argument if [r] is out of range. *)
+
+  val inter_row : set -> t -> int -> set
+  (** [inter_row s m r] is a fresh [s ∩ row r].
+      @raise Invalid_argument if [r] is out of range or on capacity
+      mismatch. *)
+end
+
+val greedy_colour : t -> adj:Matrix.t -> int array
+(** [greedy_colour p ~adj] greedily colours the subgraph induced by
+    [p], where row [v] of [adj] is the adjacency of vertex [v] (the
+    colouring of McCreesh and Prosser's MCSa, word-parallel). Classes
+    are built one after another: each takes the still-uncoloured
+    vertices in increasing index order, skipping any that neighbours a
+    vertex already in the class. The result holds [2n] entries for
+    [n = cardinal p], vertex and colour interleaved: [a.(2i)] is the
+    [i]-th vertex in colouring order and [a.(2i + 1)] its colour,
+    numbered from 1. Colours are non-decreasing along the order, so
+    [a.(2i + 1)] is also the number of colours used on the first [i + 1]
+    vertices. [p] is not modified; besides the result, the call
+    allocates two scratch word arrays (the uncoloured vertices and the
+    class being built) once, not once per class.
+    @raise Invalid_argument if [adj] does not have [capacity p] rows of
+    capacity [capacity p]. *)
 
 val pp : Format.formatter -> t -> unit
 (** Print as [{e1, e2, ...}]. *)

@@ -1,12 +1,12 @@
 module Bitset = Yewpar_bitset.Bitset
 
-type t = { adj : Bitset.t array; mutable edges : int }
+type t = { adj : Bitset.Matrix.t; mutable edges : int }
 
 let create n =
   if n < 0 then invalid_arg "Graph.create: negative size";
-  { adj = Array.init n (fun _ -> Bitset.create n); edges = 0 }
+  { adj = Bitset.Matrix.create ~rows:n n; edges = 0 }
 
-let n_vertices g = Array.length g.adj
+let n_vertices g = Bitset.Matrix.rows g.adj
 let n_edges g = g.edges
 
 let check g v =
@@ -15,22 +15,26 @@ let check g v =
 let has_edge g u v =
   check g u;
   check g v;
-  Bitset.mem g.adj.(u) v
+  Bitset.Matrix.mem g.adj u v
 
 let add_edge g u v =
   check g u;
   check g v;
   if u <> v && not (has_edge g u v) then begin
-    Bitset.add g.adj.(u) v;
-    Bitset.add g.adj.(v) u;
+    Bitset.Matrix.add g.adj u v;
+    Bitset.Matrix.add g.adj v u;
     g.edges <- g.edges + 1
   end
 
 let neighbours g v =
   check g v;
-  g.adj.(v)
+  Bitset.Matrix.row g.adj v
 
-let degree g v = Bitset.cardinal (neighbours g v)
+let degree g v =
+  check g v;
+  Bitset.Matrix.cardinal g.adj v
+
+let adjacency g = g.adj
 
 let density g =
   let n = n_vertices g in

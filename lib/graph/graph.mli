@@ -1,8 +1,10 @@
 (** Undirected graphs as adjacency bitsets.
 
-    The search space of the clique and subgraph-isomorphism solvers: a
-    vector mapping each vertex to the bitset of its neighbours, exactly
-    the representation of the paper's Listing 1 ([std::vector<VertexSet>]). *)
+    The search space of the clique and subgraph-isomorphism solvers:
+    row [v] of one {!Yewpar_bitset.Bitset.Matrix} is the bitset of
+    [v]'s neighbours. That is the paper's Listing 1 representation
+    ([std::vector<VertexSet>]), with the rows packed into one word
+    array so the colouring kernel reads them without indirection. *)
 
 type t
 (** An undirected simple graph on vertices [0 .. n_vertices - 1]. *)
@@ -25,11 +27,19 @@ val has_edge : t -> int -> int -> bool
 (** Adjacency test. *)
 
 val neighbours : t -> int -> Yewpar_bitset.Bitset.t
-(** The adjacency bitset of a vertex — {b do not mutate}; treat as
-    read-only (shared, not copied, for speed). *)
+(** A fresh copy of a vertex's adjacency bitset: mutating it leaves the
+    graph unchanged. @raise Invalid_argument if the vertex is out of
+    range. *)
 
 val degree : t -> int -> int
 (** Number of neighbours. *)
+
+val adjacency : t -> Yewpar_bitset.Bitset.Matrix.t
+(** The graph's own adjacency matrix, not a copy: row [v] holds [v]'s
+    neighbours. It is what {!Yewpar_bitset.Bitset.greedy_colour} and
+    {!Yewpar_bitset.Bitset.Matrix.inter_row} read in the clique solvers'
+    inner loop. Read it only: an edge added through it bypasses
+    {!add_edge}'s symmetry and edge count. *)
 
 val density : t -> float
 (** [n_edges / (n choose 2)]; [0.] for graphs with fewer than 2 vertices. *)

@@ -23,6 +23,34 @@ let basics () =
   Alcotest.(check bool) "cleared" true (Bitset.is_empty s);
   Alcotest.(check int) "first of empty" (-1) (Bitset.first s)
 
+let matrix () =
+  let m = Bitset.Matrix.create ~rows:3 130 in
+  Alcotest.(check int) "rows" 3 (Bitset.Matrix.rows m);
+  List.iter (Bitset.Matrix.add m 1) [ 0; 62; 63; 126; 129 ];
+  Bitset.Matrix.add m 2 62;
+  Alcotest.(check bool) "mem" true (Bitset.Matrix.mem m 1 63);
+  Alcotest.(check bool) "rows are apart" false (Bitset.Matrix.mem m 0 63);
+  Alcotest.(check int) "row cardinal" 5 (Bitset.Matrix.cardinal m 1);
+  Alcotest.(check int) "empty row" 0 (Bitset.Matrix.cardinal m 0);
+  let r = Bitset.Matrix.row m 1 in
+  Alcotest.(check (list int)) "row" [ 0; 62; 63; 126; 129 ] (Bitset.elements r);
+  Bitset.remove r 0;
+  Alcotest.(check bool) "row is a copy" true (Bitset.Matrix.mem m 1 0);
+  let s = Bitset.of_list 130 [ 1; 62; 126; 128 ] in
+  Alcotest.(check (list int)) "inter_row" [ 62; 126 ]
+    (Bitset.elements (Bitset.Matrix.inter_row s m 1));
+  Alcotest.(check (list int)) "inter_row leaves s" [ 1; 62; 126; 128 ] (Bitset.elements s);
+  Alcotest.check_raises "row out of range" (Invalid_argument "Bitset.Matrix: row out of range")
+    (fun () -> Bitset.Matrix.add m 3 0);
+  Alcotest.check_raises "column out of range"
+    (Invalid_argument "Bitset: element out of range") (fun () ->
+      ignore (Bitset.Matrix.mem m 0 130));
+  Alcotest.check_raises "inter_row capacity" (Invalid_argument "Bitset: capacity mismatch")
+    (fun () -> ignore (Bitset.Matrix.inter_row (Bitset.create 129) m 0));
+  Alcotest.check_raises "negative size"
+    (Invalid_argument "Bitset.Matrix.create: negative size") (fun () ->
+      ignore (Bitset.Matrix.create ~rows:(-1) 4))
+
 let range_checks () =
   let s = Bitset.create 10 in
   Alcotest.check_raises "add out of range"
@@ -213,6 +241,7 @@ let () =
           Alcotest.test_case "zero capacity" `Quick zero_capacity;
           Alcotest.test_case "fill_upto" `Quick fill_upto;
           Alcotest.test_case "every bit position" `Quick every_position;
+          Alcotest.test_case "matrix" `Quick matrix;
         ] );
       ("properties", qsuite);
     ]

@@ -1,3 +1,4 @@
+module Bitset = Yewpar_bitset.Bitset
 module Graph = Yewpar_graph.Graph
 module Dimacs = Yewpar_graph.Dimacs
 module Gen = Yewpar_graph.Gen
@@ -17,6 +18,20 @@ let basics () =
   Alcotest.(check int) "isolated degree" 0 (Graph.degree g 4);
   Alcotest.check_raises "vertex range" (Invalid_argument "Graph: vertex out of range")
     (fun () -> Graph.add_edge g 0 5)
+
+let neighbours_is_a_copy () =
+  let g = Gen.uniform ~seed:8 70 0.4 in
+  let before = List.map (Graph.degree g) (Graph.vertices g) in
+  let row = Graph.neighbours g 3 in
+  let had = Graph.has_edge g 3 69 in
+  Bitset.fill_upto row 70;
+  Bitset.remove row 0;
+  Alcotest.(check bool) "has_edge unchanged" had (Graph.has_edge g 3 69);
+  Alcotest.(check bool) "symmetry kept" (Graph.has_edge g 0 3) (Graph.has_edge g 3 0);
+  Alcotest.(check (list int)) "degrees unchanged" before
+    (List.map (Graph.degree g) (Graph.vertices g));
+  Alcotest.(check bool) "the graph's row is untouched" false
+    (Bitset.equal row (Graph.neighbours g 3))
 
 let clique_check () =
   let g = Gen.complete 4 in
@@ -194,10 +209,77 @@ let prop_dimacs_roundtrip =
                (Graph.vertices g))
            (Graph.vertices g))
 
+(* Random add_edge sequences on either side of the 63-bit word
+   boundaries, with self-loops and repeated edges (both orientations)
+   mixed in. *)
+let edge_seq_arb =
+  let open QCheck.Gen in
+  let case =
+    oneofl [ 1; 62; 63; 64; 125; 126; 127; 189 ] >>= fun n ->
+    let vertex = int_bound (n - 1) in
+    let op =
+      frequency [ (1, vertex >|= fun v -> (v, v)); (7, pair vertex vertex) ]
+    in
+    list_size (int_bound (2 * n)) op >|= fun es ->
+    let repeats = List.filteri (fun i _ -> i mod 3 = 0) es in
+    (n, es @ List.map (fun (u, v) -> (v, u)) repeats)
+  in
+  QCheck.make
+    ~print:(fun (n, es) -> Printf.sprintf "n = %d, %d add_edge calls" n (List.length es))
+    case
+
+let build (n, es) =
+  let g = Graph.create n in
+  List.iter (fun (u, v) -> Graph.add_edge g u v) es;
+  g
+
+module Edges = Set.Make (struct
+  type t = int * int
+
+  let compare = compare
+end)
+
+let prop_matches_edge_set =
+  QCheck.Test.make ~name:"matrix graph matches an edge-set reference" ~count:100
+    edge_seq_arb (fun ((n, es) as case) ->
+      let g = build case in
+      let edges =
+        List.fold_left
+          (fun acc (u, v) -> if u = v then acc else Edges.add (min u v, max u v) acc)
+          Edges.empty es
+      in
+      let adjacent u v = Edges.mem (min u v, max u v) edges in
+      let ok = ref (Graph.n_vertices g = n && Graph.n_edges g = Edges.cardinal edges) in
+      for u = 0 to n - 1 do
+        let expected = List.filter (fun v -> v <> u && adjacent u v) (Graph.vertices g) in
+        for v = 0 to n - 1 do
+          if Graph.has_edge g u v <> (u <> v && adjacent u v) then ok := false
+        done;
+        if Graph.degree g u <> List.length expected then ok := false;
+        if Bitset.elements (Graph.neighbours g u) <> expected then
+          ok := false
+      done;
+      !ok)
+
+let prop_dimacs_roundtrip_boundaries =
+  QCheck.Test.make ~name:"dimacs roundtrip at word boundaries" ~count:50 edge_seq_arb
+    (fun case ->
+      let g = build case in
+      let g' = Dimacs.parse_string (Dimacs.to_string g) in
+      let n = Graph.n_vertices g in
+      let ok = ref (Graph.n_vertices g' = n && Graph.n_edges g' = Graph.n_edges g) in
+      for u = 0 to n - 1 do
+        for v = 0 to n - 1 do
+          if Graph.has_edge g u v <> Graph.has_edge g' u v then ok := false
+        done
+      done;
+      !ok)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_complement_involution; prop_complement_edge_count; prop_degree_sum;
-      prop_degeneracy_is_permutation; prop_dimacs_roundtrip ]
+      prop_degeneracy_is_permutation; prop_dimacs_roundtrip; prop_matches_edge_set;
+      prop_dimacs_roundtrip_boundaries ]
 
 let () =
   Alcotest.run "graph"
@@ -205,6 +287,7 @@ let () =
       ( "graph",
         [
           Alcotest.test_case "basics" `Quick basics;
+          Alcotest.test_case "neighbours is a copy" `Quick neighbours_is_a_copy;
           Alcotest.test_case "clique check" `Quick clique_check;
           Alcotest.test_case "complement" `Quick complement_involution;
           Alcotest.test_case "induced" `Quick induced_subgraph;

@@ -75,14 +75,22 @@ let hidden_clique_found () =
   Alcotest.(check bool) "witness valid" true
     (Graph.is_clique g (Mc.vertices_of node))
 
+(* The kernel's interleaved result as (vertices, colours). *)
+let split_coloured a =
+  let n = Array.length a / 2 in
+  (Array.init n (fun i -> a.(2 * i)), Array.init n (fun i -> a.((2 * i) + 1)))
+
 let colour_order_properties () =
   let g = Gen.uniform ~seed:3 30 0.5 in
   let p = Bitset.create 30 in
   Bitset.fill_upto p 30;
-  let p_vertex, p_colour, n = Mc.colour_order g p in
+  let coloured = Bitset.greedy_colour p ~adj:(Graph.adjacency g) in
+  Alcotest.(check int) "two entries per vertex" 60 (Array.length coloured);
+  let p_vertex, p_colour = split_coloured coloured in
+  let n = Array.length p_vertex in
   Alcotest.(check int) "all vertices coloured" 30 n;
   let seen = Hashtbl.create 30 in
-  Array.iteri (fun i v -> if i < n then Hashtbl.replace seen v ()) p_vertex;
+  Array.iter (fun v -> Hashtbl.replace seen v ()) p_vertex;
   Alcotest.(check int) "orders a permutation" 30 (Hashtbl.length seen);
   for i = 1 to n - 1 do
     if p_colour.(i) < p_colour.(i - 1) then
@@ -123,11 +131,15 @@ let reference_colour_order g p =
   done;
   (p_vertex, p_colour, n)
 
-(* A random graph of up to three words and a random subset of its
+(* A random graph of up to five words, its size drawn half the time
+   from either side of a word boundary, and a random subset of its
    vertices to colour. *)
 let gen_colouring_case =
   QCheck.(
-    quad (int_bound 190) (int_bound 100) (int_bound 10_000) (int_bound 100)
+    quad
+      (oneof
+         [ int_bound 300; oneofl [ 1; 62; 63; 64; 125; 126; 127; 188; 189; 190; 252 ] ])
+      (int_bound 100) (int_bound 10_000) (int_bound 100)
     |> map (fun (n, dp, seed, keep) ->
            let g = Yewpar_graph.Gen.uniform ~seed n (float_of_int dp /. 100.) in
            let rng = Random.State.make [| seed |] in
@@ -141,11 +153,9 @@ let prop_greedy_colour =
   QCheck.Test.make ~name:"greedy_colour is MCSa's colouring" ~count:300
     gen_colouring_case (fun (g, p) ->
       let n = Bitset.cardinal p in
-      let order = Array.make n (-1) and colours = Array.make n 0 in
-      let count =
-        Bitset.greedy_colour p ~neighbours:(Graph.neighbours g) ~order ~colours
-      in
-      let ok = ref (count = n) in
+      let coloured = Bitset.greedy_colour p ~adj:(Graph.adjacency g) in
+      let order, colours = split_coloured coloured in
+      let ok = ref (Array.length coloured = 2 * n) in
       (* A permutation of p. *)
       ok := !ok && List.sort compare (Array.to_list order) = Bitset.elements p;
       for i = 1 to n - 1 do
@@ -161,34 +171,32 @@ let prop_greedy_colour =
             ok := false
         done
       done;
-      (* Bit-identical to the pre-kernel colouring, through colour_order
-         as well. *)
+      (* Bit-identical to the pre-kernel colouring. *)
       let rv, rc, rn = reference_colour_order g p in
-      let mv, mc, mn = Mc.colour_order g p in
-      !ok && rn = n && mn = n
-      && Array.sub rv 0 n = order && Array.sub rc 0 n = colours
-      && Array.sub mv 0 n = order && Array.sub mc 0 n = colours)
+      !ok && rn = n && Array.sub rv 0 n = order && Array.sub rc 0 n = colours)
 
 let greedy_colour_checks () =
   let g = Gen.uniform ~seed:5 70 0.5 in
   let p = Bitset.create 70 in
   Bitset.fill_upto p 70;
-  let long = Array.make 70 0 and short = Array.make 69 0 in
-  let nb = Graph.neighbours g in
-  Alcotest.check_raises "order too short"
-    (Invalid_argument "Bitset.greedy_colour: output array too short") (fun () ->
-      ignore (Bitset.greedy_colour p ~neighbours:nb ~order:short ~colours:long));
-  Alcotest.check_raises "colours too short"
-    (Invalid_argument "Bitset.greedy_colour: output array too short") (fun () ->
-      ignore (Bitset.greedy_colour p ~neighbours:nb ~order:long ~colours:short));
+  let adj = Graph.adjacency g in
+  (* The kernel sizes its own output: exactly two entries per vertex,
+     never a short array. *)
+  Alcotest.(check int) "output holds 2n entries" 140
+    (Array.length (Bitset.greedy_colour p ~adj));
+  Bitset.remove p 69;
+  Alcotest.(check int) "output shrinks with p" 138
+    (Array.length (Bitset.greedy_colour p ~adj));
   let other = Gen.uniform ~seed:5 71 0.5 in
-  Alcotest.check_raises "row capacity mismatch" (Invalid_argument "Bitset: capacity mismatch")
-    (fun () ->
-      ignore
-        (Bitset.greedy_colour p ~neighbours:(Graph.neighbours other) ~order:long
-           ~colours:long));
-  Alcotest.(check int) "empty set" 0
-    (Bitset.greedy_colour (Bitset.create 70) ~neighbours:nb ~order:[||] ~colours:[||])
+  Alcotest.check_raises "another graph's matrix" (Invalid_argument "Bitset: capacity mismatch")
+    (fun () -> ignore (Bitset.greedy_colour p ~adj:(Graph.adjacency other)));
+  Alcotest.check_raises "rows of another capacity"
+    (Invalid_argument "Bitset: capacity mismatch") (fun () ->
+      ignore (Bitset.greedy_colour p ~adj:(Bitset.Matrix.create ~rows:70 71)));
+  Alcotest.check_raises "too few rows" (Invalid_argument "Bitset: capacity mismatch")
+    (fun () -> ignore (Bitset.greedy_colour p ~adj:(Bitset.Matrix.create ~rows:69 70)));
+  Alcotest.(check (array int)) "empty set" [||]
+    (Bitset.greedy_colour (Bitset.create 70) ~adj)
 
 let matches_brute_force () =
   for seed = 0 to 14 do
