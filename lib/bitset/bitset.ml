@@ -88,10 +88,24 @@ let subset a b =
   in
   go 0
 
-(* x <> 0; index of its least significant set bit, as the popcount of
-   the bits below it. When only the sign bit is set, x land (-x) is
-   min_int and min_int - 1 is max_int, whose 62 bits give index 62. *)
-let lowest_bit_index x = popcount ((x land -x) - 1)
+(* De Bruijn bit index. For an isolated bit b = 1 lsl k, the product is
+   the constant shifted left by k; under OCaml's wrapping 63-bit
+   multiply, its bits 56..61 differ for every k in 0..62, min_int
+   (k = 62) included, and [bit_index] maps those six bits back to k. The
+   usual window of a 64-bit lookup, bits 58..63, runs past the 63 bits
+   of an OCaml int, and what is left of it collides. *)
+let bit_slot b = ((b * 0x03f7_9d71_b4cb_0a89) lsr 56) land 63
+
+let bit_index =
+  let t = Array.make 64 0 in
+  for k = 0 to bits_per_word - 1 do
+    t.(bit_slot (1 lsl k)) <- k
+  done;
+  t
+
+(* x <> 0; index of its least significant set bit: isolate it with
+   x land (-x), then one multiply, one shift and one table read. *)
+let lowest_bit_index x = bit_index.(bit_slot (x land -x))
 
 let first s =
   let rec go w =
@@ -210,10 +224,11 @@ end
    vertex's row of [adj] is struck from the rest of that word and from
    the later words of [colourable] (the earlier words are already
    spent). Rows are read straight from the matrix's one word array: the
-   dimensions are checked once per call, not once per vertex. Besides
+   dimensions are checked once per call, not once per vertex. A vertex's
+   index comes from its isolated bit by the de Bruijn lookup. Besides
    its output, the call allocates two word arrays, [uncoloured] and
-   [colourable]; the latter is refilled from the former for each
-   class. *)
+   [colourable]; the latter is refilled from the former for each class
+   by a plain loop, with no call into the runtime. *)
 let greedy_colour p ~(adj : Matrix.t) =
   if adj.rows <> p.capacity || adj.capacity <> p.capacity then
     invalid_arg "Bitset: capacity mismatch";
@@ -228,12 +243,14 @@ let greedy_colour p ~(adj : Matrix.t) =
       incr lo
     done;
     incr colour;
-    Array.blit uncoloured !lo colourable !lo (nw - !lo);
+    for w = !lo to nw - 1 do
+      colourable.(w) <- uncoloured.(w)
+    done;
     for w = !lo to nw - 1 do
       let x = ref colourable.(w) in
       while !x <> 0 do
         let b = !x land - !x in
-        let v = (w * bits_per_word) + popcount (b - 1) in
+        let v = (w * bits_per_word) + bit_index.(bit_slot b) in
         let base = v * nw in
         uncoloured.(w) <- uncoloured.(w) land lnot b;
         out.(!idx) <- v;

@@ -55,13 +55,19 @@ val subset : t -> t -> bool
 
 val first : t -> int
 (** Smallest element, or [-1] if empty. Word-parallel: it skips empty
-    words and finds the lowest set bit of a word in constant steps. *)
+    words and indexes the lowest set bit of a word with one multiply
+    and one table read (a de Bruijn lookup), whatever the bit. Allocates
+    nothing. *)
 
 val next_from : t -> int -> int
-(** [next_from s i] is the smallest element [>= i], or [-1]. *)
+(** [next_from s i] is the smallest element [>= i], or [-1]. It masks
+    off the bits below [i] in [i]'s word, skips empty words, and
+    indexes the lowest set bit as {!first} does. Allocates nothing. *)
 
 val iter : (int -> unit) -> t -> unit
-(** Iterate elements in increasing order. [s] must not be modified
+(** Iterate elements in increasing order, a word at a time: each
+    element's index is found with the de Bruijn lookup of {!first}, and
+    its bit is cleared with [x land (x - 1)]. [s] must not be modified
     during the iteration. *)
 
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
@@ -130,9 +136,12 @@ val greedy_colour : t -> adj:Matrix.t -> int array
     [i]-th vertex in colouring order and [a.(2i + 1)] its colour,
     numbered from 1. Colours are non-decreasing along the order, so
     [a.(2i + 1)] is also the number of colours used on the first [i + 1]
-    vertices. [p] is not modified; besides the result, the call
-    allocates two scratch word arrays (the uncoloured vertices and the
-    class being built) once, not once per class.
+    vertices. [p] is not modified. Each vertex is indexed from its
+    isolated bit by the de Bruijn lookup of {!first}. Besides the
+    result, the call allocates two scratch word arrays (the uncoloured
+    vertices and the class being built) once, not once per class, and
+    refills the class's words with a plain loop: it makes no call into
+    the C runtime per class.
     @raise Invalid_argument if [adj] does not have [capacity p] rows of
     capacity [capacity p]. *)
 

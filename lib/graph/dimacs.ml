@@ -30,7 +30,9 @@ let parse_string text =
         match fields line with
         | [ "p"; format; n; _m ] when format = "edge" || format = "col" ->
           if !graph <> None then failwith "Dimacs: duplicate problem line";
-          graph := Some (Graph.create (int_field "vertex count" n))
+          let n = int_field "vertex count" n in
+          if n < 0 then failwith (Printf.sprintf "Dimacs: negative vertex count %d" n);
+          graph := Some (Graph.create n)
         | "e" :: u :: v :: _ -> edge (int_field "endpoint" u) (int_field "endpoint" v)
         | f :: _ when String.length f > 0 && is_space f.[0] -> ()
         | _ -> failwith (Printf.sprintf "Dimacs: unrecognised line %S" line))

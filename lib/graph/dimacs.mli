@@ -8,8 +8,8 @@
 val parse_string : string -> Graph.t
 (** Parse DIMACS text. Comment lines ([c ...]) are skipped, [e u v]
     lines add edges.
-    @raise Failure on malformed input (missing problem line, vertex out
-    of range, non-integer fields). *)
+    @raise Failure on malformed input (missing problem line, negative
+    vertex count, vertex out of range, non-integer fields). *)
 
 val parse_file : string -> Graph.t
 (** Like {!parse_string}, reading from a file path. *)

@@ -104,7 +104,8 @@ let dimacs_errors () =
   expect_failure "e 1 2\n";
   expect_failure "p edge 2 1\ne 1 5\n";
   expect_failure "p edge 2 0\nzzz\n";
-  expect_failure "p edge two 0\n"
+  expect_failure "p edge two 0\n";
+  expect_failure "p edge -3 0\n"
 
 let generators_deterministic () =
   let a = Gen.uniform ~seed:1 30 0.5 and b = Gen.uniform ~seed:1 30 0.5 in

@@ -196,7 +196,18 @@ let greedy_colour_checks () =
   Alcotest.check_raises "too few rows" (Invalid_argument "Bitset: capacity mismatch")
     (fun () -> ignore (Bitset.greedy_colour p ~adj:(Bitset.Matrix.create ~rows:69 70)));
   Alcotest.(check (array int)) "empty set" [||]
-    (Bitset.greedy_colour (Bitset.create 70) ~adj)
+    (Bitset.greedy_colour (Bitset.create 70) ~adj);
+  (* 189 vertices fill three words, so bit 62 of each word (the sign
+     bit, isolated as min_int) is a vertex. *)
+  let n = 189 in
+  let p = Bitset.create n in
+  Bitset.fill_upto p n;
+  Alcotest.(check (array int)) "edgeless graph: one class in order"
+    (Array.init (2 * n) (fun i -> if i mod 2 = 0 then i / 2 else 1))
+    (Bitset.greedy_colour p ~adj:(Graph.adjacency (Graph.create n)));
+  Alcotest.(check (array int)) "complete graph: n singleton classes"
+    (Array.init (2 * n) (fun i -> if i mod 2 = 0 then i / 2 else (i / 2) + 1))
+    (Bitset.greedy_colour p ~adj:(Graph.adjacency (Graph.complement (Graph.create n))))
 
 let matches_brute_force () =
   for seed = 0 to 14 do
