@@ -16,8 +16,8 @@ type node = { state : int64; depth : int }
 let root p = { state = Splitmix.mix64 (Int64.of_int p.seed); depth = 0 }
 
 let num_children p node =
-  if node.depth = 0 then p.b0
-  else if node.depth >= p.max_depth then 0
+  if node.depth >= p.max_depth then 0
+  else if node.depth = 0 then p.b0
   else begin
     (* Draw from the node's own state: the top 53 bits as a uniform
        float, compared against q — pure and platform-independent. *)

@@ -3,8 +3,9 @@
     UTS counts the nodes of a synthetic tree whose shape is a pure
     function of a seed: each node carries a 64-bit state, its child
     count is drawn from the node's own hash (binomial variant: [m]
-    children with probability [q], none otherwise; the root always has
-    [b0] children), and child states are hashes of the parent state.
+    children with probability [q], none otherwise; the root has [b0]
+    children; no node at or below [max_depth] has any), and child
+    states are hashes of the parent state.
     The original benchmark uses SHA-1; we use splitmix64 mixing, which
     preserves the property that matters — the tree is deterministic,
     extremely irregular, and impossible to partition statically. *)

@@ -1,8 +1,9 @@
 (* The generator stack is a linked list of frames, top first. A push
    allocates a fresh frame on the minor heap and a pop just drops it,
-   so the hot loop writes into no long-lived block except [top]: the
-   frame fields it mutates ([rest], [kept]) belong to frames that are
-   almost always still young, and a popped frame keeps nothing alive. *)
+   so the hot loop writes into no long-lived block: the frame fields
+   it mutates ([rest], [kept]) belong to frames that are almost always
+   still young, the top of stack is a local of [run] between syncs, and
+   a popped frame keeps nothing alive. *)
 type 'node frame =
   | Bottom
   | Frame of {
@@ -22,10 +23,10 @@ type ('space, 'node) t = {
   mutable root : 'node;
   mutable root_depth : int;
   prof : Depth_profile.t;
-      (* the one place a traversal step is recorded: every Enter notes
-         a node, every Pruned a prune and every Leave a completion
-         (depth, kept). [Depth_profile.null] when nothing is collected
-         — each note reduces to one branch. *)
+      (* the one place a traversal step is recorded: every entered
+         child notes a node, every pruned one a prune and every leave a
+         completion (depth, kept). [Depth_profile.null] when nothing is
+         collected — each note reduces to one branch. *)
   mutable entered : int;
   mutable pruned : int;
   mutable backtracks : int;
@@ -53,43 +54,79 @@ let restart t ~root_depth root =
 
 let root t = t.root
 
-type step = Enter | Pruned | Leave | Exhausted
+(* The engine record is written only where the loop hands control
+   back: on every return and before every hook. In between, the top of
+   stack and the counters live in [go]'s arguments, so a push or pop
+   writes no long-lived block. *)
+let sync t top entered pruned backtracks max_depth =
+  t.top <- top;
+  t.entered <- entered;
+  t.pruned <- pruned;
+  t.backtracks <- backtracks;
+  t.max_depth <- max_depth
 
-let step ~prune_rest ~keep t =
-  match t.top with
-  | Bottom -> Exhausted
-  | Frame f as top -> (
-    match f.rest () with
-    | Seq.Nil ->
-      t.top <- f.below;
-      t.backtracks <- t.backtracks + 1;
-      Depth_profile.note_complete t.prof f.depth f.kept;
-      Leave
-    | Seq.Cons (child, rest) ->
-      f.rest <- rest;
-      if keep child then begin
-        let depth = f.depth + 1 in
-        f.kept <- f.kept + 1;
-        t.top <-
-          Frame
-            { node = child; rest = t.children t.space child; depth; kept = 0;
-              below = top };
-        t.entered <- t.entered + 1;
-        if depth > t.max_depth then t.max_depth <- depth;
-        Depth_profile.note_node t.prof depth;
-        Enter
-      end
-      else begin
-        if prune_rest then f.rest <- Seq.empty;
-        t.pruned <- t.pruned + 1;
-        Depth_profile.note_prune t.prof (f.depth + 1);
-        Pruned
-      end)
-
-let current t =
-  match t.top with
-  | Frame f -> f.node
-  | Bottom -> invalid_arg "Engine.current: traversal exhausted"
+let run ?on_enter ?on_leave ?(steps = max_int) ~prune_rest ~keep ~process
+    ~stop t =
+  let prof = t.prof and children = t.children and space = t.space in
+  let rec go top n entered pruned backtracks max_depth =
+    if Atomic.get stop then begin
+      sync t top entered pruned backtracks max_depth;
+      false
+    end
+    else if n = 0 then begin
+      sync t top entered pruned backtracks max_depth;
+      true
+    end
+    else
+      match top with
+      | Bottom ->
+        sync t top entered pruned backtracks max_depth;
+        false
+      | Frame f -> (
+        match f.rest () with
+        | Seq.Nil ->
+          let top = f.below and backtracks = backtracks + 1 in
+          Depth_profile.note_complete prof f.depth f.kept;
+          (match on_leave with
+          | None -> ()
+          | Some hook ->
+            sync t top entered pruned backtracks max_depth;
+            hook ());
+          go top (n - 1) entered pruned backtracks max_depth
+        | Seq.Cons (child, rest) ->
+          f.rest <- rest;
+          if keep child then begin
+            let depth = f.depth + 1 in
+            f.kept <- f.kept + 1;
+            let top =
+              Frame
+                { node = child; rest = children space child; depth;
+                  kept = 0; below = top }
+            in
+            let entered = entered + 1 in
+            let max_depth = if depth > max_depth then depth else max_depth in
+            Depth_profile.note_node prof depth;
+            if process child then begin
+              (match on_enter with
+              | None -> ()
+              | Some hook ->
+                sync t top entered pruned backtracks max_depth;
+                hook ());
+              go top (n - 1) entered pruned backtracks max_depth
+            end
+            else begin
+              Atomic.set stop true;
+              sync t top entered pruned backtracks max_depth;
+              false
+            end
+          end
+          else begin
+            if prune_rest then f.rest <- Seq.empty;
+            Depth_profile.note_prune prof (f.depth + 1);
+            go top (n - 1) entered (pruned + 1) backtracks max_depth
+          end)
+  in
+  go t.top steps t.entered t.pruned t.backtracks t.max_depth
 
 let current_depth t =
   match t.top with Frame f -> f.depth | Bottom -> t.root_depth - 1

@@ -1,19 +1,22 @@
 (** Resumable depth-first traversal over a stack of Lazy Node Generators.
 
     The engine implements the traversal rules of the paper's semantics
-    (expand/backtrack/terminate, Figure 2) one step at a time, so search
-    coordinations can interleave traversal with spawning, steal checks
-    and budget accounting. It maintains the generator stack of §4.1:
-    one frame per node on the current branch, each holding the node,
-    its depth and its not-yet-explored children in heuristic order.
+    (expand/backtrack/terminate, Figure 2) in one loop, {!run}, which
+    a caller can pause after any number of transitions and resume, so
+    search coordinations can interleave traversal with spawning, steal
+    checks and budget accounting. It maintains the generator stack of
+    §4.1: one frame per node on the current branch, each holding the
+    node, its depth and its not-yet-explored children in heuristic
+    order.
 
     Frames are linked: each push allocates a fresh frame that points
-    at the frame below, and each pop drops the top frame. The only
-    field of the long-lived engine record a step writes is the
-    top-of-stack pointer; the frame fields it updates belong to a frame
-    that is usually still on the minor heap, where a write needs no
-    barrier work. A subtree the traversal has left is unreachable from
-    the engine.
+    at the frame below, and each pop drops the top frame. Inside {!run}
+    the top of stack and the counters are locals, written back to the
+    long-lived engine record only when the loop returns or calls a
+    hook; the frame fields a transition updates belong to a frame that
+    is usually still on the minor heap, where a write needs no barrier
+    work. A subtree the traversal has left is unreachable from the
+    engine.
 
     The same engine backs the sequential skeleton, the Domain-parallel
     runtime and the discrete-event simulator, guaranteeing identical
@@ -31,11 +34,11 @@ val make :
     [root_depth]. The caller is responsible for {e processing} [root]
     itself (tasks process their root when scheduled).
 
-    [prof] (default {!Depth_profile.null}) records every step, so no
-    caller notes traversal events itself: one
-    {!Depth_profile.note_node} per [Enter] at the entered node's global
-    depth, one {!Depth_profile.note_prune} per [Pruned] at the pruned
-    child's depth, and one {!Depth_profile.note_complete} per [Leave],
+    [prof] (default {!Depth_profile.null}) records every transition of
+    {!run}, so no caller notes traversal events itself: one
+    {!Depth_profile.note_node} per entered node at its global depth,
+    one {!Depth_profile.note_prune} per pruned child at the child's
+    depth, and one {!Depth_profile.note_complete} per backtrack,
     carrying the global depth of the node whose expansion just
     completed and the number of its children committed to the search —
     those entered by this engine plus any the caller split off and
@@ -57,34 +60,43 @@ val restart : ('space, 'node) t -> root_depth:int -> 'node -> unit
 val root : ('space, 'node) t -> 'node
 (** The subtree root this engine was made or last restarted for. *)
 
-type step =
-  | Enter
-      (** Moved to a new node (the paper's [expand]); the caller must
-          process it. {!current} returns it. *)
-  | Pruned
-      (** The next child failed the [keep] predicate; its subtree was
-          discarded without materialisation (the paper's [prune]). *)
-  | Leave  (** Backtracked one level ([backtrack]/[terminate]). *)
-  | Exhausted  (** The whole subtree has been traversed. *)
+val run :
+  ?on_enter:(unit -> unit) ->
+  ?on_leave:(unit -> unit) ->
+  ?steps:int ->
+  prune_rest:bool ->
+  keep:('node -> bool) ->
+  process:('node -> bool) ->
+  stop:bool Atomic.t ->
+  ('space, 'node) t ->
+  bool
+(** [run ~prune_rest ~keep ~process ~stop t] resumes the traversal for
+    at most [steps] transitions (default unbounded). Each transition is
+    one of:
+    - {e enter} (the paper's [expand]): the next child passes [keep];
+      it is pushed and then processed with [process];
+    - {e prune}: the next child fails [keep]; its subtree is discarded
+      without materialisation and, with [prune_rest] (set it from
+      {!Ops.view.prune_siblings}), so are all its later siblings, which
+      is sound when the generator yields children in non-increasing
+      bound order (§4.1);
+    - {e leave} ([backtrack]/[terminate]): the top node has no
+      children left and is popped.
 
-val step :
-  prune_rest:bool -> keep:('node -> bool) -> ('space, 'node) t -> step
-(** Advance the traversal by one transition. [keep] is the pruning
-    predicate evaluated on each child before it is entered; returning
-    [false] discards the child's entire subtree. With [prune_rest]
-    (set it from {!Ops.view.prune_siblings}), a failed [keep]
-    additionally discards all later siblings without materialising
-    them, which is sound when the generator yields children in
-    non-increasing bound order (§4.1).
+    [stop] is read before every transition; the run ends when it is
+    raised. A [process] returning [false] (a decision witness) raises
+    [stop] and ends the run. [on_enter] is called after each entered
+    node that [process] accepted, [on_leave] after each leave; both see
+    an engine whose stack and counters are up to date, and may split
+    it ({!split_lowest}, {!split_one}, {!credit_kept}, {!cut_rest}) or
+    read its counters, but must not {!restart} or {!run} it.
 
-    A step allocates only the new frame on [Enter] and whatever the
-    child generator allocates; the result carries no payload. *)
-
-val current : ('space, 'node) t -> 'node
-(** The node of the top frame: after [Enter], the node just entered;
-    after [Leave], the node whose expansion resumes; before the first
-    step, the subtree root.
-    @raise Invalid_argument once the traversal is exhausted. *)
+    Returns [true] when the step budget ran out first, so the traversal
+    can be resumed, and [false] once it is over: the subtree is
+    exhausted or [stop] was raised. With [~steps:0] it takes no
+    transition and returns [not (Atomic.get stop)]. A transition
+    allocates only the new frame on enter and whatever the child
+    generator allocates. *)
 
 val current_depth : ('space, 'node) t -> int
 (** Global depth of the node currently being expanded (the top frame);
@@ -94,14 +106,14 @@ val stack_size : ('space, 'node) t -> int
 (** Height of the generator stack; O(height). *)
 
 val backtracks : ('space, 'node) t -> int
-(** Number of [Leave] transitions so far (the Budget coordination's
+(** Number of leave transitions so far (the Budget coordination's
     backtrack counter). *)
 
 val nodes_entered : ('space, 'node) t -> int
-(** Number of [Enter] transitions so far. *)
+(** Number of enter transitions so far. *)
 
 val nodes_pruned : ('space, 'node) t -> int
-(** Number of [Pruned] transitions so far. *)
+(** Number of prune transitions so far. *)
 
 val max_depth : ('space, 'node) t -> int
 (** Deepest global depth entered so far (at least [root_depth]). *)
@@ -119,8 +131,8 @@ val split_one : ('space, 'node) t -> ('node * int) option
 val credit_kept : ('space, 'node) t -> depth:int -> n:int -> unit
 (** [credit_kept t ~depth ~n] records that [n] children of the frame
     at global depth [depth] were split off and committed to the search
-    elsewhere (spawned as tasks), so the completion recorded at [Leave]
-    still reports the node's true kept-children count. Callers must credit
+    elsewhere (spawned as tasks), so the completion recorded when it is
+    left still reports the node's true kept-children count. Callers must credit
     only children that pass the keep filter — crediting raw drained
     counts would overestimate when spawn-side filtering prunes. It walks
     down from the top frame, so it costs the distance to that frame; it
@@ -128,7 +140,7 @@ val credit_kept : ('space, 'node) t -> depth:int -> n:int -> unit
 
 val cut_rest : ('space, 'node) t -> depth:int -> unit
 (** [cut_rest t ~depth] discards every unexplored child of the frame at
-    global depth [depth] — the sibling cut {!step} applies under
+    global depth [depth] — the sibling cut {!run} applies under
     [prune_rest] when a child fails [keep], for a child the caller took
     with {!split_one} and found dead. A no-op if that frame has already
     been left. *)

@@ -7,19 +7,17 @@ let search (type s n r) ?stats (p : (s, n, r) Problem.t) : r =
     | Some st -> st.Stats.depths
     | None -> Depth_profile.null
   in
-  (* The engine records every step into [prof]; only the root, which
-     the engine never enters, is noted here. *)
+  (* The engine records every transition into [prof]; only the root,
+     which the engine never enters, is noted here. *)
   let engine =
     Engine.make ~prof ~space:p.space ~children:p.children ~root_depth:0 p.root
   in
-  let rec loop () =
-    match Engine.step ~prune_rest:view.prune_siblings ~keep:view.keep engine with
-    | Engine.Enter -> if view.process (Engine.current engine) then loop ()
-    | Engine.Pruned | Engine.Leave -> loop ()
-    | Engine.Exhausted -> ()
-  in
   Depth_profile.note_node prof 0;
-  if view.process p.root then loop ();
+  if view.process p.root then
+    ignore
+      (Engine.run ~prune_rest:view.prune_siblings ~keep:view.keep
+         ~process:view.process ~stop:(Atomic.make false) engine
+        : bool);
   (match stats with
   | None -> ()
   | Some st ->

@@ -89,11 +89,11 @@ let spawn ctx ~slot task =
 (* Splits hand children the engine would have reached to other tasks,
    so each split applies the engine's rules to what it takes: a child
    failing [keep] counts one prune and, under [prune_siblings], cuts
-   its remaining siblings, exactly as [Engine.step] would have done on
+   its remaining siblings, exactly as [Engine.run] would have done on
    reaching it. Kept children are credited back to the donor frame
-   ([Engine.credit_kept]), so the frame's eventual [on_leave] reports
-   the node's true committed-children count — the tree-size
-   estimator's closed-stratum rule depends on it. Each split returns
+   ([Engine.credit_kept]), so the completion noted when the frame is
+   left reports the node's true committed-children count — the
+   tree-size estimator's closed-stratum rule depends on it. Each split returns
    whether it took a node. *)
 let split_chunk ctx ~slot (view : 'n Ops.view) ~tag e =
   let cs, depth = Engine.split_lowest e in
@@ -226,44 +226,37 @@ let advance ctx ~slot ~steps =
     let tag = s.tag in
     let charged () = Engine.nodes_entered e + Engine.nodes_pruned e in
     let before = charged () in
-    (* [go n] is [true] when the step budget ran out with the task
-       still live, [false] when the task is over. *)
-    let rec go n =
-      if Atomic.get ctx.stop then false
-      else if n = 0 then true
-      else
-        match
-          Engine.step ~prune_rest:view.Ops.prune_siblings ~keep:view.Ops.keep e
-        with
-        | Engine.Enter ->
-          if view.Ops.process (Engine.current e) then begin
-            (match ctx.coordination with
-            | Coordination.Stack_stealing { chunked } ->
-              shed_to_thieves ctx ~slot view ~chunked ~tag e
-            | _ -> ());
-            go (n - 1)
-          end
-          else begin
-            Atomic.set ctx.stop true;
-            false
-          end
-        | Engine.Pruned -> go (n - 1)
-        | Engine.Leave ->
-          (match ctx.coordination with
-          | Coordination.Budget { budget }
-            when Engine.backtracks e - s.last_bt >= budget ->
-            ignore (split_chunk ctx ~slot view ~tag e : bool);
-            s.last_bt <- Engine.backtracks e
-          | Coordination.Random_spawn { mean_interval }
-            when (match s.rng with
-                 | Some g -> Splitmix.int g mean_interval = 0
-                 | None -> false) ->
-            ignore (split_one ctx ~slot view ~tag e : bool)
-          | _ -> ());
-          go (n - 1)
-        | Engine.Exhausted -> false
+    let run ?on_enter ?on_leave () =
+      Engine.run ?on_enter ?on_leave ~steps ~prune_rest:view.Ops.prune_siblings
+        ~keep:view.Ops.keep ~process:view.Ops.process ~stop:ctx.stop e
     in
-    let paused = go steps in
+    (* The coordination's decision is chosen here, once per call, and
+       handed to the engine's loop as a hook on the one transition it
+       follows; the loop itself tests no coordination. *)
+    let paused =
+      match (ctx.coordination, s.rng) with
+      | Coordination.Stack_stealing { chunked }, _ ->
+        run ~on_enter:(fun () -> shed_to_thieves ctx ~slot view ~chunked ~tag e) ()
+      | Coordination.Budget { budget }, _ ->
+        run
+          ~on_leave:(fun () ->
+            if Engine.backtracks e - s.last_bt >= budget then begin
+              ignore (split_chunk ctx ~slot view ~tag e : bool);
+              s.last_bt <- Engine.backtracks e
+            end)
+          ()
+      | Coordination.Random_spawn { mean_interval }, Some g ->
+        run
+          ~on_leave:(fun () ->
+            if Splitmix.int g mean_interval = 0 then
+              ignore (split_one ctx ~slot view ~tag e : bool))
+          ()
+      | ( ( Coordination.Sequential | Coordination.Depth_bounded _
+          | Coordination.Best_first _ | Coordination.Random_spawn _
+          | Coordination.Ordered _ ),
+          _ ) ->
+        run ()
+    in
     let units = charged () - before in
     if not paused then begin
       let c = ctx.counters in

@@ -14,9 +14,12 @@
     The task step is split so a driver can interleave it:
     - {!start_task} re-checks the task root's bound, processes it and,
       above a spawn-depth cutoff, spawns all its children;
-    - {!advance} resumes the task's engine for a bounded number of
-      steps, taking every Enter/Pruned/Leave coordination decision
-      (stack-steal splits, budget sheds, random spawns) on the way.
+    - {!advance} resumes the task's engine ({!Yewpar_core.Engine.run})
+      for a bounded number of steps, taking the coordination's
+      decisions on the way: a stack-steal split after an entered node,
+      a budget shed or random spawn after a backtrack. The decision is
+      chosen once per call and handed to the engine's loop as a hook,
+      so the loop itself tests no coordination.
 
     {!exec_task} is the two back to back with an unbounded step count:
     what worker domains run ({!start}). The simulator calls {!start_task}

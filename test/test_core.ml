@@ -31,20 +31,44 @@ let max_problem root =
   Problem.maximise ~name:"max" ~space:() ~root ~children:children_of
     ~objective:value ()
 
+(* Run [e] to its end, returning the values of the nodes it entered in
+   order. *)
+let drive ?(keep = fun _ -> true) e =
+  let visited = ref [] in
+  let process n =
+    visited := value n :: !visited;
+    true
+  in
+  let paused =
+    Engine.run ~prune_rest:false ~keep ~process ~stop:(Atomic.make false) e
+  in
+  Alcotest.(check bool) "ran to the end" false paused;
+  List.rev !visited
+
+(* One transition of [e], keeping every child. *)
+type transition = Enter of int | Leave | Exhausted
+
+let step e =
+  let entered = ref None and backtracks = Engine.backtracks e in
+  let process n =
+    entered := Some n;
+    true
+  in
+  let paused =
+    Engine.run ~steps:1 ~prune_rest:false ~keep:(fun _ -> true) ~process
+      ~stop:(Atomic.make false) e
+  in
+  match !entered with
+  | Some n -> Enter (value n)
+  | None when Engine.backtracks e > backtracks -> Leave
+  | None ->
+    Alcotest.(check bool) "no transition left" false paused;
+    Exhausted
+
 let engine_traversal_order () =
   (* The engine must visit nodes in depth-first, left-to-right order. *)
   let e = Engine.make ~space:() ~children:children_of ~root_depth:0 sample in
-  let visited = ref [] in
-  let rec drive () =
-    match Engine.step ~prune_rest:false ~keep:(fun _ -> true) e with
-    | Engine.Enter ->
-      visited := value (Engine.current e) :: !visited;
-      drive ()
-    | Engine.Pruned | Engine.Leave -> drive ()
-    | Engine.Exhausted -> ()
-  in
-  drive ();
-  Alcotest.(check (list int)) "dfs order" [ 2; 7; 4; 5; 3; 9 ] (List.rev !visited);
+  Alcotest.(check (list int)) "dfs order" [ 2; 7; 4; 5; 3; 9 ] (drive e);
   Alcotest.(check int) "backtracks = nodes+1 pops" 7 (Engine.backtracks e);
   Alcotest.(check int) "entered" 6 (Engine.nodes_entered e);
   Alcotest.(check int) "max depth" 2 (Engine.max_depth e);
@@ -53,17 +77,8 @@ let engine_traversal_order () =
 let engine_pruning () =
   (* Pruning the subtree rooted at 2 skips 7 and 4. *)
   let e = Engine.make ~space:() ~children:children_of ~root_depth:0 sample in
-  let visited = ref [] in
-  let rec drive () =
-    match Engine.step ~prune_rest:false ~keep:(fun n -> value n <> 2) e with
-    | Engine.Enter ->
-      visited := value (Engine.current e) :: !visited;
-      drive ()
-    | Engine.Pruned | Engine.Leave -> drive ()
-    | Engine.Exhausted -> ()
-  in
-  drive ();
-  Alcotest.(check (list int)) "pruned traversal" [ 5; 3; 9 ] (List.rev !visited);
+  Alcotest.(check (list int)) "pruned traversal" [ 5; 3; 9 ]
+    (drive ~keep:(fun n -> value n <> 2) e);
   Alcotest.(check int) "pruned count" 1 (Engine.nodes_pruned e)
 
 let engine_split_one () =
@@ -75,17 +90,7 @@ let engine_split_one () =
     Alcotest.(check int) "depth" 1 d
   | None -> Alcotest.fail "expected a split");
   (* The remaining traversal must skip the whole subtree of 2. *)
-  let visited = ref [] in
-  let rec drive () =
-    match Engine.step ~prune_rest:false ~keep:(fun _ -> true) e with
-    | Engine.Enter ->
-      visited := value (Engine.current e) :: !visited;
-      drive ()
-    | Engine.Pruned | Engine.Leave -> drive ()
-    | Engine.Exhausted -> ()
-  in
-  drive ();
-  Alcotest.(check (list int)) "rest of tree" [ 5; 3; 9 ] (List.rev !visited)
+  Alcotest.(check (list int)) "rest of tree" [ 5; 3; 9 ] (drive e)
 
 let engine_split_lowest () =
   let e = Engine.make ~space:() ~children:children_of ~root_depth:3 sample in
@@ -96,66 +101,35 @@ let engine_split_lowest () =
   Alcotest.(check (pair (list int) int)) "nothing left to split" ([], 0)
     (let cs, d = Engine.split_lowest e in
      (List.map value cs, d));
-  (match Engine.step ~prune_rest:false ~keep:(fun _ -> true) e with
-  | Engine.Leave -> ()
-  | _ -> Alcotest.fail "expected immediate backtrack after full split");
-  match Engine.step ~prune_rest:false ~keep:(fun _ -> true) e with
-  | Engine.Exhausted -> ()
-  | _ -> Alcotest.fail "expected exhaustion"
+  if step e <> Leave then Alcotest.fail "expected immediate backtrack after full split";
+  if step e <> Exhausted then Alcotest.fail "expected exhaustion"
 
 let engine_split_lowest_mid_search () =
   let e = Engine.make ~space:() ~children:children_of ~root_depth:0 sample in
   (* Enter node 2; lowest unexplored frame is then the root (5, 3). *)
-  (match Engine.step ~prune_rest:false ~keep:(fun _ -> true) e with
-  | Engine.Enter ->
-    Alcotest.(check int) "entered 2" 2 (value (Engine.current e))
-  | _ -> Alcotest.fail "expected Enter");
+  if step e <> Enter 2 then Alcotest.fail "expected to enter 2";
   let cs, d = Engine.split_lowest e in
   Alcotest.(check (list int)) "root remainder split" [ 5; 3 ] (List.map value cs);
   Alcotest.(check int) "depth 1" 1 d;
   (* 7 and 4 (children of 2) remain. *)
-  let visited = ref [] in
-  let rec drive () =
-    match Engine.step ~prune_rest:false ~keep:(fun _ -> true) e with
-    | Engine.Enter ->
-      visited := value (Engine.current e) :: !visited;
-      drive ()
-    | Engine.Pruned | Engine.Leave -> drive ()
-    | Engine.Exhausted -> ()
-  in
-  drive ();
-  Alcotest.(check (list int)) "kept subtree of 2" [ 7; 4 ] (List.rev !visited)
+  Alcotest.(check (list int)) "kept subtree of 2" [ 7; 4 ] (drive e)
 
 let engine_cut_rest () =
   let e = Engine.make ~space:() ~children:children_of ~root_depth:0 sample in
   (* Enter 2, then cut the root frame: 5 and 3 are discarded, the
      subtree of 2 is not. Cutting a depth no frame sits at is a no-op. *)
-  (match Engine.step ~prune_rest:false ~keep:(fun _ -> true) e with
-  | Engine.Enter -> ()
-  | _ -> Alcotest.fail "expected Enter");
+  if step e <> Enter 2 then Alcotest.fail "expected to enter 2";
   Engine.cut_rest e ~depth:0;
   Engine.cut_rest e ~depth:7;
-  let visited = ref [] in
-  let rec drive () =
-    match Engine.step ~prune_rest:false ~keep:(fun _ -> true) e with
-    | Engine.Enter ->
-      visited := value (Engine.current e) :: !visited;
-      drive ()
-    | Engine.Pruned | Engine.Leave -> drive ()
-    | Engine.Exhausted -> ()
-  in
-  drive ();
-  Alcotest.(check (list int)) "only the subtree of 2" [ 7; 4 ] (List.rev !visited)
+  Alcotest.(check (list int)) "only the subtree of 2" [ 7; 4 ] (drive e)
 
 let engine_depth_tracking () =
   let e = Engine.make ~space:() ~children:children_of ~root_depth:5 sample in
   Alcotest.(check int) "initial depth = root_depth" 5 (Engine.current_depth e);
   Alcotest.(check int) "stack size 1" 1 (Engine.stack_size e);
-  (match Engine.step ~prune_rest:false ~keep:(fun _ -> true) e with
-  | Engine.Enter ->
-    Alcotest.(check int) "descended" 6 (Engine.current_depth e);
-    Alcotest.(check int) "stack grew" 2 (Engine.stack_size e)
-  | _ -> Alcotest.fail "expected Enter");
+  if step e <> Enter 2 then Alcotest.fail "expected to enter 2";
+  Alcotest.(check int) "descended" 6 (Engine.current_depth e);
+  Alcotest.(check int) "stack grew" 2 (Engine.stack_size e);
   Alcotest.(check int) "root anchor preserved" 1 (value (Engine.root e))
 
 (* No retention: once the engine has left a subtree, or been restarted,
@@ -188,24 +162,31 @@ let engine_no_retention () =
     done;
     !k
   in
-  let step e = Engine.step ~prune_rest:false ~keep:(fun _ -> true) e in
   (* Kept out of line so no local of the test holds a node. *)
   let[@inline never] start () =
     Engine.make ~space:() ~children ~root_depth:0 (mk 0 (-1))
   in
   let e = start () in
-  (* Walk subtree 0 and stop on the Leave that pops its root. *)
+  let stop = Atomic.make false in
+  let step () =
+    if
+      not
+        (Engine.run ~steps:1 ~prune_rest:false ~keep:(fun _ -> true)
+           ~process:(fun _ -> true) ~stop e)
+    then Alcotest.fail "exhausted inside subtree 0"
+  in
+  (* Walk subtree 0 and stop on the leave that pops its root. *)
   let rec walk () =
-    match step e with
-    | Engine.Leave when Engine.current_depth e = 0 -> ()
-    | Engine.Enter | Engine.Pruned | Engine.Leave -> walk ()
-    | Engine.Exhausted -> Alcotest.fail "exhausted inside subtree 0"
+    let backtracks = Engine.backtracks e in
+    step ();
+    if not (Engine.backtracks e > backtracks && Engine.current_depth e = 0)
+    then walk ()
   in
   walk ();
   (* Enter the root of subtree 1 so the engine is mid-traversal. *)
-  (match step e with
-  | Engine.Enter -> ()
-  | _ -> Alcotest.fail "expected Enter");
+  let entered = Engine.nodes_entered e in
+  step ();
+  Alcotest.(check int) "entered subtree 1" (entered + 1) (Engine.nodes_entered e);
   Gc.full_major ();
   Alcotest.(check int) "left subtree collected" 0 (live 0);
   Alcotest.(check bool) "current branch still alive" true (live 1 > 0);
@@ -601,19 +582,145 @@ let prop_split_soundness =
           let cs, _ = Engine.split_lowest engine in
           List.iter (fun n -> split_off := !split_off + subtree_size n) cs
         | _ -> ());
-        match Engine.step ~prune_rest:false ~keep:(fun _ -> true) engine with
-        | Engine.Enter ->
+        let process _ =
           incr visited;
-          drive ()
-        | Engine.Pruned | Engine.Leave -> drive ()
-        | Engine.Exhausted -> ()
+          true
+        in
+        if
+          Engine.run ~steps:1 ~prune_rest:false ~keep:(fun _ -> true) ~process
+            ~stop:(Atomic.make false) engine
+        then drive ()
       in
       drive ();
       !visited + !split_off = size t)
 
+(* The engine, paused and resumed at random step budgets, against a
+   plain recursive depth-first search written here: the same nodes
+   processed in the same order, the same counters, and the same
+   depth-profile and progress rows, for an enumeration, an
+   optimisation pruning with a monotone bound under [prune_rest], and
+   a decision that stops at its first witness. *)
+let rec subtree_max (T (v, cs)) =
+  List.fold_left (fun acc c -> max acc (subtree_max c)) v cs
+
+(* One search kind, with fresh state: the children of a node, [keep],
+   [process] (recording the processed values, newest first) and
+   [prune_rest]. *)
+let search_kind kind =
+  let order = ref [] and incumbent = ref min_int in
+  let by_bound (T (_, cs)) =
+    List.stable_sort (fun a b -> compare (subtree_max b) (subtree_max a)) cs
+  in
+  let record n = order := value n :: !order in
+  let children, keep, process, prune_rest =
+    match kind with
+    | `Enum ->
+      ( (fun (T (_, cs)) -> cs),
+        (fun _ -> true),
+        (fun n ->
+          record n;
+          true),
+        false )
+    | `Opt ->
+      ( by_bound,
+        (fun n -> subtree_max n > !incumbent),
+        (fun n ->
+          record n;
+          incumbent := max !incumbent (value n);
+          true),
+        true )
+    | `Dec target ->
+      ( by_bound,
+        (fun n -> subtree_max n >= target),
+        (fun n ->
+          record n;
+          value n < target),
+        true )
+  in
+  (children, keep, process, prune_rest, order, incumbent)
+
+let reference_dfs kind t prof =
+  let children, keep, process, prune_rest, order, incumbent = search_kind kind in
+  let entered = ref 0 and pruned = ref 0 and backtracks = ref 0 in
+  let max_depth = ref 0 in
+  let exception Witness in
+  let rec expand n depth =
+    let kept = ref 0 in
+    let rec visit = function
+      | [] -> ()
+      | c :: rest ->
+        if keep c then begin
+          incr kept;
+          incr entered;
+          max_depth := max !max_depth (depth + 1);
+          Depth_profile.note_node prof (depth + 1);
+          if not (process c) then raise Witness;
+          expand c (depth + 1);
+          visit rest
+        end
+        else begin
+          incr pruned;
+          Depth_profile.note_prune prof (depth + 1);
+          if not prune_rest then visit rest
+        end
+    in
+    visit (children n);
+    incr backtracks;
+    Depth_profile.note_complete prof depth !kept
+  in
+  Depth_profile.note_node prof 0;
+  (if process t then try expand t 0 with Witness -> ());
+  (List.rev !order, !incumbent, (!entered, !pruned, !backtracks, !max_depth))
+
+let engine_dfs kind t prof budgets =
+  let children, keep, process, prune_rest, order, incumbent = search_kind kind in
+  let e =
+    Engine.make ~prof ~space:() ~children:(fun () n -> List.to_seq (children n))
+      ~root_depth:0 t
+  in
+  let stop = Atomic.make false in
+  let rec resume = function
+    | [] -> ignore (Engine.run ~prune_rest ~keep ~process ~stop e : bool)
+    | steps :: rest ->
+      if Engine.run ~steps ~prune_rest ~keep ~process ~stop e then resume rest
+  in
+  Depth_profile.note_node prof 0;
+  if process t then resume budgets;
+  ( List.rev !order,
+    !incumbent,
+    ( Engine.nodes_entered e,
+      Engine.nodes_pruned e,
+      Engine.backtracks e,
+      Engine.max_depth e ) )
+
+let profile_rows prof =
+  ( List.init (Depth_profile.depths prof) (Depth_profile.row prof),
+    List.init
+      (Depth_profile.progress_depths prof)
+      (Depth_profile.progress_row prof) )
+
+let prop_engine_is_reference_dfs =
+  QCheck.Test.make ~name:"paused engine = recursive reference DFS" ~count:300
+    QCheck.(triple tree_arb (int_bound 4) (list (int_bound 5)))
+    (fun (t, k, budgets) ->
+      let kind =
+        match k with
+        | 0 -> `Enum
+        | 1 -> `Opt
+        | k -> `Dec (subtree_max t - (k - 2))
+      in
+      let prof_ref = Depth_profile.create () and prof = Depth_profile.create () in
+      let expected = reference_dfs kind t prof_ref in
+      let got = engine_dfs kind t prof budgets in
+      let _, best, _ = got in
+      got = expected
+      && profile_rows prof = profile_rows prof_ref
+      && (kind <> `Opt || best = max_value t))
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_count; prop_max; prop_prune_safe; prop_split_soundness ]
+    [ prop_count; prop_max; prop_prune_safe; prop_split_soundness;
+      prop_engine_is_reference_dfs ]
 
 let () =
   Alcotest.run "core"

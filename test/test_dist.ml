@@ -347,13 +347,11 @@ let leased_deltas (type s n r) rng ~leases (p : (s, n, r) Problem.t) codec =
         ~root_depth:0 p.Problem.root
     in
     let v = views.(0) in
-    let rec loop () =
-      match Engine.step ~prune_rest:v.Ops.prune_siblings ~keep:v.Ops.keep e with
-      | Engine.Enter -> if process (Engine.current e) then loop ()
-      | Engine.Pruned | Engine.Leave -> loop ()
-      | Engine.Exhausted -> ()
-    in
-    if process p.Problem.root then loop ();
+    if process p.Problem.root then
+      ignore
+        (Engine.run ~prune_rest:v.Ops.prune_siblings ~keep:v.Ops.keep ~process
+           ~stop:(Atomic.make false) e
+          : bool);
     Array.to_list cells
     |> List.map (fun c -> (Random.State.bits rng, alg.Ops.encode codec !c))
     |> List.sort compare |> List.map snd

@@ -9,6 +9,12 @@ module Uts = Yewpar_uts.Uts
 module Stats = Yewpar_core.Stats
 module Depth_profile = Yewpar_core.Depth_profile
 module Http_export = Yewpar_telemetry.Http_export
+module Knowledge = Yewpar_core.Knowledge
+module Ops = Yewpar_core.Ops
+module Recorder = Yewpar_telemetry.Recorder
+module Counters = Yewpar_runtime.Counters
+module Task_pool = Yewpar_runtime.Task_pool
+module Worker = Yewpar_runtime.Worker
 
 type tree = T of int * tree list
 
@@ -260,6 +266,131 @@ let repeated_runs_stable () =
     Alcotest.(check int) "stable optimum" expected node.Mc.size
   done
 
+(* ----------------------- the worker core by hand ----------------------- *)
+
+(* One slot of the worker core driven directly, under a scheduler that
+   only queues: spawned tasks go to a FIFO the driver drains in order,
+   and the stack-stealing hunger probe answers yes on every fifth call.
+   With no [steps], each task is one [exec_task]; otherwise it is a
+   [start_task] followed by [advance] calls of [steps ()] steps each
+   until the task ends. Returns the result, the folded counters and the
+   summed units that [start_task] and [advance] reported. *)
+let run_core (type s n r) ?steps coordination (p : (s, n, r) Problem.t) =
+  let counters = Counters.create ~slots:1 () in
+  let knowledge = Knowledge.make_atomic () in
+  let harness = Ops.harness p.Problem.kind in
+  let submit =
+    Counters.accounted_submit counters ~slot:0 ~recorder:Recorder.null
+      knowledge.Knowledge.submit
+  in
+  let views = [| harness.Ops.view { knowledge with Knowledge.submit } |] in
+  let queue = Queue.create () and probes = ref 0 and stop = Atomic.make false in
+  let ctx =
+    Worker.make_step_ctx ~space:p.Problem.space ~children:p.Problem.children
+      ~coordination ~counters ~recorders:[| Recorder.null |] ~views
+      ~enqueue:(fun ~slot:_ _ task -> Queue.push task queue)
+      ~should_shed:(fun ~slot:_ ->
+        incr probes;
+        !probes mod 5 = 0)
+      ~stop ()
+  in
+  Worker.spawn ctx ~slot:0 { Task_pool.tag = 0; node = p.Problem.root; depth = 0 };
+  let units = ref 0 in
+  while not (Atomic.get stop || Queue.is_empty queue) do
+    let task = Queue.pop queue in
+    match steps with
+    | None -> Worker.exec_task ctx ~slot:0 task
+    | Some steps ->
+      units := !units + Worker.start_task ctx ~slot:0 task;
+      while Worker.running ctx ~slot:0 do
+        units := !units + Worker.advance ctx ~slot:0 ~steps:(steps ())
+      done
+  done;
+  let stats = Stats.create () in
+  Counters.fold_into counters stats;
+  (harness.Ops.result knowledge, stats, !units)
+
+let counts (st : Stats.t) =
+  let d = st.Stats.depths in
+  ( (st.Stats.nodes, st.Stats.pruned, st.Stats.backtracks, st.Stats.max_depth),
+    (st.Stats.tasks, st.Stats.bound_updates),
+    List.init (Depth_profile.depths d) (Depth_profile.row d),
+    List.init (Depth_profile.progress_depths d) (Depth_profile.progress_row d) )
+
+let all_coords =
+  ("seq", Coordination.Sequential)
+  :: ("ordered2", Coordination.Ordered { dcutoff = 2 })
+  :: ("budget3", Coordination.Budget { budget = 3 })
+  :: ("randomspawn4", Coordination.Random_spawn { mean_interval = 4 })
+  :: coords
+
+(* Stepping a task in batches of 1..5 steps is [exec_task]: the same
+   result, counters and depth profile, and the same units as one
+   unbounded [advance]. *)
+let advance_batches_are_exec_task () =
+  let rng = Random.State.make [| 24 |] in
+  let check (type s n r) name (p : (s, n, r) Problem.t) =
+    List.iter
+      (fun (cname, coordination) ->
+        let label what = Printf.sprintf "%s %s (%s)" name what cname in
+        let r, st, _ = run_core coordination p in
+        let _, _, whole = run_core ~steps:(fun () -> max_int) coordination p in
+        let r', st', units =
+          run_core ~steps:(fun () -> 1 + Random.State.int rng 5) coordination p
+        in
+        Alcotest.(check bool) (label "result") true (r = r');
+        Alcotest.(check bool) (label "counters and profile") true
+          (counts st = counts st');
+        Alcotest.(check int) (label "units") whole units;
+        Alcotest.(check bool) (label "did work") true (st.Stats.nodes > 1))
+      all_coords
+  in
+  check "count" (count_problem (mk_tree 5 3 1));
+  check "maxclique" (Mc.max_clique (Gen.uniform ~seed:41 30 0.6));
+  check "knapsack"
+    (Knapsack.problem
+       (Knapsack.Generate.weakly_correlated ~seed:43 ~n:14 ~max_value:100));
+  check "kclique" (Mc.k_clique (Gen.hidden_clique ~seed:42 36 0.3 7) ~k:7)
+
+(* The simulator ends the tasks still running after a short-circuited
+   search with [advance ~steps:0]: with [stop] raised that takes no
+   step, but ends the task and flushes its engine's counts. *)
+let advance_zero_after_stop_finalises () =
+  let counters = Counters.create ~slots:1 () in
+  let knowledge = Knowledge.make_atomic () in
+  let p = count_problem (mk_tree 4 3 1) in
+  let harness = Ops.harness p.Problem.kind in
+  let stop = Atomic.make false in
+  let ctx =
+    Worker.make_step_ctx ~space:p.Problem.space ~children:p.Problem.children
+      ~coordination:Coordination.Sequential ~counters
+      ~recorders:[| Recorder.null |] ~views:[| harness.Ops.view knowledge |]
+      ~enqueue:(fun ~slot:_ _ _ -> Alcotest.fail "nothing spawns")
+      ~should_shed:(fun ~slot:_ -> false)
+      ~stop ()
+  in
+  let task = { Task_pool.tag = 0; node = p.Problem.root; depth = 0 } in
+  Alcotest.(check int) "root processed" 1 (Worker.start_task ctx ~slot:0 task);
+  (* Ten steps into a ternary tree of depth 4: down its leftmost
+     branch to a leaf, across two sibling leaves and back up one level,
+     so six entered nodes (the units) and four backtracks. *)
+  let units = Worker.advance ctx ~slot:0 ~steps:10 in
+  Alcotest.(check int) "six nodes entered" 6 units;
+  Alcotest.(check bool) "still running" true (Worker.running ctx ~slot:0);
+  Alcotest.(check int) "engine counts not yet flushed" 1
+    (Atomic.get counters.Counters.nodes);
+  Atomic.set stop true;
+  Alcotest.(check int) "no step taken" 0 (Worker.advance ctx ~slot:0 ~steps:0);
+  Alcotest.(check bool) "task ended" false (Worker.running ctx ~slot:0);
+  let st = Stats.create () in
+  Counters.fold_into counters st;
+  Alcotest.(check int) "root and entered nodes flushed" 7 st.Stats.nodes;
+  Alcotest.(check int) "backtracks flushed" 4 st.Stats.backtracks;
+  Alcotest.(check int) "depth flushed" 4 st.Stats.max_depth;
+  Alcotest.(check int) "profile agrees" st.Stats.nodes
+    (let n, _, _, _ = Depth_profile.totals st.Stats.depths in
+     n)
+
 let () =
   Alcotest.run "par"
     [
@@ -282,6 +413,13 @@ let () =
           Alcotest.test_case "depth profile invariants" `Quick
             depth_profile_invariants;
           Alcotest.test_case "bounds by depth" `Quick bounds_by_depth;
+        ] );
+      ( "worker core",
+        [
+          Alcotest.test_case "advance batches = exec_task" `Quick
+            advance_batches_are_exec_task;
+          Alcotest.test_case "advance 0 after stop finalises" `Quick
+            advance_zero_after_stop_finalises;
         ] );
       ( "monitor",
         [ Alcotest.test_case "mid-run scrape" `Quick monitor_scrape_midrun ] );

@@ -286,15 +286,14 @@ let engine_follows_traversal_order () =
       Yewpar_core.Engine.make ~space:tree ~children ~root_depth:0 []
     in
     let visited = ref [ [] ] in
-    let rec drive () =
-      match Yewpar_core.Engine.step ~prune_rest:false ~keep:(fun _ -> true) engine with
-      | Yewpar_core.Engine.Enter ->
-        visited := Yewpar_core.Engine.current engine :: !visited;
-        drive ()
-      | Yewpar_core.Engine.Pruned | Yewpar_core.Engine.Leave -> drive ()
-      | Yewpar_core.Engine.Exhausted -> ()
+    let process w =
+      visited := w :: !visited;
+      true
     in
-    drive ();
+    ignore
+      (Yewpar_core.Engine.run ~prune_rest:false ~keep:(fun _ -> true) ~process
+         ~stop:(Atomic.make false) engine
+        : bool);
     let got = List.rev !visited in
     let expected = Subtree.WSet.elements tree.Subtree.nodes in
     if got <> expected then
@@ -356,6 +355,14 @@ let prop_split_partition =
           List.iter (fun c -> Queue.push (c, d) pending) cs;
           E.credit_kept e ~depth:(d - 1) ~n:(List.length cs)
         in
+        (* The current branch, top first: pushed on each entered
+           node, popped on each leave. *)
+        let branch = ref [ root ] in
+        let process w =
+          visit w;
+          branch := w :: !branch;
+          true
+        in
         let rec drive () =
           (match next_choice () with
           | 1 -> (
@@ -364,21 +371,21 @@ let prop_split_partition =
             | None -> ())
           | 2 -> split (E.split_lowest e)
           | _ -> ());
-          let d = E.current_depth e in
-          let top = if d >= root_depth then Some (E.current e) else None in
+          let d = E.current_depth e and backtracks = E.backtracks e in
           let _, _, before, _ = DP.progress_row prof d in
-          match E.step ~prune_rest:false ~keep:(fun _ -> true) e, top with
-          | E.Enter, _ ->
-            visit (E.current e);
-            drive ()
-          | E.Leave, Some w ->
-            let _, _, after, _ = DP.progress_row prof d in
-            if d <> Word.depth w then ok := false;
-            complete w (after - before);
-            drive ()
-          | E.Pruned, _ -> drive ()
-          | E.Leave, None -> ok := false
-          | E.Exhausted, _ -> ()
+          let paused =
+            E.run ~steps:1 ~prune_rest:false ~keep:(fun _ -> true) ~process
+              ~stop:(Atomic.make false) e
+          in
+          (if E.backtracks e > backtracks then
+             match !branch with
+             | w :: rest ->
+               let _, _, after, _ = DP.progress_row prof d in
+               if d <> Word.depth w then ok := false;
+               complete w (after - before);
+               branch := rest
+             | [] -> ok := false);
+          if paused then drive ()
         in
         drive ()
       in

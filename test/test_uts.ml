@@ -40,6 +40,19 @@ let depth_cutoff () =
   let count = Sequential.search (Uts.count_problem shallow) in
   Alcotest.(check int) "cutoff at depth 1" (1 + shallow.Uts.b0) count
 
+(* The cutoff applies to the root too: at [max_depth = 0] the tree is
+   the root alone, as for the geometric variant. *)
+let depth_cutoff_at_root () =
+  let flat = { params with max_depth = 0 } in
+  Alcotest.(check int) "root only" 1
+    (Sequential.search (Uts.count_problem flat));
+  Alcotest.(check int) "deepest node is the root" 0
+    (Sequential.search (Uts.max_depth_problem flat)).Uts.depth;
+  Alcotest.(check int) "geometric agrees" 1
+    (Sequential.search
+       (Uts.geo_count_problem
+          { Uts.g_b0 = 30.; decay = 0.5; g_max_depth = 0; g_seed = 9 }))
+
 let tree_is_nontrivial () =
   let count = Sequential.search (Uts.count_problem params) in
   Alcotest.(check bool) "bigger than root fan-out" true (count > params.Uts.b0 + 1)
@@ -104,6 +117,8 @@ let () =
           Alcotest.test_case "pure children" `Quick children_pure;
           Alcotest.test_case "distinct states" `Quick distinct_child_states;
           Alcotest.test_case "depth cutoff" `Quick depth_cutoff;
+          Alcotest.test_case "depth cutoff at the root" `Quick
+            depth_cutoff_at_root;
           Alcotest.test_case "non-trivial" `Quick tree_is_nontrivial;
           Alcotest.test_case "irregular" `Quick irregularity;
           Alcotest.test_case "max depth search" `Quick max_depth_problem;
