@@ -70,6 +70,66 @@ let parallel_agreement () =
       Coordination.Stack_stealing { chunked = true };
       Coordination.Budget { budget = 100 } ]
 
+(* Golden trees. Each board's per-depth node counts and an FNV-1a
+   digest over the entered nodes' [columns] in Sequential order; any
+   change to the tree's shape or child order changes one of the two. *)
+module Problem = Yewpar_core.Problem
+module Stats = Yewpar_core.Stats
+module Depth_profile = Yewpar_core.Depth_profile
+
+let fnv h w = Int64.mul (Int64.logxor h (Int64.of_int w)) 0x100000001b3L
+
+let shape n =
+  let pb = Q.count_solutions (Q.instance ~n) in
+  let h = ref 0xcbf29ce484222325L in
+  let probe =
+    Problem.enumerate ~name:pb.Problem.name ~space:pb.Problem.space
+      ~root:pb.Problem.root ~children:pb.Problem.children ~empty:0 ~combine:( + )
+      ~view:(fun node ->
+        h := List.fold_left fnv (fnv !h node.Q.level) node.Q.columns;
+        0)
+      ()
+  in
+  let _, stats = Sequential.search_with_stats probe in
+  let d = stats.Stats.depths in
+  ( List.init (Depth_profile.depths d) (fun i ->
+        let n, _, _, _ = Depth_profile.row d i in
+        n),
+    !h )
+
+(* (n, nodes per depth, order digest), taken from the column-scan
+   generator. *)
+let golden =
+  [ (1, [ 1; 1 ], -2789509273287373682L);
+    (2, [ 1; 2 ], 4955376657909747252L);
+    (3, [ 1; 3; 2 ], 2377807300818131973L);
+    (4, [ 1; 4; 6; 4; 2 ], 6302983020958468809L);
+    (5, [ 1; 5; 12; 14; 12; 10 ], -9008470915379471266L);
+    (6, [ 1; 6; 20; 36; 46; 40; 4 ], -6524751314965627818L);
+    (7, [ 1; 7; 30; 76; 140; 164; 94; 40 ], -3982166072740930693L);
+    (8, [ 1; 8; 42; 140; 344; 568; 550; 312; 92 ], 1395034728216747291L);
+    (9, [ 1; 9; 56; 234; 732; 1614; 2292; 2038; 1066; 352 ], 6242826219954372338L);
+    ( 10,
+      [ 1; 10; 72; 364; 1400; 3916; 7552; 9632; 7828; 4040; 724 ],
+      6128235957911629720L );
+    ( 11,
+      [ 1; 11; 90; 536; 2468; 8492; 21362; 37248; 44148; 34774; 15116; 2680 ],
+      -6040545246730685787L );
+    ( 12,
+      [ 1; 12; 110; 756; 4080; 16852; 52856; 120104; 195270; 222720; 160964;
+        68264; 14200 ],
+      -646355253291954403L ) ]
+
+let golden_trees () =
+  List.iter
+    (fun (n, rows, digest) ->
+      let got_rows, got_digest = shape n in
+      Alcotest.(check (list int)) (Printf.sprintf "%d-queens nodes per depth" n)
+        rows got_rows;
+      Alcotest.(check int64) (Printf.sprintf "%d-queens order digest" n) digest
+        got_digest)
+    golden
+
 let () =
   Alcotest.run "queens"
     [
@@ -80,5 +140,6 @@ let () =
           Alcotest.test_case "validator" `Quick validator;
           Alcotest.test_case "bounds" `Quick bounds_checked;
           Alcotest.test_case "parallel agreement" `Quick parallel_agreement;
+          Alcotest.test_case "golden trees" `Quick golden_trees;
         ] );
     ]

@@ -107,6 +107,47 @@ let geo_finite_and_nontrivial () =
   Alcotest.(check bool) "non-trivial" true (count > 100);
   Alcotest.(check bool) "finite (terminated)" true (count < 10_000_000)
 
+(* Golden trees. Each instance's per-depth node counts and an FNV-1a
+   digest over the entered nodes' states in Sequential order; any change
+   to the tree's shape or child order changes one of the two. *)
+module Problem = Yewpar_core.Problem
+module Stats = Yewpar_core.Stats
+module Depth_profile = Yewpar_core.Depth_profile
+
+let fnv h w = Int64.mul (Int64.logxor h w) 0x100000001b3L
+
+let shape (pb : (_, Uts.node, int) Problem.t) =
+  let h = ref 0xcbf29ce484222325L in
+  let probe =
+    Problem.enumerate ~name:pb.Problem.name ~space:pb.Problem.space
+      ~root:pb.Problem.root ~children:pb.Problem.children ~empty:0 ~combine:( + )
+      ~view:(fun n ->
+        h := fnv !h n.Uts.state;
+        1)
+      ()
+  in
+  let count, stats = Sequential.search_with_stats probe in
+  let d = stats.Stats.depths in
+  let rows =
+    List.init (Depth_profile.depths d) (fun i ->
+        let n, _, _, _ = Depth_profile.row d i in
+        n)
+  in
+  (count, rows, !h)
+
+let golden name pb ~rows ~digest () =
+  let count, got_rows, got_digest = shape pb in
+  Alcotest.(check (list int)) (name ^ ": nodes per depth") rows got_rows;
+  Alcotest.(check int64) (name ^ ": order digest") digest got_digest;
+  Alcotest.(check int) (name ^ ": count") count (Sequential.search pb)
+
+(* The geometric shape of perfbench's enum-steal workload. *)
+let enum_shape g_seed =
+  { Uts.g_b0 = 16.; decay = 0.7; g_max_depth = 100; g_seed }
+
+(* The registry's uts-geo-c. *)
+let geo_c = { Uts.g_b0 = 70.; decay = 0.43; g_max_depth = 200; g_seed = 808 }
+
 let () =
   Alcotest.run "uts"
     [
@@ -129,5 +170,41 @@ let () =
           Alcotest.test_case "branching decays" `Quick geo_branching_decays;
           Alcotest.test_case "depth cutoff" `Quick geo_depth_cutoff;
           Alcotest.test_case "finite" `Quick geo_finite_and_nontrivial;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "enum-steal shape, seed 1" `Quick
+            (golden "geo seed 1"
+               (Uts.geo_count_problem (enum_shape 1))
+               ~rows:
+                 [ 1; 16; 177; 1388; 7604; 29228; 78392; 147513; 194320; 179208;
+                   115670; 52179; 16467; 3582; 586; 55; 3 ]
+               ~digest:(-8234722870316230637L));
+          Alcotest.test_case "enum-steal shape, seed 2" `Quick
+            (golden "geo seed 2"
+               (Uts.geo_count_problem (enum_shape 2))
+               ~rows:
+                 [ 1; 16; 178; 1390; 7605; 29196; 78485; 147835; 194652; 179496;
+                   115984; 52259; 16365; 3629; 603; 59; 1 ]
+               ~digest:5536488283141647806L);
+          Alcotest.test_case "enum-steal shape, seed 3" `Quick
+            (golden "geo seed 3"
+               (Uts.geo_count_problem (enum_shape 3))
+               ~rows:
+                 [ 1; 16; 180; 1413; 7747; 29709; 79849; 150269; 197889; 182392;
+                   117891; 53454; 16936; 3818; 578; 54; 4 ]
+               ~digest:8100337137968865830L);
+          Alcotest.test_case "uts-geo-c" `Quick
+            (golden "uts-geo-c" (Uts.geo_count_problem geo_c)
+               ~rows:
+                 [ 1; 70; 2106; 27256; 151622; 362950; 373449; 165680; 31562;
+                   2529; 91; 1 ]
+               ~digest:(-1092198566431639186L));
+          Alcotest.test_case "default" `Quick
+            (golden "default" (Uts.count_problem Uts.default)
+               ~rows:
+                 [ 1; 120; 100; 84; 92; 84; 104; 84; 96; 92; 72; 56; 40; 52; 44;
+                   24; 16; 12; 4; 4 ]
+               ~digest:(-1187046745013390682L));
         ] );
     ]
