@@ -19,28 +19,45 @@ type node = {
 let root _inst =
   { level = 0; columns = []; cols_mask = 0; diag1_mask = 0; diag2_mask = 0 }
 
+(* Column of an isolated bit [1 lsl c], [c < 32]: a de Bruijn multiply
+   puts a different five-bit pattern in bits 27..31 of the product for
+   every [c], and [column_of] maps it back to [c]. *)
+let column_slot bit = ((bit * 0x077C_B531) lsr 27) land 31
+
+let column_of =
+  let t = Array.make 32 0 in
+  for c = 0 to 31 do
+    t.(column_slot (1 lsl c)) <- c
+  done;
+  t
+
 let children inst parent =
-  if parent.level >= inst.n then Seq.empty
+  let attacked = parent.cols_mask lor parent.diag1_mask lor parent.diag2_mask in
+  let free = lnot attacked land ((1 lsl inst.n) - 1) in
+  (* A full board attacks every column, and a node with no free column
+     allocates nothing. *)
+  if free = 0 then Seq.empty
   else begin
     (* Masks are kept aligned to the next row: an anti-diagonal attack
-       moves one column left per row, a main-diagonal one column right. *)
-    let d1 = parent.diag1_mask and d2 = parent.diag2_mask in
-    let attacked = parent.cols_mask lor d1 lor d2 in
-    let rec gen col () =
-      if col >= inst.n then Seq.Nil
-      else if attacked land (1 lsl col) <> 0 then gen (col + 1) ()
-      else
+       moves one column left per row, a main-diagonal one column right.
+       The free columns are visited lowest bit first, which is left to
+       right. *)
+    let rec gen free () =
+      if free = 0 then Seq.Nil
+      else begin
+        let bit = free land -free in
         Seq.Cons
           ( {
               level = parent.level + 1;
-              columns = col :: parent.columns;
-              cols_mask = parent.cols_mask lor (1 lsl col);
-              diag1_mask = (d1 lor (1 lsl col)) lsr 1;
-              diag2_mask = (d2 lor (1 lsl col)) lsl 1;
+              columns = column_of.(column_slot bit) :: parent.columns;
+              cols_mask = parent.cols_mask lor bit;
+              diag1_mask = (parent.diag1_mask lor bit) lsr 1;
+              diag2_mask = (parent.diag2_mask lor bit) lsl 1;
             },
-            gen (col + 1) )
+            gen (free lxor bit) )
+      end
     in
-    gen 0
+    gen free
   end
 
 (* Nodes are plain data (ints and an int list), so the default Marshal

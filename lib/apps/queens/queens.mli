@@ -34,7 +34,11 @@ val root : instance -> node
 
 val children : (instance, node) Yewpar_core.Problem.generator
 (** Consistent placements of the next row's queen, leftmost column
-    first. *)
+    first. The generator scans only the free columns, the zero bits of
+    [cols_mask lor diag1_mask lor diag2_mask] below [n], lowest bit
+    first, and finds each column's index from its isolated bit. An
+    attacked column costs nothing, and a node with no free column
+    allocates nothing. *)
 
 val count_solutions : instance -> (instance, node, int) Yewpar_core.Problem.t
 (** Enumeration: the number of complete placements. *)

@@ -6,6 +6,9 @@
     children with probability [q], none otherwise; the root has [b0]
     children; no node at or below [max_depth] has any), and child
     states are hashes of the parent state.
+    A node's draw is {!Yewpar_util.Splitmix.top53} of its state scaled
+    to [\[0, 1)]: an immediate [int], so a node allocates nothing to
+    decide its child count, and a leaf allocates nothing at all.
     The original benchmark uses SHA-1; we use splitmix64 mixing, which
     preserves the property that matters — the tree is deterministic,
     extremely irregular, and impossible to partition statically. *)
@@ -35,11 +38,14 @@ val children : (params, node) Yewpar_core.Problem.generator
 (** The Lazy Node Generator (pure, reproducible). *)
 
 val count_problem : params -> (params, node, int) Yewpar_core.Problem.t
-(** Enumeration: count all nodes of the tree. *)
+(** Enumeration: count all nodes of the tree.
+    @raise Invalid_argument if [q] is outside [\[0, 1\]] (or NaN), or
+    [m] or [b0] is negative. *)
 
 val max_depth_problem : params -> (params, node, node) Yewpar_core.Problem.t
 (** Optimisation: find a deepest node (exercises Optimise without
-    pruning). *)
+    pruning). @raise Invalid_argument on the parameters
+    {!count_problem} rejects. *)
 
 (** The geometric UTS variant: branching decays exponentially with
     depth ([b(d) = b0 · decay^d]), giving trees that start very wide
@@ -58,7 +64,19 @@ val geo_root : geo_params -> node
 (** The root node derived from the seed. *)
 
 val geo_children : (geo_params, node) Yewpar_core.Problem.generator
-(** The geometric Lazy Node Generator. *)
+(** The geometric Lazy Node Generator. A node at depth [d] has
+    [floor b(d)] children, plus one with probability [frac b(d)] by the
+    node's draw. This standalone generator computes
+    [b(d) = g_b0 *. (decay ** float_of_int d)] at every node. *)
 
 val geo_count_problem : geo_params -> (geo_params, node, int) Yewpar_core.Problem.t
-(** Enumeration: count all nodes of the geometric tree. *)
+(** Enumeration: count all nodes of the geometric tree. Its generator
+    is {!geo_children}'s, except that b(d) for the first 64 depths
+    comes from a table computed once here by the same expression, so
+    the tree is bit-identical. Past the table, and so whatever
+    [g_max_depth] is, b(d) is computed per node. The table is read-only
+    once built, so workers on several domains share the problem safely.
+    @raise Invalid_argument if [decay] is outside (0, 1), [g_b0] is
+    negative or not finite, or [g_max_depth] is negative. A [decay]
+    above 1 would grow the tree towards its depth cutoff, a search that
+    effectively never ends. *)

@@ -2,10 +2,14 @@ type gen = { mutable state : int64 }
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+(* Inlined at every call in this module, so [top53] computes on
+   unboxed words. *)
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
+
+let top53 h = Int64.to_int (Int64.shift_right_logical (mix64 h) 11)
 
 let of_seed s = { state = mix64 (Int64.of_int s) }
 

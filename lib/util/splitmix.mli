@@ -38,6 +38,13 @@ val mix64 : int64 -> int64
 (** The stateless splitmix64 finaliser: a high-quality 64-bit mixer.
     [mix64] is the hash underlying {!hash2}. *)
 
+val top53 : int64 -> int
+(** [top53 h] is the top 53 bits of [mix64 h], as a non-negative
+    immediate [int] below [2{^53}]: a draw that allocates nothing.
+    Scaled by [2{^-53}] it is a uniform float in [\[0, 1)], exactly
+    [Int64.to_float (Int64.shift_right_logical (mix64 h) 11) *. 0x1p-53];
+    UTS draws each node's child count this way. *)
+
 val hash2 : int64 -> int -> int64
 (** [hash2 h i] deterministically combines a node identity [h] with a
     child index [i]; the basis of UTS's reproducible tree shapes. *)

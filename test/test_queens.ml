@@ -130,6 +130,44 @@ let golden_trees () =
         got_digest)
     golden
 
+(* Reference generator: scan the columns left to right and place the
+   next queen on each one no mask attacks. *)
+let reference_children inst (node : Q.node) =
+  let n = Q.size inst in
+  if node.Q.level >= n then []
+  else
+    List.filter_map
+      (fun col ->
+        let bit = 1 lsl col in
+        if (node.Q.cols_mask lor node.Q.diag1_mask lor node.Q.diag2_mask) land bit <> 0
+        then None
+        else
+          Some
+            { Q.level = node.Q.level + 1;
+              columns = col :: node.Q.columns;
+              cols_mask = node.Q.cols_mask lor bit;
+              diag1_mask = (node.Q.diag1_mask lor bit) lsr 1;
+              diag2_mask = (node.Q.diag2_mask lor bit) lsl 1 })
+      (List.init n Fun.id)
+
+(* At every node of the n-queens tree, the generator yields the
+   reference's children: the same columns in the same order, with all
+   three masks equal. *)
+let children_reference =
+  QCheck.Test.make ~name:"children = column-scan reference" ~count:40
+    QCheck.(int_range 1 9)
+    (fun n ->
+      let inst = Q.instance ~n in
+      let rec visit node =
+        let expected = reference_children inst node in
+        if List.of_seq (Q.children inst node) <> expected then
+          QCheck.Test.fail_reportf "%d-queens: children differ at level %d" n
+            node.Q.level;
+        List.iter visit expected
+      in
+      visit (Q.root inst);
+      true)
+
 let () =
   Alcotest.run "queens"
     [
@@ -142,4 +180,5 @@ let () =
           Alcotest.test_case "parallel agreement" `Quick parallel_agreement;
           Alcotest.test_case "golden trees" `Quick golden_trees;
         ] );
+      ("reference", [ QCheck_alcotest.to_alcotest children_reference ]);
     ]

@@ -148,6 +148,159 @@ let enum_shape g_seed =
 (* The registry's uts-geo-c. *)
 let geo_c = { Uts.g_b0 = 70.; decay = 0.43; g_max_depth = 200; g_seed = 808 }
 
+(* Reference generators, written from the definitions: b(d) = b0 ·
+   decay^d by [**] at every node, and each draw from [mix64]'s top 53
+   bits. *)
+module Splitmix = Yewpar_util.Splitmix
+
+let reference_draw (node : Uts.node) =
+  Int64.to_float (Int64.shift_right_logical (Splitmix.mix64 node.Uts.state) 11)
+  *. 0x1p-53
+
+let reference_fan (node : Uts.node) k =
+  List.init k (fun i ->
+      { Uts.state = Splitmix.hash2 node.Uts.state i; depth = node.Uts.depth + 1 })
+
+let reference_geo_children (p : Uts.geo_params) (node : Uts.node) =
+  if node.Uts.depth >= p.Uts.g_max_depth then []
+  else begin
+    let b = p.Uts.g_b0 *. (p.Uts.decay ** float_of_int node.Uts.depth) in
+    let extra = if reference_draw node < b -. Float.floor b then 1 else 0 in
+    reference_fan node (int_of_float (Float.floor b) + extra)
+  end
+
+let reference_children (p : Uts.params) (node : Uts.node) =
+  let k =
+    if node.Uts.depth >= p.Uts.max_depth then 0
+    else if node.Uts.depth = 0 then p.Uts.b0
+    else if reference_draw node < p.Uts.q then p.Uts.m
+    else 0
+  in
+  reference_fan node k
+
+(* Depth-first from [root] over at most [budget] nodes: at each one,
+   every generator in [gens] yields exactly [reference]'s children.
+   Returns the deepest depth visited, or fails. *)
+let agrees_with ~budget ~reference gens root =
+  let left = ref budget and deepest = ref 0 in
+  let rec visit node =
+    if !left > 0 then begin
+      decr left;
+      deepest := max !deepest node.Uts.depth;
+      let expected = reference node in
+      List.iter
+        (fun gen ->
+          if List.of_seq (gen node) <> expected then
+            QCheck.Test.fail_reportf "children differ at depth %d" node.Uts.depth)
+        gens;
+      List.iter visit expected
+    end
+  in
+  visit root;
+  !deepest
+
+(* Decays near 1 keep b(d) >= 1 deep into the tree, so the depth-first
+   walk runs to [g_max_depth]; that ranges over both sides of the first
+   64 depths, where b(d) switches from the problem's table to the
+   formula. *)
+let geo_params_gen =
+  let open QCheck.Gen in
+  let* g_b0 = float_range 1. 40. in
+  let* decay =
+    oneof
+      [ map (fun u -> Float.max 1e-9 (Float.min u (1. -. 1e-9))) (float_range 0. 1.);
+        map (fun x -> 1. -. (10. ** -.x)) (float_range 1. 3.) ]
+  in
+  let* g_max_depth = int_range 0 160 in
+  let+ g_seed = int_bound 1_000_000 in
+  { Uts.g_b0; decay; g_max_depth; g_seed }
+
+let geo_params_arb =
+  QCheck.make geo_params_gen ~print:(fun p ->
+      Printf.sprintf "{g_b0 = %h; decay = %h; g_max_depth = %d; g_seed = %d}"
+        p.Uts.g_b0 p.Uts.decay p.Uts.g_max_depth p.Uts.g_seed)
+
+(* The problem's generator and the exported one both agree with the
+   reference. *)
+let geo_agrees p =
+  agrees_with ~budget:3000 ~reference:(reference_geo_children p)
+    [ (Uts.geo_count_problem p).Problem.children p; Uts.geo_children p ]
+    (Uts.geo_root p)
+
+let geo_reference =
+  QCheck.Test.make ~name:"geometric children = ** reference" ~count:300
+    geo_params_arb (fun p ->
+      ignore (geo_agrees p);
+      true)
+
+(* The property's walk does reach past the table on a tree that stays
+   bushy to its cutoff. *)
+let geo_reference_deep () =
+  let p = { Uts.g_b0 = 3.; decay = 0.999; g_max_depth = 130; g_seed = 5 } in
+  Alcotest.(check int) "walk reaches the cutoff" 130 (geo_agrees p)
+
+let bin_params_arb =
+  QCheck.make
+    ~print:(fun p ->
+      Printf.sprintf "{b0 = %d; q = %h; m = %d; max_depth = %d; seed = %d}"
+        p.Uts.b0 p.Uts.q p.Uts.m p.Uts.max_depth p.Uts.seed)
+    QCheck.Gen.(
+      let* b0 = int_range 0 40 in
+      let* q = float_range 0. 1. in
+      let* m = int_range 0 6 in
+      let* max_depth = int_range 0 100 in
+      let+ seed = int_bound 1_000_000 in
+      { Uts.b0; q; m; max_depth; seed })
+
+let bin_reference =
+  QCheck.Test.make ~name:"binomial children = reference" ~count:200
+    bin_params_arb (fun p ->
+      ignore
+        (agrees_with ~budget:3000 ~reference:(reference_children p)
+           [ (Uts.count_problem p).Problem.children p ]
+           (Uts.root p));
+      true)
+
+(* Malformed parameters end in a typed error, not a search that never
+   ends. *)
+let rejects fn what f =
+  Alcotest.check_raises what (Invalid_argument (fn ^ ": " ^ what)) (fun () ->
+      ignore (f ()))
+
+let geo_rejects what ps () =
+  List.iter
+    (fun p -> rejects "Uts.geo_count_problem" what (fun () -> Uts.geo_count_problem p))
+    ps
+
+let bin_rejects what ps () =
+  List.iter
+    (fun p ->
+      rejects "Uts.count_problem" what (fun () -> Uts.count_problem p);
+      rejects "Uts.max_depth_problem" what (fun () -> Uts.max_depth_problem p))
+    ps
+
+let rejections =
+  [ Alcotest.test_case "decay outside (0, 1)" `Quick
+      (geo_rejects "decay must be in (0, 1)"
+         (List.map
+            (fun decay -> { geo with Uts.decay })
+            [ 1.; 1.5; 0.; -0.5; Float.nan; Float.infinity ]));
+    Alcotest.test_case "g_b0 negative or not finite" `Quick
+      (geo_rejects "g_b0 must be finite and non-negative"
+         (List.map
+            (fun g_b0 -> { geo with Uts.g_b0 })
+            [ -1.; Float.infinity; Float.neg_infinity; Float.nan ]));
+    Alcotest.test_case "g_max_depth negative" `Quick
+      (geo_rejects "g_max_depth must be non-negative" [ { geo with Uts.g_max_depth = -1 } ]);
+    Alcotest.test_case "q outside [0, 1]" `Quick
+      (bin_rejects "q must be in [0, 1]"
+         (List.map (fun q -> { params with Uts.q }) [ 1.01; -0.1; Float.nan ]));
+    Alcotest.test_case "m negative" `Quick
+      (bin_rejects "m must be non-negative" [ { params with Uts.m = -1 } ]);
+    Alcotest.test_case "b0 negative" `Quick
+      (bin_rejects "b0 must be non-negative" [ { params with Uts.b0 = -1 } ]) ]
+
+
 let () =
   Alcotest.run "uts"
     [
@@ -207,4 +360,8 @@ let () =
                    24; 16; 12; 4; 4 ]
                ~digest:(-1187046745013390682L));
         ] );
+      ( "reference",
+        Alcotest.test_case "walk reaches past the table" `Quick geo_reference_deep
+        :: List.map QCheck_alcotest.to_alcotest [ geo_reference; bin_reference ] );
+      ("rejections", rejections);
     ]
