@@ -209,8 +209,8 @@ let obs_term =
     Arg.(value & opt (some chaos_conv) None
          & info [ "chaos" ] ~docv:"SPEC"
              ~doc:"Inject faults into the dist runtime for testing: \
-                   comma-separated $(b,kill-locality:ID\\@TIMEs) (SIGKILL a \
-                   locality mid-run), $(b,kill-locality:ID\\@leases:N) (SIGKILL \
+                   comma-separated $(b,kill-locality:ID@TIMEs) (SIGKILL a \
+                   locality mid-run), $(b,kill-locality:ID@leases:N) (SIGKILL \
                    it on its N-th lease), $(b,drop-frame:TYPE:PROB) (drop inbound \
                    wire frames), $(b,delay:Nms) (slow the link).")
   in

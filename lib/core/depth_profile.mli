@@ -18,22 +18,21 @@ type t
 
 val create : ?profiled:bool -> ?progress:bool -> unit -> t
 (** A fresh all-zero profile. [profiled] (default true) enables the
-    four per-depth event columns; [progress] (default true)
+    pruned, spawned and bound-update columns; [progress] (default true)
     independently enables the progress columns feeding the tree-size
-    estimator ({!Progress}): nodes processed, expansions completed and
-    kept children credited per depth. Either may be switched off alone
+    estimator ({!Progress}): expansions completed and kept children
+    credited per depth. The [nodes] column, which both views read, is
+    kept when either is on. Either may be switched off alone
     (profiling without progress for overhead A/B runs, progress without
     profiling when statistics were not requested). *)
 
 val null : t
 (** The disabled profile: never records, merges as empty. *)
 
-val enabled : t -> bool
-
 val note_node : t -> int -> unit
-(** [note_node t d] counts one node processed at depth [d] (in the
-    profile and, when enabled, the progress columns), and makes [d]
-    the depth {!note_bound} books at. *)
+(** [note_node t d] counts one node processed at depth [d] in the
+    [nodes] column (one row bump, whichever views are on), and makes
+    [d] the depth {!note_bound} books at. *)
 
 val note_complete : t -> int -> int -> unit
 (** [note_complete t d kept] records that the expansion of one depth-[d]
@@ -68,19 +67,21 @@ val totals : t -> int * int * int * int
     {!Stats.t} (the test suite enforces this). *)
 
 val merge : t -> t -> unit
-(** [merge acc s] adds [s]'s rows into [acc] (row-wise sums). Merging
-    into {!null} is a no-op. *)
+(** [merge acc s] adds [s]'s rows into [acc] (row-wise sums). It reads
+    [s]'s row count before its arrays, so [s] must not be recording
+    (merge after the join). Merging into {!null} is a no-op. *)
 
 val copy : t -> t
 (** An independent snapshot. *)
 
 val progress_depths : t -> int
-(** Progress rows in use (1 + deepest depth recorded by the progress
-    columns); 0 when progress is disabled or nothing was recorded. *)
+(** Progress rows in use (1 + deepest depth with a node or a
+    completion); 0 when progress is disabled or nothing was recorded. *)
 
 val progress_row : t -> int -> int * int * int * float
 (** [progress_row t d] is [(nodes, completed, children, children_sq)]
-    at depth [d] (all zero beyond {!progress_depths}). Safe to call
+    at depth [d]: the [nodes] column's row and the progress columns'
+    (all zero beyond {!progress_depths}). Safe to call
     from another domain while the owner records: reads are
     bounds-checked against the arrays actually observed, so a racing
     growth at worst hides the newest rows. *)

@@ -5,7 +5,6 @@ module Ops = Yewpar_core.Ops
 module Problem = Yewpar_core.Problem
 module Codec = Yewpar_core.Codec
 module Stats = Yewpar_core.Stats
-module Depth_profile = Yewpar_core.Depth_profile
 module Config = Yewpar_runtime.Config
 module Counters = Yewpar_runtime.Counters
 module Task_pool = Yewpar_runtime.Task_pool
@@ -325,8 +324,7 @@ let run (type s n r) ?(record = false) ?heartbeat ?chaos
            improvement here, even though it was found elsewhere; it has
            no tree position, and the communicator's slot notes no
            node, so the profile books it at depth 0. *)
-        Atomic.incr counters.Counters.bound_updates;
-        Depth_profile.note_bound counters.Counters.profs.(workers);
+        Counters.note_bound counters ~slot:workers;
         Recorder.instant comms_r Recorder.Bound ~span:0 ~value
       end
     | Wire.Ping -> send_out Wire.Pong
@@ -371,13 +369,13 @@ let run (type s n r) ?(record = false) ?heartbeat ?chaos
           (Wire.Heartbeat
              {
                clock = now;
-               tasks_done = Atomic.get counters.Counters.tasks_done;
+               tasks_done = Counters.tasks_done counters;
                pool_depth = Two_tier.queued tiers;
                idle_workers = Two_tier.idle_workers tiers;
                idle_frac;
                best = knowledge.Knowledge.best_obj ();
                trace_dropped = all_dropped ();
-               nodes = Atomic.get counters.Counters.nodes;
+               nodes = Counters.total counters (fun s -> s.Stats.nodes);
                progress = Counters.progress_sample counters;
                events = drain ();
              })

@@ -5,6 +5,7 @@ module Metrics = Yewpar_telemetry.Metrics
 module Http_export = Yewpar_telemetry.Http_export
 module Progress = Yewpar_telemetry.Progress
 module Knowledge = Yewpar_core.Knowledge
+module Stats = Yewpar_core.Stats
 module Ops = Yewpar_core.Ops
 module Coordination = Yewpar_core.Coordination
 module Problem = Yewpar_core.Problem
@@ -87,7 +88,8 @@ let recorded ?telemetry ?journal ~recorders ?sample f =
 let parallel_run (type s n r) ~n_workers ?stats ?telemetry ?journal
     ?monitor_port ?on_monitor ?(progress = true) ~coordination
     ~(harness : (n, r) Ops.harness) (p : (s, n, _) Problem.t) : r =
-  (* The shared counter bundle; folded into [stats] after the join. *)
+  (* One counter record per worker slot; folded into [stats] after the
+     join. *)
   let counters =
     Counters.create ~profiled:(stats <> None) ~progress ~slots:n_workers ()
   in
@@ -181,10 +183,11 @@ let parallel_run (type s n r) ~n_workers ?stats ?telemetry ?journal
       ~coordination ~counters ~recorders ~views ~scheduler ~tiers ~stop ()
   in
 
-  (* Live monitoring: the /metrics gauges are computed from the shared
-     atomics on each scrape, so the handler (which runs on the server's
-     domain, concurrently with the workers) only ever does word-sized
-     reads — a snapshot can be slightly stale but never torn. *)
+  (* Live monitoring: the /metrics gauges sum the slots' counters on
+     each scrape, so the handler (which runs on the server's domain,
+     concurrently with the workers) only ever does word-sized reads — a
+     snapshot can be slightly stale but never torn. *)
+  let live f = Counters.total counters f in
   let all_dropped () =
     Array.fold_left (fun a r -> a + Recorder.dropped r) 0 recorders
   in
@@ -217,19 +220,18 @@ let parallel_run (type s n r) ~n_workers ?stats ?telemetry ?journal
           Progress.export_gauges (progress_report ()) ~registry
             ~prefix:"yewpar_progress_";
         Metrics.set g_workers (float_of_int n_workers);
-        Metrics.set g_nodes (float_of_int (Atomic.get counters.Counters.nodes));
-        Metrics.set g_pruned (float_of_int (Atomic.get counters.Counters.pruned));
-        Metrics.set g_tasks (float_of_int (Atomic.get counters.Counters.tasks));
-        Metrics.set g_done
-          (float_of_int (Atomic.get counters.Counters.tasks_done));
+        Metrics.set g_nodes (float_of_int (live (fun s -> s.Stats.nodes)));
+        Metrics.set g_pruned (float_of_int (live (fun s -> s.Stats.pruned)));
+        Metrics.set g_tasks (float_of_int (live (fun s -> s.Stats.tasks)));
+        Metrics.set g_done (float_of_int (Counters.tasks_done counters));
         Metrics.set g_pool (float_of_int (Two_tier.queued tiers));
         Metrics.set g_outstanding (float_of_int (Atomic.get outstanding));
         Metrics.set g_idle (float_of_int (Two_tier.idle_workers tiers));
-        Metrics.set g_steals (float_of_int (Atomic.get counters.Counters.steals));
+        Metrics.set g_steals (float_of_int (live (fun s -> s.Stats.steals)));
         Metrics.set g_attempts
-          (float_of_int (Atomic.get counters.Counters.steal_attempts));
+          (float_of_int (live (fun s -> s.Stats.steal_attempts)));
         Metrics.set g_bounds
-          (float_of_int (Atomic.get counters.Counters.bound_updates));
+          (float_of_int (live (fun s -> s.Stats.bound_updates)));
         Metrics.set g_dropped (float_of_int (all_dropped ()));
         Metrics.set g_uptime (Unix.gettimeofday () -. started)
       in
@@ -248,16 +250,16 @@ let parallel_run (type s n r) ~n_workers ?stats ?telemetry ?journal
            \"bound_updates\":%d,\"best\":%s,\"trace_dropped\":%d%s}"
           (Unix.gettimeofday () -. started)
           n_workers
-          (Atomic.get counters.Counters.nodes)
-          (Atomic.get counters.Counters.pruned)
-          (Atomic.get counters.Counters.tasks)
-          (Atomic.get counters.Counters.tasks_done)
+          (live (fun s -> s.Stats.nodes))
+          (live (fun s -> s.Stats.pruned))
+          (live (fun s -> s.Stats.tasks))
+          (Counters.tasks_done counters)
           (Two_tier.queued tiers)
           (Atomic.get outstanding)
           (Two_tier.idle_workers tiers)
-          (Atomic.get counters.Counters.steals)
-          (Atomic.get counters.Counters.steal_attempts)
-          (Atomic.get counters.Counters.bound_updates)
+          (live (fun s -> s.Stats.steals))
+          (live (fun s -> s.Stats.steal_attempts))
+          (live (fun s -> s.Stats.bound_updates))
           (let b = knowledge.Knowledge.best_obj () in
            if b > min_int then string_of_int b else "null")
           (all_dropped ()) progress_block

@@ -1,40 +1,44 @@
-(** The shared counter bundle every runtime keeps while a parallel
-    search is in flight.
+(** The counters a parallel search keeps while in flight: one record
+    per worker slot (plus any extra slot the runtime reserves, e.g. the
+    dist communicator), created once per run before any worker spawns.
 
-    One instance is created per run, before any worker spawns. The
-    scalar counters are atomics so the workers, the live monitor and a
-    distributed communicator thread can all touch them concurrently
-    with word-sized operations; the per-slot depth profiles are
-    single-writer (one slot per worker, plus any extra slots the
-    runtime reserves, e.g. the dist communicator) and are only merged
-    after the join. No counter is written per traversal step: a slot's
-    engine records its steps into the slot's profile, and its totals
-    reach the atomics once per task. *)
+    Only the slot's own thread writes its record, so nothing in it is
+    atomic. A worker domain {!claim}s its slot before its first task;
+    the runtime folds every slot into one [Stats.t] after the join, and
+    live readers sum the slots racily. No counter is written per
+    traversal step: a slot's engine records its steps into the slot's
+    depth profile, and its totals reach the slot's scalars once per
+    task. *)
 
-type t = {
-  nodes : int Atomic.t;  (** Nodes processed. *)
-  pruned : int Atomic.t;  (** Subtrees pruned. *)
-  tasks : int Atomic.t;  (** Tasks spawned. *)
-  tasks_done : int Atomic.t;  (** Tasks finished. *)
-  backtracks : int Atomic.t;
-  max_depth : int Atomic.t;
-  steal_attempts : int Atomic.t;
-  steals : int Atomic.t;
-  bound_updates : int Atomic.t;  (** Applied incumbent improvements. *)
-  profs : Yewpar_core.Depth_profile.t array;
-      (** Per-slot depth profiles; [Depth_profile.null] when profiling
-          is off, so every note is a single branch. *)
+type slot = {
+  stats : Yewpar_core.Stats.t;
+      (** The slot's counts and depth profile; the profile is
+          [Depth_profile.null] when neither profiling nor progress is
+          on, so every note is a single branch. *)
+  mutable tasks_done : int;  (** Tasks finished; read live, never folded. *)
 }
 
-val create : ?profiled:bool -> ?progress:bool -> slots:int -> unit -> t
-(** [create ~slots ()] makes a bundle with [slots] profile slots. [~profiled:false] (used when the caller collects no stats)
-    disables the per-depth event columns; [~progress:false] disables
-    the tree-size-estimator columns ({!Yewpar_core.Progress}) — only
-    when both are off does a slot get
-    {!Yewpar_core.Depth_profile.null}. *)
+type t = slot array
 
-val note_max_depth : t -> int -> unit
-(** CAS-maximise the [max_depth] counter. *)
+val create : ?profiled:bool -> ?progress:bool -> slots:int -> unit -> t
+(** [create ~slots ()] makes [slots] all-zero records. [~profiled:false]
+    (used when the caller collects no stats) disables the per-depth
+    event columns; [~progress:false] disables the tree-size-estimator
+    columns ({!Yewpar_core.Progress}). *)
+
+val claim : t -> slot:int -> unit
+(** Replace the slot's record by a copy allocated on the calling
+    domain, keeping the counts written so far (the root's spawn, which
+    the main domain books on slot 0), so records built back to back in
+    the main domain share no cache line once written. *)
+
+val note_spawn : t -> slot:int -> int -> unit
+(** [note_spawn t ~slot d]: one task spawned with its root at depth [d]. *)
+
+val note_bound : t -> slot:int -> unit
+(** One applied incumbent improvement, booked in the profile at the
+    depth of the node the slot last noted
+    ({!Yewpar_core.Depth_profile.note_bound}). *)
 
 val accounted_submit :
   t ->
@@ -45,16 +49,23 @@ val accounted_submit :
   int ->
   bool
 (** [accounted_submit t ~slot ~recorder submit] wraps a knowledge
-    [submit] function so every applied improvement bumps
-    [bound_updates], lands in slot [slot]'s depth profile at the depth
-    of the node the slot last noted — the node being processed
-    ({!Yewpar_core.Depth_profile.note_bound}) — and emits a
-    [Bound_update] trace instant. *)
+    [submit] function so every applied improvement is a {!note_bound}
+    on [slot] and a [Bound_update] trace instant. The record is looked
+    up on each improvement, so the wrapper may be built before
+    {!claim}. *)
 
 val fold_into : t -> ?dropped:int -> Yewpar_core.Stats.t -> unit
-(** Accumulate every counter and all depth profiles into a [Stats.t]
-    (adding to whatever it already holds; [max_depth] maximises).
-    [dropped] is the runtime's trace-ring drop total. *)
+(** {!Yewpar_core.Stats.add} every slot into a [Stats.t], once no slot
+    is recording (after the join). [dropped] is the runtime's
+    trace-ring drop total. *)
+
+val total : t -> (Yewpar_core.Stats.t -> int) -> int
+(** [total t f] sums [f] over the slots' stats. Safe while workers
+    record: each read is word-sized, so a sum can be stale but never
+    torn. *)
+
+val tasks_done : t -> int
+(** Tasks finished over all slots; racy like {!total}. *)
 
 val progress_sample : t -> Yewpar_core.Progress.sample
 (** Merge every slot's progress columns into one

@@ -1,5 +1,6 @@
 module Workpool = Yewpar_core.Workpool
 module Coordination = Yewpar_core.Coordination
+module Stats = Yewpar_core.Stats
 module Recorder = Yewpar_telemetry.Recorder
 
 type 'n task = { tag : int; node : 'n; depth : int }
@@ -72,7 +73,8 @@ let take t ~recorder ~stop ~waiting ?(slot = -1) ?episode ?steal_counters
         | Some (c : Counters.t) when ep.attempted && src <> slot ->
           (* Only a task someone else pushed counts as stolen: being
              handed back our own spill after a wait is just latency. *)
-          Atomic.incr c.Counters.steals;
+          let st = c.(slot).Counters.stats in
+          st.Stats.steals <- st.Stats.steals + 1;
           Recorder.span recorder Recorder.Steal ~span:tk.tag
             ~start:ep.dry_since ~value:0
         | Some _ | None -> ());
@@ -82,7 +84,8 @@ let take t ~recorder ~stop ~waiting ?(slot = -1) ?episode ?steal_counters
         | Some (c : Counters.t) when not ep.attempted ->
           ep.attempted <- true;
           ep.dry_since <- Recorder.now recorder;
-          Atomic.incr c.Counters.steal_attempts
+          let st = c.(slot).Counters.stats in
+          st.Stats.steal_attempts <- st.Stats.steal_attempts + 1
         | Some _ | None -> ());
         if drained () then begin
           (* The worker's last dry episode is idle time too, from its

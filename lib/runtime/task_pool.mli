@@ -90,9 +90,10 @@ val take :
     [waiting > 0], this closes the lost-wakeup race without putting
     deque pushes under the pool lock.
 
-    With [steal_counters], a dry first probe of the episode counts as
-    a steal attempt and obtaining a task pushed by a {e different}
-    slot than [slot] counts as a success (its recorded [Steal] event
+    With [steal_counters] (which needs a real [slot]), a dry first
+    probe of the episode counts as a steal attempt of [slot]'s and
+    obtaining a task pushed by a {e different} slot counts as its
+    success (its recorded [Steal] event
     spans the steal latency: first dry probe to task in hand); each
     wait is recorded as one [Idle] event from its real start — a worker handed
     back a task it pushed itself is not stealing. The episode that

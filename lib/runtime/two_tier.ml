@@ -1,4 +1,5 @@
 module Workpool = Yewpar_core.Workpool
+module Stats = Yewpar_core.Stats
 module Recorder = Yewpar_telemetry.Recorder
 module Splitmix = Yewpar_util.Splitmix
 
@@ -83,13 +84,15 @@ let take t ~slot ~recorder ~stop ?steal_counters ?(drained = fun () -> false)
     | Some (c : Counters.t) when not ep.Task_pool.attempted ->
       ep.Task_pool.attempted <- true;
       ep.Task_pool.dry_since <- Recorder.now recorder;
-      Atomic.incr c.Counters.steal_attempts
+      let st = c.(slot).Counters.stats in
+      st.Stats.steal_attempts <- st.Stats.steal_attempts + 1
     | Some _ | None -> ()
   in
   let count_steal (tk : _ Task_pool.task) =
     match steal_counters with
     | Some (c : Counters.t) ->
-      Atomic.incr c.Counters.steals;
+      let st = c.(slot).Counters.stats in
+      st.Stats.steals <- st.Stats.steals + 1;
       Recorder.span recorder Recorder.Steal ~span:tk.Task_pool.tag
         ~start:ep.Task_pool.dry_since ~value:0
     | None -> ()

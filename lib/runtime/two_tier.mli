@@ -60,7 +60,7 @@ val take :
     [None] ends the worker's loop ([stop] set, or [drained ()] with
     both tiers dry; [drained] defaults to never).
 
-    With [steal_counters], the first dry own-pop of the episode counts
+    With [steal_counters], [slot]'s first dry own-pop of the episode counts
     one steal attempt, and a task obtained from a sibling deque or
     from another slot's pool push counts one success — at most one of
     each per episode, whichever tier finally served it. *)

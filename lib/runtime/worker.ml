@@ -3,6 +3,7 @@ module Ops = Yewpar_core.Ops
 module Coordination = Yewpar_core.Coordination
 module Problem = Yewpar_core.Problem
 module Depth_profile = Yewpar_core.Depth_profile
+module Stats = Yewpar_core.Stats
 module Recorder = Yewpar_telemetry.Recorder
 module Splitmix = Yewpar_util.Splitmix
 
@@ -28,6 +29,10 @@ type ('s, 'n) slot = {
   mutable rng : Splitmix.gen option;  (* the task's Random_spawn stream *)
 }
 
+let new_slot () =
+  { engine = None; live = false; tag = 0; root_depth = 0; started = 0.;
+    last_bt = 0; rng = None }
+
 type 'n domains = { scheduler : 'n scheduler; tiers : 'n Two_tier.t }
 
 type ('s, 'n, 'd) ctx = {
@@ -46,12 +51,9 @@ type ('s, 'n, 'd) ctx = {
 
 let make_step_ctx ~space ~children ~coordination ~counters ~recorders ~views
     ~enqueue ~should_shed ~stop () =
-  let slot _ =
-    { engine = None; live = false; tag = 0; root_depth = 0; started = 0.;
-      last_bt = 0; rng = None }
-  in
   { space; children; coordination; counters; recorders; views; enqueue;
-    should_shed; stop; slots = Array.init (Array.length views) slot;
+    should_shed; stop;
+    slots = Array.init (Array.length views) (fun _ -> new_slot ());
     domains = () }
 
 let make_ctx ~space ~children ~coordination ~counters ~recorders ~views
@@ -76,14 +78,15 @@ let request_stop ctx =
   Atomic.set ctx.stop true;
   Two_tier.broadcast ctx.domains.tiers
 
+let stats ctx ~slot = ctx.counters.(slot).Counters.stats
+
 let note_prune ctx ~slot depth =
-  Atomic.incr ctx.counters.Counters.pruned;
-  Depth_profile.note_prune ctx.counters.Counters.profs.(slot) depth
+  let st = stats ctx ~slot in
+  st.Stats.pruned <- st.Stats.pruned + 1;
+  Depth_profile.note_prune st.Stats.depths depth
 
 let spawn ctx ~slot task =
-  Atomic.incr ctx.counters.Counters.tasks;
-  Depth_profile.note_spawn ctx.counters.Counters.profs.(slot)
-    task.Task_pool.depth;
+  Counters.note_spawn ctx.counters ~slot task.Task_pool.depth;
   ctx.enqueue ~slot ctx.recorders.(slot) task
 
 (* Splits hand children the engine would have reached to other tasks,
@@ -144,9 +147,9 @@ let running ctx ~slot = ctx.slots.(slot).live
 
 let start_task ctx ~slot (task : 'n Task_pool.task) =
   let s = ctx.slots.(slot) in
-  let prof = ctx.counters.Counters.profs.(slot) in
+  let st = stats ctx ~slot in
+  let prof = st.Stats.depths in
   let view = ctx.views.(slot) in
-  let c = ctx.counters in
   let tag = task.Task_pool.tag and depth = task.Task_pool.depth in
   s.live <- false;
   s.tag <- tag;
@@ -158,7 +161,7 @@ let start_task ctx ~slot (task : 'n Task_pool.task) =
       0
     end
     else begin
-      Atomic.incr c.Counters.nodes;
+      st.Stats.nodes <- st.Stats.nodes + 1;
       Depth_profile.note_node prof depth;
       if not (view.Ops.process task.Task_pool.node) then begin
         Atomic.set ctx.stop true;
@@ -259,12 +262,12 @@ let advance ctx ~slot ~steps =
     in
     let units = charged () - before in
     if not paused then begin
-      let c = ctx.counters in
+      let st = stats ctx ~slot in
       s.live <- false;
-      ignore (Atomic.fetch_and_add c.Counters.nodes (Engine.nodes_entered e));
-      ignore (Atomic.fetch_and_add c.Counters.pruned (Engine.nodes_pruned e));
-      ignore (Atomic.fetch_and_add c.Counters.backtracks (Engine.backtracks e));
-      Counters.note_max_depth c (Engine.max_depth e);
+      st.Stats.nodes <- st.Stats.nodes + Engine.nodes_entered e;
+      st.Stats.pruned <- st.Stats.pruned + Engine.nodes_pruned e;
+      st.Stats.backtracks <- st.Stats.backtracks + Engine.backtracks e;
+      st.Stats.max_depth <- max st.Stats.max_depth (Engine.max_depth e);
       end_span ctx ~slot s
     end;
     units
@@ -278,8 +281,11 @@ let exec_task ctx ~slot task =
    scheduler: record it, short-circuit every worker, and let the caller
    decide what to do with it after the join. A task that raised the
    stop flag itself (a decision witness) wakes the blocked workers the
-   same way. *)
+   same way. The slot's counters and task slot are re-allocated here,
+   on the worker's own domain, before its first task. *)
 let worker_loop ctx failure slot () =
+  Counters.claim ctx.counters ~slot;
+  ctx.slots.(slot) <- new_slot ();
   let d = ctx.domains in
   let rec loop () =
     match d.scheduler.take ~slot with
@@ -295,7 +301,8 @@ let worker_loop ctx failure slot () =
          an observer seeing zero outstanding also sees the delta. *)
       d.scheduler.end_task ~slot;
       d.scheduler.finish ();
-      Atomic.incr ctx.counters.Counters.tasks_done;
+      let c = ctx.counters.(slot) in
+      c.Counters.tasks_done <- c.Counters.tasks_done + 1;
       loop ()
   in
   loop ()

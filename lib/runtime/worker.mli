@@ -3,7 +3,7 @@
     A task's subtree is explored with {!Yewpar_core.Engine} under the
     run's {!Yewpar_core.Coordination} policy — spawning, shedding or
     splitting exactly as the coordination dictates — and everything is
-    accounted through one {!Counters} bundle. The search semantics live
+    accounted in the slot's own {!Counters} record. The search semantics live
     here, once; a substrate only says where a spawned task goes and
     when the stack-stealing hunger probe fires. Four substrates
     instantiate it: the shm runtime's worker domains, each dist
@@ -25,12 +25,13 @@
     what worker domains run ({!start}). The simulator calls {!start_task}
     and {!advance} itself and charges virtual time per step.
 
-    The core writes no shared cell per engine step: each slot's engine records
-    its steps into the slot's depth profile ({!Yewpar_core.Engine.make}),
+    The core writes no shared cell: a slot's counters and task slot are
+    written only by its own thread. Each slot's engine records its
+    steps into the slot's depth profile ({!Yewpar_core.Engine.make}),
     and the core notes only what the engine never sees — the task root,
     spawn-depth children, and the children a split spawns or prunes.
-    The engine's node, prune and backtrack counts reach the shared
-    {!Counters} once, when the task ends. Under [Sequential] the one
+    The engine's node, prune and backtrack counts reach the slot's
+    counters once, when the task ends. Under [Sequential] the one
     task never spawns, so a one-slot run walks the tree in
     {!Yewpar_core.Sequential.search}'s order. *)
 
@@ -116,7 +117,7 @@ val task_priority :
     coordination, constant otherwise. *)
 
 val spawn : (_, 'n, _) ctx -> slot:int -> 'n Task_pool.task -> unit
-(** Account a task spawn (task counter + slot depth profile) and hand
+(** Account a task spawn on [slot] ({!Counters.note_spawn}) and hand
     it to [enqueue]. Also how a runtime seeds the root task. *)
 
 val start_task : (_, 'n, _) ctx -> slot:int -> 'n Task_pool.task -> int
@@ -160,8 +161,10 @@ type handle
 
 val start : (_, 'n, 'n domains) ctx -> workers:int -> handle
 (** Spawn [workers] domains running the worker loop on slots
-    [0 .. workers-1]: take, {!exec_task}, account, repeat. A task that
-    raised [stop] wakes the blocked workers. *)
+    [0 .. workers-1]: claim the slot's counters ({!Counters.claim}) and
+    rebuild its task slot on the worker's own domain, then take,
+    {!exec_task}, account, repeat. A task that raised [stop] wakes the
+    blocked workers. *)
 
 val failure : handle -> exn option
 (** Peek at the failure cell mid-run (the dist communicator polls it

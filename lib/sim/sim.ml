@@ -7,6 +7,7 @@ module Ops = Yewpar_core.Ops
 module Ordered_core = Yewpar_core.Ordered_core
 module Coordination = Yewpar_core.Coordination
 module Problem = Yewpar_core.Problem
+module Stats = Yewpar_core.Stats
 module Telemetry = Yewpar_telemetry.Telemetry
 module Journal = Yewpar_telemetry.Journal
 module Recorder = Yewpar_telemetry.Recorder
@@ -41,9 +42,9 @@ type 'n worker = {
   mutable busy_time : float;
 }
 
-let simulate (type s n r) ~costs ~seed ?trace ~(topology : Config.topology)
-    ~coordination ~(harness : (n, r) Ops.harness) (p : (s, n, _) Problem.t) :
-    r * Metrics.t =
+let simulate (type s n r) ~costs ~seed ?trace ?stats
+    ~(topology : Config.topology) ~coordination ~(harness : (n, r) Ops.harness)
+    (p : (s, n, _) Problem.t) : r * Metrics.t =
   let n_localities = topology.Config.localities in
   let per_loc = topology.Config.workers_per_locality in
   (* Each positive-duration busy interval becomes one journal event,
@@ -212,7 +213,8 @@ let simulate (type s n r) ~costs ~seed ?trace ~(topology : Config.topology)
     end
   in
   let counters =
-    Counters.create ~profiled:false ~progress:false ~slots:n_workers ()
+    Counters.create ~profiled:(stats <> None) ~progress:false ~slots:n_workers
+      ()
   in
   let ctx =
     Worker.make_step_ctx ~space:p.Problem.space ~children:p.Problem.children
@@ -371,8 +373,10 @@ let simulate (type s n r) ~costs ~seed ?trace ~(topology : Config.topology)
   in
 
   (* Boot: worker 0 starts the root task at time 0 (the paper's initial
-     work pushing degenerates to this for a single root task). *)
-  Atomic.incr counters.Counters.tasks;
+     work pushing degenerates to this for a single root task). The
+     root's spawn is booked on slot 0, as [Worker.spawn] books it on
+     the real runtimes, but it is never queued, so it costs no time. *)
+  Counters.note_spawn counters ~slot:0 0;
   incr live_tasks;
   start_task workers.(0) { Task_pool.tag = 0; node = p.Problem.root; depth = 0 } 0.;
   let rec main_loop () =
@@ -395,9 +399,9 @@ let simulate (type s n r) ~costs ~seed ?trace ~(topology : Config.topology)
     {
       Metrics.makespan = !finish_time;
       total_work;
-      nodes = Atomic.get counters.Counters.nodes;
-      pruned = Atomic.get counters.Counters.pruned;
-      tasks = Atomic.get counters.Counters.tasks;
+      nodes = Counters.total counters (fun s -> s.Stats.nodes);
+      pruned = Counters.total counters (fun s -> s.Stats.pruned);
+      tasks = Counters.total counters (fun s -> s.Stats.tasks);
       steal_attempts = !steal_attempts;
       steal_successes = !steal_successes;
       bound_broadcasts = !bound_broadcasts;
@@ -405,26 +409,27 @@ let simulate (type s n r) ~costs ~seed ?trace ~(topology : Config.topology)
       tasks_per_locality;
     }
   in
+  Option.iter (Counters.fold_into counters) stats;
   (harness.Ops.result global_k, metrics)
 
-let run (type s n r) ?(costs = Config.default) ?(seed = 42) ?trace ~topology
-    ~coordination (p : (s, n, r) Problem.t) : r * Metrics.t =
+let run (type s n r) ?(costs = Config.default) ?(seed = 42) ?trace ?stats
+    ~topology ~coordination (p : (s, n, r) Problem.t) : r * Metrics.t =
   match (coordination, p.Problem.kind) with
   | Coordination.Ordered { dcutoff }, Problem.Optimise obj ->
-    simulate ~costs ~seed ?trace ~topology ~coordination
+    simulate ~costs ~seed ?trace ?stats ~topology ~coordination
       ~harness:(Ordered_core.harness obj)
       (Ordered_core.lift ~dcutoff obj p)
   | Coordination.Ordered _, (Problem.Enumerate _ | Problem.Decide _) ->
     invalid_arg "Sim.run: the ordered skeleton needs an optimisation problem"
   | _ ->
-    simulate ~costs ~seed ?trace ~topology ~coordination
+    simulate ~costs ~seed ?trace ?stats ~topology ~coordination
       ~harness:(Ops.harness p.Problem.kind) p
 
 let virtual_sequential ?(costs = Config.default) p =
-  let stats = Yewpar_core.Stats.create () in
+  let stats = Stats.create () in
   let r = Yewpar_core.Sequential.search ~stats p in
   let time =
-    float_of_int (stats.Yewpar_core.Stats.nodes + stats.Yewpar_core.Stats.pruned)
+    float_of_int (stats.Stats.nodes + stats.Stats.pruned)
     *. costs.Config.node_cost
   in
   (r, time)

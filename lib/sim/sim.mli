@@ -31,6 +31,7 @@
 
 val run :
   ?costs:Config.costs -> ?seed:int -> ?trace:Yewpar_telemetry.Telemetry.t ->
+  ?stats:Yewpar_core.Stats.t ->
   topology:Config.topology ->
   coordination:Yewpar_core.Coordination.t ->
   ('space, 'node, 'result) Yewpar_core.Problem.t -> 'result * Metrics.t
@@ -39,7 +40,9 @@ val run :
     record every worker's busy intervals as journal events: locality
     [id / workers_per_locality], worker [id mod workers_per_locality],
     [t] the virtual start, named by what the worker was doing
-    ("engine", "task-root", "pool-pop", …). [Ordered] runs as
+    ("engine", "task-root", "pool-pop", …). [stats], when given,
+    receives the worker core's counters and depth profile (profiled
+    only then). [Ordered] runs as
     Depth-Bounded over {!Yewpar_core.Ordered_core.lift} with its
     left-only harness.
     @raise Invalid_argument for [Ordered] on a problem that is not an

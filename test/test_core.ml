@@ -639,10 +639,24 @@ let search_kind kind =
   in
   (children, keep, process, prune_rest, order, incumbent)
 
+(* The reference also tallies its progress rows itself, apart from
+   [Depth_profile], so the profile's row layout is checked as well:
+   depth -> (nodes, completed, kept children, sum of kept²). *)
 let reference_dfs kind t prof =
   let children, keep, process, prune_rest, order, incumbent = search_kind kind in
   let entered = ref 0 and pruned = ref 0 and backtracks = ref 0 in
   let max_depth = ref 0 in
+  let tally = Hashtbl.create 16 in
+  let bump d (n, c, k, sq) =
+    let n', c', k', sq' =
+      Option.value (Hashtbl.find_opt tally d) ~default:(0, 0, 0, 0.)
+    in
+    Hashtbl.replace tally d (n + n', c + c', k + k', sq +. sq')
+  in
+  let note_node d =
+    Depth_profile.note_node prof d;
+    bump d (1, 0, 0, 0.)
+  in
   let exception Witness in
   let rec expand n depth =
     let kept = ref 0 in
@@ -653,7 +667,7 @@ let reference_dfs kind t prof =
           incr kept;
           incr entered;
           max_depth := max !max_depth (depth + 1);
-          Depth_profile.note_node prof (depth + 1);
+          note_node (depth + 1);
           if not (process c) then raise Witness;
           expand c (depth + 1);
           visit rest
@@ -666,11 +680,16 @@ let reference_dfs kind t prof =
     in
     visit (children n);
     incr backtracks;
-    Depth_profile.note_complete prof depth !kept
+    Depth_profile.note_complete prof depth !kept;
+    bump depth (0, 1, !kept, float_of_int (!kept * !kept))
   in
-  Depth_profile.note_node prof 0;
+  note_node 0;
   (if process t then try expand t 0 with Witness -> ());
-  (List.rev !order, !incumbent, (!entered, !pruned, !backtracks, !max_depth))
+  let progress_rows =
+    List.init (Hashtbl.length tally) (fun d -> Hashtbl.find tally d)
+  in
+  ( (List.rev !order, !incumbent, (!entered, !pruned, !backtracks, !max_depth)),
+    progress_rows )
 
 let engine_dfs kind t prof budgets =
   let children, keep, process, prune_rest, order, incumbent = search_kind kind in
@@ -699,22 +718,33 @@ let profile_rows prof =
       (Depth_profile.progress_depths prof)
       (Depth_profile.progress_row prof) )
 
+(* The engine's profile is recorded in one of three modes (both views
+   on, profiled only, progress only) against a reference that records
+   both: each view that is on must equal the reference's, and progress
+   rows, which must not depend on whether profiling is on, must equal
+   the reference's own tally. *)
 let prop_engine_is_reference_dfs =
   QCheck.Test.make ~name:"paused engine = recursive reference DFS" ~count:300
-    QCheck.(triple tree_arb (int_bound 4) (list (int_bound 5)))
-    (fun (t, k, budgets) ->
+    QCheck.(quad tree_arb (int_bound 4) (list (int_bound 5)) (int_bound 2))
+    (fun (t, k, budgets, mode) ->
       let kind =
         match k with
         | 0 -> `Enum
         | 1 -> `Opt
         | k -> `Dec (subtree_max t - (k - 2))
       in
-      let prof_ref = Depth_profile.create () and prof = Depth_profile.create () in
-      let expected = reference_dfs kind t prof_ref in
+      let profiled = mode <> 2 and progress = mode <> 1 in
+      let prof_ref = Depth_profile.create ()
+      and prof = Depth_profile.create ~profiled ~progress () in
+      let expected, tally = reference_dfs kind t prof_ref in
       let got = engine_dfs kind t prof budgets in
       let _, best, _ = got in
+      let rows, progress_rows = profile_rows prof
+      and rows_ref, progress_rows_ref = profile_rows prof_ref in
       got = expected
-      && profile_rows prof = profile_rows prof_ref
+      && ((not profiled) || rows = rows_ref)
+      && progress_rows_ref = tally
+      && progress_rows = (if progress then tally else [])
       && (kind <> `Opt || best = max_value t))
 
 let qsuite =

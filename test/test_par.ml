@@ -378,7 +378,7 @@ let advance_zero_after_stop_finalises () =
   Alcotest.(check int) "six nodes entered" 6 units;
   Alcotest.(check bool) "still running" true (Worker.running ctx ~slot:0);
   Alcotest.(check int) "engine counts not yet flushed" 1
-    (Atomic.get counters.Counters.nodes);
+    counters.(0).Counters.stats.Stats.nodes;
   Atomic.set stop true;
   Alcotest.(check int) "no step taken" 0 (Worker.advance ctx ~slot:0 ~steps:0);
   Alcotest.(check bool) "task ended" false (Worker.running ctx ~slot:0);
@@ -390,6 +390,82 @@ let advance_zero_after_stop_finalises () =
   Alcotest.(check int) "profile agrees" st.Stats.nodes
     (let n, _, _, _ = Depth_profile.totals st.Stats.depths in
      n)
+
+(* Each slot's counters are written by one thread only. The main
+   domain books slot 0's root spawn; then each of four domains claims
+   its slot and records a known mix of events through the entry points
+   the worker core uses, slot [i] at depth [i] and [k = i + 1] times
+   over. The bound wrappers are built in the main domain before any
+   claim, as the runtimes build them, so a wrapper that held on to its
+   slot's first record would book into a record no fold reads. *)
+let counters_across_domains () =
+  let n = 4 in
+  let counters = Counters.create ~slots:n () in
+  Counters.note_spawn counters ~slot:0 0;
+  let built = Array.copy counters in
+  let submits =
+    Array.init n (fun slot ->
+        Counters.accounted_submit counters ~slot ~recorder:Recorder.null
+          (fun () _ -> true))
+  in
+  let record slot () =
+    Counters.claim counters ~slot;
+    let c = counters.(slot) in
+    let fresh = c != built.(slot) and kept = c.Counters.stats.Stats.tasks in
+    let st = c.Counters.stats and k = slot + 1 in
+    for _ = 1 to 100 * k do
+      st.Stats.nodes <- st.Stats.nodes + 1;
+      Depth_profile.note_node st.Stats.depths slot
+    done;
+    for _ = 1 to 10 * k do
+      st.Stats.pruned <- st.Stats.pruned + 1;
+      Depth_profile.note_prune st.Stats.depths slot
+    done;
+    for _ = 1 to 3 * k do
+      Counters.note_spawn counters ~slot slot
+    done;
+    for _ = 1 to 2 * k do
+      ignore (submits.(slot) () 0 : bool)
+    done;
+    st.Stats.steal_attempts <- st.Stats.steal_attempts + (5 * k);
+    st.Stats.steals <- st.Stats.steals + k;
+    (fresh, kept)
+  in
+  let domains = Array.init n (fun slot -> Domain.spawn (record slot)) in
+  let claims = Array.map Domain.join domains in
+  Array.iteri
+    (fun slot (fresh, kept) ->
+      let label what = Printf.sprintf "slot %d: %s" slot what in
+      Alcotest.(check bool) (label "claimed record is fresh") true fresh;
+      Alcotest.(check int) (label "claim keeps the root spawn")
+        (if slot = 0 then 1 else 0)
+        kept)
+    claims;
+  let sum f = List.fold_left ( + ) 0 (List.init n (fun i -> f (i + 1))) in
+  let st = Stats.create () in
+  Counters.fold_into counters st;
+  Alcotest.(check int) "nodes" (sum (fun k -> 100 * k)) st.Stats.nodes;
+  Alcotest.(check int) "pruned" (sum (fun k -> 10 * k)) st.Stats.pruned;
+  Alcotest.(check int) "tasks" (1 + sum (fun k -> 3 * k)) st.Stats.tasks;
+  Alcotest.(check int) "bound updates" (sum (fun k -> 2 * k))
+    st.Stats.bound_updates;
+  Alcotest.(check int) "steal attempts" (sum (fun k -> 5 * k))
+    st.Stats.steal_attempts;
+  Alcotest.(check int) "steals" (sum (fun k -> k)) st.Stats.steals;
+  Alcotest.(check int) "live sum = fold" st.Stats.nodes
+    (Counters.total counters (fun s -> s.Stats.nodes));
+  let d = st.Stats.depths in
+  Alcotest.(check (list (list int))) "profile rows"
+    (List.init n (fun i ->
+         let k = i + 1 in
+         [ 100 * k; 10 * k; (3 * k) + (if i = 0 then 1 else 0); 2 * k ]))
+    (List.init (Depth_profile.depths d) (fun i ->
+         let a, b, c, e = Depth_profile.row d i in
+         [ a; b; c; e ]));
+  let nodes, pruned, spawned, bounds = Depth_profile.totals d in
+  Alcotest.(check (list int)) "profile totals = scalars"
+    [ st.Stats.nodes; st.Stats.pruned; st.Stats.tasks; st.Stats.bound_updates ]
+    [ nodes; pruned; spawned; bounds ]
 
 let () =
   Alcotest.run "par"
@@ -420,6 +496,8 @@ let () =
             advance_batches_are_exec_task;
           Alcotest.test_case "advance 0 after stop finalises" `Quick
             advance_zero_after_stop_finalises;
+          Alcotest.test_case "counters across domains" `Quick
+            counters_across_domains;
         ] );
       ( "monitor",
         [ Alcotest.test_case "mid-run scrape" `Quick monitor_scrape_midrun ] );

@@ -16,8 +16,7 @@
    drift in any instantiation shows up here as a parity break. The
    Sequential coordination is a column too: on shm, dist and the
    simulator it is the worker core on one task, checked against
-   [Sequential.search], the core's own loop. The simulator keeps no
-   depth profile, so its cells skip the column-sum check. *)
+   [Sequential.search], the core's own loop. *)
 
 module Sequential = Yewpar_core.Sequential
 module Coordination = Yewpar_core.Coordination
@@ -27,7 +26,6 @@ module Shm = Yewpar_par.Shm
 module Dist = Yewpar_dist.Dist
 module Sim = Yewpar_sim.Sim
 module Sim_config = Yewpar_sim.Config
-module Metrics = Yewpar_sim.Metrics
 module Queens = Yewpar_queens.Queens
 module Mc = Yewpar_maxclique.Maxclique
 module Gen = Yewpar_graph.Gen
@@ -82,11 +80,7 @@ let run_cell rt ~coordination p =
       let topology =
         Sim_config.topology ~localities:2 ~workers:parity_workers
       in
-      let r, m = Sim.run ~topology ~coordination p in
-      stats.Stats.nodes <- m.Metrics.nodes;
-      stats.Stats.pruned <- m.Metrics.pruned;
-      stats.Stats.tasks <- m.Metrics.tasks;
-      r
+      fst (Sim.run ~stats ~topology ~coordination p)
   in
   (result, stats)
 
@@ -110,7 +104,7 @@ let matrix ~group ?(coords = coords) p check =
             let cell = Printf.sprintf "%s/%s" rt_name co_name in
             let result, stats = run_cell rt ~coordination p in
             check ~cell result stats;
-            if rt <> Rt_sim then check_profile ~cell stats
+            check_profile ~cell stats
           end)
         coords)
     runtimes
