@@ -268,6 +268,63 @@ let shed_order () =
   in
   Alcotest.(check (list int)) "rest still deepest-first" [ 7; 5 ] rest
 
+(* ------------------------ steal accounting ------------------------ *)
+
+(* One take on one domain with real counters and a real recorder:
+   the taking slot's attempts and steals, and the kinds of the events
+   its recorder holds afterwards. *)
+let accounted_take tiers ~slot ~drained =
+  let counters = Yewpar_runtime.Counters.create ~slots:2 () in
+  let recorder = Recorder.create ~capacity:64 ~worker:slot () in
+  let got =
+    Two_tier.take tiers ~slot ~recorder ~stop:(Atomic.make false)
+      ~steal_counters:counters ~drained ()
+  in
+  let st = counters.(slot).Yewpar_runtime.Counters.stats in
+  let events =
+    List.map
+      (fun (e : Yewpar_telemetry.Journal.event) -> e.Yewpar_telemetry.Journal.ev)
+      (Recorder.drain recorder)
+  in
+  ( Option.map (fun t -> t.Task_pool.node) got,
+    st.Yewpar_core.Stats.steal_attempts,
+    st.Yewpar_core.Stats.steals,
+    events )
+
+let check_take what (got, attempts, steals, events)
+    (want, want_attempts, want_steals, want_events) =
+  Alcotest.(check (option int)) (what ^ ": task") want got;
+  Alcotest.(check int) (what ^ ": attempts") want_attempts attempts;
+  Alcotest.(check int) (what ^ ": steals") want_steals steals;
+  Alcotest.(check (list string)) (what ^ ": events") want_events events
+
+let steal_from_sibling_deque () =
+  let tiers = Two_tier.create ~policy:Workpool.Depth ~slots:2 () in
+  Two_tier.enqueue tiers ~slot:0 ~recorder:Recorder.null ~priority:0 (task 7);
+  check_take "sibling deque"
+    (accounted_take tiers ~slot:1 ~drained:(fun () -> true))
+    (Some 7, 1, 1, [ "steal" ])
+
+let own_pool_push_is_no_steal () =
+  let tiers = Two_tier.create ~policy:Workpool.Priority ~slots:2 () in
+  Two_tier.enqueue tiers ~slot:0 ~recorder:Recorder.null ~priority:3 (task 8);
+  check_take "own pool push"
+    (accounted_take tiers ~slot:0 ~drained:(fun () -> true))
+    (Some 8, 1, 0, [])
+
+let ownerless_push_is_a_steal () =
+  let tiers = Two_tier.create ~policy:Workpool.Depth ~slots:2 () in
+  Two_tier.enqueue tiers ~slot:(-1) ~recorder:Recorder.null ~priority:0 (task 9);
+  check_take "ownerless push"
+    (accounted_take tiers ~slot:0 ~drained:(fun () -> true))
+    (Some 9, 1, 1, [ "steal" ])
+
+let drained_take_records_one_idle () =
+  let tiers = Two_tier.create ~policy:Workpool.Depth ~slots:2 () in
+  check_take "drained"
+    (accounted_take tiers ~slot:0 ~drained:(fun () -> true))
+    (None, 1, 0, [ "idle" ])
+
 let () =
   Alcotest.run "scheduler"
     [
@@ -289,4 +346,15 @@ let () =
         Alcotest.test_case "shed shallowest, pops unchanged" `Quick shed_order
         :: List.map QCheck_alcotest.to_alcotest
              [ prop_depth_order; prop_priority_order ] );
+      ( "steal counts",
+        [
+          Alcotest.test_case "sibling deque: 1 attempt, 1 steal" `Quick
+            steal_from_sibling_deque;
+          Alcotest.test_case "own pool push under Priority: no steal" `Quick
+            own_pool_push_is_no_steal;
+          Alcotest.test_case "ownerless pool push: 1 steal" `Quick
+            ownerless_push_is_a_steal;
+          Alcotest.test_case "drained take: one Idle" `Quick
+            drained_take_records_one_idle;
+        ] );
     ]
