@@ -16,7 +16,7 @@
 
    The buffer is fixed-size on purpose: overflow is not this module's
    problem. A full [push] returns [false] and the caller migrates work
-   to the overflow tier (the ordered [Task_pool]), which is where
+   to the overflow tier (the ordered pool in [Two_tier]), which is where
    order-preserving spill semantics live. *)
 
 type 'a t = {

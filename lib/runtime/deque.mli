@@ -5,8 +5,8 @@
     any domain may call {!steal}. The owner works LIFO at the bottom
     (deepest-first, keeping the search depth-first); thieves take the
     oldest entry at the top (shallowest-first, the biggest subtrees),
-    matching the pop-local/pop-steal orders of the shared
-    {!Task_pool}.
+    matching the pop-local/pop-steal orders of {!Two_tier}'s overflow
+    tier.
 
     The deque is bounded: a full {!push} refuses instead of growing,
     and the caller sheds work to the order-preserving overflow tier.

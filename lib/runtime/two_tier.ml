@@ -3,9 +3,17 @@ module Stats = Yewpar_core.Stats
 module Recorder = Yewpar_telemetry.Recorder
 module Splitmix = Yewpar_util.Splitmix
 
+(* An overflow-tier entry. [src] is the slot that pushed it (-1 for
+   pushes with no worker identity — wire arrivals, the root seed), so
+   [take] can tell a genuine steal from a worker being handed back its
+   own spill. *)
+type 'n entry = { src : int; tk : 'n Task_pool.task }
+
 type 'n t = {
   deques : 'n Task_pool.task Deque.t array;
-  pool : 'n Task_pool.t;
+  mutex : Mutex.t;  (* guards [pool] *)
+  nonempty : Condition.t;  (* the block/wake point of [take] *)
+  pool : 'n entry Workpool.t;
   queued : int Atomic.t;
       (* total across both tiers; the O(1) basis of every hunger and
          spill probe, so none of them has to sum the deques *)
@@ -23,7 +31,9 @@ let create ~policy ?(deque_capacity = 256) ~slots () =
   {
     deques =
       Array.init slots (fun _ -> Deque.create ~capacity:deque_capacity ());
-    pool = Task_pool.create ~policy ();
+    mutex = Mutex.create ();
+    nonempty = Condition.create ();
+    pool = Workpool.create ~policy ();
     queued = Atomic.make 0;
     waiting = Atomic.make 0;
     fast = policy = Workpool.Depth;
@@ -31,10 +41,19 @@ let create ~policy ?(deque_capacity = 256) ~slots () =
   }
 
 let queued t = Atomic.get t.queued
-let pool_size t = Task_pool.size t.pool
 let idle_workers t = Atomic.get t.waiting
 let hungry t = Atomic.get t.waiting > 0 && Atomic.get t.queued = 0
-let broadcast t = Task_pool.broadcast t.pool
+
+let broadcast t =
+  Mutex.lock t.mutex;
+  Condition.broadcast t.nonempty;
+  Mutex.unlock t.mutex
+
+let pool_push t ~src ~priority (tk : _ Task_pool.task) =
+  Mutex.lock t.mutex;
+  Workpool.push t.pool ~depth:tk.Task_pool.depth ~priority { src; tk };
+  Condition.signal t.nonempty;
+  Mutex.unlock t.mutex
 
 let deques_nonempty t =
   let n = Array.length t.deques in
@@ -46,7 +65,7 @@ let enqueue t ~slot ~recorder:_ ~priority task =
   if (not t.fast) || slot < 0 || slot >= Array.length t.deques then
     (* No owner deque (wire arrivals, the communicator) or a global
        order: the ordered tier is the destination. *)
-    Task_pool.push t.pool ~src:slot ~priority task
+    pool_push t ~src:slot ~priority task
   else begin
     let dq = t.deques.(slot) in
     if not (Deque.push dq task) then begin
@@ -62,28 +81,34 @@ let enqueue t ~slot ~recorder:_ ~priority task =
         match Deque.steal dq with
         | Some tk ->
           incr moved;
-          Task_pool.push t.pool ~src:slot ~priority:0 tk
+          pool_push t ~src:slot ~priority:0 tk
         | None -> dry := true
       done;
-      if not (Deque.push dq task) then
-        Task_pool.push t.pool ~src:slot ~priority task
+      if not (Deque.push dq task) then pool_push t ~src:slot ~priority task
     end;
     (* Deque pushes bypass the pool lock, so sleepers are woken
        explicitly; they re-probe the deques after raising [waiting]
-       (see {!Task_pool.take}), which makes push-then-check-waiting
-       here race-free under OCaml's SC atomics. *)
-    if Atomic.get t.waiting > 0 then Task_pool.signal t.pool
+       (see [take]), which makes push-then-check-waiting here
+       race-free under OCaml's SC atomics. *)
+    if Atomic.get t.waiting > 0 then begin
+      Mutex.lock t.mutex;
+      Condition.signal t.nonempty;
+      Mutex.unlock t.mutex
+    end
   end
 
 let take t ~slot ~recorder ~stop ?steal_counters ?(drained = fun () -> false)
     ?on_idle () =
-  let ep = Task_pool.new_episode () in
   let nslots = Array.length t.deques in
+  (* Steal accounting for this one acquisition, across both tiers: the
+     first dry own-pop is its attempt, [dry_since] starts its Steal
+     and final Idle spans. *)
+  let attempted = ref false and dry_since = ref 0. in
   let mark_attempt () =
     match steal_counters with
-    | Some (c : Counters.t) when not ep.Task_pool.attempted ->
-      ep.Task_pool.attempted <- true;
-      ep.Task_pool.dry_since <- Recorder.now recorder;
+    | Some (c : Counters.t) when not !attempted ->
+      attempted := true;
+      dry_since := Recorder.now recorder;
       let st = c.(slot).Counters.stats in
       st.Stats.steal_attempts <- st.Stats.steal_attempts + 1
     | Some _ | None -> ()
@@ -94,7 +119,7 @@ let take t ~slot ~recorder ~stop ?steal_counters ?(drained = fun () -> false)
       let st = c.(slot).Counters.stats in
       st.Stats.steals <- st.Stats.steals + 1;
       Recorder.span recorder Recorder.Steal ~span:tk.Task_pool.tag
-        ~start:ep.Task_pool.dry_since ~value:0
+        ~start:!dry_since ~value:0
     | None -> ()
   in
   (* One randomised full circle over the sibling deques. *)
@@ -130,22 +155,83 @@ let take t ~slot ~recorder ~stop ?steal_counters ?(drained = fun () -> false)
         | Some tk ->
           count_steal tk;
           got tk
-        | None -> (
-          match
-            Task_pool.take t.pool ~recorder ~stop ~waiting:t.waiting ~slot
-              ~episode:ep ?steal_counters
-              ~more_work:(fun () -> deques_nonempty t)
-              ~drained ?on_idle ()
-          with
-          | Task_pool.Task tk -> got tk
-          | Task_pool.Retry -> loop ()
-          | Task_pool.Exhausted -> None))
+        | None ->
+          Mutex.lock t.mutex;
+          wait ())
+  (* The overflow tier, entered with the pool lock held; every exit
+     releases it. *)
+  and wait () =
+    if Atomic.get stop then begin
+      Mutex.unlock t.mutex;
+      None
+    end
+    else
+      match Workpool.pop_local t.pool with
+      | Some { src; tk } ->
+        Mutex.unlock t.mutex;
+        (* Only a task someone else pushed counts as stolen: being
+           handed back our own spill after a wait is just latency. *)
+        if src <> slot then count_steal tk;
+        got tk
+      | None ->
+        if drained () then begin
+          Mutex.unlock t.mutex;
+          (* The worker's last dry episode is idle time too, from its
+             first dry probe to the end of the run; recording it gives
+             every worker that looked for work a trace, even one that
+             started after the others had finished. *)
+          if !attempted then
+            Recorder.span recorder Recorder.Idle ~span:0 ~start:!dry_since
+              ~value:0;
+          None
+        end
+        else begin
+          Atomic.incr t.waiting;
+          (* Lost-wakeup guard for the lock-free tier: deque pushers
+             publish the task first and only signal when they observe
+             [waiting > 0]. Re-probing the deques *after* raising
+             [waiting] therefore covers the race — a push missed by
+             this probe must read the raised counter and will signal
+             (blocking on our mutex until [Condition.wait] releases
+             it). *)
+          if deques_nonempty t then begin
+            Atomic.decr t.waiting;
+            Mutex.unlock t.mutex;
+            loop ()
+          end
+          else begin
+            let idle_from = Recorder.now recorder in
+            let wall_from =
+              match on_idle with Some _ -> Recorder.clock () | None -> 0.
+            in
+            Condition.wait t.nonempty t.mutex;
+            Atomic.decr t.waiting;
+            Recorder.span recorder Recorder.Idle ~span:0 ~start:idle_from
+              ~value:0;
+            (match on_idle with
+            | Some f -> f (Recorder.clock () -. wall_from)
+            | None -> ());
+            if deques_nonempty t then begin
+              Mutex.unlock t.mutex;
+              loop ()
+            end
+            else wait ()
+          end
+        end
   in
   loop ()
 
 let shed_half t =
-  let shed = Task_pool.shed_half t.pool in
-  (match shed with
-  | [] -> ()
-  | l -> ignore (Atomic.fetch_and_add t.queued (-List.length l)));
+  Mutex.lock t.mutex;
+  let rec pop k acc =
+    if k = 0 then acc
+    else
+      match Workpool.pop_steal t.pool with
+      | Some { tk; _ } -> pop (k - 1) (tk :: acc)
+      | None -> acc
+  in
+  let shed = List.rev (pop ((Workpool.size t.pool + 1) / 2) []) in
+  Mutex.unlock t.mutex;
+  if shed <> [] then
+    ignore (Atomic.fetch_and_add t.queued (-List.length shed));
   shed

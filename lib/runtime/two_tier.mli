@@ -1,18 +1,21 @@
-(** The two-tier scheduling substrate shared by the shm runtime and
-    every distributed locality.
+(** The scheduler shared by the shm runtime and every distributed
+    locality: work-stealing deques in front of one order-preserving
+    workpool (paper §4.3).
 
     Tier 1 is an array of per-worker lock-free Chase-Lev {!Deque}s:
     a worker pushes and pops its own deque without taking any lock
     (deepest-first, keeping the search depth-first), and a dry worker
     steals the shallowest entry from a random sibling with one CAS.
-    Tier 2 is the ordered {!Task_pool}: deque overflow spills into it
+    Tier 2, the overflow tier, is a mutex-guarded
+    {!Yewpar_core.Workpool} with the coordination's policy
+    ({!Task_pool.policy_for}): deque overflow spills into it
     shallowest-first, pushes with no owning worker (wire arrivals, the
     communicator) land in it directly, best-first and Ordered
     coordinations bypass the deques entirely so their order stays
     global, and it is the only tier distributed localities shed from —
-    so cross-locality work always moves in the order-preserving tier. The pool's
-    condition variable is also the block/wake point for workers that
-    find both tiers dry.
+    so cross-locality work always moves in the order-preserving tier.
+    Its condition variable is also the block/wake point for workers
+    that find both tiers dry.
 
     A single atomic [queued] counter tracks the total across both
     tiers, so hunger ({!hungry}) and spill-threshold probes stay O(1)
@@ -52,18 +55,34 @@ val take :
   ?on_idle:(float -> unit) ->
   unit ->
   'n Task_pool.task option
-(** Two-level blocking acquisition for the worker on [slot]: own deque
-    pop, then one randomised steal sweep over the sibling deques, then
-    a blocking {!Task_pool.take} on the overflow pool (whose
-    [more_work] re-probe of the deques makes the park race-free and
-    bounces the worker back to the sweep when deque work appears).
-    [None] ends the worker's loop ([stop] set, or [drained ()] with
-    both tiers dry; [drained] defaults to never).
+(** Blocking acquisition for the worker on [slot]: own deque pop, then
+    one randomised steal sweep over the sibling deques, then the
+    overflow tier, deepest-first (or by the pool's policy). [None] ends
+    the worker's loop: [stop] is set, or [drained ()] holds with the
+    overflow tier empty ([drained] defaults to never: on a distributed
+    locality a dry pool does not end the search, since more work may
+    arrive over the wire).
 
-    With [steal_counters], [slot]'s first dry own-pop of the episode counts
-    one steal attempt, and a task obtained from a sibling deque or
-    from another slot's pool push counts one success — at most one of
-    each per episode, whichever tier finally served it. *)
+    A worker that finds both tiers dry parks on the overflow tier's
+    condition. To close the lost-wakeup race without putting deque
+    pushes under the pool lock, it raises [waiting] ({!idle_workers}),
+    re-probes every deque, and only then waits; a deque push publishes
+    its task first and signals only when it observes [waiting > 0], so
+    a push the re-probe missed always wakes it. A re-probe that finds
+    deque work, before the wait or on wakeup, sends the worker back to
+    its own pop and the sweep.
+
+    With [steal_counters], [slot]'s first dry own-pop of the call
+    counts one steal attempt, and a task obtained from a sibling deque
+    or from an overflow push by another slot (or by none) counts one
+    success with a [Steal] event spanning the steal latency, from that
+    first dry probe to task in hand; at most one of each per call,
+    whichever tier finally served it. Being handed back one's own
+    spill is not a steal. Each wait is recorded as one [Idle] event
+    from its real start, and a call that ends in [drained] records a
+    final [Idle] event from its first dry probe, so every worker that
+    looked for work leaves one. [on_idle], when given, receives each
+    wait's wall-clock duration (the dist heartbeat's idle fraction). *)
 
 val shed_half : 'n t -> 'n Task_pool.task list
 (** Remove half the {e overflow-tier} tasks (rounded up),
@@ -80,10 +99,6 @@ val broadcast : 'n t -> unit
 val queued : 'n t -> int
 (** Tasks currently queued across both tiers (lock-free; may be
     momentarily stale). *)
-
-val pool_size : 'n t -> int
-(** Tasks currently in the overflow tier only (the dist spill
-    telemetry's base). *)
 
 val idle_workers : 'n t -> int
 (** Workers currently parked in {!take}. *)

@@ -193,7 +193,7 @@ let two_tier_priority_global_order () =
       Two_tier.enqueue tiers ~slot:(i mod 4) ~recorder:Recorder.null
         ~priority:prio (task prio))
     [ 3; 9; 1; 7; 9; 0 ];
-  Alcotest.(check int) "fast tier unused" 6 (Two_tier.pool_size tiers);
+  Alcotest.(check int) "all queued" 6 (Two_tier.queued tiers);
   let rec drain acc =
     match
       Two_tier.take tiers ~slot:0 ~recorder:Recorder.null ~stop
@@ -208,18 +208,27 @@ let two_tier_priority_global_order () =
 
 (* ------------------ overflow-tier order properties ---------------- *)
 
-let pool_drain pool =
+(* Ownerless pushes (slot -1: wire arrivals, the communicator) land in
+   the overflow tier whatever the policy, so these drive its order
+   through [Two_tier] alone. *)
+let overflow ~policy entries =
+  let tiers = Two_tier.create ~policy ~slots:1 () in
+  List.iter
+    (fun (priority, tk) ->
+      Two_tier.enqueue tiers ~slot:(-1) ~recorder:Recorder.null ~priority tk)
+    entries;
+  tiers
+
+let overflow_drain tiers =
   let stop = Atomic.make false in
-  let waiting = Atomic.make 0 in
   let rec go acc =
     match
-      Task_pool.take pool ~recorder:Recorder.null ~stop ~waiting
+      Two_tier.take tiers ~slot:0 ~recorder:Recorder.null ~stop
         ~drained:(fun () -> true)
         ()
     with
-    | Task_pool.Task t -> go (t :: acc)
-    | Task_pool.Retry -> go acc
-    | Task_pool.Exhausted -> List.rev acc
+    | Some t -> go (t :: acc)
+    | None -> List.rev acc
   in
   go []
 
@@ -227,13 +236,11 @@ let prop_depth_order =
   QCheck.Test.make ~name:"overflow pops deepest-first" ~count:300
     QCheck.(list (int_bound 30))
     (fun depths ->
-      let pool = Task_pool.create ~policy:Workpool.Depth () in
-      List.iteri
-        (fun i depth ->
-          Task_pool.push pool ~src:(i mod 3)
-            ~priority:0 (task ~depth i))
-        depths;
-      let out = List.map (fun t -> t.Task_pool.depth) (pool_drain pool) in
+      let tiers =
+        overflow ~policy:Workpool.Depth
+          (List.mapi (fun i depth -> (0, task ~depth i)) depths)
+      in
+      let out = List.map (fun t -> t.Task_pool.depth) (overflow_drain tiers) in
       List.length out = List.length depths
       && out = List.sort (fun a b -> compare b a) out)
 
@@ -241,31 +248,27 @@ let prop_priority_order =
   QCheck.Test.make ~name:"overflow pops highest-priority-first" ~count:300
     QCheck.(list (int_range (-20) 20))
     (fun prios ->
-      let pool = Task_pool.create ~policy:Workpool.Priority () in
-      List.iteri
-        (fun i priority ->
-          Task_pool.push pool ~src:(i mod 3) ~priority
-            (task i))
-        prios;
-      let out =
-        List.map (fun t -> t.Task_pool.node) (pool_drain pool)
+      let tiers =
+        overflow ~policy:Workpool.Priority
+          (List.mapi (fun i priority -> (priority, task i)) prios)
       in
+      let out = List.map (fun t -> t.Task_pool.node) (overflow_drain tiers) in
       let got = List.map (fun i -> List.nth prios i) out in
       List.length out = List.length prios
       && got = List.sort (fun a b -> compare b a) got)
 
 (* Sheds leave shallowest-first, preserving pop order for the rest. *)
 let shed_order () =
-  let pool = Task_pool.create ~policy:Workpool.Depth () in
-  List.iter
-    (fun (id, depth) ->
-      Task_pool.push pool ~priority:0 (task ~depth id))
-    [ (0, 5); (1, 1); (2, 3); (3, 7); (4, 2) ];
-  let shed = List.map (fun t -> t.Task_pool.depth) (Task_pool.shed_half pool) in
-  Alcotest.(check (list int)) "shallowest 3 of 5" [ 1; 2; 3 ] shed;
-  let rest =
-    List.map (fun t -> t.Task_pool.depth) (pool_drain pool)
+  let tiers =
+    overflow ~policy:Workpool.Depth
+      (List.map
+         (fun (id, depth) -> (0, task ~depth id))
+         [ (0, 5); (1, 1); (2, 3); (3, 7); (4, 2) ])
   in
+  let shed = List.map (fun t -> t.Task_pool.depth) (Two_tier.shed_half tiers) in
+  Alcotest.(check (list int)) "shallowest 3 of 5" [ 1; 2; 3 ] shed;
+  Alcotest.(check int) "shed leaves the count" 2 (Two_tier.queued tiers);
+  let rest = List.map (fun t -> t.Task_pool.depth) (overflow_drain tiers) in
   Alcotest.(check (list int)) "rest still deepest-first" [ 7; 5 ] rest
 
 (* ------------------------ steal accounting ------------------------ *)
