@@ -1,4 +1,3 @@
-module Deque = Yewpar_util.Deque
 module Vec = Yewpar_util.Vec
 module IntMap = Map.Make (Int)
 
@@ -6,8 +5,8 @@ type policy = Depth | Priority | Fifo
 
 type 'a t = {
   policy : policy;
-  buckets : 'a Deque.t Vec.t;  (* Depth/Fifo: index = depth (0 for Fifo) *)
-  mutable prio : 'a Deque.t IntMap.t;  (* Priority: keyed by priority *)
+  buckets : 'a Queue.t Vec.t;  (* Depth/Fifo: index = depth (0 for Fifo) *)
+  mutable prio : 'a Queue.t IntMap.t;  (* Priority: keyed by priority *)
   mutable count : int;
   mutable deepest : int;  (* upper bound on the deepest non-empty bucket *)
   mutable shallowest : int;  (* lower bound on the shallowest non-empty bucket *)
@@ -22,7 +21,7 @@ let is_empty p = p.count = 0
 
 let bucket p depth =
   while Vec.length p.buckets <= depth do
-    Vec.push p.buckets (Deque.create ())
+    Vec.push p.buckets (Queue.create ())
   done;
   Vec.get p.buckets depth
 
@@ -34,14 +33,14 @@ let push p ~depth ?(priority = 0) x =
       match IntMap.find_opt priority p.prio with
       | Some q -> q
       | None ->
-        let q = Deque.create () in
+        let q = Queue.create () in
         p.prio <- IntMap.add priority q p.prio;
         q
     in
-    Deque.push_back q x
+    Queue.push x q
   | Depth | Fifo ->
     let depth = if p.policy = Fifo then 0 else depth in
-    Deque.push_back (bucket p depth) x;
+    Queue.push x (bucket p depth);
     if depth > p.deepest then p.deepest <- depth;
     if depth < p.shallowest then p.shallowest <- depth);
   p.count <- p.count + 1
@@ -52,7 +51,7 @@ let pop_priority p =
     match IntMap.max_binding_opt p.prio with
     | None -> None
     | Some (key, q) -> (
-      match Deque.pop_front q with
+      match Queue.take_opt q with
       | Some x ->
         p.count <- p.count - 1;
         Some x
@@ -73,7 +72,7 @@ let pop_local p =
       let rec go d =
         if d < 0 then None
         else
-          match Deque.pop_front (Vec.get p.buckets d) with
+          match Queue.take_opt (Vec.get p.buckets d) with
           | Some x ->
             p.deepest <- d;
             p.count <- p.count - 1;
@@ -92,7 +91,7 @@ let pop_steal p =
       let rec go d =
         if d >= n then None
         else
-          match Deque.pop_front (Vec.get p.buckets d) with
+          match Queue.take_opt (Vec.get p.buckets d) with
           | Some x ->
             p.shallowest <- d;
             p.count <- p.count - 1;

@@ -1,5 +1,4 @@
 module Heap = Yewpar_util.Heap
-module Deque = Yewpar_util.Deque
 module Splitmix = Yewpar_util.Splitmix
 module Workpool = Yewpar_core.Workpool
 module Knowledge = Yewpar_core.Knowledge
@@ -30,8 +29,8 @@ type 'n event =
 type 'n worker = {
   id : int;
   loc : int;
-  stash : 'n Task_pool.task Deque.t;  (* chunk remainder from a chunked steal *)
-  steal_queue : int Deque.t;  (* thieves awaiting a split from us *)
+  stash : 'n Task_pool.task Queue.t;  (* chunk remainder from a chunked steal *)
+  steal_queue : int Queue.t;  (* thieves awaiting a split from us *)
   mutable serving : int;  (* the thief the split in progress goes to, or -1 *)
   mutable split : 'n Task_pool.task list;  (* that split so far, newest first *)
   mutable spawned : float;  (* spawn cost not yet charged to an interval *)
@@ -65,7 +64,6 @@ let simulate (type s n r) ~costs ~seed ?trace ?stats
   let finish_time = ref 0. in
   let live_tasks = ref 0 in
   let tasks_per_locality = Array.make n_localities 0 in
-  let steal_attempts = ref 0 and steal_successes = ref 0 in
   let bound_broadcasts = ref 0 in
 
   (* Knowledge: one authoritative store for the final result, one
@@ -100,8 +98,8 @@ let simulate (type s n r) ~costs ~seed ?trace ?stats
         {
           id;
           loc = id / per_loc;
-          stash = Deque.create ();
-          steal_queue = Deque.create ();
+          stash = Queue.create ();
+          steal_queue = Queue.create ();
           serving = -1;
           split = [];
           spawned = 0.;
@@ -143,7 +141,7 @@ let simulate (type s n r) ~costs ~seed ?trace ?stats
      executing, so this needs no look at the task. *)
   let is_sleeping w =
     (not w.scheduled) && (not w.waiting) && (not w.executing)
-    && Deque.is_empty w.stash
+    && Queue.is_empty w.stash
   in
 
   (* Wake one sleeping worker, preferring the given locality. *)
@@ -174,6 +172,20 @@ let simulate (type s n r) ~costs ~seed ?trace ?stats
     if a.loc = b.loc then costs.Config.steal_local_latency
     else costs.Config.steal_remote_latency
   in
+  (* Steals are booked on the thief's slot, as [Two_tier.take] books
+     them on the real runtimes. *)
+  let counters =
+    Counters.create ~profiled:(stats <> None) ~progress:false ~slots:n_workers
+      ()
+  in
+  let note_attempt thief =
+    let st = counters.(thief).Counters.stats in
+    st.Stats.steal_attempts <- st.Stats.steal_attempts + 1
+  in
+  let note_steal thief =
+    let st = counters.(thief).Counters.stats in
+    st.Stats.steals <- st.Stats.steals + 1
+  in
   (* A thief's reply: stolen tasks, or a failure notice when empty. *)
   let reply ~victim thief tasks =
     Heap.add events
@@ -187,7 +199,7 @@ let simulate (type s n r) ~costs ~seed ?trace ?stats
      of the batch, sends them. An empty split is a failure notice. *)
   let send_split w =
     if w.serving >= 0 then begin
-      if w.split <> [] then incr steal_successes;
+      if w.split <> [] then note_steal w.serving;
       reply ~victim:w w.serving (List.rev w.split);
       w.serving <- -1;
       w.split <- []
@@ -197,7 +209,7 @@ let simulate (type s n r) ~costs ~seed ?trace ?stats
     let w = workers.(slot) in
     if w.split <> [] then send_split w;
     if w.serving < 0 then
-      Option.iter (fun thief -> w.serving <- thief) (Deque.pop_front w.steal_queue);
+      Option.iter (fun thief -> w.serving <- thief) (Queue.take_opt w.steal_queue);
     w.serving >= 0
   in
   let task_priority = Worker.task_priority ~coordination views in
@@ -211,10 +223,6 @@ let simulate (type s n r) ~costs ~seed ?trace ?stats
         ~priority:(task_priority task.Task_pool.node) task;
       wake_one_for_pool w.loc
     end
-  in
-  let counters =
-    Counters.create ~profiled:(stats <> None) ~progress:false ~slots:n_workers
-      ()
   in
   let ctx =
     Worker.make_step_ctx ~space:p.Problem.space ~children:p.Problem.children
@@ -267,7 +275,7 @@ let simulate (type s n r) ~costs ~seed ?trace ?stats
     continue_at w at
 
   and try_next w at =
-    match Deque.pop_front w.stash with
+    match Queue.take_opt w.stash with
     | Some t -> start_task w t at
     | None -> acquire w at
 
@@ -293,7 +301,7 @@ let simulate (type s n r) ~costs ~seed ?trace ?stats
       | [] -> () (* sleep; woken when someone becomes busy *)
       | vs ->
         let v = List.nth vs (Splitmix.int rng (List.length vs)) in
-        incr steal_attempts;
+        note_attempt w.id;
         w.waiting <- true;
         Heap.add events (at +. latency v w)
           (Steal_request { thief = w.id; victim = v.id }))
@@ -309,10 +317,10 @@ let simulate (type s n r) ~costs ~seed ?trace ?stats
       | [] -> () (* sleep; a push will wake us *)
       | ls ->
         let l = List.nth ls (Splitmix.int rng (List.length ls)) in
-        incr steal_attempts;
+        note_attempt w.id;
         (match Workpool.pop_steal pools.(l) with
         | Some t ->
-          incr steal_successes;
+          note_steal w.id;
           w.waiting <- true;
           Heap.add events
             (at +. costs.Config.steal_remote_latency)
@@ -330,7 +338,7 @@ let simulate (type s n r) ~costs ~seed ?trace ?stats
       task_finished at;
       (* Fail any thieves still queued on the finished task. *)
       let rec flush () =
-        match Deque.pop_front w.steal_queue with
+        match Queue.take_opt w.steal_queue with
         | None -> ()
         | Some thief ->
           reply ~victim:w thief [];
@@ -359,13 +367,13 @@ let simulate (type s n r) ~costs ~seed ?trace ?stats
         schedule_tick w (!now +. w.backoff)
       | t :: rest ->
         w.backoff <- costs.Config.steal_local_latency;
-        List.iter (Deque.push_back w.stash) rest;
+        List.iter (fun t -> Queue.push t w.stash) rest;
         start_task w t
           (charge w ~start:!now ~cost:costs.Config.task_overhead
              ~label:"deliver"))
     | Steal_request { thief; victim } ->
       let v = workers.(victim) in
-      if Worker.running ctx ~slot:victim then Deque.push_back v.steal_queue thief
+      if Worker.running ctx ~slot:victim then Queue.push thief v.steal_queue
       else (* Victim already finished: notify the thief of the failure. *)
         reply ~victim:v thief []
     | Bound_arrive { locality; node; value } ->
@@ -402,8 +410,8 @@ let simulate (type s n r) ~costs ~seed ?trace ?stats
       nodes = Counters.total counters (fun s -> s.Stats.nodes);
       pruned = Counters.total counters (fun s -> s.Stats.pruned);
       tasks = Counters.total counters (fun s -> s.Stats.tasks);
-      steal_attempts = !steal_attempts;
-      steal_successes = !steal_successes;
+      steal_attempts = Counters.total counters (fun s -> s.Stats.steal_attempts);
+      steal_successes = Counters.total counters (fun s -> s.Stats.steals);
       bound_broadcasts = !bound_broadcasts;
       workers = n_workers;
       tasks_per_locality;

@@ -26,6 +26,7 @@ module Shm = Yewpar_par.Shm
 module Dist = Yewpar_dist.Dist
 module Sim = Yewpar_sim.Sim
 module Sim_config = Yewpar_sim.Config
+module Sim_metrics = Yewpar_sim.Metrics
 module Queens = Yewpar_queens.Queens
 module Mc = Yewpar_maxclique.Maxclique
 module Gen = Yewpar_graph.Gen
@@ -80,7 +81,13 @@ let run_cell rt ~coordination p =
       let topology =
         Sim_config.topology ~localities:2 ~workers:parity_workers
       in
-      fst (Sim.run ~stats ~topology ~coordination p)
+      let result, metrics = Sim.run ~stats ~topology ~coordination p in
+      (* The simulator's steal metrics are its counters' totals. *)
+      Alcotest.(check int) "sim: steal attempts"
+        metrics.Sim_metrics.steal_attempts stats.Stats.steal_attempts;
+      Alcotest.(check int) "sim: steals" metrics.Sim_metrics.steal_successes
+        stats.Stats.steals;
+      result
   in
   (result, stats)
 

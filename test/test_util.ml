@@ -1,7 +1,6 @@
 module Vec = Yewpar_util.Vec
 module Splitmix = Yewpar_util.Splitmix
 module Heap = Yewpar_util.Heap
-module Deque = Yewpar_util.Deque
 module Summary = Yewpar_util.Summary
 module Table = Yewpar_util.Table
 
@@ -111,53 +110,6 @@ let heap_peek () =
   | None -> Alcotest.fail "expected an element");
   Alcotest.(check int) "peek does not remove" 2 (Heap.size h)
 
-let deque_fifo_lifo () =
-  let d = Deque.create () in
-  for i = 0 to 5 do Deque.push_back d i done;
-  Alcotest.(check (option int)) "front" (Some 0) (Deque.pop_front d);
-  Alcotest.(check (option int)) "back" (Some 5) (Deque.pop_back d);
-  Deque.push_front d 100;
-  Alcotest.(check (option int)) "pushed front" (Some 100) (Deque.pop_front d);
-  Alcotest.(check (list int)) "to_list" [ 1; 2; 3; 4 ] (Deque.to_list d)
-
-let deque_model =
-  (* Random push/pop sequences agree with a two-list reference model. *)
-  QCheck.Test.make ~name:"deque agrees with list model" ~count:300
-    QCheck.(list (pair bool (pair bool small_int)))
-    (fun ops ->
-      let d = Deque.create () in
-      let model = ref [] in
-      List.for_all
-        (fun (is_push, (at_front, x)) ->
-          if is_push then begin
-            if at_front then begin
-              Deque.push_front d x;
-              model := x :: !model
-            end
-            else begin
-              Deque.push_back d x;
-              model := !model @ [ x ]
-            end;
-            true
-          end
-          else begin
-            let got = if at_front then Deque.pop_front d else Deque.pop_back d in
-            let expect =
-              match (!model, at_front) with
-              | [], _ -> None
-              | m, true ->
-                model := List.tl m;
-                Some (List.hd m)
-              | m, false ->
-                let r = List.rev m in
-                model := List.rev (List.tl r);
-                Some (List.hd r)
-            in
-            got = expect
-          end)
-        ops
-      && Deque.to_list d = !model)
-
 let summary_stats () =
   Alcotest.(check (float 1e-9)) "mean" 2. (Summary.mean [ 1.; 2.; 3. ]);
   Alcotest.(check (float 1e-9)) "geomean" 2.
@@ -186,7 +138,7 @@ let table_render () =
         (String.length l))
     lines
 
-let qsuite = List.map QCheck_alcotest.to_alcotest [ vec_fold_order; heap_orders; deque_model ]
+let qsuite = List.map QCheck_alcotest.to_alcotest [ vec_fold_order; heap_orders ]
 
 let () =
   Alcotest.run "util"
@@ -208,7 +160,6 @@ let () =
           Alcotest.test_case "tie order" `Quick heap_fifo_ties;
           Alcotest.test_case "peek" `Quick heap_peek;
         ] );
-      ("deque", [ Alcotest.test_case "fifo/lifo" `Quick deque_fifo_lifo ]);
       ("summary", [ Alcotest.test_case "stats" `Quick summary_stats ]);
       ("table", [ Alcotest.test_case "render" `Quick table_render ]);
       ("properties", qsuite);
