@@ -172,8 +172,8 @@ let simulate (type s n r) ~costs ~seed ?trace ?stats
     if a.loc = b.loc then costs.Config.steal_local_latency
     else costs.Config.steal_remote_latency
   in
-  (* Steals are booked on the thief's slot, as [Two_tier.take] books
-     them on the real runtimes. *)
+  (* The worker core's counters. Steals are booked on the thief's
+     slot, as [Two_tier.take] books them on the real runtimes. *)
   let counters =
     Counters.create ~profiled:(stats <> None) ~progress:false ~slots:n_workers
       ()
