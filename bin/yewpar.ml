@@ -92,7 +92,6 @@ type obs = {
   obs_max_respawns : int;
   obs_chaos : Yewpar_dist.Chaos.t option;
   obs_chaos_seed : int;
-  obs_timing : Yewpar_runtime.Config.t;
 }
 
 let obs_term =
@@ -220,42 +219,16 @@ let obs_term =
              ~doc:"Seed for randomized chaos decisions (frame drops), so a \
                    failing run replays deterministically.")
   in
-  let comm_tick =
-    Arg.(value
-         & opt float Yewpar_runtime.Config.default.Yewpar_runtime.Config.comm_tick
-         & info [ "comm-tick" ] ~docv:"SECONDS"
-             ~doc:"Locality communicator granularity (dist runtime): how long \
-                   the communicator thread sleeps in select when nothing is \
-                   happening. Smaller means snappier steal routing and bound \
-                   propagation at the price of more wakeups.")
-  in
-  let steal_retry =
-    Arg.(value
-         & opt float
-             Yewpar_runtime.Config.default.Yewpar_runtime.Config.steal_retry
-         & info [ "steal-retry" ] ~docv:"SECONDS"
-             ~doc:"Re-send a locality's steal request if no reply arrived \
-                   after $(docv) seconds (dist runtime) — a lost reply must \
-                   not starve the thief forever.")
-  in
   let combine obs_trace obs_format obs_metrics obs_journal obs_monitor no_progress obs_heartbeat obs_depths obs_watchdog
       obs_failure_timeout obs_lease_timeout obs_max_respawns obs_chaos
-      obs_chaos_seed comm_tick steal_retry =
-    let obs_timing =
-      match Yewpar_runtime.Config.create ~comm_tick ~steal_retry () with
-      | cfg -> cfg
-      | exception Invalid_argument msg ->
-        Printf.eprintf "error: %s\n" msg;
-        exit 1
-    in
+      obs_chaos_seed =
     { obs_trace; obs_format; obs_metrics; obs_journal; obs_monitor;
       obs_progress = not no_progress; obs_heartbeat; obs_depths;
       obs_watchdog; obs_failure_timeout; obs_lease_timeout;
-      obs_max_respawns; obs_chaos; obs_chaos_seed; obs_timing }
+      obs_max_respawns; obs_chaos; obs_chaos_seed }
   in
   Term.(const combine $ trace $ format $ metrics $ journal $ monitor $ no_progress $ heartbeat $ depths $ watchdog
-        $ failure_timeout $ lease_timeout $ max_respawns $ chaos $ chaos_seed
-        $ comm_tick $ steal_retry)
+        $ failure_timeout $ lease_timeout $ max_respawns $ chaos $ chaos_seed)
 
 let write_file file data =
   Out_channel.with_open_text file (fun oc -> Out_channel.output_string oc data)
@@ -347,7 +320,7 @@ let execute ~runtime ~coordination ~localities ~workers ~seed ~obs
               ?lease_timeout:obs.obs_lease_timeout
               ~max_respawns:obs.obs_max_respawns ?chaos:obs.obs_chaos
               ~chaos_seed:obs.obs_chaos_seed ~on_monitor:announce_monitor
-              ~timing:obs.obs_timing ~localities ~workers ~coordination p)
+              ~localities ~workers ~coordination p)
       in
       stats.Stats.elapsed <- elapsed;
       Printf.printf "result:   %s\n" (show result);

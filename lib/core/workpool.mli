@@ -14,7 +14,9 @@
     - {!Priority} (the best-first extension the paper names in §4):
       local pops take the task with the {b highest priority} (e.g. the
       optimistic bound); thieves also take the highest priority.
-    - {!Fifo}: a plain global queue, kept for the ablation study showing
+    - {!Fifo}: a plain global queue. It is the Ordered skeleton's pool
+      (its tasks run in spawn, i.e. heuristic, order), and the
+      simulator's ablation study uses it in place of {!Depth} to show
       why the bespoke pools matter (breadth-first floods of speculative
       tasks under deep cutoffs).
 
@@ -24,7 +26,7 @@
 type policy =
   | Depth  (** Deepest-first locally, shallowest-first steals. *)
   | Priority  (** Highest-priority first, for best-first search. *)
-  | Fifo  (** Plain FIFO (ablation). *)
+  | Fifo  (** Plain FIFO: Ordered's pool, and the [Depth] ablation. *)
 
 type 'a t
 (** A pool of tasks. *)

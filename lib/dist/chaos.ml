@@ -79,9 +79,7 @@ let frame_name : Wire.msg -> string = function
   | Ping -> "ping"
   | Pong -> "pong"
   | Heartbeat _ -> "heartbeat"
-  | Result _ -> "result"
-  | Stats _ -> "stats"
-  | Telemetry _ -> "telemetry"
+  | Report _ -> "report"
   | Failed _ -> "failed"
   | Shutdown -> "shutdown"
   | Job_start _ -> "job_start"

@@ -106,8 +106,9 @@ let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
   let alive = Array.make l true in
   let standby = Array.init l (fun i -> i >= standby_from) in
   let eligible i = alive.(i) && not standby.(i) in
-  let results : string option array = Array.make l None in
-  let stats_got : Stats.t option array = Array.make l None in
+  (* Each locality's final [Report] (residual, stats): it is done once
+     this arrives or it dies. *)
+  let reports : (string option * Stats.t) option array = Array.make l None in
   let failure = ref None in
   let global_best = ref min_int in
   (* Best (value, encoded node) the coordinator holds — fed by
@@ -300,7 +301,7 @@ let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
   (* ---------------------- the causal journal ----------------------
      Span ids are lease ids; span 0 is the job itself. Coordinator-side
      events are written directly; locality events arrive staged in
-     Heartbeat/Telemetry frames and get the sender's index and clock
+     Heartbeat/Report frames and get the sender's index and clock
      offset stamped here. *)
   let trace =
     match trace with
@@ -638,16 +639,16 @@ let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
     | Wire.Failed { message } ->
       fail message;
       broadcast_shutdown ()
-    | Wire.Result { payload } -> results.(i) <- Some payload
-    | Wire.Stats st -> stats_got.(i) <- Some st
-    | Wire.Telemetry { clock; events } -> keep_events i ~clock events
+    | Wire.Report { residual; stats; clock; events } ->
+      keep_events i ~clock events;
+      reports.(i) <- Some (residual, stats)
     (* Locality-bound messages; never sent to the coordinator. [Pong]
        matters only for the liveness clock, refreshed on any frame. *)
     | Wire.Pong | Wire.Ping | Wire.Steal_reply _ | Wire.Shutdown
     | Wire.Job_start _ | Wire.Quit ->
       ()
   in
-  let locality_done i = (not alive.(i)) || stats_got.(i) <> None in
+  let locality_done i = (not alive.(i)) || reports.(i) <> None in
   let all_done () =
     let d = ref true in
     for i = 0 to l - 1 do
@@ -773,13 +774,13 @@ let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
 
   let stats = Stats.create () in
   Array.iter
-    (function Some st -> Stats.add stats st | None -> ())
-    stats_got;
+    (function Some (_, st) -> Stats.add stats st | None -> ())
+    reports;
   stats.Stats.localities_lost <- !lost;
   stats.Stats.leases_reissued <- !reissued;
   stats.Stats.respawns <- !respawns;
   (* Final progress sample: built from the merged stats profile (dead
-     localities never ship their Stats frame; their retired leases'
+     localities never ship their Report; their retired leases'
      tallies are lost, so the raw chain may not re-close after a
      crash), clamped final — the termination detector is ground truth,
      so the fraction lands at exactly 1.0 unless the run failed
@@ -800,7 +801,10 @@ let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
     ~dur:(Unix.gettimeofday () -. started)
     ~note:(Option.value !failure ~default:"");
   let deltas = Hashtbl.fold (fun _ delta acc -> delta :: acc) retired [] in
-  let residuals = Array.to_list results |> List.filter_map Fun.id in
+  let residuals =
+    Array.to_list reports
+    |> List.filter_map (function Some (r, _) -> r | None -> None)
+  in
   { deltas; residuals; witness = !witness; stats; broadcasts = !broadcasts;
     failure = !failure;
     dead = Array.map not alive; abandoned = !abandoned }

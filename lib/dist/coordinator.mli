@@ -41,8 +41,9 @@ type outcome = {
           enumerations these partition the tree exactly; folding them
           is the answer. *)
   residuals : string list;
-      (** Per-locality [Result] payloads: extra idempotent best-known
-          candidates for Optimise/Decide (empty for Enumerate). *)
+      (** The residuals of the localities' [Report] frames (those that
+          carry one): extra idempotent best-known candidates for
+          Optimise/Decide (empty for Enumerate). *)
   witness : (int * string) option;
       (** Best (value, encoded node) the coordinator holds, fed by
           [Bound_update] witnesses and Decide [Witness] frames — the
@@ -138,7 +139,7 @@ val run :
     lease issue/retire/spill/revoke/replay, bound adoption, death and
     respawn — span ids being lease ids, and a replayed lease's span
     chained to the revoked original — plus the events localities ship
-    in their [Heartbeat]/[Telemetry] frames, stamped with the sender's
+    in their [Heartbeat]/[Report] frames, stamped with the sender's
     index and clock offset. Events are tagged [trace] (default: the
     writer's trace id). [label] (e.g. ["job 7"]) prefixes failure
     messages and is recorded on the [job_start] event, keeping

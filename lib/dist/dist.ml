@@ -30,8 +30,7 @@ let default_failure_timeout = 10.0
 let distributed_run (type s n r) ?stats ?broadcasts ?telemetry ?journal
     ?watchdog ?monitor_port ?(heartbeat = default_heartbeat)
     ?(failure_timeout = default_failure_timeout) ?lease_timeout
-    ?(max_respawns = 0) ?chaos ?(chaos_seed = 0) ?on_monitor ?timing
-    ~localities ~workers ~coordination (p : (s, n, r) Problem.t) : r =
+    ?(max_respawns = 0) ?chaos ?(chaos_seed = 0) ?on_monitor ~localities ~workers ~coordination (p : (s, n, r) Problem.t) : r =
   if localities < 1 then invalid_arg "Dist.run: localities must be >= 1";
   if workers < 1 then invalid_arg "Dist.run: workers must be >= 1";
   if max_respawns < 0 then invalid_arg "Dist.run: max_respawns must be >= 0";
@@ -61,8 +60,7 @@ let distributed_run (type s n r) ?stats ?broadcasts ?telemetry ?journal
            failure detector, not just live monitoring. *)
         Locality.run
           ~record:(Option.is_some telemetry || Option.is_some journal)
-          ~heartbeat ?chaos:plans.(i) ?config:timing ~conn ~workers
-          ~coordination p)
+          ~heartbeat ?chaos:plans.(i) ~conn ~workers ~coordination p)
   in
   let conns = Array.map snd fleet in
   (* Graceful shutdown: SIGTERM/SIGINT cancel the run through the
@@ -113,7 +111,7 @@ let distributed_run (type s n r) ?stats ?broadcasts ?telemetry ?journal
 
 let run ?stats ?broadcasts ?telemetry ?journal ?watchdog ?monitor_port
     ?heartbeat ?failure_timeout ?lease_timeout ?max_respawns ?chaos
-    ?chaos_seed ?on_monitor ?timing ~localities ~workers ~coordination p =
+    ?chaos_seed ?on_monitor ~localities ~workers ~coordination p =
   match coordination with
   | Coordination.Sequential ->
     Yewpar_par.Shm.run ?stats ?telemetry ?journal ~coordination p
@@ -125,5 +123,4 @@ let run ?stats ?broadcasts ?telemetry ?journal ?watchdog ?monitor_port
   | Coordination.Random_spawn _ ->
     distributed_run ?stats ?broadcasts ?telemetry ?journal ?watchdog
       ?monitor_port ?heartbeat ?failure_timeout ?lease_timeout ?max_respawns
-      ?chaos ?chaos_seed ?on_monitor ?timing ~localities ~workers
-      ~coordination p
+      ?chaos ?chaos_seed ?on_monitor ~localities ~workers ~coordination p

@@ -57,7 +57,6 @@ val run :
   ?chaos:Chaos.t ->
   ?chaos_seed:int ->
   ?on_monitor:(int -> unit) ->
-  ?timing:Yewpar_runtime.Config.t ->
   localities:int ->
   workers:int ->
   coordination:Yewpar_core.Coordination.t ->
@@ -78,7 +77,7 @@ val run :
     [telemetry] or [journal] turns on event recording inside every
     locality (preallocated rings, one per worker domain plus one for
     each communicator thread); the localities drain them into their
-    [Heartbeat] frames and a final [Wire.Telemetry] frame, and the
+    [Heartbeat] frames and their final [Wire.Report], and the
     coordinator stamps each event with its locality and clock offset
     and hands the same events to both: [telemetry] keeps them
     ({!Yewpar_telemetry.Telemetry.ingest}), so the merged trace has one
@@ -103,10 +102,6 @@ val run :
     injects faults for testing — crash a locality on schedule, drop
     frames, delay the link — deterministically under [chaos_seed]
     (see {!Chaos.parse} for the [--chaos] grammar).
-
-    [timing] (default {!Yewpar_runtime.Config.default}) sets the
-    localities' communicator tick and steal-retry timeout — the
-    [--comm-tick]/[--steal-retry] CLI knobs.
 
     [monitor_port] serves live observability for the duration of the
     run: heartbeats fold into a gauge registry answering

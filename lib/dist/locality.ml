@@ -5,7 +5,6 @@ module Ops = Yewpar_core.Ops
 module Problem = Yewpar_core.Problem
 module Codec = Yewpar_core.Codec
 module Stats = Yewpar_core.Stats
-module Config = Yewpar_runtime.Config
 module Counters = Yewpar_runtime.Counters
 module Task_pool = Yewpar_runtime.Task_pool
 module Two_tier = Yewpar_runtime.Two_tier
@@ -24,11 +23,21 @@ type ledger = {
   pending : unit -> bool;  (** Any lease taken since the last {!retire}? *)
   retire : unit -> (int * string) list;
       (** Snapshot and clear: every taken lease with its encoded delta. *)
-  residual : unit -> string;  (** Final [Result] payload. *)
+  residual : unit -> string;  (** The final [Report]'s residual. *)
 }
 
-let run (type s n r) ?(record = false) ?heartbeat ?chaos
-    ?(config = Config.default) ~conn ~workers ~coordination
+(* The communicator's [select] timeout when nothing is happening:
+   smaller means snappier steal routing and bound propagation at the
+   price of more wakeups. *)
+let comm_tick = 0.002
+
+(* A steal reply lost in transit (a dropped frame, failed-over
+   coordinator state) must not starve the thief forever: re-request
+   after this many seconds. *)
+let steal_retry = 0.5
+
+let run (type s n r) ?(record = false) ?heartbeat ?chaos ~conn ~workers
+    ~coordination
     (p : (s, n, r) Problem.t) : unit =
   let codec =
     match p.Problem.codec with
@@ -37,9 +46,10 @@ let run (type s n r) ?(record = false) ?heartbeat ?chaos
   in
   (* One counter bundle shared with the worker core; one slot per
      worker domain plus one for the communicator thread (slot
-     [workers]: its ring holds wire steals and floor adoptions, and the
-     adoptions land in its depth profile at depth 0). The rings are drained
-     into every heartbeat and the final Telemetry frame; span ids are
+     [workers]: it books wire steals and floor adoptions, which land in
+     its depth profile at depth 0). The workers' take books no steals,
+     so the folded steal counts are wire steals only. The rings are
+     drained into every heartbeat and the final Report; span ids are
      the lease ids the coordinator issued, so everything links into its
      lease forest, and the coordinator stamps our locality index on
      arrival (we don't know our own). *)
@@ -250,8 +260,7 @@ let run (type s n r) ?(record = false) ?heartbeat ?chaos
   (* ------------- communicator (this thread) ------------- *)
   let steal_inflight = ref false in
   let steal_sent_at = ref 0. in
-  let steal_attempts = ref 0 in
-  let steals = ref 0 in
+  let comms_stats () = counters.(workers).Counters.stats in
   let last_bound_sent = ref min_int in
   let witness_sent = ref false in
   let failed_sent = ref false in
@@ -280,7 +289,7 @@ let run (type s n r) ?(record = false) ?heartbeat ?chaos
      the spiller already counted the task when it was spawned. *)
   let receive_task lease depth payload =
     (match kill_at_lease with
-    | Some n when !steals + 1 >= n ->
+    | Some n when (comms_stats ()).Stats.steals + 1 >= n ->
       (* Chaos crash on the N-th lease: it is outstanding right now. *)
       Unix.kill (Unix.getpid ()) Sys.sigkill
     | _ -> ());
@@ -290,7 +299,8 @@ let run (type s n r) ?(record = false) ?heartbeat ?chaos
       Recorder.span comms_r Recorder.Steal ~span:lease ~start:!steal_sent_at
         ~value:depth
     end;
-    incr steals;
+    let st = comms_stats () in
+    st.Stats.steals <- st.Stats.steals + 1;
     ledger.register lease;
     (* Wire arrivals have no owning worker: they land in the ordered
        overflow tier (slot -1), never in a deque. *)
@@ -336,8 +346,7 @@ let run (type s n r) ?(record = false) ?heartbeat ?chaos
        loop ([Job_start] mid-job is a protocol error; [Quit] is only
        sent to idle fleet members). *)
     | Wire.Task _ | Wire.Witness _ | Wire.Idle _ | Wire.Pong | Wire.Heartbeat _
-    | Wire.Result _ | Wire.Stats _ | Wire.Telemetry _ | Wire.Failed _
-    | Wire.Job_start _ | Wire.Quit ->
+    | Wire.Report _ | Wire.Failed _ | Wire.Job_start _ | Wire.Quit ->
       ()
   in
   let handle_inbound m =
@@ -388,7 +397,7 @@ let run (type s n r) ?(record = false) ?heartbeat ?chaos
          must notice via EOF or heartbeat silence. *)
       Unix.kill (Unix.getpid ()) Sys.sigkill
     | _ -> ());
-    (match Transport.poll ~timeout:config.Config.comm_tick [ conn ] with
+    (match Transport.poll ~timeout:comm_tick [ conn ] with
     | [] -> ()
     | _ -> List.iter handle_inbound (Transport.pump conn));
     List.iter send_out (outbox_take_all ());
@@ -430,7 +439,7 @@ let run (type s n r) ?(record = false) ?heartbeat ?chaos
        and ask again. *)
     if
       !steal_inflight
-      && Recorder.clock () -. !steal_sent_at > config.Config.steal_retry
+      && Recorder.clock () -. !steal_sent_at > steal_retry
     then steal_inflight := false;
     if
       (not !steal_inflight)
@@ -439,7 +448,8 @@ let run (type s n r) ?(record = false) ?heartbeat ?chaos
     then begin
       steal_inflight := true;
       steal_sent_at := Recorder.clock ();
-      incr steal_attempts;
+      let st = comms_stats () in
+      st.Stats.steal_attempts <- st.Stats.steal_attempts + 1;
       send_out Wire.Steal_request
     end;
     (* Quiescence ack: ordering matters — outstanding is read before the
@@ -467,34 +477,30 @@ let run (type s n r) ?(record = false) ?heartbeat ?chaos
      ignore (Worker.join handle);
      raise e);
   (* A worker exception was already reported through the [Failed]
-     frame; the residual/stats below still ship so the coordinator's
+     frame; the Report below still ships so the coordinator's
      accounting stays whole. *)
   ignore (Worker.join handle);
-
-  (* Report: residual result + counters. Results flow primarily through
-     per-lease deltas; the residual is an extra idempotent candidate
-     for Optimise/Decide (the locality's overall best pair). *)
-  let payload = ledger.residual () in
-  let st = Stats.create () in
-  Counters.fold_into counters ~dropped:(all_dropped ()) st;
-  (* Distributed steals are counted at the wire, not at the pool. *)
-  st.Stats.steal_attempts <- !steal_attempts;
-  st.Stats.steals <- !steals;
-  send_out (Wire.Result { payload });
-  (* Telemetry travels before Stats on the same FIFO socket, so the
-     coordinator always has the last events by the time the locality
-     counts as done. The drop count is appended after the last drain,
-     so it can never be lost itself. *)
-  if record then begin
-    let events = drain () in
-    let drops =
-      match all_dropped () with
-      | 0 -> []
-      | n -> [ Journal.event ~value:n ~ev:"journal_drop" ~span:0 () ]
-    in
-    send_out (Wire.Telemetry { clock = Recorder.clock (); events = events @ drops })
-  end;
-  send_out (Wire.Stats st)
+  (* Report: residual result, counters and the last events, in one
+     frame. Results flow primarily through per-lease deltas; the
+     residual is an extra idempotent candidate for Optimise/Decide (the
+     locality's overall best pair). The drop count is appended after
+     the last drain, so it can never be lost itself. *)
+  let stats = Stats.create () in
+  Counters.fold_into counters ~dropped:(all_dropped ()) stats;
+  let events = drain () in
+  let events =
+    match all_dropped () with
+    | 0 -> events
+    | n -> events @ [ Journal.event ~value:n ~ev:"journal_drop" ~span:0 () ]
+  in
+  send_out
+    (Wire.Report
+       {
+         residual = Some (ledger.residual ());
+         stats;
+         clock = Recorder.clock ();
+         events;
+       })
 
 let serve ~conn ~resolve =
   (* Persistent fleet member of the job server: sit idle between jobs,
@@ -513,9 +519,16 @@ let serve ~conn ~resolve =
         | Ok run_job -> run_job ()
         | Error message ->
           (* Fail the job but keep the coordinator's accounting whole:
-             it counts a locality done only once Stats arrive. *)
+             it counts a locality done only once its Report arrives. *)
           Transport.send conn (Wire.Failed { message });
-          Transport.send conn (Wire.Stats (Stats.create ())))
+          Transport.send conn
+            (Wire.Report
+               {
+                 residual = None;
+                 stats = Stats.create ();
+                 clock = Recorder.clock ();
+                 events = [];
+               }))
       | Wire.Ping -> Transport.send conn Wire.Pong
       | Wire.Quit -> quit := true
       | _ -> ()

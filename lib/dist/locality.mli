@@ -34,22 +34,21 @@ val run :
   ?record:bool ->
   ?heartbeat:float ->
   ?chaos:Chaos.plan ->
-  ?config:Yewpar_runtime.Config.t ->
   conn:Transport.t ->
   workers:int ->
   coordination:Yewpar_core.Coordination.t ->
   ('s, 'n, 'r) Yewpar_core.Problem.t ->
   unit
 (** Serve tasks until the coordinator broadcasts [Shutdown], then send
-    [Result] (then, when [record] is set, [Telemetry]) and [Stats] and
-    return. With [record] (default [false]) every worker domain and
+    one [Report] — residual, stats and the last recorded events — as
+    the job's last frame, and return. With [record] (default [false]) every worker domain and
     the communicator thread (worker slot = [workers]) record their
     events into preallocated {!Yewpar_telemetry.Recorder} rings:
     per-task [task] events attributed to the lease being executed,
     applied bound submissions and floor adoptions, wire-steal waits and
     every idle wait. The communicator drains the rings into each
-    [Heartbeat] frame and the final [Telemetry] frame (with the count
-    of events lost to ring overflow); the coordinator stamps our
+    [Heartbeat] frame and the final [Report] (with the count of events
+    lost to ring overflow); the coordinator stamps our
     locality index and clock offset and feeds them to the journal and
     the trace alike. With [heartbeat] (seconds; the
     distributed runtime always passes it) the communicator emits a
@@ -59,10 +58,10 @@ val run :
     time for its idle-fraction field. With [chaos] the locality runs
     its slice of a fault-injection plan: self-SIGKILL at a deadline,
     probabilistic inbound frame drops, outbound link delay (see
-    {!Chaos}). [config] (default {!Yewpar_runtime.Config.default})
-    sets the communicator tick and the steal-retry timeout. The
-    shipped [Stats] carry per-depth profiles and the rings'
-    overflow drop count. The problem must carry a task codec.
+    {!Chaos}). The reported stats carry per-depth profiles, the
+    rings' overflow drop count and the communicator's wire steals
+    ([Steal_request] frames sent, leases received); the workers' own
+    pool takes book none. The problem must carry a task codec.
     @raise Transport.Closed if the coordinator disappears mid-run. *)
 
 val serve :
@@ -80,7 +79,8 @@ val serve :
     returned thunk — typically a closure over {!run}, which returns
     when the job's coordinator broadcasts [Shutdown] — then go back to
     idle. A
-    resolve failure sends [Failed] plus an empty [Stats] so the job's
-    coordinator can still account this locality as done. Answers
+    resolve failure sends [Failed] plus a [Report] with no residual and
+    empty stats, so the job's coordinator can still account this
+    locality as done. Answers
     [Ping] while idle; returns on [Quit] or when the daemon's end of
     the socket closes. *)

@@ -22,9 +22,12 @@ type msg =
              fusion across localities cannot double-count *)
       events : Yewpar_telemetry.Journal.event list;
     }
-  | Result of { payload : string }
-  | Stats of Yewpar_core.Stats.t
-  | Telemetry of { clock : float; events : Yewpar_telemetry.Journal.event list }
+  | Report of {
+      residual : string option;
+      stats : Yewpar_core.Stats.t;
+      clock : float;
+      events : Yewpar_telemetry.Journal.event list;
+    }
   | Failed of { message : string }
   | Shutdown
   | Job_start of { instance : string; skeleton : string; job : int }

@@ -1,5 +1,12 @@
 (** The distributed runtime's wire protocol.
 
+    Fourteen constructors: work moves as [Task], [Steal_request] and
+    [Steal_reply]; knowledge as [Bound_update] and [Witness];
+    termination as [Idle]; liveness and progress as [Ping], [Pong] and
+    [Heartbeat]; every locality job ends with one [Report], after a
+    [Failed] if the job failed; and job control is [Shutdown],
+    [Job_start] and [Quit].
+
     Localities and the coordinator exchange length-prefixed binary
     frames over Unix-domain sockets: a 4-byte big-endian payload
     length, then the [Marshal]-encoded {!msg}. All process-crossing
@@ -93,25 +100,33 @@ type msg =
           it also refreshes the sender's liveness clock for
           heartbeat-timeout failure detection. Never acked, never
           affects termination. *)
-  | Result of { payload : string }
-      (** Locality → coordinator after shutdown: the locality's local
-          residual result (kind-dependent encoding, see {!Locality}).
-          Since results flow primarily through per-lease deltas in
-          [Idle] frames, this is an extra idempotent candidate for
-          Optimise/Decide and ignored for Enumerate. *)
-  | Stats of Yewpar_core.Stats.t
-      (** Locality → coordinator after shutdown: the locality's search
-          counters, aggregated by the coordinator. *)
-  | Telemetry of { clock : float; events : Yewpar_telemetry.Journal.event list }
-      (** Locality → coordinator after shutdown (when the run is
-          recorded), sent {e before} [Stats] so it always precedes the
-          locality's completion: the last worker events drained from
-          the rings (plus a [journal_drop] count if any were lost),
-          and a sample of the locality's clock taken when the frame
-          was built. As for [Heartbeat] events, the coordinator
-          estimates the per-locality clock offset as [its own clock at
-          receipt - clock] (an upper bound off by the frame's transit
-          time) and shifts the events onto its own timeline. *)
+  | Report of {
+      residual : string option;
+          (** The locality's local residual result (kind-dependent
+              encoding, see {!Locality}): an extra idempotent
+              candidate for Optimise/Decide, empty for Enumerate.
+              Results flow primarily through the per-lease deltas of
+              [Idle] frames. [None] when the locality ran no search
+              (a persistent locality that could not resolve its job). *)
+      stats : Yewpar_core.Stats.t;
+          (** The locality's search counters, aggregated by the
+              coordinator. Steal counts are wire steals: [Steal_request]
+              frames sent and [Steal_reply] tasks received. *)
+      clock : float;
+          (** The locality's monotonic clock when the frame was built. *)
+      events : Yewpar_telemetry.Journal.event list;
+          (** The last worker events drained from the rings (plus a
+              [journal_drop] count if any were lost); [[]] when the run
+              is not recorded. As for [Heartbeat] events, the
+              coordinator estimates the per-locality clock offset as
+              [its own clock at receipt - clock] (an upper bound off by
+              the frame's transit time) and shifts the events onto its
+              own timeline. *)
+    }
+      (** Locality → coordinator after shutdown: the last frame of
+          every locality job. The coordinator counts the locality done
+          when it arrives, so every fact about a finished job travels
+          in this one frame. *)
   | Failed of { message : string }
       (** Locality → coordinator: user code (a generator, bound or
           objective) raised; aborts the whole search. *)

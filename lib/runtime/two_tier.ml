@@ -11,6 +11,9 @@ type 'n entry = { src : int; tk : 'n Task_pool.task }
 
 type 'n t = {
   deques : 'n Task_pool.task Deque.t array;
+      (* one per slot under [Depth], none otherwise: best-first and
+         Ordered orders are global, and a per-worker LIFO would
+         reorder them *)
   mutex : Mutex.t;  (* guards [pool] *)
   nonempty : Condition.t;  (* the block/wake point of [take] *)
   pool : 'n entry Workpool.t;
@@ -18,26 +21,21 @@ type 'n t = {
       (* total across both tiers; the O(1) basis of every hunger and
          spill probe, so none of them has to sum the deques *)
   waiting : int Atomic.t;
-  fast : bool;
-      (* only a [Depth] pool has deques in front of it: best-first and
-         Ordered orders are global, and a per-worker LIFO would
-         reorder them *)
   rngs : Splitmix.gen array;
       (* per-slot victim-selection streams; [rngs.(i)] is touched only
          by slot [i]'s domain *)
 }
 
 let create ~policy ?(deque_capacity = 256) ~slots () =
+  let n = if policy = Workpool.Depth then slots else 0 in
   {
-    deques =
-      Array.init slots (fun _ -> Deque.create ~capacity:deque_capacity ());
+    deques = Array.init n (fun _ -> Deque.create ~capacity:deque_capacity ());
     mutex = Mutex.create ();
     nonempty = Condition.create ();
     pool = Workpool.create ~policy ();
     queued = Atomic.make 0;
     waiting = Atomic.make 0;
-    fast = policy = Workpool.Depth;
-    rngs = Array.init slots (fun i -> Splitmix.of_seed (0x7ee5 + (i * 0x9e37)));
+    rngs = Array.init n (fun i -> Splitmix.of_seed (0x7ee5 + (i * 0x9e37)));
   }
 
 let queued t = Atomic.get t.queued
@@ -62,7 +60,7 @@ let deques_nonempty t =
 
 let enqueue t ~slot ~recorder:_ ~priority task =
   Atomic.incr t.queued;
-  if (not t.fast) || slot < 0 || slot >= Array.length t.deques then
+  if slot < 0 || slot >= Array.length t.deques then
     (* No owner deque (wire arrivals, the communicator) or a global
        order: the ordered tier is the destination. *)
     pool_push t ~src:slot ~priority task
@@ -71,19 +69,23 @@ let enqueue t ~slot ~recorder:_ ~priority task =
     if not (Deque.push dq task) then begin
       (* Deque full: migrate the shallowest half (the oldest, biggest
          subtrees — taken off our own top) to the ordered tier, which
-         is where low-depth work belongs anyway, then retry. Only the
-         owner pushes, so after shedding half the retry cannot fail;
-         the fallback guards a sweep raced completely dry. *)
-      let half = Deque.capacity dq / 2 in
-      let moved = ref 0 in
-      let dry = ref false in
-      while (not !dry) && !moved < half do
-        match Deque.steal dq with
-        | Some tk ->
-          incr moved;
-          pool_push t ~src:slot ~priority:0 tk
-        | None -> dry := true
-      done;
+         is where low-depth work belongs anyway, under one lock hold
+         and one wake-up, then retry. Only the owner pushes, so after
+         shedding half the retry cannot fail; the fallback guards a
+         sweep raced completely dry. *)
+      let rec migrate k =
+        if k > 0 then
+          match Deque.steal dq with
+          | Some tk ->
+            Workpool.push t.pool ~depth:tk.Task_pool.depth ~priority:0
+              { src = slot; tk };
+            migrate (k - 1)
+          | None -> ()
+      in
+      Mutex.lock t.mutex;
+      migrate (Deque.capacity dq / 2);
+      Condition.broadcast t.nonempty;
+      Mutex.unlock t.mutex;
       if not (Deque.push dq task) then pool_push t ~src:slot ~priority task
     end;
     (* Deque pushes bypass the pool lock, so sleepers are woken
@@ -147,7 +149,9 @@ let take t ~slot ~recorder ~stop ?steal_counters ?(drained = fun () -> false)
   let rec loop () =
     if Atomic.get stop then None
     else
-      match Deque.pop t.deques.(slot) with
+      (* Under a global order there are no deques, so the sweep finds
+         none either: straight from the attempt mark to the pool. *)
+      match if nslots = 0 then None else Deque.pop t.deques.(slot) with
       | Some tk -> got tk
       | None -> (
         mark_attempt ();

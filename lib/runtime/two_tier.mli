@@ -11,8 +11,8 @@
     ({!Task_pool.policy_for}): deque overflow spills into it
     shallowest-first, pushes with no owning worker (wire arrivals, the
     communicator) land in it directly, best-first and Ordered
-    coordinations bypass the deques entirely so their order stays
-    global, and it is the only tier distributed localities shed from —
+    coordinations have no deques so their order stays global, and it
+    is the only tier distributed localities shed from —
     so cross-locality work always moves in the order-preserving tier.
     Its condition variable is also the block/wake point for workers
     that find both tiers dry.
@@ -27,9 +27,10 @@ val create :
   policy:Yewpar_core.Workpool.policy -> ?deque_capacity:int -> slots:int ->
   unit -> 'n t
 (** [slots] worker deques (capacity [deque_capacity], default 256)
-    over one overflow pool with [policy]. Only the [Depth] policy uses
-    the fast tier: under [Priority] or [Fifo] every task goes to the
-    ordered pool, whose order is global. *)
+    over one overflow pool with [policy]. Only the [Depth] policy has
+    the fast tier: under [Priority] or [Fifo] no deque is created,
+    every task goes to the ordered pool, whose order is global, and
+    {!take} goes straight to it. *)
 
 val enqueue :
   'n t ->
@@ -42,7 +43,8 @@ val enqueue :
     its deque; a negative or out-of-range slot (no worker identity)
     targets the overflow pool, as does any push under a policy other
     than [Depth]. A full deque first migrates its shallowest half to
-    the pool. Sleeping workers are woken. A push records no event:
+    the pool, under one hold of the pool lock and with one wake-up.
+    Sleeping workers are woken. A push records no event:
     [recorder] is accepted so the signature mirrors {!take}. *)
 
 val take :
@@ -57,7 +59,8 @@ val take :
   'n Task_pool.task option
 (** Blocking acquisition for the worker on [slot]: own deque pop, then
     one randomised steal sweep over the sibling deques, then the
-    overflow tier, deepest-first (or by the pool's policy). [None] ends
+    overflow tier, deepest-first (or by the pool's policy, with no
+    deque pop or sweep, since other policies have no deques). [None] ends
     the worker's loop: [stop] is set, or [drained ()] holds with the
     overflow tier empty ([drained] defaults to never: on a distributed
     locality a dry pool does not end the search, since more work may

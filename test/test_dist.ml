@@ -80,8 +80,16 @@ let all_msgs () =
     Wire.Ping;
     Wire.Pong;
     sample_heartbeat ();
-    Wire.Result { payload = "r" };
-    Wire.Stats (sample_stats ());
+    Wire.Report
+      {
+        residual = Some "r";
+        stats = sample_stats ();
+        clock = 3.5;
+        events =
+          [ Yewpar_telemetry.Journal.event ~value:2 ~ev:"journal_drop" ~span:0 () ];
+      };
+    Wire.Report
+      { residual = None; stats = Stats.create (); clock = 0.; events = [] };
     Wire.Failed { message = "boom" };
     Wire.Shutdown;
   ]
@@ -204,7 +212,7 @@ let transport_midframe_close () =
      raise Closed, not wait forever for bytes that will never come. *)
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let cb = Transport.create b in
-  let frame = Wire.to_bytes (Wire.Result { payload = "partial-frame-payload" }) in
+  let frame = Wire.to_bytes (Wire.Failed { message = "partial-frame-payload" }) in
   ignore (Unix.write a frame 0 (Bytes.length frame - 5));
   Unix.close a;
   (match Transport.recv ~timeout:5. cb with
@@ -232,7 +240,7 @@ let transport_send_timeout () =
   Unix.setsockopt_int a Unix.SO_SNDBUF 4096;
   Unix.setsockopt_int b Unix.SO_RCVBUF 4096;
   let ca = Transport.create a in
-  let big = Wire.Result { payload = String.make (1 lsl 22) 'x' } in
+  let big = Wire.Failed { message = String.make (1 lsl 22) 'x' } in
   let t0 = Unix.gettimeofday () in
   (match Transport.send ~timeout:0.3 ca big with
   | exception Transport.Timeout -> ()
@@ -426,7 +434,7 @@ let queens_matches () =
   Alcotest.(check bool) "successful steals" true (stats.Stats.steals >= 1)
 
 let depth_profile_invariants () =
-  (* The per-depth profile shipped back inside the Stats frame must
+  (* The per-depth profile shipped back inside the Report frames must
      column-sum to the scalar counters of the same run: every node,
      prune, spawn and applied bound lands in exactly one depth bucket
      (comms-thread floor adoptions are booked at depth 0). *)
@@ -583,6 +591,78 @@ let orphan_self_reaps () =
     let _, status = Unix.waitpid [] pid in
     Alcotest.(check bool) "orphan exited reporting failure" true
       (status = Unix.WEXITED 1)
+
+let final_report_frame () =
+  (* The test plays the coordinator for one locality on queens-8: it
+     leases the root on the first steal request, leaves later requests
+     unanswered, and shuts the locality down once lease 1 retires. The
+     locality's last frame must be its one Report, carrying the whole
+     job's counters. *)
+  let p = queens_n 8 in
+  let codec = Option.get p.Problem.codec in
+  let _, seq_stats = Sequential.search_with_stats p in
+  let coord_fd, loc_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  flush stdout;
+  flush stderr;
+  match Unix.fork () with
+  | 0 ->
+    let code =
+      try
+        Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+        Unix.close coord_fd;
+        Locality.run ~conn:(Transport.create loc_fd) ~workers:1
+          ~coordination:Coordination.Sequential p;
+        0
+      with _ -> 1
+    in
+    Unix._exit code
+  | pid ->
+    Unix.close loc_fd;
+    let conn = Transport.create coord_fd in
+    let requests = ref 0 and delta = ref None and frames = ref [] in
+    Fun.protect
+      ~finally:(fun () ->
+        Transport.close conn;
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        ignore (Unix.waitpid [] pid))
+      (fun () ->
+        (try
+           while true do
+             let m = Transport.recv ~timeout:30. conn in
+             frames := m :: !frames;
+             match m with
+             | Wire.Steal_request ->
+               incr requests;
+               if !requests = 1 then
+                 Transport.send conn
+                   (Wire.Steal_reply
+                      { task = Some (1, 0, codec.Codec.encode p.Problem.root) })
+             | Wire.Idle { retired } -> (
+               match List.assoc_opt 1 retired with
+               | Some d ->
+                 delta := Some d;
+                 Transport.send conn Wire.Shutdown
+               | None -> ())
+             | _ -> ()
+           done
+         with Transport.Closed -> ());
+        let is_report = function Wire.Report _ -> true | _ -> false in
+        Alcotest.(check int) "exactly one Report" 1
+          (List.length (List.filter is_report !frames));
+        match !frames with
+        | Wire.Report { residual; stats; _ } :: _ ->
+          Alcotest.(check bool) "a residual" true (residual <> None);
+          Alcotest.(check int) "nodes as Sequential" seq_stats.Stats.nodes
+            stats.Stats.nodes;
+          Alcotest.(check int) "steal attempts = Steal_request frames"
+            !requests stats.Stats.steal_attempts;
+          Alcotest.(check int) "one wire steal" 1 stats.Stats.steals;
+          (match (Ops.algebra p.Problem.kind, !delta) with
+          | Ops.Algebra alg, Some d ->
+            Alcotest.(check int) "retired delta" 92
+              (alg.Ops.answer (alg.Ops.decode codec d))
+          | _, None -> Alcotest.fail "lease 1 never retired")
+        | _ -> Alcotest.fail "the last frame is not the Report")
 
 (* ------------------------- fault tolerance ----------------------- *)
 
@@ -934,6 +1014,7 @@ let () =
           Alcotest.test_case "exception safety" `Quick generator_exceptions_propagate;
           Alcotest.test_case "children reaped" `Quick children_reaped;
           Alcotest.test_case "orphan self-reaps" `Quick orphan_self_reaps;
+          Alcotest.test_case "final Report frame" `Quick final_report_frame;
         ] );
       ( "fault tolerance",
         [
