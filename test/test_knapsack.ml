@@ -2,6 +2,7 @@ module K = Yewpar_knapsack.Knapsack
 module Sequential = Yewpar_core.Sequential
 module Problem = Yewpar_core.Problem
 module Splitmix = Yewpar_util.Splitmix
+module Stats = Yewpar_core.Stats
 
 let item profit weight = { K.profit; weight }
 
@@ -131,6 +132,144 @@ let prop_random_instances =
       let node = Sequential.search (K.problem inst) in
       node.K.profit = K.exact_dp inst)
 
+
+(* ---- golden Sequential trees ----
+
+   Each case pins the whole Sequential traversal of one instance: the
+   node count, the depth, the witness, and an FNV-1a (64-bit) digest of
+   the entered nodes in entry order. The objective is read exactly once
+   per entered node (root included), so wrapping it observes the
+   traversal without changing it. [pruned] is deliberately not pinned:
+   how many failed children are materialised is the generator's
+   business, the set and order of entered nodes is not. *)
+
+let fnv_int h i =
+  let h = ref h in
+  for b = 0 to 3 do
+    let byte = Int64.of_int ((i lsr (8 * b)) land 0xff) in
+    h := Int64.mul (Int64.logxor !h byte) 0x100000001b3L
+  done;
+  !h
+
+let traced (p : (K.instance, K.node, K.node) Problem.t) =
+  let digest = ref 0xcbf29ce484222325L in
+  let value (n : K.node) =
+    digest := fnv_int (List.fold_left fnv_int !digest n.K.taken) (-1);
+    n.K.profit
+  in
+  let kind =
+    match p.Problem.kind with
+    | Problem.Optimise obj -> Problem.Optimise { obj with Problem.value }
+    | Problem.Enumerate _ -> Alcotest.fail "knapsack must be an optimisation"
+  in
+  ({ p with Problem.kind }, digest)
+
+(* [down_from k] is [k; k - 1; ...; 0]: a witness that takes the densest
+   items, newest first. *)
+let down_from k = List.init (k + 1) (fun i -> k - i)
+
+type golden = {
+  g_nodes : int;
+  g_max_depth : int;
+  g_profit : int;
+  g_taken : int list;
+  g_digest : string;
+}
+
+let golden_cases =
+  [
+    ( "knap-ss-20",
+      (fun () -> K.Generate.subset_sum ~seed:604 ~n:20 ~max_value:500),
+      {
+        g_nodes = 161035;
+        g_max_depth = 13;
+        g_profit = 4778;
+        g_taken = [ 19; 14; 8 ] @ down_from 6;
+        g_digest = "8bde0d65b8b646e5";
+      } );
+    ( "knap-ss-22",
+      (fun () -> K.Generate.subset_sum ~seed:604 ~n:22 ~max_value:500),
+      {
+        g_nodes = 612908;
+        g_max_depth = 14;
+        g_profit = 5234;
+        g_taken = [ 16; 14; 10; 8 ] @ down_from 6;
+        g_digest = "4b3c1b086fbfb751";
+      } );
+    ( "subset_sum 1",
+      (fun () -> K.Generate.subset_sum ~seed:1 ~n:18 ~max_value:200),
+      {
+        g_nodes = 42683;
+        g_max_depth = 12;
+        g_profit = 1746;
+        g_taken = [ 16; 10 ] @ down_from 7;
+        g_digest = "3e7ff47ac2465bee";
+      } );
+    ( "subset_sum 2",
+      (fun () -> K.Generate.subset_sum ~seed:2 ~n:18 ~max_value:200),
+      {
+        g_nodes = 44523;
+        g_max_depth = 12;
+        g_profit = 1634;
+        g_taken = [ 12; 10 ] @ down_from 8;
+        g_digest = "1e566d45d5d66347";
+      } );
+    ( "uncorrelated 1",
+      (fun () -> K.Generate.uncorrelated ~seed:1 ~n:100 ~max_value:1000),
+      {
+        g_nodes = 91;
+        g_max_depth = 64;
+        g_profit = 38936;
+        g_taken = [ 64; 63 ] @ down_from 61;
+        g_digest = "60c2848c50e78609";
+      } );
+    ( "uncorrelated 2",
+      (fun () -> K.Generate.uncorrelated ~seed:2 ~n:100 ~max_value:1000),
+      {
+        g_nodes = 155;
+        g_max_depth = 65;
+        g_profit = 39750;
+        g_taken = [ 66 ] @ down_from 62;
+        g_digest = "2cd2c3815282e9e8";
+      } );
+    ( "strongly_correlated 1",
+      (fun () -> K.Generate.strongly_correlated ~seed:1 ~n:60 ~max_value:20),
+      {
+        g_nodes = 2257;
+        g_max_depth = 42;
+        g_profit = 427;
+        g_taken = [ 56; 48 ] @ down_from 39;
+        g_digest = "fd8eeafea73d4d02";
+      } );
+    ( "strongly_correlated 2",
+      (fun () -> K.Generate.strongly_correlated ~seed:2 ~n:60 ~max_value:20),
+      {
+        g_nodes = 7643;
+        g_max_depth = 41;
+        g_profit = 456;
+        g_taken = [ 55; 54; 47 ] @ down_from 37;
+        g_digest = "9498f65fdbccef32";
+      } );
+  ]
+
+let golden_tree make expected () =
+  let p, digest = traced (K.problem (make ())) in
+  let node, stats = Sequential.search_with_stats p in
+  let got =
+    {
+      g_nodes = stats.Stats.nodes;
+      g_max_depth = stats.Stats.max_depth;
+      g_profit = node.K.profit;
+      g_taken = node.K.taken;
+      g_digest = Printf.sprintf "%016Lx" !digest;
+    }
+  in
+  Alcotest.(check int) "nodes" expected.g_nodes got.g_nodes;
+  Alcotest.(check int) "max_depth" expected.g_max_depth got.g_max_depth;
+  Alcotest.(check int) "profit" expected.g_profit got.g_profit;
+  Alcotest.(check (list int)) "taken" expected.g_taken got.g_taken;
+  Alcotest.(check string) "entered-node digest" expected.g_digest got.g_digest
+
 let () =
   Alcotest.run "knapsack"
     [
@@ -149,4 +288,9 @@ let () =
           Alcotest.test_case "io errors" `Quick io_errors;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_random_instances ]);
+      ( "golden",
+        List.map
+          (fun (name, make, expected) ->
+            Alcotest.test_case name `Quick (golden_tree make expected))
+          golden_cases );
     ]
