@@ -13,11 +13,15 @@ let instance ~items:item_list ~capacity =
         invalid_arg "Knapsack.instance: non-positive item")
     item_list;
   let arr = Array.of_list item_list in
-  let density i = float_of_int arr.(i).profit /. float_of_int arr.(i).weight in
   let order = Array.init (Array.length arr) Fun.id in
+  (* Non-increasing density p/w, compared exactly by cross-multiplying
+     (float quotients can tie distinct densities); ties keep input
+     order. *)
   Array.sort
     (fun i j ->
-      let c = compare (density j) (density i) in
+      let c =
+        compare (arr.(j).profit * arr.(i).weight) (arr.(i).profit * arr.(j).weight)
+      in
       if c <> 0 then c else compare i j)
     order;
   { items = Array.map (fun i -> arr.(i)) order; capacity }
@@ -53,30 +57,47 @@ let children inst parent =
   in
   gen parent.next
 
+(* The greedy fill from item [i] with [room] left: whole items while
+   they fit, then a fraction of the first that does not. Top level and
+   tail-recursive, so a bound check is a loop that allocates nothing. *)
+let rec fill (items : item array) i profit room =
+  if i >= Array.length items || room = 0 then profit
+  else
+    let it = items.(i) in
+    if it.weight <= room then fill items (i + 1) (profit + it.profit) (room - it.weight)
+    else profit + (it.profit * room / it.weight)
+
+(* Items are in density order, so the greedy fill is the LP relaxation
+   optimum for the subtree. *)
 let fractional_bound inst node =
-  (* Items are in density order, so greedy filling with a final
-     fractional item is the LP relaxation optimum for the subtree. *)
-  let n = Array.length inst.items in
-  let rec go i profit room =
-    if i >= n || room = 0 then profit
-    else
-      let it = inst.items.(i) in
-      if it.weight <= room then go (i + 1) (profit + it.profit) (room - it.weight)
-      else profit + (it.profit * room / it.weight)
-  in
-  go node.next node.profit (inst.capacity - node.weight)
+  fill inst.items node.next node.profit (inst.capacity - node.weight)
 
 (* Nodes are plain data (ints and an int list), so the default Marshal
    codec ships them between localities as-is. *)
 let codec : node Yewpar_core.Codec.t = Yewpar_core.Codec.marshal ()
 
+(* The bound is sibling-monotone, so a failed child cuts all its later
+   siblings unbuilt ([monotone_bound]). Take siblings that add items
+   [i < j]; with density d = p/w, the order gives d_i >= d_j >= every
+   density after j. Child j's LP optimum fills at most the parent's
+   residual room with item j and items after it. Remove up to w_i units
+   of that weight, of density <= d_j <= d_i, and add item i: the profit
+   falls by at most w_i * d_i = p_i and rises by p_i, and the result is
+   feasible for child i's LP (item i whole, items after i fractional).
+   So bound(child_i) >= bound(child_j); the integer division is a
+   floor, which keeps the order. The incumbent only rises between two
+   sibling checks, so every later sibling of a failed child fails too:
+   the entered nodes and the result are unchanged, and only the
+   children built to be pruned go. *)
 let problem inst =
   Problem.maximise ~codec ~name:"knapsack" ~space:inst ~root:(root inst) ~children
-    ~bound:(fractional_bound inst) ~objective:(fun n -> n.profit) ()
+    ~bound:(fractional_bound inst) ~monotone_bound:true
+    ~objective:(fun n -> n.profit) ()
 
 let decision inst ~target =
   Problem.decide ~codec ~name:"knapsack-dec" ~space:inst ~root:(root inst) ~children
-    ~bound:(fractional_bound inst) ~objective:(fun n -> n.profit) ~target ()
+    ~bound:(fractional_bound inst) ~monotone_bound:true
+    ~objective:(fun n -> n.profit) ~target ()
 
 let parse_string text =
   let fields line =
@@ -98,6 +119,8 @@ let parse_string text =
     | [ n; capacity ] ->
       let n = int_of "item count" n in
       let capacity = int_of "capacity" capacity in
+      if capacity <= 0 then
+        failwith (Printf.sprintf "Knapsack: non-positive capacity %d" capacity);
       if List.length rest <> n then
         failwith
           (Printf.sprintf "Knapsack: expected %d item lines, found %d" n
@@ -106,7 +129,11 @@ let parse_string text =
         List.map
           (fun line ->
             match fields line with
-            | [ p; w ] -> { profit = int_of "profit" p; weight = int_of "weight" w }
+            | [ p; w ] ->
+              let it = { profit = int_of "profit" p; weight = int_of "weight" w } in
+              if it.profit <= 0 || it.weight <= 0 then
+                failwith (Printf.sprintf "Knapsack: non-positive item line %S" line);
+              it
             | _ -> failwith (Printf.sprintf "Knapsack: malformed item line %S" line))
           rest
       in

@@ -6,7 +6,10 @@
     that still fits (the combination-tree shape of the YewPar artifact's
     knapsack). The pruning bound is the Dantzig fractional relaxation:
     greedily fill the residual capacity with the densest remaining
-    items, taking a fraction of the first that does not fit. *)
+    items, taking a fraction of the first that does not fit. The bound
+    is sibling-monotone (children's bounds never increase in generator
+    order), and both problems declare it, so one failed bound check
+    cuts every later sibling before it is built. *)
 
 type item = { profit : int; weight : int }
 (** One item. Profits and weights are positive. *)
@@ -16,7 +19,8 @@ type instance
 
 val instance : items:item list -> capacity:int -> instance
 (** Build an instance; items are re-sorted by non-increasing
-    profit/weight density internally (ties by original position).
+    profit/weight density internally (compared exactly by
+    cross-multiplying; ties by original position).
     @raise Invalid_argument on non-positive weights/profits/capacity. *)
 
 val capacity : instance -> int
@@ -42,19 +46,26 @@ val children : (instance, node) Yewpar_core.Problem.generator
 
 val fractional_bound : instance -> node -> int
 (** Dantzig upper bound on the best total profit reachable below the
-    node (admissible: never below the true optimum of the subtree). *)
+    node (admissible: never below the true optimum of the subtree). It
+    walks the items from [next] to the first that does not fit and
+    allocates nothing. Sibling-monotone: for children [a] before [b]
+    of one node, [fractional_bound a >= fractional_bound b] (the proof
+    is at [problem] in the implementation). *)
 
 val problem : instance -> (instance, node, node) Yewpar_core.Problem.t
-(** The optimisation problem: maximise total profit. *)
+(** The optimisation problem: maximise total profit, with
+    [~monotone_bound:true]. *)
 
 val decision : instance -> target:int -> (instance, node, node option) Yewpar_core.Problem.t
 (** The decision variant: find any selection with profit at least
-    [target], short-circuiting at the first witness. *)
+    [target], short-circuiting at the first witness; also
+    [~monotone_bound:true]. *)
 
 val parse_string : string -> instance
 (** Parse the classic knapsack text format: a header line
     ["n capacity"] followed by [n] lines ["profit weight"].
-    @raise Failure on malformed input. *)
+    @raise Failure on malformed input, including a non-positive
+    capacity, profit or weight. *)
 
 val to_string : instance -> string
 (** Render in the same format (items in internal density order). *)

@@ -19,6 +19,12 @@ let float_of_suffixed s suffix =
   in
   float_of_string_opt s
 
+(* The frames a locality acts on when they arrive, the only ones a drop
+   can affect: drops apply to inbound frames only, and a locality
+   never receives the frames it sends ([task], [idle], [report], ...).
+   [shutdown] is accepted but never dropped (see [should_drop]). *)
+let droppable = [ "steal_reply"; "steal_request"; "bound_update"; "ping"; "shutdown" ]
+
 let parse_one spec =
   match String.split_on_char ':' (String.trim spec) with
   | [ "kill-locality"; rest ] -> (
@@ -42,10 +48,15 @@ let parse_one spec =
       Error
         (Printf.sprintf "chaos: kill-locality wants ID@leases:N, got %S" spec))
   | [ "drop-frame"; frame; prob ] -> (
-    match float_of_string_opt prob with
-    | Some p when p >= 0. && p <= 1. ->
-      Ok (Drop_frame { frame = String.lowercase_ascii frame; prob = p })
-    | _ -> Error (Printf.sprintf "chaos: bad drop-frame probability %S" prob))
+    let frame = String.lowercase_ascii frame in
+    if not (List.mem frame droppable) then
+      Error
+        (Printf.sprintf "chaos: drop-frame wants one of %s, got %S"
+           (String.concat ", " droppable) frame)
+    else
+      match float_of_string_opt prob with
+      | Some p when p >= 0. && p <= 1. -> Ok (Drop_frame { frame; prob = p })
+      | _ -> Error (Printf.sprintf "chaos: bad drop-frame probability %S" prob))
   | [ "delay"; d ] -> (
     match float_of_suffixed d "ms" with
     | Some ms when ms >= 0. -> Ok (Delay { seconds = ms /. 1000. })

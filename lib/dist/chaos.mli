@@ -11,10 +11,13 @@
       outstanding, so the crash lands mid-search however fast the
       host runs, provided the locality is ever handed [N] leases.
     - [drop-frame:TYPE:PROB] — each inbound frame of wire type [TYPE]
-      (lowercase constructor name, e.g. [steal_reply], [bound_update])
-      is silently discarded with probability [PROB]. [Shutdown] is
-      never dropped — losing it only wedges the test harness, not the
-      protocol under test.
+      is silently discarded with probability [PROB]. [TYPE] is the
+      lowercase constructor name of a frame a locality acts on when it
+      arrives: [steal_reply], [steal_request], [bound_update], [ping]
+      or [shutdown]; any other name is rejected, since dropping it
+      would inject nothing. [Shutdown] is accepted but never dropped —
+      losing it only wedges the test harness, not the protocol under
+      test.
     - [delay:Nms] — sleep [N] milliseconds before every outbound
       frame, simulating a slow link.
 

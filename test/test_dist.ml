@@ -302,14 +302,15 @@ let chaos_parse_spec () =
       | Ok _ -> Alcotest.fail (Printf.sprintf "bad spec %S accepted" bad))
     [ ""; "explode"; "kill-locality:x@1s"; "kill-locality:1"; "drop-frame:task:1.5";
       "delay:-3ms"; "kill-locality:1@leases:0"; "kill-locality:1@leases:x";
-      "kill-locality:1@laps:3"; "kill-locality:x@leases:3" ]
+      "kill-locality:1@laps:3"; "kill-locality:x@leases:3"; "drop-frame:bogus:1.0";
+      "drop-frame:report:1.0" ]
 
 let chaos_never_drops_shutdown () =
   (* Even at probability 1.0 Shutdown survives: dropping it would only
      wedge the harness, not exercise the protocol. *)
   match
     Chaos.plan
-      (fault_spec "drop-frame:shutdown:1.0,drop-frame:task:1.0")
+      (fault_spec "drop-frame:shutdown:1.0,drop-frame:steal_reply:1.0")
       ~seed:3 ~locality:0
   with
   | None -> Alcotest.fail "drop spec must produce a plan"
@@ -320,7 +321,7 @@ let chaos_never_drops_shutdown () =
     done;
     Alcotest.(check bool) "other frames do drop at p=1" true
       (Chaos.should_drop plan
-         (Wire.Task { parent = -1; depth = 0; priority = 0; payload = "x" }))
+         (Wire.Steal_reply { task = Some (1, 0, "x") }))
 
 (* ------------------------- end-to-end runs ------------------------ *)
 

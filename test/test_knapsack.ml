@@ -117,7 +117,12 @@ let io_errors () =
   expect "2 10\n1 1\n";
   expect "1 10\nx 1\n";
   expect "1 10\n1 1 1\n";
-  expect "nonsense"
+  expect "nonsense";
+  (* Values [instance] rejects are parse errors too, not Invalid_argument. *)
+  expect "1 0\n1 1\n";
+  expect "0 -5\n";
+  expect "1 10\n0 1\n";
+  expect "1 10\n1 -2\n"
 
 let prop_random_instances =
   QCheck.Test.make ~name:"search = dp on random instances" ~count:60
