@@ -300,7 +300,7 @@ let chaos_parse_spec () =
       match Chaos.parse bad with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail (Printf.sprintf "bad spec %S accepted" bad))
-    [ ""; "explode"; "kill-locality:x@1s"; "kill-locality:1"; "drop-frame:task:1.5";
+    [ ""; "explode"; "kill-locality:x@1s"; "kill-locality:1"; "drop-frame:ping:1.5";
       "delay:-3ms"; "kill-locality:1@leases:0"; "kill-locality:1@leases:x";
       "kill-locality:1@laps:3"; "kill-locality:x@leases:3"; "drop-frame:bogus:1.0";
       "drop-frame:report:1.0" ]

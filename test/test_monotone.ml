@@ -20,10 +20,14 @@ let objective_of : type n r. (n, r) Problem.kind -> n Problem.objective = functi
   | Problem.Decide { objective; _ } -> objective
   | Problem.Enumerate _ -> invalid_arg "objective_of: enumeration"
 
+(* Nodes visited per walk: enough to reach the leaves of the small
+   instances below while keeping each case fast. *)
+let budget = 2000
+
 (* Depth-first over the first [budget] nodes of the unpruned tree,
    calling [at_node] on each node and its children in generator order.
    Generators may be ephemeral, so each is forced exactly once. *)
-let walk ~budget (p : ('s, 'n, 'r) Problem.t) at_node =
+let walk (p : ('s, 'n, 'r) Problem.t) at_node =
   let left = ref budget in
   let rec go node =
     if !left > 0 then begin
@@ -37,14 +41,14 @@ let walk ~budget (p : ('s, 'n, 'r) Problem.t) at_node =
 
 (* [Ok ()] when the problem declares the contract and keeps it on the
    first [budget] nodes; otherwise the first violation. *)
-let check_monotone ?(budget = 2000) (p : ('s, 'n, 'r) Problem.t) =
+let check_monotone (p : ('s, 'n, 'r) Problem.t) =
   let obj = objective_of p.Problem.kind in
   match obj.Problem.bound with
   | None -> Error "no bound"
   | Some _ when not obj.Problem.monotone -> Error "monotone_bound not declared"
   | Some bound ->
     let bad = ref None in
-    walk ~budget p (fun _ kids ->
+    walk p (fun _ kids ->
         let rec scan i = function
           | a :: (b :: _ as rest) ->
             if bound b > bound a && !bad = None then
@@ -119,7 +123,7 @@ let prop_bound_is_greedy =
   QCheck.Test.make ~name:"knapsack bound = greedy Dantzig loop at every node"
     ~count:300 knapsack_arb (fun (name, inst) ->
       let bad = ref None in
-      walk ~budget:2000 (K.problem inst) (fun node _ ->
+      walk (K.problem inst) (fun node _ ->
           let fast = K.fractional_bound inst node and slow = greedy_bound inst node in
           if fast <> slow && !bad = None then bad := Some (fast, slow));
       match !bad with
