@@ -137,9 +137,9 @@ let obs_term =
     Arg.(value & opt (some int) None
          & info [ "monitor-port" ] ~docv:"PORT"
              ~doc:"Serve live observability on 127.0.0.1:$(docv) while the \
-                   search runs (shm and dist runtimes): $(b,GET /metrics) is a \
-                   Prometheus gauge registry, $(b,GET /status) a JSON cluster \
-                   snapshot. Port 0 binds an ephemeral port, printed at \
+                   search runs (seq, shm and dist runtimes): $(b,GET /metrics) \
+                   renders the run's live fields as Prometheus gauges, \
+                   $(b,GET /status) as one JSON object. Port 0 binds an ephemeral port, printed at \
                    startup.")
   in
   let no_progress =

@@ -17,7 +17,11 @@
       or [shutdown]; any other name is rejected, since dropping it
       would inject nothing. [Shutdown] is accepted but never dropped —
       losing it only wedges the test harness, not the protocol under
-      test.
+      test. Dropping [steal_reply] needs a lease timeout
+      ([--lease-timeout]): the coordinator counts a lease as
+      outstanding before its reply leaves, so a dropped reply is
+      retired only when the lease expires, and {!Dist.run} rejects the
+      spec without one.
     - [delay:Nms] — sleep [N] milliseconds before every outbound
       frame, simulating a slow link.
 

@@ -1,6 +1,7 @@
 module Stats = Yewpar_core.Stats
-module Metrics = Yewpar_telemetry.Metrics
 module Http_export = Yewpar_telemetry.Http_export
+module Live = Yewpar_telemetry.Live
+module Analyze = Yewpar_telemetry.Analyze
 module Journal = Yewpar_telemetry.Journal
 module Telemetry = Yewpar_telemetry.Telemetry
 module Est = Yewpar_core.Progress
@@ -131,11 +132,10 @@ let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
   let respawns = ref 0 in
 
   (* ---------------- live monitoring (--monitor-port) --------------
-     Latest heartbeat per locality, folded into a gauge registry the
-     HTTP server renders on demand. The server runs on its own domain:
-     everything its handlers read is either an immutable record behind
-     one pointer ([live]) or a word-sized cell, so a scrape can be
-     slightly stale but never torn. *)
+     Latest heartbeat per locality, read by the monitor's HTTP domain
+     at scrape time. Everything a field reads is either an immutable
+     record behind one pointer ([live], [last_report]) or a word-sized
+     cell, so a scrape can be slightly stale but never torn. *)
   let live : live option array = Array.make l None in
   let heartbeats = ref 0 in
   (* ---- fused progress estimate ----
@@ -144,8 +144,7 @@ let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
      dropping dead localities' samples keeps a chaos replay exact —
      the survivors re-observe the revoked subtrees exactly once. The
      tracker makes the reported fraction monotone and smooths the
-     rate; [last_report] is an immutable record behind one pointer so
-     the HTTP domain can read it untorn. *)
+     rate. *)
   let ptracker = Track.create () in
   let last_report = ref Track.idle in
   let last_psample_jot = ref neg_infinity in
@@ -159,138 +158,105 @@ let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
       live;
     !acc
   in
-  let registry = Metrics.create () in
-  let g name help = Metrics.gauge registry ~help ("yewpar_live_" ^ name) in
-  let g_localities = g "localities" "Localities still connected" in
-  let g_tasks_done = g "tasks_done" "Tasks finished, summed over localities" in
-  let g_pool_depth =
-    g "pool_depth" "Locally queued tasks, summed over localities"
+  let sum f =
+    Array.fold_left (fun a -> function Some h -> a + f h | None -> a) 0 live
   in
-  let g_dist_pool =
-    g "dist_pool_depth" "Tasks queued in the coordinator's distributed pool"
-  in
-  let g_active =
-    g "active_tasks"
-      "Queued plus outstanding leases (the termination detector)"
-  in
-  let g_idle_workers =
-    g "idle_workers" "Workers blocked waiting for work, cluster-wide"
-  in
-  let g_idle_frac = g "idle_frac" "Mean reported per-locality idle fraction" in
-  let g_best = g "best" "Best incumbent objective seen by the coordinator" in
-  let g_broadcasts = g "bound_broadcasts" "Bound-update messages fanned out" in
-  let g_dropped =
-    g "trace_dropped" "Trace spans dropped by full ring buffers, cluster-wide"
-  in
-  let g_heartbeats = g "heartbeats" "Heartbeat frames received" in
-  let g_uptime = g "uptime_seconds" "Seconds since the coordinator started" in
-  let g_lost = g "localities_lost" "Localities declared dead during the run" in
-  let g_reissued =
-    g "leases_reissued" "Task leases revoked from dead holders and replayed"
-  in
-  let g_respawns = g "respawns" "Standby localities promoted after a death" in
+  let tasks_finished () = sum (fun h -> h.tasks_done) in
+  let local_queued () = sum (fun h -> h.pool_depth) in
   let alive_count () =
     Array.fold_left (fun a b -> if b then a + 1 else a) 0 alive
   in
   let active_count () = Pool.size pool + Hashtbl.length outstanding in
-  let refresh_gauges () =
-    let sum f =
-      Array.fold_left
-        (fun a -> function Some h -> a + f h | None -> a)
-        0 live
-    in
-    let reported =
-      Array.fold_left
-        (fun a -> function Some _ -> a + 1 | None -> a)
-        0 live
-    in
-    Metrics.set g_localities (float_of_int (alive_count ()));
-    Metrics.set g_tasks_done (float_of_int (sum (fun h -> h.tasks_done)));
-    Metrics.set g_pool_depth (float_of_int (sum (fun h -> h.pool_depth)));
-    Metrics.set g_dist_pool (float_of_int (Pool.size pool));
-    Metrics.set g_active (float_of_int (active_count ()));
-    Metrics.set g_idle_workers (float_of_int (sum (fun h -> h.idle_workers)));
-    (if reported > 0 then
-       let total =
-         Array.fold_left
-           (fun a -> function Some h -> a +. h.idle_frac | None -> a)
-           0. live
-       in
-       Metrics.set g_idle_frac (total /. float_of_int reported));
-    let best =
-      Array.fold_left
-        (fun a -> function Some h -> max a h.best | None -> a)
-        !global_best live
-    in
-    if best > min_int then Metrics.set g_best (float_of_int best);
-    Metrics.set g_broadcasts (float_of_int !broadcasts);
-    Metrics.set g_dropped (float_of_int (sum (fun h -> h.trace_dropped)));
-    Metrics.set g_heartbeats (float_of_int !heartbeats);
-    Metrics.set g_lost (float_of_int !lost);
-    Metrics.set g_reissued (float_of_int !reissued);
-    Metrics.set g_respawns (float_of_int !respawns);
-    Metrics.set g_uptime (Unix.gettimeofday () -. started);
-    Track.export_gauges !last_report ~registry ~prefix:"yewpar_progress_"
+  let best_seen () =
+    Array.fold_left
+      (fun a -> function Some h -> max a h.best | None -> a)
+      !global_best live
   in
-  let status_json () =
+  let idle_frac () =
+    match List.filter_map Fun.id (Array.to_list live) with
+    | [] -> 0.
+    | hs ->
+      List.fold_left (fun a h -> a +. h.idle_frac) 0. hs
+      /. float_of_int (List.length hs)
+  in
+  (* The per-locality rows a label-less gauge cannot carry; [localities]
+     here is the fleet size, where the gauge of that name (the [alive]
+     key) counts connected localities. *)
+  let locality_rows () =
+    let open Analyze in
     let now = Unix.gettimeofday () in
-    let buf = Buffer.create 512 in
-    Printf.bprintf buf
-      "{\"schema_version\":1,\"runtime\":\"dist\",\"uptime\":%.3f,\
-       \"localities\":%d,\"alive\":%d,\"active_tasks\":%d,\
-       \"dist_pool_depth\":%d,\"outstanding_leases\":%d,\
-       \"localities_lost\":%d,\"leases_reissued\":%d,\"respawns\":%d,\
-       \"global_best\":%s,\"bound_broadcasts\":%d,\
-       \"heartbeats\":%d,\"locality\":["
-      (now -. started) l (alive_count ()) (active_count ()) (Pool.size pool)
-      (Hashtbl.length outstanding) !lost !reissued !respawns
-      (if !global_best > min_int then string_of_int !global_best else "null")
-      !broadcasts !heartbeats;
-    Array.iteri
-      (fun i hb ->
-        if i > 0 then Buffer.add_char buf ',';
-        match hb with
-        | None ->
-          Printf.bprintf buf "{\"id\":%d,\"alive\":%b,\"standby\":%b}" i
-            alive.(i) standby.(i)
-        | Some h ->
-          Printf.bprintf buf
-            "{\"id\":%d,\"alive\":%b,\"standby\":%b,\"age\":%.3f,\
-             \"tasks_done\":%d,\"pool_depth\":%d,\"idle_workers\":%d,\
-             \"idle_frac\":%.4f,\"best\":%s,\"trace_dropped\":%d,\
-             \"nodes\":%d}"
-            i alive.(i) standby.(i) (now -. h.at) h.tasks_done h.pool_depth
-            h.idle_workers h.idle_frac
-            (if h.best > min_int then string_of_int h.best else "null")
-            h.trace_dropped h.nodes)
-      live;
-    Buffer.add_string buf "],\"progress\":{";
-    Buffer.add_string buf (Track.json_fields !last_report);
-    Buffer.add_string buf "}}";
-    Buffer.contents buf
+    let num v = Num (float_of_int v) in
+    let row i =
+      [ ("id", num i); ("alive", Bool alive.(i)); ("standby", Bool standby.(i)) ]
+      @
+      match live.(i) with
+      | None -> []
+      | Some h ->
+        [
+          ("age", Num (now -. h.at));
+          ("tasks_done", num h.tasks_done);
+          ("pool_depth", num h.pool_depth);
+          ("idle_workers", num h.idle_workers);
+          ("idle_frac", Num h.idle_frac);
+          ("best", if h.best > min_int then num h.best else Null);
+          ("trace_dropped", num h.trace_dropped);
+          ("nodes", num h.nodes);
+        ]
+    in
+    [ ("localities", num l); ("locality", Arr (List.init l (fun i -> Obj (row i)))) ]
   in
   let server =
-    match monitor_port with
-    | None -> None
-    | Some port ->
-      refresh_gauges ();
-      let s =
-        Http_export.start ~port
-          ~routes:
-            [
-              ( "/metrics",
-                fun () ->
-                  Metrics.set g_uptime (Unix.gettimeofday () -. started);
-                  ("text/plain; version=0.0.4", Metrics.to_prometheus registry)
-              );
-              ("/status", fun () -> ("application/json", status_json ()));
-            ]
-          ()
-      in
-      (match on_monitor with Some f -> f (Http_export.port s) | None -> ());
-      Some s
+    Option.map
+      (fun port ->
+        let count name help r = Live.int name help (fun () -> !r) in
+        let s =
+          Live.start ~port ~runtime:"dist" ~started
+            ~progress:(fun () -> !last_report)
+            ~extra:locality_rows
+            Live.
+              [
+                int ~key:"alive" "localities" "Localities still connected"
+                  alive_count;
+                int "tasks_done" "Tasks finished, summed over localities"
+                  tasks_finished;
+                int "pool_depth" "Locally queued tasks, summed over localities"
+                  local_queued;
+                int "dist_pool_depth"
+                  "Tasks queued in the coordinator's distributed pool"
+                  (fun () -> Pool.size pool);
+                int "active_tasks"
+                  "Queued plus outstanding leases (the termination detector)"
+                  active_count;
+                int "outstanding_leases" "Leases issued and not yet retired"
+                  (fun () -> Hashtbl.length outstanding);
+                int "idle_workers"
+                  "Workers blocked waiting for work, cluster-wide" (fun () ->
+                    sum (fun h -> h.idle_workers));
+                float "idle_frac" "Mean reported per-locality idle fraction"
+                  idle_frac;
+                incumbent "best"
+                  "Best incumbent objective seen by the coordinator" best_seen;
+                incumbent "global_best"
+                  "Best objective the coordinator has broadcast" (fun () ->
+                    !global_best);
+                count "bound_broadcasts" "Bound-update messages fanned out"
+                  broadcasts;
+                int "trace_dropped"
+                  "Trace spans dropped by full ring buffers, cluster-wide"
+                  (fun () -> sum (fun h -> h.trace_dropped));
+                count "heartbeats" "Heartbeat frames received" heartbeats;
+                count "localities_lost"
+                  "Localities declared dead during the run" lost;
+                count "leases_reissued"
+                  "Task leases revoked from dead holders and replayed" reissued;
+                count "respawns" "Standby localities promoted after a death"
+                  respawns;
+              ]
+        in
+        Option.iter (fun f -> f (Http_export.port s)) on_monitor;
+        s)
+      monitor_port
   in
-  let monitored = server <> None in
 
   (* Under the job server many coordinators interleave on one daemon's
      output: [label] ("job N") prefixes failures so they stay
@@ -603,7 +569,6 @@ let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
           };
       incr heartbeats;
       last_report := Track.update ptracker ~now (fused_sample ());
-      if monitored then refresh_gauges ();
       (match journal with
       | Some _ when now -. !last_psample_jot >= 1.0 ->
         last_psample_jot := now;
@@ -614,21 +579,13 @@ let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
       (match on_progress with
       | None -> ()
       | Some f ->
-        let sum g =
-          Array.fold_left
-            (fun a -> function Some h -> a + g h | None -> a)
-            0 live
-        in
         let r = !last_report in
         f
           {
-            p_tasks_done = sum (fun h -> h.tasks_done);
-            p_pool_depth = Pool.size pool + sum (fun h -> h.pool_depth);
+            p_tasks_done = tasks_finished ();
+            p_pool_depth = Pool.size pool + local_queued ();
             p_outstanding = Hashtbl.length outstanding;
-            p_best =
-              Array.fold_left
-                (fun a -> function Some h -> max a h.best | None -> a)
-                !global_best live;
+            p_best = best_seen ();
             p_alive = alive_count ();
             p_nodes = r.Track.r_nodes;
             p_est_total = r.Track.r_total;

@@ -34,6 +34,18 @@ let distributed_run (type s n r) ?stats ?broadcasts ?telemetry ?journal
   if localities < 1 then invalid_arg "Dist.run: localities must be >= 1";
   if workers < 1 then invalid_arg "Dist.run: workers must be >= 1";
   if max_respawns < 0 then invalid_arg "Dist.run: max_respawns must be >= 0";
+  (* A lease is outstanding before its [Steal_reply] leaves: a dropped
+     reply is retired only by the lease timeout, or never. *)
+  let drops_replies = function
+    | Chaos.Drop_frame { frame = "steal_reply"; prob } -> prob > 0.
+    | _ -> false
+  in
+  if Option.fold ~none:true ~some:(fun t -> t <= 0.) lease_timeout
+     && List.exists drops_replies (Option.value chaos ~default:[])
+  then
+    invalid_arg
+      "Dist.run: dropping steal_reply frames needs a positive lease timeout \
+       (--lease-timeout)";
   let codec =
     match p.Problem.codec with
     | Some c -> c

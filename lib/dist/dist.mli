@@ -104,9 +104,10 @@ val run :
     (see {!Chaos.parse} for the [--chaos] grammar).
 
     [monitor_port] serves live observability for the duration of the
-    run: heartbeats fold into a gauge registry answering
-    [GET /metrics] (Prometheus) and [GET /status] (JSON, per-locality
-    detail plus fault counters) on [127.0.0.1]. Port [0] binds an
+    run: {!Yewpar_telemetry.Live} renders the coordinator's fields,
+    read from the latest heartbeats, as [GET /metrics] (Prometheus) and
+    [GET /status] (JSON, the same fields plus per-locality detail) on
+    [127.0.0.1]. Port [0] binds an
     ephemeral port, reported through [on_monitor] once listening.
 
     SIGTERM and SIGINT are handled for the duration of the run: the
@@ -123,6 +124,8 @@ val run :
     @raise Invalid_argument if the problem has no task codec, the
     topology is not at least 1x1, or the coordination is [Ordered]
     (its left-only floors would need positioned incumbents on the
-    wire; run it on {!Yewpar_par.Shm.run} or the simulator).
+    wire; run it on {!Yewpar_par.Shm.run} or the simulator), or
+    [chaos] drops [steal_reply] frames without a positive
+    [lease_timeout]; each is raised before any locality is forked.
     @raise Failure if every locality is lost, a locality fails (user
     exception), or the watchdog expires. *)

@@ -1,8 +1,8 @@
 module Recorder = Yewpar_telemetry.Recorder
 module Telemetry = Yewpar_telemetry.Telemetry
 module Journal = Yewpar_telemetry.Journal
-module Metrics = Yewpar_telemetry.Metrics
 module Http_export = Yewpar_telemetry.Http_export
+module Live = Yewpar_telemetry.Live
 module Progress = Yewpar_telemetry.Progress
 module Knowledge = Yewpar_core.Knowledge
 module Stats = Yewpar_core.Stats
@@ -183,102 +183,57 @@ let parallel_run (type s n r) ~n_workers ?stats ?telemetry ?journal
       ~coordination ~counters ~recorders ~views ~scheduler ~tiers ~stop ()
   in
 
-  (* Live monitoring: the /metrics gauges sum the slots' counters on
-     each scrape, so the handler (which runs on the server's domain,
-     concurrently with the workers) only ever does word-sized reads — a
-     snapshot can be slightly stale but never torn. *)
-  let live f = Counters.total counters f in
+  (* Live monitoring: each field sums the slots' counters at scrape
+     time on the server's domain, concurrently with the workers, with
+     word-sized reads only — a snapshot can be slightly stale but never
+     torn. *)
   let all_dropped () =
     Array.fold_left (fun a r -> a + Recorder.dropped r) 0 recorders
   in
   let monitor =
-    match monitor_port with
-    | None -> None
-    | Some port ->
-      let started = Unix.gettimeofday () in
-      let registry = Metrics.create () in
-      let g name help = Metrics.gauge registry ~help ("yewpar_live_" ^ name) in
-      let g_workers = g "workers" "Worker domains in this run" in
-      let g_nodes = g "nodes" "Nodes processed so far" in
-      let g_pruned = g "pruned" "Subtrees pruned so far" in
-      let g_tasks = g "tasks" "Tasks spawned so far" in
-      let g_done = g "tasks_done" "Tasks finished so far" in
-      let g_pool = g "pool_depth" "Tasks currently queued (both tiers)" in
-      let g_outstanding =
-        g "active_tasks" "Tasks queued or executing (termination detector)"
-      in
-      let g_idle = g "idle_workers" "Workers blocked waiting for work" in
-      let g_steals = g "steals" "Successful steals so far" in
-      let g_attempts = g "steal_attempts" "Steal attempts so far" in
-      let g_bounds = g "bound_updates" "Incumbent improvements applied" in
-      let g_dropped =
-        g "trace_dropped" "Trace spans dropped by full ring buffers"
-      in
-      let g_uptime = g "uptime_seconds" "Seconds since the search started" in
-      let refresh () =
-        if progress then
-          Progress.export_gauges (progress_report ()) ~registry
-            ~prefix:"yewpar_progress_";
-        Metrics.set g_workers (float_of_int n_workers);
-        Metrics.set g_nodes (float_of_int (live (fun s -> s.Stats.nodes)));
-        Metrics.set g_pruned (float_of_int (live (fun s -> s.Stats.pruned)));
-        Metrics.set g_tasks (float_of_int (live (fun s -> s.Stats.tasks)));
-        Metrics.set g_done (float_of_int (Counters.tasks_done counters));
-        Metrics.set g_pool (float_of_int (Two_tier.queued tiers));
-        Metrics.set g_outstanding (float_of_int (Atomic.get outstanding));
-        Metrics.set g_idle (float_of_int (Two_tier.idle_workers tiers));
-        Metrics.set g_steals (float_of_int (live (fun s -> s.Stats.steals)));
-        Metrics.set g_attempts
-          (float_of_int (live (fun s -> s.Stats.steal_attempts)));
-        Metrics.set g_bounds
-          (float_of_int (live (fun s -> s.Stats.bound_updates)));
-        Metrics.set g_dropped (float_of_int (all_dropped ()));
-        Metrics.set g_uptime (Unix.gettimeofday () -. started)
-      in
-      let status_json () =
-        let progress_block =
-          if progress then
-            Printf.sprintf ",\"progress\":{%s}"
-              (Progress.json_fields (progress_report ()))
-          else ""
+    Option.map
+      (fun port ->
+        let summed name help f =
+          Live.int name help (fun () -> Counters.total counters f)
         in
-        Printf.sprintf
-          "{\"schema_version\":1,\"runtime\":\"shm\",\"uptime\":%.3f,\
-           \"workers\":%d,\"nodes\":%d,\"pruned\":%d,\"tasks\":%d,\
-           \"tasks_done\":%d,\"pool_depth\":%d,\"active_tasks\":%d,\
-           \"idle_workers\":%d,\"steals\":%d,\"steal_attempts\":%d,\
-           \"bound_updates\":%d,\"best\":%s,\"trace_dropped\":%d%s}"
-          (Unix.gettimeofday () -. started)
-          n_workers
-          (live (fun s -> s.Stats.nodes))
-          (live (fun s -> s.Stats.pruned))
-          (live (fun s -> s.Stats.tasks))
-          (Counters.tasks_done counters)
-          (Two_tier.queued tiers)
-          (Atomic.get outstanding)
-          (Two_tier.idle_workers tiers)
-          (live (fun s -> s.Stats.steals))
-          (live (fun s -> s.Stats.steal_attempts))
-          (live (fun s -> s.Stats.bound_updates))
-          (let b = knowledge.Knowledge.best_obj () in
-           if b > min_int then string_of_int b else "null")
-          (all_dropped ()) progress_block
-      in
-      let s =
-        Http_export.start ~port
-          ~routes:
+        let fields =
+          Live.
             [
-              ( "/metrics",
-                fun () ->
-                  refresh ();
-                  ("text/plain; version=0.0.4", Metrics.to_prometheus registry)
-              );
-              ("/status", fun () -> ("application/json", status_json ()));
+              int "workers" "Worker domains in this run" (fun () -> n_workers);
+              summed "nodes" "Nodes processed so far" (fun s -> s.Stats.nodes);
+              summed "pruned" "Subtrees pruned so far" (fun s -> s.Stats.pruned);
+              summed "tasks" "Tasks spawned so far" (fun s -> s.Stats.tasks);
+              int "tasks_done" "Tasks finished so far" (fun () ->
+                  Counters.tasks_done counters);
+              int "pool_depth" "Tasks currently queued (both tiers)" (fun () ->
+                  Two_tier.queued tiers);
+              int "active_tasks"
+                "Tasks queued or executing (termination detector)" (fun () ->
+                  Atomic.get outstanding);
+              int "idle_workers" "Workers blocked waiting for work" (fun () ->
+                  Two_tier.idle_workers tiers);
+              summed "steals" "Successful steals so far" (fun s ->
+                  s.Stats.steals);
+              summed "steal_attempts" "Steal attempts so far" (fun s ->
+                  s.Stats.steal_attempts);
+              summed "bound_updates" "Incumbent improvements applied" (fun s ->
+                  s.Stats.bound_updates);
+              incumbent "best" "Best incumbent objective so far"
+                knowledge.Knowledge.best_obj;
+              int "trace_dropped" "Trace spans dropped by full ring buffers"
+                all_dropped;
             ]
-          ()
-      in
-      (match on_monitor with Some f -> f (Http_export.port s) | None -> ());
-      Some s
+        in
+        let progress =
+          if progress then Some (fun () -> progress_report ()) else None
+        in
+        let s =
+          Live.start ~port ~runtime:"shm" ~started:(Unix.gettimeofday ())
+            ?progress fields
+        in
+        Option.iter (fun f -> f (Http_export.port s)) on_monitor;
+        s)
+      monitor_port
   in
 
   (* Journalled estimator samples: value = rounded estimated total,

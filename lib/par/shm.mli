@@ -65,12 +65,12 @@ val run :
     ring overflow (if any) and [job_done].
 
     When [monitor_port] is supplied ([0] binds an ephemeral port
-    reported through [on_monitor]), the run serves [GET /metrics] (a
-    [yewpar_live_*] Prometheus gauge registry computed from the shared
-    counters on each scrape) and [GET /status] (a JSON snapshot) on
-    [127.0.0.1] for its duration
-    ({!Yewpar_telemetry.Http_export}); the port closes before [run]
-    returns.
+    reported through [on_monitor]), the run serves its live fields —
+    the worker slots' counters summed on each scrape, the pool depths,
+    the incumbent — as [GET /metrics] ([yewpar_live_*] gauges) and
+    [GET /status] (one JSON object with the same fields) on
+    [127.0.0.1] for its duration ({!Yewpar_telemetry.Live}); the port
+    closes before [run] returns.
 
     [progress] (default true) keeps the tree-size estimator columns
     ({!Yewpar_core.Progress}) recording: the monitor then carries a

@@ -6,18 +6,12 @@
     [_sum] and [_count]. Registration order is preserved in the
     output.
 
-    The registry is not thread-safe, and it is observed concurrently
-    in one way only. The runtimes record into per-worker ring buffers
+    The registry is not thread-safe, and no registry is shared between
+    domains. The runtimes record into per-worker ring buffers
     ({!Recorder}) on the hot path and derive a registry from the
-    merged trace after the join ({!Telemetry.metrics}); the job
-    server touches its registry under its own mutex. But under
-    [--runtime dist --monitor-port] the coordinator's event loop sets
-    gauges while the monitor's HTTP domain renders them. What holds:
-    the coordinator registers every gauge before the server starts, so
-    the metric list the renderer walks never changes under it; and a
-    gauge is a record of one unboxed float field, so {!set} is a
-    single word store and a scrape may read a stale value but never a
-    torn one.
+    merged trace after the join ({!Telemetry.metrics}); the live
+    monitor ({!Live}) builds a fresh registry on each scrape; the job
+    server touches its registry under its own mutex.
 
     Histogram buckets default to a log scale built from the 1-2-5
     mantissa series ({!buckets_125}), matching latency work spanning

@@ -70,16 +70,6 @@ let update t ?(final = false) ~now sample =
     r_hi = e.P.e_hi; r_fraction = fraction; r_rate = rate; r_eta = eta;
     r_exact = e.P.e_exact }
 
-(* JSON numbers cannot carry infinities: an unbounded confidence limit
-   or unknown ETA is rendered as -1 (documented sentinel). *)
-let jnum f = if Float.is_finite f then Printf.sprintf "%.6g" f else "-1"
-
-let json_fields r =
-  Printf.sprintf
-    {|"nodes":%d,"est_total":%s,"est_lo":%s,"est_hi":%s,"completed_fraction":%s,"rate":%s,"eta_seconds":%s,"exact":%b|}
-    r.r_nodes (jnum r.r_total) (jnum r.r_lo) (jnum r.r_hi)
-    (jnum r.r_fraction) (jnum r.r_rate) (jnum r.r_eta) r.r_exact
-
 (* The journal's [value] field is an int: a [progress_sample] event
    carries the rounded estimated total there and packs the rest into
    the note, so [analyze --journal] can recover the full series. *)
@@ -109,21 +99,3 @@ let bar ~width r =
   let filled = min width (max 0 filled) in
   String.concat ""
     [ "["; String.make filled '#'; String.make (width - filled) '.'; "]" ]
-
-let export_gauges r ~registry ~prefix =
-  let g name help = Metrics.gauge registry ~help (prefix ^ name) in
-  Metrics.set
-    (g "nodes" "Nodes processed so far")
-    (float_of_int r.r_nodes);
-  Metrics.set
-    (g "est_total" "Estimated total tree size (nodes)")
-    r.r_total;
-  Metrics.set
-    (g "completed_fraction" "Estimated completed fraction of the search")
-    r.r_fraction;
-  Metrics.set
-    (g "rate" "Smoothed node-processing rate (nodes/sec)")
-    r.r_rate;
-  Metrics.set
-    (g "eta_seconds" "Estimated seconds to completion (-1 unknown)")
-    r.r_eta

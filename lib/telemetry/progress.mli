@@ -1,7 +1,7 @@
 (** Live progress tracking over the {!Yewpar_core.Progress} tree-size
     estimator: rate smoothing, ETA, monotone reported fraction, and
-    the render helpers every surface shares ([/status] JSON fields,
-    [yewpar_progress_*] gauges, the [yewpar top] bar).
+    the render helpers for the journal and the [yewpar top] bar ({!Live}
+    renders the [/status] block and the [yewpar_progress_*] gauges).
 
     One tracker lives wherever estimates are fused — the shm monitor,
     the distributed coordinator, the job server — and is fed a merged
@@ -38,13 +38,6 @@ val update :
     fraction to exactly 1.0 and the ETA to 0
     ({!Yewpar_core.Progress.estimate}). *)
 
-val json_fields : report -> string
-(** The progress block's fields, rendered for splicing into a
-    handwritten JSON object: [~"nodes":..,"est_total":..,"est_lo":..,
-    "est_hi":..,"completed_fraction":..,"rate":..,"eta_seconds":..,
-    "exact":..~] (no surrounding braces). Non-finite numbers are
-    rendered as [-1]. *)
-
 val journal_value : report -> int
 (** The [value] an emitted [progress_sample] journal event carries:
     the rounded estimated total (0 when unbounded). *)
@@ -59,10 +52,3 @@ val eta_string : report -> string
 
 val bar : width:int -> report -> string
 (** A textual progress bar, e.g. ["[######....]"]. *)
-
-val export_gauges :
-  report -> registry:Metrics.t -> prefix:string -> unit
-(** Set the five progress gauges ([<prefix>nodes], [<prefix>est_total],
-    [<prefix>completed_fraction], [<prefix>rate],
-    [<prefix>eta_seconds]) on [registry], registering them on first
-    use. Callers pass [~prefix:"yewpar_progress_"]. *)

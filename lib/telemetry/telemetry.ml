@@ -34,20 +34,6 @@ let worker_events t =
 
 (* ------------------------- Chrome export ------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let fus v = Printf.sprintf "%.3f" v  (* microseconds, ns precision *)
 
 let origin = function [] -> 0. | (e : Journal.event) :: _ -> e.Journal.t
@@ -86,7 +72,7 @@ let to_chrome t =
   List.iter
     (fun (e : Journal.event) ->
       let ts = fus ((e.Journal.t -. t0) *. 1e6) in
-      let name = json_escape e.Journal.ev in
+      let name = Analyze.to_string (Analyze.Str e.Journal.ev) in
       let args =
         Printf.sprintf "\"pid\":%d,\"tid\":%d,\"args\":{\"span\":%d,\"value\":%d}"
           e.Journal.locality e.Journal.worker e.Journal.span e.Journal.value
@@ -94,14 +80,14 @@ let to_chrome t =
       if e.Journal.dur > 0. then
         emit
           (Printf.sprintf
-             "{\"name\":\"%s\",\"cat\":\"yewpar\",\"ph\":\"X\",\"ts\":%s,\"dur\":%s,%s}"
+             "{\"name\":%s,\"cat\":\"yewpar\",\"ph\":\"X\",\"ts\":%s,\"dur\":%s,%s}"
              name ts
              (fus (e.Journal.dur *. 1e6))
              args)
       else
         emit
           (Printf.sprintf
-             "{\"name\":\"%s\",\"cat\":\"yewpar\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%s,%s}"
+             "{\"name\":%s,\"cat\":\"yewpar\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%s,%s}"
              name ts args))
     evs;
   Buffer.add_string buf "]}";

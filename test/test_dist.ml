@@ -19,6 +19,7 @@ module Stats = Yewpar_core.Stats
 module Depth_profile = Yewpar_core.Depth_profile
 module Progress = Yewpar_core.Progress
 module Http_export = Yewpar_telemetry.Http_export
+module Analyze = Yewpar_telemetry.Analyze
 module Queens = Yewpar_queens.Queens
 module Mc = Yewpar_maxclique.Maxclique
 module Gen = Yewpar_graph.Gen
@@ -754,6 +755,25 @@ let chaos_respawn () =
   Alcotest.(check int) "one locality lost" 1 stats.Stats.localities_lost;
   Alcotest.(check int) "standby promoted" 1 stats.Stats.respawns
 
+let chaos_drop_needs_lease_timeout () =
+  (* A dropped steal reply leaves its lease outstanding until the lease
+     timeout revokes it; without one the run never reaches quiescence,
+     so it is refused before any locality is forked. *)
+  List.iter
+    (fun lease_timeout ->
+      (match
+         Dist.run ?lease_timeout ~watchdog:120. ~localities:2 ~workers:2
+           ~chaos:(fault_spec "drop-frame:steal_reply:0.3")
+           ~coordination:(Coordination.Depth_bounded { dcutoff = 2 })
+           (queens_n 6)
+       with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail "steal_reply drops ran without a lease timeout");
+      match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+      | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+      | pid, _ -> Alcotest.fail (Printf.sprintf "child %d left behind" pid))
+    [ None; Some 0. ]
+
 let chaos_drop_frames () =
   (* Lost steal replies leave the thief empty-handed and the lease
      outstanding; the steal retry plus the lease timeout must recover
@@ -931,8 +951,8 @@ let monitor_scrape_midrun () =
           end
         in
         let port = wait_port () in
-        let metrics = Http_export.get ~timeout:10. ~port "/metrics" in
-        let status = Http_export.get ~timeout:10. ~port "/status" in
+        let _, metrics = Http_export.request ~timeout:10. ~port "/metrics" in
+        let _, status = Http_export.request ~timeout:10. ~port "/status" in
         let oc = open_out outfile in
         output_string oc metrics;
         output_string oc "\n--8<--\n";
@@ -967,12 +987,38 @@ let monitor_scrape_midrun () =
     close_in ic;
     Sys.remove outfile;
     (try Sys.remove portfile with Sys_error _ -> ());
+    let metrics, status =
+      match Str.bounded_split (Str.regexp_string "\n--8<--\n") body 2 with
+      | [ m; s ] -> (m, Analyze.parse_json s)
+      | _ -> Alcotest.fail "scraper output has no separator"
+    in
     Alcotest.(check bool) "metrics expose live gauges" true
-      (contains body "yewpar_live_localities");
-    Alcotest.(check bool) "status names the runtime" true
-      (contains body "\"runtime\":\"dist\"");
-    Alcotest.(check bool) "status is versioned" true
-      (contains body "\"schema_version\"")
+      (contains metrics "yewpar_live_localities");
+    Alcotest.(check string) "status names the runtime" "dist"
+      (Analyze.str_or "" (Analyze.member "runtime" status));
+    Alcotest.(check (float 0.)) "status is versioned" 1.
+      (Analyze.num_or 0. (Analyze.member "schema_version" status));
+    (* One field list: every live gauge is a /status key (the
+       [localities] gauge counts connected localities, the key of that
+       name is the fleet size, [alive] the connected count). *)
+    let has k = Analyze.member k status <> None in
+    List.iter
+      (fun line ->
+        match String.split_on_char ' ' line with
+        | [ name; _ ] when String.starts_with ~prefix:"yewpar_live_" name ->
+          let k = String.sub name 12 (String.length name - 12) in
+          if k <> "uptime_seconds" then
+            Alcotest.(check bool) ("status has gauge " ^ k) true (has k)
+        | _ -> ())
+      (String.split_on_char '\n' metrics);
+    List.iter
+      (fun k -> Alcotest.(check bool) ("status has " ^ k) true (has k))
+      [ "schema_version"; "runtime"; "uptime"; "localities"; "alive";
+        "active_tasks"; "dist_pool_depth"; "outstanding_leases";
+        "localities_lost"; "leases_reissued"; "respawns"; "global_best";
+        "bound_broadcasts"; "heartbeats"; "locality"; "progress" ];
+    Alcotest.(check (float 0.)) "localities is the fleet size" 2.
+      (Analyze.num_or 0. (Analyze.member "localities" status))
 
 let () =
   Alcotest.run "dist"
@@ -1025,6 +1071,8 @@ let () =
           Alcotest.test_case "crash mid-optimisation" `Quick chaos_kill_optimise;
           Alcotest.test_case "crash mid-decision" `Quick chaos_kill_decide;
           Alcotest.test_case "standby respawn" `Quick chaos_respawn;
+          Alcotest.test_case "frame loss needs a lease timeout" `Quick
+            chaos_drop_needs_lease_timeout;
           Alcotest.test_case "frame loss + lease timeout" `Quick chaos_drop_frames;
           Alcotest.test_case "journal causality across a crash" `Quick
             chaos_journal_causality;

@@ -9,6 +9,7 @@ module Uts = Yewpar_uts.Uts
 module Stats = Yewpar_core.Stats
 module Depth_profile = Yewpar_core.Depth_profile
 module Http_export = Yewpar_telemetry.Http_export
+module Analyze = Yewpar_telemetry.Analyze
 module Knowledge = Yewpar_core.Knowledge
 module Ops = Yewpar_core.Ops
 module Recorder = Yewpar_telemetry.Recorder
@@ -219,16 +220,30 @@ let contains haystack needle =
   | _ -> true
   | exception Not_found -> false
 
+(* The [(name, value)] samples of a Prometheus text body whose name
+   starts with [prefix], the prefix stripped. *)
+let gauges ~prefix body =
+  List.filter_map
+    (fun line ->
+      match String.split_on_char ' ' line with
+      | [ name; v ] when String.starts_with ~prefix name ->
+        let n = String.length prefix in
+        Some (String.sub name n (String.length name - n), float_of_string v)
+      | _ -> None)
+    (String.split_on_char '\n' body)
+
 let monitor_scrape_midrun () =
   (* The monitor server is live before the worker domains spawn, so
      scraping from inside [on_monitor] is a deterministic mid-run
-     scrape: the run cannot finish before the callback returns. *)
+     scrape: the run cannot finish before the callback returns, and
+     no counter moves between the two scrapes. *)
   let scraped = ref None in
   let on_monitor port =
     let metrics = Http_export.get ~timeout:10. ~port "/metrics" in
-    let status = Http_export.get ~timeout:10. ~port "/status" in
+    let _, prom = Http_export.request ~timeout:10. ~port "/metrics" in
+    let _, status = Http_export.request ~timeout:10. ~port "/status" in
     let missing = Http_export.get ~timeout:10. ~port "/nope" in
-    scraped := Some (metrics, status, missing)
+    scraped := Some (metrics, prom, status, missing)
   in
   let g = Gen.uniform ~seed:41 35 0.6 in
   let expected = (Sequential.search (Mc.max_clique g)).Mc.size in
@@ -241,17 +256,47 @@ let monitor_scrape_midrun () =
     node.Mc.size;
   match !scraped with
   | None -> Alcotest.fail "on_monitor never fired"
-  | Some (metrics, status, missing) ->
-    Alcotest.(check bool) "metrics expose live gauges" true
-      (contains metrics "yewpar_live_workers");
+  | Some (metrics, prom, status, missing) ->
     Alcotest.(check bool) "metrics are prometheus text" true
       (contains metrics "text/plain");
-    Alcotest.(check bool) "status names the runtime" true
-      (contains status "\"runtime\":\"shm\"");
-    Alcotest.(check bool) "status is versioned" true
-      (contains status "\"schema_version\"");
     Alcotest.(check bool) "unknown path is a 404" true
-      (contains missing "404")
+      (contains missing "404");
+    let json = Analyze.parse_json status in
+    let same what key v j =
+      match j with
+      | Some (Analyze.Num x) ->
+        Alcotest.(check (float 1e-9)) (what ^ " " ^ key) v x
+      | _ -> Alcotest.fail (Printf.sprintf "%s %s missing from /status" what key)
+    in
+    Alcotest.(check string) "status names the runtime" "shm"
+      (Analyze.str_or "" (Analyze.member "runtime" json));
+    Alcotest.(check (float 0.)) "status is versioned" 1.
+      (Analyze.num_or 0. (Analyze.member "schema_version" json));
+    (* One field list: every live gauge is the /status key of its short
+       name, and every progress gauge a field of the progress block. *)
+    let live = gauges ~prefix:"yewpar_live_" prom in
+    Alcotest.(check bool) "metrics expose live gauges" true
+      (List.mem_assoc "workers" live);
+    List.iter
+      (fun (k, v) ->
+        if k <> "uptime_seconds" then same "live gauge" k v (Analyze.member k json))
+      live;
+    let progress = Analyze.member "progress" json in
+    let progress_gauges = gauges ~prefix:"yewpar_progress_" prom in
+    Alcotest.(check bool) "metrics expose progress gauges" true
+      (progress_gauges <> []);
+    List.iter
+      (fun (k, v) ->
+        same "progress gauge" k v (Option.bind progress (Analyze.member k)))
+      progress_gauges;
+    List.iter
+      (fun k ->
+        Alcotest.(check bool) ("status has " ^ k) true
+          (Analyze.member k json <> None))
+      [ "schema_version"; "runtime"; "uptime"; "workers"; "nodes"; "pruned";
+        "tasks"; "tasks_done"; "pool_depth"; "active_tasks"; "idle_workers";
+        "steals"; "steal_attempts"; "bound_updates"; "best"; "trace_dropped";
+        "progress" ]
 
 let repeated_runs_stable () =
   (* Results (not witnesses) must be stable across repeated parallel
