@@ -139,8 +139,8 @@ let obs_term =
              ~doc:"Serve live observability on 127.0.0.1:$(docv) while the \
                    search runs (seq, shm and dist runtimes): $(b,GET /metrics) \
                    renders the run's live fields as Prometheus gauges, \
-                   $(b,GET /status) as one JSON object. Port 0 binds an ephemeral port, printed at \
-                   startup.")
+                   $(b,GET /status) as one JSON object. Port 0 binds an \
+                   ephemeral port, printed at startup.")
   in
   let no_progress =
     Arg.(value & flag

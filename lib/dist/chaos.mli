@@ -17,11 +17,9 @@
       or [shutdown]; any other name is rejected, since dropping it
       would inject nothing. [Shutdown] is accepted but never dropped —
       losing it only wedges the test harness, not the protocol under
-      test. Dropping [steal_reply] needs a lease timeout
-      ([--lease-timeout]): the coordinator counts a lease as
-      outstanding before its reply leaves, so a dropped reply is
-      retired only when the lease expires, and {!Dist.run} rejects the
-      spec without one.
+      test. Dropping [steal_reply] needs [--lease-timeout]: a lease
+      is outstanding before its reply leaves, so only its expiry
+      retires a dropped reply ({!Dist.run} rejects it otherwise).
     - [delay:Nms] — sleep [N] milliseconds before every outbound
       frame, simulating a slow link.
 

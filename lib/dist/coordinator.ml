@@ -132,10 +132,8 @@ let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
   let respawns = ref 0 in
 
   (* ---------------- live monitoring (--monitor-port) --------------
-     Latest heartbeat per locality, read by the monitor's HTTP domain
-     at scrape time. Everything a field reads is either an immutable
-     record behind one pointer ([live], [last_report]) or a word-sized
-     cell, so a scrape can be slightly stale but never torn. *)
+     Latest heartbeat per locality: an immutable record behind one
+     pointer, so the monitor's HTTP domain reads it untorn. *)
   let live : live option array = Array.make l None in
   let heartbeats = ref 0 in
   (* ---- fused progress estimate ----
@@ -187,7 +185,9 @@ let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
     let now = Unix.gettimeofday () in
     let num v = Num (float_of_int v) in
     let row i =
-      [ ("id", num i); ("alive", Bool alive.(i)); ("standby", Bool standby.(i)) ]
+      [
+        ("id", num i); ("alive", Bool alive.(i)); ("standby", Bool standby.(i));
+      ]
       @
       match live.(i) with
       | None -> []
@@ -203,7 +203,10 @@ let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
           ("nodes", num h.nodes);
         ]
     in
-    [ ("localities", num l); ("locality", Arr (List.init l (fun i -> Obj (row i)))) ]
+    [
+      ("localities", num l);
+      ("locality", Arr (List.init l (fun i -> Obj (row i))));
+    ]
   in
   let server =
     Option.map

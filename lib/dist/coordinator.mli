@@ -152,13 +152,9 @@ val run :
 
     With [monitor_port] the coordinator serves live observability over
     HTTP on [127.0.0.1] for the duration of the run ([0] picks an
-    ephemeral port, reported through [on_monitor]): one field list,
-    read from the latest heartbeats and the lease table at scrape
-    time — including [localities_lost], [leases_reissued] and
-    [respawns] — renders as [yewpar_live_*] gauges on [GET /metrics]
-    and as [GET /status] keys ({!Yewpar_telemetry.Live}). [/status]
-    adds per-locality detail (latest heartbeat, its age, liveness,
-    standby state) and [localities], the fleet size; there [alive]
-    carries the connected count the [yewpar_live_localities] gauge
-    reports. The server stops — and the port closes — before
+    ephemeral port, reported through [on_monitor]): its fields — the
+    lease table, the fault counters, the latest heartbeats — render as
+    [GET /metrics] gauges and [GET /status] keys
+    ({!Yewpar_telemetry.Live}), with per-locality rows and the fleet
+    size added to [/status]. The server stops — and the port closes — before
     {!run} returns, even on failure. *)

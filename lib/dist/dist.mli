@@ -104,11 +104,9 @@ val run :
     (see {!Chaos.parse} for the [--chaos] grammar).
 
     [monitor_port] serves live observability for the duration of the
-    run: {!Yewpar_telemetry.Live} renders the coordinator's fields,
-    read from the latest heartbeats, as [GET /metrics] (Prometheus) and
-    [GET /status] (JSON, the same fields plus per-locality detail) on
-    [127.0.0.1]. Port [0] binds an
-    ephemeral port, reported through [on_monitor] once listening.
+    run ({!Coordinator.run}): [GET /metrics] and [GET /status] on
+    [127.0.0.1]. Port [0] binds an ephemeral port, reported through
+    [on_monitor] once listening.
 
     SIGTERM and SIGINT are handled for the duration of the run: the
     coordinator broadcasts [Shutdown], collects the localities'

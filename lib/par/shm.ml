@@ -183,10 +183,8 @@ let parallel_run (type s n r) ~n_workers ?stats ?telemetry ?journal
       ~coordination ~counters ~recorders ~views ~scheduler ~tiers ~stop ()
   in
 
-  (* Live monitoring: each field sums the slots' counters at scrape
-     time on the server's domain, concurrently with the workers, with
-     word-sized reads only — a snapshot can be slightly stale but never
-     torn. *)
+  (* Live monitoring: the fields sum the slots' word-sized counters
+     on the server's domain, racing the workers — stale, never torn. *)
   let all_dropped () =
     Array.fold_left (fun a r -> a + Recorder.dropped r) 0 recorders
   in
@@ -201,7 +199,8 @@ let parallel_run (type s n r) ~n_workers ?stats ?telemetry ?journal
             [
               int "workers" "Worker domains in this run" (fun () -> n_workers);
               summed "nodes" "Nodes processed so far" (fun s -> s.Stats.nodes);
-              summed "pruned" "Subtrees pruned so far" (fun s -> s.Stats.pruned);
+              summed "pruned" "Subtrees pruned so far" (fun s ->
+                  s.Stats.pruned);
               summed "tasks" "Tasks spawned so far" (fun s -> s.Stats.tasks);
               int "tasks_done" "Tasks finished so far" (fun () ->
                   Counters.tasks_done counters);

@@ -266,7 +266,8 @@ let monitor_scrape_midrun () =
       match j with
       | Some (Analyze.Num x) ->
         Alcotest.(check (float 1e-9)) (what ^ " " ^ key) v x
-      | _ -> Alcotest.fail (Printf.sprintf "%s %s missing from /status" what key)
+      | _ ->
+        Alcotest.fail (Printf.sprintf "%s %s missing from /status" what key)
     in
     Alcotest.(check string) "status names the runtime" "shm"
       (Analyze.str_or "" (Analyze.member "runtime" json));
@@ -279,7 +280,8 @@ let monitor_scrape_midrun () =
       (List.mem_assoc "workers" live);
     List.iter
       (fun (k, v) ->
-        if k <> "uptime_seconds" then same "live gauge" k v (Analyze.member k json))
+        if k <> "uptime_seconds" then
+          same "live gauge" k v (Analyze.member k json))
       live;
     let progress = Analyze.member "progress" json in
     let progress_gauges = gauges ~prefix:"yewpar_progress_" prom in
