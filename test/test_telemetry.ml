@@ -374,6 +374,13 @@ let test_shm_traced () =
        true
      with Not_found -> false)
 
+(* A locality need not record any event: one forked late can find the
+   job already finished by the other, its first communicator tick
+   handles [Shutdown] before its worker domains first look for work,
+   and it ships an empty [Report]. What the system does guarantee is
+   that every locality reports (none is lost, so the coordinator
+   waited for each [Report]), that every event comes from a locality
+   of the run, and that every executed task has its event. *)
 let test_dist_traced () =
   let p = queens_n 8 in
   let untraced = Dist.run ~watchdog:120. ~localities:2 ~workers:2 ~coordination p in
@@ -384,11 +391,13 @@ let test_dist_traced () =
       ~coordination p
   in
   Alcotest.(check int) "same result" untraced traced;
+  Alcotest.(check int) "every locality reported" 0 stats.Stats.localities_lost;
   let events = Telemetry.events tl in
   let localities =
     List.sort_uniq compare (List.map (fun e -> e.Journal.locality) events)
   in
-  Alcotest.(check (list int)) "events from every locality" [ 0; 1 ] localities;
+  Alcotest.(check bool) "events only from the run's localities" true
+    (localities <> [] && List.for_all (fun l -> l = 0 || l = 1) localities);
   let tasks = List.filter (fun e -> e.Journal.ev = "task") events in
   (* [Stats.tasks] counts spawns; the root arrives from the coordinator
      uncounted, so executions exceed spawns by exactly one. *)
@@ -402,7 +411,8 @@ let test_dist_traced () =
     |> List.map (fun ev -> num_field "pid" ev)
     |> List.sort_uniq compare
   in
-  Alcotest.(check (list (float 0.))) "a process per locality" [ 0.; 1. ] pids
+  Alcotest.(check (list (float 0.))) "a process per recording locality"
+    (List.map float_of_int localities) pids
 
 (* One dist run writing both views: the Chrome file and the journal
    must hold the same per-worker task, steal and idle counts, and every
