@@ -1,215 +1,152 @@
-(* Four parallel count arrays indexed by depth, grown on first touch of
-   a deeper row. Single-writer; merged after the parallel join.
-
-   Alongside sits an independently-switchable progress array feeding
-   the tree-size estimator ({!Progress}). Its node counts are the
-   [nodes] column, kept whenever either switch is on, so every node is
-   counted once and progress estimation works when profiling is off. *)
+(* One flat int array, one row of [stride] counters per depth: the four
+   profile columns (nodes, pruned, spawned, bound updates), then the
+   three progress columns (expansions completed, kept children, sum of
+   kept²; integer, so a note never converts to float). A note is one
+   switch test, one bounds check against [rows] and its stores; growth
+   is out of line, and the extents are found by scanning for the last
+   non-zero row only when something reads them. Single-writer; merged
+   after the parallel join. *)
 type t = {
-  on : bool;
-  progress : bool;
+  on : bool;  (* the pruned, spawned and bound columns *)
+  progress : bool;  (* the three progress columns *)
+  any : bool;  (* [on || progress]: the nodes column, which both read *)
   mutable last : int;
-      (* depth of the last noted node, where [note_bound] buckets an
+      (* depth of the last noted node, where [note_bound] books an
          improvement; written only when a switch is on, so [null] is
          never written *)
-  mutable nlen : int;  (* rows with a node = deepest noted node + 1 *)
-  mutable elen : int;  (* rows with a prune, spawn or bound *)
-  mutable nodes : int array;
-  mutable pruned : int array;
-  mutable spawned : int array;
-  mutable bounds : int array;
-  mutable plen : int;  (* progress rows in use *)
-  mutable prog : int array;
-      (* progress columns, one stride-3 row per depth: expansions
-         completed, kept children credited, sum of kept². A single flat
-         int array keeps the per-leave hot path to one bounds check and
-         co-locates a depth's counters on one cache line; kept² stays
-         integer so the per-leave path never converts to float
-         (variance is computed at sampling). *)
+  mutable rows : int array;
 }
 
-let stride = 3
+let stride = 7
+let nodes = 0
+let pruned = 1
+let spawned = 2
+let bounds = 3
+let completed = 4
+let kept = 5
+let kept_sq = 6
+let first_rows = 16
 
 let create ?(profiled = true) ?(progress = true) () =
-  { on = profiled; progress; last = 0; nlen = 0; elen = 0; nodes = [||];
-    pruned = [||]; spawned = [||]; bounds = [||]; plen = 0; prog = [||] }
+  let any = profiled || progress in
+  { on = profiled; progress; any; last = 0;
+    rows = (if any then Array.make (stride * first_rows) 0 else [||]) }
 
-let null =
-  { on = false; progress = false; last = 0; nlen = 0; elen = 0; nodes = [||];
-    pruned = [||]; spawned = [||]; bounds = [||]; plen = 0; prog = [||] }
+let null = { on = false; progress = false; any = false; last = 0; rows = [||] }
 
-let grow a n =
-  let b = Array.make n 0 in
-  Array.blit a 0 b 0 (Array.length a);
-  b
+let[@inline never] grow t d =
+  let have = Array.length t.rows / stride in
+  let b = Array.make (stride * max (d + 1) (max first_rows (2 * have))) 0 in
+  Array.blit t.rows 0 b 0 (Array.length t.rows);
+  t.rows <- b
 
-let reserve t d =
-  if d >= Array.length t.nodes then begin
-    let n = max 16 (max (d + 1) (2 * Array.length t.nodes)) in
-    t.nodes <- grow t.nodes n;
-    t.pruned <- grow t.pruned n;
-    t.spawned <- grow t.spawned n;
-    t.bounds <- grow t.bounds n
-  end
+(* The index of row [d >= 0], grown into [rows] first if need be; every
+   unsafe access below is within that row. *)
+let[@inline] row_index t d =
+  let i = stride * d in
+  if i >= Array.length t.rows then grow t d;
+  i
 
-let reserve_event t d =
-  reserve t d;
-  if d >= t.elen then t.elen <- d + 1
-
-let reserve_p t d =
-  if stride * d >= Array.length t.prog then begin
-    let rows = max 16 (max (d + 1) (2 * (Array.length t.prog / stride))) in
-    let b = Array.make (stride * rows) 0 in
-    Array.blit t.prog 0 b 0 (Array.length t.prog);
-    t.prog <- b
-  end;
-  if d >= t.plen then t.plen <- d + 1
-
-(* A guard of [stride * d + 2 < length prog] precedes every unsafe row
-   access below — unsafe by construction, not by hope. *)
-let[@inline] bump p i n = Array.unsafe_set p i (Array.unsafe_get p i + n)
+let[@inline] bump a i n = Array.unsafe_set a i (Array.unsafe_get a i + n)
 
 let note_node t d =
-  if d >= 0 && (t.on || t.progress) then begin
-    reserve t d;
-    if d >= t.nlen then t.nlen <- d + 1;
-    t.nodes.(d) <- t.nodes.(d) + 1;
+  if t.any && d >= 0 then begin
+    let i = row_index t d in
+    bump t.rows (i + nodes) 1;
     t.last <- d
   end
 
-(* The grow is kept out of line so the per-leave fast path is branches
-   and stores only. *)
-let note_complete_slow t d kept =
-  reserve_p t d;
-  let p = t.prog and i = stride * d in
-  bump p i 1;
-  bump p (i + 1) kept;
-  bump p (i + 2) (kept * kept)
-
-let note_complete t d kept =
+let note_complete t d k =
   if t.progress && d >= 0 then begin
-    let p = t.prog in
-    let i = stride * d in
-    if i + stride <= Array.length p then begin
-      bump p i 1;
-      bump p (i + 1) kept;
-      bump p (i + 2) (kept * kept);
-      if d >= t.plen then t.plen <- d + 1
-    end
-    else note_complete_slow t d kept
+    let i = row_index t d in
+    let a = t.rows in
+    bump a (i + completed) 1;
+    bump a (i + kept) k;
+    bump a (i + kept_sq) (k * k)
   end
 
 let note_prune t d =
-  if t.on && d >= 0 then begin
-    reserve_event t d;
-    t.pruned.(d) <- t.pruned.(d) + 1
-  end
+  if t.on && d >= 0 then bump t.rows (row_index t d + pruned) 1
 
 let note_spawn t d =
-  if t.on && d >= 0 then begin
-    reserve_event t d;
-    t.spawned.(d) <- t.spawned.(d) + 1
-  end
+  if t.on && d >= 0 then bump t.rows (row_index t d + spawned) 1
 
-let note_bound t =
-  if t.on then begin
-    let d = t.last in
-    reserve_event t d;
-    t.bounds.(d) <- t.bounds.(d) + 1
-  end
+let note_bound t = if t.on then bump t.rows (row_index t t.last + bounds) 1
 
-let depths t = max t.nlen t.elen
+(* 1 + the last row of [a] with a non-zero column among [cols]. *)
+let extent a cols =
+  let rec go d =
+    if d < 0 then 0
+    else if List.exists (fun c -> a.((stride * d) + c) <> 0) cols then d + 1
+    else go (d - 1)
+  in
+  go ((Array.length a / stride) - 1)
+
+let depths t = extent t.rows [ nodes; pruned; spawned; bounds ]
+
+(* The pruned, spawned and bound columns are left out so the progress
+   view's extent does not depend on profiling. *)
+let progress_depths t = if t.progress then extent t.rows [ nodes; completed ] else 0
 
 let row t d =
-  if d < 0 || d >= depths t then (0, 0, 0, 0)
-  else (t.nodes.(d), t.pruned.(d), t.spawned.(d), t.bounds.(d))
-
-let sum a len =
-  let s = ref 0 in
-  for i = 0 to len - 1 do
-    s := !s + a.(i)
-  done;
-  !s
+  let a = t.rows and i = stride * d in
+  if d < 0 || i >= Array.length a then (0, 0, 0, 0)
+  else (a.(i + nodes), a.(i + pruned), a.(i + spawned), a.(i + bounds))
 
 let totals t =
-  let n = depths t in
-  (sum t.nodes n, sum t.pruned n, sum t.spawned n, sum t.bounds n)
-
-let is_empty t =
-  let n, p, s, b = totals t in
-  n = 0 && p = 0 && s = 0 && b = 0
-
-let merge acc s =
-  let n = depths s in
-  if (acc.on || acc.progress) && n > 0 then begin
-    reserve acc (n - 1);
-    acc.nlen <- max acc.nlen s.nlen;
-    acc.elen <- max acc.elen s.elen;
-    for d = 0 to n - 1 do
-      acc.nodes.(d) <- acc.nodes.(d) + s.nodes.(d);
-      acc.pruned.(d) <- acc.pruned.(d) + s.pruned.(d);
-      acc.spawned.(d) <- acc.spawned.(d) + s.spawned.(d);
-      acc.bounds.(d) <- acc.bounds.(d) + s.bounds.(d)
-    done
-  end;
-  if acc.progress && s.plen > 0 then begin
-    reserve_p acc (s.plen - 1);
-    for j = 0 to (stride * s.plen) - 1 do
-      acc.prog.(j) <- acc.prog.(j) + s.prog.(j)
-    done
-  end
-
-let copy t =
-  { on = t.on; progress = t.progress; last = t.last; nlen = t.nlen;
-    elen = t.elen;
-    nodes = Array.sub t.nodes 0 (Array.length t.nodes);
-    pruned = Array.sub t.pruned 0 (Array.length t.pruned);
-    spawned = Array.sub t.spawned 0 (Array.length t.spawned);
-    bounds = Array.sub t.bounds 0 (Array.length t.bounds);
-    plen = t.plen;
-    prog = Array.sub t.prog 0 (Array.length t.prog) }
-
-(* [elen] is left out so the progress view's extent does not depend on
-   profiling. *)
-let progress_depths t = if t.progress then max t.plen t.nlen else 0
-
-(* Racy cross-domain snapshot of one progress row: take local refs
-   first, then bounds-check each against the array actually grabbed, so
-   a concurrent growth can at worst hide the newest row. *)
-
-let progress_row t d =
-  let a = t.nodes and p = t.prog in
-  let get a i = if i < Array.length a then a.(i) else 0 in
-  if d < 0 then (0, 0, 0, 0.)
-  else begin
+  let a = t.rows and n = ref 0 and p = ref 0 and s = ref 0 and b = ref 0 in
+  for d = 0 to (Array.length a / stride) - 1 do
     let i = stride * d in
-    (get a d, get p i, get p (i + 1), float_of_int (get p (i + 2)))
+    n := !n + a.(i + nodes);
+    p := !p + a.(i + pruned);
+    s := !s + a.(i + spawned);
+    b := !b + a.(i + bounds)
+  done;
+  (!n, !p, !s, !b)
+
+let is_empty t = totals t = (0, 0, 0, 0)
+
+(* A profile that records anything takes the four profile columns of
+   what it merges (so a progress-only one keeps the nodes column whole);
+   the progress columns only when its own progress view is on. *)
+let merge acc s =
+  let b = s.rows in
+  let n = extent b (List.init stride Fun.id) in
+  if acc.any && n > 0 then begin
+    ignore (row_index acc (n - 1) : int);
+    let a = acc.rows and cols = if acc.progress then stride else completed in
+    for d = 0 to n - 1 do
+      for c = 0 to cols - 1 do
+        let i = (stride * d) + c in
+        a.(i) <- a.(i) + b.(i)
+      done
+    done
   end
+
+let copy t = { t with rows = Array.copy t.rows }
+
+(* Racy cross-domain snapshot of one progress row: [rows] is read once
+   and the row bounds-checked against that array, so a concurrent
+   growth can at worst hide the newest rows. *)
+let progress_row t d =
+  let a = t.rows and i = stride * d in
+  if d < 0 || i >= Array.length a then (0, 0, 0, 0.)
+  else
+    (a.(i + nodes), a.(i + completed), a.(i + kept), float_of_int a.(i + kept_sq))
 
 let to_csv t =
   let buf = Buffer.create 256 in
   Buffer.add_string buf "depth,nodes,pruned,spawned,bound_updates\n";
   for d = 0 to depths t - 1 do
-    Buffer.add_string buf
-      (Printf.sprintf "%d,%d,%d,%d,%d\n" d t.nodes.(d) t.pruned.(d)
-         t.spawned.(d) t.bounds.(d))
+    let n, p, s, b = row t d in
+    Buffer.add_string buf (Printf.sprintf "%d,%d,%d,%d,%d\n" d n p s b)
   done;
   Buffer.contents buf
 
 let pp ppf t =
-  let rows =
-    List.init (depths t) (fun d ->
-        [ string_of_int d; string_of_int t.nodes.(d);
-          string_of_int t.pruned.(d); string_of_int t.spawned.(d);
-          string_of_int t.bounds.(d) ])
-  in
-  let n, p, s, b = totals t in
-  let rows =
-    rows
-    @ [ [ "total"; string_of_int n; string_of_int p; string_of_int s;
-          string_of_int b ] ]
-  in
+  let line label (n, p, s, b) = label :: List.map string_of_int [ n; p; s; b ] in
+  let rows = List.init (depths t) (fun d -> line (string_of_int d) (row t d)) in
   Format.pp_print_string ppf
     (Yewpar_util.Table.render
        ~header:[ "depth"; "nodes"; "pruned"; "spawned"; "bounds" ]
-       rows)
+       (rows @ [ line "total" (totals t) ]))
