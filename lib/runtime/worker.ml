@@ -227,8 +227,7 @@ let advance ctx ~slot ~steps =
   | Some e when s.live ->
     let view = ctx.views.(slot) in
     let tag = s.tag in
-    let charged () = Engine.nodes_entered e + Engine.nodes_pruned e in
-    let before = charged () in
+    let entered = Engine.nodes_entered e and pruned = Engine.nodes_pruned e in
     let run ?on_enter ?on_leave () =
       Engine.run ?on_enter ?on_leave ~steps ~prune_rest:view.Ops.prune_siblings
         ~keep:view.Ops.keep ~process:view.Ops.process ~stop:ctx.stop e
@@ -260,22 +259,29 @@ let advance ctx ~slot ~steps =
           _ ) ->
         run ()
     in
-    let units = charged () - before in
+    (* The call's entered and pruned steps reach the counters now, so
+       the live view lags a running task by at most one call. *)
+    let st = stats ctx ~slot in
+    let entered = Engine.nodes_entered e - entered
+    and pruned = Engine.nodes_pruned e - pruned in
+    st.Stats.nodes <- st.Stats.nodes + entered;
+    st.Stats.pruned <- st.Stats.pruned + pruned;
     if not paused then begin
-      let st = stats ctx ~slot in
       s.live <- false;
-      st.Stats.nodes <- st.Stats.nodes + Engine.nodes_entered e;
-      st.Stats.pruned <- st.Stats.pruned + Engine.nodes_pruned e;
       st.Stats.backtracks <- st.Stats.backtracks + Engine.backtracks e;
       st.Stats.max_depth <- max st.Stats.max_depth (Engine.max_depth e);
       end_span ctx ~slot s
     end;
-    units
+    entered + pruned
   | Some _ | None -> 0
+
+let chunk = 1024
 
 let exec_task ctx ~slot task =
   ignore (start_task ctx ~slot task : int);
-  ignore (advance ctx ~slot ~steps:max_int : int)
+  while running ctx ~slot do
+    ignore (advance ctx ~slot ~steps:chunk : int)
+  done
 
 (* A user exception (e.g. a raising generator) must not deadlock the
    scheduler: record it, short-circuit every worker, and let the caller

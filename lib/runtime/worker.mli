@@ -21,8 +21,8 @@
       chosen once per call and handed to the engine's loop as a hook,
       so the loop itself tests no coordination.
 
-    {!exec_task} is the two back to back with an unbounded step count:
-    what worker domains run ({!start}). The simulator calls {!start_task}
+    {!exec_task} is the two back to back, advancing {!chunk} steps per
+    call until the task ends: what worker domains run ({!start}). The simulator calls {!start_task}
     and {!advance} itself and charges virtual time per step.
 
     The core writes no shared cell: a slot's counters and task slot are
@@ -30,8 +30,10 @@
     steps into the slot's depth profile ({!Yewpar_core.Engine.make}),
     and the core notes only what the engine never sees — the task root,
     spawn-depth children, and the children a split spawns or prunes.
-    The engine's node, prune and backtrack counts reach the slot's
-    counters once, when the task ends. Under [Sequential] the one
+    The engine's node and prune counts reach the slot's counters at
+    the end of every {!advance} call, so the live view's [nodes] lags
+    a worker domain by less than one {!chunk}; its backtracks and
+    depth reach them once, when the task ends. Under [Sequential] the one
     task never spawns, so a one-slot run walks the tree in
     {!Yewpar_core.Sequential.search}'s order. *)
 
@@ -140,8 +142,9 @@ val advance : (_, _, _) ctx -> slot:int -> steps:int -> int
     siblings, cuts its remaining siblings, as the engine would have.
     The task ends when its subtree is exhausted, when it processes a
     decision witness, or when [stop] is raised (checked before every
-    step, so [~steps:0] with [stop] raised just ends it); an ended
-    task adds its engine's counts to the counters and records its
+    step, so [~steps:0] with [stop] raised just ends it). Every call
+    adds the entered and pruned steps it took to the counters; an
+    ended task adds its engine's backtracks and depth and records its
     [Task] event. Returns the entered and pruned steps taken (the
     steps a cost model charges); [0] when the slot has no running
     task. *)
@@ -149,9 +152,12 @@ val advance : (_, _, _) ctx -> slot:int -> steps:int -> int
 val running : (_, _, _) ctx -> slot:int -> bool
 (** The slot has a started task whose engine has steps left. *)
 
+val chunk : int
+(** Engine steps per {!advance} call in {!exec_task}. *)
+
 val exec_task : (_, 'n, _) ctx -> slot:int -> 'n Task_pool.task -> unit
-(** Run one task to its end: {!start_task}, then {!advance} with an
-    unbounded step count. *)
+(** Run one task to its end: {!start_task}, then {!advance} by
+    {!chunk} steps while the task is {!running}. *)
 
 val request_stop : (_, 'n, 'n domains) ctx -> unit
 (** Raise the stop flag and wake every blocked worker. *)

@@ -232,6 +232,53 @@ let gauges ~prefix body =
       | _ -> None)
     (String.split_on_char '\n' body)
 
+(* A mid-run /status taken with every worker held still: the worker
+   whose generator call is the [target]-th scrapes, and any later call
+   waits until it has. The live [nodes] is flushed at each advance
+   chunk and [progress.nodes] is written per node, so they differ by
+   less than a chunk per worker; under [Sequential] the one task runs
+   the whole scrape long, so [nodes] would read 1 if the engine's count
+   reached the counters only when a task ended. *)
+let live_nodes_midrun ~workers coordination =
+  let port = ref 0 and calls = Atomic.make 0 and status = ref "" in
+  let m = Mutex.create () and scraped = Condition.create () in
+  let target = 20 * Worker.chunk in
+  let children () d =
+    let k = 1 + Atomic.fetch_and_add calls 1 in
+    if k = target then begin
+      let _, body = Http_export.request ~timeout:10. ~port:!port "/status" in
+      Mutex.lock m;
+      status := body;
+      Condition.broadcast scraped;
+      Mutex.unlock m
+    end
+    else if k > target then begin
+      Mutex.lock m;
+      while !status = "" do
+        Condition.wait scraped m
+      done;
+      Mutex.unlock m
+    end;
+    if d = 0 then Seq.empty else Seq.init 4 (fun _ -> d - 1)
+  in
+  let p = Problem.count_nodes ~name:"live" ~space:() ~root:9 ~children () in
+  let n =
+    Shm.run ~workers ~monitor_port:0 ~on_monitor:(fun q -> port := q)
+      ~coordination p
+  in
+  Alcotest.(check int) "live run counts every node" 349525 n;
+  let json = Analyze.parse_json !status in
+  let nodes = Analyze.num_or (-1.) (Analyze.member "nodes" json)
+  and progress =
+    Analyze.num_or (-1.)
+      (Option.bind (Analyze.member "progress" json) (Analyze.member "nodes"))
+  in
+  let what = Printf.sprintf "%d worker(s): nodes %.0f, progress.nodes %.0f" workers nodes progress in
+  Alcotest.(check bool) (what ^ ", mid-run") true
+    (progress >= float_of_int (target / 2) && progress < float_of_int n);
+  Alcotest.(check bool) (what ^ ", within a chunk per worker") true
+    (Float.abs (progress -. nodes) < float_of_int (workers * Worker.chunk))
+
 let monitor_scrape_midrun () =
   (* The monitor server is live before the worker domains spawn, so
      scraping from inside [on_monitor] is a deterministic mid-run
@@ -298,7 +345,9 @@ let monitor_scrape_midrun () =
       [ "schema_version"; "runtime"; "uptime"; "workers"; "nodes"; "pruned";
         "tasks"; "tasks_done"; "pool_depth"; "active_tasks"; "idle_workers";
         "steals"; "steal_attempts"; "bound_updates"; "best"; "trace_dropped";
-        "progress" ]
+        "progress" ];
+    live_nodes_midrun ~workers:1 Coordination.Sequential;
+    live_nodes_midrun ~workers:2 (Coordination.Stack_stealing { chunked = false })
 
 let repeated_runs_stable () =
   (* Results (not witnesses) must be stable across repeated parallel
@@ -399,9 +448,10 @@ let advance_batches_are_exec_task () =
        (Knapsack.Generate.weakly_correlated ~seed:43 ~n:14 ~max_value:100));
   check "kclique" (Mc.k_clique (Gen.hidden_clique ~seed:42 36 0.3 7) ~k:7)
 
-(* The simulator ends the tasks still running after a short-circuited
+(* Each [advance] call flushes the nodes and prunes it took; the
+   simulator ends the tasks still running after a short-circuited
    search with [advance ~steps:0]: with [stop] raised that takes no
-   step, but ends the task and flushes its engine's counts. *)
+   step, but ends the task and flushes its backtracks and depth. *)
 let advance_zero_after_stop_finalises () =
   let counters = Counters.create ~slots:1 () in
   let knowledge = Knowledge.make_atomic () in
@@ -424,8 +474,10 @@ let advance_zero_after_stop_finalises () =
   let units = Worker.advance ctx ~slot:0 ~steps:10 in
   Alcotest.(check int) "six nodes entered" 6 units;
   Alcotest.(check bool) "still running" true (Worker.running ctx ~slot:0);
-  Alcotest.(check int) "engine counts not yet flushed" 1
+  Alcotest.(check int) "entered nodes flushed at the call's end" 7
     counters.(0).Counters.stats.Stats.nodes;
+  Alcotest.(check int) "backtracks not yet flushed" 0
+    counters.(0).Counters.stats.Stats.backtracks;
   Atomic.set stop true;
   Alcotest.(check int) "no step taken" 0 (Worker.advance ctx ~slot:0 ~steps:0);
   Alcotest.(check bool) "task ended" false (Worker.running ctx ~slot:0);
