@@ -860,11 +860,15 @@ let top_cmd =
       (match port with
       | None -> ()
       | Some p -> (
-        match Http.get ~timeout:2.0 ~port:p "/status" with
-        | body -> (
+        match Http.request ~timeout:2.0 ~port:p "/status" with
+        | status, body when status / 100 = 2 -> (
           match Analyze.parse_json body with
           | json -> Buffer.add_string buf (render_json json)
           | exception _ -> Buffer.add_string buf body)
+        | status, _ ->
+          Buffer.add_string buf
+            (Printf.sprintf "error:    127.0.0.1:%d answered /status with HTTP %d\n"
+               p status)
         | exception _ ->
           Buffer.add_string buf
             (Printf.sprintf "status:   127.0.0.1:%d unreachable\n" p)));
