@@ -70,8 +70,8 @@ let send_timeout = 5.0
 
 let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
     ?(standby_from = max_int) ?(pool_policy = Yewpar_core.Workpool.Depth)
-    ?cancelled ?on_progress ?journal ?telemetry ?trace ?label ~started ~conns
-    ~root_payload () =
+    ?cancelled ?on_progress ?journal ?telemetry ?trace ?label ~heartbeat
+    ~started ~conns ~root_payload () =
   let l = Array.length conns in
   let standby_from = min standby_from l in
   let failure_timeout =
@@ -570,7 +570,32 @@ let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
             nodes;
             psample;
           };
-      incr heartbeats;
+      incr heartbeats
+    | Wire.Failed { message } ->
+      fail message;
+      broadcast_shutdown ()
+    | Wire.Report { residual; stats; clock; events } ->
+      keep_events i ~clock events;
+      reports.(i) <- Some (residual, stats)
+    (* Locality-bound messages; never sent to the coordinator. [Pong]
+       matters only for the liveness clock, refreshed on any frame. *)
+    | Wire.Pong | Wire.Ping | Wire.Steal_reply _ | Wire.Shutdown
+    | Wire.Job_start _ | Wire.Quit ->
+      ()
+  in
+  (* Progress is re-estimated on this clock, at most once per heartbeat
+     period and only after a heartbeat has arrived since the last
+     estimate, from each locality's latest sample. An estimate then
+     spans about one heartbeat of every locality, so two heartbeats
+     landing a millisecond apart cannot pass one locality's whole delta
+     off as a millisecond's work. The first heartbeat is estimated at
+     once, so even a sub-period job reports progress. *)
+  let last_tick = ref neg_infinity and ticked_at = ref 0 in
+  let progress_tick () =
+    let now = Unix.gettimeofday () in
+    if !heartbeats > !ticked_at && now -. !last_tick >= heartbeat then begin
+      last_tick := now;
+      ticked_at := !heartbeats;
       last_report := Track.update ptracker ~now (fused_sample ());
       (match journal with
       | Some _ when now -. !last_psample_jot >= 1.0 ->
@@ -579,7 +604,7 @@ let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
           ~value:(Track.journal_value !last_report)
           ~note:(Track.journal_note !last_report)
       | _ -> ());
-      (match on_progress with
+      match on_progress with
       | None -> ()
       | Some f ->
         let r = !last_report in
@@ -595,18 +620,8 @@ let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
             p_fraction = r.Track.r_fraction;
             p_rate = r.Track.r_rate;
             p_eta = r.Track.r_eta;
-          })
-    | Wire.Failed { message } ->
-      fail message;
-      broadcast_shutdown ()
-    | Wire.Report { residual; stats; clock; events } ->
-      keep_events i ~clock events;
-      reports.(i) <- Some (residual, stats)
-    (* Locality-bound messages; never sent to the coordinator. [Pong]
-       matters only for the liveness clock, refreshed on any frame. *)
-    | Wire.Pong | Wire.Ping | Wire.Steal_reply _ | Wire.Shutdown
-    | Wire.Job_start _ | Wire.Quit ->
-      ()
+          }
+    end
   in
   let locality_done i = (not alive.(i)) || reports.(i) <> None in
   let all_done () =
@@ -710,6 +725,7 @@ let run ?watchdog ?monitor_port ?on_monitor ?failure_timeout ?lease_timeout
         broadcast_shutdown ()
       | None -> ())
     | _ -> ());
+    progress_tick ();
     check_liveness ();
     check_lease_timeouts ();
     serve_hungry ();

@@ -105,6 +105,7 @@ val run :
   ?telemetry:Yewpar_telemetry.Telemetry.t ->
   ?trace:string ->
   ?label:string ->
+  heartbeat:float ->
   started:float ->
   conns:Transport.t array ->
   root_payload:string ->
@@ -130,9 +131,12 @@ val run :
     broadcast, stats are still collected, and [reason] lands in
     [outcome.failure]. The CLI routes SIGTERM/SIGINT through it and
     the job server routes [DELETE /jobs/:id], which is how a
-    cancelled job releases its leases. [on_progress] is invoked on
-    every heartbeat receipt with a {!progress} snapshot (it works
-    without [monitor_port]).
+    cancelled job releases its leases. [heartbeat] is the localities'
+    heartbeat period: the fused progress estimate and its rate are
+    re-taken on the coordinator's clock at most once per period, once
+    a heartbeat has arrived since the last estimate, and at the first
+    heartbeat. [on_progress] is invoked with a {!progress} snapshot at
+    each such estimate (it works without [monitor_port]).
 
     With [journal] the coordinator writes the run's causal event
     journal ({!Yewpar_telemetry.Journal}): job lifecycle and every

@@ -107,7 +107,7 @@ let distributed_run (type s n r) ?stats ?broadcasts ?telemetry ?journal
         Coordinator.run ?watchdog ?monitor_port ?on_monitor
           ~failure_timeout ?lease_timeout ~standby_from:localities
           ~pool_policy:(Yewpar_runtime.Task_pool.policy_for coordination)
-          ~cancelled ?journal ?telemetry ~started ~conns
+          ~cancelled ?journal ?telemetry ~heartbeat ~started ~conns
           ~root_payload:(codec.Codec.encode p.Problem.root) ()
       in
       (match outcome.Coordinator.failure with

@@ -261,7 +261,7 @@ let run_job t (job : Job.t) slots =
            ?journal:t.journal ~started
            ~trace:(Printf.sprintf "job-%d" job.Job.id)
            ~label:(Printf.sprintf "job %d" job.Job.id)
-           ~conns ~root_payload:sv.sv_root ())
+           ~heartbeat:t.config.heartbeat ~conns ~root_payload:sv.sv_root ())
     with e -> Error (Printexc.to_string e)
   in
   Mutex.lock t.mutex;

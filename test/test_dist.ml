@@ -924,9 +924,10 @@ let monitor_scrape_midrun () =
   (* A scraper process forked BEFORE any domain exists in this process
      (OCaml 5 forbids forking once domains have been spawned) polls for
      the coordinator's ephemeral port and hits /metrics and /status
-     while the search is still in flight. queens-12 runs long enough
-     (hundreds of ms distributed) that the scrape cannot race the
-     shutdown. *)
+     while the search is still in flight, then keeps polling /status
+     for the progress rate until the server is gone. queens-13 runs
+     long enough (most of a second distributed) that the first scrape
+     cannot race the shutdown. *)
   let portfile = Filename.temp_file "yewpar_monitor" ".port" in
   let outfile = Filename.temp_file "yewpar_monitor" ".out" in
   Sys.remove portfile;
@@ -957,6 +958,22 @@ let monitor_scrape_midrun () =
         output_string oc metrics;
         output_string oc "\n--8<--\n";
         output_string oc status;
+        output_string oc "\n--8<--\n";
+        (* "uptime rate" per later scrape, until the server stops. *)
+        let rec poll () =
+          match Http_export.request ~timeout:1. ~port "/status" with
+          | _, body when Unix.gettimeofday () < deadline ->
+            let j = Analyze.parse_json body in
+            let num k j = Analyze.num_or (-1.) (Option.bind j (Analyze.member k)) in
+            Printf.fprintf oc "%.6f %.6g\n"
+              (num "uptime" (Some j))
+              (num "rate" (Analyze.member "progress" j));
+            Unix.sleepf 0.005;
+            poll ()
+          | _ -> ()
+          | exception _ -> ()
+        in
+        poll ();
         close_out oc;
         0
       with _ -> 1
@@ -972,26 +989,55 @@ let monitor_scrape_midrun () =
       Sys.rename tmp portfile
     in
     let stats = Stats.create () in
+    let t0 = Unix.gettimeofday () in
     let r =
       Dist.run ~stats ~watchdog:120. ~monitor_port:0 ~heartbeat:0.02
         ~on_monitor:publish ~localities:2 ~workers:2
         ~coordination:(Coordination.Depth_bounded { dcutoff = 2 })
-        (queens_n 12)
+        (queens_n 13)
     in
+    let elapsed = Unix.gettimeofday () -. t0 in
     let _, status = Unix.waitpid [] scraper in
     Alcotest.(check bool) "scraper exited cleanly" true
       (status = Unix.WEXITED 0);
-    Alcotest.(check int) "search result unaffected by monitoring" 14200 r;
+    Alcotest.(check int) "search result unaffected by monitoring" 73712 r;
     let ic = open_in_bin outfile in
     let body = really_input_string ic (in_channel_length ic) in
     close_in ic;
     Sys.remove outfile;
     (try Sys.remove portfile with Sys_error _ -> ());
-    let metrics, status =
-      match Str.bounded_split (Str.regexp_string "\n--8<--\n") body 2 with
-      | [ m; s ] -> (m, Analyze.parse_json s)
+    let metrics, status, rates =
+      match Str.bounded_split (Str.regexp_string "\n--8<--\n") body 3 with
+      | [ m; s; r ] -> (m, Analyze.parse_json s, r)
+      | [ m; s ] -> (m, Analyze.parse_json s, "")
       | _ -> Alcotest.fail "scraper output has no separator"
     in
+    (* The rate is taken on the coordinator's clock: once the smoothed
+       rate has caught up with the start, in the second half of the
+       run, each scrape's rate is within 2x of the run's overall rate
+       (start-up included, so the overall one reads low). *)
+    let final = float_of_int stats.Stats.nodes /. elapsed in
+    let mid =
+      List.filter_map
+        (fun line ->
+          match String.split_on_char ' ' line with
+          | [ u; r ] ->
+            let u = float_of_string u and r = float_of_string r in
+            if u >= elapsed /. 2. && r > 0. then
+              Some (u, r)
+            else None
+          | _ -> None)
+        (String.split_on_char '\n' rates)
+    in
+    Alcotest.(check bool) "mid-run rates scraped" true (mid <> []);
+    List.iter
+      (fun (u, r) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "rate %.3g at %.3fs within 2x of the run's %.3g" r u
+             final)
+          true
+          (r <= 2. *. final && r >= final /. 2.))
+      mid;
     Alcotest.(check bool) "metrics expose live gauges" true
       (contains metrics "yewpar_live_localities");
     Alcotest.(check string) "status names the runtime" "dist"
