@@ -10,9 +10,19 @@
     distributed localities ship their profiles in the same frame as
     their counters and {!Stats.add} aggregates them).
 
-    Recording is single-writer (one profile per worker, merged after
-    the join) and allocation-free until a deeper row is first touched;
-    a disabled profile ({!null}) reduces every note to one branch. *)
+    A profile is one flat [int array] holding a row of seven counters
+    per depth: nodes, pruned, spawned, bound updates, then the
+    progress columns — expansions completed, kept children, and the
+    sum of kept² (integer, so a note never converts to float). {!create}
+    allocates the first sixteen rows when a switch is on; a deeper row
+    doubles the array, out of line. A note costs one switch test, one
+    bounds check against the array and its stores: no extent is kept,
+    so {!depths} and {!progress_depths} scan for the last non-zero
+    row when they are read (by {!merge}, progress sampling and the
+    CSV and table renderers). Recording is single-writer (one profile
+    per worker, merged after the join); a disabled profile ({!null},
+    an empty array) reduces every note to its switch test and is
+    never written. *)
 
 type t
 
@@ -67,8 +77,9 @@ val totals : t -> int * int * int * int
     {!Stats.t} (the test suite enforces this). *)
 
 val merge : t -> t -> unit
-(** [merge acc s] adds [s]'s rows into [acc] (row-wise sums). It reads
-    [s]'s row count before its arrays, so [s] must not be recording
+(** [merge acc s] adds [s]'s rows into [acc] (row-wise sums): the four
+    profile columns when [acc] records anything, the progress columns
+    when [acc]'s progress view is on. [s] must not be recording
     (merge after the join). Merging into {!null} is a no-op. *)
 
 val copy : t -> t
@@ -83,8 +94,8 @@ val progress_row : t -> int -> int * int * int * float
     at depth [d]: the [nodes] column's row and the progress columns'
     (all zero beyond {!progress_depths}). Safe to call
     from another domain while the owner records: reads are
-    bounds-checked against the arrays actually observed, so a racing
-    growth at worst hides the newest rows. *)
+    bounds-checked against the one array actually observed, so a
+    racing growth at worst hides the newest rows. *)
 
 val is_empty : t -> bool
 (** No event was ever recorded. *)
