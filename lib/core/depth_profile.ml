@@ -40,38 +40,44 @@ let[@inline never] grow t d =
   Array.blit t.rows 0 b 0 (Array.length t.rows);
   t.rows <- b
 
-(* The index of row [d >= 0], grown into [rows] first if need be; every
-   unsafe access below is within that row. *)
-let[@inline] row_index t d =
-  let i = stride * d in
-  if i >= Array.length t.rows then grow t d;
-  i
-
 let[@inline] bump a i n = Array.unsafe_set a i (Array.unsafe_get a i + n)
+
+(* A note's fast path is a leaf: a row beyond [rows] is grown and
+   noted by an out-of-line tail call, so the fast path spills nothing
+   and needs no stack frame. Every unsafe access is within a row the
+   test before it found in [rows]. *)
+let[@inline never] grow_bump t d col =
+  grow t d;
+  bump t.rows ((stride * d) + col) 1
+
+let[@inline] note_col t d col =
+  let a = t.rows and i = stride * d in
+  if i < Array.length a then bump a (i + col) 1 else grow_bump t d col
+
+let[@inline] add_completion a i k =
+  bump a (i + completed) 1;
+  bump a (i + kept) k;
+  bump a (i + kept_sq) (k * k)
+
+let[@inline never] grow_complete t d k =
+  grow t d;
+  add_completion t.rows (stride * d) k
 
 let note_node t d =
   if t.any && d >= 0 then begin
-    let i = row_index t d in
-    bump t.rows (i + nodes) 1;
-    t.last <- d
+    t.last <- d;
+    note_col t d nodes
   end
 
 let note_complete t d k =
   if t.progress && d >= 0 then begin
-    let i = row_index t d in
-    let a = t.rows in
-    bump a (i + completed) 1;
-    bump a (i + kept) k;
-    bump a (i + kept_sq) (k * k)
+    let a = t.rows and i = stride * d in
+    if i < Array.length a then add_completion a i k else grow_complete t d k
   end
 
-let note_prune t d =
-  if t.on && d >= 0 then bump t.rows (row_index t d + pruned) 1
-
-let note_spawn t d =
-  if t.on && d >= 0 then bump t.rows (row_index t d + spawned) 1
-
-let note_bound t = if t.on then bump t.rows (row_index t t.last + bounds) 1
+let note_prune t d = if t.on && d >= 0 then note_col t d pruned
+let note_spawn t d = if t.on && d >= 0 then note_col t d spawned
+let note_bound t = if t.on then note_col t t.last bounds
 
 (* 1 + the last row of [a] with a non-zero column among [cols]. *)
 let extent a cols =
@@ -113,7 +119,7 @@ let merge acc s =
   let b = s.rows in
   let n = extent b (List.init stride Fun.id) in
   if acc.any && n > 0 then begin
-    ignore (row_index acc (n - 1) : int);
+    if stride * n > Array.length acc.rows then grow acc (n - 1);
     let a = acc.rows and cols = if acc.progress then stride else completed in
     for d = 0 to n - 1 do
       for c = 0 to cols - 1 do
