@@ -867,8 +867,8 @@ let top_cmd =
           | exception _ -> Buffer.add_string buf body)
         | status, _ ->
           Buffer.add_string buf
-            (Printf.sprintf "error:    127.0.0.1:%d answered /status with HTTP %d\n"
-               p status)
+            (Printf.sprintf
+               "error:    127.0.0.1:%d answered /status with HTTP %d\n" p status)
         | exception _ ->
           Buffer.add_string buf
             (Printf.sprintf "status:   127.0.0.1:%d unreachable\n" p)));

@@ -92,7 +92,8 @@ let depths t = extent t.rows [ nodes; pruned; spawned; bounds ]
 
 (* The pruned, spawned and bound columns are left out so the progress
    view's extent does not depend on profiling. *)
-let progress_depths t = if t.progress then extent t.rows [ nodes; completed ] else 0
+let progress_depths t =
+  if t.progress then extent t.rows [ nodes; completed ] else 0
 
 let row t d =
   let a = t.rows and i = stride * d in
@@ -138,7 +139,8 @@ let progress_row t d =
   let a = t.rows and i = stride * d in
   if d < 0 || i >= Array.length a then (0, 0, 0, 0.)
   else
-    (a.(i + nodes), a.(i + completed), a.(i + kept), float_of_int a.(i + kept_sq))
+    ( a.(i + nodes), a.(i + completed), a.(i + kept),
+      float_of_int a.(i + kept_sq) )
 
 let to_csv t =
   let buf = Buffer.create 256 in
@@ -150,7 +152,9 @@ let to_csv t =
   Buffer.contents buf
 
 let pp ppf t =
-  let line label (n, p, s, b) = label :: List.map string_of_int [ n; p; s; b ] in
+  let line label (n, p, s, b) =
+    label :: List.map string_of_int [ n; p; s; b ]
+  in
   let rows = List.init (depths t) (fun d -> line (string_of_int d) (row t d)) in
   Format.pp_print_string ppf
     (Yewpar_util.Table.render

@@ -22,8 +22,9 @@
       so the loop itself tests no coordination.
 
     {!exec_task} is the two back to back, advancing {!chunk} steps per
-    call until the task ends: what worker domains run ({!start}). The simulator calls {!start_task}
-    and {!advance} itself and charges virtual time per step.
+    call until the task ends: what worker domains run ({!start}). The
+    simulator calls {!start_task} and {!advance} itself and charges
+    virtual time per step.
 
     The core writes no shared cell: a slot's counters and task slot are
     written only by its own thread. Each slot's engine records its
@@ -33,8 +34,8 @@
     The engine's node and prune counts reach the slot's counters at
     the end of every {!advance} call, so the live view's [nodes] lags
     a worker domain by less than one {!chunk}; its backtracks and
-    depth reach them once, when the task ends. Under [Sequential] the one
-    task never spawns, so a one-slot run walks the tree in
+    depth reach them once, when the task ends. Under [Sequential] the
+    one task never spawns, so a one-slot run walks the tree in
     {!Yewpar_core.Sequential.search}'s order. *)
 
 type 'n scheduler = {

@@ -236,9 +236,10 @@ let gauges ~prefix body =
    whose generator call is the [target]-th scrapes, and any later call
    waits until it has. The live [nodes] is flushed at each advance
    chunk and [progress.nodes] is written per node, so they differ by
-   less than a chunk per worker; under [Sequential] the one task runs
-   the whole scrape long, so [nodes] would read 1 if the engine's count
-   reached the counters only when a task ended. *)
+   less than a chunk per worker. Under [Sequential] the one task is
+   still running at the scrape, so [nodes] would read 1 if the engine's
+   count reached the counters only when a task ended. A failed scrape
+   still releases the waiting workers. *)
 let live_nodes_midrun ~workers coordination =
   let port = ref 0 and calls = Atomic.make 0 and status = ref "" in
   let m = Mutex.create () and scraped = Condition.create () in
@@ -246,7 +247,10 @@ let live_nodes_midrun ~workers coordination =
   let children () d =
     let k = 1 + Atomic.fetch_and_add calls 1 in
     if k = target then begin
-      let _, body = Http_export.request ~timeout:10. ~port:!port "/status" in
+      let body =
+        try snd (Http_export.request ~timeout:10. ~port:!port "/status")
+        with e -> "scrape failed: " ^ Printexc.to_string e
+      in
       Mutex.lock m;
       status := body;
       Condition.broadcast scraped;
@@ -273,7 +277,10 @@ let live_nodes_midrun ~workers coordination =
     Analyze.num_or (-1.)
       (Option.bind (Analyze.member "progress" json) (Analyze.member "nodes"))
   in
-  let what = Printf.sprintf "%d worker(s): nodes %.0f, progress.nodes %.0f" workers nodes progress in
+  let what =
+    Printf.sprintf "%d worker(s): nodes %.0f, progress.nodes %.0f" workers
+      nodes progress
+  in
   Alcotest.(check bool) (what ^ ", mid-run") true
     (progress >= float_of_int (target / 2) && progress < float_of_int n);
   Alcotest.(check bool) (what ^ ", within a chunk per worker") true
