@@ -158,6 +158,23 @@ let merge_sums () =
     (Progress.observed (Progress.merge Progress.empty a))
     (Progress.observed a)
 
+(* A stratum with nodes below it but no completion opens the band to
+   infinity; the next stratum has no signal at all (a factor of 0).
+   [infinity *. 0.] is [nan], and the upper bound must not become it:
+   a decision search stopped at a witness leaves this shape behind. *)
+let open_band_then_no_signal () =
+  let s =
+    { Progress.rows = 4;
+      nodes = [| 1; 2; 3; 0 |];
+      completed = [| 1; 0; 0; 0 |];
+      children = [| 2; 0; 0; 0 |];
+      children_sq = [| 4.; 0.; 0.; 0. |] }
+  in
+  let e = Progress.estimate s in
+  Alcotest.(check bool) "hi is not nan" false (Float.is_nan e.Progress.e_hi);
+  Alcotest.(check bool) "hi >= total" true (e.Progress.e_hi >= e.Progress.e_total);
+  Alcotest.(check bool) "lo <= total" true (e.Progress.e_lo <= e.Progress.e_total)
+
 (* -------------------------- the tracker --------------------------- *)
 
 (* Heartbeat fusion can deliver stale or shrunken samples; the reported
@@ -281,6 +298,8 @@ let () =
             live_fraction_capped;
           Alcotest.test_case "final clamp" `Quick final_clamp;
           Alcotest.test_case "merge sums samples" `Quick merge_sums;
+          Alcotest.test_case "open band then no signal: hi not nan" `Quick
+            open_band_then_no_signal;
         ] );
       ( "tracker",
         [
