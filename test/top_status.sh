@@ -6,7 +6,7 @@
 bin=$1
 log=$(mktemp)
 trap 'rm -f "$log"' EXIT
-"$bin" solve -i sip-unsat-13a --runtime shm -w 2 -s depthbounded:2 --monitor-port 0 \
+"$bin" solve -i sip-sat-13a --runtime shm -w 2 -s depthbounded:2 --monitor-port 0 \
   >"$log" 2>&1 &
 pid=$!
 port=
