@@ -38,24 +38,35 @@ type node = {
 
 let root _inst = { next = 0; profit = 0; weight = 0; taken = [] }
 
+(* One cursor per call: [next] advances this call's item index past
+   the items that do not fit and is its own tail, so a child costs its
+   cell, its node and its [taken] cons. The cursor keeps only [inst],
+   [parent] and the index. A node with no later item allocates
+   nothing. *)
 let children inst parent =
-  let n = Array.length inst.items in
-  let rec gen i () =
-    if i >= n then Seq.Nil
-    else
-      let it = inst.items.(i) in
-      if parent.weight + it.weight <= inst.capacity then
-        Seq.Cons
-          ( {
-              next = i + 1;
-              profit = parent.profit + it.profit;
-              weight = parent.weight + it.weight;
-              taken = i :: parent.taken;
-            },
-            gen (i + 1) )
-      else gen (i + 1) ()
-  in
-  gen parent.next
+  if parent.next >= Array.length inst.items then Seq.empty
+  else begin
+    let i = ref parent.next in
+    let rec next () =
+      let j = !i in
+      if j >= Array.length inst.items then Seq.Nil
+      else begin
+        i := j + 1;
+        let it = inst.items.(j) in
+        if parent.weight + it.weight <= inst.capacity then
+          Seq.Cons
+            ( {
+                next = j + 1;
+                profit = parent.profit + it.profit;
+                weight = parent.weight + it.weight;
+                taken = j :: parent.taken;
+              },
+              next )
+        else next ()
+      end
+    in
+    next
+  end
 
 (* The greedy fill from item [i] with [room] left: whole items while
    they fit, then a fraction of the first that does not. Top level and

@@ -29,14 +29,18 @@ let children g parent =
     let adj = Graph.adjacency g in
     let coloured = Bitset.greedy_colour parent.candidates ~adj in
     (* Iterate in reverse colouring order: heuristically best (highest
-       colour) candidate first, exactly as Listing 1's [next]. The
-       [remaining] set is shared mutable state, so the sequence is
-       ephemeral — the engine forces each cell exactly once. *)
+       colour) candidate first, exactly as Listing 1's [next]. This
+       call's [remaining] set and position [k] are the cursor's state,
+       so the sequence is ephemeral (the engine forces each cell exactly
+       once), and [next] is its own tail. *)
     let remaining = Bitset.copy parent.candidates in
-    let rec gen k () =
-      if k < 0 then Seq.Nil
+    let k = ref (Array.length coloured - 2) in
+    let rec next () =
+      let k0 = !k in
+      if k0 < 0 then Seq.Nil
       else begin
-        let v = coloured.(k) in
+        k := k0 - 2;
+        let v = coloured.(k0) in
         Bitset.remove remaining v;
         let candidates = Bitset.Matrix.inter_row remaining adj v in
         (* The child's candidates avoid v's whole colour class (they are
@@ -45,12 +49,12 @@ let children g parent =
            MCSa bound, matching the hand-coded solver's cut. *)
         let child =
           { clique = v :: parent.clique; size = parent.size + 1; candidates;
-            bound = coloured.(k + 1) - 1 }
+            bound = coloured.(k0 + 1) - 1 }
         in
-        Seq.Cons (child, gen (k - 2))
+        Seq.Cons (child, next)
       end
     in
-    gen (Array.length coloured - 2)
+    next
   end
 
 (* Nodes are plain data (an int list plus a bitset, itself an int

@@ -41,11 +41,16 @@ let children inst parent =
     (* Masks are kept aligned to the next row: an anti-diagonal attack
        moves one column left per row, a main-diagonal one column right.
        The free columns are visited lowest bit first, which is left to
-       right. *)
-    let rec gen free () =
+       right. One cursor per call: [next] clears the bit it yields from
+       this call's [left] and is its own tail, so a child costs its
+       cell and its node. *)
+    let left = ref free in
+    let rec next () =
+      let free = !left in
       if free = 0 then Seq.Nil
       else begin
         let bit = free land -free in
+        left := free lxor bit;
         Seq.Cons
           ( {
               level = parent.level + 1;
@@ -54,10 +59,10 @@ let children inst parent =
               diag1_mask = (parent.diag1_mask lor bit) lsr 1;
               diag2_mask = (parent.diag2_mask lor bit) lsl 1;
             },
-            gen (free lxor bit) )
+            next )
       end
     in
-    gen free
+    next
   end
 
 (* Nodes are plain data (ints and an int list), so the default Marshal

@@ -26,17 +26,22 @@ let num_children p node =
   else 0
 
 (* The first [k] children of [parent]: child [i]'s state hashes the
-   parent's with [i]. A leaf allocates nothing. *)
+   parent's with [i]. A leaf allocates nothing; otherwise one cursor
+   per call advances this call's index and is its own tail. *)
 let fan parent k =
   if k = 0 then Seq.empty
   else begin
-    let rec gen i () =
-      if i >= k then Seq.Nil
-      else
+    let i = ref 0 in
+    let rec next () =
+      let j = !i in
+      if j >= k then Seq.Nil
+      else begin
+        i := j + 1;
         Seq.Cons
-          ({ state = Splitmix.hash2 parent.state i; depth = parent.depth + 1 }, gen (i + 1))
+          ({ state = Splitmix.hash2 parent.state j; depth = parent.depth + 1 }, next)
+      end
     in
-    gen 0
+    next
   end
 
 let children p parent = fan parent (num_children p parent)

@@ -7,12 +7,13 @@
 type 'node frame =
   | Bottom
   | Frame of {
-      node : 'node;
       mutable rest : 'node Seq.t;
+          (* the unexplored children of the node this frame expands *)
       depth : int;
       mutable kept : int;
-          (* children of [node] committed to the search: entered by this
-             engine or credited by the caller when split off to a task *)
+          (* children of that node committed to the search: entered by
+             this engine or credited by the caller when split off to a
+             task *)
       below : 'node frame;
     }
 
@@ -34,9 +35,7 @@ type ('space, 'node) t = {
 }
 
 let root_frame children space root root_depth =
-  Frame
-    { node = root; rest = children space root; depth = root_depth; kept = 0;
-      below = Bottom }
+  Frame { rest = children space root; depth = root_depth; kept = 0; below = Bottom }
 
 let make ?(prof = Depth_profile.null) ~space ~children ~root_depth root =
   { space; children; top = root_frame children space root root_depth; root;
@@ -99,9 +98,7 @@ let run ?on_enter ?on_leave ?(steps = max_int) ~prune_rest ~keep ~process
             let depth = f.depth + 1 in
             f.kept <- f.kept + 1;
             let top =
-              Frame
-                { node = child; rest = children space child; depth;
-                  kept = 0; below = top }
+              Frame { rest = children space child; depth; kept = 0; below = top }
             in
             let entered = entered + 1 in
             let max_depth = if depth > max_depth then depth else max_depth in
