@@ -35,7 +35,8 @@ val num_children : params -> node -> int
 (** The node's child count (pure). *)
 
 val children : (params, node) Yewpar_core.Problem.generator
-(** The Lazy Node Generator (pure, reproducible). *)
+(** The Lazy Node Generator: every call on a node gives the same
+    children. Each call is a one-pass cursor of its own. *)
 
 val count_problem : params -> (params, node, int) Yewpar_core.Problem.t
 (** Enumeration: count all nodes of the tree.

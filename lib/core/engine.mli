@@ -6,8 +6,10 @@
     search coordinations can interleave traversal with spawning, steal
     checks and budget accounting. It maintains the generator stack of
     §4.1: one frame per node on the current branch, each holding the
-    node, its depth and its not-yet-explored children in heuristic
-    order.
+    node's not-yet-explored children in heuristic order, its depth,
+    the count of its children kept so far and the frame below. The
+    node itself is not kept: nothing reads it once its children are
+    generated.
 
     Frames are linked: each push allocates a fresh frame that points
     at the frame below, and each pop drops the top frame. Inside {!run}
