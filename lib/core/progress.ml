@@ -156,9 +156,9 @@ let estimate ?(final = false) s =
         let floor_n = float_of_int (nd (!d + 1)) in
         est := max floor_n (!est *. beta);
         lo := max floor_n (!lo *. blo);
-        (* A zero factor on either side is zero, also against an open
-           band's infinity ([infinity *. 0.] is [nan]). *)
-        hi := max !est (if bhi = 0. || !hi = 0. then 0. else !hi *. bhi);
+        (* No signal is zero children, also below an open band's
+           infinity ([infinity *. 0.] is [nan]). *)
+        hi := max !est (if bhi = 0. then 0. else !hi *. bhi);
         n_int := nd (!d + 1)
       end;
       incr d;

@@ -176,7 +176,9 @@ let maxclique_reference g (p : Maxclique.node) =
   else begin
     let coloured = Bitset.greedy_colour p.candidates ~adj:(Graph.adjacency g) in
     let order =
-      List.rev (List.init (Array.length coloured / 2) (fun i -> (coloured.(2 * i), coloured.(2 * i + 1))))
+      List.init (Array.length coloured / 2) (fun i ->
+          (coloured.(2 * i), coloured.(2 * i + 1)))
+      |> List.rev
     in
     let taken = ref [] in
     List.map
