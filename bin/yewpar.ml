@@ -405,21 +405,22 @@ let dimacs_cmd =
       (Yewpar_graph.Graph.n_vertices graph)
       (Yewpar_graph.Graph.n_edges graph);
     Printf.printf "skeleton: %s\n" (Coordination.to_string coordination);
+    (* DIMACS numbers vertices from 1; the graph from 0. *)
+    let show_clique n =
+      String.concat ", " (List.map (fun v -> string_of_int (v + 1)) (Mc.vertices_of n))
+    in
     let packed =
       match k with
       | None ->
         Instances.Packed
           ( Mc.max_clique graph,
             fun n ->
-              Printf.sprintf "maximum clique of size %d: {%s}" n.Mc.size
-                (String.concat ", " (List.map string_of_int (Mc.vertices_of n))) )
+              Printf.sprintf "maximum clique of size %d: {%s}" n.Mc.size (show_clique n) )
       | Some k ->
         Instances.Packed
           ( Mc.k_clique graph ~k,
             function
-            | Some n ->
-              Printf.sprintf "found a %d-clique: {%s}" n.Mc.size
-                (String.concat ", " (List.map string_of_int (Mc.vertices_of n)))
+            | Some n -> Printf.sprintf "found a %d-clique: {%s}" n.Mc.size (show_clique n)
             | None -> Printf.sprintf "no clique of size %d" k )
     in
     execute ~runtime ~coordination ~localities ~workers ~seed ~obs packed
@@ -445,11 +446,12 @@ let tsplib_cmd =
     let inst = Yewpar_tsp.Tsplib.parse_file file in
     Printf.printf "instance: %s (%d cities)\n" file (Yewpar_tsp.Tsp.n_cities inst);
     Printf.printf "skeleton: %s\n" (Coordination.to_string coordination);
+    (* TSPLIB numbers cities from 1; the instance from 0. *)
     let show_tour n =
       Printf.sprintf "tour of length %d: %s"
         (Yewpar_tsp.Tsp.closed_length inst n)
         (String.concat " -> "
-           (List.map string_of_int (Yewpar_tsp.Tsp.tour_of inst n)))
+           (List.map (fun c -> string_of_int (c + 1)) (Yewpar_tsp.Tsp.tour_of inst n)))
     in
     let packed =
       match max_length with
