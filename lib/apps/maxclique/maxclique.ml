@@ -18,8 +18,8 @@ let root g =
 let upper_bound node = node.size + node.bound
 
 (* Greedy colouring (the paper's greedy_colour) is the word-level
-   kernel in Bitset, reading the graph's adjacency matrix: entry 2i of
-   its result is the i-th candidate in colouring order, entry 2i + 1 the
+   kernel in Bitset, reading the graph's adjacency matrix: entry i of
+   its result packs the i-th candidate in colouring order and the
    colours used on the prefix up to it. Within a class vertices come in
    increasing index order, which makes the traversal heuristic
    deterministic. *)
@@ -34,13 +34,14 @@ let children g parent =
        so the sequence is ephemeral (the engine forces each cell exactly
        once), and [next] is its own tail. *)
     let remaining = Bitset.copy parent.candidates in
-    let k = ref (Array.length coloured - 2) in
+    let k = ref (Array.length coloured - 1) in
     let rec next () =
       let k0 = !k in
       if k0 < 0 then Seq.Nil
       else begin
-        k := k0 - 2;
-        let v = coloured.(k0) in
+        k := k0 - 1;
+        let e = coloured.(k0) in
+        let v = Bitset.entry_vertex e in
         Bitset.remove remaining v;
         let candidates = Bitset.Matrix.inter_row remaining adj v in
         (* The child's candidates avoid v's whole colour class (they are
@@ -49,7 +50,7 @@ let children g parent =
            MCSa bound, matching the hand-coded solver's cut. *)
         let child =
           { clique = v :: parent.clique; size = parent.size + 1; candidates;
-            bound = coloured.(k0 + 1) - 1 }
+            bound = Bitset.entry_colour e - 1 }
         in
         Seq.Cons (child, next)
       end
@@ -77,7 +78,7 @@ let k_clique g ~k =
 let vertices_of node = List.sort compare node.clique
 
 module Specialised = struct
-  (* Direct MCSa1-style recursion: one interleaved vertex/colour array, early
+  (* Direct MCSa1-style recursion: one packed vertex/colour array, early
      loop exit on the bound (colour classes are non-increasing towards
      lower indices, so the first failing candidate cuts all the rest),
      no Seq or skeleton machinery. Mirrors the hand-crafted sequential
@@ -95,15 +96,15 @@ module Specialised = struct
         let coloured = Bitset.greedy_colour candidates ~adj in
         let remaining = Bitset.copy candidates in
         let rec loop k =
-          if k >= 0 && size + coloured.(k + 1) > !best_size then begin
-            let v = coloured.(k) in
+          if k >= 0 && size + Bitset.entry_colour coloured.(k) > !best_size then begin
+            let v = Bitset.entry_vertex coloured.(k) in
             Bitset.remove remaining v;
             let candidates' = Bitset.Matrix.inter_row remaining adj v in
             expand (v :: clique) (size + 1) candidates';
-            loop (k - 2)
+            loop (k - 1)
           end
         in
-        loop (Array.length coloured - 2)
+        loop (Array.length coloured - 1)
       end
     in
     let all = Bitset.create (Graph.n_vertices g) in

@@ -218,49 +218,87 @@ module Matrix = struct
     { words; capacity = m.capacity }
 end
 
+(* A colouring entry packs a vertex into the low [vertex_bits] bits and
+   its colour above them. A colour is at most the number of vertices
+   coloured, so with capacity at most 2^30 the largest entry is
+   2^30 lsl 30 lor (2^30 - 1) < 2^61: positive, and both fields decode
+   with one operation. *)
+let vertex_bits = 30
+let max_colour_capacity = 1 lsl vertex_bits
+let colour_entry ~vertex ~colour = (colour lsl vertex_bits) lor vertex
+let entry_vertex e = e land (max_colour_capacity - 1)
+let entry_colour e = e lsr vertex_bits
+
 (* MCSa's greedy colouring, one word at a time. A class is built from
    the uncoloured vertices in increasing order: the lowest bit of the
    current word is taken and cleared with x land (x - 1), and the
    vertex's row of [adj] is struck from the rest of that word and from
-   the later words of [colourable] (the earlier words are already
-   spent). Rows are read straight from the matrix's one word array: the
-   dimensions are checked once per call, not once per vertex. A vertex's
-   index comes from its isolated bit by the de Bruijn lookup. Besides
-   its output, the call allocates two word arrays, [uncoloured] and
-   [colourable]; the latter is refilled from the former for each class
-   by a plain loop, with no call into the runtime. *)
+   the later words of the class's colourable words (the earlier words
+   are already spent). The class's vertices leave the uncoloured word
+   once per word, through the [taken] mask. A vertex's index comes from
+   its isolated bit by the de Bruijn lookup.
+
+   One scratch block holds the uncoloured words at [0, nw) and the
+   colourable words at [nw, 2 nw); it is filled from [p] by the loop
+   that counts [p]. Every access after the guard is unchecked, and in
+   range because of it:
+   - [words.(w)], [scratch.(w)] and [scratch.(nw + w)]: [w < nw], and
+     [words] has exactly [nw] words (so [n] counts every bit the loops
+     visit); [scratch] has [2 nw];
+   - [scratch.(lo)]: while [idx < n], a vertex is still uncoloured, and
+     the words below [lo] are empty, so [lo] stops below [nw];
+   - [data.(v * nw + w')]: [v] is a bit of [p], below its capacity
+     (no bit at or above it in the last word; the earlier words lie
+     wholly below it), which is the matrix's row count, and [w' < nw],
+     so the index is below [rows * nw], the length of [data];
+   - [out.(idx)]: each vertex is written once, so [idx < n];
+   - [bit_index.(bit_slot b)]: [bit_slot] is six bits, the table 64. *)
 let greedy_colour p ~(adj : Matrix.t) =
   if adj.rows <> p.capacity || adj.capacity <> p.capacity then
     invalid_arg "Bitset: capacity mismatch";
-  let n = cardinal p in
-  let out = Array.make (2 * n) 0 in
-  let data = adj.data and nw = adj.stride in
-  let uncoloured = Array.copy p.words in
-  let colourable = Array.make nw 0 in
+  let words = p.words and data = adj.data and nw = adj.stride in
+  if p.capacity < 0 || p.capacity > max_colour_capacity then
+    invalid_arg "Bitset.greedy_colour: capacity beyond the colouring's packing";
+  if nw <> Int.max 1 (words_for p.capacity)
+     || Array.length words <> nw
+     || Array.length data <> adj.rows * nw
+     || (p.capacity < nw * bits_per_word
+         && words.(nw - 1) lsr (p.capacity - ((nw - 1) * bits_per_word)) <> 0)
+  then invalid_arg "Bitset.greedy_colour: malformed set or matrix";
+  let scratch = Array.make (2 * nw) 0 in
+  let n = ref 0 in
+  for w = 0 to nw - 1 do
+    let x = Array.unsafe_get words w in
+    Array.unsafe_set scratch w x;
+    n := !n + popcount x
+  done;
+  let n = !n in
+  let out = Array.make n 0 in
   let lo = ref 0 and idx = ref 0 and colour = ref 0 in
-  while !idx < 2 * n do
-    while uncoloured.(!lo) = 0 do
+  while !idx < n do
+    while Array.unsafe_get scratch !lo = 0 do
       incr lo
     done;
     incr colour;
     for w = !lo to nw - 1 do
-      colourable.(w) <- uncoloured.(w)
+      Array.unsafe_set scratch (nw + w) (Array.unsafe_get scratch w)
     done;
     for w = !lo to nw - 1 do
-      let x = ref colourable.(w) in
+      let x = ref (Array.unsafe_get scratch (nw + w)) and taken = ref 0 in
       while !x <> 0 do
         let b = !x land - !x in
-        let v = (w * bits_per_word) + bit_index.(bit_slot b) in
+        let v = (w * bits_per_word) + Array.unsafe_get bit_index (bit_slot b) in
         let base = v * nw in
-        uncoloured.(w) <- uncoloured.(w) land lnot b;
-        out.(!idx) <- v;
-        out.(!idx + 1) <- !colour;
-        idx := !idx + 2;
-        x := !x land (!x - 1) land lnot data.(base + w);
+        taken := !taken lor b;
+        Array.unsafe_set out !idx (colour_entry ~vertex:v ~colour:!colour);
+        incr idx;
+        x := !x land (!x - 1) land lnot (Array.unsafe_get data (base + w));
         for w' = w + 1 to nw - 1 do
-          colourable.(w') <- colourable.(w') land lnot data.(base + w')
+          Array.unsafe_set scratch (nw + w')
+            (Array.unsafe_get scratch (nw + w') land lnot (Array.unsafe_get data (base + w')))
         done
-      done
+      done;
+      Array.unsafe_set scratch w (Array.unsafe_get scratch w land lnot !taken)
     done
   done;
   out

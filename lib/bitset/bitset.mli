@@ -131,19 +131,46 @@ val greedy_colour : t -> adj:Matrix.t -> int array
     colouring of McCreesh and Prosser's MCSa, word-parallel). Classes
     are built one after another: each takes the still-uncoloured
     vertices in increasing index order, skipping any that neighbours a
-    vertex already in the class. The result holds [2n] entries for
-    [n = cardinal p], vertex and colour interleaved: [a.(2i)] is the
-    [i]-th vertex in colouring order and [a.(2i + 1)] its colour,
-    numbered from 1. Colours are non-decreasing along the order, so
-    [a.(2i + 1)] is also the number of colours used on the first [i + 1]
-    vertices. [p] is not modified. Each vertex is indexed from its
-    isolated bit by the de Bruijn lookup of {!first}. Besides the
-    result, the call allocates two scratch word arrays (the uncoloured
-    vertices and the class being built) once, not once per class, and
-    refills the class's words with a plain loop: it makes no call into
-    the C runtime per class.
+    vertex already in the class. [p] is not modified.
+
+    The result holds [n = cardinal p] entries, one per vertex in
+    colouring order. An entry packs the vertex into its low 30 bits and
+    the vertex's colour, numbered from 1, above them; callers decode it
+    with {!entry_vertex} and {!entry_colour}, not by the layout. Colours
+    are non-decreasing along the order, so the colour of entry [i] is
+    also the number of colours used on the first [i + 1] vertices.
+
+    The call allocates two blocks: its result ([n] words) and one
+    scratch block of [2 * stride] words, where [stride] is the word
+    count of a set of [p]'s capacity. The scratch holds the uncoloured
+    words and the class's colourable words, and is filled from [p] by
+    the loop that counts it. A class's vertices leave the uncoloured
+    words once per word, not once per vertex. The inner loops read and
+    write without bounds checks, behind a guard of constant cost
+    checked once per call.
     @raise Invalid_argument if [adj] does not have [capacity p] rows of
-    capacity [capacity p]. *)
+    capacity [capacity p], if the capacity exceeds
+    {!max_colour_capacity}, or if [p] or [adj] is malformed: [p]'s word
+    count is not the matrix's stride, the matrix's word array does not
+    hold rows × stride words, or [p] holds a bit at or above its
+    capacity. Such values cannot be built through this interface, but a
+    set decoded by [Marshal] from a corrupt or version-skewed message
+    can be one. *)
+
+val max_colour_capacity : int
+(** The largest capacity {!greedy_colour} accepts: [2^30]. Its
+    vertices and colours fit an entry's fields. *)
+
+val colour_entry : vertex:int -> colour:int -> int
+(** The entry {!greedy_colour} writes for [vertex] in colour [colour],
+    for [0 <= vertex < max_colour_capacity] and
+    [0 <= colour <= max_colour_capacity]. *)
+
+val entry_vertex : int -> int
+(** The vertex of a {!greedy_colour} entry. *)
+
+val entry_colour : int -> int
+(** The colour of a {!greedy_colour} entry, numbered from 1. *)
 
 val pp : Format.formatter -> t -> unit
 (** Print as [{e1, e2, ...}]. *)

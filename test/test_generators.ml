@@ -176,9 +176,8 @@ let maxclique_reference g (p : Maxclique.node) =
   else begin
     let coloured = Bitset.greedy_colour p.candidates ~adj:(Graph.adjacency g) in
     let order =
-      List.init (Array.length coloured / 2) (fun i ->
-          (coloured.(2 * i), coloured.(2 * i + 1)))
-      |> List.rev
+      Array.to_list coloured
+      |> List.rev_map (fun e -> (Bitset.entry_vertex e, Bitset.entry_colour e))
     in
     let taken = ref [] in
     List.map

@@ -75,17 +75,15 @@ let hidden_clique_found () =
   Alcotest.(check bool) "witness valid" true
     (Graph.is_clique g (Mc.vertices_of node))
 
-(* The kernel's interleaved result as (vertices, colours). *)
-let split_coloured a =
-  let n = Array.length a / 2 in
-  (Array.init n (fun i -> a.(2 * i)), Array.init n (fun i -> a.((2 * i) + 1)))
+(* The kernel's packed result as (vertices, colours). *)
+let split_coloured a = (Array.map Bitset.entry_vertex a, Array.map Bitset.entry_colour a)
 
 let colour_order_properties () =
   let g = Gen.uniform ~seed:3 30 0.5 in
   let p = Bitset.create 30 in
   Bitset.fill_upto p 30;
   let coloured = Bitset.greedy_colour p ~adj:(Graph.adjacency g) in
-  Alcotest.(check int) "two entries per vertex" 60 (Array.length coloured);
+  Alcotest.(check int) "one entry per vertex" 30 (Array.length coloured);
   let p_vertex, p_colour = split_coloured coloured in
   let n = Array.length p_vertex in
   Alcotest.(check int) "all vertices coloured" 30 n;
@@ -155,7 +153,7 @@ let prop_greedy_colour =
       let n = Bitset.cardinal p in
       let coloured = Bitset.greedy_colour p ~adj:(Graph.adjacency g) in
       let order, colours = split_coloured coloured in
-      let ok = ref (Array.length coloured = 2 * n) in
+      let ok = ref (Array.length coloured = n) in
       (* A permutation of p. *)
       ok := !ok && List.sort compare (Array.to_list order) = Bitset.elements p;
       for i = 1 to n - 1 do
@@ -180,12 +178,12 @@ let greedy_colour_checks () =
   let p = Bitset.create 70 in
   Bitset.fill_upto p 70;
   let adj = Graph.adjacency g in
-  (* The kernel sizes its own output: exactly two entries per vertex,
+  (* The kernel sizes its own output: exactly one entry per vertex,
      never a short array. *)
-  Alcotest.(check int) "output holds 2n entries" 140
+  Alcotest.(check int) "output holds n entries" 70
     (Array.length (Bitset.greedy_colour p ~adj));
   Bitset.remove p 69;
-  Alcotest.(check int) "output shrinks with p" 138
+  Alcotest.(check int) "output shrinks with p" 69
     (Array.length (Bitset.greedy_colour p ~adj));
   let other = Gen.uniform ~seed:5 71 0.5 in
   Alcotest.check_raises "another graph's matrix" (Invalid_argument "Bitset: capacity mismatch")
@@ -202,12 +200,66 @@ let greedy_colour_checks () =
   let n = 189 in
   let p = Bitset.create n in
   Bitset.fill_upto p n;
-  Alcotest.(check (array int)) "edgeless graph: one class in order"
-    (Array.init (2 * n) (fun i -> if i mod 2 = 0 then i / 2 else 1))
-    (Bitset.greedy_colour p ~adj:(Graph.adjacency (Graph.create n)));
-  Alcotest.(check (array int)) "complete graph: n singleton classes"
-    (Array.init (2 * n) (fun i -> if i mod 2 = 0 then i / 2 else (i / 2) + 1))
-    (Bitset.greedy_colour p ~adj:(Graph.adjacency (Graph.complement (Graph.create n))))
+  let pairs = Alcotest.(pair (array int) (array int)) in
+  Alcotest.check pairs "edgeless graph: one class in order"
+    (Array.init n Fun.id, Array.make n 1)
+    (split_coloured (Bitset.greedy_colour p ~adj:(Graph.adjacency (Graph.create n))));
+  Alcotest.check pairs "complete graph: n singleton classes"
+    (Array.init n Fun.id, Array.init n (fun i -> i + 1))
+    (split_coloured
+       (Bitset.greedy_colour p ~adj:(Graph.adjacency (Graph.complement (Graph.create n)))))
+
+(* An entry decodes to what was packed, up to the largest vertex and
+   colour that the kernel's capacity guard lets through. *)
+let entry_round_trips () =
+  let top = Bitset.max_colour_capacity in
+  List.iter
+    (fun (vertex, colour) ->
+      let e = Bitset.colour_entry ~vertex ~colour in
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "vertex %d, colour %d" vertex colour)
+        (vertex, colour)
+        (Bitset.entry_vertex e, Bitset.entry_colour e))
+    [ (0, 1); (top - 1, top); (top - 1, 1); (0, top); (62, 63); (top / 2, top - 1) ]
+
+(* Candidate sets that reach a locality through Marshal, as MaxClique
+   nodes do under the default codec, are not built by Bitset: a corrupt
+   or version-skewed message can hold a word array of the wrong length
+   or a bit beyond the capacity. The kernel must refuse each one, not
+   loop forever (a long array holds bits its loops never reach) or
+   read past an array. The records are forged by a Marshal round trip of a record of
+   Bitset.t's shape. *)
+type forged = { words : int array; capacity : int }
+
+let forge words capacity : Bitset.t =
+  Marshal.from_string (Marshal.to_string { words; capacity } []) 0
+
+type forged_matrix = { data : int array; rows : int; capacity : int; stride : int }
+
+let malformed_sets () =
+  let adj = Graph.adjacency (Gen.uniform ~seed:9 100 0.5) in
+  Alcotest.(check int) "a well-formed forgery colours" 3
+    (Array.length (Bitset.greedy_colour (forge [| 1; (1 lsl 36) + 2 |] 100) ~adj));
+  List.iter
+    (fun (label, p) ->
+      Alcotest.check_raises label
+        (Invalid_argument "Bitset.greedy_colour: malformed set or matrix")
+        (fun () -> ignore (Bitset.greedy_colour p ~adj)))
+    [ ("a long word array", forge [| 1; 0; 7 |] 100);
+      ("a short word array", forge [| 1 |] 100);
+      ("a stray bit at 101 of capacity 100", forge [| 0; 1 lsl 38 |] 100);
+      ("a stray bit at 100 of capacity 100", forge [| 0; 1 lsl 37 |] 100) ];
+  (* A capacity beyond the packing is refused before anything is read;
+     forged, as a real set and matrix of that size would not fit. *)
+  let top = Bitset.max_colour_capacity + 1 in
+  let huge : Bitset.Matrix.t =
+    Marshal.from_string
+      (Marshal.to_string { data = [||]; rows = top; capacity = top; stride = 1 } [])
+      0
+  in
+  Alcotest.check_raises "capacity beyond the packing"
+    (Invalid_argument "Bitset.greedy_colour: capacity beyond the colouring's packing")
+    (fun () -> ignore (Bitset.greedy_colour (forge [| 0 |] top) ~adj:huge))
 
 let matches_brute_force () =
   for seed = 0 to 14 do
@@ -309,6 +361,8 @@ let () =
           Alcotest.test_case "bound admissible" `Quick bound_admissible;
           Alcotest.test_case "golden trees" `Quick golden_trees;
           Alcotest.test_case "greedy_colour checks" `Quick greedy_colour_checks;
+          Alcotest.test_case "colour entries round trip" `Quick entry_round_trips;
+          Alcotest.test_case "malformed candidate sets" `Quick malformed_sets;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_greedy_colour ]);
     ]
