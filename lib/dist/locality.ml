@@ -255,9 +255,8 @@ let run (type s n r) ?(record = false) ?heartbeat ?chaos ~conn ~workers
     Worker.make_ctx ~space:p.Problem.space ~children:p.Problem.children
       ~coordination ~counters ~recorders ~views ~scheduler ~tiers ~stop ()
   in
-  let handle = Worker.start ctx ~workers in
 
-  (* ------------- communicator (this thread) ------------- *)
+  (* ------------- communicator (the calling domain) ------------- *)
   let steal_inflight = ref false in
   let steal_sent_at = ref 0. in
   let comms_stats () = counters.(workers).Counters.stats in
@@ -401,7 +400,7 @@ let run (type s n r) ?(record = false) ?heartbeat ?chaos ~conn ~workers
     | [] -> ()
     | _ -> List.iter handle_inbound (Transport.pump conn));
     List.iter send_out (outbox_take_all ());
-    (match Worker.failure handle with
+    (match Worker.failure ctx with
     | Some e when not !failed_sent ->
       failed_sent := true;
       send_out (Wire.Failed { message = Printexc.to_string e })
@@ -469,17 +468,12 @@ let run (type s n r) ?(record = false) ?heartbeat ?chaos ~conn ~workers
       loop ()
     end
   in
-  (try loop ()
-   with e ->
-     (* Coordinator death (Transport.Closed) or a transport error: stop
-        the domains and let the process exit nonzero. *)
-     Worker.request_stop ctx;
-     ignore (Worker.join handle);
-     raise e);
-  (* A worker exception was already reported through the [Failed]
-     frame; the Report below still ships so the coordinator's
-     accounting stays whole. *)
-  ignore (Worker.join handle);
+  (* Coordinator death (Transport.Closed) or a transport error escapes
+     [loop]: [Worker.run] stops and joins the domains and re-raises, so
+     the process exits nonzero. A worker exception was already reported
+     through the [Failed] frame; the Report below still ships so the
+     coordinator's accounting stays whole. *)
+  ignore (Worker.run ctx ~workers ~beside:loop () : exn option);
   (* Report: residual result, counters and the last events, in one
      frame. Results flow primarily through per-lease deltas; the
      residual is an extra idempotent candidate for Optimise/Decide (the

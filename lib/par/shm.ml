@@ -16,17 +16,19 @@ module Two_tier = Yewpar_runtime.Two_tier
 module Worker = Yewpar_runtime.Worker
 
 (* Recording around a run: the worker rings are drained — every 50 ms
-   by a background thread when a journal is being written, so file I/O
-   stays off the worker domains, and once more after [f] returns — and
-   each drained batch goes to the journal and the trace sink alike. The
-   journal is framed by [job_start] and, after the ring-drop count and a
-   final progress sample, [job_done]; a progress sample is also written
-   about every second. *)
+   by a flusher when a journal is being written, so file I/O stays off
+   the worker domains, and once more after [run] returns — and each
+   drained batch goes to the journal and the trace sink alike. The
+   flusher is handed to [run] to work on the calling domain beside the
+   workers, and checks every 5 ms whether [finished] holds. The journal
+   is framed by [job_start] and, after the ring-drop count and a final
+   progress sample, [job_done]; a progress sample is also written about
+   every second. *)
 let recording ~telemetry ~journal =
   Option.is_some telemetry || Option.is_some journal
 
-let recorded ?telemetry ?journal ~recorders ?sample f =
-  if not (recording ~telemetry ~journal) then f ()
+let recorded ?telemetry ?journal ~recorders ?sample ~finished run =
+  if not (recording ~telemetry ~journal) then run None
   else begin
     let emit = function
       | [] -> ()
@@ -43,30 +45,26 @@ let recorded ?telemetry ?journal ~recorders ?sample f =
            (Array.to_list recorders))
     in
     let started = Unix.gettimeofday () in
-    let stop_flush = Atomic.make false in
     let flusher =
       Option.map
         (fun w ->
           Journal.write w
             [ Journal.event ~locality:0 ~t:started ~ev:"job_start" ~span:0 () ];
-          Thread.create
-            (fun () ->
-              let tick = ref 0 in
-              while not (Atomic.get stop_flush) do
-                drain ();
-                incr tick;
-                (match sample with
-                | Some s when !tick mod 20 = 0 -> Journal.write w [ s ~final:false ]
-                | _ -> ());
-                Unix.sleepf 0.05
-              done)
-            ())
+          fun () ->
+            let tick = ref 0 in
+            while not (finished ()) do
+              incr tick;
+              if !tick mod 10 = 0 then drain ();
+              (match sample with
+              | Some s when !tick mod 200 = 0 ->
+                Journal.write w [ s ~final:false ]
+              | _ -> ());
+              Unix.sleepf 0.005
+            done)
         journal
     in
     Fun.protect
       ~finally:(fun () ->
-        Atomic.set stop_flush true;
-        Option.iter Thread.join flusher;
         drain ();
         let t = Unix.gettimeofday () in
         let lost = Array.fold_left (fun a r -> a + Recorder.dropped r) 0 recorders in
@@ -82,7 +80,7 @@ let recorded ?telemetry ?journal ~recorders ?sample f =
                     ~ev:"job_done" ~span:0 ();
                 ]))
           journal)
-      f
+      (fun () -> run flusher)
   end
 
 let parallel_run (type s n r) ~n_workers ?stats ?telemetry ?journal
@@ -95,7 +93,7 @@ let parallel_run (type s n r) ~n_workers ?stats ?telemetry ?journal
   in
   (* One tracker fuses the per-slot estimator columns for every live
      surface (monitor scrapes, journal samples); both callers are cold
-     paths on their own threads, hence the mutex. *)
+     paths on their own domains, hence the mutex. *)
   let tracker = Progress.create () in
   let tracker_mu = Mutex.create () in
   let progress_report ?final () =
@@ -246,14 +244,14 @@ let parallel_run (type s n r) ~n_workers ?stats ?telemetry ?journal
   in
   Fun.protect ~finally:(fun () -> Option.iter Http_export.stop monitor)
   @@ fun () ->
-  let run () =
+  let run beside =
     Worker.spawn ctx ~slot:0
       { Task_pool.tag = 0; node = p.Problem.root; depth = 0 };
-    let handle = Worker.start ctx ~workers:n_workers in
-    match Worker.join handle with Some e -> raise e | None -> ()
+    Option.iter raise (Worker.run ctx ~workers:n_workers ?beside ())
   in
   recorded ?telemetry ?journal ~recorders
     ?sample:(if progress then Some sample else None)
+    ~finished:(fun () -> Atomic.get outstanding = 0 || Atomic.get stop)
     run;
   (match stats with
   | None -> ()

@@ -33,7 +33,11 @@ let new_slot () =
   { engine = None; live = false; tag = 0; root_depth = 0; started = 0.;
     last_bt = 0; rng = None }
 
-type 'n domains = { scheduler : 'n scheduler; tiers : 'n Two_tier.t }
+type 'n domains = {
+  scheduler : 'n scheduler;
+  tiers : 'n Two_tier.t;
+  failure : exn option Atomic.t;  (* the first worker exception *)
+}
 
 type ('s, 'n, 'd) ctx = {
   space : 's;
@@ -63,7 +67,7 @@ let make_ctx ~space ~children ~coordination ~counters ~recorders ~views
     (make_step_ctx ~space ~children ~coordination ~counters ~recorders ~views
        ~enqueue:scheduler.enqueue ~should_shed ~stop ())
     with
-    domains = { scheduler; tiers };
+    domains = { scheduler; tiers; failure = Atomic.make None };
   }
 
 let task_priority ~coordination (views : _ Ops.view array) =
@@ -289,7 +293,7 @@ let exec_task ctx ~slot task =
    stop flag itself (a decision witness) wakes the blocked workers the
    same way. The slot's counters and task slot are re-allocated here,
    on the worker's own domain, before its first task. *)
-let worker_loop ctx failure slot () =
+let worker_loop ctx slot () =
   Counters.claim ctx.counters ~slot;
   ctx.slots.(slot) <- new_slot ();
   let d = ctx.domains in
@@ -301,7 +305,7 @@ let worker_loop ctx failure slot () =
       (match exec_task ctx ~slot t with
       | () -> if Atomic.get ctx.stop then request_stop ctx
       | exception e ->
-        ignore (Atomic.compare_and_set failure None (Some e));
+        ignore (Atomic.compare_and_set d.failure None (Some e));
         request_stop ctx);
       (* Flush any per-task delta before the task counts finished, so
          an observer seeing zero outstanding also sees the delta. *)
@@ -313,18 +317,19 @@ let worker_loop ctx failure slot () =
   in
   loop ()
 
-type handle = { domains : unit Domain.t array; failure : exn option Atomic.t }
+let failure ctx = Atomic.get ctx.domains.failure
 
-let start ctx ~workers =
-  let failure = Atomic.make None in
-  {
-    domains =
-      Array.init workers (fun i -> Domain.spawn (worker_loop ctx failure i));
-    failure;
-  }
-
-let failure h = Atomic.get h.failure
-
-let join h =
-  Array.iter Domain.join h.domains;
-  Atomic.get h.failure
+(* Slot 0 works on the calling domain unless [beside] needs it. *)
+let run ctx ~workers ?beside () =
+  let first = if Option.is_none beside then 1 else 0 in
+  let spawned =
+    Array.init (workers - first) (fun i -> Domain.spawn (worker_loop ctx (first + i)))
+  in
+  let join () = Array.iter Domain.join spawned in
+  (try Option.value beside ~default:(worker_loop ctx 0) ()
+   with e ->
+     request_stop ctx;
+     join ();
+     raise e);
+  join ();
+  failure ctx

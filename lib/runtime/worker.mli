@@ -22,7 +22,7 @@
       so the loop itself tests no coordination.
 
     {!exec_task} is the two back to back, advancing {!chunk} steps per
-    call until the task ends: what worker domains run ({!start}). The
+    call until the task ends: what worker domains run ({!run}). The
     simulator calls {!start_task} and {!advance} itself and charges
     virtual time per step.
 
@@ -64,11 +64,12 @@ type 'n scheduler = {
           visible. No-op on shm. *)
 }
 (** A worker-domain substrate: where spawned tasks go, plus what only
-    the domain loop ({!start}) needs. *)
+    the domain loop ({!run}) needs. *)
 
 type 'n domains
-(** What only worker domains need: the {!type-scheduler} and the
-    two-tier scheduler whose waiters {!request_stop} wakes. *)
+(** What only worker domains need: the {!type-scheduler}, the
+    two-tier scheduler whose waiters {!request_stop} wakes, and the
+    first worker exception ({!failure}). *)
 
 type ('s, 'n, 'd) ctx
 (** One run's task-step context: the problem, the coordination, the
@@ -108,8 +109,8 @@ val make_ctx :
   unit ->
   ('s, 'n, 'n domains) ctx
 (** {!make_step_ctx} over the scheduler's [enqueue] and [should_shed],
-    plus what {!start} needs. [recorders] may be longer than [views]
-    (the dist communicator's slot). *)
+    plus what {!run} needs. [recorders] may be longer than [views]
+    (the dist communicator's slot). One context serves one {!run}. *)
 
 val task_priority :
   coordination:Yewpar_core.Coordination.t ->
@@ -163,21 +164,19 @@ val exec_task : (_, 'n, _) ctx -> slot:int -> 'n Task_pool.task -> unit
 val request_stop : (_, 'n, 'n domains) ctx -> unit
 (** Raise the stop flag and wake every blocked worker. *)
 
-type handle
-(** Spawned worker domains plus their shared failure cell. *)
+val run :
+  (_, 'n, 'n domains) ctx -> workers:int -> ?beside:(unit -> unit) -> unit ->
+  exn option
+(** Run the worker loop on slots [0 .. workers-1] (each claims its
+    counters, {!Counters.claim}, and task slot on its own domain, then
+    takes, {!exec_task}s and accounts until [take] ends it) and return
+    the first worker exception: shm re-raises it, dist reports it and
+    still ships its result. Without [beside], slot 0 runs on the calling
+    domain beside [workers - 1] spawned ones; with it, all [workers] are
+    spawned and the caller runs [beside] (the dist communicator, the shm
+    journal flusher) until they are done or stopped. If [beside] raises,
+    the workers are stopped and joined and the exception re-raised. *)
 
-val start : (_, 'n, 'n domains) ctx -> workers:int -> handle
-(** Spawn [workers] domains running the worker loop on slots
-    [0 .. workers-1]: claim the slot's counters ({!Counters.claim}) and
-    rebuild its task slot on the worker's own domain, then take,
-    {!exec_task}, account, repeat. A task that raised [stop] wakes the
-    blocked workers. *)
-
-val failure : handle -> exn option
-(** Peek at the failure cell mid-run (the dist communicator polls it
-    to report a [Failed] frame while workers are still draining). *)
-
-val join : handle -> exn option
-(** Join every domain and return the first recorded worker exception,
-    if any; the caller chooses to re-raise (shm) or to report and
-    carry on with result shipping (dist). *)
+val failure : (_, 'n, 'n domains) ctx -> exn option
+(** Peek at the first worker exception mid-run (the dist communicator
+    polls it to report a [Failed] frame while workers still drain). *)

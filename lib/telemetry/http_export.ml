@@ -1,7 +1,6 @@
 type t = {
-  sock : Unix.file_descr;
   bound : int;
-  stopping : bool Atomic.t;
+  wake : Unix.file_descr;  (* the write end of the accept loop's self-pipe *)
   server : unit Domain.t;
   mutable stopped : bool;
 }
@@ -14,10 +13,6 @@ type request = {
 }
 
 type response = { status : int; content_type : string; body : string }
-
-(* Accept-loop granularity: how often the server domain re-checks the
-   stop flag when no client is connecting. *)
-let tick = 0.1
 
 (* Bodies bigger than this are a client error, not a request. *)
 let max_body = 4 * 1024 * 1024
@@ -176,19 +171,25 @@ let dispatch ~routes ~handler req =
 let handle ~routes ~handler fd =
   write_all fd (render (dispatch ~routes ~handler (read_request fd)))
 
-let serve sock stopping routes handler () =
-  while not (Atomic.get stopping) do
-    match Unix.select [ sock ] [] [] tick with
-    | [], _, _ -> ()
-    | _ -> (
-      match Unix.accept sock with
+(* The accept loop sleeps in [select] until a client connects or
+   {!stop} writes to the self-pipe [woken]. *)
+let serve sock woken routes handler () =
+  let rec loop () =
+    match Unix.select [ sock; woken ] [] [] (-1.) with
+    | ready, _, _ when List.mem woken ready -> ()
+    | _ ->
+      (match Unix.accept sock with
       | client, _ ->
         (try handle ~routes ~handler client with _ -> ());
         (try Unix.close client with Unix.Unix_error _ -> ())
-      | exception Unix.Unix_error _ -> ())
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done;
-  try Unix.close sock with Unix.Unix_error _ -> ()
+      | exception Unix.Unix_error _ -> ());
+      loop ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
+  in
+  loop ();
+  List.iter
+    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+    [ sock; woken ]
 
 let start ?(port = 0) ?(routes = []) ?handler () =
   (* A vanished client must surface as EPIPE on write, not kill us. *)
@@ -207,17 +208,18 @@ let start ?(port = 0) ?(routes = []) ?handler () =
     | Unix.ADDR_INET (_, p) -> p
     | _ -> port
   in
-  let stopping = Atomic.make false in
-  let server = Domain.spawn (serve sock stopping routes handler) in
-  { sock; bound; stopping; server; stopped = false }
+  let woken, wake = Unix.pipe ~cloexec:true () in
+  let server = Domain.spawn (serve sock woken routes handler) in
+  { bound; wake; server; stopped = false }
 
 let port t = t.bound
 
 let stop t =
   if not t.stopped then begin
     t.stopped <- true;
-    Atomic.set t.stopping true;
-    Domain.join t.server
+    ignore (Unix.write_substring t.wake "x" 0 1 : int);
+    Domain.join t.server;
+    Unix.close t.wake
   end
 
 (* One-shot HTTP/1.0 exchange: send the payload, read to EOF. *)

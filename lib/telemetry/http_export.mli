@@ -56,8 +56,9 @@ val port : t -> int
 (** The actually-bound port (useful with [~port:0]). *)
 
 val stop : t -> unit
-(** Stop accepting, close the socket and join the server domain.
-    Idempotent. *)
+(** Wake the accept loop at once (through a self-pipe in its
+    [select]), close the socket and join the server domain; a request
+    being handled is finished first. Idempotent. *)
 
 val raw : timeout:float -> port:int -> string -> string
 (** [raw ~timeout ~port payload] sends [payload] verbatim over a fresh

@@ -20,6 +20,7 @@ module Depth_profile = Yewpar_core.Depth_profile
 module Progress = Yewpar_core.Progress
 module Http_export = Yewpar_telemetry.Http_export
 module Analyze = Yewpar_telemetry.Analyze
+module Worker = Yewpar_runtime.Worker
 module Queens = Yewpar_queens.Queens
 module Mc = Yewpar_maxclique.Maxclique
 module Gen = Yewpar_graph.Gen
@@ -927,10 +928,53 @@ let monitor_scrape_midrun () =
      while the search is still in flight, then keeps polling /status
      for the progress rate until the server is gone. queens-13 runs
      long enough (most of a second distributed) that the first scrape
-     cannot race the shutdown. *)
+     cannot race the shutdown.
+
+     In between, the scraper takes one /status with every worker held
+     still, as test_par does on seq and shm: each locality's workers
+     wait in the generator once that locality has made [target] calls,
+     until the scraper has seen /status stand still for five heartbeat
+     periods and creates [releasefile]. The live [nodes] (the locality
+     rows' sum) is flushed per advance chunk and [progress.nodes] per
+     node, so they differ by less than a chunk per worker. A hold gives
+     up after 20 s, so a failed scraper fails the test instead of
+     hanging it. *)
   let portfile = Filename.temp_file "yewpar_monitor" ".port" in
   let outfile = Filename.temp_file "yewpar_monitor" ".out" in
+  let releasefile = Filename.temp_file "yewpar_monitor" ".release" in
   Sys.remove portfile;
+  Sys.remove releasefile;
+  let target = 20 * Worker.chunk and workers = 2 and heartbeat = 0.02 in
+  let held_problem =
+    let base = queens_n 13 in
+    let calls = Atomic.make 0 and released = Atomic.make false in
+    let hold () =
+      let give_up = Unix.gettimeofday () +. 20. in
+      while
+        not (Sys.file_exists releasefile || Unix.gettimeofday () > give_up)
+      do
+        Unix.sleepf 0.002
+      done;
+      Atomic.set released true
+    in
+    let children space n =
+      if (not (Atomic.get released)) && Atomic.fetch_and_add calls 1 >= target
+      then hold ();
+      base.Problem.children space n
+    in
+    { base with Problem.children }
+  in
+  let locality_nodes j =
+    match Analyze.member "locality" j with
+    | Some (Analyze.Arr rows) ->
+      List.fold_left
+        (fun a row -> a +. Analyze.num_or 0. (Analyze.member "nodes" row))
+        0. rows
+    | _ -> -1.
+  and progress_nodes j =
+    Analyze.num_or (-1.)
+      (Option.bind (Analyze.member "progress" j) (Analyze.member "nodes"))
+  in
   flush stdout;
   flush stderr;
   match Unix.fork () with
@@ -959,6 +1003,25 @@ let monitor_scrape_midrun () =
         output_string oc "\n--8<--\n";
         output_string oc status;
         output_string oc "\n--8<--\n";
+        let rec still since last =
+          if Unix.gettimeofday () > deadline then failwith "never still";
+          let _, body = Http_export.request ~timeout:10. ~port "/status" in
+          let j = Analyze.parse_json body in
+          let key = (locality_nodes j, progress_nodes j) in
+          let now = Unix.gettimeofday () in
+          if snd key < float_of_int (target / 2) || Some key <> last then begin
+            Unix.sleepf 0.005;
+            still now (Some key)
+          end
+          else if now -. since >= 5. *. heartbeat then body
+          else begin
+            Unix.sleepf 0.005;
+            still since last
+          end
+        in
+        output_string oc (still (Unix.gettimeofday ()) None);
+        output_string oc "\n--8<--\n";
+        close_out (open_out releasefile);
         (* "uptime rate" per later scrape, until the server stops. *)
         let rec poll () =
           match Http_export.request ~timeout:1. ~port "/status" with
@@ -991,10 +1054,10 @@ let monitor_scrape_midrun () =
     let stats = Stats.create () in
     let t0 = Unix.gettimeofday () in
     let r =
-      Dist.run ~stats ~watchdog:120. ~monitor_port:0 ~heartbeat:0.02
-        ~on_monitor:publish ~localities:2 ~workers:2
+      Dist.run ~stats ~watchdog:120. ~monitor_port:0 ~heartbeat
+        ~on_monitor:publish ~localities:2 ~workers
         ~coordination:(Coordination.Depth_bounded { dcutoff = 2 })
-        (queens_n 13)
+        held_problem
     in
     let elapsed = Unix.gettimeofday () -. t0 in
     let _, status = Unix.waitpid [] scraper in
@@ -1006,24 +1069,37 @@ let monitor_scrape_midrun () =
     close_in ic;
     Sys.remove outfile;
     (try Sys.remove portfile with Sys_error _ -> ());
-    let metrics, status, rates =
-      match Str.bounded_split (Str.regexp_string "\n--8<--\n") body 3 with
-      | [ m; s; r ] -> (m, Analyze.parse_json s, r)
-      | [ m; s ] -> (m, Analyze.parse_json s, "")
+    (try Sys.remove releasefile with Sys_error _ -> ());
+    let metrics, status, held, rates =
+      match Str.bounded_split (Str.regexp_string "\n--8<--\n") body 4 with
+      | [ m; s; h; r ] -> (m, Analyze.parse_json s, Analyze.parse_json h, r)
+      | [ m; s; h ] -> (m, Analyze.parse_json s, Analyze.parse_json h, "")
       | _ -> Alcotest.fail "scraper output has no separator"
     in
+    let nodes = locality_nodes held and progress = progress_nodes held in
+    let what =
+      Printf.sprintf "held: nodes %.0f, progress.nodes %.0f" nodes progress
+    in
+    Alcotest.(check bool) (what ^ ", mid-run") true
+      (progress >= float_of_int (target / 2)
+      && progress < float_of_int stats.Stats.nodes);
+    Alcotest.(check bool) (what ^ ", within a chunk per worker") true
+      (Float.abs (progress -. nodes) < float_of_int (2 * workers * Worker.chunk));
     (* The rate is taken on the coordinator's clock: once the smoothed
-       rate has caught up with the start, in the second half of the
-       run, each scrape's rate is within 2x of the run's overall rate
-       (start-up included, so the overall one reads low). *)
-    let final = float_of_int stats.Stats.nodes /. elapsed in
+       rate has caught up with the hold, in the second half of the run
+       after the release, each scrape's rate is within 2x of that part's
+       overall rate (the held scrape's [uptime] is the release; the
+       nodes before it are counted too, so the overall one reads a
+       little high). *)
+    let released = Analyze.num_or 0. (Analyze.member "uptime" held) in
+    let final = float_of_int stats.Stats.nodes /. (elapsed -. released) in
     let mid =
       List.filter_map
         (fun line ->
           match String.split_on_char ' ' line with
           | [ u; r ] ->
             let u = float_of_string u and r = float_of_string r in
-            if u >= elapsed /. 2. && r > 0. then
+            if u >= released +. ((elapsed -. released) /. 2.) && r > 0. then
               Some (u, r)
             else None
           | _ -> None)
@@ -1135,8 +1211,8 @@ let () =
          existed. *)
       ( "monitor",
         [ Alcotest.test_case "mid-run scrape" `Quick monitor_scrape_midrun ] );
-      (* After every fork: the sequential passthrough runs on a worker
-         domain of this process. *)
+      (* The sequential passthrough runs in this process, on the
+         calling domain; it spawns no domain and forks nothing. *)
       ( "in-process",
         [ Alcotest.test_case "sequential delegates" `Quick sequential_delegates ] );
     ]

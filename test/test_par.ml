@@ -573,6 +573,38 @@ let counters_across_domains () =
     [ st.Stats.nodes; st.Stats.pruned; st.Stats.tasks; st.Stats.bound_updates ]
     [ nodes; pruned; spawned; bounds ]
 
+(* The calling domain is a worker: [Worker.run] spawns one domain
+   fewer than there are workers, so a one-worker run spawns none and a
+   two-worker run uses the caller and one spawned domain. Each domain
+   that expands a node is recorded from the problem's [children]. The
+   tree (349525 nodes in 4096 tasks) is big enough that the caller
+   takes part even when the spawned domain starts first. *)
+let calling_domain_works () =
+  let domains_used ~workers =
+    let seen = ref [] and m = Mutex.create () in
+    let children () d =
+      let id = (Domain.self () :> int) in
+      Mutex.protect m (fun () ->
+          if not (List.mem id !seen) then seen := id :: !seen);
+      if d = 0 then Seq.empty else Seq.init 4 (fun _ -> d - 1)
+    in
+    let p = Problem.count_nodes ~name:"domains" ~space:() ~root:9 ~children () in
+    let n =
+      Shm.run ~workers ~coordination:(Coordination.Depth_bounded { dcutoff = 6 }) p
+    in
+    Alcotest.(check int) (Printf.sprintf "%d worker(s): count" workers) 349525 n;
+    !seen
+  in
+  let caller = (Domain.self () :> int) in
+  Alcotest.(check (list int)) "one worker: every node on the caller" [ caller ]
+    (domains_used ~workers:1);
+  let two = domains_used ~workers:2 in
+  Alcotest.(check bool)
+    (Printf.sprintf "two workers: %d domain(s), the caller among them"
+       (List.length two))
+    true
+    (List.length two <= 2 && List.mem caller two)
+
 let () =
   Alcotest.run "par"
     [
@@ -604,6 +636,7 @@ let () =
             advance_zero_after_stop_finalises;
           Alcotest.test_case "counters across domains" `Quick
             counters_across_domains;
+          Alcotest.test_case "calling domain works" `Quick calling_domain_works;
         ] );
       ( "monitor",
         [ Alcotest.test_case "mid-run scrape" `Quick monitor_scrape_midrun ] );

@@ -118,9 +118,10 @@ let matrix ~group ?(coords = coords) p check =
 
 (* The groups of cells, in the order they must run. OCaml 5 forbids
    [Unix.fork] once any domain has been spawned in the process, so
-   every dist cell that forks localities runs before the first cell
-   that spawns domains: shm, and dist under Sequential, which runs
-   in-process on a worker domain. *)
+   every dist cell that forks localities runs before the first shm
+   cell, which spawns a domain per worker beyond the first. seq, and
+   dist under Sequential (in-process [Shm.run] with one worker), run
+   on the calling domain and spawn none. *)
 let forks rt coordination =
   rt = Rt_dist && coordination <> Coordination.Sequential
 

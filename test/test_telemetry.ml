@@ -574,6 +574,27 @@ let test_http_handler () =
       let status, _ = Http.request ~port "/after" in
       Alcotest.(check int) "server survived the raise" 200 status)
 
+(* [stop] returns at once: it wakes the accept loop, asleep in
+   [select], through a self-pipe. Each of ten cycles answers one
+   request first, so the loop is back in [select] when [stop] comes;
+   the ten take well under 25 ms each, and the stopped server refuses. *)
+let test_http_stop_is_prompt () =
+  let t0 = Unix.gettimeofday () in
+  let port = ref 0 in
+  for _ = 1 to 10 do
+    let t = Http.start ~routes:[ ("/ok", fun () -> ("text/plain", "fine")) ] () in
+    port := Http.port t;
+    ignore (check_response ~expect_status:200 (Http.get ~port:!port "/ok"));
+    Http.stop t
+  done;
+  let took = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "ten start/stop cycles in %.3f s < 0.25 s" took)
+    true (took < 0.25);
+  match Http.get ~timeout:1. ~port:!port "/ok" with
+  | _ -> Alcotest.fail "a stopped server still answered"
+  | exception Failure _ -> ()
+
 let () =
   Alcotest.run "telemetry"
     [
@@ -612,5 +633,6 @@ let () =
           Alcotest.test_case "routes, 404, 405, 400" `Quick
             test_http_routes_errors;
           Alcotest.test_case "handler, POST body, 500" `Quick test_http_handler;
+          Alcotest.test_case "stop is prompt" `Quick test_http_stop_is_prompt;
         ] );
     ]
