@@ -37,7 +37,7 @@ let mem s i =
    the byte sums in the top byte with one multiply. The 64-bit masks do
    not fit an OCaml int, so the sum runs over the low 62 bits and the
    sign bit (bit 62) is added apart; every step is a word operation. *)
-let popcount x =
+let[@inline] popcount x =
   let y = x land max_int in
   let y = y - ((y lsr 1) land 0x1555_5555_5555_5555) in
   let y = (y land 0x3333_3333_3333_3333) + ((y lsr 2) land 0x3333_3333_3333_3333) in
@@ -210,6 +210,8 @@ module Matrix = struct
   let inter_row (s : set) m r =
     check_row m r;
     if s.capacity <> m.capacity then invalid_arg "Bitset: capacity mismatch";
+    if Array.length s.words <> m.stride then
+      invalid_arg "Bitset.Matrix.inter_row: malformed set";
     let base = r * m.stride in
     let words = Array.copy s.words in
     for w = 0 to m.stride - 1 do

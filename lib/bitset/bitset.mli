@@ -121,8 +121,9 @@ module Matrix : sig
 
   val inter_row : set -> t -> int -> set
   (** [inter_row s m r] is a fresh [s ∩ row r].
-      @raise Invalid_argument if [r] is out of range or on capacity
-      mismatch. *)
+      @raise Invalid_argument if [r] is out of range, on capacity
+      mismatch, or if [s]'s word count is not the matrix's stride (a
+      malformed set, as [greedy_colour] refuses). *)
 end
 
 val greedy_colour : t -> adj:Matrix.t -> int array

@@ -63,19 +63,19 @@ let[@inline never] grow_complete t d k =
   grow t d;
   add_completion t.rows (stride * d) k
 
-let note_node t d =
+let[@inline] note_node t d =
   if t.any && d >= 0 then begin
     t.last <- d;
     note_col t d nodes
   end
 
-let note_complete t d k =
+let[@inline] note_complete t d k =
   if t.progress && d >= 0 then begin
     let a = t.rows and i = stride * d in
     if i < Array.length a then add_completion a i k else grow_complete t d k
   end
 
-let note_prune t d = if t.on && d >= 0 then note_col t d pruned
+let[@inline] note_prune t d = if t.on && d >= 0 then note_col t d pruned
 let note_spawn t d = if t.on && d >= 0 then note_col t d spawned
 let note_bound t = if t.on then note_col t t.last bounds
 

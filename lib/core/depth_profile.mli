@@ -16,7 +16,10 @@
     sum of kept² (integer, so a note never converts to float). {!create}
     allocates the first sixteen rows when a switch is on; a deeper row
     doubles the array, out of line. A note costs one switch test, one
-    bounds check against the array and its stores: no extent is kept,
+    bounds check against the array and its stores, and {!note_node},
+    {!note_prune} and {!note_complete} are inlined into their callers
+    (in the release build, which does not compile with [-opaque]), so
+    only the growth is a call. No extent is kept,
     so {!depths} and {!progress_depths} scan for the last non-zero
     row when they are read (by {!merge}, progress sampling and the
     CSV and table renderers). Recording is single-writer (one profile

@@ -64,7 +64,7 @@ let sync t top entered pruned backtracks max_depth =
   t.backtracks <- backtracks;
   t.max_depth <- max_depth
 
-let run ?on_enter ?on_leave ?(steps = max_int) ~prune_rest ~keep ~process
+let run ?on_enter ?on_leave ?(steps = max_int) ~prune_rest ?keep ~process
     ~stop t =
   let prof = t.prof and children = t.children and space = t.space in
   let rec go top n entered pruned backtracks max_depth =
@@ -93,8 +93,11 @@ let run ?on_enter ?on_leave ?(steps = max_int) ~prune_rest ~keep ~process
             hook ());
           go top (n - 1) entered pruned backtracks max_depth
         | Seq.Cons (child, rest) ->
-          f.rest <- rest;
-          if keep child then begin
+          (* A cursor generator is its own tail, so its frame is left
+             unwritten (a write is a [caml_modify] call); without
+             [keep] every child is kept, with no call. *)
+          if rest != f.rest then f.rest <- rest;
+          if (match keep with None -> true | Some keep -> keep child) then begin
             let depth = f.depth + 1 in
             f.kept <- f.kept + 1;
             let top =

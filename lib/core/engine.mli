@@ -67,7 +67,7 @@ val run :
   ?on_leave:(unit -> unit) ->
   ?steps:int ->
   prune_rest:bool ->
-  keep:('node -> bool) ->
+  ?keep:('node -> bool) ->
   process:('node -> bool) ->
   stop:bool Atomic.t ->
   ('space, 'node) t ->
@@ -75,8 +75,10 @@ val run :
 (** [run ~prune_rest ~keep ~process ~stop t] resumes the traversal for
     at most [steps] transitions (default unbounded). Each transition is
     one of:
-    - {e enter} (the paper's [expand]): the next child passes [keep];
-      it is pushed and then processed with [process];
+    - {e enter} (the paper's [expand]): the next child passes [keep]
+      (every child does when [keep] is omitted, and no call is made:
+      pass {!Ops.view.keep}, which is [None] for views that keep
+      everything); it is pushed and then processed with [process];
     - {e prune}: the next child fails [keep]; its subtree is discarded
       without materialisation and, with [prune_rest] (set it from
       {!Ops.view.prune_siblings}), so are all its later siblings, which
@@ -98,7 +100,14 @@ val run :
     exhausted or [stop] was raised. With [~steps:0] it takes no
     transition and returns [not (Atomic.get stop)]. A transition
     allocates only the new frame on enter and whatever the child
-    generator allocates. *)
+    generator allocates.
+
+    Taking a child writes the generator's tail back into its frame
+    only when the tail is a different sequence: a cursor generator,
+    which returns itself as its tail, costs no write. The
+    {!Depth_profile} notes are inlined into the loop (in the release
+    build), so an enter, prune or leave calls nothing but the child
+    generator, [keep], [process] and a given hook. *)
 
 val current_depth : ('space, 'node) t -> int
 (** Global depth of the node currently being expanded (the top frame);

@@ -2,10 +2,12 @@ module Vec = Yewpar_util.Vec
 
 type 'node view = {
   process : 'node -> bool;
-  keep : 'node -> bool;
+  keep : ('node -> bool) option;
   prune_siblings : bool;
   priority : 'node -> int;
 }
+
+let[@inline] keeps view n = match view.keep with None -> true | Some keep -> keep n
 
 type ('node, 'result) harness = {
   view : 'node Knowledge.t -> 'node view;
@@ -30,7 +32,7 @@ type ('node, 'result) some_algebra =
 let enum_view (spec : ('n, 'acc) Problem.enum_spec) acc =
   {
     process = (fun n -> acc := spec.combine !acc (spec.view n); true);
-    keep = (fun _ -> true);
+    keep = None;
     prune_siblings = false;
     priority = (fun _ -> 0);
   }
@@ -82,21 +84,13 @@ let priority (obj : 'n Problem.objective) =
 
 (* [submit] receives every processed node with its value. *)
 let opt_view (obj : 'n Problem.objective) (k : 'n Knowledge.t) submit =
-  let keep =
-    match obj.bound with
-    | None -> fun _ -> true
-    | Some bound -> fun c -> bound c > k.best_obj ()
-  in
+  let keep = Option.map (fun bound c -> bound c > k.best_obj ()) obj.bound in
   { process = (fun n -> ignore (submit n (obj.value n)); true);
     keep; prune_siblings = prune_siblings obj; priority = priority obj }
 
 (* [submit] receives only nodes reaching the target. *)
 let dec_view (obj : 'n Problem.objective) ~target submit =
-  let keep =
-    match obj.bound with
-    | None -> fun _ -> true
-    | Some bound -> fun c -> bound c >= target
-  in
+  let keep = Option.map (fun bound c -> bound c >= target) obj.bound in
   let process n =
     let v = obj.value n in
     if v >= target then begin

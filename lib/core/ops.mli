@@ -16,10 +16,12 @@ type 'node view = {
           (optimisation/decision). Returns [false] iff a decision search
           just reached its target and the whole search should
           short-circuit (the paper's [shortcircuit] rule). *)
-  keep : 'node -> bool;
+  keep : ('node -> bool) option;
       (** The pruning predicate of the [prune] rule: [false] means the
           node's subtree provably cannot contribute and must be
-          discarded before materialisation. *)
+          discarded before materialisation. [None] when every node is
+          kept (an enumeration, or a search without a bound), so the
+          engine calls nothing per child. *)
   prune_siblings : bool;
       (** True iff a failed [keep] also discards all later siblings
           (set from {!Problem.objective.monotone}). *)
@@ -27,6 +29,10 @@ type 'node view = {
       (** Optimistic priority for best-first pools: the bound when one
           exists, else the objective, else 0 (enumeration). *)
 }
+
+val keeps : 'node view -> 'node -> bool
+(** [keeps view n] applies [view]'s pruning predicate: [true] when
+    [n] is kept, always so without a predicate. *)
 
 type ('node, 'result) harness = {
   view : 'node Knowledge.t -> 'node view;

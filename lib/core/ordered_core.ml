@@ -69,12 +69,11 @@ let harness (obj : 'n Problem.objective) : ('n positioned, 'n) Ops.harness =
       end
     in
     let keep =
-      match obj.Problem.bound with
-      | None -> fun _ -> true
-      | Some bound ->
-        fun c ->
+      Option.map
+        (fun bound c ->
           sync c.path;
-          bound c.node > !floor
+          bound c.node > !floor)
+        obj.Problem.bound
     in
     let process c =
       sync c.path;

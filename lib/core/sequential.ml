@@ -15,7 +15,7 @@ let search (type s n r) ?stats (p : (s, n, r) Problem.t) : r =
   Depth_profile.note_node prof 0;
   if view.process p.root then
     ignore
-      (Engine.run ~prune_rest:view.prune_siblings ~keep:view.keep
+      (Engine.run ~prune_rest:view.prune_siblings ?keep:view.keep
          ~process:view.process ~stop:(Atomic.make false) engine
         : bool);
   (match stats with

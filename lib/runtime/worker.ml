@@ -107,7 +107,7 @@ let split_chunk ctx ~slot (view : 'n Ops.view) ~tag e =
   let rec go kept = function
     | [] -> kept
     | c :: rest ->
-      if view.Ops.keep c then begin
+      if Ops.keeps view c then begin
         spawn ctx ~slot { Task_pool.tag; node = c; depth };
         go (kept + 1) rest
       end
@@ -122,7 +122,7 @@ let split_chunk ctx ~slot (view : 'n Ops.view) ~tag e =
 let split_one ctx ~slot (view : 'n Ops.view) ~tag e =
   match Engine.split_one e with
   | Some (node, depth) ->
-    if view.Ops.keep node then begin
+    if Ops.keeps view node then begin
       Engine.credit_kept e ~depth:(depth - 1) ~n:1;
       spawn ctx ~slot { Task_pool.tag; node; depth }
     end
@@ -160,7 +160,7 @@ let start_task ctx ~slot (task : 'n Task_pool.task) =
   s.root_depth <- depth;
   s.started <- Recorder.now ctx.recorders.(slot);
   let units =
-    if not (view.Ops.keep task.Task_pool.node) then begin
+    if not (Ops.keeps view task.Task_pool.node) then begin
       note_prune ctx ~slot depth;
       0
     end
@@ -183,7 +183,7 @@ let start_task ctx ~slot (task : 'n Task_pool.task) =
             match seq () with
             | Seq.Nil -> (kept, considered)
             | Seq.Cons (child, rest) ->
-              if view.Ops.keep child then begin
+              if Ops.keeps view child then begin
                 spawn ctx ~slot
                   { Task_pool.tag; node = child; depth = depth + 1 };
                 spawn_children (kept + 1) (considered + 1) rest
@@ -234,7 +234,7 @@ let advance ctx ~slot ~steps =
     let entered = Engine.nodes_entered e and pruned = Engine.nodes_pruned e in
     let run ?on_enter ?on_leave () =
       Engine.run ?on_enter ?on_leave ~steps ~prune_rest:view.Ops.prune_siblings
-        ~keep:view.Ops.keep ~process:view.Ops.process ~stop:ctx.stop e
+        ?keep:view.Ops.keep ~process:view.Ops.process ~stop:ctx.stop e
     in
     (* The coordination's decision is chosen here, once per call, and
        handed to the engine's loop as a hook on the one transition it

@@ -328,8 +328,8 @@ let ops_decide_keep () =
   in
   let k = Knowledge.make_ref () in
   let v = h.Ops.view k in
-  Alcotest.(check bool) "bound below target pruned" false (v.Ops.keep 8);
-  Alcotest.(check bool) "bound reaching target kept" true (v.Ops.keep 9);
+  Alcotest.(check bool) "bound below target pruned" false (Ops.keeps v 8);
+  Alcotest.(check bool) "bound reaching target kept" true (Ops.keeps v 9);
   Alcotest.(check bool) "below target continues" true (v.Ops.process 9);
   Alcotest.(check bool) "target short-circuits" false (v.Ops.process 10);
   Alcotest.(check (option int)) "witness recorded" (Some 10) (h.Ops.result k)
@@ -487,6 +487,42 @@ let ordered_core_lift () =
     (List.for_all (fun c -> c.OC.path == first.OC.path) (kids first));
   Alcotest.(check int) "lifted optimum" 9 (value (Sequential.search p).OC.node)
 
+(* A view without a pruning predicate ([keep = None]) lets the engine
+   keep every child without a call: enumerations and unbounded
+   searches, Ordered's included. Every bounded view has one. *)
+let views_keep_all () =
+  let objective bound = { Problem.value = Fun.id; bound; monotone = false } in
+  let bound = Some (fun n -> n + 1) in
+  let k = Knowledge.make_ref () in
+  let harness kind = (Ops.harness kind).Ops.view k in
+  let algebra kind =
+    let (Ops.Algebra alg) = Ops.algebra kind in
+    alg.Ops.view (ref alg.Ops.empty) k
+  in
+  let ordered bound =
+    let module OC = Yewpar_core.Ordered_core in
+    Option.is_none
+      ((OC.harness (objective bound)).Ops.view (Knowledge.make_ref ())).Ops.keep
+  in
+  let enum = Problem.Enumerate { empty = 0; combine = ( + ); view = Fun.id } in
+  let check label keeps_all (view : int Ops.view) =
+    Alcotest.(check bool) label keeps_all (Option.is_none view.Ops.keep)
+  in
+  check "enumerate" true (harness enum);
+  check "enumerate, algebra" true (algebra enum);
+  List.iter
+    (fun (label, bound, keeps_all) ->
+      let opt = Problem.Optimise (objective bound)
+      and dec = Problem.Decide { objective = objective bound; target = 10 } in
+      check ("optimise, " ^ label) keeps_all (harness opt);
+      check ("optimise algebra, " ^ label) keeps_all (algebra opt);
+      check ("decide, " ^ label) keeps_all (harness dec);
+      check ("decide algebra, " ^ label) keeps_all (algebra dec);
+      Alcotest.(check bool) ("ordered, " ^ label) keeps_all (ordered bound))
+    [ ("no bound", None, true); ("bounded", bound, false) ];
+  Alcotest.(check bool) "no predicate keeps" true
+    (Ops.keeps (harness enum) 0)
+
 let ordered_core_harness () =
   let module OC = Yewpar_core.Ordered_core in
   (* Nodes are (id, value); the bound is the value itself. *)
@@ -499,16 +535,16 @@ let ordered_core_harness () =
   Alcotest.(check int) "entries reach the store" 5 (k.Knowledge.best_obj ());
   (* A right incumbent never prunes to its left... *)
   Alcotest.(check bool) "right does not prune left" true
-    (left.Ops.keep (at [ 0 ] ("left", 5)));
+    (Ops.keeps left (at [ 0 ] ("left", 5)));
   ignore (left.Ops.process (at [ 0 ] ("left", 5)));
   (* ...a left one does, and so do the task's own improvements. *)
   let task = [ 2 ] in
   let third = h.Ops.view k in
   Alcotest.(check bool) "left prunes right" false
-    (third.Ops.keep (at task ("third", 5)));
+    (Ops.keeps third (at task ("third", 5)));
   ignore (third.Ops.process (at task ("own", 7)));
   Alcotest.(check bool) "own improvement prunes" false
-    (third.Ops.keep (at task ("worse", 6)));
+    (Ops.keeps third (at task ("worse", 6)));
   Alcotest.(check (pair string int)) "leftmost maximum" ("own", 7)
     (h.Ops.result k);
   let h = OC.harness obj in
@@ -747,10 +783,93 @@ let prop_engine_is_reference_dfs =
       && progress_rows = (if progress then tally else [])
       && (kind <> `Opt || best = max_value t))
 
+(* The engine writes a child's tail back into its frame only when it is
+   a different sequence, so a generator that is its own tail (as every
+   benchmarked app's cursor is) and one with a fresh tail per child
+   (List.to_seq) must run alike. Both are driven through one sequence
+   of random step budgets, [split_lowest] and [split_one] calls, with
+   the total transitions capped so that an engine that loses a fresh
+   tail (re-entering the same child forever) ends and is caught. *)
+let cursor_of children () n =
+  let left = ref (children n) in
+  let rec next () =
+    match !left with
+    | [] -> Seq.Nil
+    | c :: rest ->
+      left := rest;
+      Seq.Cons (c, next)
+  in
+  next
+
+let fresh_tails_of children () n = List.to_seq (children n)
+
+type tail_op = Steps of int | Split_lowest | Split_one
+
+let tail_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (4, map (fun n -> Steps (n + 1)) (int_bound 6));
+        (1, return Split_lowest);
+        (1, return Split_one) ])
+
+let drive_tails kind t ~generator ops =
+  let children, keep, process, prune_rest, order, _ = search_kind kind in
+  let keep = match kind with `Enum -> None | `Opt | `Dec _ -> Some keep in
+  let prof = Depth_profile.create () in
+  let e =
+    Engine.make ~prof ~space:() ~children:(generator children) ~root_depth:0 t
+  in
+  let stop = Atomic.make false and split = ref [] in
+  let budget = ref ((4 * size t) + 16) in
+  let run steps =
+    budget := !budget - steps;
+    Engine.run ~steps ~prune_rest ?keep ~process ~stop e
+  in
+  (* Whether the traversal ended within the cap. *)
+  let rec go ops =
+    if !budget <= 0 then false
+    else
+      match ops with
+      | [] -> not (run !budget)
+      | Steps n :: ops -> (not (run n)) || go ops
+      | Split_lowest :: ops ->
+        let cs, depth = Engine.split_lowest e in
+        split := (depth, List.map value cs) :: !split;
+        go ops
+      | Split_one :: ops ->
+        (match Engine.split_one e with
+        | Some (c, depth) -> split := (depth, [ value c ]) :: !split
+        | None -> ());
+        go ops
+  in
+  let ended = (not (process t)) || go ops in
+  ( ended,
+    List.rev !order,
+    List.rev !split,
+    ( Engine.nodes_entered e,
+      Engine.nodes_pruned e,
+      Engine.backtracks e,
+      Engine.max_depth e ),
+    profile_rows prof )
+
+let prop_own_tail_is_fresh_tail =
+  QCheck.Test.make ~name:"own-tail cursor = fresh-tail generator" ~count:300
+    QCheck.(
+      triple tree_arb (int_bound 3)
+        (make QCheck.Gen.(list_size (int_bound 30) tail_op_gen)))
+    (fun (t, k, ops) ->
+      let kind =
+        match k with 0 | 1 -> `Enum | 2 -> `Opt | _ -> `Dec (subtree_max t)
+      in
+      let cursor = drive_tails kind t ~generator:cursor_of ops
+      and fresh = drive_tails kind t ~generator:fresh_tails_of ops in
+      let ended, _, _, _, _ = cursor in
+      ended && fresh = cursor)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_count; prop_max; prop_prune_safe; prop_split_soundness;
-      prop_engine_is_reference_dfs ]
+      prop_engine_is_reference_dfs; prop_own_tail_is_fresh_tail ]
 
 let () =
   Alcotest.run "core"
@@ -786,6 +905,7 @@ let () =
         [
           Alcotest.test_case "enum merges views" `Quick ops_enum_merges_views;
           Alcotest.test_case "decide keep/process" `Quick ops_decide_keep;
+          Alcotest.test_case "views that keep every child" `Quick views_keep_all;
         ] );
       ("coordination", [ Alcotest.test_case "parsing" `Quick coordination_strings ]);
       ( "stats",

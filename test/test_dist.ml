@@ -360,7 +360,7 @@ let leased_deltas (type s n r) rng ~leases (p : (s, n, r) Problem.t) codec =
     let v = views.(0) in
     if process p.Problem.root then
       ignore
-        (Engine.run ~prune_rest:v.Ops.prune_siblings ~keep:v.Ops.keep ~process
+        (Engine.run ~prune_rest:v.Ops.prune_siblings ?keep:v.Ops.keep ~process
            ~stop:(Atomic.make false) e
           : bool);
     Array.to_list cells

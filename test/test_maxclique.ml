@@ -261,6 +261,18 @@ let malformed_sets () =
     (Invalid_argument "Bitset.greedy_colour: capacity beyond the colouring's packing")
     (fun () -> ignore (Bitset.greedy_colour (forge [| 0 |] top) ~adj:huge))
 
+(* [inter_row] copies the set's words and ANDs the row's stride of
+   them, so a long word array would keep its extra words: bits beyond
+   the capacity. It checks the word count, as the kernel does. *)
+let malformed_inter_row () =
+  let m = Graph.adjacency (Gen.uniform ~seed:9 100 0.5) in
+  Alcotest.(check (list int)) "a well-formed forgery intersects"
+    (List.filter (Bitset.Matrix.mem m 0) [ 0; 99 ])
+    (Bitset.elements (Bitset.Matrix.inter_row (forge [| 1; 1 lsl 36 |] 100) m 0));
+  Alcotest.check_raises "a long word array"
+    (Invalid_argument "Bitset.Matrix.inter_row: malformed set") (fun () ->
+      ignore (Bitset.Matrix.inter_row (forge [| 1; 0; 7 |] 100) m 0))
+
 let matches_brute_force () =
   for seed = 0 to 14 do
     let n = 8 + (seed mod 6) in
@@ -363,6 +375,7 @@ let () =
           Alcotest.test_case "greedy_colour checks" `Quick greedy_colour_checks;
           Alcotest.test_case "colour entries round trip" `Quick entry_round_trips;
           Alcotest.test_case "malformed candidate sets" `Quick malformed_sets;
+          Alcotest.test_case "malformed inter_row set" `Quick malformed_inter_row;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_greedy_colour ]);
     ]
