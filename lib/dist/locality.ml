@@ -95,8 +95,8 @@ let run (type s n r) ?(record = false) ?heartbeat ?chaos ~conn ~workers
      though deque tasks are invisible to the coordinator. *)
   let local_outstanding = Atomic.make 0 in
   let stop = Atomic.make false in
-  (* Armed by a coordinator steal request that caught our pool dry: the
-     next locally-spawned task is spilled instead of queued. *)
+  (* Armed by a coordinator steal request that caught both tiers dry:
+     the next locally-spawned task is spilled instead of queued. *)
   let global_hungry = Atomic.make false in
 
   (* Worker -> communicator outbox; only the communicator writes to the
@@ -206,9 +206,6 @@ let run (type s n r) ?(record = false) ?heartbeat ?chaos ~conn ~workers
       (views, { register; end_task; pending; retire; residual })
   in
   let task_priority = Worker.task_priority ~coordination views in
-  (* Keep roughly a task per worker queued locally; beyond that, new
-     spawns ship to the coordinator's distributed pool. *)
-  let spill_threshold = max 4 (2 * workers) in
 
   let enqueue_local ~slot r (task : n Task_pool.task) =
     Atomic.incr local_outstanding;
@@ -239,7 +236,6 @@ let run (type s n r) ?(record = false) ?heartbeat ?chaos ~conn ~workers
       Worker.enqueue =
         (fun ~slot r task ->
           if Atomic.compare_and_set global_hungry true false then spill task
-          else if Two_tier.queued tiers >= spill_threshold then spill task
           else enqueue_local ~slot r task);
       take =
         (fun ~slot ->
@@ -306,26 +302,27 @@ let run (type s n r) ?(record = false) ?heartbeat ?chaos ~conn ~workers
     enqueue_local ~slot:(-1) comms_r
       { Task_pool.tag = lease; node = codec.Codec.decode payload; depth }
   in
-  (* The coordinator asked for work on behalf of a starving locality:
-     give back half of our overflow tier, shallowest-first (the
-     biggest subtrees), or arm the spill flag if it has nothing
-     queued. Deque-resident tasks are never shed — they stay inside
-     this locality's lease accounting until executed. *)
-  let shed_from_pool () =
+  (* The coordinator asked for work on behalf of a starving locality
+     — the only way work leaves this locality: give back half of what
+     both tiers queue, shallowest-first (the biggest subtrees), or arm
+     the spill flag if nothing is queued. Each shed task stays in
+     [local_outstanding] until it is in the outbox, so it is sent
+     before its lease can retire. *)
+  let shed_on_request () =
     match Two_tier.shed_half tiers with
     | [] -> Atomic.set global_hungry true
     | shed ->
       List.iter
         (fun t ->
-          Atomic.decr local_outstanding;
-          spill t)
+          spill t;
+          Atomic.decr local_outstanding)
         shed
   in
   let handle_msg = function
     | Wire.Steal_reply { task = Some (lease, depth, payload) } ->
       receive_task lease depth payload
     | Wire.Steal_reply { task = None } -> steal_inflight := false
-    | Wire.Steal_request -> shed_from_pool ()
+    | Wire.Steal_request -> shed_on_request ()
     | Wire.Bound_update { value; witness = _ } ->
       if value > Atomic.get floor then begin
         Atomic.set floor value;

@@ -8,8 +8,8 @@
     - drains inbound tasks / bound updates / steal requests / pings /
       shutdown;
     - flushes spilled tasks (spawned work the locality sheds when the
-      cluster is hungry or its own pool is saturated), each tagged
-      with the lease it was spawned under;
+      coordinator relays another locality's hunger), each tagged with
+      the lease it was spawned under;
     - publishes local incumbent improvements upward with their witness
       node (and, for Decide searches, the witness frame) for
       rebroadcast;

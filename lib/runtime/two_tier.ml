@@ -18,8 +18,9 @@ type 'n t = {
   nonempty : Condition.t;  (* the block/wake point of [take] *)
   pool : 'n entry Workpool.t;
   queued : int Atomic.t;
-      (* total across both tiers; the O(1) basis of every hunger and
-         spill probe, so none of them has to sum the deques *)
+      (* total across both tiers; the O(1) basis of every hunger
+         probe and of [shed_half]'s quota, so none of them has to sum
+         the deques *)
   waiting : int Atomic.t;
   rngs : Splitmix.gen array;
       (* per-slot victim-selection streams; [rngs.(i)] is touched only
@@ -226,16 +227,25 @@ let take t ~slot ~recorder ~stop ?steal_counters ?(drained = fun () -> false)
   loop ()
 
 let shed_half t =
-  Mutex.lock t.mutex;
-  let rec pop k acc =
-    if k = 0 then acc
-    else
-      match Workpool.pop_steal t.pool with
-      | Some { tk; _ } -> pop (k - 1) (tk :: acc)
-      | None -> acc
+  let rec from_pool k acc =
+    match if k = 0 then None else Workpool.pop_steal t.pool with
+    | Some { tk; _ } -> from_pool (k - 1) (tk :: acc)
+    | None -> (k, acc)
   in
-  let shed = List.rev (pop ((Workpool.size t.pool + 1) / 2) []) in
+  (* Then the deques' oldest entries, one per deque per round, until
+     the quota is met or [n] visits in a row find nothing (a dry deque
+     or a steal lost to its owner). *)
+  let n = Array.length t.deques in
+  let rec from_deques k i dry acc =
+    if k = 0 || dry = n then acc
+    else
+      match Deque.steal t.deques.(i) with
+      | Some tk -> from_deques (k - 1) ((i + 1) mod n) 0 (tk :: acc)
+      | None -> from_deques k ((i + 1) mod n) (dry + 1) acc
+  in
+  Mutex.lock t.mutex;
+  let k, acc = from_pool ((Atomic.get t.queued + 1) / 2) [] in
   Mutex.unlock t.mutex;
-  if shed <> [] then
-    ignore (Atomic.fetch_and_add t.queued (-List.length shed));
+  let shed = List.rev (from_deques k 0 0 acc) in
+  ignore (Atomic.fetch_and_add t.queued (-List.length shed));
   shed

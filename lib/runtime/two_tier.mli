@@ -10,16 +10,15 @@
     {!Yewpar_core.Workpool} with the coordination's policy
     ({!Task_pool.policy_for}): deque overflow spills into it
     shallowest-first, pushes with no owning worker (wire arrivals, the
-    communicator) land in it directly, best-first and Ordered
-    coordinations have no deques so their order stays global, and it
-    is the only tier distributed localities shed from —
-    so cross-locality work always moves in the order-preserving tier.
-    Its condition variable is also the block/wake point for workers
-    that find both tiers dry.
+    communicator) land in it directly, and best-first and Ordered
+    coordinations have no deques so their order stays global. Its
+    condition variable is also the block/wake point for workers that
+    find both tiers dry. A distributed locality sheds from both tiers
+    ({!shed_half}), the overflow tier first.
 
     A single atomic [queued] counter tracks the total across both
-    tiers, so hunger ({!hungry}) and spill-threshold probes stay O(1)
-    reads. *)
+    tiers, so the hunger probe ({!hungry}) and the shed quota stay
+    O(1) reads. *)
 
 type 'n t
 
@@ -88,12 +87,19 @@ val take :
     wait's wall-clock duration (the dist heartbeat's idle fraction). *)
 
 val shed_half : 'n t -> 'n Task_pool.task list
-(** Remove half the {e overflow-tier} tasks (rounded up),
-    shallowest-first, for shipping to a remote thief. Deques are never
-    shed: on dist their tasks stay under the locality's lease
-    accounting until executed, so only Tier-2 work may leave. Returns
-    [[]] when the pool is empty even if deques hold work — the caller
-    arms its hunger flag and future spawns spill at source. *)
+(** Remove half of everything queued across both tiers (rounded up),
+    for shipping to a remote thief: the overflow tier's shallowest
+    tasks first, then the deques' oldest entries, taken with
+    {!Deque.steal} (safe from any domain or thread). [queued] drops by
+    the number returned. [[]] means both tiers were dry (or every
+    deque steal lost its race to an owner).
+
+    On dist a shed deque task is as safe as a shed pool task: both
+    carry the lease they were spawned under, so the spill names it as
+    [parent], and both count in the locality's outstanding tasks until
+    the communicator has put the spill in its outbox. A lease retires
+    only when nothing is outstanding and the outbox is empty, so every
+    shed of a lease is sent before that lease's retirement. *)
 
 val broadcast : 'n t -> unit
 (** Wake every blocked worker (stop requests, termination, wire
@@ -108,4 +114,5 @@ val idle_workers : 'n t -> int
 
 val hungry : 'n t -> bool
 (** [idle_workers > 0 && queued = 0]: somebody is starving and neither
-    tier has anything for them — the stack-stealing shed probe. *)
+    tier has anything for them. Stack-Stealing's shed probe on shm and
+    dist, and a dist locality's cue to ask the coordinator for work. *)

@@ -16,6 +16,28 @@ let children_of () (T (_, cs)) = List.to_seq cs
 let rec size (T (_, cs)) = 1 + List.fold_left (fun acc c -> acc + size c) 0 cs
 let rec max_value (T (v, cs)) = List.fold_left (fun acc c -> max acc (max_value c)) v cs
 
+(* A cap on the engine transitions (one per entered and one per left
+   node) a test may spend on a tree of [n] nodes: twice what a
+   traversal takes, so an engine that stops advancing a frame fails
+   the test instead of hanging it. *)
+let step_cap n = (4 * n) + 16
+
+(* [children_of] for a problem searched through [Sequential.search],
+   which takes no step bound: every child kept or pruned, and every
+   exhausted node, forces one cell of these sequences, and the search
+   fails the test once it has forced [step_cap] cells on the tree
+   [root]. *)
+let capped_children root =
+  let left = ref (step_cap (size root)) in
+  let rec capped s () =
+    decr left;
+    if !left < 0 then Alcotest.fail "search exceeded its step cap";
+    match s () with
+    | Seq.Nil -> Seq.Nil
+    | Seq.Cons (c, rest) -> Seq.Cons (c, capped rest)
+  in
+  fun () n -> capped (children_of () n)
+
 (*      1
       / | \
      2  5  3
@@ -25,10 +47,11 @@ let sample =
   T (1, [ T (2, [ T (7, []); T (4, []) ]); T (5, []); T (3, [ T (9, []) ]) ])
 
 let count_problem root =
-  Problem.count_nodes ~name:"count" ~space:() ~root ~children:children_of ()
+  Problem.count_nodes ~name:"count" ~space:() ~root
+    ~children:(capped_children root) ()
 
 let max_problem root =
-  Problem.maximise ~name:"max" ~space:() ~root ~children:children_of
+  Problem.maximise ~name:"max" ~space:() ~root ~children:(capped_children root)
     ~objective:value ()
 
 (* Run [e] to its end, returning the values of the nodes it entered in
@@ -40,7 +63,8 @@ let drive ?(keep = fun _ -> true) e =
     true
   in
   let paused =
-    Engine.run ~prune_rest:false ~keep ~process ~stop:(Atomic.make false) e
+    Engine.run ~steps:(step_cap (size (Engine.root e))) ~prune_rest:false ~keep
+      ~process ~stop:(Atomic.make false) e
   in
   Alcotest.(check bool) "ran to the end" false paused;
   List.rev !visited
@@ -207,7 +231,8 @@ let sequential_max () =
 
 let sequential_decide () =
   let dec target =
-    Problem.decide ~name:"dec" ~space:() ~root:sample ~children:children_of
+    Problem.decide ~name:"dec" ~space:() ~root:sample
+      ~children:(capped_children sample)
       ~objective:value ~target ()
   in
   (match Sequential.search (dec 9) with
@@ -226,7 +251,8 @@ let sequential_shortcircuit_stops () =
      target 2 is hit at the very first entered node. *)
   let stats = Stats.create () in
   let dec =
-    Problem.decide ~name:"dec" ~space:() ~root:sample ~children:children_of
+    Problem.decide ~name:"dec" ~space:() ~root:sample
+      ~children:(capped_children sample)
       ~objective:value ~target:2 ()
   in
   (match Sequential.search ~stats dec with
@@ -240,7 +266,8 @@ let sequential_bound_prunes () =
   let rec bound (T (v, cs)) = List.fold_left (fun acc c -> max acc (bound c)) v cs in
   let stats = Stats.create () in
   let p =
-    Problem.maximise ~name:"maxb" ~space:() ~root:sample ~children:children_of
+    Problem.maximise ~name:"maxb" ~space:() ~root:sample
+      ~children:(capped_children sample)
       ~bound ~objective:value ()
   in
   let n = Sequential.search ~stats p in
@@ -254,7 +281,8 @@ let sequential_depth_profile () =
   let rec bound (T (v, cs)) = List.fold_left (fun acc c -> max acc (bound c)) v cs in
   let stats = Stats.create () in
   let p =
-    Problem.maximise ~name:"maxb" ~space:() ~root:sample ~children:children_of
+    Problem.maximise ~name:"maxb" ~space:() ~root:sample
+      ~children:(capped_children sample)
       ~bound ~objective:value ()
   in
   ignore (Sequential.search ~stats p);
@@ -280,7 +308,8 @@ let sequential_depth_profile () =
 let enumeration_monoid () =
   (* Sum of values, a different monoid from counting. *)
   let p =
-    Problem.enumerate ~name:"sum" ~space:() ~root:sample ~children:children_of
+    Problem.enumerate ~name:"sum" ~space:() ~root:sample
+      ~children:(capped_children sample)
       ~empty:0 ~combine:( + ) ~view:value ()
   in
   Alcotest.(check int) "sum over tree" (1 + 2 + 7 + 4 + 5 + 3 + 9) (Sequential.search p)
@@ -582,7 +611,8 @@ let prop_prune_safe =
         List.fold_left (fun acc c -> max acc (bound c)) v cs
       in
       let p =
-        Problem.maximise ~name:"m" ~space:() ~root:t ~children:children_of ~bound
+        Problem.maximise ~name:"m" ~space:() ~root:t
+          ~children:(capped_children t) ~bound
           ~objective:value ()
       in
       value (Sequential.search p) = max_value t)
@@ -608,7 +638,8 @@ let prop_split_soundness =
           choices := rest;
           c
       in
-      let rec drive () =
+      (* Whether the traversal ended within the step cap. *)
+      let rec drive left =
         (match next_choice () with
         | 0 -> (
           match Engine.split_one engine with
@@ -622,13 +653,13 @@ let prop_split_soundness =
           incr visited;
           true
         in
-        if
-          Engine.run ~steps:1 ~prune_rest:false ~keep:(fun _ -> true) ~process
-            ~stop:(Atomic.make false) engine
-        then drive ()
+        left > 0
+        && ((not
+               (Engine.run ~steps:1 ~prune_rest:false ~keep:(fun _ -> true)
+                  ~process ~stop:(Atomic.make false) engine))
+           || drive (left - 1))
       in
-      drive ();
-      !visited + !split_off = size t)
+      drive (step_cap (size t)) && !visited + !split_off = size t)
 
 (* The engine, paused and resumed at random step budgets, against a
    plain recursive depth-first search written here: the same nodes
@@ -734,14 +765,19 @@ let engine_dfs kind t prof budgets =
       ~root_depth:0 t
   in
   let stop = Atomic.make false in
+  (* Whether the search ended; the last resume is capped. *)
   let rec resume = function
-    | [] -> ignore (Engine.run ~prune_rest ~keep ~process ~stop e : bool)
+    | [] ->
+      let steps = step_cap (size t) in
+      not (Engine.run ~steps ~prune_rest ~keep ~process ~stop e)
     | steps :: rest ->
-      if Engine.run ~steps ~prune_rest ~keep ~process ~stop e then resume rest
+      (not (Engine.run ~steps ~prune_rest ~keep ~process ~stop e))
+      || resume rest
   in
   Depth_profile.note_node prof 0;
-  if process t then resume budgets;
-  ( List.rev !order,
+  let ended = (not (process t)) || resume budgets in
+  ( ended,
+    List.rev !order,
     !incumbent,
     ( Engine.nodes_entered e,
       Engine.nodes_pruned e,
@@ -773,11 +809,12 @@ let prop_engine_is_reference_dfs =
       let prof_ref = Depth_profile.create ()
       and prof = Depth_profile.create ~profiled ~progress () in
       let expected, tally = reference_dfs kind t prof_ref in
-      let got = engine_dfs kind t prof budgets in
-      let _, best, _ = got in
+      let ended, order, best, counts = engine_dfs kind t prof budgets in
+      let got = (order, best, counts) in
       let rows, progress_rows = profile_rows prof
       and rows_ref, progress_rows_ref = profile_rows prof_ref in
-      got = expected
+      ended
+      && got = expected
       && ((not profiled) || rows = rows_ref)
       && progress_rows_ref = tally
       && progress_rows = (if progress then tally else [])

@@ -496,6 +496,47 @@ let decision_matches () =
       | None -> ())
     coords
 
+(* Work leaves a locality only when another one starves, so a lone
+   locality is handed the root lease and nothing else, whatever its
+   Budget skeleton spawns. *)
+let lone_locality_one_lease () =
+  let p = queens_n 10 in
+  let stats = Stats.create () in
+  Alcotest.(check int) "queens-10" (Sequential.search p)
+    (dist ~stats ~localities:1 ~workers:2
+       ~coordination:(Coordination.Budget { budget = 100 })
+       p);
+  Alcotest.(check bool)
+    (Printf.sprintf "at most one wire steal (got %d)" stats.Stats.steals)
+    true (stats.Stats.steals <= 1)
+
+(* The demand path alone still spreads work: on two one-worker
+   localities the journal shows leases issued to both. *)
+let demand_path_spreads_leases () =
+  let module Journal = Yewpar_telemetry.Journal in
+  let p = queens_n 12 in
+  let path = Filename.temp_file "yewpar_spread" ".jsonl" in
+  let w = Journal.create ~path () in
+  let r =
+    Dist.run ~journal:w ~watchdog:120. ~localities:2 ~workers:1
+      ~coordination:(Coordination.Depth_bounded { dcutoff = 2 })
+      p
+  in
+  Journal.close w;
+  let entries, _ = Journal.read path in
+  Sys.remove path;
+  Alcotest.(check int) "queens-12" 14200 r;
+  List.iter
+    (fun loc ->
+      Alcotest.(check bool)
+        (Printf.sprintf "locality %d holds a lease" loc)
+        true
+        (List.exists
+           (fun e ->
+             e.Journal.e_ev = "lease_issue" && e.Journal.e_locality = loc)
+           entries))
+    [ 0; 1 ]
+
 let single_locality_single_worker () =
   let p = queens_n 7 in
   let expected = Sequential.search p in
@@ -683,11 +724,14 @@ let no_chaos_clean_counters () =
 let chaos_kill_enumerate () =
   (* The tentpole acceptance test: SIGKILL one of three localities
      mid-run; the survivors replay its leases and the count is exact —
-     nothing lost, nothing double-counted. *)
+     nothing lost, nothing double-counted. Work leaves a locality only
+     when another one starves, so the locality that took the root may
+     be handed no second lease before the run ends: every crash below
+     is keyed to locality 1's first lease, which it always receives. *)
   let stats = Stats.create () in
   let r =
     Dist.run ~stats ~watchdog:120. ~localities:3 ~workers:2
-      ~chaos:(fault_spec "kill-locality:1@leases:3")
+      ~chaos:(fault_spec "kill-locality:1@leases:1")
       ~coordination:(Coordination.Depth_bounded { dcutoff = 2 })
       (queens_n 12)
   in
@@ -705,7 +749,7 @@ let chaos_kill_optimise () =
   let stats = Stats.create () in
   let node =
     Dist.run ~stats ~watchdog:120. ~localities:3 ~workers:2
-      ~chaos:(fault_spec "kill-locality:1@leases:3")
+      ~chaos:(fault_spec "kill-locality:1@leases:1")
       ~coordination:(Coordination.Depth_bounded { dcutoff = 2 })
       p
   in
@@ -716,9 +760,7 @@ let chaos_kill_optimise () =
 
 let chaos_kill_decide () =
   (* Same crash under a decision search, whose result travels as lease
-     deltas, residuals and the coordinator's Witness. A witness can end
-     the sat search before locality 1 has been handed a third lease, so
-     the crash is keyed to its first. *)
+     deltas, residuals and the coordinator's Witness. *)
   let run p =
     let stats = Stats.create () in
     let r =
@@ -748,7 +790,7 @@ let chaos_respawn () =
   let stats = Stats.create () in
   let r =
     Dist.run ~stats ~watchdog:120. ~localities:3 ~workers:2 ~max_respawns:1
-      ~chaos:(fault_spec "kill-locality:1@leases:3")
+      ~chaos:(fault_spec "kill-locality:1@leases:1")
       ~coordination:(Coordination.Depth_bounded { dcutoff = 2 })
       (queens_n 12)
   in
@@ -803,7 +845,7 @@ let chaos_journal_causality () =
   let r =
     Dist.run ~stats ~journal:w ~watchdog:120. ~localities:3 ~workers:2
       ~max_respawns:1 ~failure_timeout:2.
-      ~chaos:(fault_spec "kill-locality:1@leases:3")
+      ~chaos:(fault_spec "kill-locality:1@leases:1")
       ~coordination:(Coordination.Depth_bounded { dcutoff = 2 })
       (queens_n 12)
   in
@@ -896,7 +938,7 @@ let progress_final_across_replay () =
   let stats = Stats.create () in
   let r =
     Dist.run ~stats ~watchdog:120. ~localities:3 ~workers:2
-      ~chaos:(fault_spec "kill-locality:1@leases:3")
+      ~chaos:(fault_spec "kill-locality:1@leases:1")
       ~coordination:(Coordination.Depth_bounded { dcutoff = 2 })
       (queens_n 12)
   in
@@ -1175,6 +1217,10 @@ let () =
           Alcotest.test_case "decision" `Quick decision_matches;
           Alcotest.test_case "depth profile invariants" `Quick
             depth_profile_invariants;
+          Alcotest.test_case "a lone locality takes one lease" `Quick
+            lone_locality_one_lease;
+          Alcotest.test_case "the demand path reaches every locality" `Quick
+            demand_path_spreads_leases;
         ] );
       ( "edge cases",
         [

@@ -206,6 +206,35 @@ let two_tier_priority_global_order () =
   Alcotest.(check (list int))
     "global priority order" [ 9; 9; 7; 3; 1; 0 ] (drain [])
 
+(* A dist locality sheds from both tiers: with everything in slot 0's
+   deque, half of it (rounded up) leaves oldest-first, which in a
+   depth-first search is shallowest-first, and the owner still pops
+   the rest. *)
+let shed_takes_deque_work () =
+  let tiers = Two_tier.create ~policy:Workpool.Depth ~slots:2 () in
+  List.iter
+    (fun depth ->
+      Two_tier.enqueue tiers ~slot:0 ~recorder:Recorder.null ~priority:0
+        (task ~depth depth))
+    [ 1; 2; 3; 4; 5 ];
+  let shed = List.map (fun t -> t.Task_pool.depth) (Two_tier.shed_half tiers) in
+  Alcotest.(check (list int)) "shallowest 3 of 5" [ 1; 2; 3 ] shed;
+  Alcotest.(check int) "shed leaves the count" 2 (Two_tier.queued tiers);
+  let stop = Atomic.make false in
+  let pop () =
+    Option.map
+      (fun t -> t.Task_pool.depth)
+      (Two_tier.take tiers ~slot:0 ~recorder:Recorder.null ~stop
+         ~drained:(fun () -> true)
+         ())
+  in
+  let first = pop () in
+  let second = pop () in
+  Alcotest.(check (list (option int)))
+    "owner pops the rest deepest-first" [ Some 5; Some 4 ] [ first; second ];
+  Alcotest.(check int) "nothing left to shed" 0
+    (List.length (Two_tier.shed_half tiers))
+
 (* ------------------ overflow-tier order properties ---------------- *)
 
 (* Ownerless pushes (slot -1: wire arrivals, the communicator) land in
@@ -344,6 +373,8 @@ let () =
             two_tier_stress;
           Alcotest.test_case "priority bypasses deques, global order" `Quick
             two_tier_priority_global_order;
+          Alcotest.test_case "shed takes deque work, oldest first" `Quick
+            shed_takes_deque_work;
         ] );
       ( "overflow order",
         Alcotest.test_case "shed shallowest, pops unchanged" `Quick shed_order

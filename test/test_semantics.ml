@@ -290,10 +290,15 @@ let engine_follows_traversal_order () =
       visited := w :: !visited;
       true
     in
-    ignore
-      (Yewpar_core.Engine.run ~prune_rest:false ~keep:(fun _ -> true) ~process
-         ~stop:(Atomic.make false) engine
-        : bool);
+    (* Capped at twice the transitions a traversal takes, so an engine
+       that stops advancing fails here instead of hanging. *)
+    let steps = (4 * Subtree.cardinal tree) + 16 in
+    if
+      Yewpar_core.Engine.run ~steps ~prune_rest:false ~keep:(fun _ -> true)
+        ~process ~stop:(Atomic.make false) engine
+    then
+      Alcotest.failf "traversal did not end within %d steps (seed %d)" steps
+        seed;
     let got = List.rev !visited in
     let expected = Subtree.WSet.elements tree.Subtree.nodes in
     if got <> expected then
@@ -346,6 +351,10 @@ let prop_split_partition =
       in
       let pending = Queue.create () in
       let ok = ref true in
+      (* Engine transitions left across every traversal: twice what the
+         tree takes, so an engine that stops advancing ends the
+         property false instead of hanging it. *)
+      let left = ref ((4 * Subtree.cardinal tree) + 16) in
       let traverse (root, root_depth) =
         if Word.depth root <> root_depth then ok := false;
         visit root;
@@ -385,7 +394,9 @@ let prop_split_partition =
                complete w (after - before);
                branch := rest
              | [] -> ok := false);
-          if paused then drive ()
+          decr left;
+          if !left < 0 then ok := false
+          else if paused then drive ()
         in
         drive ()
       in
