@@ -305,17 +305,18 @@ let run (type s n r) ?(record = false) ?heartbeat ?chaos ~conn ~workers
   (* The coordinator asked for work on behalf of a starving locality
      — the only way work leaves this locality: give back half of what
      both tiers queue, shallowest-first (the biggest subtrees), or arm
-     the spill flag if nothing is queued. Each shed task stays in
-     [local_outstanding] until it is in the outbox, so it is sent
-     before its lease can retire. *)
+     the spill flag if nothing is queued. The shed and the quiescence
+     check below both run on the communicator, and the spill is in the
+     outbox before the next check, so a shed task is sent before its
+     lease can retire. *)
   let shed_on_request () =
     match Two_tier.shed_half tiers with
     | [] -> Atomic.set global_hungry true
     | shed ->
       List.iter
         (fun t ->
-          spill t;
-          Atomic.decr local_outstanding)
+          Atomic.decr local_outstanding;
+          spill t)
         shed
   in
   let handle_msg = function

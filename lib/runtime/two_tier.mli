@@ -97,9 +97,11 @@ val shed_half : 'n t -> 'n Task_pool.task list
     On dist a shed deque task is as safe as a shed pool task: both
     carry the lease they were spawned under, so the spill names it as
     [parent], and both count in the locality's outstanding tasks until
-    the communicator has put the spill in its outbox. A lease retires
-    only when nothing is outstanding and the outbox is empty, so every
-    shed of a lease is sent before that lease's retirement. *)
+    they are shed. A lease retires only when nothing is outstanding
+    and the outbox is empty. The shed and that check both run on the
+    locality's communicator, and the spill is in the outbox before the
+    check runs again, so every shed of a lease is sent before that
+    lease's retirement. *)
 
 val broadcast : 'n t -> unit
 (** Wake every blocked worker (stop requests, termination, wire

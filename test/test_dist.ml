@@ -511,10 +511,12 @@ let lone_locality_one_lease () =
     true (stats.Stats.steals <= 1)
 
 (* The demand path alone still spreads work: on two one-worker
-   localities the journal shows leases issued to both. *)
+   localities the journal shows leases issued to both. queens-13 runs
+   five times as long as queens-12, so a locality that starts late
+   under load still starves while the other has work to shed. *)
 let demand_path_spreads_leases () =
   let module Journal = Yewpar_telemetry.Journal in
-  let p = queens_n 12 in
+  let p = queens_n 13 in
   let path = Filename.temp_file "yewpar_spread" ".jsonl" in
   let w = Journal.create ~path () in
   let r =
@@ -525,7 +527,7 @@ let demand_path_spreads_leases () =
   Journal.close w;
   let entries, _ = Journal.read path in
   Sys.remove path;
-  Alcotest.(check int) "queens-12" 14200 r;
+  Alcotest.(check int) "queens-13" 73712 r;
   List.iter
     (fun loc ->
       Alcotest.(check bool)
@@ -721,21 +723,50 @@ let no_chaos_clean_counters () =
   Alcotest.(check int) "no leases reissued" 0 stats.Stats.leases_reissued;
   Alcotest.(check int) "no respawns" 0 stats.Stats.respawns
 
+(* Work leaves a locality only when another one starves, so whether
+   locality 1 is handed the lease a crash is keyed to depends on who
+   took the root and on how long each share lasts: a locality that
+   keeps its first share busy until the run ends (the root holder, or
+   one starved of CPU) is handed no other. [until_crash run] calls
+   [run stats] on fresh stats until the crash has fired, three runs at
+   most, and returns the last stats. [run] checks its own result, so a
+   run the crash missed must be exact as well. *)
+let until_crash run =
+  let rec go attempt =
+    let stats = Stats.create () in
+    run stats;
+    if stats.Stats.localities_lost > 0 || attempt = 3 then stats
+    else go (attempt + 1)
+  in
+  go 1
+
+(* The queens-12 crash the fault-tolerance and progress cases share:
+   locality 1 of three one-worker localities dies on receiving its
+   second lease. A one-worker locality asks for work only once it has
+   drained, and it retires its leases in the same communicator tick as
+   that request, so the crash lands mid-search after locality 1 has
+   retired a lease: one whose deltas must not count twice and whose
+   depth tallies die with it. With [journal], each run rewrites that
+   file. *)
+let crash_queens ?journal ?max_respawns ?failure_timeout () =
+  until_crash (fun stats ->
+      let module Journal = Yewpar_telemetry.Journal in
+      let w = Option.map (fun path -> Journal.create ~path ()) journal in
+      let r =
+        Dist.run ~stats ?journal:w ?max_respawns ?failure_timeout
+          ~watchdog:120. ~localities:3 ~workers:1
+          ~chaos:(fault_spec "kill-locality:1@leases:2")
+          ~coordination:(Coordination.Depth_bounded { dcutoff = 2 })
+          (queens_n 12)
+      in
+      Option.iter Journal.close w;
+      Alcotest.(check int) "queens-12 exact despite the crash" 14200 r)
+
 let chaos_kill_enumerate () =
   (* The tentpole acceptance test: SIGKILL one of three localities
      mid-run; the survivors replay its leases and the count is exact —
-     nothing lost, nothing double-counted. Work leaves a locality only
-     when another one starves, so the locality that took the root may
-     be handed no second lease before the run ends: every crash below
-     is keyed to locality 1's first lease, which it always receives. *)
-  let stats = Stats.create () in
-  let r =
-    Dist.run ~stats ~watchdog:120. ~localities:3 ~workers:2
-      ~chaos:(fault_spec "kill-locality:1@leases:1")
-      ~coordination:(Coordination.Depth_bounded { dcutoff = 2 })
-      (queens_n 12)
-  in
-  Alcotest.(check int) "queens-12 exact despite the crash" 14200 r;
+     nothing lost, nothing double-counted. *)
+  let stats = crash_queens () in
   Alcotest.(check int) "one locality lost" 1 stats.Stats.localities_lost;
   Alcotest.(check bool) "leases were replayed" true
     (stats.Stats.leases_reissued >= 1)
@@ -746,21 +777,26 @@ let chaos_kill_optimise () =
   let g = Gen.uniform ~seed:47 110 0.8 in
   let p = Mc.max_clique g in
   let expected = (Sequential.search p).Mc.size in
-  let stats = Stats.create () in
-  let node =
-    Dist.run ~stats ~watchdog:120. ~localities:3 ~workers:2
-      ~chaos:(fault_spec "kill-locality:1@leases:1")
-      ~coordination:(Coordination.Depth_bounded { dcutoff = 2 })
-      p
+  let stats =
+    until_crash (fun stats ->
+        let node =
+          Dist.run ~stats ~watchdog:120. ~localities:3 ~workers:2
+            ~chaos:(fault_spec "kill-locality:1@leases:3")
+            ~coordination:(Coordination.Depth_bounded { dcutoff = 2 })
+            p
+        in
+        Alcotest.(check int) "maxclique exact despite the crash" expected
+          node.Mc.size;
+        Alcotest.(check bool) "clique is valid" true
+          (Yewpar_graph.Graph.is_clique g (Mc.vertices_of node)))
   in
-  Alcotest.(check int) "maxclique exact despite the crash" expected node.Mc.size;
-  Alcotest.(check bool) "clique is valid" true
-    (Yewpar_graph.Graph.is_clique g (Mc.vertices_of node));
   Alcotest.(check int) "one locality lost" 1 stats.Stats.localities_lost
 
 let chaos_kill_decide () =
   (* Same crash under a decision search, whose result travels as lease
-     deltas, residuals and the coordinator's Witness. *)
+     deltas, residuals and the coordinator's Witness. A witness can end
+     the sat search before locality 1 has been handed a third lease, so
+     the crash is keyed to its first. *)
   let run p =
     let stats = Stats.create () in
     let r =
@@ -787,14 +823,7 @@ let chaos_kill_decide () =
 
 let chaos_respawn () =
   (* With a standby spare the cluster heals back to full strength. *)
-  let stats = Stats.create () in
-  let r =
-    Dist.run ~stats ~watchdog:120. ~localities:3 ~workers:2 ~max_respawns:1
-      ~chaos:(fault_spec "kill-locality:1@leases:1")
-      ~coordination:(Coordination.Depth_bounded { dcutoff = 2 })
-      (queens_n 12)
-  in
-  Alcotest.(check int) "queens-12 exact with respawn" 14200 r;
+  let stats = crash_queens ~max_respawns:1 () in
   Alcotest.(check int) "one locality lost" 1 stats.Stats.localities_lost;
   Alcotest.(check int) "standby promoted" 1 stats.Stats.respawns
 
@@ -840,17 +869,9 @@ let chaos_journal_causality () =
      parent reference in the file resolves to an emitted span. *)
   let module Journal = Yewpar_telemetry.Journal in
   let path = Filename.temp_file "yewpar_chaos" ".jsonl" in
-  let w = Journal.create ~path () in
-  let stats = Stats.create () in
-  let r =
-    Dist.run ~stats ~journal:w ~watchdog:120. ~localities:3 ~workers:2
-      ~max_respawns:1 ~failure_timeout:2.
-      ~chaos:(fault_spec "kill-locality:1@leases:1")
-      ~coordination:(Coordination.Depth_bounded { dcutoff = 2 })
-      (queens_n 12)
+  let stats =
+    crash_queens ~journal:path ~max_respawns:1 ~failure_timeout:2. ()
   in
-  Journal.close w;
-  Alcotest.(check int) "queens-12 exact despite the crash" 14200 r;
   Alcotest.(check int) "one locality lost" 1 stats.Stats.localities_lost;
   let entries, malformed = Journal.read path in
   Sys.remove path;
@@ -873,6 +894,15 @@ let chaos_journal_causality () =
     | e :: _ -> e.Journal.e_locality
     | [] -> Alcotest.fail "no locality_dead event in the journal"
   in
+  let rec retired_before_death = function
+    | [] -> false
+    | e :: rest when e.Journal.e_locality <> dead -> retired_before_death rest
+    | e :: rest ->
+      e.Journal.e_ev = "lease_retire"
+      || (e.Journal.e_ev <> "locality_dead" && retired_before_death rest)
+  in
+  Alcotest.(check bool) "the dead locality retired a lease before it died" true
+    (retired_before_death entries);
   let revoked_outstanding =
     by_kind "lease_revoke"
     |> List.filter (fun e -> e.Journal.e_note = "outstanding")
@@ -935,14 +965,7 @@ let progress_final_across_replay () =
      estimate must read exactly 1.0 over the observed count, and the
      raw chain must never have overshot certainty (a live read during
      the crash never claimed completion). *)
-  let stats = Stats.create () in
-  let r =
-    Dist.run ~stats ~watchdog:120. ~localities:3 ~workers:2
-      ~chaos:(fault_spec "kill-locality:1@leases:1")
-      ~coordination:(Coordination.Depth_bounded { dcutoff = 2 })
-      (queens_n 12)
-  in
-  Alcotest.(check int) "queens-12 exact despite the crash" 14200 r;
+  let stats = crash_queens () in
   Alcotest.(check int) "one locality lost" 1 stats.Stats.localities_lost;
   let sample = Progress.of_profile stats.Stats.depths in
   let e = Progress.estimate ~final:true sample in

@@ -274,6 +274,12 @@ let exhaustive_model_check () =
     true
     (Hashtbl.length visited > 100 && !finals > 0)
 
+(* A cap on the engine transitions (one per entered and one per left
+   node) a test may spend on [tree]: twice what a traversal takes, so
+   an engine that stops advancing a frame fails the test instead of
+   hanging it. *)
+let step_cap tree = (4 * Subtree.cardinal tree) + 16
+
 (* Model ↔ implementation correspondence: the core Engine's visit
    order over a word-tree equals the semantics' traversal order ≪ (the
    sorted order of the word set), as §4's factoring of Figure 2 into
@@ -290,9 +296,7 @@ let engine_follows_traversal_order () =
       visited := w :: !visited;
       true
     in
-    (* Capped at twice the transitions a traversal takes, so an engine
-       that stops advancing fails here instead of hanging. *)
-    let steps = (4 * Subtree.cardinal tree) + 16 in
+    let steps = step_cap tree in
     if
       Yewpar_core.Engine.run ~steps ~prune_rest:false ~keep:(fun _ -> true)
         ~process ~stop:(Atomic.make false) engine
@@ -351,10 +355,9 @@ let prop_split_partition =
       in
       let pending = Queue.create () in
       let ok = ref true in
-      (* Engine transitions left across every traversal: twice what the
-         tree takes, so an engine that stops advancing ends the
-         property false instead of hanging it. *)
-      let left = ref ((4 * Subtree.cardinal tree) + 16) in
+      (* Engine transitions left across every traversal; running out
+         ends the property false. *)
+      let left = ref (step_cap tree) in
       let traverse (root, root_depth) =
         if Word.depth root <> root_depth then ok := false;
         visit root;
