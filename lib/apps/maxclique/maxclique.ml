@@ -59,9 +59,18 @@ let children g parent =
   end
 
 (* Nodes are plain data (an int list plus a bitset, itself an int
-   array), so the default Marshal codec ships them between
-   localities as-is. *)
-let codec : node Yewpar_core.Codec.t = Yewpar_core.Codec.marshal ()
+   array), so the default Marshal codec ships them between localities
+   as-is. A decoded candidate set was not built by Bitset, and a corrupt
+   or version-skewed message can hold a malformed one, so decode checks
+   it once, where it enters the process. *)
+let codec : node Yewpar_core.Codec.t =
+  let marshal = Yewpar_core.Codec.marshal () in
+  { marshal with
+    decode =
+      (fun s ->
+        let node : node = marshal.decode s in
+        Bitset.validate node.candidates;
+        node) }
 
 (* Children are emitted in non-increasing colour-bound order, so a
    failed bound check legitimately cuts all remaining siblings —

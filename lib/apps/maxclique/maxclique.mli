@@ -49,5 +49,9 @@ val vertices_of : node -> int list
 module Specialised : sig
   val max_clique_size : Yewpar_graph.Graph.t -> int * int list
   (** [(size, vertices)] of a maximum clique, by direct recursive
-      branch and bound with in-place candidate arrays. *)
+      branch and bound. Per call it colours the candidates and copies
+      them once; it tests the bound before it builds a child, and
+      builds one fresh candidate set ([Bitset.Matrix.inter_row]) per
+      child it enters. It shares the colouring, [copy] and [inter_row]
+      with {!children}. *)
 end

@@ -5,7 +5,7 @@ let bits_per_word = Sys.int_size (* 63 on 64-bit platforms *)
 
 type t = { words : int array; capacity : int }
 
-let words_for n = (n + bits_per_word - 1) / bits_per_word
+let words_for n = (n / bits_per_word) + if n mod bits_per_word = 0 then 0 else 1
 
 let create n =
   if n < 0 then invalid_arg "Bitset.create: negative capacity";
@@ -13,7 +13,19 @@ let create n =
 
 let capacity s = s.capacity
 
-let copy s = { words = Array.copy s.words; capacity = s.capacity }
+(* Sets of one to four words are built as array literals, which are
+   allocated inline; [Array.copy] would be a C call. *)
+let copy_words (w : int array) =
+  match Array.length w with
+  | 1 -> [| Array.unsafe_get w 0 |]
+  | 2 -> [| Array.unsafe_get w 0; Array.unsafe_get w 1 |]
+  | 3 -> [| Array.unsafe_get w 0; Array.unsafe_get w 1; Array.unsafe_get w 2 |]
+  | 4 ->
+    [| Array.unsafe_get w 0; Array.unsafe_get w 1; Array.unsafe_get w 2;
+       Array.unsafe_get w 3 |]
+  | _ -> Array.copy w
+
+let copy s = { words = copy_words s.words; capacity = s.capacity }
 
 let check s i =
   if i < 0 || i >= s.capacity then invalid_arg "Bitset: element out of range"
@@ -54,6 +66,20 @@ let cardinal s =
 let is_empty s =
   let rec go i = i >= Array.length s.words || (s.words.(i) = 0 && go (i + 1)) in
   go 0
+
+(* What [create] and every operation keep: exactly the capacity's word
+   count, and no bit at or above the capacity in the last word (the
+   earlier words lie wholly below it). [words_for] cannot overflow, so
+   a forged capacity near [max_int] does not pass as one word. *)
+let well_formed s =
+  let nw = Array.length s.words in
+  s.capacity >= 0
+  && nw = max 1 (words_for s.capacity)
+  && (s.capacity >= nw * bits_per_word
+      || Array.unsafe_get s.words (nw - 1) lsr (s.capacity - ((nw - 1) * bits_per_word))
+         = 0)
+
+let validate s = if not (well_formed s) then invalid_arg "Bitset.validate: malformed set"
 
 let check_pair a b =
   if a.capacity <> b.capacity then invalid_arg "Bitset: capacity mismatch"
@@ -207,16 +233,31 @@ module Matrix = struct
     check_row m r;
     { words = Array.sub m.data (r * m.stride) m.stride; capacity = m.capacity }
 
+  (* Word [i] of [s ∩ row]: [s] has been checked to hold [stride]
+     words, so [i < stride] is in range of it. *)
+  let[@inline] and_at (s : int array) (d : int array) base i =
+    Array.unsafe_get s i land d.(base + i)
+
   let inter_row (s : set) m r =
     check_row m r;
     if s.capacity <> m.capacity then invalid_arg "Bitset: capacity mismatch";
     if Array.length s.words <> m.stride then
       invalid_arg "Bitset.Matrix.inter_row: malformed set";
-    let base = r * m.stride in
-    let words = Array.copy s.words in
-    for w = 0 to m.stride - 1 do
-      words.(w) <- words.(w) land m.data.(base + w)
-    done;
+    let base = r * m.stride and s = s.words and d = m.data in
+    let words =
+      match m.stride with
+      | 1 -> [| and_at s d base 0 |]
+      | 2 -> [| and_at s d base 0; and_at s d base 1 |]
+      | 3 -> [| and_at s d base 0; and_at s d base 1; and_at s d base 2 |]
+      | 4 ->
+        [| and_at s d base 0; and_at s d base 1; and_at s d base 2; and_at s d base 3 |]
+      | _ ->
+        let words = Array.copy s in
+        for w = 0 to m.stride - 1 do
+          words.(w) <- words.(w) land d.(base + w)
+        done;
+        words
+    in
     { words; capacity = m.capacity }
 end
 
@@ -236,14 +277,26 @@ let entry_colour e = e lsr vertex_bits
    current word is taken and cleared with x land (x - 1), and the
    vertex's row of [adj] is struck from the rest of that word and from
    the later words of the class's colourable words (the earlier words
-   are already spent). The class's vertices leave the uncoloured word
-   once per word, through the [taken] mask. A vertex's index comes from
-   its isolated bit by the de Bruijn lookup.
+   are already spent). A vertex's index comes from its isolated bit by
+   the de Bruijn lookup.
 
-   One scratch block holds the uncoloured words at [0, nw) and the
-   colourable words at [nw, 2 nw); it is filled from [p] by the loop
-   that counts [p]. Every access after the guard is unchecked, and in
-   range because of it:
+   Two kernels run that walk; they differ in where the words live.
+   - [colour_narrow], for a stride of at most four words (252
+     vertices), keeps the uncoloured words in [u0..u3] and the
+     colourable ones in [q1..q3] (word 0's colourable word is the
+     uncoloured one, as no vertex of the class precedes it), so it
+     allocates only its output. It has one loop per word, each
+     striking a vertex's row from the later words under [nw > k]
+     tests, which are the same all through a call; a taken vertex's
+     bit is cleared from the uncoloured word at once.
+   - [colour_wide], for any stride, keeps both in one scratch block:
+     the uncoloured words at [0, nw) and the colourable words at
+     [nw, 2 nw), filled from [p] by the loop that counts [p]. The
+     class's vertices leave an uncoloured word once per word, through
+     the [taken] mask.
+
+   Every access of the kernels is unchecked, and in range because of
+   [greedy_colour]'s guard:
    - [words.(w)], [scratch.(w)] and [scratch.(nw + w)]: [w < nw], and
      [words] has exactly [nw] words (so [n] counts every bit the loops
      visit); [scratch] has [2 nw];
@@ -255,18 +308,66 @@ let entry_colour e = e lsr vertex_bits
      so the index is below [rows * nw], the length of [data];
    - [out.(idx)]: each vertex is written once, so [idx < n];
    - [bit_index.(bit_slot b)]: [bit_slot] is six bits, the table 64. *)
-let greedy_colour p ~(adj : Matrix.t) =
-  if adj.rows <> p.capacity || adj.capacity <> p.capacity then
-    invalid_arg "Bitset: capacity mismatch";
-  let words = p.words and data = adj.data and nw = adj.stride in
-  if p.capacity < 0 || p.capacity > max_colour_capacity then
-    invalid_arg "Bitset.greedy_colour: capacity beyond the colouring's packing";
-  if nw <> Int.max 1 (words_for p.capacity)
-     || Array.length words <> nw
-     || Array.length data <> adj.rows * nw
-     || (p.capacity < nw * bits_per_word
-         && words.(nw - 1) lsr (p.capacity - ((nw - 1) * bits_per_word)) <> 0)
-  then invalid_arg "Bitset.greedy_colour: malformed set or matrix";
+let colour_narrow words data nw =
+  let u0 = ref (Array.unsafe_get words 0)
+  and u1 = ref (if nw > 1 then Array.unsafe_get words 1 else 0)
+  and u2 = ref (if nw > 2 then Array.unsafe_get words 2 else 0)
+  and u3 = ref (if nw > 3 then Array.unsafe_get words 3 else 0) in
+  let n = popcount !u0 + popcount !u1 + popcount !u2 + popcount !u3 in
+  let out = Array.make n 0 in
+  let idx = ref 0 and colour = ref 0 in
+  while !idx < n do
+    incr colour;
+    let q1 = ref !u1 and q2 = ref !u2 and q3 = ref !u3 in
+    let x = ref !u0 in
+    while !x <> 0 do
+      let b = !x land - !x in
+      let v = Array.unsafe_get bit_index (bit_slot b) in
+      let base = v * nw in
+      Array.unsafe_set out !idx (colour_entry ~vertex:v ~colour:!colour);
+      incr idx;
+      u0 := !u0 lxor b;
+      x := !x land (!x - 1) land lnot (Array.unsafe_get data base);
+      if nw > 1 then q1 := !q1 land lnot (Array.unsafe_get data (base + 1));
+      if nw > 2 then q2 := !q2 land lnot (Array.unsafe_get data (base + 2));
+      if nw > 3 then q3 := !q3 land lnot (Array.unsafe_get data (base + 3))
+    done;
+    let x = ref !q1 in
+    while !x <> 0 do
+      let b = !x land - !x in
+      let v = bits_per_word + Array.unsafe_get bit_index (bit_slot b) in
+      let base = v * nw in
+      Array.unsafe_set out !idx (colour_entry ~vertex:v ~colour:!colour);
+      incr idx;
+      u1 := !u1 lxor b;
+      x := !x land (!x - 1) land lnot (Array.unsafe_get data (base + 1));
+      if nw > 2 then q2 := !q2 land lnot (Array.unsafe_get data (base + 2));
+      if nw > 3 then q3 := !q3 land lnot (Array.unsafe_get data (base + 3))
+    done;
+    let x = ref !q2 in
+    while !x <> 0 do
+      let b = !x land - !x in
+      let v = (2 * bits_per_word) + Array.unsafe_get bit_index (bit_slot b) in
+      let base = v * nw in
+      Array.unsafe_set out !idx (colour_entry ~vertex:v ~colour:!colour);
+      incr idx;
+      u2 := !u2 lxor b;
+      x := !x land (!x - 1) land lnot (Array.unsafe_get data (base + 2));
+      if nw > 3 then q3 := !q3 land lnot (Array.unsafe_get data (base + 3))
+    done;
+    let x = ref !q3 in
+    while !x <> 0 do
+      let b = !x land - !x in
+      let v = (3 * bits_per_word) + Array.unsafe_get bit_index (bit_slot b) in
+      Array.unsafe_set out !idx (colour_entry ~vertex:v ~colour:!colour);
+      incr idx;
+      u3 := !u3 lxor b;
+      x := !x land (!x - 1) land lnot (Array.unsafe_get data ((v * nw) + 3))
+    done
+  done;
+  out
+
+let colour_wide words data nw =
   let scratch = Array.make (2 * nw) 0 in
   let n = ref 0 in
   for w = 0 to nw - 1 do
@@ -304,6 +405,18 @@ let greedy_colour p ~(adj : Matrix.t) =
     done
   done;
   out
+
+let greedy_colour p ~(adj : Matrix.t) =
+  if adj.rows <> p.capacity || adj.capacity <> p.capacity then
+    invalid_arg "Bitset: capacity mismatch";
+  if p.capacity < 0 || p.capacity > max_colour_capacity then
+    invalid_arg "Bitset.greedy_colour: capacity beyond the colouring's packing";
+  let nw = adj.stride in
+  if Array.length p.words <> nw
+     || (not (well_formed p))
+     || Array.length adj.data <> adj.rows * nw
+  then invalid_arg "Bitset.greedy_colour: malformed set or matrix";
+  if nw <= 4 then colour_narrow p.words adj.data nw else colour_wide p.words adj.data nw
 
 let pp ppf s =
   Format.fprintf ppf "{%s}" (String.concat ", " (List.map string_of_int (elements s)))

@@ -17,7 +17,19 @@ val capacity : t -> int
 (** The capacity fixed at creation. *)
 
 val copy : t -> t
-(** An independent copy. *)
+(** An independent copy. A set of one to four words (capacity at most
+    252) is built as an array literal, allocated inline with no C call;
+    a longer one through [Array.copy]. *)
+
+val validate : t -> unit
+(** [validate s] returns if [s] is a set this interface could have
+    built: its word count is its capacity's, and no bit sits at or
+    above its capacity. A set decoded by [Marshal] from a corrupt or
+    version-skewed message can be neither, and then the other
+    operations count, list and combine bits beyond the capacity. A
+    decoder that builds sets calls this once per set.
+    @raise Invalid_argument ["Bitset.validate: malformed set"]
+    otherwise. *)
 
 val add : t -> int -> unit
 (** [add s i] puts [i] into [s]. @raise Invalid_argument if out of range. *)
@@ -120,7 +132,9 @@ module Matrix : sig
       unchanged. @raise Invalid_argument if [r] is out of range. *)
 
   val inter_row : set -> t -> int -> set
-  (** [inter_row s m r] is a fresh [s ∩ row r].
+  (** [inter_row s m r] is a fresh [s ∩ row r]. A set of one to four
+      words is built as an array literal, allocated inline with no C
+      call; a longer one is an [Array.copy] of [s] ANDed in place.
       @raise Invalid_argument if [r] is out of range, on capacity
       mismatch, or if [s]'s word count is not the matrix's stride (a
       malformed set, as [greedy_colour] refuses). *)
@@ -141,12 +155,16 @@ val greedy_colour : t -> adj:Matrix.t -> int array
     are non-decreasing along the order, so the colour of entry [i] is
     also the number of colours used on the first [i + 1] vertices.
 
-    The call allocates two blocks: its result ([n] words) and one
-    scratch block of [2 * stride] words, where [stride] is the word
-    count of a set of [p]'s capacity. The scratch holds the uncoloured
-    words and the class's colourable words, and is filled from [p] by
-    the loop that counts it. A class's vertices leave the uncoloured
-    words once per word, not once per vertex. The inner loops read and
+    The matrix's stride (the word count of a set of [p]'s capacity)
+    selects one of two kernels, after the guard:
+    - up to four words (capacity at most 252), the uncoloured and the
+      colourable words live in locals, and the call allocates only its
+      result ([n + 1] words, with the header);
+    - past four words, they live in one scratch block of [2 * stride]
+      words, filled from [p] by the loop that counts it, and the call
+      allocates that block too ([2 * stride + 1] words). A class's
+      vertices leave the uncoloured words once per word.
+    Both give the same entries in the same order. Their loops read and
     write without bounds checks, behind a guard of constant cost
     checked once per call.
     @raise Invalid_argument if [adj] does not have [capacity p] rows of

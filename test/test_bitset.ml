@@ -134,6 +134,60 @@ let every_position () =
       done)
     [ 3 * bits; (2 * bits) + 4 ]
 
+(* A set that reaches a locality through [Marshal] is not built by
+   [Bitset]: forged here by a round trip of a record of [Bitset.t]'s
+   shape, it can hold the wrong word count or a bit beyond its
+   capacity. *)
+type forged = { words : int array; capacity : int }
+
+let forge words capacity : Bitset.t =
+  Marshal.from_string (Marshal.to_string { words; capacity } []) 0
+
+(* At every word count from one to six: [validate] passes what [create]
+   builds and refuses a long or short word array and a bit at the
+   capacity, and [inter_row] refuses a word count other than its
+   stride. *)
+let malformed_every_width () =
+  for words = 1 to 6 do
+    let cap = (words * bits) - 1 in
+    let at = Printf.sprintf "%d words" words in
+    let m = Bitset.Matrix.create ~rows:2 cap in
+    Bitset.Matrix.add m 1 (cap - 1);
+    let full = Array.make words (-1) in
+    full.(words - 1) <- max_int;
+    let good = forge full cap in
+    Bitset.validate good;
+    Bitset.validate (Bitset.create cap);
+    Alcotest.(check (list int)) (at ^ ": a well-formed forgery intersects") [ cap - 1 ]
+      (Bitset.elements (Bitset.Matrix.inter_row good m 1));
+    (* The last field: whether the word count is wrong, which is what
+       [inter_row] checks. *)
+    let bad =
+      [ ("a long word array", forge (Array.make (words + 1) 1) cap, true);
+        ( "a bit at the capacity",
+          forge (Array.append (Array.make (words - 1) 0) [| min_int |]) cap,
+          false ) ]
+      @ if words > 1 then [ ("a short word array", forge (Array.make (words - 1) 1) cap, true) ]
+        else []
+    in
+    List.iter
+      (fun (label, s, wrong_count) ->
+        Alcotest.check_raises (at ^ ": validate refuses " ^ label)
+          (Invalid_argument "Bitset.validate: malformed set") (fun () -> Bitset.validate s);
+        if wrong_count then
+          Alcotest.check_raises (at ^ ": inter_row refuses " ^ label)
+            (Invalid_argument "Bitset.Matrix.inter_row: malformed set") (fun () ->
+              ignore (Bitset.Matrix.inter_row s m 1)))
+      bad
+  done;
+  (* A capacity whose word count would overflow, with one word. *)
+  Alcotest.check_raises "a capacity near max_int"
+    (Invalid_argument "Bitset.validate: malformed set") (fun () ->
+      Bitset.validate (forge [| 0 |] max_int));
+  Alcotest.check_raises "a negative capacity"
+    (Invalid_argument "Bitset.validate: malformed set") (fun () ->
+      Bitset.validate (forge [| 0 |] (-1)))
+
 (* Property tests against the Set reference model, over the full
    capacity: three words, the top one partial, so the sign bit of the
    lower words and the top word's high bits are both drawn. *)
@@ -225,11 +279,52 @@ let prop_dense_cardinal =
       let s = IntSet.diff (IntSet.of_list (List.init cap Fun.id)) holes in
       Bitset.cardinal b = IntSet.cardinal s && Bitset.elements b = IntSet.elements s)
 
+(* [copy] and [Matrix.inter_row] build sets of one to four words as
+   array literals and longer ones through [Array.copy], so these draw
+   capacities of one to six words, each anywhere within its last word. *)
+let gen_any_width =
+  QCheck.(
+    make
+      ~print:(fun (cap, xs, ys, zs) ->
+        Printf.sprintf "capacity %d, s %s, row %s, other rows %s" cap
+          (Print.(list int) xs) (Print.(list int) ys) (Print.(list int) zs))
+      Gen.(
+        int_range 1 6 >>= fun words ->
+        int_range (((words - 1) * bits) + 1) (words * bits) >>= fun cap ->
+        let elts = list (int_bound (cap - 1)) in
+        quad (return cap) elts elts elts))
+
+let prop_copy_any_width =
+  QCheck.Test.make ~name:"copy models a Set copy at 1-6 words" ~count:300 gen_any_width
+    (fun (cap, xs, ys, _) ->
+      let s = IntSet.of_list xs in
+      let a = Bitset.of_list cap xs in
+      let b = Bitset.copy a in
+      let same = Bitset.elements b = IntSet.elements s && Bitset.capacity b = cap in
+      (* Independent both ways. *)
+      List.iter (Bitset.add b) ys;
+      let a_kept = Bitset.elements a = IntSet.elements s in
+      List.iter (Bitset.remove a) xs;
+      same && a_kept && Bitset.elements b = IntSet.elements (IntSet.union s (IntSet.of_list ys)))
+
+let prop_inter_row_any_width =
+  QCheck.Test.make ~name:"inter_row models Set.inter at 1-6 words" ~count:300 gen_any_width
+    (fun (cap, xs, ys, zs) ->
+      let m = Bitset.Matrix.create ~rows:3 cap in
+      List.iter (Bitset.Matrix.add m 0) zs;
+      List.iter (Bitset.Matrix.add m 1) ys;
+      List.iter (Bitset.Matrix.add m 2) zs;
+      let s = Bitset.of_list cap xs in
+      let r = Bitset.Matrix.inter_row s m 1 in
+      Bitset.elements r = IntSet.elements (IntSet.inter (IntSet.of_list xs) (IntSet.of_list ys))
+      && Bitset.capacity r = cap
+      && Bitset.elements s = IntSet.elements (IntSet.of_list xs))
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_inter; prop_union; prop_diff; prop_cardinal; prop_subset; prop_equal;
       prop_iter_order; prop_fold; prop_copy_independent; prop_first_next_from;
-      prop_dense_cardinal ]
+      prop_dense_cardinal; prop_copy_any_width; prop_inter_row_any_width ]
 
 let () =
   Alcotest.run "bitset"
@@ -242,6 +337,7 @@ let () =
           Alcotest.test_case "fill_upto" `Quick fill_upto;
           Alcotest.test_case "every bit position" `Quick every_position;
           Alcotest.test_case "matrix" `Quick matrix;
+          Alcotest.test_case "malformed sets at every width" `Quick malformed_every_width;
         ] );
       ("properties", qsuite);
     ]

@@ -130,13 +130,14 @@ let reference_colour_order g p =
   (p_vertex, p_colour, n)
 
 (* A random graph of up to five words, its size drawn half the time
-   from either side of a word boundary, and a random subset of its
-   vertices to colour. *)
+   from either side of a word boundary or of the kernel selection (up
+   to 252 vertices, four words, the narrow kernel; from 253, the wide
+   one), and a random subset of its vertices to colour. *)
 let gen_colouring_case =
   QCheck.(
     quad
       (oneof
-         [ int_bound 300; oneofl [ 1; 62; 63; 64; 125; 126; 127; 188; 189; 190; 252 ] ])
+         [ int_bound 300; oneofl [ 1; 62; 63; 64; 125; 126; 127; 188; 189; 190; 252; 253; 300 ] ])
       (int_bound 100) (int_bound 10_000) (int_bound 100)
     |> map (fun (n, dp, seed, keep) ->
            let g = Yewpar_graph.Gen.uniform ~seed n (float_of_int dp /. 100.) in
@@ -195,19 +196,25 @@ let greedy_colour_checks () =
     (fun () -> ignore (Bitset.greedy_colour p ~adj:(Bitset.Matrix.create ~rows:69 70)));
   Alcotest.(check (array int)) "empty set" [||]
     (Bitset.greedy_colour (Bitset.create 70) ~adj);
-  (* 189 vertices fill three words, so bit 62 of each word (the sign
-     bit, isolated as min_int) is a vertex. *)
-  let n = 189 in
-  let p = Bitset.create n in
-  Bitset.fill_upto p n;
-  let pairs = Alcotest.(pair (array int) (array int)) in
-  Alcotest.check pairs "edgeless graph: one class in order"
-    (Array.init n Fun.id, Array.make n 1)
-    (split_coloured (Bitset.greedy_colour p ~adj:(Graph.adjacency (Graph.create n))));
-  Alcotest.check pairs "complete graph: n singleton classes"
-    (Array.init n Fun.id, Array.init n (fun i -> i + 1))
-    (split_coloured
-       (Bitset.greedy_colour p ~adj:(Graph.adjacency (Graph.complement (Graph.create n)))))
+  (* 189 vertices fill three words and 252 four (the widest the narrow
+     kernel takes), so bit 62 of each word (the sign bit, isolated as
+     min_int) is a vertex. *)
+  List.iter
+    (fun n ->
+      let p = Bitset.create n in
+      Bitset.fill_upto p n;
+      let pairs = Alcotest.(pair (array int) (array int)) in
+      Alcotest.check pairs
+        (Printf.sprintf "edgeless graph of %d: one class in order" n)
+        (Array.init n Fun.id, Array.make n 1)
+        (split_coloured (Bitset.greedy_colour p ~adj:(Graph.adjacency (Graph.create n))));
+      Alcotest.check pairs
+        (Printf.sprintf "complete graph of %d: n singleton classes" n)
+        (Array.init n Fun.id, Array.init n (fun i -> i + 1))
+        (split_coloured
+           (Bitset.greedy_colour p
+              ~adj:(Graph.adjacency (Graph.complement (Graph.create n))))))
+    [ 189; 252 ]
 
 (* An entry decodes to what was packed, up to the largest vertex and
    colour that the kernel's capacity guard lets through. *)
@@ -272,6 +279,30 @@ let malformed_inter_row () =
   Alcotest.check_raises "a long word array"
     (Invalid_argument "Bitset.Matrix.inter_row: malformed set") (fun () ->
       ignore (Bitset.Matrix.inter_row (forge [| 1; 0; 7 |] 100) m 0))
+
+(* MaxClique's codec is the one registered codec that ships a Bitset
+   between localities, so its decode checks the candidate set once: a
+   forged node whose set has three words at capacity 100 would
+   otherwise decode, and Bitset.cardinal would read 4. *)
+type forged_node = { clique : int list; size : int; candidates : forged; bound : int }
+
+let codec_validates () =
+  let codec = Option.get (Mc.max_clique (Gen.uniform ~seed:9 100 0.5)).Problem.codec in
+  let ship candidates = Marshal.to_string { clique = [ 3 ]; size = 1; candidates; bound = 2 } [] in
+  let node = codec.decode (ship { words = [| 1; 1 lsl 36 |]; capacity = 100 }) in
+  Alcotest.(check (list int)) "a well-formed node decodes" [ 0; 99 ]
+    (Bitset.elements node.Mc.candidates);
+  Alcotest.(check int) "what a long word array would count" 4
+    (Bitset.cardinal (forge [| 1; 0; 7 |] 100));
+  List.iter
+    (fun (label, candidates) ->
+      Alcotest.check_raises label (Invalid_argument "Bitset.validate: malformed set")
+        (fun () -> ignore (codec.decode (ship candidates))))
+    [ ("a long word array", { words = [| 1; 0; 7 |]; capacity = 100 });
+      ("a short word array", { words = [| 1 |]; capacity = 100 });
+      ("a stray bit at 100 of capacity 100", { words = [| 0; 1 lsl 37 |]; capacity = 100 }) ];
+  let enc = codec.encode (Mc.root (Gen.uniform ~seed:9 100 0.5)) in
+  Alcotest.(check int) "a root round-trips" 100 (Bitset.cardinal (codec.decode enc).Mc.candidates)
 
 let matches_brute_force () =
   for seed = 0 to 14 do
@@ -376,6 +407,7 @@ let () =
           Alcotest.test_case "colour entries round trip" `Quick entry_round_trips;
           Alcotest.test_case "malformed candidate sets" `Quick malformed_sets;
           Alcotest.test_case "malformed inter_row set" `Quick malformed_inter_row;
+          Alcotest.test_case "codec refuses malformed sets" `Quick codec_validates;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_greedy_colour ]);
     ]
