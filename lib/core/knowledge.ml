@@ -1,38 +1,28 @@
 type 'node t = {
-  best_obj : unit -> int;
-  best_node : unit -> 'node option;
+  best : int Atomic.t;
+  best_node : unit -> (int * 'node) option;
   submit : 'node -> int -> bool;
 }
 
-let make_ref () =
-  let obj = ref min_int in
-  let node = ref None in
-  {
-    best_obj = (fun () -> !obj);
-    best_node = (fun () -> !node);
-    submit =
-      (fun n v ->
-        if v > !obj then begin
-          obj := v;
-          node := Some n;
-          true
-        end
-        else false);
-  }
+let[@inline] best_obj k = Atomic.get k.best
+
+let rec raise_to word v =
+  let cur = Atomic.get word in
+  if v > cur && not (Atomic.compare_and_set word cur v) then raise_to word v
+
+let adopt_floor k v = raise_to k.best v
 
 let make_atomic () =
-  let cell = Atomic.make (min_int, None) in
+  let best = Atomic.make min_int in
+  let cell = Atomic.make None in
   let rec submit n v =
-    let ((cur, _) as old) = Atomic.get cell in
-    if v <= cur then false
-    else if Atomic.compare_and_set cell old (v, Some n) then true
-    else submit n v
+    match Atomic.get cell with
+    | Some (cur, _) when v <= cur -> false
+    | old ->
+      if Atomic.compare_and_set cell old (Some (v, n)) then begin
+        raise_to best v;
+        true
+      end
+      else submit n v
   in
-  {
-    best_obj = (fun () -> fst (Atomic.get cell));
-    best_node = (fun () -> snd (Atomic.get cell));
-    submit;
-  }
-
-let best k =
-  match k.best_node () with Some n -> Some (k.best_obj (), n) | None -> None
+  { best; best_node = (fun () -> Atomic.get cell); submit }

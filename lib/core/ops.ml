@@ -82,11 +82,16 @@ let prune_siblings (obj : 'n Problem.objective) = obj.monotone && obj.bound <> N
 let priority (obj : 'n Problem.objective) =
   match obj.bound with Some b -> b | None -> obj.value
 
-(* [submit] receives every processed node with its value. *)
-let opt_view (obj : 'n Problem.objective) (k : 'n Knowledge.t) submit =
-  let keep = Option.map (fun bound c -> bound c > k.best_obj ()) obj.bound in
-  { process = (fun n -> ignore (submit n (obj.value n)); true);
-    keep; prune_siblings = prune_siblings obj; priority = priority obj }
+(* A child is kept while its bound beats the store's word: one load.
+   [keep] is a closure of one argument, not a partial application. *)
+let opt_view (obj : 'n Problem.objective) (k : 'n Knowledge.t) process =
+  let best = k.Knowledge.best in
+  let keep =
+    match obj.bound with
+    | Some bound -> Some (fun c -> bound c > Atomic.get best)
+    | None -> None
+  in
+  { process; keep; prune_siblings = prune_siblings obj; priority = priority obj }
 
 (* [submit] receives only nodes reaching the target. *)
 let dec_view (obj : 'n Problem.objective) ~target submit =
@@ -106,9 +111,15 @@ let offering cell (k : 'n Knowledge.t) n v =
   (match !cell with Some (bv, _) when bv >= v -> () | _ -> cell := Some (v, n));
   k.submit n v
 
-let opt_algebra obj =
+(* A lease's view offers every node to its partial, also one that does
+   not beat the word: the word may hold a floor from a lost copy of the
+   same lease, whose re-run must still record its witness. *)
+let opt_algebra (obj : 'n Problem.objective) =
   best_algebra
-    ~view:(fun cell k -> opt_view obj k (offering cell k))
+    ~view:(fun cell k ->
+      opt_view obj k (fun n ->
+          ignore (offering cell k n (obj.value n) : bool);
+          true))
     ~answer:(function
       | Some (_, n) -> n
       | None -> failwith "Ops: optimisation finished without processing the root")
@@ -144,12 +155,21 @@ let enum_harness (spec : ('n, 'acc) Problem.enum_spec) : ('n, 'acc) harness =
 (* The knowledge store itself holds the best partial, so views submit
    straight to it. *)
 let best_harness alg view : ('n, 'r) harness =
-  { view; result = (fun k -> alg.answer (Knowledge.best k)) }
+  { view; result = (fun k -> alg.answer (k.Knowledge.best_node ())) }
+
+(* Only a node that beats the word is offered: a store without floors
+   would refuse any other, as its witness is worth at least the word. *)
+let opt_harness_view (obj : 'n Problem.objective) (k : 'n Knowledge.t) =
+  let best = k.Knowledge.best and submit = k.Knowledge.submit
+  and value = obj.value in
+  opt_view obj k (fun n ->
+      let v = value n in
+      if v > Atomic.get best then ignore (submit n v : bool);
+      true)
 
 let harness : type n r. (n, r) Problem.kind -> (n, r) harness = function
   | Problem.Enumerate spec -> enum_harness spec
-  | Problem.Optimise obj ->
-    best_harness (opt_algebra obj) (fun k -> opt_view obj k k.Knowledge.submit)
+  | Problem.Optimise obj -> best_harness (opt_algebra obj) (opt_harness_view obj)
   | Problem.Decide { objective; target } ->
     best_harness (dec_algebra objective ~target) (fun k ->
         dec_view objective ~target k.Knowledge.submit)

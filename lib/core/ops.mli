@@ -38,7 +38,10 @@ type ('node, 'result) harness = {
   view : 'node Knowledge.t -> 'node view;
       (** Create a worker's view over the knowledge store that worker
           reads and writes. Enumeration views own a private accumulator;
-          create at most one view per worker. *)
+          create at most one view per worker. An optimisation view
+          submits only a node whose value beats the store's
+          {!Knowledge.field-best}, which the store would refuse
+          anyway on a store without floors. *)
   result : 'node Knowledge.t -> 'result;
       (** Assemble the final result once all workers are done, reading
           the authoritative knowledge store (for enumeration, the merge
@@ -64,7 +67,8 @@ type ('node, 'result, 'partial) algebra = {
   view : 'partial ref -> 'node Knowledge.t -> 'node view;
       (** [view cell k]: a worker's view over [k] (the same rules as
           {!harness}) that also folds every processed node into the
-          caller-owned [cell]. *)
+          caller-owned [cell], and submits every one to [k]: a node
+          that only ties a floor in [k]'s word still enters [cell]. *)
   merge : 'partial -> 'partial -> 'partial;
       (** Combine two partials; on equally good incumbents the left one
           is kept. *)

@@ -1,6 +1,6 @@
 let search (type s n r) ?stats (p : (s, n, r) Problem.t) : r =
   let harness = Ops.harness p.kind in
-  let knowledge = Knowledge.make_ref () in
+  let knowledge = Knowledge.make_atomic () in
   let view = harness.view knowledge in
   let prof =
     match stats with

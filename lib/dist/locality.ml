@@ -122,34 +122,14 @@ let run (type s n r) ?(record = false) ?heartbeat ?chaos ~conn ~workers
     e
   in
 
-  (* Knowledge: a locality-local incumbent plus a floor fed by
-     coordinator bound broadcasts. Pruning sees the max of both; only
-     locally-submitted incumbents have a witness node here. The best
-     pair lives in one atomic cell so the communicator can read a
-     coherent (value, witness) for [Bound_update] frames. *)
-  let best_cell : (int * n option) Atomic.t = Atomic.make (min_int, None) in
-  let local =
-    let rec submit n v =
-      let ((cur, _) as old) = Atomic.get best_cell in
-      if v <= cur then false
-      else if Atomic.compare_and_set best_cell old (v, Some n) then true
-      else submit n v
-    in
-    {
-      Knowledge.best_obj = (fun () -> fst (Atomic.get best_cell));
-      best_node = (fun () -> snd (Atomic.get best_cell));
-      submit;
-    }
-  in
-  let floor = Atomic.make min_int in
-  let knowledge =
-    {
-      Knowledge.best_obj =
-        (fun () -> max (local.Knowledge.best_obj ()) (Atomic.get floor));
-      best_node = local.Knowledge.best_node;
-      submit = local.Knowledge.submit;
-    }
-  in
+  (* Knowledge: a locality-local incumbent whose word the communicator
+     also raises to the floor fed by coordinator bound broadcasts, so
+     pruning sees the max of both. Only locally-submitted incumbents
+     have a witness here, and [best_node] reads value and witness in
+     one atomic load, a coherent pair for [Bound_update] frames. The
+     floor itself is the communicator's alone. *)
+  let knowledge = Knowledge.make_atomic () in
+  let floor = ref min_int in
   (* Submit wrapper accounting applied incumbent improvements (floor
      raises are accounted by the communicator when it adopts a
      broadcast). *)
@@ -201,7 +181,7 @@ let run (type s n r) ?(record = false) ?heartbeat ?chaos ~conn ~workers
       (* The locality's overall best, an idempotent extra candidate for
          Optimise/Decide; an empty contribution for enumerations. *)
       let residual () =
-        alg.Ops.encode codec (alg.Ops.of_best (Knowledge.best local))
+        alg.Ops.encode codec (alg.Ops.of_best (knowledge.Knowledge.best_node ()))
       in
       (views, { register; end_task; pending; retire; residual })
   in
@@ -325,8 +305,9 @@ let run (type s n r) ?(record = false) ?heartbeat ?chaos ~conn ~workers
     | Wire.Steal_reply { task = None } -> steal_inflight := false
     | Wire.Steal_request -> shed_on_request ()
     | Wire.Bound_update { value; witness = _ } ->
-      if value > Atomic.get floor then begin
-        Atomic.set floor value;
+      if value > !floor then begin
+        floor := value;
+        Knowledge.adopt_floor knowledge value;
         (* Adopting a broadcast floor is an applied incumbent
            improvement here, even though it was found elsewhere; it has
            no tree position, and the communicator's slot notes no
@@ -379,7 +360,7 @@ let run (type s n r) ?(record = false) ?heartbeat ?chaos ~conn ~workers
                pool_depth = Two_tier.queued tiers;
                idle_workers = Two_tier.idle_workers tiers;
                idle_frac;
-               best = knowledge.Knowledge.best_obj ();
+               best = Knowledge.best_obj knowledge;
                trace_dropped = all_dropped ();
                nodes = Counters.total counters (fun s -> s.Stats.nodes);
                progress = Counters.progress_sample counters;
@@ -404,32 +385,22 @@ let run (type s n r) ?(record = false) ?heartbeat ?chaos ~conn ~workers
       send_out (Wire.Failed { message = Printexc.to_string e })
     | _ -> ());
     maybe_heartbeat ();
-    if is_optimise then begin
-      (* One atomic read so the witness really achieves the value. *)
-      let b, node = Atomic.get best_cell in
-      if b > !last_bound_sent && b > Atomic.get floor then begin
-        last_bound_sent := b;
-        send_out
-          (Wire.Bound_update
-             {
-               value = b;
-               witness = Option.map (fun n -> codec.Codec.encode n) node;
-             })
-      end
-    end;
+    (if is_optimise then
+       match knowledge.Knowledge.best_node () with
+       | Some (b, node) when b > !last_bound_sent && b > !floor ->
+         last_bound_sent := b;
+         send_out
+           (Wire.Bound_update
+              { value = b; witness = Some (codec.Codec.encode node) })
+       | _ -> ());
     (match decide_target with
-    | Some target
-      when (not !witness_sent) && local.Knowledge.best_obj () >= target -> (
-      match local.Knowledge.best_node () with
-      | Some node ->
+    | Some target when not !witness_sent -> (
+      match knowledge.Knowledge.best_node () with
+      | Some (value, node) when value >= target ->
         witness_sent := true;
         send_out
-          (Wire.Witness
-             {
-               value = local.Knowledge.best_obj ();
-               payload = codec.Codec.encode node;
-             })
-      | None -> ())
+          (Wire.Witness { value; payload = codec.Codec.encode node })
+      | _ -> ())
     | _ -> ());
     (* A lost steal reply (dropped frame, failed-over coordinator state)
        would otherwise leave us starving forever: time the request out

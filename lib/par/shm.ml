@@ -215,8 +215,8 @@ let parallel_run (type s n r) ~n_workers ?stats ?telemetry ?journal
                   s.Stats.steal_attempts);
               summed "bound_updates" "Incumbent improvements applied" (fun s ->
                   s.Stats.bound_updates);
-              incumbent "best" "Best incumbent objective so far"
-                knowledge.Knowledge.best_obj;
+              incumbent "best" "Best incumbent objective so far" (fun () ->
+                  Knowledge.best_obj knowledge);
               int "trace_dropped" "Trace spans dropped by full ring buffers"
                 all_dropped;
             ]

@@ -70,15 +70,17 @@ let simulate (type s n r) ~costs ~seed ?trace ?stats
      delayed copy per locality for pruning reads. Submissions update the
      submitter's locality and the authoritative store instantly, and
      reach other localities after the broadcast latency. *)
-  let global_k : n Knowledge.t = Knowledge.make_ref () in
-  let local_k : n Knowledge.t array = Array.init n_localities (fun _ -> Knowledge.make_ref ()) in
+  let global_k : n Knowledge.t = Knowledge.make_atomic () in
+  let local_k : n Knowledge.t array =
+    Array.init n_localities (fun _ -> Knowledge.make_atomic ())
+  in
   let worker_knowledge loc : n Knowledge.t =
+    let local = local_k.(loc) in
     {
-      Knowledge.best_obj = (fun () -> (local_k.(loc)).Knowledge.best_obj ());
-      best_node = (fun () -> (local_k.(loc)).Knowledge.best_node ());
+      local with
       submit =
         (fun node value ->
-          let improved = (local_k.(loc)).Knowledge.submit node value in
+          let improved = local.Knowledge.submit node value in
           ignore (global_k.Knowledge.submit node value);
           if improved then begin
             incr bound_broadcasts;

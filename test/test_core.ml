@@ -314,20 +314,53 @@ let enumeration_monoid () =
   in
   Alcotest.(check int) "sum over tree" (1 + 2 + 7 + 4 + 5 + 3 + 9) (Sequential.search p)
 
-let knowledge_ref () =
-  let k = Knowledge.make_ref () in
-  Alcotest.(check int) "initial bound" min_int (k.Knowledge.best_obj ());
+let knowledge_basics () =
+  let k = Knowledge.make_atomic () in
+  Alcotest.(check int) "initial bound" min_int (Knowledge.best_obj k);
   Alcotest.(check bool) "first submit improves" true (k.Knowledge.submit "a" 3);
   Alcotest.(check bool) "equal does not improve" false (k.Knowledge.submit "b" 3);
   Alcotest.(check bool) "lower does not improve" false (k.Knowledge.submit "c" 1);
   Alcotest.(check bool) "higher improves" true (k.Knowledge.submit "d" 5);
-  Alcotest.(check int) "best obj" 5 (k.Knowledge.best_obj ());
-  Alcotest.(check (option string)) "best node" (Some "d") (k.Knowledge.best_node ())
+  Alcotest.(check int) "best obj" 5 (Knowledge.best_obj k);
+  Alcotest.(check (option (pair int string))) "best node" (Some (5, "d"))
+    (k.Knowledge.best_node ());
+  (* A floor raises the word only: the witness and what submit
+     compares with stay the store's own. *)
+  Knowledge.adopt_floor k 9;
+  Knowledge.adopt_floor k 7;
+  Alcotest.(check int) "floor raises the word" 9 (Knowledge.best_obj k);
+  Alcotest.(check bool) "below the floor, above the witness" true
+    (k.Knowledge.submit "e" 6);
+  Alcotest.(check int) "word keeps the floor" 9 (Knowledge.best_obj k);
+  Alcotest.(check (option (pair int string))) "witness is the store's own"
+    (Some (6, "e")) (k.Knowledge.best_node ())
 
 let knowledge_atomic_races () =
   (* Hammer the atomic store from several domains; the maximum must
-     win and the witness must be consistent with it. *)
+     win and the witness must be consistent with it. A fifth domain
+     samples the word and then the witness meanwhile: the word never
+     falls and never exceeds the witness read after it. *)
   let k = Knowledge.make_atomic () in
+  let writers_done = Atomic.make false in
+  let sampler =
+    Domain.spawn (fun () ->
+        let bad = ref [] and last = ref min_int in
+        let sample () =
+          let w = Knowledge.best_obj k in
+          (match k.Knowledge.best_node () with
+          | Some (v, n) when n = v && w <= v -> ()
+          | None when w = min_int -> ()
+          | Some (v, n) -> bad := Printf.sprintf "word %d, witness %d at %d" w n v :: !bad
+          | None -> bad := Printf.sprintf "word %d, no witness" w :: !bad);
+          if w < !last then bad := Printf.sprintf "word fell %d -> %d" !last w :: !bad;
+          last := w
+        in
+        while not (Atomic.get writers_done) do
+          sample ()
+        done;
+        sample ();
+        (!bad, !last))
+  in
   let domains =
     List.init 4 (fun d ->
         Domain.spawn (fun () ->
@@ -336,13 +369,18 @@ let knowledge_atomic_races () =
             done))
   in
   List.iter Domain.join domains;
-  Alcotest.(check int) "max wins" 3999 (k.Knowledge.best_obj ());
-  Alcotest.(check (option int)) "witness matches" (Some 3999) (k.Knowledge.best_node ())
+  Atomic.set writers_done true;
+  let bad, last = Domain.join sampler in
+  Alcotest.(check (list string)) "every sample coherent" [] bad;
+  Alcotest.(check int) "sampler ends at the max" 3999 last;
+  Alcotest.(check int) "max wins" 3999 (Knowledge.best_obj k);
+  Alcotest.(check (option (pair int int))) "witness matches" (Some (3999, 3999))
+    (k.Knowledge.best_node ())
 
 let ops_enum_merges_views () =
   let spec = { Problem.empty = 0; combine = ( + ); view = (fun n -> n) } in
   let h = Ops.harness (Problem.Enumerate spec) in
-  let k = Knowledge.make_ref () in
+  let k = Knowledge.make_atomic () in
   let v1 = h.Ops.view k and v2 = h.Ops.view k in
   ignore (v1.Ops.process 5);
   ignore (v2.Ops.process 7);
@@ -355,13 +393,29 @@ let ops_decide_keep () =
       (Problem.Decide
          { objective = { value = Fun.id; bound = Some (fun n -> n + 1); monotone = false }; target = 10 })
   in
-  let k = Knowledge.make_ref () in
+  let k = Knowledge.make_atomic () in
   let v = h.Ops.view k in
   Alcotest.(check bool) "bound below target pruned" false (Ops.keeps v 8);
   Alcotest.(check bool) "bound reaching target kept" true (Ops.keeps v 9);
   Alcotest.(check bool) "below target continues" true (v.Ops.process 9);
   Alcotest.(check bool) "target short-circuits" false (v.Ops.process 10);
   Alcotest.(check (option int)) "witness recorded" (Some 10) (h.Ops.result k)
+
+(* A lease's view offers every node to its partial, also one that only
+   ties the store's incumbent: a lease re-issued to a locality whose
+   floor came from the lost copy of that same lease must still put its
+   witness into its own partial. Harness views may skip such a node;
+   an algebra view must not. *)
+let ops_lease_partial_takes_ties () =
+  let obj = { Problem.value = snd; bound = Some snd; monotone = false } in
+  let (Ops.Algebra alg) = Ops.algebra (Problem.Optimise obj) in
+  let k = Knowledge.make_atomic () in
+  ignore (k.Knowledge.submit ("lost copy", 7) 7 : bool);
+  let cell = ref alg.Ops.empty in
+  let view = alg.Ops.view cell k in
+  Alcotest.(check bool) "search goes on" true (view.Ops.process ("re-run", 7));
+  Alcotest.(check (pair string int)) "witness in the lease partial"
+    ("re-run", 7) (alg.Ops.answer !cell)
 
 let coordination_strings () =
   Alcotest.(check string) "seq" "seq" (Coordination.to_string Coordination.Sequential);
@@ -522,7 +576,7 @@ let ordered_core_lift () =
 let views_keep_all () =
   let objective bound = { Problem.value = Fun.id; bound; monotone = false } in
   let bound = Some (fun n -> n + 1) in
-  let k = Knowledge.make_ref () in
+  let k = Knowledge.make_atomic () in
   let harness kind = (Ops.harness kind).Ops.view k in
   let algebra kind =
     let (Ops.Algebra alg) = Ops.algebra kind in
@@ -531,7 +585,7 @@ let views_keep_all () =
   let ordered bound =
     let module OC = Yewpar_core.Ordered_core in
     Option.is_none
-      ((OC.harness (objective bound)).Ops.view (Knowledge.make_ref ())).Ops.keep
+      ((OC.harness (objective bound)).Ops.view (Knowledge.make_atomic ())).Ops.keep
   in
   let enum = Problem.Enumerate { empty = 0; combine = ( + ); view = Fun.id } in
   let check label keeps_all (view : int Ops.view) =
@@ -557,11 +611,11 @@ let ordered_core_harness () =
   (* Nodes are (id, value); the bound is the value itself. *)
   let obj = { Problem.value = snd; bound = Some snd; monotone = false } in
   let h = OC.harness obj in
-  let k = Knowledge.make_ref () in
+  let k = Knowledge.make_atomic () in
   let left = h.Ops.view k and right = h.Ops.view k in
   let at path node = { OC.path; node } in
   ignore (right.Ops.process (at [ 1 ] ("right", 5)));
-  Alcotest.(check int) "entries reach the store" 5 (k.Knowledge.best_obj ());
+  Alcotest.(check int) "entries reach the store" 5 (Knowledge.best_obj k);
   (* A right incumbent never prunes to its left... *)
   Alcotest.(check bool) "right does not prune left" true
     (Ops.keeps left (at [ 0 ] ("left", 5)));
@@ -935,13 +989,15 @@ let () =
         ] );
       ( "knowledge",
         [
-          Alcotest.test_case "ref store" `Quick knowledge_ref;
+          Alcotest.test_case "store basics" `Quick knowledge_basics;
           Alcotest.test_case "atomic store races" `Quick knowledge_atomic_races;
         ] );
       ( "ops",
         [
           Alcotest.test_case "enum merges views" `Quick ops_enum_merges_views;
           Alcotest.test_case "decide keep/process" `Quick ops_decide_keep;
+          Alcotest.test_case "lease partial takes ties" `Quick
+            ops_lease_partial_takes_ties;
           Alcotest.test_case "views that keep every child" `Quick views_keep_all;
         ] );
       ("coordination", [ Alcotest.test_case "parsing" `Quick coordination_strings ]);

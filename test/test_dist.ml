@@ -349,7 +349,7 @@ let queens_n n = Queens.count_solutions (Queens.instance ~n)
 let leased_deltas (type s n r) rng ~leases (p : (s, n, r) Problem.t) codec =
   match Ops.algebra p.Problem.kind with
   | Ops.Algebra alg ->
-    let k = Knowledge.make_ref () in
+    let k = Knowledge.make_atomic () in
     let cells = Array.init leases (fun _ -> ref alg.Ops.empty) in
     let views = Array.map (fun c -> alg.Ops.view c k) cells in
     let process n = views.(Random.State.int rng leases).Ops.process n in
@@ -1087,10 +1087,14 @@ let monitor_scrape_midrun () =
         output_string oc (still (Unix.gettimeofday ()) None);
         output_string oc "\n--8<--\n";
         close_out (open_out releasefile);
-        (* "uptime rate" per later scrape, until the server stops. *)
+        (* "uptime rate" per later scrape, until the server stops: a
+           refused connection, or status 0 (no reply line) from a
+           connection closed as the server shuts down. Any other
+           status but 200 fails the scraper. *)
         let rec poll () =
           match Http_export.request ~timeout:1. ~port "/status" with
-          | _, body when Unix.gettimeofday () < deadline ->
+          | _ when Unix.gettimeofday () >= deadline -> ()
+          | 200, body ->
             let j = Analyze.parse_json body in
             let num k j = Analyze.num_or (-1.) (Option.bind j (Analyze.member k)) in
             Printf.fprintf oc "%.6f %.6g\n"
@@ -1098,7 +1102,8 @@ let monitor_scrape_midrun () =
               (num "rate" (Analyze.member "progress" j));
             Unix.sleepf 0.005;
             poll ()
-          | _ -> ()
+          | 0, _ -> ()
+          | code, _ -> failwith (Printf.sprintf "/status answered %d" code)
           | exception _ -> ()
         in
         poll ();
