@@ -3,10 +3,19 @@ module Problem = Yewpar_core.Problem
 
 type item = { profit : int; weight : int }
 
-type instance = { items : item array; capacity : int }
+type instance = {
+  items : item array;
+  capacity : int;
+  lightest : int array;
+      (* [lightest.(j)] is the least weight among items [j..n-1], and
+         [max_int] at [n]: no later item fits in less room *)
+}
 
 let instance ~items:item_list ~capacity =
   if capacity <= 0 then invalid_arg "Knapsack.instance: non-positive capacity";
+  (* [max_int] is [lightest]'s end sentinel, which must exceed every
+     room left. *)
+  if capacity = max_int then invalid_arg "Knapsack.instance: capacity max_int";
   List.iter
     (fun it ->
       if it.profit <= 0 || it.weight <= 0 then
@@ -24,7 +33,13 @@ let instance ~items:item_list ~capacity =
       in
       if c <> 0 then c else compare i j)
     order;
-  { items = Array.map (fun i -> arr.(i)) order; capacity }
+  let items = Array.map (fun i -> arr.(i)) order in
+  let n = Array.length items in
+  let lightest = Array.make (n + 1) max_int in
+  for j = n - 1 downto 0 do
+    lightest.(j) <- min items.(j).weight lightest.(j + 1)
+  done;
+  { items; capacity; lightest }
 
 let capacity inst = inst.capacity
 let items inst = inst.items
@@ -41,19 +56,21 @@ let root _inst = { next = 0; profit = 0; weight = 0; taken = [] }
 (* One cursor per call: [next] advances this call's item index past
    the items that do not fit and is its own tail, so a child costs its
    cell, its node and its [taken] cons. The cursor keeps only [inst],
-   [parent] and the index. A node with no later item allocates
-   nothing. *)
+   [parent], the room left and the index, and ends as soon as no later
+   item fits ([lightest]). A node where none fits allocates nothing and
+   gets [Seq.empty], found in O(1). *)
 let children inst parent =
-  if parent.next >= Array.length inst.items then Seq.empty
+  let room = inst.capacity - parent.weight in
+  if room < inst.lightest.(parent.next) then Seq.empty
   else begin
     let i = ref parent.next in
     let rec next () =
       let j = !i in
-      if j >= Array.length inst.items then Seq.Nil
+      if room < inst.lightest.(j) then Seq.Nil
       else begin
         i := j + 1;
         let it = inst.items.(j) in
-        if parent.weight + it.weight <= inst.capacity then
+        if it.weight <= room then
           Seq.Cons
             ( {
                 next = j + 1;
@@ -132,6 +149,7 @@ let parse_string text =
       let capacity = int_of "capacity" capacity in
       if capacity <= 0 then
         failwith (Printf.sprintf "Knapsack: non-positive capacity %d" capacity);
+      if capacity = max_int then failwith "Knapsack: capacity max_int";
       if List.length rest <> n then
         failwith
           (Printf.sprintf "Knapsack: expected %d item lines, found %d" n

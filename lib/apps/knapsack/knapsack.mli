@@ -15,13 +15,16 @@ type item = { profit : int; weight : int }
 (** One item. Profits and weights are positive. *)
 
 type instance
-(** A knapsack instance: items (sorted by density) and a capacity. *)
+(** A knapsack instance: items (sorted by density), a capacity, and the
+    suffix minima of the item weights, so a node that no later item
+    fits is told in O(1). *)
 
 val instance : items:item list -> capacity:int -> instance
 (** Build an instance; items are re-sorted by non-increasing
     profit/weight density internally (compared exactly by
     cross-multiplying; ties by original position).
-    @raise Invalid_argument on non-positive weights/profits/capacity. *)
+    @raise Invalid_argument on non-positive weights/profits/capacity,
+    or a capacity of [max_int]. *)
 
 val capacity : instance -> int
 (** The weight limit. *)
@@ -42,7 +45,9 @@ val root : instance -> node
 
 val children : (instance, node) Yewpar_core.Problem.generator
 (** Children add item [i] for each [i >= next] that fits, densest
-    first. *)
+    first. A node that no item from [next] on fits gets [Seq.empty]
+    itself, told in O(1) from the lightest such item; otherwise the
+    cursor stops at the first index past which no item fits. *)
 
 val fractional_bound : instance -> node -> int
 (** Dantzig upper bound on the best total profit reachable below the
@@ -65,7 +70,7 @@ val parse_string : string -> instance
 (** Parse the classic knapsack text format: a header line
     ["n capacity"] followed by [n] lines ["profit weight"].
     @raise Failure on malformed input, including a non-positive
-    capacity, profit or weight. *)
+    capacity, profit or weight, or a capacity of [max_int]. *)
 
 val to_string : instance -> string
 (** Render in the same format (items in internal density order). *)

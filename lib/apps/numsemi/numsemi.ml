@@ -62,11 +62,14 @@ let remove sp n x =
   ignore sp;
   { members; genus = n.genus + 1; frobenius = x; multiplicity }
 
+(* A leaf gets [Seq.empty] itself, so the engine enters and leaves it
+   in one step. *)
 let children sp parent =
   if parent.genus >= sp.gmax then Seq.empty
   else
-    List.to_seq (minimal_generators_above_frobenius sp parent)
-    |> Seq.map (fun x -> remove sp parent x)
+    match minimal_generators_above_frobenius sp parent with
+    | [] -> Seq.empty
+    | xs -> List.to_seq xs |> Seq.map (fun x -> remove sp parent x)
 
 let count_at_genus sp ~g =
   if g > sp.gmax then invalid_arg "Numsemi.count_at_genus: beyond gmax";

@@ -105,14 +105,19 @@ let candidates inst node =
     List.filter ok inst.t_by_degree
   end
 
+(* A dead end gets [Seq.empty] itself, so the engine enters and leaves
+   it in one step. *)
 let children inst parent =
-  List.to_seq (candidates inst parent)
-  |> Seq.map (fun t ->
-         let assignment = Array.copy parent.assignment in
-         assignment.(parent.level) <- t;
-         let used = Bitset.copy parent.used in
-         Bitset.add used t;
-         { level = parent.level + 1; assignment; used })
+  match candidates inst parent with
+  | [] -> Seq.empty
+  | cs ->
+    List.to_seq cs
+    |> Seq.map (fun t ->
+           let assignment = Array.copy parent.assignment in
+           assignment.(parent.level) <- t;
+           let used = Bitset.copy parent.used in
+           Bitset.add used t;
+           { level = parent.level + 1; assignment; used })
 
 let problem inst =
   let np = Graph.n_vertices inst.pattern in

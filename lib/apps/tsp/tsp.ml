@@ -68,16 +68,21 @@ let children inst parent =
         if c <> 0 then c else compare a b)
       unvisited
   in
-  List.to_seq ordered
-  |> Seq.map (fun city ->
-         let visited = Bitset.copy parent.visited in
-         Bitset.add visited city;
-         {
-           visited;
-           last = city;
-           length = parent.length + inst.dist.(parent.last).(city);
-           tour_rev = city :: parent.tour_rev;
-         })
+  (* A complete tour gets [Seq.empty] itself, so the engine enters and
+     leaves it in one step. *)
+  match ordered with
+  | [] -> Seq.empty
+  | cities ->
+    List.to_seq cities
+    |> Seq.map (fun city ->
+           let visited = Bitset.copy parent.visited in
+           Bitset.add visited city;
+           {
+             visited;
+             last = city;
+             length = parent.length + inst.dist.(parent.last).(city);
+             tour_rev = city :: parent.tour_rev;
+           })
 
 let closed_length inst node = node.length + inst.dist.(node.last).(0)
 

@@ -64,9 +64,25 @@ let sync t top entered pruned backtracks max_depth =
   t.backtracks <- backtracks;
   t.max_depth <- max_depth
 
+(* A hook sees the engine record up to date. *)
+let[@inline] call hook t top entered pruned backtracks max_depth =
+  match hook with
+  | None -> ()
+  | Some hook ->
+    sync t top entered pruned backtracks max_depth;
+    hook ()
+
+(* Two forced pairs of transitions take one iteration each, with no
+   hook between their halves: entering a leaf (its generator is
+   [Seq.empty]) and leaving it pushes no frame, when no [on_enter] hook
+   must see the leaf on the stack; and a sibling cut under [prune_rest]
+   leaves its frame at once, without writing [Seq.empty] into it. Each
+   pair takes two steps, so a run with one step left, and a caller
+   stepping one transition at a time, takes the halves apart. *)
 let run ?on_enter ?on_leave ?(steps = max_int) ~prune_rest ?keep ~process
     ~stop t =
   let prof = t.prof and children = t.children and space = t.space in
+  let fuse_leaf = match on_enter with None -> true | Some _ -> false in
   let rec go top n entered pruned backtracks max_depth =
     if Atomic.get stop then begin
       sync t top entered pruned backtracks max_depth;
@@ -86,11 +102,7 @@ let run ?on_enter ?on_leave ?(steps = max_int) ~prune_rest ?keep ~process
         | Seq.Nil ->
           let top = f.below and backtracks = backtracks + 1 in
           Depth_profile.note_complete prof f.depth f.kept;
-          (match on_leave with
-          | None -> ()
-          | Some hook ->
-            sync t top entered pruned backtracks max_depth;
-            hook ());
+          call on_leave t top entered pruned backtracks max_depth;
           go top (n - 1) entered pruned backtracks max_depth
         | Seq.Cons (child, rest) ->
           (* A cursor generator is its own tail, so its frame is left
@@ -100,30 +112,51 @@ let run ?on_enter ?on_leave ?(steps = max_int) ~prune_rest ?keep ~process
           if (match keep with None -> true | Some keep -> keep child) then begin
             let depth = f.depth + 1 in
             f.kept <- f.kept + 1;
-            let top =
-              Frame { rest = children space child; depth; kept = 0; below = top }
-            in
+            let grandchildren = children space child in
             let entered = entered + 1 in
             let max_depth = if depth > max_depth then depth else max_depth in
+            (* Noted before [process], which books a bound update at
+               the last noted depth. *)
             Depth_profile.note_node prof depth;
             if process child then begin
-              (match on_enter with
-              | None -> ()
-              | Some hook ->
-                sync t top entered pruned backtracks max_depth;
-                hook ());
-              go top (n - 1) entered pruned backtracks max_depth
+              if fuse_leaf && n >= 2 && grandchildren == Seq.empty then begin
+                (* Enter a leaf and leave it: no frame. *)
+                let backtracks = backtracks + 1 in
+                Depth_profile.note_complete prof depth 0;
+                call on_leave t top entered pruned backtracks max_depth;
+                go top (n - 2) entered pruned backtracks max_depth
+              end
+              else begin
+                let top =
+                  Frame { rest = grandchildren; depth; kept = 0; below = top }
+                in
+                call on_enter t top entered pruned backtracks max_depth;
+                go top (n - 1) entered pruned backtracks max_depth
+              end
             end
             else begin
+              let top =
+                Frame { rest = grandchildren; depth; kept = 0; below = top }
+              in
               Atomic.set stop true;
               sync t top entered pruned backtracks max_depth;
               false
             end
           end
           else begin
-            if prune_rest then f.rest <- Seq.empty;
+            let pruned = pruned + 1 in
             Depth_profile.note_prune prof (f.depth + 1);
-            go top (n - 1) entered (pruned + 1) backtracks max_depth
+            if prune_rest && n >= 2 then begin
+              (* Cut the siblings and leave the frame. *)
+              let top = f.below and backtracks = backtracks + 1 in
+              Depth_profile.note_complete prof f.depth f.kept;
+              call on_leave t top entered pruned backtracks max_depth;
+              go top (n - 2) entered pruned backtracks max_depth
+            end
+            else begin
+              if prune_rest then f.rest <- Seq.empty;
+              go top (n - 1) entered pruned backtracks max_depth
+            end
           end)
   in
   go t.top steps t.entered t.pruned t.backtracks t.max_depth

@@ -87,20 +87,35 @@ val run :
     - {e leave} ([backtrack]/[terminate]): the top node has no
       children left and is popped.
 
-    [stop] is read before every transition; the run ends when it is
-    raised. A [process] returning [false] (a decision witness) raises
-    [stop] and ends the run. [on_enter] is called after each entered
-    node that [process] accepted, [on_leave] after each leave; both see
-    an engine whose stack and counters are up to date, and may split
-    it ({!split_lowest}, {!split_one}, {!credit_kept}, {!cut_rest}) or
+    Two forced pairs of transitions are taken in one loop iteration
+    each, with no hook between their halves, when at least two steps
+    are left:
+    - {e enter a leaf, then leave it}, when the entered child's
+      generator is [== Seq.empty] (see {!Problem.generator}) and no
+      [on_enter] hook is given: no frame is pushed;
+    - {e cut the siblings, then leave the frame}, when a child fails
+      [keep] under [prune_rest]: the frame is left at once, with no
+      [Seq.empty] written into it.
+    Each pair counts as two transitions, so with [~steps:1] (or one
+    step left) its halves are taken apart, and a run ends in the same
+    state whatever its step budgets.
+
+    [stop] is read before every enter, prune or leave that starts an
+    iteration, not between the two halves of a pair; the run ends when
+    it is raised. A [process] returning [false] (a decision witness)
+    raises [stop] and ends the run with the entered node's frame
+    pushed. [on_enter] is called after each entered node that
+    [process] accepted, [on_leave] after each leave; both see an
+    engine whose stack and counters are up to date, and may split it
+    ({!split_lowest}, {!split_one}, {!credit_kept}, {!cut_rest}) or
     read its counters, but must not {!restart} or {!run} it.
 
     Returns [true] when the step budget ran out first, so the traversal
     can be resumed, and [false] once it is over: the subtree is
     exhausted or [stop] was raised. With [~steps:0] it takes no
-    transition and returns [not (Atomic.get stop)]. A transition
-    allocates only the new frame on enter and whatever the child
-    generator allocates.
+    transition and returns [not (Atomic.get stop)]. An enter allocates
+    the new frame, except in the leaf pair, and otherwise a transition
+    allocates only what the child generator does.
 
     Taking a child writes the generator's tail back into its frame
     only when the tail is a different sequence: a cursor generator,

@@ -18,7 +18,14 @@
 type ('space, 'node) generator = 'space -> 'node -> 'node Seq.t
 (** [children space node] lazily enumerates the children of [node] in
     heuristic (traversal) order. The returned sequence may be ephemeral:
-    skeletons force each cell exactly once. *)
+    skeletons force each cell exactly once.
+
+    A node with no children should get [Seq.empty] itself, found in
+    O(1), not a sequence that turns out empty when forced (such as
+    [List.to_seq []], a fresh closure): the engine tells a leaf by
+    physical equality with [Seq.empty] and then enters and leaves it in
+    one step with no frame. Any other empty sequence is still correct,
+    at the price of a frame and a second step. *)
 
 type ('node, 'acc) enum_spec = {
   empty : 'acc;  (** The monoid identity [0]. *)

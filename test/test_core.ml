@@ -812,31 +812,41 @@ let reference_dfs kind t prof =
   ( (List.rev !order, !incumbent, (!entered, !pruned, !backtracks, !max_depth)),
     progress_rows )
 
-let engine_dfs kind t prof budgets =
+(* [List.to_seq []] is a fresh closure, never [Seq.empty], so only a
+   generator that gives a leaf [Seq.empty] itself reaches the engine's
+   fused enter-then-leave step. *)
+let fresh_tails_of children () n = List.to_seq (children n)
+
+let empty_leaves_of children () n =
+  match children n with [] -> Seq.empty | cs -> List.to_seq cs
+
+(* An [on_leave] hook logging what it sees, newest first. *)
+let leave_log e =
+  let log = ref [] in
+  (log, fun () -> log := (Engine.backtracks e, Engine.current_depth e) :: !log)
+
+let engine_dfs kind t prof ~generator budgets =
   let children, keep, process, prune_rest, order, incumbent = search_kind kind in
   let e =
-    Engine.make ~prof ~space:() ~children:(fun () n -> List.to_seq (children n))
-      ~root_depth:0 t
+    Engine.make ~prof ~space:() ~children:(generator children) ~root_depth:0 t
   in
-  let stop = Atomic.make false in
+  let stop = Atomic.make false and log, on_leave = leave_log e in
+  let run steps = Engine.run ~on_leave ~steps ~prune_rest ~keep ~process ~stop e in
   (* Whether the search ended; the last resume is capped. *)
   let rec resume = function
-    | [] ->
-      let steps = step_cap (size t) in
-      not (Engine.run ~steps ~prune_rest ~keep ~process ~stop e)
-    | steps :: rest ->
-      (not (Engine.run ~steps ~prune_rest ~keep ~process ~stop e))
-      || resume rest
+    | [] -> not (run (step_cap (size t)))
+    | steps :: rest -> (not (run steps)) || resume rest
   in
   Depth_profile.note_node prof 0;
   let ended = (not (process t)) || resume budgets in
-  ( ended,
-    List.rev !order,
-    !incumbent,
-    ( Engine.nodes_entered e,
-      Engine.nodes_pruned e,
-      Engine.backtracks e,
-      Engine.max_depth e ) )
+  ( ( ended,
+      List.rev !order,
+      !incumbent,
+      ( Engine.nodes_entered e,
+        Engine.nodes_pruned e,
+        Engine.backtracks e,
+        Engine.max_depth e ) ),
+    List.rev !log )
 
 let profile_rows prof =
   ( List.init (Depth_profile.depths prof) (Depth_profile.row prof),
@@ -848,7 +858,11 @@ let profile_rows prof =
    on, profiled only, progress only) against a reference that records
    both: each view that is on must equal the reference's, and progress
    rows, which must not depend on whether profiling is on, must equal
-   the reference's own tally. *)
+   the reference's own tally. The engine runs four times, with fresh
+   tails and with [Seq.empty] leaves, each at the random budgets and
+   one step at a time: order, counters, profile rows and the
+   [on_leave] log must be the same in all four, so the fused leaf and
+   cut steps take exactly the transitions a one-step caller sees. *)
 let prop_engine_is_reference_dfs =
   QCheck.Test.make ~name:"paused engine = recursive reference DFS" ~count:300
     QCheck.(quad tree_arb (int_bound 4) (list (int_bound 5)) (int_bound 2))
@@ -860,14 +874,23 @@ let prop_engine_is_reference_dfs =
         | k -> `Dec (subtree_max t - (k - 2))
       in
       let profiled = mode <> 2 and progress = mode <> 1 in
-      let prof_ref = Depth_profile.create ()
-      and prof = Depth_profile.create ~profiled ~progress () in
+      let prof_ref = Depth_profile.create () in
       let expected, tally = reference_dfs kind t prof_ref in
-      let ended, order, best, counts = engine_dfs kind t prof budgets in
+      let one_step = List.init (step_cap (size t)) (fun _ -> 1) in
+      let run (generator, budgets) =
+        let prof = Depth_profile.create ~profiled ~progress () in
+        let got = engine_dfs kind t prof ~generator budgets in
+        (got, profile_rows prof)
+      in
+      let first = run (fresh_tails_of, budgets) in
+      let ((ended, order, best, counts), _), (rows, progress_rows) = first in
       let got = (order, best, counts) in
-      let rows, progress_rows = profile_rows prof
-      and rows_ref, progress_rows_ref = profile_rows prof_ref in
-      ended
+      let rows_ref, progress_rows_ref = profile_rows prof_ref in
+      List.for_all
+        (fun r -> run r = first)
+        [ (fresh_tails_of, one_step); (empty_leaves_of, budgets);
+          (empty_leaves_of, one_step) ]
+      && ended
       && got = expected
       && ((not profiled) || rows = rows_ref)
       && progress_rows_ref = tally
@@ -880,7 +903,11 @@ let prop_engine_is_reference_dfs =
    (List.to_seq) must run alike. Both are driven through one sequence
    of random step budgets, [split_lowest] and [split_one] calls, with
    the total transitions capped so that an engine that loses a fresh
-   tail (re-entering the same child forever) ends and is caught. *)
+   tail (re-entering the same child forever) ends and is caught. So
+   must a cursor that gives a leaf [Seq.empty], which the engine enters
+   and leaves in one step, and that cursor again with every budget cut
+   into single steps. Each run also logs what its [on_leave] hook
+   sees. *)
 let cursor_of children () n =
   let left = ref (children n) in
   let rec next () =
@@ -892,7 +919,8 @@ let cursor_of children () n =
   in
   next
 
-let fresh_tails_of children () n = List.to_seq (children n)
+let empty_leaf_cursor_of children () n =
+  match children n with [] -> Seq.empty | _ -> cursor_of children () n
 
 type tail_op = Steps of int | Split_lowest | Split_one
 
@@ -910,11 +938,11 @@ let drive_tails kind t ~generator ops =
   let e =
     Engine.make ~prof ~space:() ~children:(generator children) ~root_depth:0 t
   in
-  let stop = Atomic.make false and split = ref [] in
+  let stop = Atomic.make false and split = ref [] and log, on_leave = leave_log e in
   let budget = ref ((4 * size t) + 16) in
   let run steps =
     budget := !budget - steps;
-    Engine.run ~steps ~prune_rest ?keep ~process ~stop e
+    Engine.run ~on_leave ~steps ~prune_rest ?keep ~process ~stop e
   in
   (* Whether the traversal ended within the cap. *)
   let rec go ops =
@@ -941,7 +969,11 @@ let drive_tails kind t ~generator ops =
       Engine.nodes_pruned e,
       Engine.backtracks e,
       Engine.max_depth e ),
-    profile_rows prof )
+    profile_rows prof,
+    List.rev !log )
+
+let one_step_ops =
+  List.concat_map (function Steps n -> List.init n (fun _ -> Steps 1) | op -> [ op ])
 
 let prop_own_tail_is_fresh_tail =
   QCheck.Test.make ~name:"own-tail cursor = fresh-tail generator" ~count:300
@@ -952,10 +984,13 @@ let prop_own_tail_is_fresh_tail =
       let kind =
         match k with 0 | 1 -> `Enum | 2 -> `Opt | _ -> `Dec (subtree_max t)
       in
-      let cursor = drive_tails kind t ~generator:cursor_of ops
-      and fresh = drive_tails kind t ~generator:fresh_tails_of ops in
-      let ended, _, _, _, _ = cursor in
-      ended && fresh = cursor)
+      let cursor = drive_tails kind t ~generator:cursor_of ops in
+      let ended, _, _, _, _, _ = cursor in
+      ended
+      && drive_tails kind t ~generator:fresh_tails_of ops = cursor
+      && drive_tails kind t ~generator:empty_leaf_cursor_of ops = cursor
+      && drive_tails kind t ~generator:empty_leaf_cursor_of (one_step_ops ops)
+         = cursor)
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest

@@ -7,12 +7,21 @@
    reference child list, computed here without the generator; a cursor
    that has returned [Nil] must keep returning it. Cursor state kept in
    a cell shared between calls fails this. The nodes are reached by
-   random walks from the root along the reference children. *)
+   random walks from the root along the reference children.
+
+   A node with no children gets [Seq.empty] itself, which the engine
+   recognises by physical equality and enters and leaves in one step:
+   wherever the reference child list is empty, [children] must return
+   [Seq.empty]. The generators without a cursor (sip, tsp, numsemi)
+   are held to that part only, at leaves reached by random descents. *)
 
 module Queens = Yewpar_queens.Queens
 module Uts = Yewpar_uts.Uts
 module Knapsack = Yewpar_knapsack.Knapsack
 module Maxclique = Yewpar_maxclique.Maxclique
+module Sip = Yewpar_sip.Sip
+module Tsp = Yewpar_tsp.Tsp
+module Numsemi = Yewpar_numsemi.Numsemi
 module Bitset = Yewpar_bitset.Bitset
 module Graph = Yewpar_graph.Graph
 module Gen = Yewpar_graph.Gen
@@ -83,7 +92,7 @@ let contract ~name ~equal ~children instance =
       let want = reference node in
       let la, lb, nil = interleave picks (children space node) (children space node) in
       let same l = List.length l = List.length want && List.for_all2 equal l want in
-      same la && same lb && nil)
+      same la && same lb && nil && (want <> [] || children space node == Seq.empty))
 
 (* ------------------------- the references ------------------------- *)
 
@@ -203,6 +212,39 @@ let maxclique =
       let g = Gen.uniform ~seed 24 0.5 in
       (g, Maxclique.root g, maxclique_reference g))
 
+(* ------------------ childless nodes, no cursor ------------------ *)
+
+(* One random descent from the root to a leaf, along the generator's
+   own children; the leaf's [children] call must be [Seq.empty]. *)
+let childless ~name ~children instance =
+  QCheck.Test.make ~name ~count:200 QCheck.(int_bound 10_000) (fun seed ->
+      let space, root = instance seed in
+      let rng = Splitmix.of_seed seed in
+      let rec descend node =
+        match List.of_seq (children space node) with
+        | [] -> children space node == Seq.empty
+        | cs -> descend (List.nth cs (Splitmix.int rng (List.length cs)))
+      in
+      descend root)
+
+let sip =
+  childless ~name:"sip: a leaf gets Seq.empty" ~children:Sip.children (fun seed ->
+      let pattern = Gen.uniform ~seed 5 0.5
+      and target = Gen.uniform ~seed:(seed + 1) 9 0.5 in
+      let inst = Sip.instance ~pattern ~target in
+      (inst, Sip.root inst))
+
+let tsp =
+  childless ~name:"tsp: a leaf gets Seq.empty" ~children:Tsp.children (fun seed ->
+      let inst = Tsp.random_euclidean ~seed ~n:6 ~size:100 in
+      (inst, Tsp.root inst))
+
+let numsemi =
+  childless ~name:"numsemi: a leaf gets Seq.empty" ~children:Numsemi.children
+    (fun seed ->
+      let sp = Numsemi.space ~gmax:(4 + (seed mod 5)) in
+      (sp, Numsemi.root sp))
+
 let () =
   Alcotest.run "generators"
     [
@@ -210,4 +252,6 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ queens; uts_binomial; uts_geometric; uts_geometric_tabled; knapsack;
             maxclique ] );
+      ( "childless nodes",
+        List.map QCheck_alcotest.to_alcotest [ sip; tsp; numsemi ] );
     ]

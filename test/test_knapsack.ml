@@ -34,6 +34,15 @@ let validation () =
   Alcotest.check_raises "non-positive capacity"
     (Invalid_argument "Knapsack.instance: non-positive capacity") (fun () ->
       ignore (K.instance ~items:[ item 1 1 ] ~capacity:0));
+  Alcotest.check_raises "capacity max_int"
+    (Invalid_argument "Knapsack.instance: capacity max_int") (fun () ->
+      ignore (K.instance ~items:[] ~capacity:max_int));
+  List.iter
+    (fun items ->
+      let inst = K.instance ~items ~capacity:(max_int - 1) in
+      let node = Sequential.search (K.problem inst) in
+      Alcotest.(check int) "largest capacity" (List.length items) node.K.profit)
+    [ []; [ item 1 1 ] ];
   Alcotest.check_raises "non-positive item"
     (Invalid_argument "Knapsack.instance: non-positive item") (fun () ->
       ignore (K.instance ~items:[ item 0 1 ] ~capacity:5))
@@ -121,6 +130,7 @@ let io_errors () =
   (* Values [instance] rejects are parse errors too, not Invalid_argument. *)
   expect "1 0\n1 1\n";
   expect "0 -5\n";
+  expect (Printf.sprintf "1 %d\n1 1\n" max_int);
   expect "1 10\n0 1\n";
   expect "1 10\n1 -2\n"
 
