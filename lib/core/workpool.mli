@@ -21,7 +21,7 @@
       tasks under deep cutoffs).
 
     Not thread-safe: callers serialise access (the simulator is single
-    threaded; the Domain runtime wraps pools in its mutex). *)
+    threaded; [Two_tier] guards each of its pools with a mutex). *)
 
 type policy =
   | Depth  (** Deepest-first locally, shallowest-first steals. *)

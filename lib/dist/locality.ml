@@ -89,10 +89,11 @@ let run (type s n r) ?(record = false) ?heartbeat ?chaos ~conn ~workers
       ~policy:(Task_pool.policy_for coordination)
       ~slots:workers ()
   in
-  (* Tasks queued or executing here (deque- and pool-resident alike);
-     0 means the locality is drained (workers may only block, never
-     spawn, at 0) — so lease retirement at quiescence stays exact even
-     though deque tasks are invisible to the coordinator. *)
+  (* Tasks queued or executing here (in a worker's pool or the
+     overflow tier alike); 0 means the locality is drained (workers
+     may only block, never spawn, at 0) — so lease retirement at
+     quiescence stays exact even though queued tasks are invisible to
+     the coordinator. *)
   let local_outstanding = Atomic.make 0 in
   let stop = Atomic.make false in
   (* Armed by a coordinator steal request that caught both tiers dry:
@@ -278,7 +279,7 @@ let run (type s n r) ?(record = false) ?heartbeat ?chaos ~conn ~workers
     st.Stats.steals <- st.Stats.steals + 1;
     ledger.register lease;
     (* Wire arrivals have no owning worker: they land in the ordered
-       overflow tier (slot -1), never in a deque. *)
+       overflow tier (slot -1), never in a worker's own pool. *)
     enqueue_local ~slot:(-1) comms_r
       { Task_pool.tag = lease; node = codec.Codec.decode payload; depth }
   in

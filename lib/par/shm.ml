@@ -135,11 +135,11 @@ let parallel_run (type s n r) ~n_workers ?stats ?telemetry ?journal
         harness.Ops.view { knowledge with Knowledge.submit })
   in
   let task_priority = Worker.task_priority ~coordination views in
-  (* The in-process scheduler: each worker owns a lock-free Tier-1
-     deque and the shared ordered pool is the overflow tier; a task
-     obtained from a sibling's deque or another slot's pool push is a
-     steal. Termination is the classic outstanding-task count hitting
-     zero. *)
+  (* The in-process scheduler: each worker owns a depth-ordered pool
+     (deepest first, FIFO within a depth) and the shared ordered pool
+     is the overflow tier; a task obtained from a sibling's pool or
+     another slot's overflow push is a steal. Termination is the
+     classic outstanding-task count hitting zero. *)
   let scheduler =
     {
       Worker.enqueue =

@@ -6,31 +6,38 @@ module Splitmix = Yewpar_util.Splitmix
 (* An overflow-tier entry. [src] is the slot that pushed it (-1 for
    pushes with no worker identity — wire arrivals, the root seed), so
    [take] can tell a genuine steal from a worker being handed back its
-   own spill. *)
+   own push. *)
 type 'n entry = { src : int; tk : 'n Task_pool.task }
 
+(* A worker's own pool: [Depth]-ordered, so its owner pops the deepest
+   task (FIFO within a depth, i.e. spawn = heuristic order) and a
+   sibling steals the shallowest, oldest one. *)
+type 'n local = { lock : Mutex.t; tasks : 'n Task_pool.task Workpool.t }
+
 type 'n t = {
-  deques : 'n Task_pool.task Deque.t array;
+  locals : 'n local array;
       (* one per slot under [Depth], none otherwise: best-first and
-         Ordered orders are global, and a per-worker LIFO would
-         reorder them *)
+         Ordered orders are global, and per-worker pools would split
+         them *)
   mutex : Mutex.t;  (* guards [pool] *)
   nonempty : Condition.t;  (* the block/wake point of [take] *)
   pool : 'n entry Workpool.t;
   queued : int Atomic.t;
       (* total across both tiers; the O(1) basis of every hunger
          probe and of [shed_half]'s quota, so none of them has to sum
-         the deques *)
+         the pools *)
   waiting : int Atomic.t;
   rngs : Splitmix.gen array;
       (* per-slot victim-selection streams; [rngs.(i)] is touched only
          by slot [i]'s domain *)
 }
 
-let create ~policy ?(deque_capacity = 256) ~slots () =
+let create ~policy ~slots () =
   let n = if policy = Workpool.Depth then slots else 0 in
   {
-    deques = Array.init n (fun _ -> Deque.create ~capacity:deque_capacity ());
+    locals =
+      Array.init n (fun _ ->
+          { lock = Mutex.create (); tasks = Workpool.create ~policy () });
     mutex = Mutex.create ();
     nonempty = Condition.create ();
     pool = Workpool.create ~policy ();
@@ -54,45 +61,30 @@ let pool_push t ~src ~priority (tk : _ Task_pool.task) =
   Condition.signal t.nonempty;
   Mutex.unlock t.mutex
 
-let deques_nonempty t =
-  let n = Array.length t.deques in
-  let rec go i = i < n && ((not (Deque.is_empty t.deques.(i))) || go (i + 1)) in
-  go 0
+let locked f l =
+  Mutex.lock l.lock;
+  let r = f l.tasks in
+  Mutex.unlock l.lock;
+  r
+
+let locals_nonempty t =
+  Array.exists (fun l -> locked Workpool.size l > 0) t.locals
 
 let enqueue t ~slot ~recorder:_ ~priority task =
   Atomic.incr t.queued;
-  if slot < 0 || slot >= Array.length t.deques then
-    (* No owner deque (wire arrivals, the communicator) or a global
-       order: the ordered tier is the destination. *)
+  if slot < 0 || slot >= Array.length t.locals then
+    (* No owner (wire arrivals, the communicator) or a global order:
+       the overflow tier is the destination. *)
     pool_push t ~src:slot ~priority task
   else begin
-    let dq = t.deques.(slot) in
-    if not (Deque.push dq task) then begin
-      (* Deque full: migrate the shallowest half (the oldest, biggest
-         subtrees — taken off our own top) to the ordered tier, which
-         is where low-depth work belongs anyway, under one lock hold
-         and one wake-up, then retry. Only the owner pushes, so after
-         shedding half the retry cannot fail; the fallback guards a
-         sweep raced completely dry. *)
-      let rec migrate k =
-        if k > 0 then
-          match Deque.steal dq with
-          | Some tk ->
-            Workpool.push t.pool ~depth:tk.Task_pool.depth ~priority:0
-              { src = slot; tk };
-            migrate (k - 1)
-          | None -> ()
-      in
-      Mutex.lock t.mutex;
-      migrate (Deque.capacity dq / 2);
-      Condition.broadcast t.nonempty;
-      Mutex.unlock t.mutex;
-      if not (Deque.push dq task) then pool_push t ~src:slot ~priority task
-    end;
-    (* Deque pushes bypass the pool lock, so sleepers are woken
-       explicitly; they re-probe the deques after raising [waiting]
-       (see [take]), which makes push-then-check-waiting here
-       race-free under OCaml's SC atomics. *)
+    let l = t.locals.(slot) in
+    Mutex.lock l.lock;
+    Workpool.push l.tasks ~depth:task.Task_pool.depth task;
+    Mutex.unlock l.lock;
+    (* Own-pool pushes skip the sleep lock, so sleepers are woken
+       explicitly; they re-probe every pool under its lock after
+       raising [waiting] (see [take]), which makes push-then-check-
+       waiting here race-free. *)
     if Atomic.get t.waiting > 0 then begin
       Mutex.lock t.mutex;
       Condition.signal t.nonempty;
@@ -102,7 +94,7 @@ let enqueue t ~slot ~recorder:_ ~priority task =
 
 let take t ~slot ~recorder ~stop ?steal_counters ?(drained = fun () -> false)
     ?on_idle () =
-  let nslots = Array.length t.deques in
+  let nslots = Array.length t.locals in
   (* Steal accounting for this one acquisition, across both tiers: the
      first dry own-pop is its attempt, [dry_since] starts its Steal
      and final Idle spans. *)
@@ -125,7 +117,7 @@ let take t ~slot ~recorder ~stop ?steal_counters ?(drained = fun () -> false)
         ~start:!dry_since ~value:0
     | None -> ()
   in
-  (* One randomised full circle over the sibling deques. *)
+  (* One randomised full circle over the sibling pools. *)
   let steal_sweep () =
     if nslots <= 1 then None
     else begin
@@ -136,7 +128,7 @@ let take t ~slot ~recorder ~stop ?steal_counters ?(drained = fun () -> false)
           let v = (start + i) mod nslots in
           if v = slot then go (i + 1)
           else
-            match Deque.steal t.deques.(v) with
+            match locked Workpool.pop_steal t.locals.(v) with
             | Some tk -> Some tk
             | None -> go (i + 1)
       in
@@ -150,9 +142,13 @@ let take t ~slot ~recorder ~stop ?steal_counters ?(drained = fun () -> false)
   let rec loop () =
     if Atomic.get stop then None
     else
-      (* Under a global order there are no deques, so the sweep finds
-         none either: straight from the attempt mark to the pool. *)
-      match if nslots = 0 then None else Deque.pop t.deques.(slot) with
+      (* Under a global order there are no own pools, so the sweep
+         finds none either: straight from the attempt mark to the
+         overflow tier. *)
+      match
+        if nslots = 0 then None
+        else locked Workpool.pop_local t.locals.(slot)
+      with
       | Some tk -> got tk
       | None -> (
         mark_attempt ();
@@ -175,7 +171,7 @@ let take t ~slot ~recorder ~stop ?steal_counters ?(drained = fun () -> false)
       | Some { src; tk } ->
         Mutex.unlock t.mutex;
         (* Only a task someone else pushed counts as stolen: being
-           handed back our own spill after a wait is just latency. *)
+           handed back our own push after a wait is just latency. *)
         if src <> slot then count_steal tk;
         got tk
       | None ->
@@ -192,14 +188,15 @@ let take t ~slot ~recorder ~stop ?steal_counters ?(drained = fun () -> false)
         end
         else begin
           Atomic.incr t.waiting;
-          (* Lost-wakeup guard for the lock-free tier: deque pushers
-             publish the task first and only signal when they observe
-             [waiting > 0]. Re-probing the deques *after* raising
-             [waiting] therefore covers the race — a push missed by
-             this probe must read the raised counter and will signal
-             (blocking on our mutex until [Condition.wait] releases
-             it). *)
-          if deques_nonempty t then begin
+          (* Lost-wakeup guard for the own pools: their pushers
+             publish the task under the pool's lock first and only
+             signal when they observe [waiting > 0]. Re-probing each
+             pool under its lock *after* raising [waiting] therefore
+             covers the race — a push this probe missed takes that
+             lock after us, so it must read the raised counter and will
+             signal (blocking on our mutex until [Condition.wait]
+             releases it). *)
+          if locals_nonempty t then begin
             Atomic.decr t.waiting;
             Mutex.unlock t.mutex;
             loop ()
@@ -216,11 +213,7 @@ let take t ~slot ~recorder ~stop ?steal_counters ?(drained = fun () -> false)
             (match on_idle with
             | Some f -> f (Recorder.clock () -. wall_from)
             | None -> ());
-            if deques_nonempty t then begin
-              Mutex.unlock t.mutex;
-              loop ()
-            end
-            else wait ()
+            wait ()
           end
         end
   in
@@ -232,20 +225,19 @@ let shed_half t =
     | Some { tk; _ } -> from_pool (k - 1) (tk :: acc)
     | None -> (k, acc)
   in
-  (* Then the deques' oldest entries, one per deque per round, until
-     the quota is met or [n] visits in a row find nothing (a dry deque
-     or a steal lost to its owner). *)
-  let n = Array.length t.deques in
-  let rec from_deques k i dry acc =
+  (* Then the own pools' shallowest, oldest entries, one per pool per
+     round, until the quota is met or [n] pools in a row are dry. *)
+  let n = Array.length t.locals in
+  let rec from_locals k i dry acc =
     if k = 0 || dry = n then acc
     else
-      match Deque.steal t.deques.(i) with
-      | Some tk -> from_deques (k - 1) ((i + 1) mod n) 0 (tk :: acc)
-      | None -> from_deques k ((i + 1) mod n) (dry + 1) acc
+      match locked Workpool.pop_steal t.locals.(i) with
+      | Some tk -> from_locals (k - 1) ((i + 1) mod n) 0 (tk :: acc)
+      | None -> from_locals k ((i + 1) mod n) (dry + 1) acc
   in
   Mutex.lock t.mutex;
   let k, acc = from_pool ((Atomic.get t.queued + 1) / 2) [] in
   Mutex.unlock t.mutex;
-  let shed = List.rev (from_deques k 0 0 acc) in
+  let shed = List.rev (from_locals k 0 0 acc) in
   ignore (Atomic.fetch_and_add t.queued (-List.length shed));
   shed

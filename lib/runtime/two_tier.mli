@@ -1,20 +1,21 @@
 (** The scheduler shared by the shm runtime and every distributed
-    locality: work-stealing deques in front of one order-preserving
-    workpool (paper §4.3).
+    locality: one order-preserving workpool per worker in front of a
+    shared overflow pool (paper §4.3).
 
-    Tier 1 is an array of per-worker lock-free Chase-Lev {!Deque}s:
-    a worker pushes and pops its own deque without taking any lock
-    (deepest-first, keeping the search depth-first), and a dry worker
-    steals the shallowest entry from a random sibling with one CAS.
-    Tier 2, the overflow tier, is a mutex-guarded
-    {!Yewpar_core.Workpool} with the coordination's policy
-    ({!Task_pool.policy_for}): deque overflow spills into it
-    shallowest-first, pushes with no owning worker (wire arrivals, the
-    communicator) land in it directly, and best-first and Ordered
-    coordinations have no deques so their order stays global. Its
-    condition variable is also the block/wake point for workers that
-    find both tiers dry. A distributed locality sheds from both tiers
-    ({!shed_half}), the overflow tier first.
+    Tier 1 is an array of per-worker {!Yewpar_core.Workpool}s with the
+    [Depth] policy, each guarded by its own mutex: a worker pushes its
+    spawns onto its own pool and pops the deepest task, first-spawned
+    first within a depth, so siblings run in heuristic order and one
+    worker walks the tree in {!Yewpar_core.Sequential.search}'s order.
+    A dry worker steals the shallowest, oldest task (the biggest
+    subtree) from a random sibling. Tier 2, the overflow tier, is a
+    mutex-guarded {!Yewpar_core.Workpool} with the coordination's
+    policy ({!Task_pool.policy_for}): pushes with no owning worker
+    (wire arrivals, the communicator) land in it, and best-first and Ordered
+    coordinations have no per-worker pools, so their order stays
+    global. Its condition variable is also the block/wake point for
+    workers that find both tiers dry. A distributed locality sheds
+    from both tiers ({!shed_half}), the overflow tier first.
 
     A single atomic [queued] counter tracks the total across both
     tiers, so the hunger probe ({!hungry}) and the shed quota stay
@@ -23,13 +24,11 @@
 type 'n t
 
 val create :
-  policy:Yewpar_core.Workpool.policy -> ?deque_capacity:int -> slots:int ->
-  unit -> 'n t
-(** [slots] worker deques (capacity [deque_capacity], default 256)
-    over one overflow pool with [policy]. Only the [Depth] policy has
-    the fast tier: under [Priority] or [Fifo] no deque is created,
-    every task goes to the ordered pool, whose order is global, and
-    {!take} goes straight to it. *)
+  policy:Yewpar_core.Workpool.policy -> slots:int -> unit -> 'n t
+(** [slots] per-worker pools over one overflow pool with [policy].
+    Only the [Depth] policy has per-worker pools: under [Priority] or
+    [Fifo] every task goes to the overflow pool, whose order is
+    global, and {!take} goes straight to it. *)
 
 val enqueue :
   'n t ->
@@ -39,11 +38,9 @@ val enqueue :
   'n Task_pool.task ->
   unit
 (** Deliver a task. [slot] is the pushing worker's slot and selects
-    its deque; a negative or out-of-range slot (no worker identity)
+    its own pool; a negative or out-of-range slot (no worker identity)
     targets the overflow pool, as does any push under a policy other
-    than [Depth]. A full deque first migrates its shallowest half to
-    the pool, under one hold of the pool lock and with one wake-up.
-    Sleeping workers are woken. A push records no event:
+    than [Depth]. Sleeping workers are woken. A push records no event:
     [recorder] is accepted so the signature mirrors {!take}. *)
 
 val take :
@@ -56,45 +53,47 @@ val take :
   ?on_idle:(float -> unit) ->
   unit ->
   'n Task_pool.task option
-(** Blocking acquisition for the worker on [slot]: own deque pop, then
-    one randomised steal sweep over the sibling deques, then the
-    overflow tier, deepest-first (or by the pool's policy, with no
-    deque pop or sweep, since other policies have no deques). [None] ends
-    the worker's loop: [stop] is set, or [drained ()] holds with the
-    overflow tier empty ([drained] defaults to never: on a distributed
-    locality a dry pool does not end the search, since more work may
-    arrive over the wire).
+(** Blocking acquisition for the worker on [slot]: own pool pop
+    (deepest first, FIFO within a depth), then one randomised steal
+    sweep over the sibling pools (shallowest, oldest first), then the
+    overflow tier, deepest-first (or by the pool's policy, with no own
+    pop or sweep, since other policies have no per-worker pools).
+    [None] ends the worker's loop: [stop] is set, or [drained ()]
+    holds with the overflow tier empty ([drained] defaults to never:
+    on a distributed locality a dry pool does not end the search,
+    since more work may arrive over the wire).
 
     A worker that finds both tiers dry parks on the overflow tier's
-    condition. To close the lost-wakeup race without putting deque
-    pushes under the pool lock, it raises [waiting] ({!idle_workers}),
-    re-probes every deque, and only then waits; a deque push publishes
-    its task first and signals only when it observes [waiting > 0], so
-    a push the re-probe missed always wakes it. A re-probe that finds
-    deque work, before the wait or on wakeup, sends the worker back to
-    its own pop and the sweep.
+    condition. To close the lost-wakeup race without putting own-pool
+    pushes under the overflow lock, it raises [waiting]
+    ({!idle_workers}), re-probes every per-worker pool under that
+    pool's mutex, and only then waits; an own-pool push publishes its
+    task under the same mutex first and signals only when it observes
+    [waiting > 0], so a push the re-probe missed always wakes it. A
+    re-probe that finds work, before the wait or on wakeup, sends the
+    worker back to its own pop and the sweep.
 
     With [steal_counters], [slot]'s first dry own-pop of the call
-    counts one steal attempt, and a task obtained from a sibling deque
+    counts one steal attempt, and a task obtained from a sibling's pool
     or from an overflow push by another slot (or by none) counts one
     success with a [Steal] event spanning the steal latency, from that
     first dry probe to task in hand; at most one of each per call,
     whichever tier finally served it. Being handed back one's own
-    spill is not a steal. Each wait is recorded as one [Idle] event
-    from its real start, and a call that ends in [drained] records a
-    final [Idle] event from its first dry probe, so every worker that
-    looked for work leaves one. [on_idle], when given, receives each
+    overflow push is not a steal. Each wait is recorded as one [Idle]
+    event from its real start, and a call that ends in [drained]
+    records a final [Idle] event from its first dry probe, so every
+    worker that looked for work leaves one. [on_idle], when given, receives each
     wait's wall-clock duration (the dist heartbeat's idle fraction). *)
 
 val shed_half : 'n t -> 'n Task_pool.task list
 (** Remove half of everything queued across both tiers (rounded up),
     for shipping to a remote thief: the overflow tier's shallowest
-    tasks first, then the deques' oldest entries, taken with
-    {!Deque.steal} (safe from any domain or thread). [queued] drops by
-    the number returned. [[]] means both tiers were dry (or every
-    deque steal lost its race to an owner).
+    tasks first, then the per-worker pools' shallowest, oldest
+    entries, one pool at a time in turn. [queued] drops by the number
+    returned. [[]] means both tiers were dry.
 
-    On dist a shed deque task is as safe as a shed pool task: both
+    On dist a task shed from a worker's pool is as safe as one shed
+    from the overflow tier: both
     carry the lease they were spawned under, so the spill names it as
     [parent], and both count in the locality's outstanding tasks until
     they are shed. A lease retires only when nothing is outstanding

@@ -36,15 +36,17 @@
     a worker domain by less than one {!chunk}; its backtracks and
     depth reach them once, when the task ends. Under [Sequential] the
     one task never spawns, so a one-slot run walks the tree in
-    {!Yewpar_core.Sequential.search}'s order. *)
+    {!Yewpar_core.Sequential.search}'s order. So does a one-slot run
+    under Depth-Bounded or Budget: its spawns come back from its own
+    pool deepest first, in spawn order within a depth ({!Two_tier}). *)
 
 type 'n scheduler = {
   enqueue : slot:int -> Yewpar_telemetry.Recorder.t -> 'n Task_pool.task -> unit;
       (** Deliver a freshly spawned task. The core has already done
           the spawn accounting; the scheduler decides the destination
-          (shm: the spawning slot's deque via {!Two_tier.enqueue};
+          (shm: the spawning slot's own pool via {!Two_tier.enqueue};
           dist: the local tiers or a spill to the coordinator). [slot]
-          is the spawning worker — the owner of the Tier-1 deque the
+          is the spawning worker — the owner of the Tier-1 pool the
           task lands in. *)
   take : slot:int -> 'n Task_pool.task option;
       (** Blocking task acquisition; [None] ends the worker's loop.

@@ -5,6 +5,7 @@ module Coordination = Yewpar_core.Coordination
 module Mc = Yewpar_maxclique.Maxclique
 module Gen = Yewpar_graph.Gen
 module Knapsack = Yewpar_knapsack.Knapsack
+module Tsp = Yewpar_tsp.Tsp
 module Uts = Yewpar_uts.Uts
 module Stats = Yewpar_core.Stats
 module Depth_profile = Yewpar_core.Depth_profile
@@ -105,6 +106,38 @@ let single_worker () =
       let r = Shm.run ~workers:1 ~coordination (count_problem t) in
       Alcotest.(check int) (Printf.sprintf "one worker (%s)" name) (tree_size t) r)
     coords
+
+(* One worker follows Sequential's order: its own pool hands back the
+   deepest task, first-spawned first within a depth, so spawning never
+   reorders the search and the node count is Sequential's exactly.
+   (Random-Spawn is left out: its mid-task split runs a child out of
+   depth-first order.) *)
+let one_worker_sequential_order () =
+  let nodes search =
+    let stats = Stats.create () in
+    ignore (search stats);
+    stats.Stats.nodes
+  in
+  let check what problem =
+    let expected = nodes (fun stats -> Sequential.search ~stats problem) in
+    List.iter
+      (fun (name, coordination) ->
+        Alcotest.(check int)
+          (Printf.sprintf "%s nodes (%s)" what name)
+          expected
+          (nodes (fun stats -> Shm.run ~workers:1 ~stats ~coordination problem)))
+      [
+        ("depth1", Coordination.Depth_bounded { dcutoff = 1 });
+        ("depth2", Coordination.Depth_bounded { dcutoff = 2 });
+        ("depth3", Coordination.Depth_bounded { dcutoff = 3 });
+        ("budget10", Coordination.Budget { budget = 10 });
+        ("budget100", Coordination.Budget { budget = 100 });
+      ]
+  in
+  check "maxclique" (Mc.max_clique (Gen.uniform ~seed:41 100 0.8));
+  check "knapsack"
+    (Knapsack.problem (Knapsack.Generate.subset_sum ~seed:604 ~n:16 ~max_value:500));
+  check "tsp" (Tsp.problem (Tsp.random_euclidean ~seed:501 ~n:11 ~size:1000))
 
 let invalid_workers () =
   Alcotest.check_raises "zero workers rejected"
@@ -620,6 +653,8 @@ let () =
         [
           Alcotest.test_case "sequential delegates" `Quick sequential_delegates;
           Alcotest.test_case "single worker" `Quick single_worker;
+          Alcotest.test_case "one worker follows Sequential's order" `Quick
+            one_worker_sequential_order;
           Alcotest.test_case "invalid workers" `Quick invalid_workers;
           Alcotest.test_case "repeated runs" `Quick repeated_runs_stable;
           Alcotest.test_case "exception safety" `Quick generator_exceptions_propagate;

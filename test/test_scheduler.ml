@@ -1,114 +1,48 @@
 (* The two-tier scheduler's invariants, hammered directly (no search,
-   no engine): the Chase-Lev deque's single-owner/multi-thief protocol,
-   the cross-tier no-loss/no-duplication guarantee under concurrent
+   no engine): the per-worker pools' own-pop and steal orders, the
+   cross-tier no-loss/no-duplication guarantee under concurrent
    push/pop/steal/shed traffic, and the overflow tier's order
    preservation (depth resp. priority) that Ordered-style skeletons
    rely on. *)
 
 module Workpool = Yewpar_core.Workpool
-module Deque = Yewpar_runtime.Deque
 module Task_pool = Yewpar_runtime.Task_pool
 module Two_tier = Yewpar_runtime.Two_tier
 module Recorder = Yewpar_telemetry.Recorder
 
 let task ?(tag = 0) ?(depth = 0) node = { Task_pool.tag; node; depth }
 
-(* ------------------------- deque, owner only ---------------------- *)
+(* ---------------------- per-worker pool order --------------------- *)
 
-let deque_lifo_fifo () =
-  let d = Deque.create ~capacity:8 () in
-  Alcotest.(check bool) "fresh empty" true (Deque.is_empty d);
-  List.iter (fun i -> Alcotest.(check bool) "push" true (Deque.push d i)) [ 1; 2; 3; 4 ];
-  Alcotest.(check int) "size" 4 (Deque.size d);
-  (* Owner pops LIFO (the newest = deepest task). *)
-  Alcotest.(check (option int)) "pop newest" (Some 4) (Deque.pop d);
-  (* Thieves steal FIFO (the oldest = shallowest, biggest subtree). *)
-  Alcotest.(check (option int)) "steal oldest" (Some 1) (Deque.steal d);
-  Alcotest.(check (option int)) "steal next" (Some 2) (Deque.steal d);
-  Alcotest.(check (option int)) "pop last" (Some 3) (Deque.pop d);
-  Alcotest.(check (option int)) "pop empty" None (Deque.pop d);
-  Alcotest.(check (option int)) "steal empty" None (Deque.steal d)
-
-let deque_bounded () =
-  let d = Deque.create ~capacity:3 () in
-  Alcotest.(check int) "rounded up to power of two" 4 (Deque.capacity d);
-  for i = 1 to 4 do
-    Alcotest.(check bool) "fills" true (Deque.push d i)
-  done;
-  Alcotest.(check bool) "full push refused" false (Deque.push d 5);
-  Alcotest.(check (option int)) "contents intact" (Some 4) (Deque.pop d);
-  Alcotest.(check bool) "room again" true (Deque.push d 5);
-  (* Wrap around the circular buffer a few times: steal-one/push-one
-     on a full deque walks the indices far past the capacity. *)
-  let d2 = Deque.create ~capacity:4 () in
-  for i = 1 to 4 do
-    ignore (Deque.push d2 i)
-  done;
-  for i = 5 to 20 do
-    Alcotest.(check (option int)) "wrap steal" (Some (i - 4)) (Deque.steal d2);
-    Alcotest.(check bool) "wrap push" true (Deque.push d2 i)
-  done;
-  Alcotest.(check int) "still 4 queued" 4 (Deque.size d2)
-
-(* Owner pushes/pops concurrently with stealing domains: every pushed
-   element must surface exactly once, across pops and steals. *)
-let deque_concurrent_steals () =
-  let total = 20_000 in
-  let thieves = 3 in
-  let d = Deque.create ~capacity:64 () in
+(* A slot's own takes run its same-depth tasks in the order it
+   enqueued them (spawn = heuristic order), deepest first; a sibling's
+   take steals the shallowest, oldest task. *)
+let own_pool_order () =
+  let tiers = Two_tier.create ~policy:Workpool.Depth ~slots:2 () in
+  List.iter
+    (fun (id, depth) ->
+      Two_tier.enqueue tiers ~slot:0 ~recorder:Recorder.null ~priority:0
+        (task ~depth id))
+    [ (1, 1); (2, 2); (3, 2); (4, 1); (5, 2) ];
   let stop = Atomic.make false in
-  let stolen = Array.init thieves (fun _ -> ref []) in
-  let doms =
-    Array.init thieves (fun i ->
-        Domain.spawn (fun () ->
-            let acc = stolen.(i) in
-            while not (Atomic.get stop) do
-              match Deque.steal d with
-              | Some x -> acc := x :: !acc
-              | None -> Domain.cpu_relax ()
-            done))
+  let take slot =
+    Option.map
+      (fun t -> t.Task_pool.node)
+      (Two_tier.take tiers ~slot ~recorder:Recorder.null ~stop
+         ~drained:(fun () -> true)
+         ())
   in
-  let popped = ref [] in
-  let next = ref 0 in
-  (* Owner: keep the deque part-full, popping every third push so both
-     ends stay hot; a refused push (full) just retries after a pop. *)
-  while !next < total do
-    if Deque.push d !next then begin
-      incr next;
-      if !next mod 3 = 0 then
-        match Deque.pop d with
-        | Some x -> popped := x :: !popped
-        | None -> ()
-    end
-    else
-      match Deque.pop d with
-      | Some x -> popped := x :: !popped
-      | None -> ()
-  done;
-  (* Drain what's left before stopping the thieves. *)
-  let rec drain () =
-    match Deque.pop d with
-    | Some x ->
-      popped := x :: !popped;
-      drain ()
-    | None -> if Deque.size d > 0 then drain ()
-  in
-  drain ();
-  Atomic.set stop true;
-  Array.iter Domain.join doms;
-  let seen = Array.make total 0 in
-  List.iter (fun x -> seen.(x) <- seen.(x) + 1) !popped;
-  Array.iter (fun acc -> List.iter (fun x -> seen.(x) <- seen.(x) + 1) !acc) stolen;
-  Array.iteri
-    (fun i n ->
-      if n <> 1 then
-        Alcotest.failf "element %d surfaced %d times (lost or duplicated)" i n)
-    seen
+  Alcotest.(check (option int)) "sibling steals shallowest, oldest" (Some 1)
+    (take 1);
+  let own = List.init 5 (fun _ -> take 0) in
+  Alcotest.(check (list (option int)))
+    "own takes: deepest first, FIFO within a depth"
+    [ Some 2; Some 3; Some 5; Some 4; None ]
+    own
 
 (* ------------------- two-tier cross-tier stress ------------------- *)
 
-(* 8 workers over tiny deques (capacity 8, so overflow spills are
-   constant) with a shedder thread bouncing overflow-tier tasks out and
+(* 8 workers over their own pools with a shedder thread bouncing overflow-tier tasks out and
    back in (the dist shed/wire-arrival path, slot -1): every task id
    must be consumed exactly once across every path a task can travel —
    own pop, sibling steal, overflow pop, shed + re-entry. *)
@@ -117,7 +51,7 @@ let two_tier_stress () =
   let per_worker = 2_000 in
   let total = workers * per_worker in
   let tiers =
-    Two_tier.create ~policy:Workpool.Depth ~deque_capacity:8 ~slots:workers ()
+    Two_tier.create ~policy:Workpool.Depth ~slots:workers ()
   in
   let stop = Atomic.make false in
   let consumed = Atomic.make 0 in
@@ -133,7 +67,7 @@ let two_tier_stress () =
   let worker slot () =
     let rng = Yewpar_util.Splitmix.of_seed (slot * 7919) in
     (* Phase 1: produce our id range, taking now and then so the own
-       deque sees mixed push/pop while siblings steal from it. *)
+       pool sees mixed push/pop while siblings steal from it. *)
     for i = 0 to per_worker - 1 do
       let id = (slot * per_worker) + i in
       Two_tier.enqueue tiers ~slot ~recorder:Recorder.null ~priority:0
@@ -360,13 +294,6 @@ let drained_take_records_one_idle () =
 let () =
   Alcotest.run "scheduler"
     [
-      ( "deque",
-        [
-          Alcotest.test_case "owner LIFO, thief FIFO" `Quick deque_lifo_fifo;
-          Alcotest.test_case "bounded + wraparound" `Quick deque_bounded;
-          Alcotest.test_case "concurrent steals: no loss, no dup" `Quick
-            deque_concurrent_steals;
-        ] );
       ( "two-tier",
         [
           Alcotest.test_case "8-worker cross-tier stress" `Quick
@@ -375,6 +302,8 @@ let () =
             two_tier_priority_global_order;
           Alcotest.test_case "shed takes deque work, oldest first" `Quick
             shed_takes_deque_work;
+          Alcotest.test_case "own pool FIFO per depth, sibling steals shallowest"
+            `Quick own_pool_order;
         ] );
       ( "overflow order",
         Alcotest.test_case "shed shallowest, pops unchanged" `Quick shed_order
