@@ -70,29 +70,35 @@ type geo_params = {
 
 let geo_root p = { state = Splitmix.mix64 (Int64.of_int p.g_seed); depth = 0 }
 
-(* b(d) for the first depths is computed once per problem; past this
-   many depths it is computed per node, so the table stays small
+(* b(d) for the first depths is tabled once per problem; past this
+   many depths it is computed per node, so the tables stay small
    whatever [g_max_depth] is. *)
 let geo_table_depths = 64
 
 let[@inline] geo_branching p d = p.g_b0 *. (p.decay ** float_of_int d)
 
 (* Pure child count: [floor b(d)] plus one more with probability
-   [frac b(d)], drawn from the node's hash. [table.(d)] is b(d) for
-   every depth [d] it covers; the table is never written after it is
-   built, so workers on several domains can share it. *)
-let geo_num_children table p node =
+   [frac b(d)], drawn from the node's hash. At every depth [d] the
+   tables cover, [whole.(d)] is [floor b(d)] and [cut.(d)] is
+   [ceil (frac b(d) · 2^53)]. The draw [top53 / 2^53] is below
+   [frac b(d)] exactly when the integer [top53] is below [cut.(d)],
+   because [top53 < 2^53] and scaling by 2^53 is exact; so a tabled
+   depth costs no float at all. The tables are never written after
+   they are built, so workers on several domains can share them. *)
+let geo_num_children whole cut p node =
   let d = node.depth in
   if d >= p.g_max_depth then 0
+  else if d < Array.length whole then
+    whole.(d) + (if Splitmix.top53 node.state < cut.(d) then 1 else 0)
   else begin
-    let b = if d < Array.length table then table.(d) else geo_branching p d in
+    let b = geo_branching p d in
     let base = Float.floor b in
     int_of_float base + (if draw node < b -. base then 1 else 0)
   end
 
-let geo_generator table p parent = fan parent (geo_num_children table p parent)
+let geo_generator whole cut p parent = fan parent (geo_num_children whole cut p parent)
 
-let geo_children p parent = geo_generator [||] p parent
+let geo_children p parent = geo_generator [||] [||] p parent
 
 let geo_count_problem p =
   let reject what = invalid_arg ("Uts.geo_count_problem: " ^ what) in
@@ -100,6 +106,10 @@ let geo_count_problem p =
   if not (Float.is_finite p.g_b0 && p.g_b0 >= 0.) then
     reject "g_b0 must be finite and non-negative";
   if p.g_max_depth < 0 then reject "g_max_depth must be non-negative";
-  let table = Array.init (min p.g_max_depth geo_table_depths) (geo_branching p) in
+  let branching = Array.init (min p.g_max_depth geo_table_depths) (geo_branching p) in
+  let whole = Array.map (fun b -> int_of_float (Float.floor b)) branching in
+  let cut =
+    Array.map (fun b -> int_of_float (Float.ceil ((b -. Float.floor b) *. 0x1p53))) branching
+  in
   Problem.count_nodes ~name:"uts-geo" ~space:p ~root:(geo_root p)
-    ~children:(geo_generator table) ()
+    ~children:(geo_generator whole cut) ()

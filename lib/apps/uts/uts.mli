@@ -72,11 +72,15 @@ val geo_children : (geo_params, node) Yewpar_core.Problem.generator
 
 val geo_count_problem : geo_params -> (geo_params, node, int) Yewpar_core.Problem.t
 (** Enumeration: count all nodes of the geometric tree. Its generator
-    is {!geo_children}'s, except that b(d) for the first 64 depths
-    comes from a table computed once here by the same expression, so
-    the tree is bit-identical. Past the table, and so whatever
-    [g_max_depth] is, b(d) is computed per node. The table is read-only
-    once built, so workers on several domains share the problem safely.
+    is {!geo_children}'s, except at the first 64 depths, where two
+    integer tables computed once here from the same b(d) give the
+    count: [whole.(d) = floor b(d)] and [cut.(d) = ceil (frac b(d) ·
+    2^53)], and a node has [whole.(d)] children plus one when its
+    {!Yewpar_util.Splitmix.top53} is below [cut.(d)]. That is exactly
+    [draw < frac b(d)], so the tree is bit-identical. Past the tables,
+    and so whatever [g_max_depth] is, b(d) is computed per node. The
+    tables are read-only once built, so workers on several domains
+    share the problem safely.
     @raise Invalid_argument if [decay] is outside (0, 1), [g_b0] is
     negative or not finite, or [g_max_depth] is negative. A [decay]
     above 1 would grow the tree towards its depth cutoff, a search that

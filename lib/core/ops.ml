@@ -29,9 +29,18 @@ type ('node, 'result) some_algebra =
 
 (* ---- Enumerate: the partial is the accumulator ---- *)
 
+(* A node whose [view] is physically the identity is not combined,
+   since [combine acc empty = acc]: the accumulator is written only
+   for nodes that count. [==] compares immediates by value; a boxed
+   identity matches only itself. *)
 let enum_view (spec : ('n, 'acc) Problem.enum_spec) acc =
+  let { Problem.empty; combine; view } = spec in
   {
-    process = (fun n -> acc := spec.combine !acc (spec.view n); true);
+    process =
+      (fun n ->
+        let v = view n in
+        if v != empty then acc := combine !acc v;
+        true);
     keep = None;
     prune_siblings = false;
     priority = (fun _ -> 0);
@@ -139,8 +148,10 @@ let algebra : type n r. (n, r) Problem.kind -> (n, r) some_algebra = function
 (* ---- harnesses: the in-process runtimes' views, without lease cells ---- *)
 
 let enum_harness (spec : ('n, 'acc) Problem.enum_spec) : ('n, 'acc) harness =
-  (* One private accumulator per view avoids cross-worker contention;
-     commutativity of [combine] makes the final merge order irrelevant. *)
+  (* One accumulator per view, so no two workers write the same ref;
+     commutativity of [combine] makes the final merge order irrelevant.
+     The refs are allocated back to back on the calling domain, so they
+     may share a cache line. *)
   let accumulators : 'acc ref Vec.t = Vec.create () in
   let view _knowledge =
     let acc = ref spec.empty in

@@ -28,10 +28,18 @@ type ('space, 'node) generator = 'space -> 'node -> 'node Seq.t
     at the price of a frame and a second step. *)
 
 type ('node, 'acc) enum_spec = {
-  empty : 'acc;  (** The monoid identity [0]. *)
+  empty : 'acc;
+      (** The monoid identity [0]: [combine acc empty = acc] must hold.
+          Searches rely on it: a node whose [view] result is physically
+          equal ([==]) to [empty] is not combined at all. For an
+          immediate identity such as [0] that is every node whose
+          [view] is [0]; a boxed identity is skipped only when [view]
+          returns that very value. *)
   combine : 'acc -> 'acc -> 'acc;
       (** The monoid operation [+]; must be associative and commutative
-          so partial task results can merge in any order. *)
+          so partial task results can merge in any order, and pure (no
+          mutation of its arguments, no side effects), since how often
+          it is called depends on the search. *)
   view : 'node -> 'acc;  (** The objective function [h] into the monoid. *)
 }
 (** A commutative monoid with an injection, defining an enumeration. *)

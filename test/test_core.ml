@@ -387,6 +387,32 @@ let ops_enum_merges_views () =
   ignore (v1.Ops.process 1);
   Alcotest.(check int) "accumulators merge" 13 (h.Ops.result k)
 
+(* A node whose view is the monoid identity is not combined: queens-8
+   calls [combine] once per solution, 92 times, not once per node
+   (2,057), and once more to fold the one worker's accumulator into the
+   answer. *)
+let ops_enum_skips_identity () =
+  let calls = ref 0 in
+  let p = Yewpar_queens.Queens.count_solutions (Yewpar_queens.Queens.instance ~n:8) in
+  let p =
+    match p.Problem.kind with
+    | Problem.Enumerate spec ->
+      let combine a b = incr calls; spec.Problem.combine a b in
+      { p with Problem.kind = Problem.Enumerate { spec with Problem.combine } }
+  in
+  let check name run =
+    calls := 0;
+    Alcotest.(check int) (name ^ ": solutions") 92 (run ());
+    Alcotest.(check int) (name ^ ": combine calls") (92 + 1) !calls
+  in
+  check "Sequential.search" (fun () -> Sequential.search p);
+  List.iter
+    (fun (name, coordination) ->
+      check ("Shm.run ~workers:1 " ^ name) (fun () ->
+          Yewpar_par.Shm.run ~workers:1 ~coordination p))
+    [ ("seq", Coordination.Sequential);
+      ("depthbounded:2", Coordination.Depth_bounded { dcutoff = 2 }) ]
+
 let ops_decide_keep () =
   let h =
     Ops.harness
@@ -1030,6 +1056,7 @@ let () =
       ( "ops",
         [
           Alcotest.test_case "enum merges views" `Quick ops_enum_merges_views;
+          Alcotest.test_case "enum skips the identity" `Quick ops_enum_skips_identity;
           Alcotest.test_case "decide keep/process" `Quick ops_decide_keep;
           Alcotest.test_case "lease partial takes ties" `Quick
             ops_lease_partial_takes_ties;

@@ -28,6 +28,7 @@ module Sim = Yewpar_sim.Sim
 module Sim_config = Yewpar_sim.Config
 module Sim_metrics = Yewpar_sim.Metrics
 module Queens = Yewpar_queens.Queens
+module Numsemi = Yewpar_numsemi.Numsemi
 module Mc = Yewpar_maxclique.Maxclique
 module Gen = Yewpar_graph.Gen
 
@@ -148,6 +149,22 @@ let enumerate_queens group () =
         (cell ^ ": node total")
         seq_stats.Stats.nodes stats.Stats.nodes)
 
+(* A boxed monoid: each view returns a fresh array, never physically
+   the identity, so every node is combined. The problem has no codec
+   of its own; its nodes are plain data, so the Marshal codec ships
+   them. *)
+let enumerate_histogram group () =
+  let p = Numsemi.genus_histogram (Numsemi.space ~gmax:11) in
+  let p = { p with Yewpar_core.Problem.codec = Some (Yewpar_core.Codec.marshal ()) } in
+  let expected, seq_stats = Sequential.search_with_stats p in
+  Alcotest.(check (array int)) "histogram is the known counts"
+    (Array.sub Numsemi.known_counts 0 12) expected;
+  matrix ~group p (fun ~cell result stats ->
+      Alcotest.(check (array int)) (cell ^ ": genus histogram") expected result;
+      Alcotest.(check int)
+        (cell ^ ": node total")
+        seq_stats.Stats.nodes stats.Stats.nodes)
+
 (* --------------------------- optimise ---------------------------- *)
 
 let optimise_maxclique group () =
@@ -224,6 +241,7 @@ let decide_kclique_unsat group () =
 let cases group =
   [
     Alcotest.test_case "enumerate: queens" `Quick (enumerate_queens group);
+    Alcotest.test_case "enumerate: genus histogram" `Quick (enumerate_histogram group);
     Alcotest.test_case "optimise: maxclique" `Quick (optimise_maxclique group);
     Alcotest.test_case "decide: queens sat" `Quick (decide_queens_sat group);
     Alcotest.test_case "decide: queens unsat" `Quick (decide_queens_unsat group);

@@ -239,6 +239,98 @@ let geo_reference_deep () =
   let p = { Uts.g_b0 = 3.; decay = 0.999; g_max_depth = 130; g_seed = 5 } in
   Alcotest.(check int) "walk reaches the cutoff" 130 (geo_agrees p)
 
+(* The inverse of [Splitmix.mix64], so that a test can give a node any
+   [top53] it likes: undo each xor-shift, then multiply by the inverse
+   of each odd constant (Newton's iteration, exact mod 2^64). *)
+let unmix64 z =
+  let open Int64 in
+  let unshift z k =
+    let y = ref z in
+    for _ = 1 to 64 / k do
+      y := logxor z (shift_right_logical !y k)
+    done;
+    !y
+  in
+  let inverse a =
+    let x = ref a in
+    for _ = 1 to 5 do
+      x := mul !x (sub 2L (mul a !x))
+    done;
+    !x
+  in
+  let z = mul (unshift z 31) (inverse 0x94D049BB133111EBL) in
+  let z = mul (unshift z 27) (inverse 0xBF58476D1CE4E5B9L) in
+  unshift z 30
+
+let node_with_top53 ~depth t =
+  { Uts.state = unmix64 (Int64.shift_left (Int64.of_int t) 11); depth }
+
+(* b(d) at a depth the problem tables: a random one, an integral or
+   dyadic one (cut 0, or a fraction of few bits), or the fractions
+   nearest 0 and nearest 1 above an integer. *)
+let tabled_gen =
+  let open QCheck.Gen in
+  let g_seed = 0 and g_max_depth = 64 in
+  oneof
+    [ (let* g_b0 = float_range 0. 40. in
+       let* decay = float_range 1e-9 (1. -. 1e-9) in
+       let+ d = int_range 0 63 in
+       ({ Uts.g_b0; decay; g_max_depth; g_seed }, d));
+      (let* k = int_range 0 40 in
+       let+ d = int_range 0 6 in
+       ({ Uts.g_b0 = float_of_int k; decay = 0.5; g_max_depth; g_seed }, d));
+      (let* k = int_range 0 40 in
+       let* g_b0 =
+         oneofl [ Float.succ (float_of_int k); Float.pred (float_of_int (k + 1)) ]
+       in
+       let+ decay = float_range 0.01 0.99 in
+       ({ Uts.g_b0; decay; g_max_depth; g_seed }, 0)) ]
+
+(* At every tabled depth, the problem's child count is [floor b +
+   (draw < b - floor b)], for random states and for the states whose
+   [top53] sits next to [frac b · 2^53], where the extra child starts
+   or stops. *)
+let geo_table_count =
+  let arb =
+    QCheck.make
+      QCheck.Gen.(pair tabled_gen (list_size (return 8) int64))
+      ~print:(fun ((p, d), _) ->
+        Printf.sprintf "{g_b0 = %h; decay = %h}, depth %d" p.Uts.g_b0 p.Uts.decay d)
+  in
+  QCheck.Test.make ~name:"tabled count = floor b + (draw < frac b)" ~count:500 arb
+    (fun ((p, depth), states) ->
+      let children = (Uts.geo_count_problem p).Problem.children p in
+      let b = p.Uts.g_b0 *. (p.Uts.decay ** float_of_int depth) in
+      let frac = b -. Float.floor b in
+      let edge = int_of_float (frac *. 0x1p53) in
+      let edges =
+        List.filter_map
+          (fun t ->
+            if t < 0 || t >= 1 lsl 53 then None
+            else Some (node_with_top53 ~depth t))
+          [ edge - 1; edge; edge + 1; edge + 2 ]
+      in
+      List.for_all
+        (fun node ->
+          let expected =
+            int_of_float (Float.floor b) + if reference_draw node < frac then 1 else 0
+          in
+          Seq.length (children node) = expected
+          && Seq.length (Uts.geo_children p node) = expected)
+        (edges @ List.map (fun state -> { Uts.state; depth }) states))
+
+(* The inverse really is one, and puts [top53] where it is asked to. *)
+let unmix_inverts () =
+  List.iter
+    (fun z ->
+      Alcotest.(check int64) "mix64 (unmix64 z)" z (Splitmix.mix64 (unmix64 z)))
+    [ 0L; 1L; -1L; 0x123456789ABCDEFL; Int64.min_int ];
+  List.iter
+    (fun t ->
+      Alcotest.(check int) "top53" t
+        (Splitmix.top53 (node_with_top53 ~depth:0 t).Uts.state))
+    [ 0; 1; 12345; (1 lsl 53) - 1 ]
+
 let bin_params_arb =
   QCheck.make
     ~print:(fun p ->
@@ -362,6 +454,8 @@ let () =
         ] );
       ( "reference",
         Alcotest.test_case "walk reaches past the table" `Quick geo_reference_deep
-        :: List.map QCheck_alcotest.to_alcotest [ geo_reference; bin_reference ] );
+        :: Alcotest.test_case "unmix64 inverts mix64" `Quick unmix_inverts
+        :: List.map QCheck_alcotest.to_alcotest
+             [ geo_reference; geo_table_count; bin_reference ] );
       ("rejections", rejections);
     ]
